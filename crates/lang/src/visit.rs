@@ -44,9 +44,9 @@ enum Task {
 
 /// Reusable scratch space for [`walk_scoped_with`].
 ///
-/// A scoped walk needs a work stack; callers that walk many subtrees (the
-/// store's fused ingest pass, the per-subexpression canonicalizer) keep one
-/// `ScopeStack` alive so steady-state traversal performs no allocation.
+/// A scoped walk needs a work stack; callers that walk many terms (the
+/// store's fused ingest pass) keep one `ScopeStack` alive so steady-state
+/// traversal performs no allocation.
 /// The stack is cleared on entry to every walk; its contents between walks
 /// are unspecified.
 #[derive(Default)]
@@ -99,9 +99,12 @@ pub fn walk_scoped(arena: &ExprArena, root: NodeId, f: impl FnMut(ScopeEvent)) {
 }
 
 /// [`walk_scoped`] with caller-provided scratch space — the allocation-free
-/// variant for passes that walk many subtrees (one fused ingest pass plus
-/// one canonicalizing sub-walk *per indexed subexpression* in the store's
-/// `Subexpressions` mode all share a single [`ScopeStack`]).
+/// variant for passes that walk many terms (the store's fused root-mode
+/// ingest pass keeps one [`ScopeStack`] per batch). Subexpression-mode
+/// canonicalization needs no scoped walk per subterm: one bottom-up pass
+/// builds every standalone form, re-interning only the paths from each
+/// binder down to its occurrences — O(n + Σ binder→occurrence path
+/// lengths) per term.
 pub fn walk_scoped_with(
     arena: &ExprArena,
     root: NodeId,

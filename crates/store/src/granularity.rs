@@ -28,12 +28,18 @@
 //! both to confirm candidate merges exactly and to seed new classes, and
 //! those forms are genuinely different terms (a variable bound outside a
 //! subterm is *free by name* inside it), so they cannot be shared with the
-//! root's form. Building them costs O(size) per indexed subterm — Σ sizes
-//! over indexed subterms per term, which is O(n · depth) in the worst case
-//! (a left spine indexes suffixes of every length). `min_nodes` is the
-//! lever that bounds this: raising it skips the long tail of tiny
+//! root's form. They can be built up, though: one bottom-up pass interns
+//! each node's standalone form from its children's, and only a binder
+//! changes anything below it, so at each `Lam`/`Let` the pass re-interns
+//! just the paths from the binder's body down to its own occurrences. A
+//! term costs O(n + Σ binder→occurrence path lengths) intern probes, and
+//! only nodes whose canonical form actually changes are re-interned —
+//! O(n) on a binder-free spine, and O(n · depth) only when every binder's
+//! occurrences sit deep below it. `min_nodes` decides which subterms
+//! become index entries: raising it skips the long tail of tiny
 //! subterms, which dominate the count but rarely matter for containment
-//! queries.
+//! queries. Their standalone forms are still interned, as building blocks
+//! of the forms above them.
 //!
 //! ```
 //! use alpha_store::{AlphaStore, Granularity};

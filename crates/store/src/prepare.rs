@@ -18,21 +18,27 @@
 //!   DAG if the insert actually creates a class.
 //! * `Preparer::prepare_term` (crate-internal) — subexpression granularity: one
 //!   O(n (log n)²) post-order pass hashes **every** node (the paper's
-//!   headline result), then each subexpression clearing the `min_nodes`
-//!   floor is canonicalized by an O(size) scoped sub-walk that interns its
-//!   nodes **directly into the canon DAG** — no per-subterm arena is ever
-//!   allocated. Because interning is exact hash-consing, identical
-//!   subterms *within* a term come back as the same [`CanonRef`], and the
-//!   preparer collapses them into one `SubEntry` with an occurrence
-//!   `multiplicity` instead of k copies. Downstream, the shard sweep
-//!   confirms interned entries against candidate classes with an O(1) ref
-//!   compare.
+//!   headline result), then one bottom-up pass over the same post-order
+//!   canonicalizes every node **directly into the canon DAG** — no
+//!   per-subterm arena is ever allocated. Because interning is exact
+//!   hash-consing, identical subterms *within* a term come back as the
+//!   same [`CanonRef`], and the preparer collapses them into one
+//!   `SubEntry` with an occurrence `multiplicity` instead of k copies.
+//!   Downstream, the shard sweep confirms interned entries against
+//!   candidate classes with an O(1) ref compare.
 //!
 //! A subterm's canonical form cannot be sliced out of the root's — a
-//! variable bound *outside* a subterm is free *by name* inside it — which
-//! is why each indexed subterm gets its own scoped sub-walk from an empty
-//! environment. What interning adds is that those walks now share every
-//! node they produce, within a term, across terms, and across classes.
+//! variable bound *outside* a subterm is free *by name* inside it. But it
+//! can be *built up* from its children's: an `App` (or a `Var`/`Lit`
+//! leaf) interns one node from its children's refs, and only a binder
+//! changes anything below it — its own occurrences turn from `FVar(x)`
+//! into `BVar(i)`. So at a `Lam x`/`Let x` the pass re-interns just the
+//! union of paths from the binder's body down to those occurrences and
+//! keeps every other subtree's ref as it is. A term costs
+//! O(n + Σ binder→occurrence path lengths) intern probes, and only nodes
+//! whose canonical form actually changes are re-interned. The standalone
+//! forms of subterms below the `min_nodes` floor are interned too, as the
+//! building blocks of the forms above them.
 
 use crate::dag::CanonTable;
 use alpha_hash::combine::{HashScheme, HashWord};
@@ -96,9 +102,9 @@ pub(crate) struct PreparedTerm<H> {
 }
 
 /// Brings `sym` into scope at the current depth, remembering any shadowed
-/// outer binding on the `saved` stack. Shared by the fused root walk and
-/// the per-subexpression interning sub-walks, so the two can never drift
-/// apart.
+/// outer binding on the `saved` stack. Only the fused root walk keeps an
+/// environment: the subexpression pass resolves binders by post-order
+/// range instead (see `Preparer::close_binder`).
 fn bind(
     env: &mut HashMap<Symbol, u32>,
     saved: &mut Vec<Option<u32>>,
@@ -180,9 +186,7 @@ pub struct Preparer<'s, H: HashWord> {
     env: HashMap<Symbol, u32>,
     saved: Vec<Option<u32>>,
     db_stack: Vec<DbId>,
-    /// Value stack of the interning sub-walks.
-    ref_stack: Vec<CanonRef>,
-    /// Traversal scratch shared by every scoped walk this preparer runs.
+    /// Traversal scratch of the fused root walk.
     scope: ScopeStack,
     /// Scratch for the pure post-order hashing pass.
     post_stack: Vec<(NodeId, bool)>,
@@ -193,6 +197,64 @@ pub struct Preparer<'s, H: HashWord> {
     name_ids: HashMap<Symbol, NameId>,
     /// Intra-term dedup: interned ref bits → index into the subs vec.
     dedup: HashMap<u32, usize>,
+    /// Per post-order position: the node's canon ref in the context of its
+    /// most recently finished enclosing subterm (its standalone ref at the
+    /// moment it finishes).
+    refs: Vec<CanonRef>,
+    /// Per post-order position of a `Var`: the previous still-free
+    /// occurrence of the same symbol, or [`NO_OCC`]. With `occ_head`, one
+    /// linked stack of open occurrences per symbol.
+    occ_prev: Vec<u32>,
+    /// Symbol → post-order position of its latest still-free occurrence.
+    occ_head: HashMap<Symbol, u32>,
+    /// The occurrences the binder being closed captures, ascending.
+    closing: Vec<u32>,
+    /// Work stack of the path re-interning walk.
+    path_stack: Vec<PathTask>,
+}
+
+/// End of an occurrence list in [`Preparer`]'s `occ_prev`.
+const NO_OCC: u32 = u32::MAX;
+
+/// One step of [`Preparer::close_binder`]'s walk down the paths to a
+/// binder's occurrences. Positions are post-order positions in the term;
+/// `lo..hi` is the slice of `closing` that lies inside the node's subtree.
+enum PathTask {
+    /// Visit the node at `pos`, which sits under `depth` binders below the
+    /// one being closed.
+    Enter {
+        pos: u32,
+        lo: u32,
+        hi: u32,
+        depth: u32,
+    },
+    /// Re-intern the node at `pos` from its children's (updated) refs.
+    Exit(u32),
+}
+
+/// Post-order position of the left child (`App` function, `Let` rhs) of a
+/// binary node whose right child sits at `right`: the left subtree ends
+/// where the right one starts.
+fn left_of<H>(infos: &[(NodeId, H, u64)], right: usize) -> usize {
+    right - infos[right].2 as usize
+}
+
+/// The canon node for the inner node at post-order position `p`, built
+/// from its children's current refs. The right child (the body of a
+/// `Lam`/`Let`, the argument of an `App`) always ends at `p - 1`.
+fn compose<H>(
+    node: ExprNode,
+    p: usize,
+    infos: &[(NodeId, H, u64)],
+    refs: &[CanonRef],
+) -> CanonNode {
+    let right = refs[p - 1];
+    match node {
+        ExprNode::Lam(_, _) => CanonNode::Lam(right),
+        ExprNode::App(_, _) => CanonNode::App(refs[left_of(infos, p - 1)], right),
+        ExprNode::Let(_, _, _) => CanonNode::Let(refs[left_of(infos, p - 1)], right),
+        ExprNode::Var(_) | ExprNode::Lit(_) => unreachable!("leaves have no children"),
+    }
 }
 
 impl<'s, H: HashWord> Preparer<'s, H> {
@@ -203,12 +265,16 @@ impl<'s, H: HashWord> Preparer<'s, H> {
             env: HashMap::new(),
             saved: Vec::new(),
             db_stack: Vec::new(),
-            ref_stack: Vec::new(),
             scope: ScopeStack::new(),
             post_stack: Vec::new(),
             sub_infos: Vec::new(),
             name_ids: HashMap::new(),
             dedup: HashMap::new(),
+            refs: Vec::new(),
+            occ_prev: Vec::new(),
+            occ_head: HashMap::new(),
+            closing: Vec::new(),
+            path_stack: Vec::new(),
         }
     }
 
@@ -292,11 +358,12 @@ impl<'s, H: HashWord> Preparer<'s, H> {
 
     /// Prepares a term at subexpression granularity: **one** fused
     /// O(n (log n)²) walk hashes every node (no per-subterm `hash_expr`),
-    /// then each proper subexpression with at least `min_nodes` nodes is
-    /// canonicalized by an O(size) interning sub-walk straight into
-    /// `table`, and duplicate occurrences collapse into one entry with a
-    /// multiplicity (exact, by hash-consed ref equality). The root is
-    /// always included, whatever its size.
+    /// then one bottom-up pass canonicalizes every node straight into
+    /// `table` (see the module docs for its cost). Each proper
+    /// subexpression with at least `min_nodes` nodes becomes an entry, and
+    /// duplicate occurrences collapse into one entry with a multiplicity
+    /// (exact, by hash-consed ref equality). The root is always included,
+    /// whatever its size.
     pub(crate) fn prepare_term(
         &mut self,
         arena: &ExprArena,
@@ -308,21 +375,23 @@ impl<'s, H: HashWord> Preparer<'s, H> {
         let root_hash = self.hash_all(arena, root);
         let infos = std::mem::take(&mut self.sub_infos);
         debug_assert_eq!(infos.last().map(|&(n, _, _)| n), Some(root));
+        self.refs.clear();
+        self.occ_prev.clear();
+        self.occ_head.clear();
 
         let mut subs: Vec<SubEntry<H>> = Vec::new();
         let mut skipped = 0u64;
-        let mut root_size = 0u64;
         self.dedup.clear();
-        for &(node, hash, size) in &infos {
-            if node == root {
-                root_size = size;
-                continue;
+        let last = infos.len() - 1;
+        for (p, &(_, hash, size)) in infos.iter().enumerate() {
+            let cref = self.canon_node(arena, table, &infos, p);
+            if p == last {
+                break;
             }
             if size < min_nodes {
                 skipped += 1;
                 continue;
             }
-            let cref = self.intern_subterm(arena, node, table);
             match self.dedup.get(&cref.to_bits()) {
                 Some(&at) => {
                     debug_assert_eq!(subs[at].hash, hash, "equal canon implies equal hash");
@@ -339,8 +408,9 @@ impl<'s, H: HashWord> Preparer<'s, H> {
                 }
             }
         }
+        let root_ref = self.refs[last];
+        let root_size = infos[last].2;
         self.sub_infos = infos; // give the buffer back for reuse
-        let root_ref = self.intern_subterm(arena, root, table);
         PreparedTerm {
             root: SubEntry {
                 hash: root_hash,
@@ -353,62 +423,140 @@ impl<'s, H: HashWord> Preparer<'s, H> {
         }
     }
 
-    /// Canonicalizes the subexpression at `node` by interning it into the
-    /// canon DAG, bottom-up: a scoped walk that starts from an **empty**
-    /// environment, so binders outside the subexpression are simply
-    /// unknown and their occurrences come out free, by name — exactly the
-    /// semantics the subexpression has as a term of its own. Allocates no
-    /// arena; every produced node lands (deduplicated) in `table`.
-    fn intern_subterm(&mut self, arena: &ExprArena, node: NodeId, table: &CanonTable) -> CanonRef {
-        let mut depth: u32 = 0;
-        self.ref_stack.clear();
-
-        let env = &mut self.env;
-        let saved = &mut self.saved;
-        let refs = &mut self.ref_stack;
-        let name_ids = &mut self.name_ids;
-
-        walk_scoped_with(arena, node, &mut self.scope, |ev| match ev {
-            ScopeEvent::Enter(_) => {}
-            ScopeEvent::Bind { sym, .. } => bind(env, saved, &mut depth, sym),
-            ScopeEvent::Unbind { sym, .. } => unbind(env, saved, &mut depth, sym),
-            ScopeEvent::Exit(n) => {
-                let canon = match arena.node(n) {
-                    ExprNode::Var(s) => match env.get(&s) {
-                        Some(&level) => CanonNode::BVar(depth - level - 1),
-                        None => CanonNode::FVar(
-                            *name_ids
-                                .entry(s)
-                                .or_insert_with(|| table.intern_name(arena.name(s))),
-                        ),
-                    },
-                    ExprNode::Lit(l) => CanonNode::Lit(l),
-                    ExprNode::Lam(_, _) => {
-                        let body = refs.pop().expect("lam body");
-                        CanonNode::Lam(body)
-                    }
-                    ExprNode::App(_, _) => {
-                        let arg = refs.pop().expect("app arg");
-                        let fun = refs.pop().expect("app fun");
-                        CanonNode::App(fun, arg)
-                    }
-                    ExprNode::Let(_, _, _) => {
-                        let body = refs.pop().expect("let body");
-                        let rhs = refs.pop().expect("let rhs");
-                        CanonNode::Let(rhs, body)
-                    }
-                };
-                refs.push(table.intern_node(canon));
+    /// Finishes the node at post-order position `p` (every node before it
+    /// is finished): interns its standalone canonical form from its
+    /// children's refs, after closing its binder if it has one, and records
+    /// the ref at `refs[p]`.
+    fn canon_node(
+        &mut self,
+        arena: &ExprArena,
+        table: &CanonTable,
+        infos: &[(NodeId, H, u64)],
+        p: usize,
+    ) -> CanonRef {
+        debug_assert_eq!(self.refs.len(), p);
+        let node = arena.node(infos[p].0);
+        let mut prev = NO_OCC;
+        let canon = match node {
+            ExprNode::Var(s) => {
+                // Free in its own standalone form; an enclosing binder
+                // rewrites it when it closes.
+                prev = self.occ_head.insert(s, p as u32).unwrap_or(NO_OCC);
+                CanonNode::FVar(
+                    *self
+                        .name_ids
+                        .entry(s)
+                        .or_insert_with(|| table.intern_name(arena.name(s))),
+                )
             }
-        });
+            ExprNode::Lit(l) => CanonNode::Lit(l),
+            ExprNode::Lam(x, _) | ExprNode::Let(x, _, _) => {
+                self.close_binder(arena, table, infos, p, x);
+                compose(node, p, infos, &self.refs)
+            }
+            ExprNode::App(_, _) => compose(node, p, infos, &self.refs),
+        };
+        self.occ_prev.push(prev);
+        let cref = table.intern_node(canon);
+        self.refs.push(cref);
+        cref
+    }
 
-        let out = self
-            .ref_stack
-            .pop()
-            .expect("intern_subterm produced a root");
-        debug_assert!(self.ref_stack.is_empty());
-        debug_assert!(self.env.is_empty());
-        out
+    /// Closes the binder of `x` at post-order position `p`: the still-free
+    /// occurrences of `x` inside its body (the body is the node's last
+    /// child, so it spans the positions just before `p`) become bound, and
+    /// every node on a path from the body down to one of them is
+    /// re-interned with `FVar(x)` → `BVar(binders in between)`. Subtrees
+    /// holding no such occurrence keep their refs. Occurrences are popped
+    /// off `x`'s open-occurrence stack, so an outer binder of the same
+    /// symbol never sees them again, and a `Let`'s rhs (outside its scope)
+    /// keeps its own.
+    fn close_binder(
+        &mut self,
+        arena: &ExprArena,
+        table: &CanonTable,
+        infos: &[(NodeId, H, u64)],
+        p: usize,
+        x: Symbol,
+    ) {
+        let body = p - 1;
+        let body_start = (p - infos[body].2 as usize) as u32;
+        let Some(head) = self.occ_head.get_mut(&x) else {
+            return;
+        };
+        self.closing.clear();
+        while *head != NO_OCC && *head >= body_start {
+            self.closing.push(*head);
+            *head = self.occ_prev[*head as usize];
+        }
+        if self.closing.is_empty() {
+            return;
+        }
+        self.closing.reverse();
+
+        let closing = &self.closing;
+        let refs = &mut self.refs;
+        let stack = &mut self.path_stack;
+        stack.clear();
+        stack.push(PathTask::Enter {
+            pos: body as u32,
+            lo: 0,
+            hi: closing.len() as u32,
+            depth: 0,
+        });
+        while let Some(task) = stack.pop() {
+            match task {
+                PathTask::Enter { pos, lo, hi, depth } => {
+                    let q = pos as usize;
+                    let node = arena.node(infos[q].0);
+                    // Binders below the closed one at the right child, and
+                    // whether there is a left child (outside any binder
+                    // this node introduces).
+                    let (right_depth, binary) = match node {
+                        ExprNode::Var(_) => {
+                            debug_assert!(hi == lo + 1 && closing[lo as usize] == pos);
+                            refs[q] = table.intern_node(CanonNode::BVar(depth));
+                            continue;
+                        }
+                        ExprNode::Lit(_) => unreachable!("a literal is no occurrence"),
+                        ExprNode::Lam(_, _) => (depth + 1, false),
+                        ExprNode::App(_, _) => (depth, true),
+                        ExprNode::Let(_, _, _) => (depth + 1, true),
+                    };
+                    stack.push(PathTask::Exit(pos));
+                    let right = q - 1;
+                    let mut split = lo;
+                    if binary {
+                        // Occurrences before the right subtree's first
+                        // position lie in the left one.
+                        let left = left_of(infos, right);
+                        split += closing[lo as usize..hi as usize]
+                            .partition_point(|&o| o as usize <= left)
+                            as u32;
+                        if split > lo {
+                            stack.push(PathTask::Enter {
+                                pos: left as u32,
+                                lo,
+                                hi: split,
+                                depth,
+                            });
+                        }
+                    }
+                    if hi > split {
+                        stack.push(PathTask::Enter {
+                            pos: right as u32,
+                            lo: split,
+                            hi,
+                            depth: right_depth,
+                        });
+                    }
+                }
+                PathTask::Exit(pos) => {
+                    let q = pos as usize;
+                    refs[q] = table.intern_node(compose(arena.node(infos[q].0), q, infos, refs));
+                }
+            }
+        }
     }
 }
 
@@ -419,6 +567,8 @@ mod tests {
     use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::visit::postorder;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn print_entry<H: HashWord>(table: &CanonTable, entry: &SubEntry<H>) -> String {
         let PreparedCanon::Interned(cref) = entry.canon else {
@@ -532,6 +682,174 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The reference build for `prepare_term`: every indexed node
+    /// converted standalone by `to_debruijn` and interned whole. Returns
+    /// ref → (occurrences, node count) over the proper subterms clearing
+    /// `min_nodes`, and the root's ref.
+    fn reference_entries(
+        table: &CanonTable,
+        arena: &ExprArena,
+        root: NodeId,
+        min_nodes: usize,
+    ) -> (HashMap<CanonRef, (u32, u64)>, CanonRef) {
+        let mut entries: HashMap<CanonRef, (u32, u64)> = HashMap::new();
+        for n in postorder(arena, root) {
+            let size = arena.subtree_size(n);
+            if n == root || size < min_nodes {
+                continue;
+            }
+            let (db, db_root) = to_debruijn(arena, n);
+            let entry = entries
+                .entry(table.intern_arena(&db, db_root))
+                .or_insert((0, size as u64));
+            entry.0 += 1;
+        }
+        let (db, db_root) = to_debruijn(arena, root);
+        (entries, table.intern_arena(&db, db_root))
+    }
+
+    /// Checks `prepare_term` against [`reference_entries`] at every node
+    /// of `root`: the same refs, with the same multiplicities.
+    fn assert_matches_reference(
+        preparer: &mut Preparer<'_, u64>,
+        table: &CanonTable,
+        arena: &ExprArena,
+        root: NodeId,
+        what: &str,
+    ) {
+        let pt = preparer.prepare_term(arena, root, 1, table);
+        let got: HashMap<CanonRef, (u32, u64)> = pt
+            .subs
+            .iter()
+            .map(|entry| {
+                let PreparedCanon::Interned(cref) = entry.canon else {
+                    panic!("prepare_term entries are interned");
+                };
+                (cref, (entry.multiplicity, entry.node_count))
+            })
+            .collect();
+        assert_eq!(
+            got.len(),
+            pt.subs.len(),
+            "entries are distinct refs ({what})"
+        );
+        let (expected, expected_root) = reference_entries(table, arena, root, 1);
+        assert_eq!(
+            got, expected,
+            "subterm refs differ from the reference ({what})"
+        );
+        let PreparedCanon::Interned(root_ref) = pt.root.canon else {
+            panic!("prepare_term roots are interned");
+        };
+        assert_eq!(root_ref, expected_root, "root ref differs ({what})");
+    }
+
+    #[test]
+    fn bottom_up_pass_matches_the_standalone_reference_at_every_node() {
+        let scheme: HashScheme<u64> = HashScheme::new(0x0AC1E);
+        let table = CanonTable::new();
+        let mut arena = ExprArena::new();
+        let mut terms: Vec<(String, NodeId)> = Vec::new();
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let size = 60 + 70 * seed as usize;
+            let generated = [
+                ("balanced", expr_gen::balanced(&mut arena, size, &mut rng)),
+                (
+                    "unbalanced",
+                    expr_gen::unbalanced(&mut arena, size, &mut rng),
+                ),
+                (
+                    "arithmetic",
+                    expr_gen::arithmetic(&mut arena, size, &mut rng),
+                ),
+                (
+                    "wide_open_spine",
+                    expr_gen::wide_open_spine(&mut arena, size, 2 + seed as usize * 3, &mut rng),
+                ),
+            ];
+            for (family, root) in generated {
+                terms.push((format!("{family} seed {seed}"), root));
+            }
+        }
+        let sources = [
+            // The binder's symbol also occurs free, outside its scope.
+            r"(\x. x) x",
+            r"x (\x. f x x) x",
+            // A let binder named in its own rhs (not captured) and in its
+            // body (captured).
+            "let x = x + 1 in x * (x + 1)",
+            r"\y. let x = y x in x y",
+            // Nested binders whose occurrence paths overlap.
+            r"\x. \y. f (g x y) (h y x)",
+            r"\a. \b. \c. a (b c) (c (b a))",
+            r"let p = 1 in \q. p q (let r = q p in r p q)",
+            r"\u. (\v. u v) (\w. w u)",
+            "42",
+            "free",
+        ];
+        for src in sources {
+            terms.push((src.to_string(), parse(&mut arena, src).unwrap()));
+        }
+        let mut preparer = Preparer::new(&arena, &scheme);
+        for (what, root) in &terms {
+            assert_matches_reference(&mut preparer, &table, &arena, *root, what);
+        }
+    }
+
+    /// Intern probes (hits + misses) `prepare_term` makes on `root`.
+    fn intern_probes(arena: &ExprArena, root: NodeId) -> u64 {
+        let scheme: HashScheme<u64> = HashScheme::new(3);
+        let table = CanonTable::new();
+        let mut preparer = Preparer::new(arena, &scheme);
+        let _ = preparer.prepare_term(arena, root, 1, &table);
+        let (hits, misses) = table.intern_stats();
+        hits + misses
+    }
+
+    #[test]
+    fn a_binder_free_spine_costs_one_intern_probe_per_node() {
+        // f a0 a1 … a9999: 20,001 nodes, no binder, so no node's form is
+        // ever rewritten. Scoped per-subterm walks made ~10⁸ probes here.
+        let mut arena = ExprArena::new();
+        let mut spine = arena.var_named("f");
+        for i in 0..10_000 {
+            let arg = arena.var_named(&format!("a{i}"));
+            spine = arena.app(spine, arg);
+        }
+        let nodes = arena.subtree_size(spine) as u64;
+        assert_eq!(nodes, 20_001);
+        assert_eq!(intern_probes(&arena, spine), nodes);
+    }
+
+    #[test]
+    fn a_lambda_spine_rewrites_only_the_short_paths_to_its_occurrences() {
+        // \x0. x0 (\x1. x1 (… (\x4999. x4999 z))): each occurrence sits
+        // two nodes under its binder, so closing a binder re-interns the
+        // App and the Var below it and nothing else.
+        let mut arena = ExprArena::new();
+        let mut spine = arena.var_named("z");
+        for i in (0..5_000).rev() {
+            let x = arena.intern(&format!("x{i}"));
+            let occurrence = arena.var(x);
+            let body = arena.app(occurrence, spine);
+            spine = arena.lam(x, body);
+        }
+        let nodes = arena.subtree_size(spine) as u64;
+        assert_eq!(intern_probes(&arena, spine), nodes + 2 * 5_000);
+        assert!(nodes + 2 * 5_000 <= 2 * nodes);
+
+        let scheme: HashScheme<u64> = HashScheme::new(4);
+        let table = CanonTable::new();
+        let mut preparer = Preparer::new(&arena, &scheme);
+        let pt = preparer.prepare_term(&arena, spine, 1, &table);
+        let (db, db_root) = to_debruijn(&arena, spine);
+        let PreparedCanon::Interned(root_ref) = pt.root.canon else {
+            panic!("prepare_term roots are interned");
+        };
+        assert_eq!(root_ref, table.intern_arena(&db, db_root));
     }
 
     #[test]

@@ -309,14 +309,20 @@ fn enabled_instrumentation_overhead_is_bounded() {
         store.insert_batch(&arena, &roots);
         t.elapsed().as_nanos() as u64
     };
-    let median = |enabled: bool| {
-        let mut times: Vec<u64> = (0..5).map(|_| run(enabled)).collect();
+    let median = |mut times: Vec<u64>| {
         times.sort_unstable();
         times[2]
     };
-    // Warm-up, then measure.
+    // Warm-up, then measure. The two settings alternate so a change of
+    // machine speed, or of load from tests running alongside, falls on
+    // both medians alike instead of on whichever setting ran second.
     run(true);
-    let (on, off) = (median(true), median(false));
+    let (mut on_times, mut off_times) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        on_times.push(run(true));
+        off_times.push(run(false));
+    }
+    let (on, off) = (median(on_times), median(off_times));
     let ratio = on as f64 / off as f64;
     assert!(
         ratio < 1.5,
