@@ -65,8 +65,7 @@ pub const OP_CONTAINS: u8 = 0x06;
 pub const OP_CONTAINS_BATCH: u8 = 0x07;
 /// Store statistics + health + recovery snapshot ([`RemoteStats`]).
 pub const OP_STATS: u8 = 0x08;
-/// Prometheus exposition-format metrics text (requires the `obs`
-/// feature server-side; otherwise [`ERR_UNSUPPORTED`]).
+/// Prometheus exposition-format metrics text.
 pub const OP_METRICS_PROMETHEUS: u8 = 0x09;
 /// Checkpoint the store (snapshot + WAL reset), serialized against
 /// serving by the store's maintenance lock.
@@ -104,9 +103,8 @@ pub const ERR_TERM: u8 = 0x83;
 pub const ERR_READ_ONLY: u8 = 0x84;
 /// The daemon is draining for shutdown and no longer accepts work.
 pub const ERR_SHUTTING_DOWN: u8 = 0x85;
-/// The operation is not compiled into this server (e.g.
-/// [`OP_METRICS_PROMETHEUS`] without the `obs` feature).
-pub const ERR_UNSUPPORTED: u8 = 0x86;
+// 0x86 is retired (it meant "op not compiled into this server"); never
+// reuse it.
 /// An [`OP_UPDATE`] rewrite was refused before any state changed
 /// ([`alpha_store::StoreError::InvalidRewrite`]): unknown term handle,
 /// a path that does not resolve, or a replacement that would capture a
@@ -666,8 +664,7 @@ pub fn take_opt_class(input: &mut &[u8]) -> Result<Option<u64>, WireError> {
 
 /// Point-in-time store state as served by [`OP_STATS`]: the ingest
 /// counters, the class/term census, durability and health, what
-/// recovery did at open, and (when the server has the `obs` feature)
-/// the full metrics report as JSON.
+/// recovery did at open, and the full metrics report as JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RemoteStats {
     /// Terms ingested.
@@ -699,8 +696,7 @@ pub struct RemoteStats {
     /// WAL records replayed when the store was opened, with the
     /// clean-reopen flag; `None` for in-memory or fresh stores.
     pub recovery: Option<(u64, bool)>,
-    /// `obs_report().to_json()` when the server has the `obs` feature,
-    /// empty otherwise.
+    /// The store's `obs_report().to_json()`.
     pub obs_json: String,
 }
 
@@ -930,7 +926,6 @@ mod tests {
             ("ERR_TERM", ERR_TERM),
             ("ERR_READ_ONLY", ERR_READ_ONLY),
             ("ERR_SHUTTING_DOWN", ERR_SHUTTING_DOWN),
-            ("ERR_UNSUPPORTED", ERR_UNSUPPORTED),
             ("ERR_INVALID_REWRITE", ERR_INVALID_REWRITE),
             ("ERR_PERSIST_IO", ERR_PERSIST_IO),
             ("ERR_PERSIST_CORRUPT", ERR_PERSIST_CORRUPT),

@@ -65,8 +65,12 @@ pub fn wide_open_spine<R: Rng>(
     while remaining > 0 {
         // Sustain: once at (or above) the target width, spend one node
         // binding a random live variable before widening again. Also the
-        // only legal move when the budget cannot fit an App + leaf.
-        if (live.len() >= width || remaining < 2) && !live.is_empty() {
+        // only legal move when the budget cannot fit an App + leaf. At
+        // width 1 with two nodes left, binding the only live variable
+        // would strand the last node with nothing to bind, so the spine
+        // widens instead and ends open with two free variables.
+        let strands_last_node = live.len() == 1 && remaining == 2;
+        if ((live.len() >= width && !strands_last_node) || remaining < 2) && !live.is_empty() {
             let pick = rng.random_range(0..live.len());
             let sym = live.swap_remove(pick);
             expr = arena.lam(sym, expr);
@@ -94,7 +98,17 @@ mod tests {
     #[test]
     fn hits_exact_size_and_stays_open() {
         let mut rng = StdRng::seed_from_u64(1);
-        for (size, width) in [(1, 1), (2, 4), (3, 4), (64, 8), (1_001, 64), (10_000, 64)] {
+        for (size, width) in [
+            (1, 1),
+            (3, 1),
+            (60, 1),
+            (99, 1),
+            (2, 4),
+            (3, 4),
+            (64, 8),
+            (1_001, 64),
+            (10_000, 64),
+        ] {
             let mut arena = ExprArena::new();
             let root = wide_open_spine(&mut arena, size, width, &mut rng);
             assert_eq!(arena.subtree_size(root), size, "size {size} width {width}");

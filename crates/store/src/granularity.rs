@@ -447,7 +447,7 @@ impl<H: HashWord> StoreBuilder<H> {
 
     /// Builds a **durable** store rooted at `dir`: every insert is teed
     /// into a write-ahead log there, and [`AlphaStore::snapshot`] /
-    /// [`AlphaStore::compact`] keep a point-in-time image alongside it.
+    /// [`AlphaStore::checkpoint`] keep a point-in-time image alongside it.
     ///
     /// If `dir` already holds a store, it is recovered — snapshot loaded,
     /// WAL tail replayed with every merge re-confirmed — and its on-disk

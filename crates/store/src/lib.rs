@@ -45,7 +45,7 @@
 //!   elimination over the deduplicated corpus.
 //! * **Durable, optionally.** [`StoreBuilder::open_durable`] roots the
 //!   store in a directory: inserts tee into a group-committed write-ahead
-//!   log, [`AlphaStore::snapshot`]/[`AlphaStore::compact`] keep an
+//!   log, [`AlphaStore::snapshot`]/[`AlphaStore::checkpoint`] keep an
 //!   atomically-written point-in-time image, and
 //!   [`AlphaStore::open`] recovers after a crash — replaying the WAL tail
 //!   through the normal ingest path so every recovered merge is
@@ -116,5 +116,4 @@ pub use update::{Rewrite, UpdateOutcome};
 /// callers can name its types ([`Report`](alpha_obs::Report),
 /// [`Event`](alpha_obs::Event), [`Subscriber`](alpha_obs::Subscriber))
 /// without a separate dependency edge.
-#[cfg(feature = "obs")]
 pub use alpha_obs;

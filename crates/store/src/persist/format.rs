@@ -19,11 +19,9 @@
 //! class-reachable sub-DAG, deduplicated) with classes addressing
 //! positions in it, and a WAL record carries one node-deduplicated DAG
 //! with its entries addressing positions — mirroring the in-memory
-//! hash-consed canon table (`crate::dag`); v3 keeps all of that.
-//! **Format v1** files (standalone canonical tree per class / per
-//! record entry) still *decode* through shims, as do v2 files, so older
-//! stores open and are migrated by the recovery checkpoint; only v3 is
-//! written.
+//! hash-consed canon table (`crate::dag`); v3 keeps all of that. Only
+//! v3 is written and only v3 decodes: a header naming any other version
+//! is refused with [`PersistError::Mismatch`].
 //!
 //! Three layers live here:
 //!
@@ -66,24 +64,9 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// Format version written into every header. Bumped on **any** layout
 /// change — including changes to the hash combiners in
 /// [`alpha_hash::combine`], since persisted content addresses must keep
-/// meaning what they meant. Writers emit only this version; readers
-/// additionally accept [`COMPAT_VERSION`] through [`FORMAT_VERSION`]` -
-/// 1` through explicit decode shims.
+/// meaning what they meant. Writers emit only this version, and readers
+/// decode only this version.
 pub const FORMAT_VERSION: u16 = 3;
-
-/// The oldest version readers still decode (read-only — recovery's
-/// checkpoint rewrites such stores at [`FORMAT_VERSION`]). Version 1
-/// stored one standalone canonical tree per class and per WAL record
-/// entry, with no structure sharing and no group-commit markers.
-/// Version 2 shared DAGs but had no delta records, u32 same-shard term
-/// pointers, and no per-term occurrence multiplicities.
-pub const COMPAT_VERSION: u16 = 1;
-
-/// `true` when `version` is one this build can decode: the current
-/// format or any compatibility version behind it.
-pub(crate) fn version_supported(version: u16) -> bool {
-    (COMPAT_VERSION..=FORMAT_VERSION).contains(&version)
-}
 
 // ---------------------------------------------------------------------
 // Primitives
@@ -392,26 +375,6 @@ pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
     Ok(arena)
 }
 
-/// Encodes one canonical term (the v1 class/entry layout): a node run
-/// plus a root id. v1 is never *written* to disk anymore; the encoder is
-/// kept for the round-trip tests that pin the compatibility shims.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn put_canon(out: &mut Vec<u8>, canon: &DbArena, root: DbId) {
-    put_dag(out, canon);
-    put_u32(out, root.index() as u32);
-}
-
-/// Decodes one canonical term (node run + root id) — the v1 class/entry
-/// layout.
-pub(crate) fn take_canon(input: &mut &[u8]) -> Result<(DbArena, DbId), PersistError> {
-    let arena = take_dag(input)?;
-    let root_raw = take_u32(input)? as usize;
-    if root_raw >= arena.len() {
-        return Err(corrupt("root id out of range"));
-    }
-    Ok((arena, DbId::from_index(root_raw)))
-}
-
 // ---------------------------------------------------------------------
 // Insert records (the WAL payload)
 // ---------------------------------------------------------------------
@@ -426,8 +389,7 @@ pub(crate) struct RawEntry<H> {
     pub pos: DbId,
     /// Tree node count of the entry.
     pub node_count: u64,
-    /// Occurrences of this entry within the ingested term (1 for roots
-    /// and for every v1 entry).
+    /// Occurrences of this entry within the ingested term (1 for roots).
     pub multiplicity: u32,
 }
 
@@ -449,10 +411,10 @@ pub(crate) struct RawRecord<H> {
     pub skipped: u64,
 }
 
-/// Encodes one v2 insert record: the shared node run, then the root entry
+/// Encodes one insert record: the shared node run, then the root entry
 /// `(hash, pos, node_count)`, then each sub entry with its multiplicity,
-/// then the skip count. `positions` addresses `dag`.
-pub(crate) fn put_record_v2<H: HashWord>(
+/// then the skip count. Positions address `dag`.
+pub(crate) fn put_record<H: HashWord>(
     out: &mut Vec<u8>,
     dag: &DbArena,
     root: (H, DbId, u64),
@@ -473,8 +435,8 @@ pub(crate) fn put_record_v2<H: HashWord>(
     put_u64(out, skipped);
 }
 
-/// Decodes one v2 insert record.
-pub(crate) fn take_record_v2<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
+/// Decodes one insert record.
+pub(crate) fn take_record<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
     let canon = take_dag(input)?;
     let root = {
         let hash = take_hash(input)?;
@@ -508,41 +470,6 @@ pub(crate) fn take_record_v2<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord
             pos: DbId::from_index(pos_raw),
             node_count,
             multiplicity,
-        });
-    }
-    let skipped = take_u64(input)?;
-    Ok(RawRecord {
-        canon,
-        root,
-        subs,
-        skipped,
-    })
-}
-
-/// Decodes one **v1** insert record (standalone canonical tree per entry)
-/// into the shared [`RawRecord`] shape: the per-entry arenas are merged
-/// into one node run (no sharing — v1 never had any) with remapped ids.
-pub(crate) fn take_record_v1<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
-    let root_hash = take_hash(input)?;
-    let (mut canon, root_pos) = take_canon(input)?;
-    let root = RawEntry {
-        hash: root_hash,
-        pos: root_pos,
-        node_count: canon.len() as u64,
-        multiplicity: 1,
-    };
-    let sub_count = take_u32(input)? as usize;
-    let mut subs = Vec::with_capacity(sub_count.min(1 << 16));
-    for _ in 0..sub_count {
-        let hash = take_hash(input)?;
-        let (sub_arena, sub_root) = take_canon(input)?;
-        let node_count = sub_arena.len() as u64;
-        let pos = merge_arena(&mut canon, &sub_arena, sub_root)?;
-        subs.push(RawEntry {
-            hash,
-            pos,
-            node_count,
-            multiplicity: 1,
         });
     }
     let skipped = take_u64(input)?;
@@ -627,31 +554,10 @@ pub(crate) fn take_delta<H: HashWord>(input: &mut &[u8]) -> Result<RawDelta<H>, 
     })
 }
 
-/// Appends every node of `src` to `dst` (remapping ids and re-interning
-/// names) and returns the id `src_root` maps to.
-fn merge_arena(dst: &mut DbArena, src: &DbArena, src_root: DbId) -> Result<DbId, PersistError> {
-    let syms: Vec<Symbol> = src.names().map(|n| dst.intern(n)).collect();
-    let mut map: Vec<DbId> = Vec::with_capacity(src.len());
-    for node in src.nodes() {
-        let remapped = match node {
-            DbNode::BVar(i) => DbNode::BVar(i),
-            DbNode::FVar(sym) => DbNode::FVar(syms[sym.index() as usize]),
-            DbNode::Lam(b) => DbNode::Lam(map[b.index()]),
-            DbNode::App(f, a) => DbNode::App(map[f.index()], map[a.index()]),
-            DbNode::Let(r, b) => DbNode::Let(map[r.index()], map[b.index()]),
-            DbNode::Lit(l) => DbNode::Lit(l),
-        };
-        map.push(dst.push(remapped));
-    }
-    map.get(src_root.index())
-        .copied()
-        .ok_or_else(|| corrupt("v1 sub-entry root out of range"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
+    use lambda_lang::debruijn::{db_eq, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::ExprArena;
 
@@ -677,11 +583,9 @@ mod tests {
         );
         assert!(
             spec.contains(&format!(
-                "**Compatibility:** versions {COMPAT_VERSION} through {} decode read-only",
-                FORMAT_VERSION - 1
+                "**Compatibility:** only version {FORMAT_VERSION} decodes; any other version is `Mismatch`"
             )),
-            "spec must document the v{COMPAT_VERSION}..v{} compatibility rule",
-            FORMAT_VERSION - 1
+            "spec must document that only v{FORMAT_VERSION} decodes"
         );
         assert!(
             spec.contains("### Delta records"),
@@ -748,15 +652,15 @@ mod tests {
             let parsed = parse(&mut arena, src).unwrap();
             let (canon, root) = to_debruijn(&arena, parsed);
             let mut buf = Vec::new();
-            put_canon(&mut buf, &canon, root);
+            put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64), &[], 0);
             let mut input = buf.as_slice();
-            let (decoded, decoded_root) = take_canon(&mut input).unwrap();
+            let decoded: RawRecord<u64> = take_record(&mut input).unwrap();
             assert!(input.is_empty(), "trailing bytes for {src}");
             assert!(
-                db_eq(&canon, root, &decoded, decoded_root),
+                db_eq(&canon, root, &decoded.canon, decoded.root.pos),
                 "decode changed the term for {src}"
             );
-            assert_eq!(decoded.len(), canon.len());
+            assert_eq!(decoded.canon.len(), canon.len());
         }
     }
 
@@ -766,7 +670,7 @@ mod tests {
         let parsed = parse(&mut arena, r"\x. x + 1").unwrap();
         let (canon, root) = to_debruijn(&arena, parsed);
         let mut buf = Vec::new();
-        put_canon(&mut buf, &canon, root);
+        put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64), &[], 0);
         // Flipping any single byte must yield Corrupt or a *different*
         // term — never a panic. (CRC catches the difference in practice;
         // here we only assert decode robustness.)
@@ -774,7 +678,7 @@ mod tests {
             let mut bad = buf.clone();
             bad[i] ^= 0xFF;
             let mut input = bad.as_slice();
-            let _ = take_canon(&mut input); // must not panic
+            let _ = take_record::<u64>(&mut input); // must not panic
         }
     }
 
@@ -823,7 +727,7 @@ mod tests {
         // an interior node. For the test's purpose any valid position works.
         let sub_pos = DbId::from_index(4.min(dag.len() - 1));
         let mut buf = Vec::new();
-        put_record_v2::<u64>(
+        put_record::<u64>(
             &mut buf,
             &dag,
             (0xAAAA, root, dag.len() as u64),
@@ -831,7 +735,7 @@ mod tests {
             3,
         );
         let mut input = buf.as_slice();
-        let decoded: RawRecord<u64> = take_record_v2(&mut input).unwrap();
+        let decoded: RawRecord<u64> = take_record(&mut input).unwrap();
         assert!(input.is_empty());
         assert_eq!(decoded.root.hash, 0xAAAA);
         assert_eq!(decoded.root.pos, root);
@@ -877,48 +781,5 @@ mod tests {
             let mut input = &buf[..cut];
             assert!(take_delta::<u128>(&mut input).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn record_v1_decodes_into_the_merged_dag_shape() {
-        // Hand-encode a v1 record: root entry + one sub entry, each with
-        // its own standalone canon (the old layout).
-        let mut arena = ExprArena::new();
-        let whole = parse(&mut arena, r"\x. x + (v * 3)").unwrap();
-        let subterm = parse(&mut arena, "v * 3").unwrap();
-        let (root_canon, root_id) = to_debruijn(&arena, whole);
-        let (sub_canon, sub_id) = to_debruijn(&arena, subterm);
-
-        let mut buf = Vec::new();
-        put_hash::<u64>(&mut buf, 0x1111);
-        put_canon(&mut buf, &root_canon, root_id);
-        put_u32(&mut buf, 1); // sub_count
-        put_hash::<u64>(&mut buf, 0x2222);
-        put_canon(&mut buf, &sub_canon, sub_id);
-        put_u64(&mut buf, 9); // skipped
-
-        let mut input = buf.as_slice();
-        let decoded: RawRecord<u64> = take_record_v1(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(decoded.root.hash, 0x1111);
-        assert_eq!(decoded.subs[0].hash, 0x2222);
-        assert_eq!(decoded.subs[0].multiplicity, 1);
-        assert_eq!(decoded.skipped, 9);
-        assert!(db_eq(
-            &decoded.canon,
-            decoded.root.pos,
-            &root_canon,
-            root_id
-        ));
-        assert!(db_eq(
-            &decoded.canon,
-            decoded.subs[0].pos,
-            &sub_canon,
-            sub_id
-        ));
-        assert_eq!(
-            db_print(&decoded.canon, decoded.subs[0].pos),
-            db_print(&sub_canon, sub_id)
-        );
     }
 }

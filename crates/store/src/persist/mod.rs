@@ -41,9 +41,8 @@
 //!
 //! The byte-level layout lives in [`mod@format`] and is specified in
 //! `docs/PERSISTENCE_FORMAT.md`; a test asserts the two agree on magic
-//! numbers and versions. Format-v1 files (pre canon-DAG) and v2 files
-//! (pre delta-records) open read-only through decode shims and are
-//! migrated to the current version by the checkpoint.
+//! numbers and versions. Only the current format version decodes; files
+//! of any other version are refused with [`PersistError::Mismatch`].
 
 pub mod format;
 pub(crate) mod snapshot;
@@ -114,8 +113,7 @@ pub enum PersistError {
     /// be rebuilt from disk — where other I/O errors (a failed snapshot
     /// write, say) leave the store fully recoverable. The `op` says
     /// which log operation failed; every occurrence also increments the
-    /// `alpha_store_persist_errors` counter when the `obs` feature is
-    /// on.
+    /// `alpha_store_persist_errors` counter.
     Wal {
         /// The WAL operation that failed.
         op: WalOp,
@@ -128,8 +126,7 @@ pub enum PersistError {
     /// silently swallowed). A failed snapshot leaves the previous snapshot
     /// and the WAL untouched: the store remains fully recoverable, which
     /// is why this is distinct from [`PersistError::Wal`]. Every
-    /// occurrence also increments `alpha_store_persist_errors` when the
-    /// `obs` feature is on.
+    /// occurrence also increments `alpha_store_persist_errors`.
     Snapshot {
         /// The snapshot-protocol step that failed.
         op: SnapshotOp,
@@ -412,7 +409,7 @@ pub(crate) fn open_or_create_store<H: HashWord>(
 /// `expect` is `Some` when a builder supplies a configuration the on-disk
 /// store must match, `None` when the configuration is read entirely from
 /// disk. Ends with a checkpoint — fresh snapshot, reset WAL, next epoch —
-/// unless the reopen was *clean* (intact current-version snapshot,
+/// unless the reopen was *clean* (intact snapshot,
 /// same-epoch WAL fully absorbed, nothing torn), in which case the
 /// existing files simply continue: no O(store) snapshot rewrite for a
 /// no-op reopen.
@@ -455,10 +452,9 @@ fn open_store_locked<H: HashWord>(
     // the store exists (it does not yet, while the phases run).
     let mut snap_load_ns = 0u64;
     let mut replay_ns = 0u64;
-    let (mut store, snap_epoch, snap_version, records_applied, wal_contents) = if have_snapshot {
+    let (mut store, snap_epoch, records_applied, wal_contents) = if have_snapshot {
         let t = std::time::Instant::now();
-        let (header, shards, version) =
-            snapshot::read_snapshot::<H>(&*config.vfs, &snap_path, &table)?;
+        let (header, shards) = snapshot::read_snapshot::<H>(&*config.vfs, &snap_path, &table)?;
         snap_load_ns = t.elapsed().as_nanos() as u64;
         if let Some(expect) = expect {
             check_config(
@@ -490,7 +486,6 @@ fn open_store_locked<H: HashWord>(
         (
             store,
             Some(header.wal_epoch),
-            version,
             header.wal_records_applied,
             wal_contents,
         )
@@ -519,7 +514,7 @@ fn open_store_locked<H: HashWord>(
             config.chunk_entries,
             table,
         )?;
-        (store, None, contents.version, 0, Some(contents))
+        (store, None, 0, Some(contents))
     };
 
     // 2. The WAL tail.
@@ -565,15 +560,7 @@ fn open_store_locked<H: HashWord>(
                 // the snapshot anyway.
                 last_epoch = h.epoch.max(last_epoch);
                 let count = contents.total_records;
-                // Clean-reopen also requires both files to be at the
-                // CURRENT format version: appending current-version
-                // frames to an old-version WAL (or leaving an old
-                // snapshot in place) would produce a file no future open
-                // can decode. Old versions always go through the
-                // migrating checkpoint.
-                let current_version = snap_version == format::FORMAT_VERSION
-                    && contents.version == format::FORMAT_VERSION;
-                if have_snapshot && current_version && !contents.torn && count == records_applied {
+                if have_snapshot && !contents.torn && count == records_applied {
                     // Clean reopen: the snapshot already holds every WAL
                     // record and the file is intact — it can simply
                     // continue being appended to.

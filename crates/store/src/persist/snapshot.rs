@@ -13,18 +13,9 @@
 //! one-canonical-form-per-class property), so nothing else is needed to
 //! rebuild the store: decoding re-interns the run into a fresh canon
 //! table (reproducing the sharing exactly) and reconstructs hash buckets
-//! from the class hashes.
-//!
-//! Version-1 snapshots (one standalone canonical tree per class) still
-//! decode: the shim reads each per-class tree and interns it into the
-//! table, which both migrates the data and *collapses duplicates the v1
-//! layout stored repeatedly*. Version-2 snapshots (shared run, but u32
-//! same-shard term pointers and multiplicity-less subexpression lists)
-//! decode through a second shim that widens the term pointers to full
-//! `ClassId` bits and synthesizes multiplicity 1 — the counts v2 never
-//! recorded, so rewrite-updates of pre-v3 terms un-index approximately
-//! (merge exactness is unaffected). Neither old version is ever written
-//! — the recovery checkpoint rewrites the store at the current version.
+//! from the class hashes. Only the current format version decodes; a
+//! snapshot of any other version is refused with
+//! [`PersistError::Mismatch`].
 //!
 //! Snapshots are written **atomically**: the bytes go to a temporary file
 //! in the same directory, are `fsync`ed, and only then renamed over the
@@ -37,8 +28,8 @@
 //! `docs/PERSISTENCE_FORMAT.md`.
 
 use super::format::{
-    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, COMPAT_VERSION,
-    FORMAT_VERSION, SNAPSHOT_MAGIC,
+    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, FORMAT_VERSION,
+    SNAPSHOT_MAGIC,
 };
 use super::vfs::Vfs;
 use super::{PersistError, SnapshotOp};
@@ -144,7 +135,7 @@ pub(crate) fn encode_snapshot<H: HashWord>(
             &mut out,
             u32::try_from(shard.terms.len()).expect("terms fit u32"),
         );
-        // v3: full ClassId bits — an updated term's class may live in a
+        // Full ClassId bits — an updated term's class may live in a
         // different shard than the term id.
         for &class_bits in &shard.terms {
             put_u64(&mut out, class_bits);
@@ -163,17 +154,14 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     out
 }
 
-/// Decodes a snapshot image back into its header, rebuilt shards, and the
-/// **format version the bytes were written at** (the open path must know:
-/// an old-version snapshot disqualifies the clean-reopen fast path, since
-/// only the checkpoint migrates it). Canonical forms are interned into
-/// `table` (so the returned shards' [`CanonRef`]s address it). Verifies
-/// the trailing CRC before reading anything else. Accepts the current
-/// version and, through read-only shims, versions 1 and 2.
+/// Decodes a snapshot image back into its header and rebuilt shards.
+/// Canonical forms are interned into `table` (so the returned shards'
+/// [`CanonRef`]s address it). Verifies the trailing CRC before reading
+/// anything else, then refuses any format version but the current one.
 pub(crate) fn decode_snapshot<H: HashWord>(
     bytes: &[u8],
     table: &CanonTable,
-) -> Result<(SnapshotHeader, Vec<Shard<H>>, u16), PersistError> {
+) -> Result<(SnapshotHeader, Vec<Shard<H>>), PersistError> {
     let corrupt = |context: &str| PersistError::Corrupt {
         context: format!("snapshot: {context}"),
     };
@@ -191,13 +179,9 @@ pub(crate) fn decode_snapshot<H: HashWord>(
 
     let mut input = &body[SNAPSHOT_MAGIC.len()..];
     let version = take_u16(&mut input)?;
-    if !format::version_supported(version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::Mismatch {
-            context: format!(
-                "snapshot format version {version}, expected {FORMAT_VERSION} \
-                 (or compat {COMPAT_VERSION}..{})",
-                FORMAT_VERSION - 1
-            ),
+            context: format!("snapshot format version {version}, expected {FORMAT_VERSION}"),
         });
     }
     let header = SnapshotHeader {
@@ -219,39 +203,24 @@ pub(crate) fn decode_snapshot<H: HashWord>(
         });
     }
 
-    // v2+: one shared node run up front, re-interned once; classes
-    // address positions. v1: no shared run; classes carry standalone
-    // trees.
-    let node_refs: Vec<CanonRef> = if version >= 2 {
-        let dag = format::take_dag(&mut input)?;
-        table.intern_arena_refs(&dag)
-    } else {
-        Vec::new()
-    };
+    // One shared node run up front, re-interned once; classes address
+    // positions in it.
+    let node_refs: Vec<CanonRef> = table.intern_arena_refs(&format::take_dag(&mut input)?);
 
     let mut shards = Vec::with_capacity(header.shard_count.min(1 << 16) as usize);
-    for shard_index in 0..header.shard_count {
+    for _ in 0..header.shard_count {
         let class_count = take_u32(&mut input)? as usize;
         let mut classes = Vec::with_capacity(class_count.min(1 << 20));
         for _ in 0..class_count {
             let hash = format::take_hash::<H>(&mut input)?;
             let members = take_u64(&mut input)?;
             let occurrences = take_u64(&mut input)?;
-            let (canon, node_count) = if version >= 2 {
-                let node_count = take_u64(&mut input)?;
-                let pos = take_u32(&mut input)? as usize;
-                let canon = node_refs
-                    .get(pos)
-                    .copied()
-                    .ok_or_else(|| corrupt("class canon position out of range"))?;
-                (canon, node_count)
-            } else {
-                // v1 shim: a standalone tree; interning migrates it into
-                // the shared table (collapsing duplicates as it goes).
-                let (tree, root) = format::take_canon(&mut input)?;
-                let node_count = tree.len() as u64;
-                (table.intern_arena(&tree, root), node_count)
-            };
+            let node_count = take_u64(&mut input)?;
+            let pos = take_u32(&mut input)? as usize;
+            let canon = node_refs
+                .get(pos)
+                .copied()
+                .ok_or_else(|| corrupt("class canon position out of range"))?;
             classes.push(StoredClass {
                 hash,
                 canon,
@@ -263,24 +232,9 @@ pub(crate) fn decode_snapshot<H: HashWord>(
         let term_count = take_u32(&mut input)? as usize;
         let mut terms = Vec::with_capacity(term_count.min(1 << 20));
         for _ in 0..term_count {
-            if version >= 3 {
-                // Full ClassId bits; validated against every shard's
-                // class count once all shards are decoded.
-                terms.push(take_u64(&mut input)?);
-            } else {
-                // v1/v2 shim: a u32 index into this shard's own classes.
-                let class_index = take_u32(&mut input)?;
-                if class_index as usize >= class_count {
-                    return Err(corrupt("term references a class out of range"));
-                }
-                terms.push(
-                    ClassId {
-                        shard: shard_index as u16,
-                        index: class_index,
-                    }
-                    .to_bits(),
-                );
-            }
+            // Full ClassId bits; validated against every shard's class
+            // count once all shards are decoded.
+            terms.push(take_u64(&mut input)?);
         }
         let mut term_subs = Vec::with_capacity(term_count.min(1 << 20));
         for _ in 0..term_count {
@@ -288,16 +242,10 @@ pub(crate) fn decode_snapshot<H: HashWord>(
             let mut pairs = Vec::with_capacity(len.min(1 << 16));
             for _ in 0..len {
                 let bits = take_u64(&mut input)?;
-                let multiplicity = if version >= 3 {
-                    let m = take_u32(&mut input)?;
-                    if m == 0 {
-                        return Err(corrupt("zero subexpression multiplicity"));
-                    }
-                    m
-                } else {
-                    // v1/v2 shim: occurrence counts were never recorded.
-                    1
-                };
+                let multiplicity = take_u32(&mut input)?;
+                if multiplicity == 0 {
+                    return Err(corrupt("zero subexpression multiplicity"));
+                }
                 pairs.push((bits, multiplicity));
             }
             term_subs.push(pairs.into_boxed_slice());
@@ -307,7 +255,7 @@ pub(crate) fn decode_snapshot<H: HashWord>(
     if !input.is_empty() {
         return Err(corrupt("trailing bytes after the last shard"));
     }
-    // Cross-shard term pointers (v3) can only be range-checked once every
+    // Cross-shard term pointers can only be range-checked once every
     // shard's class list is known.
     for shard in &shards {
         for &class_bits in &shard.terms {
@@ -320,7 +268,7 @@ pub(crate) fn decode_snapshot<H: HashWord>(
             }
         }
     }
-    Ok((header, shards, version))
+    Ok((header, shards))
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
@@ -369,13 +317,53 @@ pub(crate) fn write_atomically(
     vfs.sync_dir(dir).map_err(snap_err(SnapshotOp::DirSync))
 }
 
-/// Reads and decodes a snapshot file into shards addressing `table`,
-/// also reporting the on-disk format version.
+/// Reads and decodes a snapshot file into shards addressing `table`.
 pub(crate) fn read_snapshot<H: HashWord>(
     vfs: &dyn Vfs,
     path: &Path,
     table: &CanonTable,
-) -> Result<(SnapshotHeader, Vec<Shard<H>>, u16), PersistError> {
+) -> Result<(SnapshotHeader, Vec<Shard<H>>), PersistError> {
     let bytes = vfs.read(path)?;
     decode_snapshot(&bytes, table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A snapshot whose header names any version but the current one —
+    /// the retired v1 and v2 layouts included — is a typed refusal, even
+    /// when its CRC checks out, and never a panic.
+    #[test]
+    fn wrong_version_is_rejected() {
+        let header = SnapshotHeader {
+            hash_bits: <u64 as HashWord>::BITS,
+            scheme_seed: 7,
+            shard_count: 1,
+            granularity: Granularity::Roots,
+            wal_epoch: 0,
+            wal_records_applied: 0,
+            stats: StoreStats::default(),
+        };
+        let shard = Shard::<u64>::empty();
+        let bytes = encode_snapshot(&header, &[&shard], &DbArena::new(), &[]);
+        assert!(decode_snapshot::<u64>(&bytes, &CanonTable::new()).is_ok());
+
+        let version_at = SNAPSHOT_MAGIC.len();
+        for version in [1u16, 2, FORMAT_VERSION + 1] {
+            let mut bad = bytes.clone();
+            bad[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the body so the version check fires, not the CRC.
+            let body_end = bad.len() - 4;
+            let crc = crc32(&bad[version_at..body_end]);
+            bad[body_end..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_snapshot::<u64>(&bad, &CanonTable::new()),
+                    Err(PersistError::Mismatch { .. })
+                ),
+                "version {version} must be refused"
+            );
+        }
+    }
 }

@@ -30,18 +30,16 @@
 //! The file opens with a header naming the format version, hash width,
 //! scheme seed, shard count, granularity and an **epoch**. The epoch ties
 //! the WAL to the snapshot that logically precedes it:
-//! [`compact`](crate::AlphaStore::compact) bumps it in the snapshot first
+//! [`checkpoint`](crate::AlphaStore::checkpoint) bumps it in the snapshot first
 //! and resets the WAL second, so a crash between the two steps leaves a
 //! stale-epoch WAL that recovery recognises and discards instead of
-//! replaying twice. Version-1 WALs (per-entry tree canon, no commit
-//! markers) still decode through [`format::take_record_v1`]; their
-//! records replay as one group, re-chunked by the reopening store's
-//! `chunk_entries` like the pre-marker code did. See
+//! replaying twice. A header naming any format version but the current
+//! one is refused with [`PersistError::Mismatch`]. See
 //! `docs/PERSISTENCE_FORMAT.md` for the byte layout.
 
 use super::format::{
     self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, RawDelta, RawRecord,
-    COMPAT_VERSION, FORMAT_VERSION, WAL_MAGIC,
+    FORMAT_VERSION, WAL_MAGIC,
 };
 use super::vfs::{Vfs, VfsFile};
 use super::{PersistError, WalOp};
@@ -100,7 +98,7 @@ fn encode_header(h: &WalHeader) -> Vec<u8> {
     out
 }
 
-fn decode_header(input: &mut &[u8]) -> Result<(WalHeader, u16), PersistError> {
+fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
     let magic = format::take_bytes(input, 8)?;
     if magic != WAL_MAGIC {
         return Err(PersistError::Corrupt {
@@ -108,24 +106,18 @@ fn decode_header(input: &mut &[u8]) -> Result<(WalHeader, u16), PersistError> {
         });
     }
     let version = take_u16(input)?;
-    if !format::version_supported(version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::Mismatch {
-            context: format!(
-                "WAL format version {version}, expected {FORMAT_VERSION} (or compat {COMPAT_VERSION}..{})",
-                FORMAT_VERSION - 1
-            ),
+            context: format!("WAL format version {version}, expected {FORMAT_VERSION}"),
         });
     }
-    Ok((
-        WalHeader {
-            hash_bits: take_u32(input)?,
-            scheme_seed: take_u64(input)?,
-            shard_count: take_u32(input)?,
-            granularity: format::take_granularity(input)?,
-            epoch: take_u64(input)?,
-        },
-        version,
-    ))
+    Ok(WalHeader {
+        hash_bits: take_u32(input)?,
+        scheme_seed: take_u64(input)?,
+        shard_count: take_u32(input)?,
+        granularity: format::take_granularity(input)?,
+        epoch: take_u64(input)?,
+    })
 }
 
 /// What a replay scan found: the header, the decoded records grouped by
@@ -133,14 +125,8 @@ fn decode_header(input: &mut &[u8]) -> Result<(WalHeader, u16), PersistError> {
 /// ends (everything past it is a torn tail).
 pub(crate) struct WalContents<H> {
     pub(crate) header: WalHeader,
-    /// The format version the file was written at. An old version
-    /// disqualifies the clean-reopen fast path: appending current-version
-    /// frames to an old-header WAL would make them undecodable on the
-    /// next open, so old files must go through the migrating checkpoint.
-    pub(crate) version: u16,
     /// Entries, one inner `Vec` per group commit. A trailing group with no
-    /// commit marker (crash mid-group) appears as the final element. For
-    /// v1 files (no markers) all records form one group.
+    /// commit marker (crash mid-group) appears as the final element.
     pub(crate) groups: Vec<Vec<WalEntry<H>>>,
     /// Total record count across groups.
     pub(crate) total_records: u64,
@@ -183,7 +169,7 @@ pub(crate) fn read_wal<H: HashWord>(
 ) -> Result<WalContents<H>, PersistError> {
     let bytes = vfs.read(path)?;
     let mut input = bytes.as_slice();
-    let (header, version) = decode_header(&mut input)?;
+    let header = decode_header(&mut input)?;
     let mut groups: Vec<Vec<WalEntry<H>>> = Vec::new();
     let mut current: Vec<WalEntry<H>> = Vec::new();
     let mut total_records = 0u64;
@@ -204,67 +190,53 @@ pub(crate) fn read_wal<H: HashWord>(
             break true;
         }
         let mut payload_input = payload;
-        if version == COMPAT_VERSION {
-            // v1: the payload is a bare record; no kind byte, no markers.
-            let Ok(record) = format::take_record_v1::<H>(&mut payload_input) else {
-                break true;
-            };
-            if !payload_input.is_empty() {
-                break true;
+        let Ok(kind) = format::take_u8(&mut payload_input) else {
+            break true;
+        };
+        match kind {
+            FRAME_RECORD => {
+                let Ok(record) = format::take_record::<H>(&mut payload_input) else {
+                    break true;
+                };
+                if !payload_input.is_empty() {
+                    break true;
+                }
+                current.push(WalEntry::Insert(record));
+                total_records += 1;
             }
-            current.push(WalEntry::Insert(record));
-            total_records += 1;
-        } else {
-            let Ok(kind) = format::take_u8(&mut payload_input) else {
-                break true;
-            };
-            match kind {
-                FRAME_RECORD => {
-                    let Ok(record) = format::take_record_v2::<H>(&mut payload_input) else {
-                        break true;
-                    };
-                    if !payload_input.is_empty() {
-                        break true;
-                    }
-                    current.push(WalEntry::Insert(record));
-                    total_records += 1;
+            FRAME_DELTA => {
+                let Ok(delta) = format::take_delta::<H>(&mut payload_input) else {
+                    break true;
+                };
+                if !payload_input.is_empty() {
+                    break true;
                 }
-                FRAME_DELTA if version >= 3 => {
-                    let Ok(delta) = format::take_delta::<H>(&mut payload_input) else {
-                        break true;
-                    };
-                    if !payload_input.is_empty() {
-                        break true;
-                    }
-                    current.push(WalEntry::Update(delta));
-                    total_records += 1;
-                }
-                FRAME_COMMIT => {
-                    let Ok(count) = take_u64(&mut payload_input) else {
-                        break true;
-                    };
-                    if !payload_input.is_empty() || count != current.len() as u64 {
-                        break true;
-                    }
-                    groups.push(std::mem::take(&mut current));
-                }
-                _ => break true,
+                current.push(WalEntry::Update(delta));
+                total_records += 1;
             }
+            FRAME_COMMIT => {
+                let Ok(count) = take_u64(&mut payload_input) else {
+                    break true;
+                };
+                if !payload_input.is_empty() || count != current.len() as u64 {
+                    break true;
+                }
+                groups.push(std::mem::take(&mut current));
+            }
+            _ => break true,
         }
         good_len += 8 + len as u64;
     };
-    // v2+ writers always land a group's records and its commit marker in
-    // one append, so records with no closing marker — even ending exactly
-    // on a frame boundary — can only be a torn write. v1 has no markers;
-    // its trailing records are the normal shape.
-    let torn = torn || (version >= 2 && !current.is_empty());
+    // Writers always land a group's records and its commit marker in one
+    // append, so records with no closing marker — even ending exactly on
+    // a frame boundary — can only be a torn write.
+    let torn = torn || !current.is_empty();
     if !current.is_empty() {
-        // v1 (no markers) or a group torn before its commit marker.
+        // A group torn before its commit marker.
         groups.push(current);
     }
     Ok(WalContents {
         header,
-        version,
         groups,
         total_records,
         good_len,
@@ -355,9 +327,9 @@ impl Wal {
     }
 
     /// Bytes of record frames appended since the log was last created or
-    /// reset — the auto-checkpoint watermark input. Tracked here (not
-    /// only in the obs gauge) so the watermark works with the `obs`
-    /// feature compiled out.
+    /// reset — the auto-checkpoint watermark input. Tracked here rather
+    /// than read back from the obs gauge, which a WAL opened before its
+    /// store (a detached [`WalObs`]) does not feed.
     pub(crate) fn bytes_since_checkpoint(&self) -> u64 {
         self.good_len.saturating_sub(WAL_HEADER_LEN)
     }
@@ -487,7 +459,7 @@ pub(crate) fn frame_record_frontier<H: HashWord>(
     format::put_u8(out, FRAME_RECORD);
     // A frontier arena is already a topologically ordered node run; its
     // positions are the record positions.
-    format::put_record_v2(out, canon, (hash, canon_root, canon.len() as u64), &[], 0);
+    format::put_record(out, canon, (hash, canon_root, canon.len() as u64), &[], 0);
     end_frame(out, frame_start);
 }
 
@@ -522,7 +494,7 @@ pub(crate) fn frame_record_interned<H: HashWord>(
         .zip(&ids[1..])
         .map(|(s, &id)| (s.hash, id, s.node_count, s.multiplicity))
         .collect();
-    format::put_record_v2(
+    format::put_record(
         out,
         &dag,
         (pt.root.hash, ids[0], pt.root.node_count),
@@ -777,34 +749,36 @@ mod tests {
             Err(PersistError::Corrupt { .. })
         ));
 
-        let mut bytes = encode_header(&header());
-        bytes[8] = 0xFF; // version low byte
-        let path = tmp("badversion.wal");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_wal::<u64>(&OsVfs, &path),
-            Err(PersistError::Mismatch { .. })
-        ));
+        // Any version but the current one, including the retired v1 and
+        // v2 layouts, is a typed refusal.
+        for version in [1u16, 2, 0xFF] {
+            let mut bytes = encode_header(&header());
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            let path = tmp(&format!("badversion{version}.wal"));
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    read_wal::<u64>(&OsVfs, &path),
+                    Err(PersistError::Mismatch { .. })
+                ),
+                "version {version} must be refused"
+            );
+        }
     }
 
     /// An injected `ENOSPC` on append surfaces as the typed
     /// [`PersistError::Wal`] (naming the failed op), leaves the record
-    /// count unchanged, and — with the `obs` feature — bumps the
-    /// persist-error counter. This used to need `/dev/full` (Linux-only,
-    /// kernel-version-dependent op attribution); [`FaultVfs`] makes it
-    /// deterministic everywhere.
+    /// count unchanged, and bumps the persist-error counter. This used to
+    /// need `/dev/full` (Linux-only, kernel-version-dependent op
+    /// attribution); [`FaultVfs`] makes it deterministic everywhere.
     #[test]
     fn append_errors_are_typed_and_counted() {
         use super::super::WalOp;
         let path = tmp("enospc.wal");
         let fault = FaultVfs::new();
         let mut wal = Wal::create(&fault, &path, header(), true).unwrap();
-        #[cfg(feature = "obs")]
         let store_obs = crate::obs::StoreObs::new();
-        #[cfg(feature = "obs")]
-        {
-            wal.obs = store_obs.wal_obs();
-        }
+        wal.obs = store_obs.wal_obs();
         fault.fail_always(FaultKind::Enospc);
         let (frames, count) = sample_frames(&[&[r"\x. x"]]);
         let err = wal.append_group(&frames, count).unwrap_err();
@@ -816,11 +790,8 @@ mod tests {
             other => panic!("expected PersistError::Wal, got {other:?}"),
         }
         assert_eq!(wal.records, 0, "failed append must not count records");
-        #[cfg(feature = "obs")]
-        {
-            let report = store_obs.report(Vec::new());
-            assert_eq!(report.counter("alpha_store_persist_errors"), Some(1));
-        }
+        let report = store_obs.report(Vec::new());
+        assert_eq!(report.counter("alpha_store_persist_errors"), Some(1));
     }
 
     /// A short write (partial bytes on disk, then an error) followed by a

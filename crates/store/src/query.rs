@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn roots_mode_queries_degrade_gracefully() {
-        let store: AlphaStore<u64> = AlphaStore::new(HashScheme::new(5));
+        let store: AlphaStore<u64> = AlphaStore::builder().seed(5).build();
         let mut arena = ExprArena::new();
         let t = parse(&mut arena, r"\x. x + 7").unwrap();
         let outcome = store.insert(&arena, t);

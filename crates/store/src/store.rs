@@ -372,58 +372,6 @@ pub(crate) struct StoredClass<H> {
     pub(crate) occurrences: u64,
 }
 
-/// Capacity of each shard's [`HotClassCache`]: big enough to cover the
-/// working set of a merge-heavy ingest (a corpus rarely hammers more
-/// than a few dozen classes per stripe at once), small enough that the
-/// linear probe is a handful of cache lines.
-const HOT_CLASS_CAP: usize = 32;
-
-/// A small bounded map of recently-merged `(hash, CanonRef)` pairs, one
-/// per shard, replaced ring-style once full.
-///
-/// The cache is **advisory only**: a hit never decides equality. It
-/// routes a frontier entry whose hash recently merged through the canon
-/// table's interner — pure hash-consing lookups on a hot class, since
-/// every node is already resident — so the merge confirms by O(1) ref
-/// compare instead of a structural [`eq_frontier`] walk over the whole
-/// form. A colliding entry costs one wasted intern (which class
-/// creation would have paid anyway) and nothing else, which is why
-/// recovery can simply start the cache empty: exactness never depends
-/// on its contents. Refs stay valid for the store's lifetime (the canon
-/// table is append-only), so entries never go stale in-process.
-pub(crate) struct HotClassCache<H> {
-    entries: Vec<(H, CanonRef)>,
-    /// Next ring slot to evict once `entries` is full.
-    clock: usize,
-}
-
-impl<H: HashWord> HotClassCache<H> {
-    fn new() -> Self {
-        HotClassCache {
-            entries: Vec::new(),
-            clock: 0,
-        }
-    }
-
-    fn get(&self, hash: H) -> Option<CanonRef> {
-        self.entries
-            .iter()
-            .find(|(h, _)| *h == hash)
-            .map(|&(_, r)| r)
-    }
-
-    fn insert(&mut self, hash: H, canon: CanonRef) {
-        if let Some(slot) = self.entries.iter_mut().find(|(h, _)| *h == hash) {
-            slot.1 = canon;
-        } else if self.entries.len() < HOT_CLASS_CAP {
-            self.entries.push((hash, canon));
-        } else {
-            self.entries[self.clock] = (hash, canon);
-            self.clock = (self.clock + 1) % HOT_CLASS_CAP;
-        }
-    }
-}
-
 /// One lock stripe: hash-addressed classes plus the shard-local term log.
 pub(crate) struct Shard<H> {
     /// Hash → indexes into `classes`. Almost always a single entry; more
@@ -442,10 +390,6 @@ pub(crate) struct Shard<H> {
     /// to un-index the old form exactly. Always empty boxes in `Roots`
     /// mode, where the root class is recovered from `terms` instead.
     pub(crate) term_subs: Vec<Box<[(u64, u32)]>>,
-    /// Recently-merged classes, for the intern short-circuit in
-    /// [`Shard::insert_entry`]. Process-local and advisory: never
-    /// persisted, rebuilt empty by recovery ([`Shard::from_parts`]).
-    pub(crate) hot_classes: HotClassCache<H>,
 }
 
 impl<H: HashWord> Shard<H> {
@@ -455,7 +399,6 @@ impl<H: HashWord> Shard<H> {
             classes: Vec::new(),
             terms: Vec::new(),
             term_subs: Vec::new(),
-            hot_classes: HotClassCache::new(),
         }
     }
 
@@ -477,10 +420,6 @@ impl<H: HashWord> Shard<H> {
             classes,
             terms,
             term_subs,
-            // Recovery starts the cache cold: cached refs are per-process
-            // packings, and a cold cache only costs the first walk per
-            // hot class.
-            hot_classes: HotClassCache::new(),
         }
     }
 
@@ -496,35 +435,14 @@ impl<H: HashWord> Shard<H> {
     /// entry that creates a class is interned here — `view` is released
     /// first, since interning write-locks table stripes the view may hold
     /// read guards on.
-    ///
-    /// Frontier entries whose hash hits the shard's [`HotClassCache`]
-    /// skip the walk: the form is interned up front (pure hash-consing
-    /// hits on a hot class) and confirmed by ref compare, counted as
-    /// `merge_confirm_cached`. The cache never decides equality — a
-    /// false hit degrades to the intern class creation would have done.
     pub(crate) fn insert_entry(
         &mut self,
         table: &CanonTable,
         view: &mut TableView<'_>,
-        mut entry: SubEntry<H>,
+        entry: SubEntry<H>,
         is_root: bool,
         obs: &StoreObs,
     ) -> (u32, bool, bool) {
-        let mut via_cache = false;
-        if matches!(entry.canon, PreparedCanon::Frontier { .. })
-            && self.buckets.get(&entry.hash).is_some_and(|b| !b.is_empty())
-            && self.hot_classes.get(entry.hash).is_some()
-        {
-            let PreparedCanon::Frontier { canon, canon_root } = &entry.canon else {
-                unreachable!("matched Frontier above");
-            };
-            // Same lock-order dance as frontier class creation: release
-            // the read view before interning write-locks table stripes.
-            view.release();
-            let r = table.intern_arena(canon, *canon_root);
-            entry.canon = PreparedCanon::Interned(r);
-            via_cache = true;
-        }
         let bucket = self.buckets.entry(entry.hash).or_default();
         let mut mismatched = false;
         for &ci in bucket.iter() {
@@ -534,11 +452,7 @@ impl<H: HashWord> Shard<H> {
                     PreparedCanon::Interned(r) => {
                         let eq = *r == class.canon;
                         if eq {
-                            if via_cache {
-                                obs.confirm_cached();
-                            } else {
-                                obs.confirm_ref();
-                            }
+                            obs.confirm_ref();
                         }
                         eq
                     }
@@ -557,7 +471,6 @@ impl<H: HashWord> Shard<H> {
                 if is_root {
                     class.members += 1;
                 }
-                self.hot_classes.insert(entry.hash, class.canon);
                 return (ci, false, mismatched);
             }
             mismatched = true;
@@ -662,7 +575,7 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// is a leaf lock touched only on transitions.
     health: HealthState,
     /// Ingest holds this shared; [`AlphaStore::snapshot`] and
-    /// [`AlphaStore::compact`] hold it exclusive, so a snapshot's
+    /// [`AlphaStore::checkpoint`] hold it exclusive, so a snapshot's
     /// `(WAL record count, shard state)` cut is consistent — no insert is
     /// ever logged-but-unapplied or applied-but-unlogged at the moment the
     /// cut is taken. Lock order: `maintenance` → `updates` → WAL mutex →
@@ -673,9 +586,8 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// updates. Lock order: after `maintenance` (shared), before the WAL
     /// mutex and shard locks.
     pub(crate) updates: Mutex<crate::update::UpdateCache<H>>,
-    /// The instrumentation seam (`crate::obs`): a real metric registry
-    /// with the `obs` cargo feature, an inlined no-op ZST without. Obs
-    /// recording never takes a store lock; inside critical sections only
+    /// The instrumentation seam (`crate::obs`): the store's metric
+    /// registry and tracer. Obs recording never takes a store lock; inside critical sections only
     /// wait-free operations (atomic adds, monotonic clock reads) happen.
     pub(crate) obs: StoreObs,
     /// What recovery did, for stores built by the durable open paths
@@ -687,7 +599,7 @@ impl<H: HashWord> Default for AlphaStore<H> {
     /// A store with the default [`HashScheme`] and [default shard
     /// count](AlphaStore::DEFAULT_SHARDS).
     fn default() -> Self {
-        AlphaStore::new(HashScheme::default())
+        AlphaStore::builder().build()
     }
 }
 
@@ -698,7 +610,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// this on wider machines.
     pub const DEFAULT_SHARDS: usize = 16;
 
-    /// The shard count [`AlphaStore::new`] and [`StoreBuilder::new`] use:
+    /// The shard count [`StoreBuilder::new`] uses:
     /// the machine's `available_parallelism` rounded up to a power of
     /// two, floored at [`AlphaStore::DEFAULT_SHARDS`] (so boxes up to 16
     /// cores keep the historical layout) and capped at the 16-bit
@@ -716,27 +628,6 @@ impl<H: HashWord> AlphaStore<H> {
     /// scheme, shard count and [`Granularity::Roots`].
     pub fn builder() -> StoreBuilder<H> {
         StoreBuilder::new()
-    }
-
-    /// A [`Granularity::Roots`] store hashing with `scheme`, with the
-    /// [default shard count](AlphaStore::default_shards). Thin shim over
-    /// [`AlphaStore::builder`], kept so pre-builder call sites stay
-    /// source-compatible.
-    pub fn new(scheme: HashScheme<H>) -> Self {
-        Self::with_shards(scheme, Self::default_shards())
-    }
-
-    /// A [`Granularity::Roots`] store with an explicit shard count (shim
-    /// over [`AlphaStore::builder`], like [`AlphaStore::new`]). The count
-    /// is rounded up to a power of two and clamped to `1..=65536`.
-    pub fn with_shards(scheme: HashScheme<H>, shards: usize) -> Self {
-        Self::with_config(
-            scheme,
-            shards,
-            Granularity::Roots,
-            Self::DEFAULT_CHUNK_ENTRIES,
-            crate::dag::default_table_shards(),
-        )
     }
 
     /// Default for [`StoreBuilder::chunk_entries`]: big enough that chunk
@@ -1443,20 +1334,14 @@ impl<H: HashWord> AlphaStore<H> {
     ///
     /// The view is taken shard by shard: classes created concurrently with
     /// the iteration may or may not appear, but every handle returned is
-    /// valid forever. Collect with [`AlphaStore::classes_vec`] when a
-    /// point-in-time `Vec` is wanted (e.g. to sort).
+    /// valid forever. Collect it when a point-in-time `Vec` is wanted
+    /// (e.g. to sort).
     pub fn classes(&self) -> impl Iterator<Item = ClassId> + '_ {
         self.shards.iter().enumerate().flat_map(|(si, stripe)| {
             let len = stripe.read().expect("shard lock poisoned").classes.len() as u32;
             let si = u16::try_from(si).expect("shard count fits u16");
             (0..len).map(move |index| ClassId { shard: si, index })
         })
-    }
-
-    /// [`AlphaStore::classes`] collected into a `Vec` — the allocating
-    /// shape the API originally exposed.
-    pub fn classes_vec(&self) -> Vec<ClassId> {
-        self.classes().collect()
     }
 
     /// How many **whole ingested terms** belong to `class`. Zero for
@@ -1629,7 +1514,7 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// Records currently in the write-ahead log (zero right after
-    /// [`AlphaStore::compact`] or a fresh open). `None` for in-memory
+    /// [`AlphaStore::checkpoint`] or a fresh open). `None` for in-memory
     /// stores.
     pub fn wal_records(&self) -> Option<u64> {
         self.durable
@@ -1718,12 +1603,6 @@ impl<H: HashWord> AlphaStore<H> {
         }
     }
 
-    /// Alias for [`AlphaStore::checkpoint`], kept for callers of the
-    /// pre-health-machine API.
-    pub fn compact(&self) -> Result<(), PersistError> {
-        self.checkpoint()
-    }
-
     /// Checks the auto-checkpoint watermarks after an ingest chunk lands
     /// and, if one tripped, runs a checkpoint opportunistically. Never
     /// fails the insert that triggered it: a contended maintenance lock
@@ -1745,7 +1624,7 @@ impl<H: HashWord> AlphaStore<H> {
             return;
         }
         // try_write, not write: if maintenance is already running (another
-        // auto-checkpoint, an explicit compact), the watermark stays
+        // auto-checkpoint, an explicit checkpoint), the watermark stays
         // tripped and the next chunk re-checks.
         let Ok(_cut) = self.maintenance.try_write() else {
             return;
@@ -2101,9 +1980,8 @@ impl<H: HashWord> AlphaStore<H> {
     }
 }
 
-/// Observability surface, present with the `obs` cargo feature
-/// (default). See `docs/OBSERVABILITY.md` for the metric catalog.
-#[cfg(feature = "obs")]
+/// Observability surface. See `docs/OBSERVABILITY.md` for the metric
+/// catalog.
 impl<H: HashWord> AlphaStore<H> {
     /// A point-in-time snapshot of every instrument this store owns —
     /// latency histograms, confirmation counters, WAL gauges — unified
@@ -2300,7 +2178,7 @@ mod tests {
     use lambda_lang::parse::parse;
 
     fn store() -> AlphaStore<u64> {
-        AlphaStore::with_shards(HashScheme::new(0xA1FA), 8)
+        AlphaStore::builder().seed(0xA1FA).shards(8).build()
     }
 
     #[test]
@@ -2453,7 +2331,7 @@ mod tests {
         // the collisions rather than merge unconfirmed.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let store: AlphaStore<u16> = AlphaStore::with_shards(HashScheme::new(3), 4);
+        let store: AlphaStore<u16> = AlphaStore::builder().seed(3).shards(4).build();
         let mut arena = ExprArena::new();
         let mut rng = StdRng::seed_from_u64(11);
         let mut roots = Vec::new();

@@ -939,7 +939,7 @@ mod tests {
     use lambda_lang::parse::parse;
 
     fn roots_store() -> AlphaStore<u64> {
-        AlphaStore::with_shards(HashScheme::new(0xA1FA), 8)
+        AlphaStore::builder().seed(0xA1FA).shards(8).build()
     }
 
     fn subs_store() -> AlphaStore<u64> {

@@ -323,7 +323,7 @@ fn compact_then_recover_replays_nothing_twice() {
     {
         let store = builder().open_durable(dir.path()).expect("create");
         store.insert_batch(&arena, &roots[..20]);
-        store.compact().expect("compact");
+        store.checkpoint().expect("checkpoint");
         assert_eq!(store.wal_records(), Some(0));
         store.insert_batch(&arena, &roots[20..]);
         assert_eq!(store.wal_records(), Some(20));
@@ -352,7 +352,7 @@ fn stale_epoch_wal_is_discarded_not_replayed() {
         let store = builder().open_durable(dir.path()).expect("create");
         store.insert_batch(&arena, &roots);
         let stale_wal = std::fs::read(&wal_path).expect("read wal");
-        store.compact().expect("compact");
+        store.checkpoint().expect("checkpoint");
         // Crash simulation: the old WAL comes back from the dead.
         std::fs::write(&wal_path, stale_wal).expect("restore stale wal");
     }
@@ -617,258 +617,6 @@ fn verify_on_replay_catches_crc_consistent_canon_corruption() {
         "the tampered canon is filed under the ORIGINAL term's address, \
          so not even the tampered term finds it"
     );
-}
-
-mod v1_migration {
-    //! Hand-encodes a format-v1 store directory (the pre-canon-DAG
-    //! layout: standalone canonical tree per class and per WAL entry, no
-    //! commit markers) and opens it under v2.
-
-    use super::*;
-    use alpha_store::persist::format::crc32;
-    use lambda_lang::debruijn::{to_debruijn, DbArena, DbId, DbNode};
-    use lambda_lang::parse;
-
-    fn put_u16(out: &mut Vec<u8>, v: u16) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_hash(out: &mut Vec<u8>, h: u64) {
-        let (lo, hi) = h.to_lanes();
-        put_u64(out, lo);
-        put_u64(out, hi);
-    }
-
-    /// v1 `canon`: name table, nodes, root id.
-    fn put_canon_v1(out: &mut Vec<u8>, canon: &DbArena, root: DbId) {
-        put_u32(out, canon.names_len() as u32);
-        for name in canon.names() {
-            put_u32(out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-        }
-        put_u32(out, canon.len() as u32);
-        for node in canon.nodes() {
-            match node {
-                DbNode::BVar(i) => {
-                    out.push(0);
-                    put_u32(out, i);
-                }
-                DbNode::FVar(sym) => {
-                    out.push(1);
-                    put_u32(out, sym.index());
-                }
-                DbNode::Lam(b) => {
-                    out.push(2);
-                    put_u32(out, b.index() as u32);
-                }
-                DbNode::App(f, a) => {
-                    out.push(3);
-                    put_u32(out, f.index() as u32);
-                    put_u32(out, a.index() as u32);
-                }
-                DbNode::Let(r, b) => {
-                    out.push(4);
-                    put_u32(out, r.index() as u32);
-                    put_u32(out, b.index() as u32);
-                }
-                DbNode::Lit(lit) => {
-                    out.push(5);
-                    let (kind, payload) = match lit {
-                        lambda_lang::Literal::I64(v) => (1u8, v as u64),
-                        lambda_lang::Literal::F64Bits(bits) => (2, bits),
-                        lambda_lang::Literal::Bool(b) => (3, b as u64),
-                    };
-                    out.push(kind);
-                    put_u64(out, payload);
-                }
-            }
-        }
-        put_u32(out, root.index() as u32);
-    }
-
-    /// A v1 snapshot whose `wal_records_applied` covers the WAL exactly —
-    /// the shape a cleanly-closed PR-4 store leaves behind.
-    fn write_clean_v1_pair(dir: &Path, arena: &ExprArena, terms: &[lambda_lang::NodeId]) {
-        let scheme = alpha_hash::combine::HashScheme::<u64>::new(7);
-        let mut snap = Vec::new();
-        snap.extend_from_slice(b"AHSNAP01");
-        put_u16(&mut snap, 1);
-        put_u32(&mut snap, 64);
-        put_u64(&mut snap, scheme.seed());
-        put_u32(&mut snap, 1);
-        snap.push(0); // Roots
-        put_u64(&mut snap, 0);
-        put_u64(&mut snap, 1); // wal_epoch
-        put_u64(&mut snap, 0); // wal_records_applied: the WAL is empty
-        for v in [terms.len() as u64, terms.len() as u64, 0, 0, 0, 0, 0, 0] {
-            put_u64(&mut snap, v);
-        }
-        put_u32(&mut snap, terms.len() as u32);
-        for &term in terms {
-            put_hash(
-                &mut snap,
-                alpha_hash::hashed::hash_expr(arena, term, &scheme),
-            );
-            put_u64(&mut snap, 1);
-            put_u64(&mut snap, 1);
-            let (canon, root) = to_debruijn(arena, term);
-            put_canon_v1(&mut snap, &canon, root);
-        }
-        put_u32(&mut snap, terms.len() as u32);
-        for i in 0..terms.len() as u32 {
-            put_u32(&mut snap, i);
-        }
-        for _ in terms {
-            put_u32(&mut snap, 0);
-        }
-        let crc = crc32(&snap[8..]);
-        put_u32(&mut snap, crc);
-        std::fs::write(dir.join("snapshot.bin"), &snap).unwrap();
-
-        // Empty v1 WAL: header only, same epoch.
-        let mut wal = Vec::new();
-        wal.extend_from_slice(b"AHWAL001");
-        put_u16(&mut wal, 1);
-        put_u32(&mut wal, 64);
-        put_u64(&mut wal, scheme.seed());
-        put_u32(&mut wal, 1);
-        wal.push(0);
-        put_u64(&mut wal, 0);
-        put_u64(&mut wal, 1);
-        std::fs::write(dir.join("wal.bin"), &wal).unwrap();
-    }
-
-    #[test]
-    fn cleanly_closed_v1_store_is_migrated_not_clean_reopened() {
-        // Regression: a v1 pair whose snapshot already absorbed the whole
-        // (empty) WAL looks "clean", but taking the clean-reopen fast
-        // path would append current-version frames to a v1-header WAL —
-        // undecodable on the next open, i.e. silent data loss. Old
-        // versions must always go through the migrating checkpoint.
-        let dir = TempDir::new("v1-clean");
-        std::fs::create_dir_all(dir.path()).unwrap();
-        let mut arena = ExprArena::new();
-        let t1 = parse(&mut arena, r"\x. x").unwrap();
-        let t2 = parse(&mut arena, "v").unwrap();
-        write_clean_v1_pair(dir.path(), &arena, &[t1, t2]);
-
-        let t3 = parse(&mut arena, "w + w").unwrap();
-        {
-            let store = AlphaStore::<u64>::open(dir.path()).expect("v1 opens");
-            assert_eq!(store.num_terms(), 2);
-            // The open must have checkpointed to the current format…
-            let snap_now = std::fs::read(dir.path().join("snapshot.bin")).unwrap();
-            assert_eq!(
-                u16::from_le_bytes(snap_now[8..10].try_into().unwrap()),
-                alpha_store::persist::format::FORMAT_VERSION,
-                "a clean-shaped v1 pair must still be migrated"
-            );
-            // …so appends land in a current-version WAL.
-            store.insert(&arena, t3);
-        }
-        // The post-migration insert survives the next open.
-        let reopened = AlphaStore::<u64>::open(dir.path()).expect("reopen");
-        assert_eq!(reopened.num_terms(), 3, "no insert lost after migration");
-        assert!(reopened.lookup(&arena, t3).is_some());
-        assert!(reopened.stats().is_exact());
-    }
-
-    #[test]
-    fn v1_snapshot_and_wal_open_under_v2_and_migrate() {
-        let dir = TempDir::new("v1-migrate");
-        std::fs::create_dir_all(dir.path()).unwrap();
-        let scheme = alpha_hash::combine::HashScheme::<u64>::new(7);
-        let mut arena = ExprArena::new();
-        let identity = parse(&mut arena, r"\x. x").unwrap();
-        let free_v = parse(&mut arena, "v").unwrap();
-        let third = parse(&mut arena, "w + w").unwrap();
-        let hash_of = |n| alpha_hash::hashed::hash_expr(&arena, n, &scheme);
-
-        // ---- snapshot.bin, format v1, holding {\x. x} and {v} ----------
-        let mut snap = Vec::new();
-        snap.extend_from_slice(b"AHSNAP01");
-        put_u16(&mut snap, 1); // version
-        put_u32(&mut snap, 64); // hash_bits
-        put_u64(&mut snap, scheme.seed());
-        put_u32(&mut snap, 1); // shard_count
-        snap.push(0); // granularity: Roots
-        put_u64(&mut snap, 0);
-        put_u64(&mut snap, 1); // wal_epoch
-        put_u64(&mut snap, 0); // wal_records_applied
-        for v in [2u64, 2, 0, 0, 0, 0, 0, 0] {
-            put_u64(&mut snap, v); // stats: 2 terms, 2 classes
-        }
-        put_u32(&mut snap, 2); // class_count
-        for &term in &[identity, free_v] {
-            put_hash(&mut snap, hash_of(term));
-            put_u64(&mut snap, 1); // members
-            put_u64(&mut snap, 1); // occurrences
-            let (canon, root) = to_debruijn(&arena, term);
-            put_canon_v1(&mut snap, &canon, root);
-        }
-        put_u32(&mut snap, 2); // term_count
-        put_u32(&mut snap, 0); // term 0 -> class 0
-        put_u32(&mut snap, 1); // term 1 -> class 1
-        put_u32(&mut snap, 0); // term_subs (empty at Roots)
-        put_u32(&mut snap, 0);
-        let crc = crc32(&snap[8..]);
-        put_u32(&mut snap, crc);
-        std::fs::write(dir.path().join("snapshot.bin"), &snap).unwrap();
-
-        // ---- wal.bin, format v1, one record beyond the snapshot --------
-        let mut wal = Vec::new();
-        wal.extend_from_slice(b"AHWAL001");
-        put_u16(&mut wal, 1);
-        put_u32(&mut wal, 64);
-        put_u64(&mut wal, scheme.seed());
-        put_u32(&mut wal, 1);
-        wal.push(0);
-        put_u64(&mut wal, 0);
-        put_u64(&mut wal, 1); // epoch
-        let mut payload = Vec::new(); // v1 record: no kind byte
-        put_hash(&mut payload, hash_of(third));
-        let (canon, root) = to_debruijn(&arena, third);
-        put_canon_v1(&mut payload, &canon, root);
-        put_u32(&mut payload, 0); // sub_count
-        put_u64(&mut payload, 0); // skipped
-        put_u32(&mut wal, payload.len() as u32);
-        put_u32(&mut wal, crc32(&payload));
-        wal.extend_from_slice(&payload);
-        std::fs::write(dir.path().join("wal.bin"), &wal).unwrap();
-
-        // ---- open under v2 ---------------------------------------------
-        let store = AlphaStore::<u64>::open(dir.path()).expect("v1 store opens under v2");
-        assert_eq!(store.num_terms(), 3, "2 snapshot terms + 1 WAL record");
-        assert_eq!(store.num_classes(), 3);
-        let renamed = parse(&mut arena, r"\q. q").unwrap();
-        assert!(store.lookup(&arena, renamed).is_some());
-        assert!(store.lookup(&arena, free_v).is_some());
-        assert!(store.lookup(&arena, third).is_some());
-        let stats = store.stats();
-        assert!(stats.is_exact());
-        assert_eq!(stats.terms_ingested, 3);
-
-        // The recovery checkpoint migrated the pair to the current
-        // format: the snapshot on disk now carries the current version,
-        // and the store keeps working (a merge into a migrated class
-        // confirms).
-        let snap_now = std::fs::read(dir.path().join("snapshot.bin")).unwrap();
-        assert_eq!(
-            u16::from_le_bytes(snap_now[8..10].try_into().unwrap()),
-            alpha_store::persist::format::FORMAT_VERSION,
-            "checkpoint rewrites v1 at the current format version"
-        );
-        let outcome = store.insert(&arena, renamed);
-        assert!(!outcome.fresh, "migrated classes accept new members");
-        drop(store);
-        let reopened = AlphaStore::<u64>::open(dir.path()).expect("v2 reopen");
-        assert_eq!(reopened.num_terms(), 4);
-    }
 }
 
 #[test]

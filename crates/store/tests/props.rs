@@ -121,7 +121,7 @@ proptest! {
     /// class without growing the store.
     #[test]
     fn insert_is_idempotent_modulo_alpha(seed in any::<u64>(), size in 3usize..90) {
-        let store = AlphaStore::new(scheme());
+        let store = AlphaStore::builder().scheme(scheme()).build();
         let mut arena = ExprArena::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut scratch = ExprArena::new();
@@ -153,7 +153,7 @@ proptest! {
             _ => expr_gen::arithmetic(&mut arena, size.max(8), &mut rng),
         };
 
-        let store = AlphaStore::new(scheme());
+        let store = AlphaStore::builder().scheme(scheme()).build();
         let nodes = lambda_lang::visit::postorder(&arena, root);
         let outcomes = store.insert_batch(&arena, &nodes);
 
@@ -181,12 +181,12 @@ proptest! {
         let roots = corpus(&mut arena, seed, 48);
 
         // Sequential reference.
-        let sequential = AlphaStore::with_shards(scheme(), 8);
+        let sequential = AlphaStore::builder().scheme(scheme()).shards(8).build();
         let seq_classes: Vec<ClassId> =
             roots.iter().map(|&r| sequential.insert(&arena, r).class).collect();
 
         // Concurrent: 8 threads, one chunk each, racing on 8 shards.
-        let concurrent = AlphaStore::with_shards(scheme(), 8);
+        let concurrent = AlphaStore::builder().scheme(scheme()).shards(8).build();
         std::thread::scope(|scope| {
             for chunk in roots.chunks(roots.len().div_ceil(8)) {
                 scope.spawn(|| concurrent.insert_batch(&arena, chunk));
@@ -286,7 +286,7 @@ proptest! {
     /// the same class (the store is closed under its own canonical forms).
     #[test]
     fn representatives_reingest_into_their_class(seed in any::<u64>(), size in 3usize..60) {
-        let store = AlphaStore::new(scheme());
+        let store = AlphaStore::builder().scheme(scheme()).build();
         let mut arena = ExprArena::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let root = expr_gen::unbalanced(&mut arena, size, &mut rng);

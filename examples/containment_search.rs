@@ -105,7 +105,7 @@ fn main() {
     assert!(classes.contains(&outcomes[0].class));
 
     // ── The most-shared subexpressions ──────────────────────────────────
-    let mut by_occurrences = store.classes_vec();
+    let mut by_occurrences = store.classes().collect::<Vec<_>>();
     by_occurrences.sort_by_key(|&c| std::cmp::Reverse(store.occurrences(c)));
     println!("\nmost-contained classes:");
     for &class in by_occurrences.iter().take(3) {

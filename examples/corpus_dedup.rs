@@ -73,7 +73,7 @@ fn main() {
     );
 
     // ── Classes up close ─────────────────────────────────────────────────
-    let mut classes = store.classes_vec();
+    let mut classes = store.classes().collect::<Vec<_>>();
     classes.sort_by_key(|&c| std::cmp::Reverse(store.members(c)));
     println!("\nbiggest classes:");
     for &class in classes.iter().take(3) {

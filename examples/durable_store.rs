@@ -53,14 +53,14 @@ fn main() {
     let builder = || AlphaStore::<u64>::builder().seed(0x5EED).shards(8);
 
     // ── Life before the crash ────────────────────────────────────────────
-    // Ingest in three eras: plain WAL appends, a compaction (snapshot +
+    // Ingest in three eras: plain WAL appends, a checkpoint (snapshot +
     // WAL truncate), and a snapshot with the WAL left in place — so
     // recovery exercises snapshot load AND tail replay.
     let (classes_before, census_before, stats_before) = {
         let store = builder().open_durable(&dir).expect("create durable store");
         let start = Instant::now();
         store.insert_batch(&arena, &roots[..6_000]);
-        store.compact().expect("compact");
+        store.checkpoint().expect("checkpoint");
         store.insert_batch(&arena, &roots[6_000..8_000]);
         store.snapshot().expect("snapshot");
         store.insert_batch(&arena, &roots[8_000..]);

@@ -46,7 +46,7 @@ fn main() {
 
     store.insert_batch(&arena, &roots);
     store.contains_batch(&arena, &roots[..64]);
-    store.compact().expect("checkpoint");
+    store.checkpoint().expect("checkpoint");
     let stats = store.stats();
     assert!(stats.is_exact(), "every merge confirmed: {stats}");
 

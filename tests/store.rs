@@ -38,7 +38,7 @@ fn concurrent_corpus_dedup_is_exact() {
     // the terms alpha-renamed (see `store_corpus`).
     let roots = store_corpus(&mut arena, 900, 41);
 
-    let store: AlphaStore<u64> = AlphaStore::with_shards(HashScheme::new(2024), 8);
+    let store: AlphaStore<u64> = AlphaStore::builder().seed(2024).shards(8).build();
     parallel_ingest(&store, &arena, &roots, 8);
     assert_eq!(store.num_terms(), roots.len());
 
