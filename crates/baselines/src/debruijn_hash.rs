@@ -16,7 +16,7 @@
 //!   variables.
 
 use alpha_hash::combine::{HashScheme, HashWord, Mixer};
-use alpha_hash::hashed::SubtreeHashes;
+use alpha_hash::hashed::{NameHashCache, SubtreeHashes};
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::symbol::Symbol;
 use lambda_lang::visit::{walk_scoped, ScopeEvent};
@@ -55,7 +55,7 @@ pub fn hash_all_debruijn<H: HashWord>(
     root: NodeId,
     scheme: &HashScheme<H>,
 ) -> SubtreeHashes<H> {
-    let name_hashes = alpha_hash::hashed::name_hashes(arena, scheme);
+    let mut names = NameHashCache::new();
     let seed = scheme.seed();
     let mut out: Vec<Option<H>> = vec![None; arena.len()];
     let mut stack: Vec<H> = Vec::new();
@@ -88,7 +88,7 @@ pub fn hash_all_debruijn<H: HashWord>(
                         Mixer::new(seed, SALT_BVAR).absorb(index as u64).finish()
                     }
                     None => Mixer::new(seed, SALT_FVAR)
-                        .absorb(name_hashes[s.index() as usize])
+                        .absorb(names.get(arena, scheme, s))
                         .finish(),
                 },
                 ExprNode::Lit(l) => Mixer::new(seed, SALT_LIT)

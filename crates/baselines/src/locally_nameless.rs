@@ -13,7 +13,7 @@
 //! the complexity hole our algorithm removes.
 
 use alpha_hash::combine::{HashScheme, HashWord, Mixer};
-use alpha_hash::hashed::SubtreeHashes;
+use alpha_hash::hashed::{NameHashCache, SubtreeHashes};
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::symbol::Symbol;
 use std::collections::BTreeMap;
@@ -27,9 +27,9 @@ const SALT_LIT: u64 = 0x76;
 
 struct LnHasher<'a, H: HashWord> {
     arena: &'a ExprArena,
+    scheme: &'a HashScheme<H>,
     seed: u64,
-    name_hashes: Vec<u64>,
-    _marker: std::marker::PhantomData<H>,
+    names: NameHashCache,
 }
 
 impl<'a, H: HashWord> LnHasher<'a, H> {
@@ -37,7 +37,7 @@ impl<'a, H: HashWord> LnHasher<'a, H> {
     /// binders crossed *within this isolated traversal* to their levels.
     /// Iterative (explicit stack): the re-traversals happen on arbitrarily
     /// deep bodies.
-    fn iso_hash(&self, node: NodeId) -> H {
+    fn iso_hash(&mut self, node: NodeId) -> H {
         enum Task {
             Enter(NodeId),
             BindThenBody { sym: Symbol, body: NodeId },
@@ -92,7 +92,7 @@ impl<'a, H: HashWord> LnHasher<'a, H> {
                                 .absorb((depth - level - 1) as u64)
                                 .finish(),
                             None => Mixer::new(self.seed, SALT_FVAR)
-                                .absorb(self.name_hashes[s.index() as usize])
+                                .absorb(self.names.get(self.arena, self.scheme, s))
                                 .finish(),
                         },
                         ExprNode::Lit(l) => Mixer::new(self.seed, SALT_LIT)
@@ -154,11 +154,11 @@ pub fn hash_all_locally_nameless<H: HashWord>(
     root: NodeId,
     scheme: &HashScheme<H>,
 ) -> SubtreeHashes<H> {
-    let hasher = LnHasher::<H> {
+    let mut hasher = LnHasher {
         arena,
+        scheme,
         seed: scheme.seed(),
-        name_hashes: alpha_hash::hashed::name_hashes(arena, scheme),
-        _marker: std::marker::PhantomData,
+        names: NameHashCache::new(),
     };
     let mut out: Vec<Option<H>> = vec![None; arena.len()];
     let mut stack: Vec<H> = Vec::new();
@@ -169,7 +169,7 @@ pub fn hash_all_locally_nameless<H: HashWord>(
     for n in lambda_lang::visit::postorder(arena, root) {
         let h: H = match arena.node(n) {
             ExprNode::Var(s) => Mixer::new(hasher.seed, SALT_FVAR)
-                .absorb(hasher.name_hashes[s.index() as usize])
+                .absorb(hasher.names.get(arena, scheme, s))
                 .finish(),
             ExprNode::Lit(l) => Mixer::new(hasher.seed, SALT_LIT)
                 .absorb(l.kind_tag())

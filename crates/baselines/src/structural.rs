@@ -10,7 +10,7 @@
 //! Table 1's "True pos. = Yes, True neg. = No".
 
 use alpha_hash::combine::{HashScheme, HashWord, Mixer};
-use alpha_hash::hashed::SubtreeHashes;
+use alpha_hash::hashed::{NameHashCache, SubtreeHashes};
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::visit::postorder;
 
@@ -44,7 +44,7 @@ pub fn hash_all_structural<H: HashWord>(
     root: NodeId,
     scheme: &HashScheme<H>,
 ) -> SubtreeHashes<H> {
-    let name_hashes = alpha_hash::hashed::name_hashes(arena, scheme);
+    let mut names = NameHashCache::new();
     let seed = scheme.seed();
     let mut out: Vec<Option<H>> = vec![None; arena.len()];
     let mut stack: Vec<H> = Vec::new();
@@ -52,7 +52,7 @@ pub fn hash_all_structural<H: HashWord>(
     for n in postorder(arena, root) {
         let h: H = match arena.node(n) {
             ExprNode::Var(s) => Mixer::new(seed, SALT_VAR)
-                .absorb(name_hashes[s.index() as usize])
+                .absorb(names.get(arena, scheme, s))
                 .finish(),
             ExprNode::Lit(l) => Mixer::new(seed, SALT_LIT)
                 .absorb(l.kind_tag())
@@ -61,7 +61,7 @@ pub fn hash_all_structural<H: HashWord>(
             ExprNode::Lam(x, _) => {
                 let body = stack.pop().expect("lam body hash");
                 Mixer::new(seed, SALT_LAM)
-                    .absorb(name_hashes[x.index() as usize])
+                    .absorb(names.get(arena, scheme, x))
                     .absorb_word(body)
                     .finish()
             }
@@ -77,7 +77,7 @@ pub fn hash_all_structural<H: HashWord>(
                 let body = stack.pop().expect("let body hash");
                 let rhs = stack.pop().expect("let rhs hash");
                 Mixer::new(seed, SALT_LET)
-                    .absorb(name_hashes[x.index() as usize])
+                    .absorb(names.get(arena, scheme, x))
                     .absorb_word(rhs)
                     .absorb_word(body)
                     .finish()

@@ -69,14 +69,100 @@ impl<H: HashWord> ESummaryH<H> {
     }
 }
 
-/// Per-symbol hashes of variable *names* (stable across arenas), indexed
-/// by `Symbol::index`. Precomputed once per arena so the hot path never
-/// touches strings.
-pub fn name_hashes<H: HashWord>(arena: &ExprArena, scheme: &HashScheme<H>) -> Vec<u64> {
-    let n = arena.interner().len();
-    (0..n as u32)
-        .map(|i| scheme.var_name(arena.interner().resolve(Symbol::from_index(i))))
-        .collect()
+/// `log2` of the symbols per [`NameHashCache`] page.
+const NAME_PAGE_BITS: u32 = 8;
+/// Symbols per [`NameHashCache`] page.
+const NAME_PAGE: usize = 1 << NAME_PAGE_BITS;
+
+/// Lazily filled hashes of variable *names* (stable across arenas), keyed
+/// by [`Symbol`]: the name table of [`HashedSummariser`], the Appendix C
+/// variant and the baseline hashers.
+///
+/// A name is hashed from its string the first time a symbol is looked up
+/// and served from the cache after that, so hashing never touches strings
+/// on the hot path. The table is two-level: a directory of pages of 256
+/// symbols each, where a page is allocated on the first touch of any of
+/// its symbols. Set-up and memory therefore follow the symbols a hasher
+/// actually touches, not the size of the arena's interner: hashing one
+/// small term out of an arena with a million interned names costs a
+/// directory of page handles plus one or two pages, while batch hashing
+/// still resolves a name with two plain array indexings.
+///
+/// A cache is tied to one arena: symbol indices are only meaningful
+/// within their interner. Debug builds check this on every hit.
+#[derive(Debug, Default)]
+pub struct NameHashCache {
+    /// Page `p` holds the hashes of symbols `p * NAME_PAGE ..`; an empty
+    /// page has never been touched.
+    pages: Vec<Vec<Option<u64>>>,
+    /// Lookups that had to hash the name string.
+    misses: u64,
+}
+
+impl NameHashCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The name hash of `sym`, a symbol of `arena`, computed on first use.
+    #[inline]
+    pub fn get<H: HashWord>(
+        &mut self,
+        arena: &ExprArena,
+        scheme: &HashScheme<H>,
+        sym: Symbol,
+    ) -> u64 {
+        let i = sym.index() as usize;
+        match self
+            .pages
+            .get(i >> NAME_PAGE_BITS)
+            .and_then(|page| page.get(i & (NAME_PAGE - 1)))
+        {
+            Some(&Some(h)) => {
+                // Guard the one-arena contract: a cache reused across
+                // arenas would serve stale hashes for re-used symbol
+                // indices. Debug builds recompute and compare.
+                debug_assert_eq!(
+                    h,
+                    scheme.var_name(arena.interner().resolve(sym)),
+                    "NameHashCache reused across arenas: {sym:?} now names a different string"
+                );
+                h
+            }
+            _ => self.fill(arena, scheme, sym),
+        }
+    }
+
+    /// The miss path of [`get`](Self::get): hashes the name and stores it,
+    /// allocating the symbol's page first if it is new. The directory and
+    /// each page are sized to the interner in one allocation (a page never
+    /// reaches past the interner's end, so a small arena gets one small
+    /// page); they grow again only if the arena interns more names later.
+    #[cold]
+    #[inline(never)]
+    fn fill<H: HashWord>(&mut self, arena: &ExprArena, scheme: &HashScheme<H>, sym: Symbol) -> u64 {
+        let names = arena.interner().len();
+        let i = sym.index() as usize;
+        let (p, slot) = (i >> NAME_PAGE_BITS, i & (NAME_PAGE - 1));
+        if p >= self.pages.len() {
+            self.pages.resize_with(names.div_ceil(NAME_PAGE), Vec::new);
+        }
+        let page = &mut self.pages[p];
+        if slot >= page.len() {
+            page.resize((names - p * NAME_PAGE).min(NAME_PAGE), None);
+        }
+        self.misses += 1;
+        let h = scheme.var_name(arena.interner().resolve(sym));
+        page[slot] = Some(h);
+        h
+    }
+
+    /// Symbol slots allocated across all pages.
+    #[cfg(test)]
+    fn slots(&self) -> usize {
+        self.pages.iter().map(Vec::len).sum()
+    }
 }
 
 /// Hashes of every subexpression of one tree, indexed by [`NodeId`].
@@ -144,17 +230,20 @@ pub enum MergeStrategy {
 /// [`MergeStrategy::SmallerIntoBigger`]).
 ///
 /// A summariser is tied to the arena it was created for (variable-name
-/// hashes are cached per [`Symbol`]) and is designed to be **reused across
-/// many terms of that arena**: the name-hash cache, the traversal stack,
-/// the e-summary value stack and the spilled-map pool all persist between
-/// calls, so batch hashing performs no per-node heap allocation and never
-/// re-hashes a variable name it has already seen. This is what makes
-/// store ingest O(total nodes) instead of O(terms × interner size).
+/// hashes are cached per [`Symbol`] in a [`NameHashCache`]) and is designed
+/// to be **reused across many terms of that arena**: the name-hash cache,
+/// the traversal stack, the e-summary value stack and the spilled-map pool
+/// all persist between calls, so batch hashing performs no per-node heap
+/// allocation and never re-hashes a variable name it has already seen.
+/// This is what makes store ingest O(total nodes) instead of
+/// O(terms × interner size). A fresh summariser costs O(1) to create and
+/// pays only for the symbols its terms use, so a one-shot call on a small
+/// term of a huge arena stays cheap.
 #[derive(Debug)]
 pub struct HashedSummariser<'s, H: HashWord> {
     scheme: &'s HashScheme<H>,
-    /// Lazily filled per-symbol name hashes, indexed by `Symbol::index`.
-    name_hashes: Vec<Option<u64>>,
+    /// Lazily filled per-symbol name hashes.
+    names: NameHashCache,
     strategy: MergeStrategy,
     /// Map operations performed at binary nodes (the Lemma 6.1 quantity).
     pub merge_ops: u64,
@@ -162,10 +251,6 @@ pub struct HashedSummariser<'s, H: HashWord> {
     /// — the instrumentation seam's "work done" denominator (store ingest
     /// reads and resets it between batches).
     pub nodes_pushed: u64,
-    /// Name-hash cache misses: symbols whose name hash had to be computed
-    /// rather than served from the per-arena cache. A high miss share on a
-    /// reused summariser means the cache is not amortising.
-    pub name_cache_misses: u64,
     /// E-summary value stack for the streaming post-order fold.
     stack: Vec<ESummaryH<H>>,
     /// Reusable traversal scratch for [`postorder_with`].
@@ -175,7 +260,8 @@ pub struct HashedSummariser<'s, H: HashWord> {
 }
 
 impl<'s, H: HashWord> HashedSummariser<'s, H> {
-    /// Creates a summariser for `arena` using the §4.8 merge.
+    /// Creates a summariser for `arena` using the §4.8 merge. Every later
+    /// call must pass the same arena; nothing is read from it up front.
     pub fn new(arena: &ExprArena, scheme: &'s HashScheme<H>) -> Self {
         Self::with_strategy(arena, scheme, MergeStrategy::SmallerIntoBigger)
     }
@@ -183,20 +269,16 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     /// Creates a summariser with an explicit merge strategy (for the
     /// ablation benchmark).
     pub fn with_strategy(
-        arena: &ExprArena,
+        _arena: &ExprArena,
         scheme: &'s HashScheme<H>,
         strategy: MergeStrategy,
     ) -> Self {
         HashedSummariser {
             scheme,
-            // Name hashes are computed on first use of each symbol, not
-            // eagerly: a summariser that hashes one small term out of a
-            // large arena must not pay for the whole interner.
-            name_hashes: Vec::with_capacity(arena.interner().len().min(1024)),
+            names: NameHashCache::new(),
             strategy,
             merge_ops: 0,
             nodes_pushed: 0,
-            name_cache_misses: 0,
             stack: Vec::new(),
             walk: Vec::new(),
             pool: MapPool::default(),
@@ -205,13 +287,15 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
 
     #[inline]
     fn name_hash(&mut self, arena: &ExprArena, sym: Symbol) -> u64 {
-        lookup_name_hash(
-            &mut self.name_hashes,
-            &mut self.name_cache_misses,
-            arena,
-            self.scheme,
-            sym,
-        )
+        self.names.get(arena, self.scheme, sym)
+    }
+
+    /// Name-hash cache misses since the last call — symbols whose name
+    /// hash had to be computed rather than served from the cache, one per
+    /// distinct symbol the summariser has touched. A high miss share on a
+    /// reused summariser means the cache is not amortising.
+    pub fn take_name_cache_misses(&mut self) -> u64 {
+        std::mem::take(&mut self.names.misses)
     }
 
     /// Retunes (or disables, with `usize::MAX`) the tree tier of this
@@ -250,9 +334,8 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
         }
         self.merge_ops += smaller.len() as u64;
         let scheme = self.scheme;
-        let name_hashes = &mut self.name_hashes;
-        let misses = &mut self.name_cache_misses;
-        let mut nh = |sym: Symbol| lookup_name_hash(name_hashes, misses, arena, scheme, sym);
+        let names = &mut self.names;
+        let mut nh = |sym: Symbol| names.get(arena, scheme, sym);
         let mut join = |old: Option<PosH<H>>, small_pos: PosH<H>| {
             let size = 1 + old.map_or(0, |p| p.size) + small_pos.size;
             PosH {
@@ -526,42 +609,6 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     }
 }
 
-/// The summariser's lazily-filled per-symbol name-hash cache, as a free
-/// function over its split-out fields so merge callbacks can resolve
-/// names while other summariser fields stay independently borrowed.
-#[inline]
-fn lookup_name_hash<H: HashWord>(
-    cache: &mut Vec<Option<u64>>,
-    misses: &mut u64,
-    arena: &ExprArena,
-    scheme: &HashScheme<H>,
-    sym: Symbol,
-) -> u64 {
-    let i = sym.index() as usize;
-    if i >= cache.len() {
-        cache.resize(i + 1, None);
-    }
-    match cache[i] {
-        Some(h) => {
-            // Guard the one-arena contract: a summariser reused across
-            // arenas would serve stale hashes for re-used symbol
-            // indices. Debug builds recompute and compare.
-            debug_assert_eq!(
-                h,
-                scheme.var_name(arena.interner().resolve(sym)),
-                "HashedSummariser reused across arenas: {sym:?} now names a different string"
-            );
-            h
-        }
-        None => {
-            *misses += 1;
-            let h = scheme.var_name(arena.interner().resolve(sym));
-            cache[i] = Some(h);
-            h
-        }
-    }
-}
-
 /// One-shot convenience: the alpha-equivalence-respecting hash of a single
 /// expression.
 ///
@@ -814,6 +861,33 @@ mod tests {
         let mut b = ExprArena::new();
         let e2 = parse(&mut b, r"\z. z + free").unwrap();
         assert_eq!(hash_expr(&a, e1, &s), hash_expr(&b, e2, &s));
+    }
+
+    #[test]
+    fn a_fresh_summariser_pays_for_the_symbols_it_touches_not_the_interner() {
+        // A small term whose variables sit on both sides of a page
+        // boundary and at the top of a 200k-symbol interner.
+        let s = scheme();
+        let mut big = ExprArena::new();
+        let syms: Vec<Symbol> = (0..200_000).map(|i| big.intern(&format!("s{i}"))).collect();
+        let [a, b, c, d, top] = [255, 256, 257, 199_998, 199_999].map(|i| syms[i]);
+        let [va, vb, vc, vd, vtop] = [a, b, c, d, top].map(|x| big.var(x));
+        let body = big.app_many(va, &[vb, vc, vd, vtop]);
+        let rhs = big.var(a);
+        let let_top = big.let_(top, rhs, body);
+        let root = big.lam(b, let_top);
+
+        let mut summariser = HashedSummariser::new(&big, &s);
+        let h = summariser.summarise(&big, root).hash(&s);
+        let mut fresh = ExprArena::new();
+        let imported = fresh.import_subtree(&big, root);
+        assert_eq!(h, hash_expr(&fresh, imported, &s));
+        assert_eq!(summariser.take_name_cache_misses(), 5);
+        let slots = summariser.names.slots();
+        assert!(
+            slots <= 4 * NAME_PAGE,
+            "{slots} name-cache slots for 5 symbols of a 200k-symbol interner"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! algorithm on randomised inputs.
 
 use crate::combine::{mix64, HashScheme, HashWord};
+use crate::hashed::NameHashCache;
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::symbol::Symbol;
 use lambda_lang::visit::postorder;
@@ -131,7 +132,7 @@ impl VarMapL {
 #[derive(Debug)]
 pub struct LinearSummariser<'s, H: HashWord> {
     scheme: &'s HashScheme<H>,
-    name_hashes: Vec<u64>,
+    names: NameHashCache,
     f_left: Lin,
     f_right: Lin,
     here: u64,
@@ -142,12 +143,13 @@ pub struct LinearSummariser<'s, H: HashWord> {
 
 impl<'s, H: HashWord> LinearSummariser<'s, H> {
     /// Creates a summariser for `arena`; `f_L`, `f_R` and the leaf value
-    /// are derived from the scheme seed.
-    pub fn new(arena: &ExprArena, scheme: &'s HashScheme<H>) -> Self {
+    /// are derived from the scheme seed. Every later call must pass the
+    /// same arena; nothing is read from it up front.
+    pub fn new(_arena: &ExprArena, scheme: &'s HashScheme<H>) -> Self {
         let seed = scheme.seed();
         LinearSummariser {
             scheme,
-            name_hashes: crate::hashed::name_hashes(arena, scheme),
+            names: NameHashCache::new(),
             f_left: Lin::new(mix64(seed ^ 0xF_1EF7), mix64(seed ^ 0xB_1EF7)),
             f_right: Lin::new(mix64(seed ^ 0xF_81687), mix64(seed ^ 0xB_81687)),
             here: mix64(seed ^ 0x4E7E),
@@ -156,8 +158,8 @@ impl<'s, H: HashWord> LinearSummariser<'s, H> {
     }
 
     #[inline]
-    fn name_hash(&self, sym: Symbol) -> u64 {
-        self.name_hashes[sym.index() as usize]
+    fn name_hash(&mut self, arena: &ExprArena, sym: Symbol) -> u64 {
+        self.names.get(arena, self.scheme, sym)
     }
 
     #[inline]
@@ -188,15 +190,16 @@ impl<'s, H: HashWord> LinearSummariser<'s, H> {
 
     /// Removes `sym` (a binder) from the map, returning the *actual*
     /// position value.
-    fn remove(&mut self, vm: &mut VarMapL, sym: Symbol) -> Option<u64> {
+    fn remove(&mut self, arena: &ExprArena, vm: &mut VarMapL, sym: Symbol) -> Option<u64> {
         let stored = vm.map.remove(&sym)?;
-        vm.xor ^= self.entry(self.name_hash(sym), stored);
+        let nh = self.name_hash(arena, sym);
+        vm.xor ^= self.entry(nh, stored);
         Some(vm.f.apply(stored))
     }
 
     /// The lazy merge: compose the bigger side's pending transform with
     /// its role transform; fold the smaller side's entries in eagerly.
-    fn merge(&mut self, left: VarMapL, right: VarMapL) -> VarMapL {
+    fn merge(&mut self, arena: &ExprArena, left: VarMapL, right: VarMapL) -> VarMapL {
         let left_bigger = left.len() >= right.len();
         let (mut bigger, smaller, f_big_role, f_small_role) = if left_bigger {
             (left, right, self.f_left, self.f_right)
@@ -209,7 +212,7 @@ impl<'s, H: HashWord> LinearSummariser<'s, H> {
 
         for (sym, small_stored) in smaller.map {
             self.merge_ops += 1;
-            let nh = self.name_hash(sym);
+            let nh = self.name_hash(arena, sym);
             let small_actual = smaller.f.apply(small_stored);
             let conceptual = match bigger.map.get(&sym) {
                 Some(&big_stored) => {
@@ -252,14 +255,15 @@ impl<'s, H: HashWord> LinearSummariser<'s, H> {
             let (st, size, vm) = match arena.node(n) {
                 ExprNode::Var(s) => {
                     let mut vm = VarMapL::new();
-                    vm.xor ^= self.entry(self.name_hash(s), self.here);
+                    let nh = self.name_hash(arena, s);
+                    vm.xor ^= self.entry(nh, self.here);
                     vm.map.insert(s, self.here);
                     (scheme.s_var(), 1, vm)
                 }
                 ExprNode::Lit(l) => (scheme.s_lit(l.kind_tag(), l.payload()), 1, VarMapL::new()),
                 ExprNode::Lam(x, _) => {
                     let (st_b, size_b, mut vm) = stack.pop().expect("lam body");
-                    let pos = self.remove(&mut vm, x).map(|a| self.pos_to_word(a));
+                    let pos = self.remove(arena, &mut vm, x).map(|a| self.pos_to_word(a));
                     let size = 1 + size_b;
                     (scheme.s_lam(size, pos, st_b), size, vm)
                 }
@@ -268,16 +272,18 @@ impl<'s, H: HashWord> LinearSummariser<'s, H> {
                     let (st_l, size_l, vm_l) = stack.pop().expect("app fun");
                     let size = 1 + size_l + size_r;
                     let left_bigger = vm_l.len() >= vm_r.len();
-                    let vm = self.merge(vm_l, vm_r);
+                    let vm = self.merge(arena, vm_l, vm_r);
                     (scheme.s_app(size, left_bigger, st_l, st_r), size, vm)
                 }
                 ExprNode::Let(x, _, _) => {
                     let (st_b, size_b, mut vm_b) = stack.pop().expect("let body");
                     let (st_r, size_r, vm_r) = stack.pop().expect("let rhs");
-                    let pos = self.remove(&mut vm_b, x).map(|a| self.pos_to_word(a));
+                    let pos = self
+                        .remove(arena, &mut vm_b, x)
+                        .map(|a| self.pos_to_word(a));
                     let size = 1 + size_r + size_b;
                     let rhs_bigger = vm_r.len() >= vm_b.len();
-                    let vm = self.merge(vm_r, vm_b);
+                    let vm = self.merge(arena, vm_r, vm_b);
                     (scheme.s_let(size, rhs_bigger, pos, st_r, st_b), size, vm)
                 }
             };

@@ -56,6 +56,7 @@ pub(crate) struct StoreObs {
     apply_ns: Arc<Histogram>,
     wal_commit_ns: Arc<Histogram>,
     frontier_walk_nodes: Arc<Histogram>,
+    probe_prepare_ns: Arc<Histogram>,
     probe_ns: Arc<Histogram>,
     snapshot_write_ns: Arc<Histogram>,
     recovery_snapshot_load_ns: Arc<Histogram>,
@@ -129,9 +130,14 @@ impl StoreObs {
             "Structural-walk length when a merge is confirmed without an interned ref",
             "nodes",
         ));
+        let probe_prepare_ns = registry.histogram(desc(
+            "alpha_store_probe_prepare_ns",
+            "Latency of hashing+canonising one probed pattern (lookup, contains)",
+            "ns",
+        ));
         let probe_ns = registry.histogram(desc(
             "alpha_store_probe_ns",
-            "Latency of one containment probe (prepared term to verdict)",
+            "Latency of one lookup or containment probe (prepared term to verdict)",
             "ns",
         ));
         let snapshot_write_ns = registry.histogram(desc(
@@ -224,6 +230,7 @@ impl StoreObs {
             apply_ns,
             wal_commit_ns,
             frontier_walk_nodes,
+            probe_prepare_ns,
             probe_ns,
             snapshot_write_ns,
             recovery_snapshot_load_ns,
@@ -311,6 +318,13 @@ impl StoreObs {
         if let Some(ns) = t.elapsed_ns() {
             self.wal_commit_ns.record(ns);
             self.tracer.event("store.wal_commit", ns, records);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn rec_probe_prepare(&self, t: Tick) {
+        if let Some(ns) = t.elapsed_ns() {
+            self.probe_prepare_ns.record(ns);
         }
     }
 

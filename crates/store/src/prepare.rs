@@ -282,11 +282,8 @@ impl<'s, H: HashWord> Preparer<'s, H> {
     /// name-hash cache misses)` since the last drain — for the store's
     /// instrumentation seam. Resets both to zero.
     pub(crate) fn take_hash_counters(&mut self) -> (u64, u64) {
-        let nodes = self.summariser.nodes_pushed;
-        let misses = self.summariser.name_cache_misses;
-        self.summariser.nodes_pushed = 0;
-        self.summariser.name_cache_misses = 0;
-        (nodes, misses)
+        let nodes = std::mem::take(&mut self.summariser.nodes_pushed);
+        (nodes, self.summariser.take_name_cache_misses())
     }
 
     /// Computes the term's alpha-hash and its canonical de Bruijn form in

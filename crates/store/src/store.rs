@@ -1215,8 +1215,10 @@ impl<H: HashWord> AlphaStore<H> {
         root: NodeId,
         roots_only: bool,
     ) -> Option<ClassId> {
+        let t = self.obs.tick();
         let mut preparer = Preparer::new(arena, &self.scheme);
         let prepared = self.prepare(&mut preparer, arena, root);
+        self.obs.rec_probe_prepare(t);
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
         self.probe_prepared(&prepared, roots_only)
@@ -1255,7 +1257,9 @@ impl<H: HashWord> AlphaStore<H> {
         let mut preparer = Preparer::new(arena, &self.scheme);
         let mut by_shard: HashMap<usize, Vec<(usize, Prepared<H>)>> = HashMap::new();
         for (i, &p) in patterns.iter().enumerate() {
+            let t = self.obs.tick();
             let prepared = self.prepare(&mut preparer, arena, p);
+            self.obs.rec_probe_prepare(t);
             by_shard
                 .entry(prepared.shard)
                 .or_default()

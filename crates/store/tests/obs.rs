@@ -54,6 +54,8 @@ fn report_exposes_the_mandated_catalog_in_both_formats() {
     let store: AlphaStore<u64> = AlphaStore::builder().seed(1).shards(4).build();
     store.insert_batch(&arena, &roots);
     store.contains_batch(&arena, &roots[..8]);
+    store.lookup(&arena, roots[0]);
+    store.contains(&arena, roots[1]);
 
     let report = store.obs_report();
     let json = report.to_json();
@@ -86,8 +88,13 @@ fn report_exposes_the_mandated_catalog_in_both_formats() {
     assert_eq!(report.counter("alpha_store_unconfirmed_merges"), Some(0));
     let probe = report.histogram("alpha_store_probe_ns").unwrap();
     assert_eq!(
-        probe.count, 8,
-        "one probe_ns sample per contains_batch item"
+        probe.count, 10,
+        "one probe_ns sample per contains_batch item, lookup and contains"
+    );
+    let probe_prepare = report.histogram("alpha_store_probe_prepare_ns").unwrap();
+    assert_eq!(
+        probe_prepare.count, probe.count,
+        "every probed pattern was prepared (and timed) exactly once"
     );
 }
 
