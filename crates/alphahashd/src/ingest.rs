@@ -177,23 +177,16 @@ fn flush<H: HashWord>(store: &AlphaStore<H>, jobs: Vec<Job>) {
         let start = roots.len();
         let mut input = job.terms.as_slice();
         let mut ok = true;
-        for _ in 0..job.count {
-            match wire::take_term(&mut input, &mut arena) {
-                Ok(root) => roots.push(root),
-                Err(e) => {
-                    // The job's encoded run is damaged: refuse the whole
-                    // job and drop whatever it half-decoded from the
-                    // batch (the arena keeps the orphan nodes; they are
-                    // never used as roots).
-                    roots.truncate(start);
-                    let _ = job.reply.try_send(Reply::Refused {
-                        code: wire::ERR_TERM,
-                        message: format!("term failed to decode: {e}"),
-                    });
-                    ok = false;
-                    break;
-                }
-            }
+        if let Err(e) = wire::take_terms(&mut input, job.count, &mut arena, &mut roots) {
+            // The job's encoded run is damaged: refuse the whole job and
+            // drop whatever it half-decoded from the batch (the arena
+            // keeps the orphan nodes; they are never used as roots).
+            roots.truncate(start);
+            let _ = job.reply.try_send(Reply::Refused {
+                code: wire::ERR_TERM,
+                message: format!("term failed to decode: {e}"),
+            });
+            ok = false;
         }
         if ok && !input.is_empty() {
             roots.truncate(start);

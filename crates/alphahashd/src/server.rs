@@ -517,27 +517,17 @@ fn handle_contains_batch<H: HashWord>(
             wire::OP_BATCH_CHUNK => {
                 let count = wire::take_u32(&mut input)?;
                 let mut arena = ExprArena::new();
-                let mut roots = Vec::with_capacity(count as usize);
-                let mut decode_err = None;
-                for _ in 0..count {
-                    match wire::take_term(&mut input, &mut arena) {
-                        Ok(root) => roots.push(root),
-                        Err(e) => {
-                            decode_err = Some(e);
-                            break;
-                        }
-                    }
-                }
+                let mut roots = Vec::new();
                 let mut out = Vec::new();
-                match decode_err {
-                    Some(e) => {
+                match wire::take_terms(&mut input, count, &mut arena, &mut roots) {
+                    Err(e) => {
                         wire::put_error(
                             &mut out,
                             wire::ERR_TERM,
                             &format!("pattern failed to decode: {e}"),
                         );
                     }
-                    None => {
+                    Ok(()) => {
                         let classes = store.contains_batch(&arena, &roots);
                         total += classes.len() as u64;
                         wire::put_u8(&mut out, wire::RESP_CHUNK);

@@ -19,11 +19,12 @@
 //! status byte; batch operations stream as an announce frame, chunk
 //! frames, and an end frame in each direction (see `docs/PROTOCOL.md`).
 
-use std::io::{self, Read, Write};
+use std::collections::BTreeMap;
+use std::io::{self, IoSlice, Read, Write};
 
 use alpha_store::persist::format::crc32;
 use lambda_lang::visit::postorder;
-use lambda_lang::{ExprArena, ExprNode, Literal, NodeId};
+use lambda_lang::{ExprArena, ExprNode, Literal, NodeId, Symbol};
 
 /// First bytes of every connection: the client's handshake frame opens
 /// with this magic so a server can reject strangers (an HTTP request,
@@ -194,6 +195,11 @@ fn frame_err(msg: impl Into<String>) -> WireError {
 // Framing.
 
 /// Writes one frame: length + CRC header, then the payload, flushed.
+///
+/// Header and payload go out as one vectored write, so a socket sees
+/// one system call per frame instead of two. A short write continues
+/// where it stopped and an `Interrupted` one is retried; the payload is
+/// never copied.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     let len = u32::try_from(payload.len()).map_err(|_| frame_err("payload exceeds u32"))?;
     if len > MAX_FRAME_LEN {
@@ -204,8 +210,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(WireError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(WireError::Io(e)),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -320,9 +334,14 @@ pub(crate) fn take_u64(input: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 pub(crate) fn take_str(input: &mut &[u8]) -> Result<String, WireError> {
+    take_str_ref(input).map(str::to_owned)
+}
+
+/// [`take_str`] without the copy: the string borrowed from the payload.
+fn take_str_ref<'a>(input: &mut &'a [u8]) -> Result<&'a str, WireError> {
     let len = take_u32(input)? as usize;
     let bytes = take_bytes(input, len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| frame_err("string is not UTF-8"))
+    std::str::from_utf8(bytes).map_err(|_| frame_err("string is not UTF-8"))
 }
 
 // ---------------------------------------------------------------------
@@ -338,60 +357,142 @@ const LIT_I64: u8 = 0;
 const LIT_F64_BITS: u8 = 1;
 const LIT_BOOL: u8 = 2;
 
+/// Smallest encoded name: the `u32` length prefix of an empty string.
+const MIN_NAME_BYTES: usize = 4;
+/// Smallest encoded node: a boolean literal (tag, literal tag, byte).
+const MIN_NODE_BYTES: usize = 3;
+/// Smallest encoded term: no names and a single smallest node.
+const MIN_TERM_BYTES: usize = 4 + 4 + MIN_NODE_BYTES;
+
+/// Name tables up to this many entries are searched by a linear scan;
+/// a wider table also keeps an ordered index, so a term with `d`
+/// distinct names costs O(log d) per named node, never O(d).
+const NAME_SCAN_MAX: usize = 16;
+
+/// The per-term name table [`put_term`] builds: each distinct symbol
+/// once, in first-use order. An arena interns one symbol per string, so
+/// keying by symbol yields exactly the table that keying by name would.
+#[derive(Default)]
+struct NameTable {
+    syms: Vec<Symbol>,
+    /// Symbol → table index, kept only once `syms` outgrows
+    /// [`NAME_SCAN_MAX`].
+    wide: BTreeMap<Symbol, u32>,
+}
+
+impl NameTable {
+    /// The table index of `sym`, appending it on first use.
+    fn index_of(&mut self, sym: Symbol) -> u32 {
+        let found = if self.wide.is_empty() {
+            self.syms.iter().position(|&s| s == sym).map(|i| i as u32)
+        } else {
+            self.wide.get(&sym).copied()
+        };
+        if let Some(i) = found {
+            return i;
+        }
+        let i = u32::try_from(self.syms.len()).expect("name table fits u32");
+        self.syms.push(sym);
+        if self.syms.len() > NAME_SCAN_MAX {
+            if self.wide.is_empty() {
+                self.wide.extend(self.syms.iter().copied().zip(0..));
+            } else {
+                self.wide.insert(sym, i);
+            }
+        }
+        i
+    }
+}
+
+/// The name a node carries on the wire (binder or variable), if any.
+fn node_name(node: ExprNode) -> Option<Symbol> {
+    match node {
+        ExprNode::Var(s) | ExprNode::Lam(s, _) | ExprNode::Let(s, _, _) => Some(s),
+        ExprNode::App(..) | ExprNode::Lit(_) => None,
+    }
+}
+
+/// Encoded size of one node of the run.
+fn node_len(node: ExprNode) -> usize {
+    match node {
+        ExprNode::Var(_) => 5,
+        ExprNode::Lam(..) | ExprNode::App(..) => 9,
+        ExprNode::Let(..) => 13,
+        ExprNode::Lit(Literal::Bool(_)) => MIN_NODE_BYTES,
+        ExprNode::Lit(Literal::I64(_) | Literal::F64Bits(_)) => 10,
+    }
+}
+
+/// The run position of the most recently emitted node no parent has
+/// claimed yet: in postorder that is the current node's last child.
+fn pop_child(emitted: &mut Vec<u32>) -> u32 {
+    emitted
+        .pop()
+        .expect("postorder emits a node's children before it")
+}
+
 /// Encodes one term as a postorder node run: a name table (the binder
 /// and variable names this term uses), then the nodes, children
 /// referenced by their position earlier in the run. The root is the
 /// last node. Appended to `out` so batch chunks concatenate terms.
+///
+/// No hashing: names are looked up by symbol in a per-term table, and a
+/// node's children are the positions it pops off a stack of emitted
+/// positions (postorder emits them last, in order). `out` grows once,
+/// by the exact encoded size.
 pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
     let order = postorder(arena, root);
-    // Positions of emitted nodes, keyed by arena id. Names are interned
-    // into a per-term table in first-use order.
-    let mut pos = std::collections::HashMap::with_capacity(order.len());
-    let mut names: Vec<&str> = Vec::new();
-    let mut name_idx: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-    // First pass: build the name table in first-use order.
+    // First pass: the name table, each named node's table index in run
+    // order, and the run's encoded size.
+    let mut names = NameTable::default();
+    let mut name_refs = Vec::with_capacity(order.len());
+    let mut run_len = 0;
     for &id in &order {
-        match arena.node(id) {
-            ExprNode::Var(s) | ExprNode::Lam(s, _) | ExprNode::Let(s, _, _) => {
-                let name = arena.name(s);
-                name_idx.entry(name).or_insert_with(|| {
-                    names.push(name);
-                    u32::try_from(names.len() - 1).expect("name table fits u32")
-                });
-            }
-            ExprNode::App(..) | ExprNode::Lit(_) => {}
+        let node = arena.node(id);
+        run_len += node_len(node);
+        if let Some(s) = node_name(node) {
+            name_refs.push(names.index_of(s));
         }
     }
+    let table_len: usize = names.syms.iter().map(|&s| 4 + arena.name(s).len()).sum();
+    out.reserve(4 + table_len + 4 + run_len);
     put_u32(
         out,
-        u32::try_from(names.len()).expect("name table fits u32"),
+        u32::try_from(names.syms.len()).expect("name table fits u32"),
     );
-    for name in &names {
-        put_str(out, name);
+    for &s in &names.syms {
+        put_str(out, arena.name(s));
     }
     put_u32(out, u32::try_from(order.len()).expect("node run fits u32"));
+    let mut name_refs = name_refs.into_iter();
+    let mut next_name = || name_refs.next().expect("one table index per named node");
+    let mut emitted: Vec<u32> = Vec::new();
     for (i, &id) in order.iter().enumerate() {
-        let i = u32::try_from(i).expect("node run fits u32");
         match arena.node(id) {
-            ExprNode::Var(s) => {
+            ExprNode::Var(_) => {
                 put_u8(out, NODE_VAR);
-                put_u32(out, name_idx[arena.name(s)]);
+                put_u32(out, next_name());
             }
-            ExprNode::Lam(s, body) => {
+            ExprNode::Lam(..) => {
+                let body = pop_child(&mut emitted);
                 put_u8(out, NODE_LAM);
-                put_u32(out, name_idx[arena.name(s)]);
-                put_u32(out, pos[&body]);
+                put_u32(out, next_name());
+                put_u32(out, body);
             }
-            ExprNode::App(f, a) => {
+            ExprNode::App(..) => {
+                let arg = pop_child(&mut emitted);
+                let func = pop_child(&mut emitted);
                 put_u8(out, NODE_APP);
-                put_u32(out, pos[&f]);
-                put_u32(out, pos[&a]);
+                put_u32(out, func);
+                put_u32(out, arg);
             }
-            ExprNode::Let(s, rhs, body) => {
+            ExprNode::Let(..) => {
+                let body = pop_child(&mut emitted);
+                let rhs = pop_child(&mut emitted);
                 put_u8(out, NODE_LET);
-                put_u32(out, name_idx[arena.name(s)]);
-                put_u32(out, pos[&rhs]);
-                put_u32(out, pos[&body]);
+                put_u32(out, next_name());
+                put_u32(out, rhs);
+                put_u32(out, body);
             }
             ExprNode::Lit(lit) => {
                 put_u8(out, NODE_LIT);
@@ -411,26 +512,30 @@ pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
                 }
             }
         }
-        pos.insert(id, i);
+        emitted.push(u32::try_from(i).expect("node run fits u32"));
     }
 }
 
 /// Decodes one term into `arena`, returning its root. Rejects forward
-/// or self child references and out-of-range name indices, so a decoded
-/// term is always a well-formed tree.
+/// or self child references and out-of-range name indices.
+///
+/// The name and node counts are untrusted: buffers (and the arena) are
+/// sized by what the rest of `input` can actually hold, never by a
+/// count alone. Names are interned straight from the payload bytes.
 pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, WireError> {
     let name_count = take_u32(input)? as usize;
-    let mut syms = Vec::with_capacity(name_count);
+    let mut syms = Vec::with_capacity(name_count.min(input.len() / MIN_NAME_BYTES));
     for _ in 0..name_count {
-        let name = take_str(input)?;
-        syms.push(arena.intern(&name));
+        syms.push(arena.intern(take_str_ref(input)?));
     }
     let node_count = take_u32(input)? as usize;
     if node_count == 0 {
         return Err(frame_err("term has zero nodes"));
     }
-    let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
-    let sym = |syms: &[lambda_lang::Symbol], i: u32| {
+    let capacity = node_count.min(input.len() / MIN_NODE_BYTES);
+    let mut ids: Vec<NodeId> = Vec::with_capacity(capacity);
+    arena.reserve(capacity);
+    let sym = |syms: &[Symbol], i: u32| {
         syms.get(i as usize)
             .copied()
             .ok_or_else(|| frame_err(format!("name index {i} out of range ({name_count} names)")))
@@ -477,6 +582,23 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
         ids.push(id);
     }
     Ok(*ids.last().expect("node_count > 0"))
+}
+
+/// Decodes a batch chunk's `count` consecutive terms into `arena`,
+/// appending their roots to `roots`. `count` is untrusted: `roots` is
+/// grown up front only by as many terms as `input` could hold. On error
+/// `roots` keeps the terms decoded before the damaged one.
+pub fn take_terms(
+    input: &mut &[u8],
+    count: u32,
+    arena: &mut ExprArena,
+    roots: &mut Vec<NodeId>,
+) -> Result<(), WireError> {
+    roots.reserve((count as usize).min(input.len() / MIN_TERM_BYTES));
+    for _ in 0..count {
+        roots.push(take_term(input, arena)?);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -883,6 +1005,160 @@ mod tests {
         assert_eq!(term, 0x0001_0000_0000_0002);
         assert_eq!(path, vec![0, 1]);
         assert!(lambda_lang::alpha_eq(&arena, patch, &dst, root));
+    }
+
+    /// The bytes `write_frame` must put on the wire for `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_u32(
+            &mut bytes,
+            u32::try_from(payload.len()).expect("small payload"),
+        );
+        put_u32(&mut bytes, crc32(payload));
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn payloads() -> Vec<Vec<u8>> {
+        vec![
+            Vec::new(),
+            vec![0x2A],
+            b"hello alphahashd".to_vec(),
+            (0..100_000u32).map(|i| (i % 251) as u8).collect(),
+        ]
+    }
+
+    /// Accepts every byte it is offered and counts the calls offering them.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        for payload in payloads() {
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, &payload).expect("writes");
+            assert_eq!(sink.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(sink.bytes, framed(&payload));
+        }
+    }
+
+    /// Takes one to three bytes per call, spanning slice boundaries, and
+    /// fails every fifth call with `Interrupted`.
+    #[derive(Default)]
+    struct TrickleSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for TrickleSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let budget = 1 + self.calls % 3;
+            let taken: Vec<u8> = bufs
+                .iter()
+                .flat_map(|b| b.iter().copied())
+                .take(budget)
+                .collect();
+            self.bytes.extend_from_slice(&taken);
+            Ok(taken.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_survives_short_and_interrupted_writes() {
+        for payload in payloads().into_iter().take(3) {
+            let mut sink = TrickleSink::default();
+            write_frame(&mut sink, &payload).expect("writes");
+            assert_eq!(
+                sink.bytes,
+                framed(&payload),
+                "header ‖ payload, nothing else"
+            );
+            let back = read_frame(&mut sink.bytes.as_slice())
+                .expect("reads")
+                .expect("one frame");
+            assert_eq!(back, payload);
+        }
+    }
+
+    /// A name count of `u32::MAX` with nothing behind it once made the
+    /// decoder ask for 16 GiB before reading a name (a process abort,
+    /// not a panic).
+    #[test]
+    fn take_term_refuses_a_name_count_the_payload_cannot_hold() {
+        let mut arena = ExprArena::new();
+        let err = take_term(&mut [0xFF, 0xFF, 0xFF, 0xFF].as_slice(), &mut arena);
+        assert!(matches!(err, Err(WireError::Frame(_))));
+    }
+
+    /// The same for the node count: zero names, `u32::MAX` nodes, one
+    /// real node.
+    #[test]
+    fn take_term_refuses_a_node_count_the_payload_cannot_hold() {
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 0);
+        put_u32(&mut bytes, u32::MAX);
+        put_u8(&mut bytes, NODE_LIT);
+        put_u8(&mut bytes, LIT_BOOL);
+        put_u8(&mut bytes, 1);
+        let mut arena = ExprArena::new();
+        let err = take_term(&mut bytes.as_slice(), &mut arena);
+        assert!(matches!(err, Err(WireError::Frame(_))));
+        assert_eq!(
+            arena.len(),
+            1,
+            "decoding stopped at the missing second node"
+        );
+    }
+
+    /// A batch chunk announcing `u32::MAX` terms but carrying one: the
+    /// roots buffer is sized by the payload, not the announcement.
+    #[test]
+    fn take_terms_refuses_a_count_the_payload_cannot_hold() {
+        let mut src = ExprArena::new();
+        let root = parse(&mut src, r"\x. x").expect("parses");
+        let mut bytes = Vec::new();
+        put_term(&mut bytes, &src, root);
+        let mut arena = ExprArena::new();
+        let mut roots = Vec::new();
+        let mut input = bytes.as_slice();
+        let err = take_terms(&mut input, u32::MAX, &mut arena, &mut roots);
+        assert!(matches!(err, Err(WireError::Frame(_))));
+        assert_eq!(roots.len(), 1, "the one real term decoded");
+        assert!(roots.capacity() < 16, "sized by the payload");
     }
 
     /// `docs/PROTOCOL.md` is the authoritative byte-level description of

@@ -745,3 +745,49 @@ fn torn_connection_mid_update_leaves_store_consistent() {
     client.shutdown().expect("shutdown op");
     daemon.join();
 }
+
+/// A term payload whose counts promise more than the frame carries is a
+/// typed `ERR_TERM`, not an allocation: the 5-byte request
+/// `OP_LOOKUP ff ff ff ff` once aborted the whole daemon process. The
+/// same holds for a contains-batch chunk announcing `u32::MAX` terms.
+/// Afterwards the daemon still answers a well-formed lookup on a new
+/// connection.
+#[test]
+fn oversized_counts_are_refused_and_the_daemon_keeps_serving() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x0C0DE, 4);
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::builder().seed(0xD5).build());
+    store.insert_batch(&arena, &roots);
+    let daemon = spawn_daemon(Arc::clone(&store));
+    let addr = daemon.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut hs = Vec::new();
+    wire::put_handshake(&mut hs, wire::PROTOCOL_VERSION);
+    wire::write_frame(&mut stream, &hs).expect("handshake");
+    let _ = wire::read_frame(&mut stream).expect("hello");
+    wire::write_frame(&mut stream, &[wire::OP_LOOKUP, 0xFF, 0xFF, 0xFF, 0xFF]).expect("lookup");
+    let resp = wire::read_frame(&mut stream)
+        .expect("response")
+        .expect("frame");
+    assert_eq!(resp[0], wire::ERR_TERM);
+
+    wire::write_frame(&mut stream, &[wire::OP_CONTAINS_BATCH]).expect("announce");
+    let mut chunk = vec![wire::OP_BATCH_CHUNK];
+    chunk.extend_from_slice(&u32::MAX.to_le_bytes());
+    wire::put_term(&mut chunk, &arena, roots[0]);
+    wire::write_frame(&mut stream, &chunk).expect("chunk");
+    wire::write_frame(&mut stream, &[wire::OP_BATCH_END]).expect("end");
+    let resp = wire::read_frame(&mut stream)
+        .expect("response")
+        .expect("frame");
+    assert_eq!(resp[0], wire::ERR_TERM);
+    drop(stream);
+
+    let mut client = Client::connect(addr.to_string()).expect("connect after");
+    let class = store.lookup(&arena, roots[1]).map(|c| c.to_bits());
+    assert!(class.is_some());
+    assert_eq!(client.lookup(&arena, roots[1]).expect("lookup"), class);
+    client.shutdown().expect("shutdown op");
+    daemon.join();
+}

@@ -178,6 +178,11 @@ impl ExprArena {
         }
     }
 
+    /// Reserves room for at least `additional` more nodes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+    }
+
     /// Interns a name in this arena's interner.
     pub fn intern(&mut self, name: &str) -> Symbol {
         self.interner.intern(name)
