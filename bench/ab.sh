@@ -81,7 +81,11 @@ fi
 
 for dir in "$base_dir" "$head_dir"; do
     echo "ab.sh: building storebench in $dir" >&2
-    (cd "$dir" && cargo build --release --offline --quiet --manifest-path storebench/Cargo.toml)
+    # An explicit target dir per side: a CARGO_TARGET_DIR from the
+    # environment would make both sides share one, and the runs below
+    # execute $dir/storebench/target/release/storebench.
+    (cd "$dir" && cargo build --release --offline --quiet --manifest-path storebench/Cargo.toml \
+        --target-dir "$dir/storebench/target")
 done
 
 out=$ab_dir/ab-$(date +%Y%m%d-%H%M%S).tsv

@@ -364,43 +364,25 @@ const MIN_NODE_BYTES: usize = 3;
 /// Smallest encoded term: no names and a single smallest node.
 const MIN_TERM_BYTES: usize = 4 + 4 + MIN_NODE_BYTES;
 
-/// Name tables up to this many entries are searched by a linear scan;
-/// a wider table also keeps an ordered index, so a term with `d`
-/// distinct names costs O(log d) per named node, never O(d).
-const NAME_SCAN_MAX: usize = 16;
-
 /// The per-term name table [`put_term`] builds: each distinct symbol
-/// once, in first-use order. An arena interns one symbol per string, so
-/// keying by symbol yields exactly the table that keying by name would.
+/// once, in first-use order, with an ordered index so a term with `d`
+/// distinct names costs O(log d) per named node. An arena interns one
+/// symbol per string, so keying by symbol yields exactly the table that
+/// keying by name would.
 #[derive(Default)]
 struct NameTable {
     syms: Vec<Symbol>,
-    /// Symbol → table index, kept only once `syms` outgrows
-    /// [`NAME_SCAN_MAX`].
-    wide: BTreeMap<Symbol, u32>,
+    index: BTreeMap<Symbol, u32>,
 }
 
 impl NameTable {
     /// The table index of `sym`, appending it on first use.
     fn index_of(&mut self, sym: Symbol) -> u32 {
-        let found = if self.wide.is_empty() {
-            self.syms.iter().position(|&s| s == sym).map(|i| i as u32)
-        } else {
-            self.wide.get(&sym).copied()
-        };
-        if let Some(i) = found {
-            return i;
-        }
-        let i = u32::try_from(self.syms.len()).expect("name table fits u32");
-        self.syms.push(sym);
-        if self.syms.len() > NAME_SCAN_MAX {
-            if self.wide.is_empty() {
-                self.wide.extend(self.syms.iter().copied().zip(0..));
-            } else {
-                self.wide.insert(sym, i);
-            }
-        }
-        i
+        let next = u32::try_from(self.syms.len()).expect("name table fits u32");
+        *self.index.entry(sym).or_insert_with(|| {
+            self.syms.push(sym);
+            next
+        })
     }
 }
 
@@ -516,8 +498,30 @@ pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
     }
 }
 
+/// Claims run position `p` as a child of the node being decoded (the
+/// next one after `run`): `p` must be earlier in the run and not yet
+/// claimed by another node.
+fn claim_child(run: &mut [(NodeId, bool)], p: u32) -> Result<NodeId, WireError> {
+    let i = run.len();
+    match run.get_mut(p as usize) {
+        None => Err(frame_err(format!(
+            "child reference {p} at node {i} is not backward"
+        ))),
+        Some((_, true)) => Err(frame_err(format!(
+            "node {p} is referenced again at node {i}: a term is a tree"
+        ))),
+        Some((id, claimed)) => {
+            *claimed = true;
+            Ok(*id)
+        }
+    }
+}
+
 /// Decodes one term into `arena`, returning its root. Rejects forward
-/// or self child references and out-of-range name indices.
+/// or self child references, out-of-range name indices and any node
+/// other than the root that is not referenced exactly once, so a
+/// decoded term is always a well-formed tree: its size is the run's
+/// length, never the unfolded size of a shared DAG.
 ///
 /// The name and node counts are untrusted: buffers (and the arena) are
 /// sized by what the rest of `input` can actually hold, never by a
@@ -533,23 +537,16 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
         return Err(frame_err("term has zero nodes"));
     }
     let capacity = node_count.min(input.len() / MIN_NODE_BYTES);
-    let mut ids: Vec<NodeId> = Vec::with_capacity(capacity);
+    // Each decoded node, and whether a later node has claimed it as a
+    // child yet.
+    let mut run: Vec<(NodeId, bool)> = Vec::with_capacity(capacity);
     arena.reserve(capacity);
     let sym = |syms: &[Symbol], i: u32| {
         syms.get(i as usize)
             .copied()
             .ok_or_else(|| frame_err(format!("name index {i} out of range ({name_count} names)")))
     };
-    for i in 0..node_count {
-        let child = |ids: &[NodeId], p: u32| {
-            if (p as usize) < i {
-                Ok(ids[p as usize])
-            } else {
-                Err(frame_err(format!(
-                    "child reference {p} at node {i} is not backward"
-                )))
-            }
-        };
+    for _ in 0..node_count {
         let id = match take_u8(input)? {
             NODE_VAR => {
                 let s = sym(&syms, take_u32(input)?)?;
@@ -557,18 +554,18 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
             }
             NODE_LAM => {
                 let s = sym(&syms, take_u32(input)?)?;
-                let body = child(&ids, take_u32(input)?)?;
+                let body = claim_child(&mut run, take_u32(input)?)?;
                 arena.lam(s, body)
             }
             NODE_APP => {
-                let f = child(&ids, take_u32(input)?)?;
-                let a = child(&ids, take_u32(input)?)?;
+                let f = claim_child(&mut run, take_u32(input)?)?;
+                let a = claim_child(&mut run, take_u32(input)?)?;
                 arena.app(f, a)
             }
             NODE_LET => {
                 let s = sym(&syms, take_u32(input)?)?;
-                let rhs = child(&ids, take_u32(input)?)?;
-                let body = child(&ids, take_u32(input)?)?;
+                let rhs = claim_child(&mut run, take_u32(input)?)?;
+                let body = claim_child(&mut run, take_u32(input)?)?;
                 arena.let_(s, rhs, body)
             }
             NODE_LIT => match take_u8(input)? {
@@ -579,9 +576,15 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
             },
             tag => return Err(frame_err(format!("unknown node tag {tag}"))),
         };
-        ids.push(id);
+        run.push((id, false));
     }
-    Ok(*ids.last().expect("node_count > 0"))
+    let (root, nodes) = run.split_last().expect("node_count > 0");
+    if let Some(p) = nodes.iter().position(|&(_, claimed)| !claimed) {
+        return Err(frame_err(format!(
+            "node {p} is not the root and no later node references it"
+        )));
+    }
+    Ok(root.0)
 }
 
 /// Decodes a batch chunk's `count` consecutive terms into `arena`,

@@ -205,8 +205,8 @@ fn encoder_matches_reference_on_repeated_and_shadowed_names() {
     }
 }
 
-/// 5,000 distinct names, each used again after the table has gone
-/// past its linear-scan size, in an order unlike the interner's.
+/// 5,000 distinct names, each used again once the table is wide, in an
+/// order unlike the interner's.
 #[test]
 fn encoder_matches_reference_on_a_term_with_5000_names() {
     let mut arena = ExprArena::new();
@@ -253,8 +253,8 @@ fn encoder_matches_reference_on_a_100k_deep_spine() {
 /// once per parent, and `put_term` encodes what it visits: a tree with
 /// one copy per occurrence, each referenced once. This is the one input
 /// on which the reference encoder wrote other bytes: it pointed every
-/// reference to a shared node at its latest copy. Both decode to the
-/// same tree.
+/// reference to a shared node at its latest copy, a DAG run that
+/// `take_term` refuses.
 #[test]
 fn shared_nodes_encode_as_a_tree() {
     let mut arena = ExprArena::new();
@@ -270,8 +270,85 @@ fn shared_nodes_encode_as_a_tree() {
     let mut reference = Vec::new();
     reference_put_term(&mut reference, &arena, root);
     assert_ne!(bytes, reference);
-    let back = take_term(&mut reference.as_slice(), &mut dst).expect("decodes");
-    assert!(same_tree(&arena, root, &dst, back));
+    assert!(take_term(&mut reference.as_slice(), &mut dst).is_err());
+}
+
+// ---------------------------------------------------------------------
+// Runs that are not trees.
+
+/// A term payload with no names whose nodes are `nodes`, each given as
+/// its encoded bytes.
+fn nameless_run(nodes: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = 0u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&u32::try_from(nodes.len()).expect("fits").to_le_bytes());
+    for node in nodes {
+        bytes.extend_from_slice(node);
+    }
+    bytes
+}
+
+fn lit_true() -> Vec<u8> {
+    vec![4, 2, 1]
+}
+
+fn app(f: u32, a: u32) -> Vec<u8> {
+    let mut node = vec![2];
+    node.extend_from_slice(&f.to_le_bytes());
+    node.extend_from_slice(&a.to_le_bytes());
+    node
+}
+
+/// A bool literal, then 22 × `App(i-1, i-1)`: 209 bytes whose DAG
+/// unfolds to 2^23 - 1 nodes. Accepted, it would make every store walk
+/// (hashing, canonicalisation) visit all of them; refused, it costs the
+/// decoder its 23 nodes.
+#[test]
+fn a_run_that_references_a_node_twice_is_refused() {
+    let mut nodes = vec![lit_true()];
+    nodes.extend((1..=22).map(|i| app(i - 1, i - 1)));
+    let bytes = nameless_run(&nodes);
+    assert_eq!(bytes.len(), 209);
+    let mut arena = ExprArena::new();
+    let err = take_term(&mut bytes.as_slice(), &mut arena).expect_err("a DAG is not a term");
+    assert!(err.to_string().contains("referenced again"), "{err}");
+    assert!(arena.len() <= 2, "refused at the first shared reference");
+
+    // The same through a `Let` whose rhs is its body.
+    let mut let_node = vec![3];
+    for v in [0u32, 0, 0] {
+        let_node.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut bytes = 1u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.push(b'x');
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&lit_true());
+    bytes.extend_from_slice(&let_node);
+    assert!(take_term(&mut bytes.as_slice(), &mut ExprArena::new()).is_err());
+}
+
+/// Every node but the root must be some later node's child: a run with
+/// an orphan would make the decoder build nodes no term contains.
+#[test]
+fn a_run_with_an_unreferenced_node_is_refused() {
+    let bytes = nameless_run(&[lit_true(), lit_true(), lit_true(), app(1, 2)]);
+    let err = take_term(&mut bytes.as_slice(), &mut ExprArena::new()).expect_err("orphan");
+    assert!(err.to_string().contains("node 0"), "{err}");
+}
+
+/// Children need only come before their parent, each claimed once: a
+/// run that is not in `put_term`'s postorder is still a tree.
+#[test]
+fn a_tree_in_any_backward_order_decodes() {
+    let mut int = vec![4, 0];
+    int.extend_from_slice(&7u64.to_le_bytes());
+    let bytes = nameless_run(&[int, lit_true(), app(1, 0)]);
+    let mut arena = ExprArena::new();
+    let root = take_term(&mut bytes.as_slice(), &mut arena).expect("a tree");
+    let mut expected = ExprArena::new();
+    let (t, i) = (expected.lit(Literal::Bool(true)), expected.int(7));
+    let want = expected.app(t, i);
+    assert!(same_tree(&arena, root, &expected, want));
 }
 
 // ---------------------------------------------------------------------

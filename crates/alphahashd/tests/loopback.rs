@@ -749,9 +749,11 @@ fn torn_connection_mid_update_leaves_store_consistent() {
 /// A term payload whose counts promise more than the frame carries is a
 /// typed `ERR_TERM`, not an allocation: the 5-byte request
 /// `OP_LOOKUP ff ff ff ff` once aborted the whole daemon process. The
-/// same holds for a contains-batch chunk announcing `u32::MAX` terms.
-/// Afterwards the daemon still answers a well-formed lookup on a new
-/// connection.
+/// same holds for a contains-batch chunk announcing `u32::MAX` terms,
+/// and for a 209-byte run that shares nodes (a bool, then 22 ×
+/// `App(i-1, i-1)`), whose unfolded tree once pinned a core in
+/// `lookup`. Afterwards the daemon still answers a well-formed lookup
+/// on a new connection.
 #[test]
 fn oversized_counts_are_refused_and_the_daemon_keeps_serving() {
     let mut arena = ExprArena::new();
@@ -767,6 +769,21 @@ fn oversized_counts_are_refused_and_the_daemon_keeps_serving() {
     wire::write_frame(&mut stream, &hs).expect("handshake");
     let _ = wire::read_frame(&mut stream).expect("hello");
     wire::write_frame(&mut stream, &[wire::OP_LOOKUP, 0xFF, 0xFF, 0xFF, 0xFF]).expect("lookup");
+    let resp = wire::read_frame(&mut stream)
+        .expect("response")
+        .expect("frame");
+    assert_eq!(resp[0], wire::ERR_TERM);
+
+    let mut dag = vec![wire::OP_LOOKUP];
+    dag.extend_from_slice(&0u32.to_le_bytes()); // no names
+    dag.extend_from_slice(&23u32.to_le_bytes());
+    dag.extend_from_slice(&[4, 2, 1]); // true
+    for i in 1..=22u32 {
+        dag.push(2);
+        dag.extend_from_slice(&(i - 1).to_le_bytes());
+        dag.extend_from_slice(&(i - 1).to_le_bytes());
+    }
+    wire::write_frame(&mut stream, &dag).expect("shared lookup");
     let resp = wire::read_frame(&mut stream)
         .expect("response")
         .expect("frame");
