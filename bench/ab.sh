@@ -1,19 +1,26 @@
 #!/usr/bin/env bash
-# Interleaved A/B of the store benchmark (storebench) between a base
-# commit and this checkout.
+# Interleaved A/B of the store benchmark (storebench) or of the raw
+# hashing bench (hash_throughput) between a base commit and this checkout.
 #
-#   bench/ab.sh <base-rev> [--head <rev>] [--workload <name>]
-#               [--seeds "<n> <n> ..."] [--seconds <s>] [--trace 0|1]
-#               [--dir <path>]
+#   bench/ab.sh <base-rev> [--head <rev>] [--bench storebench|hash_throughput]
+#               [--workload <name>] [--seeds "<n> <n> ..."] [--seconds <s>]
+#               [--trace 0|1] [--dir <path>]
 #
 #   bench/ab.sh HEAD~1                          # 10 pairs of wire_mix, seeds 2..11
 #   bench/ab.sh main --workload dedup_durable --seeds "2 3 4 5"
+#   bench/ab.sh HEAD~1 --bench hash_throughput  # 10 pairs, one-shot/batch/ingest
 #
 # The base side is a `git archive` of <base-rev> unpacked under --dir
 # (default target/ab); the head side is this working tree, or a second
 # archive when --head is given. Each side builds storebench from its own
 # sources into its own target directory, and an unpacked revision is
 # reused while it still matches, so repeated runs build warm.
+#
+# With --bench hash_throughput each side builds the hash_throughput bin
+# instead and every pair runs it on its fixed 10,000-term corpus (best of
+# 3 reps per run); --seeds then only sets the number of pairs, and
+# --workload, --seconds and --trace are ignored. The metrics are its
+# one-shot, batch and ingest nodes/s.
 #
 # Pair i runs seed i of --seeds on both sides. Even pairs run the base
 # first and odd pairs the head first, so a slow spell of the host lands
@@ -25,7 +32,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,10p' "$0" >&2
+    sed -n '2,11p' "$0" >&2
     exit 2
 }
 
@@ -33,6 +40,7 @@ usage() {
 base_rev=$1
 shift
 head_rev=
+bench=storebench
 workload=wire_mix
 seeds="2 3 4 5 6 7 8 9 10 11"
 seconds=20
@@ -42,6 +50,7 @@ while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case $1 in
         --head) head_rev=$2 ;;
+        --bench) bench=$2 ;;
         --workload) workload=$2 ;;
         --seeds) seeds=$2 ;;
         --seconds) seconds=$2 ;;
@@ -51,6 +60,10 @@ while [ $# -gt 0 ]; do
     esac
     shift 2
 done
+case $bench in
+    storebench | hash_throughput) ;;
+    *) usage ;;
+esac
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -80,22 +93,49 @@ else
 fi
 
 for dir in "$base_dir" "$head_dir"; do
-    echo "ab.sh: building storebench in $dir" >&2
+    echo "ab.sh: building $bench in $dir" >&2
     # An explicit target dir per side: a CARGO_TARGET_DIR from the
     # environment would make both sides share one, and the runs below
-    # execute $dir/storebench/target/release/storebench.
-    (cd "$dir" && cargo build --release --offline --quiet --manifest-path storebench/Cargo.toml \
-        --target-dir "$dir/storebench/target")
+    # execute the binary under that side's own target dir.
+    if [ "$bench" = storebench ]; then
+        (cd "$dir" && cargo build --release --offline --quiet --manifest-path storebench/Cargo.toml \
+            --target-dir "$dir/storebench/target")
+    else
+        (cd "$dir" && cargo build --release --offline --quiet -p alpha-hash-bench \
+            --bin hash_throughput --target-dir "$dir/target")
+    fi
 done
 
 out=$ab_dir/ab-$(date +%Y%m%d-%H%M%S).tsv
 : >"$out"
 
+# Prints hash_throughput's nodes/s figures as a result line of the shape
+# storebench prints.
+hash_line() {
+    local dir=$1 json
+    json=$(mktemp)
+    (cd "$dir" && ./target/release/hash_throughput --terms 10000 --reps 3 --save-json "$json" >/dev/null)
+    python3 - "$json" <<'PY'
+import json
+import sys
+
+report = json.load(open(sys.argv[1]))
+names = ("hash_expr_nodes_per_sec", "batch_hash_nodes_per_sec", "ingest_nodes_per_sec")
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {n: {"value": report[n]} for n in names}}))
+PY
+    rm -f "$json"
+}
+
 # Runs one side on one seed and appends "<side>\t<pair>\t<seed>\t<line>".
 run() {
     local side=$1 dir=$2 pair=$3 seed=$4 line
-    line=$(cd "$dir" && ./storebench/target/release/storebench --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1) || line=
+    if [ "$bench" = storebench ]; then
+        line=$(cd "$dir" && ./storebench/target/release/storebench --workload "$workload" \
+            --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1) || line=
+    else
+        line=$(hash_line "$dir") || line=
+    fi
     printf '%s\t%s\t%s\t%s\n' "$side" "$pair" "$seed" "${line:-null}" >>"$out"
 }
 
@@ -112,7 +152,9 @@ for seed in $seeds; do
     pair=$((pair + 1))
 done
 
-python3 - "$out" "$root/BENCHMARK.json" "$workload" <<'EOF'
+label=$workload
+[ "$bench" = storebench ] || label=$bench
+python3 - "$out" "$root/BENCHMARK.json" "$label" <<'EOF'
 import json
 import statistics
 import sys
@@ -120,6 +162,9 @@ import sys
 path, bench_path, workload = sys.argv[1:4]
 bench = json.load(open(bench_path))
 better = {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+# hash_throughput's rates are not storebench metrics.
+for name in ("hash_expr_nodes_per_sec", "batch_hash_nodes_per_sec", "ingest_nodes_per_sec"):
+    better.setdefault(name, "higher")
 
 runs = {"base": {}, "head": {}}
 for row in open(path):

@@ -6,6 +6,7 @@
 //!
 //! ```text
 //! accept thread ──spawns──▶ handler threads (one per connection)
+//!      │ (blocks in accept; a shutdown wakes it with a self-connection)
 //!      │                        │ reads framed requests
 //!      │                        ├─ ingest ops ──▶ IngestPool queues ──▶ worker threads
 //!      │                        │                 (bounded; backpressure)   │
@@ -20,7 +21,7 @@
 //! store, so `Checkpoint` serializes against serving exactly the way
 //! in-process `checkpoint()` serializes against `insert_batch`.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -69,9 +70,50 @@ impl Default for DaemonConfig {
     }
 }
 
-/// How often blocked reads and the accept loop wake up to check the
-/// shutdown flag.
+/// How often blocked reads and the signal watcher wake up to check the
+/// shutdown flag. The accept loop does not poll: it blocks in `accept`
+/// and is woken by [`Shutdown::trigger`].
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The daemon's shutdown latch: a flag the connection handlers poll
+/// between frames, plus the wake-up of the accept loop, which blocks in
+/// `accept` and so cannot poll. Every shutdown path ends here:
+/// [`Daemon::request_shutdown`], the wire `Shutdown` op and the signal
+/// watcher.
+struct Shutdown {
+    requested: AtomicBool,
+    /// Where the listener accepts: one connection there wakes `accept`.
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    fn new(listening: SocketAddr) -> Self {
+        let mut wake = listening;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Shutdown {
+            requested: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and, the first time, connects to the listener so a
+    /// blocked `accept` returns and sees it. The accept loop drops that
+    /// connection unserved.
+    fn trigger(&self) {
+        if !self.requested.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+}
 
 /// A running daemon. Dropping the handle does **not** stop it; call
 /// [`Daemon::request_shutdown`] (or send the wire `Shutdown` op, or
@@ -80,8 +122,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 pub struct Daemon<H: HashWord> {
     store: Arc<AlphaStore<H>>,
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     accept_thread: Option<JoinHandle<()>>,
+    /// Polls the signal latch when `handle_signals` is set.
+    signal_watcher: Option<JoinHandle<()>>,
 }
 
 impl<H: HashWord> Daemon<H> {
@@ -92,11 +136,15 @@ impl<H: HashWord> Daemon<H> {
     pub fn spawn(store: Arc<AlphaStore<H>>, config: DaemonConfig) -> std::io::Result<Daemon<H>> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        if config.handle_signals {
+        let shutdown = Arc::new(Shutdown::new(local_addr));
+        let signal_watcher = config.handle_signals.then(|| {
             crate::signal::install();
-        }
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::Builder::new()
+                .name("alphahashd-signals".to_owned())
+                .spawn(move || watch_signals(&shutdown))
+                .expect("spawn signal watcher")
+        });
         let pool = IngestPool::spawn(
             Arc::clone(&store),
             IngestConfig {
@@ -109,10 +157,9 @@ impl<H: HashWord> Daemon<H> {
         let accept_thread = {
             let store = Arc::clone(&store);
             let shutdown = Arc::clone(&shutdown);
-            let handle_signals = config.handle_signals;
             std::thread::Builder::new()
                 .name("alphahashd-accept".to_owned())
-                .spawn(move || accept_loop(listener, store, pool, shutdown, handle_signals))
+                .spawn(move || accept_loop(listener, store, pool, shutdown))
                 .expect("spawn accept thread")
         };
         Ok(Daemon {
@@ -120,6 +167,7 @@ impl<H: HashWord> Daemon<H> {
             local_addr,
             shutdown,
             accept_thread: Some(accept_thread),
+            signal_watcher,
         })
     }
 
@@ -138,7 +186,7 @@ impl<H: HashWord> Daemon<H> {
     /// arrived. Returns immediately; [`Daemon::join`] waits for the
     /// drain (including the final checkpoint) to finish.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.trigger();
     }
 
     /// Waits until the daemon has fully shut down: accept loop exited,
@@ -147,6 +195,22 @@ impl<H: HashWord> Daemon<H> {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
+        if let Some(handle) = self.signal_watcher.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Turns a latched SIGINT/SIGTERM into a shutdown. The handler itself
+/// may only set an atomic, so this thread polls it; it exits once any
+/// shutdown has been requested.
+fn watch_signals(shutdown: &Shutdown) {
+    while !shutdown.is_requested() {
+        if crate::signal::triggered() {
+            shutdown.trigger();
+            return;
+        }
+        std::thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -155,16 +219,17 @@ fn accept_loop<H: HashWord>(
     listener: TcpListener,
     store: Arc<AlphaStore<H>>,
     pool: Arc<IngestPool>,
-    shutdown: Arc<AtomicBool>,
-    handle_signals: bool,
+    shutdown: Arc<Shutdown>,
 ) {
     let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !shutdown.load(Ordering::SeqCst) {
-        if handle_signals && crate::signal::triggered() {
-            shutdown.store(true, Ordering::SeqCst);
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: a shutdown wakes the loop with
+        // a connection of its own, which is dropped here unserved.
+        if shutdown.is_requested() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let store = Arc::clone(&store);
                 let pool = Arc::clone(&pool);
@@ -184,9 +249,9 @@ fn accept_loop<H: HashWord>(
                 // does not grow with total connections served.
                 guard.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Back off on other errors (out of file descriptors, say)
+            // instead of spinning on them.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
@@ -214,8 +279,9 @@ fn handle_connection<H: HashWord>(
     mut stream: TcpStream,
     store: &AlphaStore<H>,
     pool: &IngestPool,
-    shutdown: &AtomicBool,
+    latch: &Shutdown,
 ) -> Result<(), WireError> {
+    let shutdown = &latch.requested;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     // Handshake first: magic + client version, answered with the hello.
@@ -307,7 +373,7 @@ fn handle_connection<H: HashWord>(
                 let mut out = Vec::new();
                 wire::put_u8(&mut out, wire::RESP_OK);
                 wire::write_frame(&mut stream, &out)?;
-                shutdown.store(true, Ordering::SeqCst);
+                latch.trigger();
                 return Ok(());
             }
             // A bare chunk/end without an announce is a sequencing bug.

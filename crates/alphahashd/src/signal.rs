@@ -4,7 +4,7 @@
 //! compat crates exist).
 //!
 //! The handler does the only async-signal-safe thing there is to do:
-//! set a static atomic flag. The daemon's accept loop polls
+//! set a static atomic flag. The daemon's signal watcher thread polls
 //! [`triggered`] and turns it into the normal graceful drain.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -17,6 +17,13 @@
 //! being built (the number of constructor calls). The structure size also
 //! serves as the `StructureTag` of §4.8, because a structure's size
 //! strictly exceeds that of any of its sub-structures.
+//!
+//! Two things keep a combiner call cheap without changing a bit of its
+//! output. A [`HashScheme`] starts every combiner chain once, when it is
+//! built (the seed and salt are fixed, so so is the chain's first
+//! state), and a call copies that start instead of mixing it again. And a
+//! [`Mixer`] knows its word width: for words of 64 bits or fewer it skips
+//! the high lane, which truncation would discard.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -148,37 +155,56 @@ pub fn hash_str(seed: u64, s: &str) -> u64 {
 
 /// A two-lane absorbing mixer. Each [`Mixer::absorb`]ed word perturbs both
 /// lanes through independent splitmix chains; [`Mixer::finish`] truncates
-/// to the requested [`HashWord`].
+/// to the chain's [`HashWord`].
+///
+/// Words of 64 bits or fewer keep only the low lane, so for them the
+/// mixer never computes the high one: [`Mixer::finish`] would discard it.
+/// The low lane does not depend on the high lane, so every width's hashes
+/// are the same bits either way.
 #[derive(Clone, Copy, Debug)]
-pub struct Mixer {
+pub struct Mixer<H: HashWord> {
     lo: u64,
     hi: u64,
+    _width: std::marker::PhantomData<H>,
 }
 
-impl Mixer {
+impl<H: HashWord> Mixer<H> {
+    /// Whether the high lane reaches the finished word.
+    const WIDE: bool = H::BITS > 64;
+
     /// Starts a mixing chain from the scheme seed and a per-combiner salt.
     #[inline]
     pub fn new(seed: u64, salt: u64) -> Self {
         let lo = mix64(seed ^ salt);
-        let hi = mix64(lo ^ 0xA5A5_A5A5_5A5A_5A5A);
-        Mixer { lo, hi }
+        let hi = if Self::WIDE {
+            mix64(lo ^ 0xA5A5_A5A5_5A5A_5A5A)
+        } else {
+            0
+        };
+        Mixer {
+            lo,
+            hi,
+            _width: std::marker::PhantomData,
+        }
     }
 
     /// Absorbs one 64-bit word.
     #[inline]
     pub fn absorb(&mut self, w: u64) -> &mut Self {
         self.lo = mix64(self.lo ^ w);
-        self.hi = mix64(self.hi.wrapping_add(w).rotate_left(17) ^ 0x94D0_49BB_1331_11EB);
-        self.hi = mix64(self.hi ^ w.rotate_left(32));
+        if Self::WIDE {
+            self.hi = mix64(self.hi.wrapping_add(w).rotate_left(17) ^ 0x94D0_49BB_1331_11EB);
+            self.hi = mix64(self.hi ^ w.rotate_left(32));
+        }
         self
     }
 
-    /// Absorbs a hash word (both lanes).
+    /// Absorbs a hash word: its low lane, and for `u128` its high lane too.
     #[inline]
-    pub fn absorb_word<H: HashWord>(&mut self, w: H) -> &mut Self {
+    pub fn absorb_word(&mut self, w: H) -> &mut Self {
         let (lo, hi) = w.to_lanes();
         self.absorb(lo);
-        if H::BITS > 64 {
+        if Self::WIDE {
             self.absorb(hi);
         }
         self
@@ -186,39 +212,89 @@ impl Mixer {
 
     /// Finishes the chain.
     #[inline]
-    pub fn finish<H: HashWord>(&self) -> H {
+    pub fn finish(&self) -> H {
         H::from_lanes(self.lo, self.hi)
     }
 }
 
-/// Per-constructor salts. Arbitrary distinct constants; the scheme seed
-/// randomises everything downstream of them.
+/// Salts that do not start a combiner chain. Arbitrary distinct
+/// constants; the scheme seed randomises everything downstream of them.
 mod salt {
     pub const VAR_NAME: u64 = 0x01;
-    pub const PT_HERE: u64 = 0x02;
-    pub const PT_LEFT: u64 = 0x03;
-    pub const PT_RIGHT: u64 = 0x04;
-    pub const PT_BOTH: u64 = 0x05;
-    pub const PT_JOIN: u64 = 0x06;
-    pub const S_VAR: u64 = 0x10;
-    pub const S_LAM: u64 = 0x11;
-    pub const S_APP: u64 = 0x12;
-    pub const S_LET: u64 = 0x13;
-    pub const S_LIT: u64 = 0x14;
-    pub const ENTRY: u64 = 0x20;
-    pub const ESUMMARY: u64 = 0x21;
     pub const NONE_MARKER: u64 = 0x30;
     pub const SOME_MARKER: u64 = 0x31;
+}
+
+/// The combiner chains of a [`HashScheme`], each started from its own
+/// per-constructor salt. The discriminant indexes the scheme's
+/// precomputed starting lanes.
+#[derive(Clone, Copy)]
+enum Chain {
+    PtHere,
+    PtLeft,
+    PtRight,
+    PtBoth,
+    PtJoin,
+    SVar,
+    SLam,
+    SApp,
+    SLet,
+    SLit,
+    Entry,
+    ESummary,
+}
+
+impl Chain {
+    /// Every chain, in discriminant order.
+    const ALL: [Chain; 12] = [
+        Chain::PtHere,
+        Chain::PtLeft,
+        Chain::PtRight,
+        Chain::PtBoth,
+        Chain::PtJoin,
+        Chain::SVar,
+        Chain::SLam,
+        Chain::SApp,
+        Chain::SLet,
+        Chain::SLit,
+        Chain::Entry,
+        Chain::ESummary,
+    ];
+
+    /// The chain's salt (part of the hash format: changing one changes
+    /// every hash the chain produces).
+    fn salt(self) -> u64 {
+        match self {
+            Chain::PtHere => 0x02,
+            Chain::PtLeft => 0x03,
+            Chain::PtRight => 0x04,
+            Chain::PtBoth => 0x05,
+            Chain::PtJoin => 0x06,
+            Chain::SVar => 0x10,
+            Chain::SLam => 0x11,
+            Chain::SApp => 0x12,
+            Chain::SLet => 0x13,
+            Chain::SLit => 0x14,
+            Chain::Entry => 0x20,
+            Chain::ESummary => 0x21,
+        }
+    }
 }
 
 /// A seeded family of hash combiners — the practical stand-in for the
 /// randomly chosen functions of Definition 6.4. Two schemes with different
 /// seeds behave as independently drawn combiner families, which is exactly
 /// what the Appendix B adversarial experiment varies.
+///
+/// A scheme starts each combiner chain once, when it is built, and keeps
+/// the starting lanes; a combiner call then only absorbs its arguments.
+/// It is `Copy` (about 200 bytes), so a hasher may keep its own copy.
 #[derive(Clone, Copy, Debug)]
 pub struct HashScheme<H: HashWord> {
     seed: u64,
-    _marker: std::marker::PhantomData<H>,
+    /// `Mixer::new(seed, chain.salt())` for every [`Chain`], by
+    /// discriminant.
+    starts: [Mixer<H>; Chain::ALL.len()],
 }
 
 /// Seed used by [`HashScheme::default`]: an arbitrary fixed value so that
@@ -236,10 +312,7 @@ impl<H: HashWord> HashScheme<H> {
     /// (deterministic) hash functions; different seeds give independent
     /// families.
     pub fn new(seed: u64) -> Self {
-        HashScheme {
-            seed: mix64(seed),
-            _marker: std::marker::PhantomData,
-        }
+        Self::from_raw_seed(mix64(seed))
     }
 
     /// The scheme's raw internal seed (post-mixing). Together with the
@@ -270,12 +343,14 @@ impl<H: HashWord> HashScheme<H> {
     pub fn from_raw_seed(raw: u64) -> Self {
         HashScheme {
             seed: raw,
-            _marker: std::marker::PhantomData,
+            starts: Chain::ALL.map(|chain| Mixer::new(raw, chain.salt())),
         }
     }
 
-    fn mixer(&self, salt: u64) -> Mixer {
-        Mixer::new(self.seed, salt)
+    /// A copy of the chain's precomputed start.
+    #[inline]
+    fn mixer(&self, chain: Chain) -> Mixer<H> {
+        self.starts[chain as usize]
     }
 
     /// Hash of a variable *name* (stable across arenas).
@@ -289,13 +364,13 @@ impl<H: HashWord> HashScheme<H> {
     /// `PTHere` (§4.5): a single occurrence at the current node.
     #[inline]
     pub fn pt_here(&self) -> H {
-        self.mixer(salt::PT_HERE).finish()
+        self.mixer(Chain::PtHere).finish()
     }
 
     /// `PTLeftOnly` (§4.5; used by the quadratic merge of §4.6).
     #[inline]
     pub fn pt_left(&self, size: u64, p: H) -> H {
-        self.mixer(salt::PT_LEFT)
+        self.mixer(Chain::PtLeft)
             .absorb(size)
             .absorb_word(p)
             .finish()
@@ -304,7 +379,7 @@ impl<H: HashWord> HashScheme<H> {
     /// `PTRightOnly` (§4.5).
     #[inline]
     pub fn pt_right(&self, size: u64, p: H) -> H {
-        self.mixer(salt::PT_RIGHT)
+        self.mixer(Chain::PtRight)
             .absorb(size)
             .absorb_word(p)
             .finish()
@@ -313,7 +388,7 @@ impl<H: HashWord> HashScheme<H> {
     /// `PTBoth` (§4.5).
     #[inline]
     pub fn pt_both(&self, size: u64, l: H, r: H) -> H {
-        self.mixer(salt::PT_BOTH)
+        self.mixer(Chain::PtBoth)
             .absorb(size)
             .absorb_word(l)
             .absorb_word(r)
@@ -324,14 +399,14 @@ impl<H: HashWord> HashScheme<H> {
     /// the smaller-map entry.
     #[inline]
     pub fn pt_join(&self, size: u64, tag: u64, bigger: Option<H>, smaller: H) -> H {
-        let mut m = self.mixer(salt::PT_JOIN);
+        let mut m = self.mixer(Chain::PtJoin);
         m.absorb(size).absorb(tag);
         self.absorb_opt(&mut m, bigger);
         m.absorb_word(smaller).finish()
     }
 
     #[inline]
-    fn absorb_opt(&self, m: &mut Mixer, value: Option<H>) {
+    fn absorb_opt(&self, m: &mut Mixer<H>, value: Option<H>) {
         match value {
             None => {
                 m.absorb(salt::NONE_MARKER);
@@ -347,13 +422,13 @@ impl<H: HashWord> HashScheme<H> {
     /// `SVar`: the anonymous variable structure.
     #[inline]
     pub fn s_var(&self) -> H {
-        self.mixer(salt::S_VAR).finish()
+        self.mixer(Chain::SVar).finish()
     }
 
     /// `SLit`: a literal leaf, identified by kind and payload.
     #[inline]
     pub fn s_lit(&self, kind: u64, payload: u64) -> H {
-        self.mixer(salt::S_LIT)
+        self.mixer(Chain::SLit)
             .absorb(kind)
             .absorb(payload)
             .finish()
@@ -364,7 +439,7 @@ impl<H: HashWord> HashScheme<H> {
     /// salt.
     #[inline]
     pub fn s_lam(&self, size: u64, pos: Option<H>, body: H) -> H {
-        let mut m = self.mixer(salt::S_LAM);
+        let mut m = self.mixer(Chain::SLam);
         m.absorb(size);
         self.absorb_opt(&mut m, pos);
         m.absorb_word(body).finish()
@@ -373,7 +448,7 @@ impl<H: HashWord> HashScheme<H> {
     /// `SApp` with the §4.8 `left_bigger` flag.
     #[inline]
     pub fn s_app(&self, size: u64, left_bigger: bool, fun: H, arg: H) -> H {
-        self.mixer(salt::S_APP)
+        self.mixer(Chain::SApp)
             .absorb(size)
             .absorb(left_bigger as u64)
             .absorb_word(fun)
@@ -385,7 +460,7 @@ impl<H: HashWord> HashScheme<H> {
     /// `rhs_bigger` merge flag (the `Let` analogue of `left_bigger`).
     #[inline]
     pub fn s_let(&self, size: u64, rhs_bigger: bool, pos: Option<H>, rhs: H, body: H) -> H {
-        let mut m = self.mixer(salt::S_LET);
+        let mut m = self.mixer(Chain::SLet);
         m.absorb(size).absorb(rhs_bigger as u64);
         self.absorb_opt(&mut m, pos);
         m.absorb_word(rhs).absorb_word(body).finish()
@@ -397,7 +472,7 @@ impl<H: HashWord> HashScheme<H> {
     /// map hash is the XOR of these.
     #[inline]
     pub fn entry(&self, name_hash: u64, pos: H) -> H {
-        self.mixer(salt::ENTRY)
+        self.mixer(Chain::Entry)
             .absorb(name_hash)
             .absorb_word(pos)
             .finish()
@@ -407,7 +482,7 @@ impl<H: HashWord> HashScheme<H> {
     /// (§5 `hashESummary`).
     #[inline]
     pub fn esummary(&self, structure: H, varmap: H) -> H {
-        self.mixer(salt::ESUMMARY)
+        self.mixer(Chain::ESummary)
             .absorb_word(structure)
             .absorb_word(varmap)
             .finish()

@@ -53,8 +53,11 @@ use std::fmt;
 pub type Entry<H> = (Symbol, PosH<H>);
 
 /// Number of entries a [`FlatVarMap`] stores inline before spilling to a
-/// heap-allocated sorted `Vec`.
-pub const INLINE_CAP: usize = 8;
+/// heap-allocated sorted `Vec`. Every node of the hashing pass pushes one
+/// map and every binary node moves one, so the inline array's size is
+/// paid per node; most maps hold only a few entries, and four keeps a
+/// `u64` map under 128 bytes.
+pub const INLINE_CAP: usize = 4;
 
 /// Width beyond which a spilled map is promoted to the persistent-tree
 /// tier. Tuned so program-like terms (maps a handful wide) never leave
@@ -418,46 +421,49 @@ impl<H: HashWord> FlatVarMap<H> {
         }
     }
 
-    /// §4.8 smaller-into-bigger merge across all tiers: folds `smaller`
-    /// into `bigger`, calling `join(bigger's entry, smaller's entry)`
-    /// **exactly once per smaller entry** to compute the merged position
-    /// tree, and `name_hash` to resolve each joined symbol's name hash
-    /// for the XOR fix-up. Callers keep the Lemma 6.1 `merge_ops`
-    /// accounting (`+= smaller.len()`); this method only does the work.
+    /// §4.8 smaller-into-bigger merge across all tiers, in place: folds
+    /// `smaller` into `self` (the bigger map), calling `join(bigger's
+    /// entry, smaller's entry)` **exactly once per smaller entry** to
+    /// compute the merged position tree, and `name_hash` to resolve each
+    /// joined symbol's name hash for the XOR fix-up. Callers keep the
+    /// Lemma 6.1 `merge_ops` accounting (`+= smaller.len()`); this method
+    /// only does the work.
     ///
-    /// Representation-wise: both-flat merges are one linear merge-join
-    /// (or in-place inserts when the result stays inline); a tree bigger
-    /// absorbs a flat smaller with O(m log n) inserts; tree–tree merges
-    /// use [`PMap::union_join`] for the O(m log(n/m + 1)) bound. `join`
-    /// call order is unspecified (the XOR map hash is commutative).
+    /// Representation-wise: when the result stays inline the smaller
+    /// entries are inserted in place; other both-flat merges are one
+    /// linear merge-join; a tree bigger absorbs a flat smaller with
+    /// O(m log n) inserts; tree–tree merges use [`PMap::union_join`] for
+    /// the O(m log(n/m + 1)) bound. `join` call order is unspecified (the
+    /// XOR map hash is commutative).
     pub(crate) fn merge_from_smaller(
-        bigger: Self,
+        &mut self,
         smaller: Self,
         scheme: &HashScheme<H>,
         pool: &mut MapPool<H>,
         name_hash: &mut impl FnMut(Symbol) -> u64,
         join: &mut impl FnMut(Option<PosH<H>>, PosH<H>) -> PosH<H>,
-    ) -> Self {
-        debug_assert!(bigger.len() >= smaller.len(), "merge direction flipped");
-        if bigger.is_tree() || smaller.is_tree() {
-            return Self::merge_tree(bigger, smaller, scheme, pool, name_hash, join);
+    ) {
+        debug_assert!(self.len() >= smaller.len(), "merge direction flipped");
+        if self.is_tree() || smaller.is_tree() {
+            let bigger = std::mem::take(self);
+            *self = Self::merge_tree(bigger, smaller, scheme, pool, name_hash, join);
+            return;
         }
-        if bigger.len() + smaller.len() <= INLINE_CAP {
+        if self.len() + smaller.len() <= INLINE_CAP {
             // Common case: everything stays inline; insert in place.
-            let mut bigger = bigger;
             for &(sym, small_pos) in smaller.flat_slice() {
                 let nh = name_hash(sym);
-                let new_pos = join(bigger.get(sym), small_pos);
-                bigger.upsert_pooled(scheme, sym, nh, new_pos, pool);
+                let new_pos = join(self.get(sym), small_pos);
+                self.upsert_pooled(scheme, sym, nh, new_pos, pool);
             }
             smaller.recycle(pool);
-            return bigger;
+            return;
         }
         // Wide flat case: one merge-join over the two sorted runs into a
         // pooled buffer — O(|bigger| + |smaller|), no per-entry shifting.
-        let mut out = pool.take_buffer(bigger.len() + smaller.len());
-        let mut xor = bigger.hash();
-        let (big_run, small_run) = (bigger.flat_slice(), smaller.flat_slice());
+        let mut out = pool.take_buffer(self.len() + smaller.len());
+        let mut xor = self.hash();
+        let (big_run, small_run) = (self.flat_slice(), smaller.flat_slice());
         let (mut bi, mut si) = (0usize, 0usize);
         while si < small_run.len() {
             let (sym, small_pos) = small_run[si];
@@ -481,9 +487,9 @@ impl<H: HashWord> FlatVarMap<H> {
             si += 1;
         }
         out.extend_from_slice(&big_run[bi..]);
-        bigger.recycle(pool);
         smaller.recycle(pool);
-        Self::from_sorted(out, xor, pool)
+        std::mem::take(self).recycle(pool);
+        *self = Self::from_sorted(out, xor, pool);
     }
 
     /// The tree-tier arm of [`FlatVarMap::merge_from_smaller`]: at least
@@ -611,6 +617,12 @@ mod tests {
             hash: scheme.pt_left(size, scheme.pt_here()),
             size,
         }
+    }
+
+    #[test]
+    fn a_u64_map_stays_under_128_bytes() {
+        // The hashing pass pushes one map per node; see INLINE_CAP.
+        assert!(std::mem::size_of::<FlatVarMap<u64>>() <= 128);
     }
 
     #[test]

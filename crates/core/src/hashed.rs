@@ -88,13 +88,19 @@ const NAME_PAGE: usize = 1 << NAME_PAGE_BITS;
 /// directory of page handles plus one or two pages, while batch hashing
 /// still resolves a name with two plain array indexings.
 ///
-/// A cache is tied to one arena: symbol indices are only meaningful
-/// within their interner. Debug builds check this on every hit.
+/// A cache is tied to one arena at a time: symbol indices are only
+/// meaningful within their interner. Debug builds check this on every
+/// hit. [`forget`](Self::forget) empties the cache for another arena in
+/// time proportional to the symbols it filled, keeping its pages.
 #[derive(Debug, Default)]
 pub struct NameHashCache {
     /// Page `p` holds the hashes of symbols `p * NAME_PAGE ..`; an empty
     /// page has never been touched.
     pages: Vec<Vec<Option<u64>>>,
+    /// Pages allocated so far (the non-empty entries of `pages`).
+    allocated: usize,
+    /// Symbols filled since the last [`forget`](Self::forget).
+    filled: Vec<u32>,
     /// Lookups that had to hash the name string.
     misses: u64,
 }
@@ -150,12 +156,32 @@ impl NameHashCache {
         }
         let page = &mut self.pages[p];
         if slot >= page.len() {
+            self.allocated += usize::from(page.is_empty());
             page.resize((names - p * NAME_PAGE).min(NAME_PAGE), None);
         }
         self.misses += 1;
+        self.filled.push(sym.index());
         let h = scheme.var_name(arena.interner().resolve(sym));
         page[slot] = Some(h);
         h
+    }
+
+    /// Empties the cache, clearing only the slots filled since the last
+    /// call: O(symbols filled), whatever the size of the arenas served.
+    /// The pages stay allocated for the next arena.
+    pub fn forget(&mut self) {
+        for &i in &self.filled {
+            let i = i as usize;
+            self.pages[i >> NAME_PAGE_BITS][i & (NAME_PAGE - 1)] = None;
+        }
+        self.filled.clear();
+    }
+
+    /// Pages allocated so far: the cache's memory, in units of 256
+    /// symbols (plus a directory of one handle per 256 symbols of the
+    /// largest arena served).
+    pub fn pages(&self) -> usize {
+        self.allocated
     }
 
     /// Symbol slots allocated across all pages.
@@ -232,16 +258,23 @@ pub enum MergeStrategy {
 /// A summariser is tied to the arena it was created for (variable-name
 /// hashes are cached per [`Symbol`] in a [`NameHashCache`]) and is designed
 /// to be **reused across many terms of that arena**: the name-hash cache,
-/// the traversal stack, the e-summary value stack and the spilled-map pool
+/// the traversal stack, the e-summary value stacks and the spilled-map pool
 /// all persist between calls, so batch hashing performs no per-node heap
 /// allocation and never re-hashes a variable name it has already seen.
 /// This is what makes store ingest O(total nodes) instead of
 /// O(terms × interner size). A fresh summariser costs O(1) to create and
 /// pays only for the symbols its terms use, so a one-shot call on a small
-/// term of a huge arena stays cheap.
+/// term of a huge arena stays cheap. It keeps its own copy of the
+/// [`HashScheme`], so it borrows nothing between calls.
+///
+/// The e-summaries of the nodes awaiting their parent live on two
+/// parallel stacks: 16-byte structures on one, variable maps on the
+/// other. A `Lam` rewrites the top of both in place, and an `App` or `Let`
+/// pops its right child and merges the smaller of the two maps into the
+/// left child's slot, so a node moves one map at most.
 #[derive(Debug)]
-pub struct HashedSummariser<'s, H: HashWord> {
-    scheme: &'s HashScheme<H>,
+pub struct HashedSummariser<H: HashWord> {
+    scheme: HashScheme<H>,
     /// Lazily filled per-symbol name hashes.
     names: NameHashCache,
     strategy: MergeStrategy,
@@ -251,18 +284,21 @@ pub struct HashedSummariser<'s, H: HashWord> {
     /// — the instrumentation seam's "work done" denominator (store ingest
     /// reads and resets it between batches).
     pub nodes_pushed: u64,
-    /// E-summary value stack for the streaming post-order fold.
-    stack: Vec<ESummaryH<H>>,
+    /// Structure half of the e-summary value stack of the streaming
+    /// post-order fold.
+    structs: Vec<StructH<H>>,
+    /// Variable-map half of the value stack, slot for slot with `structs`.
+    maps: Vec<VarMapH<H>>,
     /// Reusable traversal scratch for [`postorder_with`].
     walk: Vec<(NodeId, bool)>,
     /// Recycled spill buffers for maps wider than the inline cap.
     pool: MapPool<H>,
 }
 
-impl<'s, H: HashWord> HashedSummariser<'s, H> {
+impl<H: HashWord> HashedSummariser<H> {
     /// Creates a summariser for `arena` using the §4.8 merge. Every later
     /// call must pass the same arena; nothing is read from it up front.
-    pub fn new(arena: &ExprArena, scheme: &'s HashScheme<H>) -> Self {
+    pub fn new(arena: &ExprArena, scheme: &HashScheme<H>) -> Self {
         Self::with_strategy(arena, scheme, MergeStrategy::SmallerIntoBigger)
     }
 
@@ -270,24 +306,20 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     /// ablation benchmark).
     pub fn with_strategy(
         _arena: &ExprArena,
-        scheme: &'s HashScheme<H>,
+        scheme: &HashScheme<H>,
         strategy: MergeStrategy,
     ) -> Self {
         HashedSummariser {
-            scheme,
+            scheme: *scheme,
             names: NameHashCache::new(),
             strategy,
             merge_ops: 0,
             nodes_pushed: 0,
-            stack: Vec::new(),
+            structs: Vec::new(),
+            maps: Vec::new(),
             walk: Vec::new(),
             pool: MapPool::default(),
         }
-    }
-
-    #[inline]
-    fn name_hash(&mut self, arena: &ExprArena, sym: Symbol) -> u64 {
-        self.names.get(arena, self.scheme, sym)
     }
 
     /// Name-hash cache misses since the last call — symbols whose name
@@ -298,6 +330,20 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
         std::mem::take(&mut self.names.misses)
     }
 
+    /// Forgets every name hash cached so far, in time proportional to the
+    /// symbols the cache holds rather than to the arena. Afterwards the
+    /// summariser may serve a different arena: this is how a pooled
+    /// summariser moves from one caller's arena to the next.
+    pub fn forget_names(&mut self) {
+        self.names.forget();
+    }
+
+    /// Symbol pages the name-hash cache has allocated — its memory, in
+    /// units of 256 symbols.
+    pub fn name_cache_pages(&self) -> usize {
+        self.names.pages()
+    }
+
     /// Retunes (or disables, with `usize::MAX`) the tree tier of this
     /// summariser's variable maps — the sorted-Vec ablation knob the
     /// wide-map bench uses to measure the tiers against each other.
@@ -305,35 +351,36 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
         self.pool.set_tree_threshold(threshold);
     }
 
-    /// §4.8 merge: fold the smaller map into the bigger one, tagging each
-    /// moved entry with the parent structure's tag. Returns the merged map
-    /// and whether the left map was the bigger one.
+    /// §4.8 merge of a binary node's child maps, in place: folds the smaller
+    /// map into the bigger one, tagging each moved entry with the parent
+    /// structure's `tag`, and leaves the result in `left`'s slot. Returns
+    /// whether the left map was the bigger one.
     ///
     /// Only smaller-side entries count as merge operations (Lemma 6.1) —
     /// counted here, in one tier-independent increment — while the
-    /// representation work happens in [`VarMapH::merge_from_smaller`]:
-    /// in place when the result fits inline, one linear merge-join of the
-    /// two sorted runs in the flat-spill tier, and an
-    /// O(m log(n/m + 1)) persistent-tree union in the tree tier.
+    /// representation work happens in [`VarMapH::merge_from_smaller`]: in
+    /// place when the result fits inline, one linear merge-join of the two
+    /// sorted runs in the flat-spill tier, and an O(m log(n/m + 1))
+    /// persistent-tree union in the tree tier.
     fn merge_smaller(
         &mut self,
         arena: &ExprArena,
         tag: u64,
-        left: VarMapH<H>,
+        left: &mut VarMapH<H>,
         right: VarMapH<H>,
-    ) -> (VarMapH<H>, bool) {
+    ) -> bool {
         let left_bigger = left.len() >= right.len();
-        let (bigger, smaller) = if left_bigger {
-            (left, right)
+        let smaller = if left_bigger {
+            right
         } else {
-            (right, left)
+            std::mem::replace(left, right)
         };
         if smaller.is_empty() {
             smaller.recycle(&mut self.pool);
-            return (bigger, left_bigger);
+            return left_bigger;
         }
         self.merge_ops += smaller.len() as u64;
-        let scheme = self.scheme;
+        let scheme = &self.scheme;
         let names = &mut self.names;
         let mut nh = |sym: Symbol| names.get(arena, scheme, sym);
         let mut join = |old: Option<PosH<H>>, small_pos: PosH<H>| {
@@ -343,28 +390,16 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
                 size,
             }
         };
-        let merged = VarMapH::merge_from_smaller(
-            bigger,
-            smaller,
-            scheme,
-            &mut self.pool,
-            &mut nh,
-            &mut join,
-        );
-        (merged, left_bigger)
+        left.merge_from_smaller(smaller, scheme, &mut self.pool, &mut nh, &mut join);
+        left_bigger
     }
 
     /// §4.6 merge: wrap every left entry `LeftOnly`, every right entry
-    /// `RightOnly`, and both-sides entries `Both`. Touches every entry —
-    /// the quadratic baseline for the ablation. Implemented as one
-    /// merge-join over the two sorted iterations (tier-agnostic).
-    fn merge_both(
-        &mut self,
-        arena: &ExprArena,
-        left: VarMapH<H>,
-        right: VarMapH<H>,
-    ) -> (VarMapH<H>, bool) {
-        let scheme = self.scheme;
+    /// `RightOnly`, and both-sides entries `Both`. Touches every entry — the
+    /// quadratic baseline for the ablation. Implemented as one merge-join
+    /// over the two sorted iterations (tier-agnostic).
+    fn merge_both(&mut self, arena: &ExprArena, left: VarMapH<H>, right: VarMapH<H>) -> VarMapH<H> {
+        let scheme = &self.scheme;
         let mut out = self.pool.take_buffer(left.len() + right.len());
         let mut xor = H::ZERO;
         {
@@ -408,34 +443,42 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
                     (Some(_), None) => unreachable!("covered by the left-only arm"),
                 };
                 self.merge_ops += 1;
-                let nh = self.name_hash(arena, sym);
+                let nh = self.names.get(arena, scheme, sym);
                 xor = xor.xor(scheme.entry(nh, pos.hash));
                 out.push((sym, pos));
             }
         }
         left.recycle(&mut self.pool);
         right.recycle(&mut self.pool);
-        (VarMapH::from_sorted(out, xor, &mut self.pool), true)
+        VarMapH::from_sorted(out, xor, &mut self.pool)
     }
 
-    fn merge(
-        &mut self,
-        arena: &ExprArena,
-        tag: u64,
-        left: VarMapH<H>,
-        right: VarMapH<H>,
-    ) -> (VarMapH<H>, bool) {
-        match self.strategy {
+    /// Merges the variable map on top of the stack into the one below it
+    /// (the maps of a binary node's right and left child), leaving the
+    /// merged map in the lower slot. `tag` is the parent structure's size.
+    /// Returns whether the left map was the bigger one (the §4.8 flag).
+    fn merge_top(&mut self, arena: &ExprArena, tag: u64) -> bool {
+        // Out of `self` for the merge, which needs the rest of it.
+        let mut maps = std::mem::take(&mut self.maps);
+        let right = maps.pop().expect("binary node has a right child");
+        let left = maps.last_mut().expect("binary node has a left child");
+        let left_bigger = match self.strategy {
             MergeStrategy::SmallerIntoBigger => self.merge_smaller(arena, tag, left, right),
-            MergeStrategy::TransformBoth => self.merge_both(arena, left, right),
-        }
+            MergeStrategy::TransformBoth => {
+                let both = std::mem::take(left);
+                *left = self.merge_both(arena, both, right);
+                true
+            }
+        };
+        self.maps = maps;
+        left_bigger
     }
 
     /// Starts a streaming summary. The value stack must be empty — i.e.
     /// every previously begun term was [`finish`](Self::finish)ed.
     pub fn begin(&mut self) {
         assert!(
-            self.stack.is_empty(),
+            self.structs.is_empty(),
             "begin() while a summary is in flight"
         );
     }
@@ -447,88 +490,7 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     /// `Let` rhs before body), and terms must satisfy the unique-binder
     /// precondition (§2.2).
     pub fn push_node(&mut self, arena: &ExprArena, n: NodeId) -> H {
-        self.nodes_pushed += 1;
-        let scheme = self.scheme;
-        let summary = match arena.node(n) {
-            ExprNode::Var(s) => {
-                let pos = PosH {
-                    hash: scheme.pt_here(),
-                    size: 1,
-                };
-                let nh = self.name_hash(arena, s);
-                ESummaryH {
-                    structure: StructH {
-                        hash: scheme.s_var(),
-                        size: 1,
-                    },
-                    varmap: VarMapH::singleton(scheme, s, nh, pos),
-                }
-            }
-            ExprNode::Lit(l) => ESummaryH {
-                structure: StructH {
-                    hash: scheme.s_lit(l.kind_tag(), l.payload()),
-                    size: 1,
-                },
-                varmap: VarMapH::new(),
-            },
-            ExprNode::Lam(x, _) => {
-                let mut body = self.stack.pop().expect("lam body summary");
-                let nh = self.name_hash(arena, x);
-                let x_pos = body.varmap.remove(scheme, x, nh);
-                let size = 1 + body.structure.size;
-                ESummaryH {
-                    structure: StructH {
-                        hash: scheme.s_lam(size, x_pos.map(|p| p.hash), body.structure.hash),
-                        size,
-                    },
-                    varmap: body.varmap,
-                }
-            }
-            ExprNode::App(_, _) => {
-                let right = self.stack.pop().expect("app arg summary");
-                let left = self.stack.pop().expect("app fun summary");
-                let size = 1 + left.structure.size + right.structure.size;
-                let (varmap, left_bigger) = self.merge(arena, size, left.varmap, right.varmap);
-                ESummaryH {
-                    structure: StructH {
-                        hash: scheme.s_app(
-                            size,
-                            left_bigger,
-                            left.structure.hash,
-                            right.structure.hash,
-                        ),
-                        size,
-                    },
-                    varmap,
-                }
-            }
-            ExprNode::Let(x, _, _) => {
-                let mut body = self.stack.pop().expect("let body summary");
-                let rhs = self.stack.pop().expect("let rhs summary");
-                let nh = self.name_hash(arena, x);
-                // Binder removed from the body map first: it does not
-                // scope over the rhs.
-                let x_pos = body.varmap.remove(scheme, x, nh);
-                let size = 1 + rhs.structure.size + body.structure.size;
-                let (varmap, rhs_bigger) = self.merge(arena, size, rhs.varmap, body.varmap);
-                ESummaryH {
-                    structure: StructH {
-                        hash: scheme.s_let(
-                            size,
-                            rhs_bigger,
-                            x_pos.map(|p| p.hash),
-                            rhs.structure.hash,
-                            body.structure.hash,
-                        ),
-                        size,
-                    },
-                    varmap,
-                }
-            }
-        };
-        let hash = summary.hash(scheme);
-        self.stack.push(summary);
-        hash
+        self.push_node_sized(arena, n).0
     }
 
     /// Like [`push_node`](Self::push_node), but also returns the node's
@@ -538,14 +500,75 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     /// node of the term at no extra cost, so granularity filters like
     /// `min_nodes` need no second traversal.
     pub fn push_node_sized(&mut self, arena: &ExprArena, n: NodeId) -> (H, u64) {
-        let hash = self.push_node(arena, n);
-        let size = self
-            .stack
-            .last()
-            .expect("push_node pushed a summary")
-            .structure
-            .size;
-        (hash, size)
+        self.nodes_pushed += 1;
+        let scheme = &self.scheme;
+        let structure = match arena.node(n) {
+            ExprNode::Var(s) => {
+                let pos = PosH {
+                    hash: scheme.pt_here(),
+                    size: 1,
+                };
+                let nh = self.names.get(arena, scheme, s);
+                self.maps.push(VarMapH::singleton(scheme, s, nh, pos));
+                StructH {
+                    hash: scheme.s_var(),
+                    size: 1,
+                }
+            }
+            ExprNode::Lit(l) => {
+                self.maps.push(VarMapH::new());
+                StructH {
+                    hash: scheme.s_lit(l.kind_tag(), l.payload()),
+                    size: 1,
+                }
+            }
+            ExprNode::Lam(x, _) => {
+                let body = self.structs.pop().expect("lam body summary");
+                let nh = self.names.get(arena, scheme, x);
+                let map = self.maps.last_mut().expect("lam body map");
+                let x_pos = map.remove(scheme, x, nh);
+                let size = 1 + body.size;
+                StructH {
+                    hash: scheme.s_lam(size, x_pos.map(|p| p.hash), body.hash),
+                    size,
+                }
+            }
+            ExprNode::App(_, _) => {
+                let right = self.structs.pop().expect("app arg summary");
+                let left = self.structs.pop().expect("app fun summary");
+                let size = 1 + left.size + right.size;
+                let left_bigger = self.merge_top(arena, size);
+                StructH {
+                    hash: self.scheme.s_app(size, left_bigger, left.hash, right.hash),
+                    size,
+                }
+            }
+            ExprNode::Let(x, _, _) => {
+                let body = self.structs.pop().expect("let body summary");
+                let rhs = self.structs.pop().expect("let rhs summary");
+                let nh = self.names.get(arena, scheme, x);
+                // Binder removed from the body map first: it does not
+                // scope over the rhs.
+                let body_map = self.maps.last_mut().expect("let body map");
+                let x_pos = body_map.remove(scheme, x, nh);
+                let size = 1 + rhs.size + body.size;
+                let rhs_bigger = self.merge_top(arena, size);
+                StructH {
+                    hash: self.scheme.s_let(
+                        size,
+                        rhs_bigger,
+                        x_pos.map(|p| p.hash),
+                        rhs.hash,
+                        body.hash,
+                    ),
+                    size,
+                }
+            }
+        };
+        let map = self.maps.last().expect("every node leaves a map");
+        let hash = self.scheme.esummary(structure.hash, map.hash());
+        self.structs.push(structure);
+        (hash, structure.size)
     }
 
     /// Completes a streaming summary begun with [`begin`](Self::begin),
@@ -556,12 +579,13 @@ impl<'s, H: HashWord> HashedSummariser<'s, H> {
     /// Panics if the nodes fed so far do not form exactly one complete
     /// post-order term.
     pub fn finish(&mut self) -> ESummaryH<H> {
-        let result = self.stack.pop().expect("summarise produced a result");
+        let structure = self.structs.pop().expect("summarise produced a result");
+        let varmap = self.maps.pop().expect("every node leaves a map");
         assert!(
-            self.stack.is_empty(),
+            self.structs.is_empty(),
             "finish() with an incomplete post-order feed"
         );
-        result
+        ESummaryH { structure, varmap }
     }
 
     /// Like [`finish`](Self::finish) but discards the root e-summary,

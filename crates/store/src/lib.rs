@@ -104,7 +104,7 @@ pub use corpus::{corpus_shared_dag_size, store_backed_cse, StoreBackedCse};
 pub use granularity::{ConfigError, Granularity, StoreBuilder};
 pub use persist::vfs::{FaultKind, FaultVfs, OsVfs, Vfs, VfsFile};
 pub use persist::{PersistError, SnapshotOp, WalOp};
-pub use prepare::Preparer;
+pub use prepare::{Preparer, POOLED_PREPARER_MAX_PAGES};
 pub use stats::{CanonDagStats, StoreStats};
 pub use store::{
     AlphaStore, ClassId, Health, InsertOutcome, RecoveryInfo, StoreError, SubexprSummary, TermId,

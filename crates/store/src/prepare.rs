@@ -49,6 +49,42 @@ use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::symbol::Symbol;
 use lambda_lang::visit::{postorder_with, walk_scoped_with, ScopeEvent, ScopeStack};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Mutex;
+
+/// A multiplicative hasher for maps keyed by interner indices and canon
+/// ref bits: small dense integers the process made itself, never client
+/// strings, so SipHash's flooding resistance buys nothing here. One
+/// rotate, xor and multiply per word (the FxHash step).
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by an interner index (see [`IndexHasher`]).
+type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
 
 /// How a prepared entry carries its canonical form to the shard sweep.
 #[derive(Debug)]
@@ -106,7 +142,7 @@ pub(crate) struct PreparedTerm<H> {
 /// environment: the subexpression pass resolves binders by post-order
 /// range instead (see `Preparer::close_binder`).
 fn bind(
-    env: &mut HashMap<Symbol, u32>,
+    env: &mut IndexMap<Symbol, u32>,
     saved: &mut Vec<Option<u32>>,
     depth: &mut u32,
     sym: Symbol,
@@ -117,7 +153,7 @@ fn bind(
 
 /// Takes `sym` out of scope, restoring whatever binding [`bind`] shadowed.
 fn unbind(
-    env: &mut HashMap<Symbol, u32>,
+    env: &mut IndexMap<Symbol, u32>,
     saved: &mut Vec<Option<u32>>,
     depth: &mut u32,
     sym: Symbol,
@@ -140,7 +176,7 @@ fn unbind(
 fn emit_db(
     arena: &ExprArena,
     n: NodeId,
-    env: &HashMap<Symbol, u32>,
+    env: &IndexMap<Symbol, u32>,
     depth: u32,
     dst: &mut DbArena,
     db_stack: &mut Vec<DbId>,
@@ -178,12 +214,14 @@ fn emit_db(
 /// summariser plus the conversion environments, stacks and caches. A
 /// `Preparer` is arena-affine — like the summariser's name-hash cache, the
 /// symbol→[`NameId`] cache assumes every call passes the arena the
-/// preparer was built for.
-pub struct Preparer<'s, H: HashWord> {
-    summariser: HashedSummariser<'s, H>,
+/// preparer was built for — until `forget_arena` empties both caches.
+/// It keeps its own copy of the [`HashScheme`] and borrows nothing, so the
+/// store can keep warm preparers between calls (`PreparerPool`).
+pub struct Preparer<H: HashWord> {
+    summariser: HashedSummariser<H>,
     /// Binder symbol → binding level (distance from the root), for the
     /// innermost binding. Save/restore via `saved` handles shadowing.
-    env: HashMap<Symbol, u32>,
+    env: IndexMap<Symbol, u32>,
     saved: Vec<Option<u32>>,
     db_stack: Vec<DbId>,
     /// Traversal scratch of the fused root walk.
@@ -194,9 +232,9 @@ pub struct Preparer<'s, H: HashWord> {
     /// in post-order (so the root is last). Only filled by `prepare_term`.
     sub_infos: Vec<(NodeId, H, u64)>,
     /// Arena symbol → global canon-DAG name, cached per preparer.
-    name_ids: HashMap<Symbol, NameId>,
+    name_ids: IndexMap<Symbol, NameId>,
     /// Intra-term dedup: interned ref bits → index into the subs vec.
-    dedup: HashMap<u32, usize>,
+    dedup: IndexMap<u32, usize>,
     /// Per post-order position: the node's canon ref in the context of its
     /// most recently finished enclosing subterm (its standalone ref at the
     /// moment it finishes).
@@ -206,7 +244,7 @@ pub struct Preparer<'s, H: HashWord> {
     /// linked stack of open occurrences per symbol.
     occ_prev: Vec<u32>,
     /// Symbol → post-order position of its latest still-free occurrence.
-    occ_head: HashMap<Symbol, u32>,
+    occ_head: IndexMap<Symbol, u32>,
     /// The occurrences the binder being closed captures, ascending.
     closing: Vec<u32>,
     /// Work stack of the path re-interning walk.
@@ -257,25 +295,32 @@ fn compose<H>(
     }
 }
 
-impl<'s, H: HashWord> Preparer<'s, H> {
-    /// A preparer for terms of `arena`, hashing with `scheme`.
-    pub fn new(arena: &ExprArena, scheme: &'s HashScheme<H>) -> Self {
+impl<H: HashWord> Preparer<H> {
+    /// A preparer for terms of `arena`, hashing with (a copy of) `scheme`.
+    pub fn new(arena: &ExprArena, scheme: &HashScheme<H>) -> Self {
         Preparer {
             summariser: HashedSummariser::new(arena, scheme),
-            env: HashMap::new(),
+            env: IndexMap::default(),
             saved: Vec::new(),
             db_stack: Vec::new(),
             scope: ScopeStack::new(),
             post_stack: Vec::new(),
             sub_infos: Vec::new(),
-            name_ids: HashMap::new(),
-            dedup: HashMap::new(),
+            name_ids: IndexMap::default(),
+            dedup: IndexMap::default(),
             refs: Vec::new(),
             occ_prev: Vec::new(),
-            occ_head: HashMap::new(),
+            occ_head: IndexMap::default(),
             closing: Vec::new(),
             path_stack: Vec::new(),
         }
+    }
+
+    /// Empties the arena-affine caches (name hashes and canon name ids)
+    /// in O(symbols they hold), so the preparer may serve another arena.
+    fn forget_arena(&mut self) {
+        self.summariser.forget_names();
+        self.name_ids.clear();
     }
 
     /// Drains the summariser's cumulative work counters — `(nodes pushed,
@@ -557,6 +602,72 @@ impl<'s, H: HashWord> Preparer<'s, H> {
     }
 }
 
+/// Name-cache pages (256 symbols, 4 KiB each) above which a preparer is
+/// dropped instead of pooled.
+pub const POOLED_PREPARER_MAX_PAGES: usize = 64;
+
+/// Terms larger than this many nodes leave scratch buffers (value and
+/// walk stacks, per-node records) sized to them; a preparer that prepared
+/// one is dropped instead of pooled, so warm preparers stay small.
+const POOLED_PREPARER_MAX_NODES: u64 = 1 << 16;
+
+/// Warm preparers for the store's single-call paths (`lookup`,
+/// `contains`, `contains_batch`, `try_insert`): a call borrows one and
+/// gives it back, so it skips building a fresh preparer and the name
+/// cache pages and stack growth that come with one.
+///
+/// Calls may pass any arena. Giving a preparer back forgets its
+/// arena-affine caches in O(symbols touched); the pages stay allocated
+/// for the next caller. A preparer only enters the pool when a caller
+/// returns it, so the pool never holds more preparers than there were
+/// concurrent callers. One whose name cache grew past
+/// [`POOLED_PREPARER_MAX_PAGES`], or that prepared a term of more than
+/// `POOLED_PREPARER_MAX_NODES`, is dropped instead.
+pub(crate) struct PreparerPool<H: HashWord> {
+    idle: Mutex<Vec<Preparer<H>>>,
+}
+
+impl<H: HashWord> Default for PreparerPool<H> {
+    fn default() -> Self {
+        PreparerPool {
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<H: HashWord> PreparerPool<H> {
+    /// A warm preparer, or a fresh one for `arena` if none is idle.
+    pub(crate) fn take(&self, arena: &ExprArena, scheme: &HashScheme<H>) -> Preparer<H> {
+        let warm = self.idle.lock().expect("preparer pool poisoned").pop();
+        warm.unwrap_or_else(|| Preparer::new(arena, scheme))
+    }
+
+    /// Returns a preparer whose largest prepared term had `largest_nodes`
+    /// nodes, emptied of its arena's names.
+    pub(crate) fn give(&self, mut preparer: Preparer<H>, largest_nodes: u64) {
+        if largest_nodes > POOLED_PREPARER_MAX_NODES
+            || preparer.summariser.name_cache_pages() > POOLED_PREPARER_MAX_PAGES
+        {
+            return;
+        }
+        preparer.forget_arena();
+        self.idle
+            .lock()
+            .expect("preparer pool poisoned")
+            .push(preparer);
+    }
+
+    /// Name-cache pages of each idle preparer.
+    pub(crate) fn idle_pages(&self) -> Vec<usize> {
+        self.idle
+            .lock()
+            .expect("preparer pool poisoned")
+            .iter()
+            .map(|p| p.summariser.name_cache_pages())
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,7 +821,7 @@ mod tests {
     /// Checks `prepare_term` against [`reference_entries`] at every node
     /// of `root`: the same refs, with the same multiplicities.
     fn assert_matches_reference(
-        preparer: &mut Preparer<'_, u64>,
+        preparer: &mut Preparer<u64>,
         table: &CanonTable,
         arena: &ExprArena,
         root: NodeId,

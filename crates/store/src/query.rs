@@ -67,8 +67,9 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// [`AlphaStore::contains`] over many patterns at once, sharing one
-    /// `Preparer` across all of them — the name-hash cache and traversal
-    /// buffers are built once, not per pattern — and grouping probes so
+    /// `Preparer` (borrowed warm from the store's pool) across all of
+    /// them — the name-hash cache and traversal buffers serve every
+    /// pattern — and grouping probes so
     /// each shard's read lock is taken at most once. Answers come back in
     /// input order; none of the patterns is ingested.
     ///

@@ -40,7 +40,7 @@ use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{WalEntry, WalHeader};
 use crate::persist::{Durable, PersistError, SNAPSHOT_FILE};
-use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, SubEntry};
+use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, PreparerPool, SubEntry};
 use crate::stats::{CanonDagStats, StatCounters, StoreStats};
 use alpha_hash::combine::{mix64, HashScheme, HashWord};
 use lambda_lang::arena::{ExprArena, NodeId};
@@ -593,6 +593,10 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// What recovery did, for stores built by the durable open paths
     /// (`None` for in-memory stores and fresh creations).
     pub(crate) recovery: Option<RecoveryInfo>,
+    /// Warm preparers for single calls (`lookup`, `contains`,
+    /// `contains_batch`, `try_insert`); a leaf lock held only to take or
+    /// return one.
+    preparers: PreparerPool<H>,
 }
 
 impl<H: HashWord> Default for AlphaStore<H> {
@@ -663,6 +667,7 @@ impl<H: HashWord> AlphaStore<H> {
             updates: Mutex::new(crate::update::UpdateCache::default()),
             obs: StoreObs::new(),
             recovery: None,
+            preparers: PreparerPool::default(),
         }
     }
 
@@ -701,6 +706,7 @@ impl<H: HashWord> AlphaStore<H> {
             updates: Mutex::new(crate::update::UpdateCache::default()),
             obs: StoreObs::new(),
             recovery: None,
+            preparers: PreparerPool::default(),
         })
     }
 
@@ -760,7 +766,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// insert creates a class.
     pub(crate) fn prepare(
         &self,
-        preparer: &mut Preparer<'_, H>,
+        preparer: &mut Preparer<H>,
         arena: &ExprArena,
         root: NodeId,
     ) -> Prepared<H> {
@@ -813,24 +819,26 @@ impl<H: HashWord> AlphaStore<H> {
     pub fn try_insert(&self, arena: &ExprArena, root: NodeId) -> Result<InsertOutcome, StoreError> {
         match self.granularity {
             Granularity::Roots => {
-                let mut preparer = Preparer::new(arena, &self.scheme);
+                let mut preparer = self.preparers.take(arena, &self.scheme);
                 let t = self.obs.tick();
                 let prepared = self.prepare(&mut preparer, arena, root);
                 self.obs.rec_prepare(t, prepared.entry.node_count);
                 let (nodes, misses) = preparer.take_hash_counters();
                 self.obs.add_hash_counters(nodes, misses);
+                self.preparers.give(preparer, prepared.entry.node_count);
                 Ok(self
                     .ingest_prepared_roots(vec![prepared])?
                     .pop()
                     .expect("one term ingested"))
             }
             Granularity::Subexpressions { min_nodes } => {
-                let mut preparer = Preparer::new(arena, &self.scheme);
+                let mut preparer = self.preparers.take(arena, &self.scheme);
                 let t = self.obs.tick();
                 let pt = preparer.prepare_term(arena, root, min_nodes, &self.table);
                 self.obs.rec_prepare(t, pt.root.node_count);
                 let (nodes, misses) = preparer.take_hash_counters();
                 self.obs.add_hash_counters(nodes, misses);
+                self.preparers.give(preparer, pt.root.node_count);
                 Ok(self
                     .ingest_prepared_terms(vec![pt])?
                     .pop()
@@ -1216,11 +1224,12 @@ impl<H: HashWord> AlphaStore<H> {
         roots_only: bool,
     ) -> Option<ClassId> {
         let t = self.obs.tick();
-        let mut preparer = Preparer::new(arena, &self.scheme);
+        let mut preparer = self.preparers.take(arena, &self.scheme);
         let prepared = self.prepare(&mut preparer, arena, root);
         self.obs.rec_probe_prepare(t);
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
+        self.preparers.give(preparer, prepared.entry.node_count);
         self.probe_prepared(&prepared, roots_only)
     }
 
@@ -1254,12 +1263,14 @@ impl<H: HashWord> AlphaStore<H> {
         patterns: &[NodeId],
         roots_only: bool,
     ) -> Vec<Option<ClassId>> {
-        let mut preparer = Preparer::new(arena, &self.scheme);
+        let mut preparer = self.preparers.take(arena, &self.scheme);
         let mut by_shard: HashMap<usize, Vec<(usize, Prepared<H>)>> = HashMap::new();
+        let mut largest = 0;
         for (i, &p) in patterns.iter().enumerate() {
             let t = self.obs.tick();
             let prepared = self.prepare(&mut preparer, arena, p);
             self.obs.rec_probe_prepare(t);
+            largest = largest.max(prepared.entry.node_count);
             by_shard
                 .entry(prepared.shard)
                 .or_default()
@@ -1267,6 +1278,7 @@ impl<H: HashWord> AlphaStore<H> {
         }
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
+        self.preparers.give(preparer, largest);
         let mut results: Vec<Option<ClassId>> = vec![None; patterns.len()];
         for (shard_index, items) in by_shard {
             let t_lock = self.obs.tick();
@@ -1416,6 +1428,14 @@ impl<H: HashWord> AlphaStore<H> {
     /// Snapshot of the ingest statistics.
     pub fn stats(&self) -> StoreStats {
         self.counters.snapshot()
+    }
+
+    /// Name-cache pages held by each idle pooled preparer (see
+    /// [`POOLED_PREPARER_MAX_PAGES`](crate::prepare::POOLED_PREPARER_MAX_PAGES)):
+    /// the warm probe state the store keeps between calls, one entry per
+    /// preparer.
+    pub fn idle_preparer_pages(&self) -> Vec<usize> {
+        self.preparers.idle_pages()
     }
 
     /// Resident footprint of the hash-consed canon DAG versus the
