@@ -16,9 +16,10 @@
 //!
 //! ## Exactness
 //!
-//! Interning is keyed on the node itself (`HashMap<CanonNode, index>`,
-//! compared by `Eq`), and de Bruijn structure is context-free, so by
-//! induction **two refs are equal iff the terms they root are identical**.
+//! Interning is keyed on the node itself (a tag match in a stripe's index
+//! is confirmed by comparing the stored node with `Eq`), and de Bruijn
+//! structure is context-free, so by induction **two refs are equal iff
+//! the terms they root are identical**.
 //! That upgrades merge confirmation: when both sides are interned, `db_eq`
 //! is one ref compare; only *frontier* terms (not yet interned — the root-
 //! granularity hot path, and read-only queries) fall back to a structural
@@ -29,12 +30,21 @@
 //!
 //! The table is sharded by node hash ([`DEFAULT_TABLE_SHARDS`] stripes
 //! unless the builder configures another power of two). Each stripe holds
-//! its nodes in an append-only `RwLock<Vec<CanonNode>>` plus an interning
-//! map behind a `Mutex`. Readers use a [`TableView`], which lazily caches
+//! its nodes in an append-only `RwLock<Vec<CanonNode>>` plus, behind a
+//! `Mutex`, a compact interning index of `u64` slots, each packing a
+//! 32-bit hash tag with a node's position, probed linearly and doubled
+//! at 3/4 load. The index mutex also guards the stripe's own hit, miss
+//! and wait counts, so interning touches no cache line shared with
+//! another stripe (stripes are aligned to 128 bytes). One node hash
+//! serves a whole probe: its low bits pick the stripe, the bits above
+//! them the first slot, its high half the tag. A probe reads the node
+//! vector (under a read guard) only to confirm a tag match, and writes it
+//! only to append a miss. Readers use a [`TableView`], which lazily caches
 //! one read guard per stripe so a whole compare or extraction walk costs
-//! one batch of lock acquisitions, not one per node. Lock order: store locks are always taken **before**
-//! table locks (maintenance → WAL → store shards → canon table), and
-//! interning never holds more than one table lock at a time, so the lock
+//! one batch of lock acquisitions, not one per node. Lock order: store
+//! locks are always taken **before** table locks (maintenance → WAL →
+//! store shards → canon table), and interning holds at most one stripe's
+//! index mutex and then its node lock, never two stripes, so the lock
 //! graph is acyclic. A [`TableView`] must be [released](TableView::release)
 //! before its thread interns (read→write upgrade on one stripe would
 //! deadlock); the store does this exactly where a fresh class interns its
@@ -44,9 +54,8 @@ use alpha_hash::combine::mix64;
 use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard};
+use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 
 /// Default number of lock stripes in a [`CanonTable`] — the value the
 /// table always used before stripe counts became builder-configurable.
@@ -92,12 +101,13 @@ fn unpack_ref(shard_bits: u32, shard_mask: u32, r: CanonRef) -> (usize, usize) {
     ((bits & shard_mask) as usize, (bits >> shard_bits) as usize)
 }
 
-/// A fast, deterministic hasher for [`CanonNode`] interning maps and for
-/// routing nodes to table stripes (std's default hasher is both slower and
-/// randomly seeded; stripe routing wants determinism for reproducible
-/// profiles). Folds every written word through the splitmix64 finaliser.
+/// A fast, deterministic hasher for [`CanonNode`]s: it routes nodes to
+/// table stripes and places them in a stripe's index (std's default
+/// hasher is both slower and randomly seeded; stripe routing wants
+/// determinism for reproducible profiles). Folds every written word
+/// through the splitmix64 finaliser, so every bit of the result is mixed.
 #[derive(Default)]
-pub(crate) struct NodeHasher(u64);
+struct NodeHasher(u64);
 
 impl Hasher for NodeHasher {
     #[inline]
@@ -135,8 +145,6 @@ impl Hasher for NodeHasher {
     }
 }
 
-type NodeMap = HashMap<CanonNode, u32, BuildHasherDefault<NodeHasher>>;
-
 #[inline]
 fn node_hash(node: &CanonNode) -> u64 {
     let mut h = NodeHasher::default();
@@ -144,22 +152,165 @@ fn node_hash(node: &CanonNode) -> u64 {
     h.finish()
 }
 
+/// An index slot: the high 32 bits are the node hash's tag, the low 32
+/// bits the node's position in its stripe. [`slot_tag`] never yields 0,
+/// so an occupied slot is never [`EMPTY_SLOT`], even at position 0 of a
+/// single-stripe table.
+const EMPTY_SLOT: u64 = 0;
+
+/// Slots a stripe index starts with on its first insert.
+const MIN_SLOTS: usize = 16;
+
+/// The 32-bit tag a node hash stores in its index slot: its high half,
+/// with 0 folded onto 1 so no tag can read as an empty slot.
+#[inline]
+fn slot_tag(hash: u64) -> u64 {
+    (hash >> 32).max(1)
+}
+
+/// The occupied slot for a node with tag `tag` at `position`.
+#[inline]
+fn pack_slot(tag: u64, position: u32) -> u64 {
+    (tag << 32) | u64::from(position)
+}
+
+/// A stripe's interning index: open addressing with linear probing over
+/// packed `(tag, position)` slots, one `u64` each, plus the stripe's
+/// intern counters. It lives behind the stripe's index mutex, so the
+/// counters are plain integers that only the stripe's own lock holder
+/// touches — no cache line is shared between stripes.
+#[derive(Default)]
+struct StripeIndex {
+    /// Power-of-two length once anything is inserted, at most 3/4 full.
+    slots: Vec<u64>,
+    /// Probes answered by a node already resident in the stripe.
+    hits: u64,
+    /// Probes that appended a fresh node to the stripe.
+    misses: u64,
+    /// Probes that found the index mutex held and had to block.
+    waits: u64,
+}
+
+impl StripeIndex {
+    /// The position of `node` in `nodes`, or `Err` with the empty slot
+    /// where it belongs. `probe` is the node hash with the stripe bits
+    /// shifted out. A tag match is confirmed against the stored node
+    /// under a read guard, taken at most once per probe.
+    fn find(
+        &self,
+        nodes: &RwLock<Vec<CanonNode>>,
+        probe: u64,
+        tag: u64,
+        node: &CanonNode,
+    ) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            // No slot yet: the insert that follows builds the index.
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = probe as usize & mask;
+        let mut guard = None;
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY_SLOT {
+                return Err(at);
+            }
+            if slot >> 32 == tag {
+                let position = slot as u32;
+                let nodes =
+                    guard.get_or_insert_with(|| nodes.read().expect("canon nodes poisoned"));
+                if nodes[position as usize] == *node {
+                    return Ok(position);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Fills an empty slot, found by [`find`](Self::find), with the
+    /// stripe's newest node at `position` — or, when that would push the
+    /// load past 3/4, rebuilds the index at double size from `nodes`
+    /// (which already holds the new node).
+    fn insert(
+        &mut self,
+        nodes: &RwLock<Vec<CanonNode>>,
+        shard_bits: u32,
+        empty: usize,
+        tag: u64,
+        position: u32,
+    ) {
+        let len = position as usize + 1;
+        if len * 4 <= self.slots.len() * 3 {
+            self.slots[empty] = pack_slot(tag, position);
+            return;
+        }
+        let mut capacity = (self.slots.len() * 2).max(MIN_SLOTS);
+        while len * 4 > capacity * 3 {
+            capacity *= 2;
+        }
+        let mask = capacity - 1;
+        let mut slots = vec![EMPTY_SLOT; capacity];
+        let nodes = nodes.read().expect("canon nodes poisoned");
+        for (position, node) in (0u32..).zip(nodes.iter()) {
+            let hash = node_hash(node);
+            let mut at = (hash >> shard_bits) as usize & mask;
+            while slots[at] != EMPTY_SLOT {
+                at = (at + 1) & mask;
+            }
+            slots[at] = pack_slot(slot_tag(hash), position);
+        }
+        self.slots = slots;
+    }
+}
+
 /// One lock stripe of the table: append-only node storage plus the
-/// interning map over it. The map mutex serialises interning per stripe;
-/// the node `RwLock` lets any number of [`TableView`]s read concurrently
-/// with interning on *other* stripes.
+/// interning index over it. The index mutex serialises interning per
+/// stripe and is held across check-and-insert, so each node is appended
+/// exactly once; the node `RwLock` lets any number of [`TableView`]s
+/// read concurrently with interning on *other* stripes, and is taken for
+/// writing only to append. Aligned to two cache lines so neighbouring
+/// stripes' locks and counters never share one.
+#[repr(align(128))]
 struct TableShard {
     nodes: RwLock<Vec<CanonNode>>,
-    map: Mutex<NodeMap>,
+    index: Mutex<StripeIndex>,
 }
 
 impl TableShard {
     fn new() -> Self {
         TableShard {
             nodes: RwLock::new(Vec::new()),
-            map: Mutex::new(NodeMap::default()),
+            index: Mutex::new(StripeIndex::default()),
         }
     }
+
+    /// Locks the stripe index, counting a wait when another thread holds
+    /// it (a count, not a timing: reading a clock costs a third of a
+    /// probe).
+    fn lock_index(&self) -> MutexGuard<'_, StripeIndex> {
+        match self.index.try_lock() {
+            Ok(index) => index,
+            Err(TryLockError::WouldBlock) => {
+                let mut index = self.index.lock().expect("canon index poisoned");
+                index.waits += 1;
+                index
+            }
+            Err(TryLockError::Poisoned(_)) => panic!("canon index poisoned"),
+        }
+    }
+}
+
+/// Intern-probe counts of a [`CanonTable`], summed over its stripes.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct InternStats {
+    /// Probes answered from the table (node already resident).
+    pub(crate) hits: u64,
+    /// Probes that appended a fresh node. Equals
+    /// [`CanonTable::resident_nodes`] exactly: the stripe index mutex is
+    /// held across the check-and-insert, so no probe is double counted.
+    pub(crate) misses: u64,
+    /// Probes that found their stripe's index locked by another thread.
+    pub(crate) stripe_waits: u64,
 }
 
 /// The shared, sharded, hash-consed canon node table. One per
@@ -173,13 +324,6 @@ pub(crate) struct CanonTable {
     shard_mask: u32,
     names: RwLock<Vec<Box<str>>>,
     name_map: Mutex<HashMap<Box<str>, u32>>,
-    /// Intern probes answered from the table (node already resident).
-    hits: AtomicU64,
-    /// Intern probes that appended a fresh node. Equals
-    /// [`resident_nodes`](Self::resident_nodes) exactly: the stripe map
-    /// mutex is held across the check-and-insert, so no probe is double
-    /// counted.
-    misses: AtomicU64,
 }
 
 impl CanonTable {
@@ -204,8 +348,6 @@ impl CanonTable {
             shard_mask: count as u32 - 1,
             names: RwLock::new(Vec::new()),
             name_map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -215,31 +357,47 @@ impl CanonTable {
     }
 
     /// Interns one node (children already interned), returning its ref.
-    /// Idempotent: equal nodes always return the same ref.
+    /// Idempotent: equal nodes always return the same ref. One node hash
+    /// serves the whole probe: its low `shard_bits` pick the stripe, the
+    /// bits above them the first index slot, its high half the tag.
     pub(crate) fn intern_node(&self, node: CanonNode) -> CanonRef {
-        let shard = (node_hash(&node) & u64::from(self.shard_mask)) as usize;
+        let hash = node_hash(&node);
+        let shard = (hash & u64::from(self.shard_mask)) as usize;
         let stripe = &self.shards[shard];
-        let mut map = stripe.map.lock().expect("canon map poisoned");
-        if let Some(&index) = map.get(&node) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return pack_ref(self.shard_bits, shard, index);
+        let tag = slot_tag(hash);
+        let mut index = stripe.lock_index();
+        match index.find(&stripe.nodes, hash >> self.shard_bits, tag, &node) {
+            Ok(position) => {
+                index.hits += 1;
+                pack_ref(self.shard_bits, shard, position)
+            }
+            Err(empty) => {
+                let mut nodes = stripe.nodes.write().expect("canon nodes poisoned");
+                let position = u32::try_from(nodes.len()).expect("canon stripe overflow");
+                let r = pack_ref(self.shard_bits, shard, position);
+                nodes.push(node);
+                drop(nodes);
+                index.insert(&stripe.nodes, self.shard_bits, empty, tag, position);
+                index.misses += 1;
+                r
+            }
         }
-        let mut nodes = stripe.nodes.write().expect("canon nodes poisoned");
-        let index = u32::try_from(nodes.len()).expect("canon stripe overflow");
-        nodes.push(node);
-        drop(nodes);
-        map.insert(node, index);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        pack_ref(self.shard_bits, shard, index)
     }
 
-    /// `(hits, misses)` of the intern probes since construction — the
-    /// dedup ratio of the hash-consing layer, read by the obs surface.
-    pub(crate) fn intern_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+    /// The intern-probe counts since construction — the dedup ratio of
+    /// the hash-consing layer and its stripe contention, read by the obs
+    /// surface. Sums the stripes' own counts, one lock each.
+    pub(crate) fn intern_stats(&self) -> InternStats {
+        self.shards
+            .iter()
+            .fold(InternStats::default(), |sum, stripe| {
+                let index = stripe.index.lock().expect("canon index poisoned");
+                InternStats {
+                    hits: sum.hits + index.hits,
+                    misses: sum.misses + index.misses,
+                    stripe_waits: sum.stripe_waits + index.waits,
+                }
+            })
     }
 
     /// Interns a free-variable name, returning its global id. Idempotent.
@@ -522,7 +680,7 @@ mod tests {
     use super::*;
     use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
     use lambda_lang::parse::parse;
-    use lambda_lang::ExprArena;
+    use lambda_lang::{ExprArena, Literal};
 
     fn canon_of(src: &str) -> (DbArena, DbId) {
         let mut a = ExprArena::new();
@@ -659,6 +817,139 @@ mod tests {
             let mut view = TableView::new(&table);
             let (out, out_root) = extract_one(&mut view, refs[0]);
             assert!(db_eq(&canons[0].0, canons[0].1, &out, out_root));
+        }
+    }
+
+    #[test]
+    fn an_occupied_slot_never_reads_as_empty() {
+        // At one stripe a node at position 0 whose hash has a zero high
+        // half would pack to 0 without the tag fold.
+        assert_eq!(slot_tag(0x0000_0000_dead_beef), 1);
+        assert_ne!(pack_slot(slot_tag(0), 0), EMPTY_SLOT);
+        assert_eq!(slot_tag(0xffff_ffff_0000_0000), 0xffff_ffff);
+    }
+
+    /// One thread's stream for the index oracle: `len` nodes whose
+    /// children are earlier positions of the same stream, encoded as
+    /// `CanonRef::from_bits(position)`. Chunks of 64 positions alternate
+    /// between a stream `shared` by every thread and one `private` to
+    /// this one, so the threads race on equal nodes and on distinct ones.
+    fn oracle_stream(shared: u64, private: u64, len: usize) -> Vec<CanonNode> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const F64_BITS: [u64; 6] = [
+            0,                     // 0.0
+            0x8000_0000_0000_0000, // -0.0: equal as f64, distinct as bits
+            0x7ff8_0000_0000_0000, // quiet NaN
+            0x7ff8_0000_0000_0001, // another NaN payload
+            0x3ff8_0000_0000_0000, // 1.5
+            0xfff0_0000_0000_0000, // -inf
+        ];
+        let mut rngs = [
+            StdRng::seed_from_u64(shared),
+            StdRng::seed_from_u64(private),
+        ];
+        (0..len)
+            .map(|p| {
+                let rng = &mut rngs[usize::from((p / 64) % 3 == 0)];
+                let earlier = |rng: &mut StdRng| {
+                    let back = if rng.random_bool(0.8) {
+                        rng.random_range(1..=p.min(8))
+                    } else {
+                        rng.random_range(1..=p)
+                    };
+                    CanonRef::from_bits((p - back) as u32)
+                };
+                let pick = if p == 0 {
+                    0
+                } else {
+                    rng.random_range(0..10u32)
+                };
+                match pick {
+                    0 => CanonNode::BVar(rng.random_range(0..16)),
+                    1 => CanonNode::FVar(NameId::from_index(rng.random_range(0..64))),
+                    2 => CanonNode::Lit(Literal::I64(rng.random_range(-50..50))),
+                    3 => CanonNode::Lit(match rng.random_range(0..3u32) {
+                        0 => Literal::Bool(rng.random()),
+                        1 => Literal::F64Bits(F64_BITS[rng.random_range(0..F64_BITS.len())]),
+                        _ => Literal::F64Bits(rng.random_range(0..1u64 << 12) << 40),
+                    }),
+                    4 | 5 => CanonNode::Lam(earlier(rng)),
+                    6 | 7 => CanonNode::App(earlier(rng), earlier(rng)),
+                    _ => CanonNode::Let(earlier(rng), earlier(rng)),
+                }
+            })
+            .collect()
+    }
+
+    /// Interns `stream` (children as stream positions), returning each
+    /// probe's node (children as table refs) and the ref it got.
+    fn intern_stream(table: &CanonTable, stream: &[CanonNode]) -> Vec<(CanonNode, CanonRef)> {
+        let mut probes: Vec<(CanonNode, CanonRef)> = Vec::with_capacity(stream.len());
+        for &spec in stream {
+            let at = |c: CanonRef| probes[c.to_bits() as usize].1;
+            let node = match spec {
+                CanonNode::Lam(b) => CanonNode::Lam(at(b)),
+                CanonNode::App(f, a) => CanonNode::App(at(f), at(a)),
+                CanonNode::Let(r, b) => CanonNode::Let(at(r), at(b)),
+                leaf => leaf,
+            };
+            probes.push((node, table.intern_node(node)));
+        }
+        probes
+    }
+
+    #[test]
+    fn the_index_agrees_with_a_hash_map_oracle_under_two_threads() {
+        // ~300k probes a table: enough to double every stripe's index
+        // many times, at 1 stripe past 2^18 slots.
+        const PER_THREAD: usize = 150_000;
+        let streams = [
+            oracle_stream(0x5EED, 0xA11CE, PER_THREAD),
+            oracle_stream(0x5EED, 0xB0B, PER_THREAD),
+        ];
+        for count in [1usize, DEFAULT_TABLE_SHARDS, MAX_TABLE_SHARDS] {
+            let table = CanonTable::with_shards(count);
+            let start = std::sync::Barrier::new(streams.len());
+            let probes: Vec<Vec<(CanonNode, CanonRef)>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = streams
+                    .iter()
+                    .map(|stream| {
+                        scope.spawn(|| {
+                            start.wait();
+                            intern_stream(&table, stream)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let mut by_node: HashMap<CanonNode, CanonRef> = HashMap::new();
+            let mut by_ref: HashMap<CanonRef, CanonNode> = HashMap::new();
+            let mut view = TableView::new(&table);
+            for &(node, r) in probes.iter().flatten() {
+                assert_eq!(
+                    *by_node.entry(node).or_insert(r),
+                    r,
+                    "{count} stripes: equal nodes got distinct refs ({node:?})"
+                );
+                assert_eq!(
+                    *by_ref.entry(r).or_insert(node),
+                    node,
+                    "{count} stripes: distinct nodes share {r:?}"
+                );
+                assert_eq!(
+                    view.node(r),
+                    node,
+                    "{count} stripes: {r:?} reads back wrong"
+                );
+            }
+            view.release();
+            let stats = table.intern_stats();
+            assert_eq!(stats.hits + stats.misses, 2 * PER_THREAD as u64);
+            assert_eq!(stats.misses, table.resident_nodes());
+            assert_eq!(stats.misses, by_node.len() as u64);
+            assert!(stats.hits > 0, "the streams overlap");
+            assert!(stats.stripe_waits <= stats.hits + stats.misses);
         }
     }
 

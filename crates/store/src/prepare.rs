@@ -913,8 +913,8 @@ mod tests {
         let table = CanonTable::new();
         let mut preparer = Preparer::new(arena, &scheme);
         let _ = preparer.prepare_term(arena, root, 1, &table);
-        let (hits, misses) = table.intern_stats();
-        hits + misses
+        let stats = table.intern_stats();
+        stats.hits + stats.misses
     }
 
     #[test]

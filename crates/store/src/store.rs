@@ -2020,7 +2020,7 @@ impl<H: HashWord> AlphaStore<H> {
         }
         let stats = self.stats();
         let dag = self.canon_dag_stats();
-        let (intern_hits, intern_misses) = self.table.intern_stats();
+        let intern = self.table.intern_stats();
         let mut extras = vec![
             Sample::counter(
                 d(
@@ -2092,7 +2092,7 @@ impl<H: HashWord> AlphaStore<H> {
                     "Canon-table intern calls answered by an existing node",
                     "nodes",
                 ),
-                intern_hits,
+                intern.hits,
             ),
             Sample::counter(
                 d(
@@ -2100,7 +2100,15 @@ impl<H: HashWord> AlphaStore<H> {
                     "Canon-table intern calls that inserted a new node",
                     "nodes",
                 ),
-                intern_misses,
+                intern.misses,
+            ),
+            Sample::counter(
+                d(
+                    "alpha_store_canon_stripe_waits",
+                    "Canon-table intern calls that found their stripe locked and blocked",
+                    "probes",
+                ),
+                intern.stripe_waits,
             ),
             Sample::gauge(
                 d(

@@ -43,6 +43,7 @@ const MANDATED: &[&str] = &[
     "alpha_store_shard_lock_wait_ns",
     "alpha_store_canon_intern_hits",
     "alpha_store_canon_intern_misses",
+    "alpha_store_canon_stripe_waits",
     "alpha_store_frontier_walk_nodes",
     "alpha_store_wal_bytes_since_checkpoint",
 ];
@@ -119,6 +120,15 @@ fn check_roots_reconciliation(store: &AlphaStore<u64>) -> Result<(), TestCaseErr
     let prepared_nodes = report.histogram("alpha_store_prepare_nodes").unwrap();
     prop_assert_eq!(prepared_nodes.count, stats.terms_ingested);
     prop_assert!(report.counter("alpha_store_hash_nodes").unwrap() >= prepared_nodes.sum);
+    check_stripe_waits(&report)
+}
+
+/// A probe waits at most once, for its own stripe's index.
+fn check_stripe_waits(report: &alpha_obs::Report) -> Result<(), TestCaseError> {
+    let probes = report.counter("alpha_store_canon_intern_hits").unwrap()
+        + report.counter("alpha_store_canon_intern_misses").unwrap();
+    let waits = report.counter("alpha_store_canon_stripe_waits").unwrap();
+    prop_assert!(waits <= probes, "{waits} stripe waits for {probes} probes");
     Ok(())
 }
 
@@ -166,6 +176,35 @@ fn subexpression_intern_misses_equal_resident_nodes() {
     );
     // Duplicates guarantee the dedup path actually ran.
     assert!(report.counter("alpha_store_canon_intern_hits").unwrap() > 0);
+}
+
+#[test]
+fn subexpression_intern_counts_reconcile_under_concurrent_ingest() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x5E7, 400);
+    let store: AlphaStore<u64> = AlphaStore::builder()
+        .seed(5)
+        .shards(4)
+        .table_shards(1)
+        .subexpressions(2)
+        .build();
+    // Both threads ingest every term from the same moment, so they
+    // probe equal nodes of one stripe at once.
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                store.insert_batch(&arena, &roots)
+            });
+        }
+    });
+    let report = store.obs_report();
+    assert_eq!(
+        report.counter("alpha_store_canon_intern_misses"),
+        Some(store.canon_dag_stats().resident_nodes)
+    );
+    check_stripe_waits(&report).unwrap();
 }
 
 #[test]
