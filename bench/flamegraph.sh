@@ -2,9 +2,9 @@
 # Profile one bench binary under `perf record` and, when a flamegraph
 # tool is on PATH, fold the samples into an SVG.
 #
-#   bench/flamegraph.sh                    # profiles `widemap` at defaults
-#   bench/flamegraph.sh sweep -- --shards 16 --threads 4 --workload wide
-#   BIN=store_throughput bench/flamegraph.sh
+#   bench/flamegraph.sh                    # profiles `hash_throughput` at defaults
+#   bench/flamegraph.sh hash_throughput -- --terms 20000 --reps 1
+#   BIN=fig2 bench/flamegraph.sh
 #
 # Artifacts land in target/perf/: <bin>.perf.data always; <bin>.svg when
 # `inferno-flamegraph` or `flamegraph.pl` is available; a plain
@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN="${BIN:-${1:-widemap}}"
+BIN="${BIN:-${1:-hash_throughput}}"
 if [ "${1:-}" = "$BIN" ]; then shift || true; fi
 if [ "${1:-}" = "--" ]; then shift; fi
 

@@ -7,8 +7,7 @@
 //!     --terms 10000 --reps 3 --save-json BENCH_hash.json
 //! ```
 //!
-//! Three stages of the pipeline are timed over the same corpus as
-//! `store_throughput` (so the two reports compose):
+//! Three stages of the pipeline are timed over one [`store_corpus`]:
 //!
 //! * **hash_expr** — one-shot [`hash_expr`] per term: a fresh summariser
 //!   every time, the cost an occasional caller pays.

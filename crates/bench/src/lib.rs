@@ -11,9 +11,14 @@
 //! | Figure 3 (BERT layer sweep) | `fig3` | — |
 //! | Figure 4 (collision study, b=16) | `fig4_collisions` | — |
 //! | Ablations (design choices) | — | `ablation_merge`, `ablation_xor`, `ablation_linear`, `incremental` |
+//! | Raw hashing throughput (nodes/s) | `hash_throughput` | — |
+//!
+//! The store tier is measured by `storebench` (see `storebench/README.md`).
 //!
 //! This library holds the shared pieces: the [`Algorithm`] dispatcher over
-//! the four hashers of Table 1, and a self-calibrating [`measure`] timer.
+//! the four hashers of Table 1, a self-calibrating [`measure`] timer, and
+//! the [`store_corpus`] / [`parallel_ingest`] pair the examples and
+//! integration tests share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -100,7 +105,7 @@ impl Algorithm {
     }
 }
 
-/// The corpus used by the `store_throughput` bench and binary: `count`
+/// The corpus of `hash_throughput`, the store examples and tests: `count`
 /// terms drawn from `seed_pool` distinct generator seeds (so alpha-level
 /// duplicates occur at rate `count / seed_pool`), mixing the three
 /// workload families, with every other term alpha-renamed.
@@ -142,8 +147,8 @@ pub fn store_corpus(arena: &mut ExprArena, count: usize, seed_pool: u64) -> Vec<
 
 /// Ingests `roots` into `store` from `threads` scoped threads, one
 /// contiguous batch per thread — the canonical multi-threaded ingest
-/// driver shared by the throughput bench/binary, the `corpus_dedup`
-/// example and the integration tests, so they all exercise the same path.
+/// driver shared by the `corpus_dedup` example and the integration tests,
+/// so they all exercise the same path.
 ///
 /// # Panics
 ///
@@ -212,57 +217,6 @@ pub fn format_ms(secs: f64) -> String {
     } else {
         format!("{ms:.1} ms")
     }
-}
-
-/// Replaces (or appends) the top-level `"{key}"` block in the JSON
-/// report at `path`, preserving everything the other emitters wrote.
-/// The file format is the hand-rolled JSON the bench binaries produce,
-/// so a brace-matched splice is exact, not heuristic. `block` must be a
-/// complete JSON value whose closing brace is indented two spaces (the
-/// top-level member style of `BENCH_store.json`).
-///
-/// # Panics
-///
-/// Panics when the existing file is not a JSON object, or on I/O errors.
-pub fn merge_json_block(path: &str, key: &str, block: &str) {
-    let needle = format!("\"{key}\"");
-    let mut content = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_owned());
-    if let Some(at) = content.find(&needle) {
-        let open = at + content[at..].find('{').expect("existing block has a body");
-        let mut depth = 0usize;
-        let mut end = content.len();
-        for (i, b) in content.as_bytes().iter().enumerate().skip(open) {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Back over the preceding comma/whitespace so the splice point
-        // sits right after the previous block.
-        let mut start = at;
-        while start > 0 && content.as_bytes()[start - 1].is_ascii_whitespace() {
-            start -= 1;
-        }
-        if start > 0 && content.as_bytes()[start - 1] == b',' {
-            start -= 1;
-        }
-        content.replace_range(start..end, "");
-    }
-    let trimmed_len = content.trim_end().len();
-    content.truncate(trimmed_len);
-    assert!(content.ends_with('}'), "{path} is not a JSON object");
-    content.truncate(content.len() - 1); // drop the final '}'
-    let body = content.trim_end();
-    let separator = if body.ends_with('{') { "" } else { "," };
-    let merged = format!("{body}{separator}\n  \"{key}\": {block}\n}}\n");
-    std::fs::write(path, merged).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 /// Log-spaced sizes (two points per decade) from `lo` to `hi` inclusive.

@@ -28,8 +28,9 @@
 //!
 //! ## Concurrency
 //!
-//! The table is sharded by node hash ([`DEFAULT_TABLE_SHARDS`] stripes
-//! unless the builder configures another power of two). Each stripe holds
+//! The table is sharded by node hash ([`default_table_shards`] stripes:
+//! the machine's core count rounded up to a power of two, at least
+//! [`DEFAULT_TABLE_SHARDS`]). Each stripe holds
 //! its nodes in an append-only `RwLock<Vec<CanonNode>>` plus, behind a
 //! `Mutex`, a compact interning index of `u64` slots, each packing a
 //! 32-bit hash tag with a node's position, probed linearly and doubled
@@ -57,12 +58,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 
-/// Default number of lock stripes in a [`CanonTable`] — the value the
-/// table always used before stripe counts became builder-configurable.
-/// Refs pack the stripe into their low bits, but nothing **on disk**
-/// depends on the count (serialization uses flat topological positions,
-/// not refs), so it is a per-process concurrency knob: the same
-/// directory can be reopened under any stripe count.
+/// The floor of a [`CanonTable`]'s stripe count. Refs pack the stripe
+/// into their low bits, but nothing **on disk** depends on the count
+/// (serialization uses flat topological positions, not refs), so it is a
+/// per-process concurrency setting: the same directory can be reopened
+/// under any stripe count.
 pub(crate) const DEFAULT_TABLE_SHARDS: usize = 16;
 
 /// Largest permitted stripe count: 8 stripe bits still leave 2^24 nodes
@@ -327,16 +327,13 @@ pub(crate) struct CanonTable {
 }
 
 impl CanonTable {
-    /// A table with the default stripe count. Production stores size the
-    /// table through the builder; this is the test shorthand.
-    #[cfg(test)]
+    /// A table with [`default_table_shards`] stripes.
     pub(crate) fn new() -> Self {
-        Self::with_shards(DEFAULT_TABLE_SHARDS)
+        Self::with_shards(default_table_shards())
     }
 
     /// A table with `count` lock stripes. `count` must be a power of two
-    /// in `1..=`[`MAX_TABLE_SHARDS`] — the builder validates before
-    /// calling, so violation here is a store bug, not bad user input.
+    /// in `1..=`[`MAX_TABLE_SHARDS`].
     pub(crate) fn with_shards(count: usize) -> Self {
         assert!(
             count.is_power_of_two() && count <= MAX_TABLE_SHARDS,

@@ -91,14 +91,6 @@ pub enum ConfigError {
     /// `chunk_entries(0)`: batch ingest must be allowed to hold at least
     /// one prepared entry, or it could never drain.
     ZeroChunkEntries,
-    /// `table_shards(n)` outside the legal range: canon-table stripe
-    /// counts must be a power of two in `1..=256` (refs pack the stripe
-    /// into their low bits, so the count must be an exact bit width; 8
-    /// stripe bits is the packing's ceiling).
-    BadTableShards {
-        /// The out-of-range stripe count that was requested.
-        requested: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -116,12 +108,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroChunkEntries => {
                 write!(f, "chunk_entries must be at least 1 (got 0)")
-            }
-            ConfigError::BadTableShards { requested } => {
-                write!(
-                    f,
-                    "table_shards must be a power of two in 1..=256 (got {requested})"
-                )
             }
         }
     }
@@ -195,7 +181,6 @@ impl Granularity {
 pub struct StoreBuilder<H: HashWord = u64> {
     scheme: HashScheme<H>,
     shards: usize,
-    table_shards: usize,
     granularity: Granularity,
     chunk_entries: usize,
     sync_on_commit: bool,
@@ -218,7 +203,6 @@ impl<H: HashWord> StoreBuilder<H> {
         StoreBuilder {
             scheme: HashScheme::default(),
             shards: AlphaStore::<H>::default_shards(),
-            table_shards: crate::dag::default_table_shards(),
             granularity: Granularity::Roots,
             chunk_entries: AlphaStore::<H>::DEFAULT_CHUNK_ENTRIES,
             sync_on_commit: false,
@@ -245,21 +229,6 @@ impl<H: HashWord> StoreBuilder<H> {
     /// clamped to `1..=65536` at build time).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the canon-table lock-stripe count — a per-process concurrency
-    /// knob, independent of the store shard count and **not** part of the
-    /// persisted configuration (the same directory can be reopened under
-    /// any stripe count). Defaults from `available_parallelism`, floored
-    /// at 16. [`StoreBuilder::build`] clamps out-of-range values to the
-    /// nearest power of two in `1..=256`;
-    /// [`StoreBuilder::try_build`] rejects them with
-    /// [`ConfigError::BadTableShards`] instead — stripe counts pack into
-    /// ref bits, so unlike [`StoreBuilder::shards`] a non-power-of-two
-    /// here is an error, not a round-up.
-    pub fn table_shards(mut self, shards: usize) -> Self {
-        self.table_shards = shards;
         self
     }
 
@@ -392,21 +361,7 @@ impl<H: HashWord> StoreBuilder<H> {
         if self.chunk_entries == 0 {
             return Err(ConfigError::ZeroChunkEntries);
         }
-        if !self.table_shards.is_power_of_two() || self.table_shards > crate::dag::MAX_TABLE_SHARDS
-        {
-            return Err(ConfigError::BadTableShards {
-                requested: self.table_shards,
-            });
-        }
         Ok(())
-    }
-
-    /// The clamped canon-table stripe count [`StoreBuilder::build`] and
-    /// [`StoreBuilder::open_durable`] actually use.
-    fn effective_table_shards(&self) -> usize {
-        self.table_shards
-            .clamp(1, crate::dag::MAX_TABLE_SHARDS)
-            .next_power_of_two()
     }
 
     /// Builds the store (in-memory), silently clamping degenerate
@@ -414,13 +369,11 @@ impl<H: HashWord> StoreBuilder<H> {
     /// power of two in `1..=65536`, `chunk_entries` to at least 1. Use
     /// [`StoreBuilder::try_build`] to get an error instead of a clamp.
     pub fn build(self) -> AlphaStore<H> {
-        let table_shards = self.effective_table_shards();
         AlphaStore::with_config(
             self.scheme,
             self.shards,
             self.granularity,
             self.chunk_entries,
-            table_shards,
         )
     }
 
@@ -479,7 +432,6 @@ impl<H: HashWord> StoreBuilder<H> {
         dir: impl AsRef<std::path::Path>,
     ) -> Result<AlphaStore<H>, PersistError> {
         let dir = dir.as_ref();
-        let table_shards = self.effective_table_shards();
         let expect = ExpectedConfig {
             shard_count: u32::try_from(self.shards.clamp(1, 1 << 16).next_power_of_two())
                 .expect("shard count fits u32"),
@@ -499,7 +451,6 @@ impl<H: HashWord> StoreBuilder<H> {
                 vfs: self.vfs,
                 retry: self.retry,
                 auto_ckpt: self.auto_ckpt,
-                table_shards,
             },
         )
     }
@@ -561,36 +512,6 @@ mod tests {
         // Errors render something actionable.
         let msg = ConfigError::TooManyShards { requested: 70_000 }.to_string();
         assert!(msg.contains("70000") && msg.contains("65536"), "{msg}");
-    }
-
-    #[test]
-    fn table_shards_validate_and_clamp() {
-        // try_build: power-of-two bound check, typed error.
-        for bad in [0usize, 3, 24, 512] {
-            assert_eq!(
-                StoreBuilder::<u64>::new()
-                    .table_shards(bad)
-                    .try_build()
-                    .err(),
-                Some(ConfigError::BadTableShards { requested: bad }),
-                "table_shards({bad}) must be rejected"
-            );
-        }
-        let msg = ConfigError::BadTableShards { requested: 24 }.to_string();
-        assert!(msg.contains("24") && msg.contains("256"), "{msg}");
-        // In-range powers of two pass through exactly.
-        for good in [1usize, 4, 64, 256] {
-            let store: AlphaStore<u64> =
-                StoreBuilder::new().table_shards(good).try_build().unwrap();
-            assert_eq!(store.table_shard_count(), good);
-        }
-        // build() clamps the same inputs silently.
-        let clamped: AlphaStore<u64> = StoreBuilder::new().table_shards(0).build();
-        assert_eq!(clamped.table_shard_count(), 1);
-        let clamped: AlphaStore<u64> = StoreBuilder::new().table_shards(600).build();
-        assert_eq!(clamped.table_shard_count(), 256);
-        let rounded: AlphaStore<u64> = StoreBuilder::new().table_shards(24).build();
-        assert_eq!(rounded.table_shard_count(), 32);
     }
 
     #[test]

@@ -260,11 +260,6 @@ pub(crate) struct OpenConfig {
     pub(crate) retry: RetryPolicy,
     /// Auto-checkpoint watermarks (off by default).
     pub(crate) auto_ckpt: AutoCheckpoint,
-    /// Canon-table stripe count for the rebuilt store. A per-process
-    /// concurrency knob: refs pack the stripe but nothing on disk does
-    /// (serialization uses flat topological positions), so the same
-    /// directory can be reopened under any stripe count.
-    pub(crate) table_shards: usize,
 }
 
 /// Paranoid-mode record validation: recompute what the record *claims*
@@ -447,7 +442,7 @@ fn open_store_locked<H: HashWord>(
     // 1. The snapshot (or an empty store described by the WAL header).
     // Every canonical form decoded anywhere below interns into this one
     // table, which the rebuilt store then owns.
-    let table = CanonTable::with_shards(config.table_shards);
+    let table = CanonTable::new();
     // Recovery-phase timings, folded into the store's obs registry once
     // the store exists (it does not yet, while the phases run).
     let mut snap_load_ns = 0u64;
@@ -681,7 +676,7 @@ fn create_store_locked<H: HashWord>(
         expect.granularity,
         &crate::stats::StoreStats::default(),
         config.chunk_entries,
-        CanonTable::with_shards(config.table_shards),
+        CanonTable::new(),
     )?;
     store.set_reliability(config.retry, config.auto_ckpt);
     store.attach_durable(Durable {

@@ -646,7 +646,6 @@ impl<H: HashWord> AlphaStore<H> {
         shards: usize,
         granularity: Granularity,
         chunk_entries: usize,
-        table_shards: usize,
     ) -> Self {
         let count = shards.clamp(1, 1 << 16).next_power_of_two();
         let shards: Box<[RwLock<Shard<H>>]> =
@@ -657,7 +656,7 @@ impl<H: HashWord> AlphaStore<H> {
             mask: count - 1,
             counters: StatCounters::default(),
             granularity,
-            table: CanonTable::with_shards(table_shards),
+            table: CanonTable::new(),
             chunk_entries: chunk_entries.max(1),
             durable: None,
             retry: RetryPolicy::default(),
@@ -745,9 +744,9 @@ impl<H: HashWord> AlphaStore<H> {
         self.shards.len()
     }
 
-    /// Number of lock stripes in the shared canon table — a per-process
-    /// concurrency knob ([`StoreBuilder::table_shards`]), not part of the
-    /// persisted configuration.
+    /// Number of lock stripes in the shared canon table: derived from the
+    /// machine's available parallelism, not part of the persisted
+    /// configuration.
     pub fn table_shard_count(&self) -> usize {
         self.table.shard_count()
     }
@@ -1512,7 +1511,6 @@ impl<H: HashWord> AlphaStore<H> {
                 vfs: Arc::new(crate::persist::vfs::OsVfs),
                 retry: RetryPolicy::default(),
                 auto_ckpt: AutoCheckpoint::default(),
-                table_shards: crate::dag::default_table_shards(),
             },
         )
     }

@@ -390,6 +390,44 @@ fn transient_fault_retries_and_heals() {
     assert!(reopened.lookup(&arena, roots[4]).is_some());
 }
 
+/// A disk whose every 5th write-side op fails once with EIO: the retry
+/// policy absorbs each fault (truncate to the last good frame, re-append),
+/// the ingest never surfaces an error, the store stays healthy and exact,
+/// and a reopen on a sound disk recovers exactly what a fresh build holds.
+#[test]
+fn periodic_write_faults_are_absorbed_by_retries() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0xF1A4, 60);
+    let dir = TempDir::new("periodic");
+    let fault = FaultVfs::new();
+    let store = builder(Granularity::Roots, &fault)
+        .persist_retries(2)
+        .open_durable(dir.path())
+        .expect("open durable");
+    fault.fail_every(5, FaultKind::Eio);
+    store
+        .try_insert_batch(&arena, &roots)
+        .expect("retries absorb every periodic fault");
+    let retries = store.obs_report().counter("alpha_store_wal_retries");
+    assert!(
+        retries.unwrap() > 0,
+        "a 1-in-5 fault rate must exercise the retry path"
+    );
+    assert_eq!(store.health(), Health::Healthy);
+    assert!(store.stats().is_exact());
+    drop(store);
+
+    fault.clear();
+    let reopened = builder(Granularity::Roots, &fault)
+        .open_durable(dir.path())
+        .expect("reopen");
+    let oracle: AlphaStore<u64> = AlphaStore::builder().seed(0xFA17).shards(4).build();
+    oracle.insert_batch(&arena, &roots);
+    assert_eq!(reopened.num_terms(), roots.len());
+    assert_eq!(class_census(&reopened), class_census(&oracle));
+    assert!(reopened.stats().is_exact());
+}
+
 /// A snapshot that dies mid-write — at *every* op index it draws — must
 /// leave the previous snapshot and the WAL untouched, clean up its temp
 /// file, and leave the store serving (degraded, not read-only). A crash

@@ -185,7 +185,6 @@ fn subexpression_intern_counts_reconcile_under_concurrent_ingest() {
     let store: AlphaStore<u64> = AlphaStore::builder()
         .seed(5)
         .shards(4)
-        .table_shards(1)
         .subexpressions(2)
         .build();
     // Both threads ingest every term from the same moment, so they
@@ -345,8 +344,8 @@ fn apply_chunks_emit_trace_events() {
 
 /// Instrumentation overhead stays modest: batched ingest with obs fully
 /// enabled vs the runtime toggle off. Medians of repeated runs on fresh
-/// stores; the bound is deliberately loose (CI machines are noisy) — the
-/// tight 3% acceptance figure is checked by the benchmark, not here.
+/// stores; the bound is deliberately loose (CI machines are noisy) — a
+/// tighter figure needs interleaved A/B runs on a quiet machine.
 #[test]
 fn enabled_instrumentation_overhead_is_bounded() {
     let mut arena = ExprArena::new();

@@ -394,3 +394,172 @@ fn unknown_term_handles_are_typed_refusals() {
         assert!(matches!(err, StoreError::InvalidRewrite { .. }), "{err}");
     }
 }
+
+/// The child-slot path to the deepest leaf under `root`, following the
+/// larger subtree at every branch.
+fn deepest_path(arena: &ExprArena, root: NodeId) -> Vec<u32> {
+    let mut path = Vec::new();
+    let mut node = root;
+    loop {
+        let children: Vec<NodeId> = arena.node(node).children().into_iter().collect();
+        let Some((slot, &child)) = children
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &c)| arena.subtree_size(c))
+        else {
+            return path;
+        };
+        path.push(slot as u32);
+        node = child;
+    }
+}
+
+/// The node `path` resolves to.
+fn resolve(arena: &ExprArena, root: NodeId, path: &[u32]) -> NodeId {
+    path.iter().fold(root, |node, &slot| {
+        arena
+            .node(node)
+            .children()
+            .into_iter()
+            .nth(slot as usize)
+            .expect("path is valid")
+    })
+}
+
+/// Canon-table intern calls so far (hits + misses).
+fn intern_probes<H: HashWord>(store: &AlphaStore<H>) -> u64 {
+    let report = store.obs_report();
+    report.counter("alpha_store_canon_intern_hits").unwrap()
+        + report.counter("alpha_store_canon_intern_misses").unwrap()
+}
+
+/// Nodes pushed through the e-summary hasher so far.
+fn hashed_nodes<H: HashWord>(store: &AlphaStore<H>) -> u64 {
+    store
+        .obs_report()
+        .counter("alpha_store_hash_nodes")
+        .unwrap()
+}
+
+/// One balanced `nodes`-node term in a `Roots` store, and the path to
+/// the deepest leaf of its canonical representative: the worst honest
+/// case for a spine-local rewrite, since the spine is the full height.
+/// Returns the store, the term, the representative (arena and root)
+/// and the path.
+fn deep_term(nodes: usize) -> (AlphaStore<u64>, TermId, ExprArena, NodeId, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(2026);
+    let mut arena = ExprArena::with_capacity(nodes);
+    let root = expr_gen::balanced(&mut arena, nodes, &mut rng);
+    let store: AlphaStore<u64> = AlphaStore::builder().seed(0x1C4E).shards(8).build();
+    let ins = store.insert(&arena, root);
+    let mut rep_arena = ExprArena::new();
+    let rep = store.representative_into(ins.class, &mut rep_arena);
+    let path = deepest_path(&rep_arena, rep);
+    assert!(
+        path.len() >= 8,
+        "a {nodes}-node balanced term should be at least 8 deep, got {}",
+        path.len()
+    );
+    (store, ins.term, rep_arena, rep, path)
+}
+
+/// Rewrites the literal at `path` to `value`.
+fn set_leaf(store: &AlphaStore<u64>, term: TermId, path: &[u32], value: i64) -> u64 {
+    let mut patch_arena = ExprArena::new();
+    let patch = patch_arena.int(value);
+    store
+        .update(
+            term,
+            Rewrite {
+                path,
+                arena: &patch_arena,
+                root: patch,
+            },
+        )
+        .spine_nodes_rehashed
+}
+
+/// The incremental update's work is O(depth + patch), counted: every
+/// deepest-leaf rewrite re-hashes at most the spine plus the patch and
+/// makes as many canon intern calls, while re-ingesting the same
+/// rewritten term hashes all n nodes.
+#[test]
+fn spine_local_updates_do_work_proportional_to_depth_not_size() {
+    const NODES: usize = 4_000;
+    const PATCH_NODES: u64 = 1;
+    let (store, term, mut rep_arena, rep, path) = deep_term(NODES);
+    let depth = path.len() as u64;
+    let n = rep_arena.subtree_size(rep) as u64;
+    for value in 0..20 {
+        let probes = intern_probes(&store);
+        let rehashed = set_leaf(&store, term, &path, value);
+        let probes = intern_probes(&store) - probes;
+        assert!(
+            rehashed <= depth + PATCH_NODES + 1,
+            "update {value} re-hashed {rehashed} nodes on a depth-{depth} spine"
+        );
+        assert!(
+            probes <= depth + PATCH_NODES + 1,
+            "update {value} made {probes} intern calls on a depth-{depth} spine"
+        );
+    }
+    assert_eq!(store.num_terms(), 1, "updates repoint, they never mint");
+    assert_eq!(
+        store.stats().unconfirmed_merges,
+        0,
+        "exactness must survive every update"
+    );
+
+    // The same rewritten term, re-ingested whole: every node is hashed,
+    // and it lands in the class the updates moved the term to.
+    let leaf = resolve(&rep_arena, rep, &path);
+    rep_arena.replace_node(leaf, lambda_lang::arena::ExprNode::Lit(19i64.into()));
+    let before = hashed_nodes(&store);
+    let outcome = store.insert(&rep_arena, rep);
+    assert_eq!(hashed_nodes(&store) - before, n);
+    assert_eq!(outcome.class, store.class_of(term));
+    assert!(!outcome.fresh);
+}
+
+/// The wall-clock side of the spine-local update: a cold-cache hasher
+/// rebuilt on every call is visible to no counter, only to the clock.
+/// 100 deepest-leaf rewrites of a 4,000-node term must beat re-ingesting
+/// the rewritten term 100 times by at least 5x. Timing-based, so it runs
+/// in release only: `cargo test --release --test update_oracle --
+/// --ignored`.
+#[test]
+#[ignore = "wall-clock gate; run in release with --ignored"]
+fn spine_local_update_is_5x_faster_than_reinsert() {
+    const NODES: usize = 4_000;
+    const UPDATES: usize = 100;
+    let (store, term, rep_arena, rep, path) = deep_term(NODES);
+    // Warm the cached spine hasher, as a serving store would be.
+    set_leaf(&store, term, &path, -1);
+
+    let baseline: AlphaStore<u64> = AlphaStore::builder().seed(0x1C4E).shards(8).build();
+    let mut base_arena = ExprArena::new();
+    let base_root = base_arena.import_subtree(&rep_arena, rep);
+    let base_leaf = resolve(&base_arena, base_root, &path);
+    baseline.insert(&base_arena, base_root);
+
+    let start = std::time::Instant::now();
+    for value in 0..UPDATES as i64 {
+        set_leaf(&store, term, &path, value);
+    }
+    let update_secs = start.elapsed().as_secs_f64();
+    let start = std::time::Instant::now();
+    for value in 0..UPDATES as i64 {
+        base_arena.replace_node(base_leaf, lambda_lang::arena::ExprNode::Lit(value.into()));
+        baseline.insert(&base_arena, base_root);
+    }
+    let reinsert_secs = start.elapsed().as_secs_f64();
+
+    assert_eq!(store.num_terms(), 1);
+    assert!(store.stats().is_exact());
+    let speedup = reinsert_secs / update_secs;
+    assert!(
+        speedup >= 5.0,
+        "spine-local rewrite must be at least 5x faster than re-ingest on a \
+         {NODES}-node term, got {speedup:.2}x ({update_secs:.4}s vs {reinsert_secs:.4}s)"
+    );
+}

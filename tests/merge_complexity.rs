@@ -9,7 +9,9 @@
 
 use alpha_hash::combine::HashScheme;
 use alpha_hash::hashed::HashedSummariser;
+use alpha_store::AlphaStore;
 use lambda_lang::arena::{ExprArena, NodeId};
+use lambda_lang::uniquify::uniquify_into;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -124,4 +126,81 @@ fn distinct_variable_spine_is_worst_case_linear() {
     }
     let ops = merge_ops_of(&arena, e);
     assert!(ops <= (n + 1) as u64, "spine merges must be linear: {ops}");
+}
+
+/// One open spine of `size` nodes whose free-variable width is sustained
+/// at `width`: the regime the var-map tree tier exists for.
+fn wide_spine(size: usize, width: usize) -> (ExprArena, NodeId) {
+    let mut rng = StdRng::seed_from_u64(0x71DE);
+    let mut arena = ExprArena::new();
+    let root = expr_gen::wide_open_spine(&mut arena, size, width, &mut rng);
+    (arena, root)
+}
+
+#[test]
+fn tree_tier_changes_the_representation_not_the_hashes() {
+    // The tree tier past the spill threshold and the sorted-Vec spill all
+    // the way up (`set_tree_threshold(usize::MAX)`) must produce the same
+    // e-summary and the same Lemma 6.1 accounting.
+    let (mut arena, root) = wide_spine(4_000, 512);
+    let scheme: HashScheme<u64> = HashScheme::new(0x5EED);
+    let mut tiered = HashedSummariser::new(&arena, &scheme);
+    let tree = tiered.summarise(&arena, root);
+    let mut flat = HashedSummariser::new(&arena, &scheme);
+    flat.set_tree_threshold(usize::MAX);
+    let vec = flat.summarise(&arena, root);
+    assert!(
+        tree.varmap.is_tree(),
+        "a width-512 root map must be tree-tier under the default pool"
+    );
+    assert!(!vec.varmap.is_tree());
+    assert_eq!(tree.structure.hash, vec.structure.hash);
+    assert_eq!(tree.hash(&scheme), vec.hash(&scheme));
+    assert_eq!(tiered.merge_ops, flat.merge_ops);
+
+    // End to end: the spine and an alpha-renamed copy merge, exactly,
+    // through the same tiered maps.
+    let copy = {
+        let scratch = std::mem::replace(&mut arena, ExprArena::new());
+        let renamed = uniquify_into(&scratch, root, &mut arena);
+        [arena.import_subtree(&scratch, root), renamed]
+    };
+    let store: AlphaStore<u64> = AlphaStore::builder().scheme(scheme).build();
+    store.insert_batch(&arena, &copy);
+    let stats = store.stats();
+    assert!(stats.is_exact(), "wide ingest must stay exact: {stats}");
+    assert_eq!(store.num_classes(), 1, "the copy is alpha-equivalent");
+    assert_eq!(stats.merges_confirmed, 1);
+}
+
+/// The wall-clock side of the tree tier: at a 4,096-wide spine of 40,000
+/// nodes it must beat the sorted-Vec spill by at least 3x (best of 2).
+/// A tier regression reads ~1x. Timing-based, so it runs in release
+/// only: `cargo test --release --test merge_complexity -- --ignored`.
+#[test]
+#[ignore = "wall-clock gate; run in release with --ignored"]
+fn tree_tier_is_3x_faster_than_the_vec_spill_on_wide_maps() {
+    let (arena, root) = wide_spine(40_000, 4_096);
+    let scheme: HashScheme<u64> = HashScheme::new(0x5EED);
+    let best_of_2 = |tree_threshold: Option<usize>| {
+        let mut best = f64::INFINITY;
+        for _ in 0..2 {
+            let mut summariser = HashedSummariser::new(&arena, &scheme);
+            if let Some(threshold) = tree_threshold {
+                summariser.set_tree_threshold(threshold);
+            }
+            let start = std::time::Instant::now();
+            std::hint::black_box(summariser.summarise(&arena, root));
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best
+    };
+    let tree_secs = best_of_2(None);
+    let vec_secs = best_of_2(Some(usize::MAX));
+    let speedup = vec_secs / tree_secs;
+    assert!(
+        speedup >= 3.0,
+        "tree tier must beat the Vec spill by >= 3x on the wide-open regime, \
+         got {speedup:.2}x ({tree_secs:.4}s vs {vec_secs:.4}s)"
+    );
 }

@@ -120,6 +120,80 @@ fn subexpression_mode_stats_are_exact_and_consistent() {
     let occurrences: u64 = classes.iter().map(|&c| store.occurrences(c)).sum();
     assert_eq!(members, stats.terms_ingested);
     assert_eq!(occurrences, stats.terms_ingested + stats.subterms_indexed);
+
+    // Every corpus term, probed as a pattern, is contained in its own
+    // class.
+    let found = store.contains_batch(&arena, &roots);
+    for (outcome, hit) in outcomes.iter().zip(found) {
+        assert_eq!(hit, Some(outcome.class));
+    }
+}
+
+/// Class partition of `roots` in a fresh store with the given lock-stripe
+/// count and granularity, ingested from `threads` threads.
+fn partition_with(
+    arena: &ExprArena,
+    roots: &[NodeId],
+    shards: usize,
+    threads: usize,
+    granularity: Granularity,
+) -> Vec<Vec<usize>> {
+    let store: AlphaStore<u64> = AlphaStore::builder()
+        .seed(0x5EED)
+        .shards(shards)
+        .granularity(granularity)
+        .build();
+    parallel_ingest(&store, arena, roots, threads);
+    let stats = store.stats();
+    assert!(
+        stats.is_exact(),
+        "shards {shards}, threads {threads}, {granularity:?}: {stats}"
+    );
+    let mut by_class: HashMap<ClassId, Vec<usize>> = HashMap::new();
+    for (i, &r) in roots.iter().enumerate() {
+        let class = store.lookup(arena, r).expect("ingested term is found");
+        by_class.entry(class).or_default().push(i);
+    }
+    let mut partition: Vec<Vec<usize>> = by_class.into_values().collect();
+    partition.sort();
+    partition
+}
+
+#[test]
+fn partition_is_independent_of_shards_threads_and_granularity() {
+    // Closed terms with heavy alpha-duplication, and alpha-paired open
+    // spines whose merges confirm through wide variable maps.
+    let mut closed = ExprArena::new();
+    let closed_roots = store_corpus(&mut closed, 300, 41);
+    let mut wide = ExprArena::new();
+    let mut wide_roots = Vec::new();
+    for i in 0..3u64 {
+        let mut scratch = ExprArena::new();
+        let mut rng = StdRng::seed_from_u64(0x51DE ^ i);
+        let spine = hash_modulo_alpha::gen::wide_open_spine(&mut scratch, 1_000, 128, &mut rng);
+        wide_roots.push(wide.import_subtree(&scratch, spine));
+        wide_roots.push(hash_modulo_alpha::lang::uniquify::uniquify_into(
+            &scratch, spine, &mut wide,
+        ));
+    }
+    for (arena, roots) in [(&closed, &closed_roots), (&wide, &wide_roots)] {
+        let expected = partition_with(arena, roots, 1, 1, Granularity::Roots);
+        assert!(expected.len() < roots.len(), "the corpus has duplicates");
+        for granularity in [
+            Granularity::Roots,
+            Granularity::Subexpressions { min_nodes: 3 },
+        ] {
+            for shards in [1, 4, 16] {
+                for threads in [1, 2] {
+                    assert_eq!(
+                        partition_with(arena, roots, shards, threads, granularity),
+                        expected,
+                        "shards {shards}, threads {threads}, {granularity:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
