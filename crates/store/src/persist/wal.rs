@@ -444,63 +444,45 @@ fn end_frame(out: &mut [u8], frame_start: usize) {
     out[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Frames one root-granularity record from a frontier canonical form,
-/// encoding the payload **in place**: placeholder bytes are reserved, the
-/// record is written directly after them, and length + CRC are patched in
-/// once known — no staging buffer, no second copy. This is the durable
-/// root-mode ingest hot path.
-pub(crate) fn frame_record_frontier<H: HashWord>(
-    out: &mut Vec<u8>,
-    hash: H,
-    canon: &DbArena,
-    canon_root: DbId,
-) {
-    let frame_start = begin_frame(out);
-    format::put_u8(out, FRAME_RECORD);
-    // A frontier arena is already a topologically ordered node run; its
-    // positions are the record positions.
-    format::put_record(out, canon, (hash, canon_root, canon.len() as u64), &[], 0);
-    end_frame(out, frame_start);
-}
-
-/// Frames one subexpression-granularity record whose entries are interned
-/// in the canon DAG: the union of all entry canons is extracted **once**
-/// as a node-deduplicated run (shared structure appears one time, however
-/// many entries use it), and entries address positions in it.
-pub(crate) fn frame_record_interned<H: HashWord>(
+/// Frames one insert record, encoding the payload **in place**:
+/// placeholder bytes are reserved, the record is written directly after
+/// them, and length + CRC are patched in once known — no staging buffer,
+/// no second copy. A frontier root (a term with nothing indexed below it)
+/// is already a topologically ordered node run whose positions are the
+/// record positions. An interned term's entries are extracted from the
+/// canon DAG **once**, as one node-deduplicated run (shared structure
+/// appears one time, however many entries use it), and address
+/// positions in it.
+pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
     view: &mut TableView<'_>,
     pt: &PreparedTerm<H>,
 ) {
-    let take_ref = |canon: &PreparedCanon| -> CanonRef {
-        match canon {
-            PreparedCanon::Interned(r) => *r,
-            PreparedCanon::Frontier { .. } => {
-                unreachable!("subexpression-granularity entries are interned at prepare time")
-            }
-        }
-    };
-    let mut refs: Vec<CanonRef> = Vec::with_capacity(1 + pt.subs.len());
-    refs.push(take_ref(&pt.root.canon));
-    refs.extend(pt.subs.iter().map(|s| take_ref(&s.canon)));
-    let mut dag = DbArena::new();
-    let ids = extract_canon(view, &refs, &mut dag);
-
     let frame_start = begin_frame(out);
     format::put_u8(out, FRAME_RECORD);
-    let subs: Vec<(H, DbId, u64, u32)> = pt
-        .subs
-        .iter()
-        .zip(&ids[1..])
-        .map(|(s, &id)| (s.hash, id, s.node_count, s.multiplicity))
-        .collect();
-    format::put_record(
-        out,
-        &dag,
-        (pt.root.hash, ids[0], pt.root.node_count),
-        &subs,
-        pt.skipped,
-    );
+    let root = &pt.root;
+    match &root.canon {
+        PreparedCanon::Frontier { canon, canon_root } => {
+            debug_assert!(pt.subs.is_empty(), "frontier roots index nothing below");
+            let head = (root.hash, *canon_root, root.node_count);
+            format::put_record(out, canon, head, &[], pt.skipped);
+        }
+        PreparedCanon::Interned(root_ref) => {
+            let refs: Vec<CanonRef> = std::iter::once(*root_ref)
+                .chain(pt.subs.iter().map(|s| s.canon))
+                .collect();
+            let mut dag = DbArena::new();
+            let ids = extract_canon(view, &refs, &mut dag);
+            let subs: Vec<(H, DbId, u64, u32)> = pt
+                .subs
+                .iter()
+                .zip(&ids[1..])
+                .map(|(s, &id)| (s.hash, id, s.node_count, s.multiplicity))
+                .collect();
+            let head = (root.hash, ids[0], root.node_count);
+            format::put_record(out, &dag, head, &subs, pt.skipped);
+        }
+    }
     end_frame(out, frame_start);
 }
 
@@ -526,6 +508,7 @@ pub(crate) fn frame_commit(out: &mut Vec<u8>, count: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::CanonTable;
     use crate::persist::vfs::{FaultKind, FaultVfs, OsVfs};
     use alpha_hash::combine::HashScheme;
     use lambda_lang::debruijn::db_eq;
@@ -555,14 +538,15 @@ mod tests {
     fn sample_frames(groups: &[&[&str]]) -> (Vec<u8>, u64) {
         let mut arena = ExprArena::new();
         let scheme: HashScheme<u64> = HashScheme::new(0xFAB);
+        let table = CanonTable::new();
         let mut preparer = crate::prepare::Preparer::new(&arena, &scheme);
         let mut frames = Vec::new();
         let mut count = 0u64;
         for group in groups {
             for src in *group {
                 let parsed = parse(&mut arena, src).unwrap();
-                let (hash, canon, root) = preparer.hash_and_canon(&arena, parsed);
-                frame_record_frontier(&mut frames, hash, &canon, root);
+                let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
+                frame_record(&mut frames, &mut TableView::new(&table), &pt);
                 count += 1;
             }
             frame_commit(&mut frames, group.len() as u64);
@@ -598,8 +582,10 @@ mod tests {
         let mut preparer = crate::prepare::Preparer::new(&arena, &scheme);
         let parsed = parse(&mut arena, "let w = v+7 in w*w").unwrap();
         let (hash, canon, root) = preparer.hash_and_canon(&arena, parsed);
+        let table = CanonTable::new();
+        let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
-        frame_record_frontier(&mut frames, hash, &canon, root);
+        frame_record(&mut frames, &mut TableView::new(&table), &pt);
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);

@@ -1,6 +1,6 @@
 //! Fused single-pass ingest preparation: the alpha-hash **and** the
-//! canonical form of a term, from one traversal — with canonical storage
-//! interned straight into the shared canon DAG (`crate::dag`).
+//! canonical form of a term, from one traversal — the only step of ingest
+//! that depends on the store's [`Granularity`].
 //!
 //! The store used to prepare a term in two walks — `hash_expr` (post-order
 //! summarisation) followed by `to_debruijn` (scoped conversion) — and each
@@ -9,14 +9,20 @@
 //! stacks, summariser scratch buffers and caches are all reused from term
 //! to term.
 //!
-//! Two preparation shapes:
+//! `Preparer::prepare` (crate-internal) is the one entry point. It returns
+//! a `PreparedTerm` in both granularities: a root entry plus the indexed
+//! subexpression entries, of which `Roots` mode has none. Everything below
+//! it (the batch driver, the WAL framer, the shard sweeps, probes and
+//! updates) runs one path for both. The root entry carries its canonical
+//! form in one of two shapes:
 //!
-//! * [`Preparer::hash_and_canon`] — root granularity and read-only probes:
-//!   one fused scoped walk yields the term's hash and a standalone
-//!   **frontier** [`DbArena`] canonical form. Frontier forms are cheap
-//!   (no table traffic on the hot path) and are only interned into the
-//!   DAG if the insert actually creates a class.
-//! * `Preparer::prepare_term` (crate-internal) — subexpression granularity: one
+//! * **Frontier** ([`Preparer::hash_and_canon`]) — `Roots` mode and
+//!   read-only probes: one fused scoped walk yields the term's hash and a
+//!   standalone [`DbArena`] canonical form. Frontier forms are cheap (no
+//!   table traffic on the hot path); a merge is confirmed by walking the
+//!   form against the DAG, and the form is interned only if the insert
+//!   creates a class.
+//! * **Interned** (`Preparer::prepare_term`) — `Subexpressions` mode: one
 //!   O(n (log n)²) post-order pass hashes **every** node (the paper's
 //!   headline result), then one bottom-up pass over the same post-order
 //!   canonicalizes every node **directly into the canon DAG** — no
@@ -41,6 +47,7 @@
 //! building blocks of the forms above them.
 
 use crate::dag::CanonTable;
+use crate::granularity::Granularity;
 use alpha_hash::combine::{HashScheme, HashWord};
 use alpha_hash::hashed::HashedSummariser;
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
@@ -86,11 +93,13 @@ impl Hasher for IndexHasher {
 /// A hash map keyed by an interner index (see [`IndexHasher`]).
 type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
 
-/// How a prepared entry carries its canonical form to the shard sweep.
+/// How a prepared root entry carries its canonical form to the shard
+/// sweep.
 #[derive(Debug)]
 pub(crate) enum PreparedCanon {
     /// Already interned into the canon DAG (subexpression-granularity
-    /// entries, replayed records): merge confirmation is one ref compare.
+    /// roots, replayed records, updates): merge confirmation is one ref
+    /// compare.
     Interned(CanonRef),
     /// A standalone arena not yet in the DAG (root-granularity inserts and
     /// read-only probes): confirmation walks the DAG structurally, and the
@@ -105,9 +114,11 @@ pub(crate) enum PreparedCanon {
 
 /// One prepared (sub)expression: everything the store needs to index it —
 /// content address, size, occurrence multiplicity within its term, and the
-/// canonical form that confirms merges exactly.
+/// canonical form that confirms merges exactly. `C` is the form's shape:
+/// a [`CanonRef`] for indexed subexpressions (always interned at prepare
+/// time), a [`PreparedCanon`] for a term's root.
 #[derive(Debug)]
-pub(crate) struct SubEntry<H> {
+pub(crate) struct SubEntry<H, C = CanonRef> {
     /// The alpha-invariant hash (content address).
     pub hash: H,
     /// Node count of the subexpression **as a tree** (what
@@ -119,22 +130,55 @@ pub(crate) struct SubEntry<H> {
     /// are hash-consed.
     pub multiplicity: u32,
     /// The canonical form.
-    pub canon: PreparedCanon,
+    pub canon: C,
 }
 
-/// A term prepared at subexpression granularity by
-/// [`Preparer::prepare_term`]: the root entry plus one entry per
-/// **distinct** indexed proper subexpression.
+/// A root entry: a whole term, in either canon shape.
+pub(crate) type RootEntry<H> = SubEntry<H, PreparedCanon>;
+
+impl<H: Copy> SubEntry<H> {
+    /// This interned entry in the wider type both shapes share, for the
+    /// shard code.
+    pub(crate) fn widen(&self) -> RootEntry<H> {
+        SubEntry {
+            hash: self.hash,
+            node_count: self.node_count,
+            multiplicity: self.multiplicity,
+            canon: PreparedCanon::Interned(self.canon),
+        }
+    }
+}
+
+/// A prepared term: the root entry plus one entry per **distinct** indexed
+/// proper subexpression. `Roots` mode indexes nothing below the root, so
+/// its terms have no `subs`, and a frontier root never has any.
 #[derive(Debug)]
 pub(crate) struct PreparedTerm<H> {
     /// The whole term (always indexed, whatever its size).
-    pub root: SubEntry<H>,
+    pub root: RootEntry<H>,
     /// Distinct indexed proper subexpressions, in first-occurrence
     /// post-order, each carrying its occurrence multiplicity.
     pub subs: Vec<SubEntry<H>>,
     /// Proper subexpression **occurrences** skipped by the `min_nodes`
     /// floor.
     pub skipped: u64,
+}
+
+impl<H> PreparedTerm<H> {
+    /// A whole term already interned at `canon`, with nothing indexed
+    /// below it: what a `Roots`-mode update applies.
+    pub(crate) fn interned_root(hash: H, node_count: u64, canon: CanonRef) -> Self {
+        PreparedTerm {
+            root: SubEntry {
+                hash,
+                node_count,
+                multiplicity: 1,
+                canon: PreparedCanon::Interned(canon),
+            },
+            subs: Vec::new(),
+            skipped: 0,
+        }
+    }
 }
 
 /// Brings `sym` into scope at the current depth, remembering any shadowed
@@ -249,6 +293,9 @@ pub struct Preparer<H: HashWord> {
     closing: Vec<u32>,
     /// Work stack of the path re-interning walk.
     path_stack: Vec<PathTask>,
+    /// Node count of the largest term prepared since the preparer was
+    /// built or last forgot its arena (see `PreparerPool::give`).
+    largest: u64,
 }
 
 /// End of an occurrence list in [`Preparer`]'s `occ_prev`.
@@ -313,6 +360,7 @@ impl<H: HashWord> Preparer<H> {
             occ_head: IndexMap::default(),
             closing: Vec::new(),
             path_stack: Vec::new(),
+            largest: 0,
         }
     }
 
@@ -321,6 +369,7 @@ impl<H: HashWord> Preparer<H> {
     fn forget_arena(&mut self) {
         self.summariser.forget_names();
         self.name_ids.clear();
+        self.largest = 0;
     }
 
     /// Drains the summariser's cumulative work counters — `(nodes pushed,
@@ -329,6 +378,39 @@ impl<H: HashWord> Preparer<H> {
     pub(crate) fn take_hash_counters(&mut self) -> (u64, u64) {
         let nodes = std::mem::take(&mut self.summariser.nodes_pushed);
         (nodes, self.summariser.take_name_cache_misses())
+    }
+
+    /// Prepares a term for a store of `granularity`: in `Roots` mode the
+    /// frontier root of [`Preparer::hash_and_canon`] with nothing indexed
+    /// below it, in `Subexpressions` mode `Preparer::prepare_term`.
+    /// Read-only probes prepare as `Roots` mode does.
+    pub(crate) fn prepare(
+        &mut self,
+        arena: &ExprArena,
+        root: NodeId,
+        granularity: Granularity,
+        table: &CanonTable,
+    ) -> PreparedTerm<H> {
+        let pt = match granularity {
+            Granularity::Roots => {
+                let (hash, canon, canon_root) = self.hash_and_canon(arena, root);
+                PreparedTerm {
+                    root: SubEntry {
+                        hash,
+                        node_count: canon.len() as u64,
+                        multiplicity: 1,
+                        canon: PreparedCanon::Frontier { canon, canon_root },
+                    },
+                    subs: Vec::new(),
+                    skipped: 0,
+                }
+            }
+            Granularity::Subexpressions { min_nodes } => {
+                self.prepare_term(arena, root, min_nodes, table)
+            }
+        };
+        self.largest = self.largest.max(pt.root.node_count);
+        pt
     }
 
     /// Computes the term's alpha-hash and its canonical de Bruijn form in
@@ -445,7 +527,7 @@ impl<H: HashWord> Preparer<H> {
                         hash,
                         node_count: size,
                         multiplicity: 1,
-                        canon: PreparedCanon::Interned(cref),
+                        canon: cref,
                     });
                 }
             }
@@ -642,10 +724,9 @@ impl<H: HashWord> PreparerPool<H> {
         warm.unwrap_or_else(|| Preparer::new(arena, scheme))
     }
 
-    /// Returns a preparer whose largest prepared term had `largest_nodes`
-    /// nodes, emptied of its arena's names.
-    pub(crate) fn give(&self, mut preparer: Preparer<H>, largest_nodes: u64) {
-        if largest_nodes > POOLED_PREPARER_MAX_NODES
+    /// Returns a preparer, emptied of its arena's names.
+    pub(crate) fn give(&self, mut preparer: Preparer<H>) {
+        if preparer.largest > POOLED_PREPARER_MAX_NODES
             || preparer.summariser.name_cache_pages() > POOLED_PREPARER_MAX_PAGES
         {
             return;
@@ -678,13 +759,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn print_entry<H: HashWord>(table: &CanonTable, entry: &SubEntry<H>) -> String {
-        let PreparedCanon::Interned(cref) = entry.canon else {
-            panic!("prepare_term entries are interned");
-        };
+    fn print_ref(table: &CanonTable, cref: CanonRef) -> String {
         let mut view = TableView::new(table);
         let (arena, root) = extract_one(&mut view, cref);
         db_print(&arena, root)
+    }
+
+    fn root_ref<H>(pt: &PreparedTerm<H>) -> CanonRef {
+        let PreparedCanon::Interned(cref) = pt.root.canon else {
+            panic!("prepare_term roots are interned");
+        };
+        cref
     }
 
     #[test]
@@ -784,7 +869,7 @@ mod tests {
                 assert_eq!(entry.node_count as usize, arena.subtree_size(node));
                 let (expected, expected_root) = to_debruijn(&arena, node);
                 assert_eq!(
-                    print_entry(&table, entry),
+                    print_ref(&table, entry.canon),
                     db_print(&expected, expected_root),
                     "canon mismatch for a subexpression of {src}"
                 );
@@ -831,12 +916,7 @@ mod tests {
         let got: HashMap<CanonRef, (u32, u64)> = pt
             .subs
             .iter()
-            .map(|entry| {
-                let PreparedCanon::Interned(cref) = entry.canon else {
-                    panic!("prepare_term entries are interned");
-                };
-                (cref, (entry.multiplicity, entry.node_count))
-            })
+            .map(|entry| (entry.canon, (entry.multiplicity, entry.node_count)))
             .collect();
         assert_eq!(
             got.len(),
@@ -848,10 +928,7 @@ mod tests {
             got, expected,
             "subterm refs differ from the reference ({what})"
         );
-        let PreparedCanon::Interned(root_ref) = pt.root.canon else {
-            panic!("prepare_term roots are interned");
-        };
-        assert_eq!(root_ref, expected_root, "root ref differs ({what})");
+        assert_eq!(root_ref(&pt), expected_root, "root ref differs ({what})");
     }
 
     #[test]
@@ -954,10 +1031,7 @@ mod tests {
         let mut preparer = Preparer::new(&arena, &scheme);
         let pt = preparer.prepare_term(&arena, spine, 1, &table);
         let (db, db_root) = to_debruijn(&arena, spine);
-        let PreparedCanon::Interned(root_ref) = pt.root.canon else {
-            panic!("prepare_term roots are interned");
-        };
-        assert_eq!(root_ref, table.intern_arena(&db, db_root));
+        assert_eq!(root_ref(&pt), table.intern_arena(&db, db_root));
     }
 
     #[test]
@@ -977,11 +1051,11 @@ mod tests {
         let dup = pt
             .subs
             .iter()
-            .find(|s| print_entry(&table, s) == "add v 7")
+            .find(|s| print_ref(&table, s.canon) == "add v 7")
             .expect("v+7 entry");
         assert_eq!(dup.multiplicity, 2);
         assert_eq!(pt.root.node_count, 13);
-        assert_eq!(print_entry(&table, &pt.root), "mul (add v 7) (add v 7)");
+        assert_eq!(print_ref(&table, root_ref(&pt)), "mul (add v 7) (add v 7)");
     }
 
     #[test]
@@ -999,9 +1073,9 @@ mod tests {
         // leaves add, x and 1 are skipped.
         assert_eq!(pt.subs.len(), 2);
         assert_eq!(pt.skipped, 3);
-        assert_eq!(print_entry(&table, &pt.subs[0]), "add x");
-        assert_eq!(print_entry(&table, &pt.subs[1]), "add x 1");
-        assert_eq!(print_entry(&table, &pt.root), r"\. add %0 1");
+        assert_eq!(print_ref(&table, pt.subs[0].canon), "add x");
+        assert_eq!(print_ref(&table, pt.subs[1].canon), "add x 1");
+        assert_eq!(print_ref(&table, root_ref(&pt)), r"\. add %0 1");
         assert_eq!(pt.root.node_count, 6);
     }
 

@@ -63,7 +63,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// assert!(store.lookup(&arena, pattern).is_none());
     /// ```
     pub fn contains(&self, arena: &ExprArena, root: NodeId) -> Option<ClassId> {
-        self.probe(arena, root, false)
+        self.probe_batch(arena, &[root], false)[0]
     }
 
     /// [`AlphaStore::contains`] over many patterns at once, sharing one

@@ -20,6 +20,16 @@
 //! whole alpha-duplicated corpora — is resident exactly once. See
 //! [`AlphaStore::canon_dag_stats`] for the sharing it buys.
 //!
+//! ## One ingest path
+//!
+//! [`Granularity`] matters only where a term is prepared (`crate::prepare`):
+//! `Roots` mode is `Subexpressions` mode with nothing indexed below the
+//! root. `insert` is a one-term `insert_batch`; both go through one chunked
+//! driver, one WAL tee, a subexpression sweep (empty in `Roots` mode) and a
+//! root sweep, and WAL replay joins at the tee's far side. The root's canon
+//! arrives in one of two shapes, frontier or interned, and only the bucket
+//! scan and the WAL framer look at which.
+//!
 //! ## Exactness
 //!
 //! Content-addressed stores are usually probabilistic: equal address ⇒
@@ -40,7 +50,7 @@ use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{WalEntry, WalHeader};
 use crate::persist::{Durable, PersistError, SNAPSHOT_FILE};
-use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, PreparerPool, SubEntry};
+use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEntry, SubEntry};
 use crate::stats::{CanonDagStats, StatCounters, StoreStats};
 use alpha_hash::combine::{mix64, HashScheme, HashWord};
 use lambda_lang::arena::{ExprArena, NodeId};
@@ -423,71 +433,76 @@ impl<H: HashWord> Shard<H> {
         }
     }
 
+    /// The bucket scan behind [`Shard::find`] and [`Shard::insert_entry`]:
+    /// the first class of `entry`'s bucket whose canonical form equals the
+    /// entry's, with how that was confirmed, and whether a class of the
+    /// same hash but another form came before it. Confirmation is an O(1)
+    /// ref compare for an interned entry and a structural DAG walk
+    /// (through `view`) for a frontier one.
+    fn scan(
+        &self,
+        view: &mut TableView<'_>,
+        entry: &RootEntry<H>,
+    ) -> (Option<(u32, Confirm)>, bool) {
+        let mut mismatched = false;
+        for &ci in self.buckets.get(&entry.hash).into_iter().flatten() {
+            let class = &self.classes[ci as usize];
+            if class.node_count == entry.node_count {
+                let confirm = match &entry.canon {
+                    PreparedCanon::Interned(r) => (*r == class.canon).then_some(Confirm::Ref),
+                    PreparedCanon::Frontier { canon, canon_root } => {
+                        let mut steps = 0u64;
+                        eq_frontier(view, class.canon, canon, *canon_root, &mut steps)
+                            .then_some(Confirm::Walk(steps))
+                    }
+                };
+                if let Some(how) = confirm {
+                    return (Some((ci, how)), mismatched);
+                }
+            }
+            mismatched = true;
+        }
+        (None, mismatched)
+    }
+
     /// Inserts one prepared entry — a whole term (`is_root`) or an indexed
     /// subexpression — returning (class index, fresh, collided).
     /// `collided` is true whenever this insert's hash matched at least one
     /// class that turned out not to be alpha-equivalent — on the merge
     /// path as well as on class creation — matching the definition of
-    /// [`StoreStats::hash_collisions`].
-    ///
-    /// Confirmation is an O(1) ref compare when the entry is interned; a
-    /// structural DAG walk (through `view`) at the frontier. A frontier
-    /// entry that creates a class is interned here — `view` is released
-    /// first, since interning write-locks table stripes the view may hold
-    /// read guards on.
+    /// [`StoreStats::hash_collisions`]. A frontier entry that creates a
+    /// class is interned here — `view` is released first, since interning
+    /// write-locks table stripes the view may hold read guards on.
     pub(crate) fn insert_entry(
         &mut self,
         table: &CanonTable,
         view: &mut TableView<'_>,
-        entry: SubEntry<H>,
+        entry: &RootEntry<H>,
         is_root: bool,
         obs: &StoreObs,
     ) -> (u32, bool, bool) {
-        let bucket = self.buckets.entry(entry.hash).or_default();
-        let mut mismatched = false;
-        for &ci in bucket.iter() {
-            let class = &self.classes[ci as usize];
-            let equal = class.node_count == entry.node_count
-                && match &entry.canon {
-                    PreparedCanon::Interned(r) => {
-                        let eq = *r == class.canon;
-                        if eq {
-                            obs.confirm_ref();
-                        }
-                        eq
-                    }
-                    PreparedCanon::Frontier { canon, canon_root } => {
-                        let mut steps = 0u64;
-                        let eq = eq_frontier(view, class.canon, canon, *canon_root, &mut steps);
-                        if eq {
-                            obs.confirm_walk(steps);
-                        }
-                        eq
-                    }
-                };
-            if equal {
-                let class = &mut self.classes[ci as usize];
-                class.occurrences += u64::from(entry.multiplicity);
-                if is_root {
-                    class.members += 1;
-                }
-                return (ci, false, mismatched);
+        let (found, collided) = self.scan(view, entry);
+        if let Some((ci, how)) = found {
+            match how {
+                Confirm::Ref => obs.confirm_ref(),
+                Confirm::Walk(steps) => obs.confirm_walk(steps),
             }
-            mismatched = true;
+            let class = &mut self.classes[ci as usize];
+            class.occurrences += u64::from(entry.multiplicity);
+            if is_root {
+                class.members += 1;
+            }
+            return (ci, false, collided);
         }
-        let collided = !bucket.is_empty();
-        let canon = match entry.canon {
-            PreparedCanon::Interned(r) => r,
+        let canon = match &entry.canon {
+            PreparedCanon::Interned(r) => *r,
             PreparedCanon::Frontier { canon, canon_root } => {
                 view.release();
-                table.intern_arena(&canon, canon_root)
+                table.intern_arena(canon, *canon_root)
             }
         };
         let ci = u32::try_from(self.classes.len()).expect("shard class overflow");
-        self.buckets
-            .get_mut(&entry.hash)
-            .expect("bucket just touched")
-            .push(ci);
+        self.buckets.entry(entry.hash).or_default().push(ci);
         self.classes.push(StoredClass {
             hash: entry.hash,
             canon,
@@ -498,28 +513,19 @@ impl<H: HashWord> Shard<H> {
         (ci, true, collided)
     }
 
-    /// Read-only probe: the class whose canonical form equals the prepared
-    /// frontier term, if any.
-    pub(crate) fn find(&self, view: &mut TableView<'_>, p: &Prepared<H>) -> Option<u32> {
-        let PreparedCanon::Frontier { canon, canon_root } = &p.entry.canon else {
-            unreachable!("probes prepare frontier forms");
-        };
-        self.buckets
-            .get(&p.entry.hash)?
-            .iter()
-            .copied()
-            .find(|&ci| {
-                let class = &self.classes[ci as usize];
-                class.node_count == p.entry.node_count
-                    && eq_frontier(view, class.canon, canon, *canon_root, &mut 0)
-            })
+    /// Read-only probe: the class whose canonical form equals the
+    /// prepared entry's, if any.
+    pub(crate) fn find(&self, view: &mut TableView<'_>, entry: &RootEntry<H>) -> Option<u32> {
+        self.scan(view, entry).0.map(|(ci, _)| ci)
     }
 }
 
-/// The per-term work done outside any lock: hash, canonical form, shard.
-pub(crate) struct Prepared<H> {
-    pub(crate) entry: SubEntry<H>,
-    pub(crate) shard: usize,
+/// How a bucket scan confirmed its match.
+enum Confirm {
+    /// Interned-ref equality.
+    Ref,
+    /// A structural walk over this many frontier nodes.
+    Walk(u64),
 }
 
 /// A sharded, concurrent, content-addressed store of alpha-equivalence
@@ -758,29 +764,6 @@ impl<H: HashWord> AlphaStore<H> {
         (mix64(lo ^ hi.rotate_left(32)) as usize) & self.mask
     }
 
-    /// Hashing and canonicalization, done outside any lock: one fused
-    /// post-order pass per term, with all scratch state (name-hash cache,
-    /// traversal stacks) living in `preparer` so batches reuse it across
-    /// terms. Produces a frontier form: nothing is interned unless the
-    /// insert creates a class.
-    pub(crate) fn prepare(
-        &self,
-        preparer: &mut Preparer<H>,
-        arena: &ExprArena,
-        root: NodeId,
-    ) -> Prepared<H> {
-        let (hash, canon, canon_root) = preparer.hash_and_canon(arena, root);
-        Prepared {
-            shard: self.shard_of(hash),
-            entry: SubEntry {
-                hash,
-                node_count: canon.len() as u64,
-                multiplicity: 1,
-                canon: PreparedCanon::Frontier { canon, canon_root },
-            },
-        }
-    }
-
     /// Ingests one term: routes it by content address, confirms any
     /// candidate merge by canonical-form identity, and either joins an
     /// existing class or creates a new one. Under
@@ -816,49 +799,30 @@ impl<H: HashWord> AlphaStore<H> {
     /// store's [`health`](AlphaStore::health) says what to do next. For
     /// in-memory stores this never errors.
     pub fn try_insert(&self, arena: &ExprArena, root: NodeId) -> Result<InsertOutcome, StoreError> {
-        match self.granularity {
-            Granularity::Roots => {
-                let mut preparer = self.preparers.take(arena, &self.scheme);
-                let t = self.obs.tick();
-                let prepared = self.prepare(&mut preparer, arena, root);
-                self.obs.rec_prepare(t, prepared.entry.node_count);
-                let (nodes, misses) = preparer.take_hash_counters();
-                self.obs.add_hash_counters(nodes, misses);
-                self.preparers.give(preparer, prepared.entry.node_count);
-                Ok(self
-                    .ingest_prepared_roots(vec![prepared])?
-                    .pop()
-                    .expect("one term ingested"))
-            }
-            Granularity::Subexpressions { min_nodes } => {
-                let mut preparer = self.preparers.take(arena, &self.scheme);
-                let t = self.obs.tick();
-                let pt = preparer.prepare_term(arena, root, min_nodes, &self.table);
-                self.obs.rec_prepare(t, pt.root.node_count);
-                let (nodes, misses) = preparer.take_hash_counters();
-                self.obs.add_hash_counters(nodes, misses);
-                self.preparers.give(preparer, pt.root.node_count);
-                Ok(self
-                    .ingest_prepared_terms(vec![pt])?
-                    .pop()
-                    .expect("one term ingested"))
-            }
-        }
+        let mut preparer = self.preparers.take(arena, &self.scheme);
+        let outcomes = self.ingest_with(&mut preparer, arena, &[root]);
+        self.preparers.give(preparer);
+        Ok(outcomes?.pop().expect("one term ingested"))
     }
 
     /// Ingests a batch of terms, draining in chunks of at most
-    /// [`chunk_entries`](StoreBuilder::chunk_entries) prepared entries so
-    /// peak memory is bounded whatever the batch size; within a chunk,
-    /// each shard lock is taken at most once (at most twice under
-    /// [`Granularity::Subexpressions`]: one sweep for the chunk's
-    /// subexpression entries, one for the roots).
+    /// [`chunk_entries`](StoreBuilder::chunk_entries) prepared entries (a
+    /// term's root plus its distinct indexed subexpressions) so peak
+    /// memory is bounded whatever the batch size; within a chunk, each
+    /// shard lock is taken at most twice: one sweep for the chunk's
+    /// subexpression entries (none in [`Granularity::Roots`] mode), one
+    /// for the roots.
     ///
     /// Outcomes are returned in input order. Equivalent to calling
     /// [`AlphaStore::insert`] per term, but with per-term lock traffic
     /// amortised and one shared [`Preparer`] across the batch, so hashing
     /// scratch state and the name-hash cache are never rebuilt per term —
     /// the natural entry point for high-throughput ingest. On a durable
-    /// store, each chunk is one group-committed WAL append.
+    /// store, each chunk is one group-committed WAL append. The resulting
+    /// classes are the same; under [`Granularity::Subexpressions`] the
+    /// `fresh` flags and the merge counts can differ, because a chunk
+    /// indexes all its subexpressions before its roots, so a term's class
+    /// may be created by a later term's subexpression.
     ///
     /// # Panics
     ///
@@ -881,75 +845,54 @@ impl<H: HashWord> AlphaStore<H> {
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<InsertOutcome>, StoreError> {
-        match self.granularity {
-            Granularity::Roots => self.insert_batch_roots(arena, roots),
-            Granularity::Subexpressions { min_nodes } => {
-                self.insert_batch_subs(arena, roots, min_nodes)
-            }
-        }
+        self.ingest_with(&mut Preparer::new(arena, &self.scheme), arena, roots)
     }
 
-    fn insert_batch_roots(
+    /// The one ingest driver, behind `insert` (a one-term batch) and
+    /// `insert_batch`: every term is prepared outside any lock, in the
+    /// shape the store's granularity asks for, and each chunk of at most
+    /// `chunk_entries` prepared entries goes to
+    /// [`AlphaStore::ingest_prepared`]. A chunk's hashing work is counted
+    /// before its WAL append, so a failed append does not lose it.
+    fn ingest_with(
         &self,
+        preparer: &mut Preparer<H>,
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<InsertOutcome>, StoreError> {
-        let mut preparer = Preparer::new(arena, &self.scheme);
         let mut outcomes = Vec::with_capacity(roots.len());
-        // One prepared entry per root: chunks are `chunk_entries` terms.
-        for chunk in roots.chunks(self.chunk_entries) {
-            // All hashing/canonicalization first, outside any lock…
-            let prepared: Vec<Prepared<H>> = chunk
-                .iter()
-                .map(|&r| {
-                    let t = self.obs.tick();
-                    let p = self.prepare(&mut preparer, arena, r);
-                    self.obs.rec_prepare(t, p.entry.node_count);
-                    p
-                })
-                .collect();
-            let (nodes, misses) = preparer.take_hash_counters();
-            self.obs.add_hash_counters(nodes, misses);
-            // …then log and drain shard by shard.
-            outcomes.extend(self.ingest_prepared_roots(prepared)?);
+        let mut chunk: Vec<PreparedTerm<H>> =
+            Vec::with_capacity(roots.len().min(self.chunk_entries));
+        let mut entries = 0usize;
+        for (i, &root) in roots.iter().enumerate() {
+            let t = self.obs.tick();
+            let pt = preparer.prepare(arena, root, self.granularity, &self.table);
+            self.obs.rec_prepare(t, pt.root.node_count);
+            entries += 1 + pt.subs.len();
+            chunk.push(pt);
+            if entries >= self.chunk_entries || i + 1 == roots.len() {
+                let (nodes, misses) = preparer.take_hash_counters();
+                self.obs.add_hash_counters(nodes, misses);
+                outcomes.extend(self.ingest_prepared(std::mem::take(&mut chunk))?);
+                entries = 0;
+            }
         }
         Ok(outcomes)
     }
 
-    /// The root-granularity apply path shared by `insert` (a one-element
-    /// batch) and each `insert_batch` chunk: group-commit the chunk to the
-    /// WAL (durable stores), then drain shard by shard. A one-element
-    /// chunk skips the by-shard regrouping and goes straight to its shard
-    /// lock, so per-term `insert` keeps the old direct path's cost.
-    fn ingest_prepared_roots(
+    /// The critical path shared by the ingest driver and WAL replay: the
+    /// chunk is group-committed to the WAL (durable stores), then its
+    /// subexpression entries are drained shard by shard, then the roots —
+    /// each shard locked at most twice.
+    pub(crate) fn ingest_prepared(
         &self,
-        mut prepared: Vec<Prepared<H>>,
+        terms: Vec<PreparedTerm<H>>,
     ) -> Result<Vec<InsertOutcome>, StoreError> {
         let outcomes = {
             let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
             self.check_writable()?;
-            self.wal_log_roots(&prepared)?;
-            if prepared.len() == 1 {
-                let p = prepared.pop().expect("one prepared term");
-                let t_apply = self.obs.tick();
-                let outcome = {
-                    let t_lock = self.obs.tick();
-                    let mut shard = self.shards[p.shard].write().expect("shard lock poisoned");
-                    self.obs.rec_shard_lock_wait(t_lock);
-                    let mut view = TableView::new(&self.table);
-                    self.finish_insert(
-                        &mut shard,
-                        &mut view,
-                        p,
-                        SubexprSummary::default(),
-                        Vec::new(),
-                    )
-                };
-                self.obs.rec_apply(t_apply, 1);
-                vec![outcome]
-            } else {
-                self.drain_roots(prepared, |_| (SubexprSummary::default(), Vec::new()))
-            }
+            self.wal_log(&terms)?;
+            self.apply_prepared(terms)
         };
         // The ingest guard is released: housekeeping takes the exclusive
         // maintenance lock if a watermark tripped.
@@ -957,23 +900,103 @@ impl<H: HashWord> AlphaStore<H> {
         Ok(outcomes)
     }
 
-    /// Drains prepared roots grouped by shard, one write lock per shard,
-    /// finishing each insert in input order. `extras` supplies the i-th
-    /// term's subexpression summary and class-bits list — trivially empty
-    /// in `Roots` mode. The shared drain protocol for both granularities.
-    fn drain_roots(
-        &self,
-        prepared: Vec<Prepared<H>>,
-        mut extras: impl FnMut(usize) -> (SubexprSummary, Vec<(u64, u32)>),
-    ) -> Vec<InsertOutcome> {
-        let count = prepared.len();
-        let mut by_shard: HashMap<usize, Vec<(usize, Prepared<H>)>> = HashMap::new();
-        for (i, p) in prepared.into_iter().enumerate() {
-            by_shard.entry(p.shard).or_default().push((i, p));
+    /// Sort keys grouping the indices of `hashes` by shard: `(shard << 32)
+    /// | index`, sorted, so [`shard_runs`] yields one run per shard with
+    /// input order kept within it, and a sweep takes each shard lock once
+    /// without building a shard map.
+    fn by_shard(&self, hashes: impl Iterator<Item = H>) -> Vec<u64> {
+        let mut keys: Vec<u64> = hashes
+            .enumerate()
+            .map(|(i, h)| ((self.shard_of(h) as u64) << 32) | i as u64)
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The lock-side second half of [`AlphaStore::ingest_prepared`]
+    /// (everything after the WAL tee).
+    fn apply_prepared(&self, terms: Vec<PreparedTerm<H>>) -> Vec<InsertOutcome> {
+        let count = terms.len();
+        // Room for the root's own pair, which only an indexing store keeps.
+        let root_pair = usize::from(self.granularity.indexes_subexpressions());
+        let mut summaries: Vec<SubexprSummary> = Vec::with_capacity(count);
+        let mut sub_bits: Vec<Vec<(u64, u32)>> = Vec::with_capacity(count);
+        let mut roots: Vec<RootEntry<H>> = Vec::with_capacity(count);
+        let mut subs: Vec<(usize, SubEntry<H>)> = Vec::new();
+        let mut total_skipped = 0u64;
+        for (ti, pt) in terms.into_iter().enumerate() {
+            summaries.push(SubexprSummary {
+                skipped_min_nodes: pt.skipped,
+                ..SubexprSummary::default()
+            });
+            total_skipped += pt.skipped;
+            sub_bits.push(Vec::with_capacity(pt.subs.len() + root_pair));
+            subs.extend(pt.subs.into_iter().map(|entry| (ti, entry)));
+            roots.push(pt.root);
         }
+        StatCounters::add(&self.counters.subterms_skipped_min_nodes, total_skipped);
+
+        // Sweep 1: the chunk's subexpression entries, one lock per shard.
+        // Counter deltas accumulate locally and publish once at the end,
+        // so no atomic traffic happens inside the critical sections. A
+        // fresh entry with multiplicity m counts as 1 creation + (m-1)
+        // merges: the collapsed duplicates merged into the class the first
+        // occurrence created.
+        let (mut n_indexed, mut n_created, mut n_merged, mut n_collided) = (0u64, 0u64, 0u64, 0u64);
+        let keys = self.by_shard(subs.iter().map(|(_, e)| e.hash));
+        for (shard_index, run) in shard_runs(&keys) {
+            let n_entries = run.len() as u64;
+            let t_apply = self.obs.tick();
+            let t_lock = self.obs.tick();
+            let mut shard = self.shards[shard_index]
+                .write()
+                .expect("shard lock poisoned");
+            self.obs.rec_shard_lock_wait(t_lock);
+            let mut view = TableView::new(&self.table);
+            let shard_u16 = u16::try_from(shard_index).expect("shard count fits u16");
+            for i in run {
+                let (ti, entry) = &subs[i];
+                let mult = entry.multiplicity;
+                let m = u64::from(mult);
+                let (class_index, fresh, collided) =
+                    shard.insert_entry(&self.table, &mut view, &entry.widen(), false, &self.obs);
+                n_indexed += m;
+                summaries[*ti].indexed += m;
+                let merged = if fresh {
+                    n_created += 1;
+                    m - 1
+                } else {
+                    m
+                };
+                n_merged += merged;
+                summaries[*ti].merged += merged;
+                n_collided += u64::from(collided);
+                let class = ClassId {
+                    shard: shard_u16,
+                    index: class_index,
+                };
+                sub_bits[*ti].push((class.to_bits(), mult));
+            }
+            drop(shard);
+            self.obs.rec_apply(t_apply, n_entries);
+        }
+        StatCounters::add(&self.counters.subterms_indexed, n_indexed);
+        StatCounters::add(&self.counters.classes_created, n_created);
+        StatCounters::add(&self.counters.subterm_merges_confirmed, n_merged);
+        StatCounters::add(&self.counters.hash_collisions, n_collided);
+
+        // Sort each term's class pairs now, outside any lock —
+        // finish_insert only splices in the root's own class bit.
+        for bits in &mut sub_bits {
+            sort_pairs(bits);
+        }
+
+        // Sweep 2: the roots, one lock per shard, each finished in input
+        // order within its shard.
         let mut outcomes: Vec<Option<InsertOutcome>> = vec![None; count];
-        for (shard_index, items) in by_shard {
-            let n_items = items.len() as u64;
+        let keys = self.by_shard(roots.iter().map(|r| r.hash));
+        for (shard_index, run) in shard_runs(&keys) {
+            let n_items = run.len() as u64;
             let t_apply = self.obs.tick();
             {
                 let t_lock = self.obs.tick();
@@ -984,10 +1007,15 @@ impl<H: HashWord> AlphaStore<H> {
                 // One view per critical section: table guards are only ever
                 // taken *after* the shard lock (the documented lock order).
                 let mut view = TableView::new(&self.table);
-                for (i, p) in items {
-                    let (summary, sub_bits) = extras(i);
-                    outcomes[i] =
-                        Some(self.finish_insert(&mut shard, &mut view, p, summary, sub_bits));
+                for i in run {
+                    outcomes[i] = Some(self.finish_insert(
+                        &mut shard,
+                        &mut view,
+                        shard_index,
+                        &roots[i],
+                        summaries[i],
+                        std::mem::take(&mut sub_bits[i]),
+                    ));
                 }
             }
             self.obs.rec_apply(t_apply, n_items);
@@ -996,168 +1024,6 @@ impl<H: HashWord> AlphaStore<H> {
             .into_iter()
             .map(|o| o.expect("every term processed"))
             .collect()
-    }
-
-    /// Subexpression-granularity batch ingest: every term is prepared by
-    /// the fused batched pass (all subexpression hashes from one walk,
-    /// canonical forms interned into the canon DAG with intra-term
-    /// duplicates collapsed), then handed to
-    /// [`AlphaStore::ingest_prepared_terms`] — in chunks of at most
-    /// `chunk_entries` prepared entries (a term's root plus its distinct
-    /// indexed subexpressions), so peak memory is Θ(chunk budget) instead
-    /// of Σ subterm sizes over the whole batch.
-    fn insert_batch_subs(
-        &self,
-        arena: &ExprArena,
-        roots: &[NodeId],
-        min_nodes: usize,
-    ) -> Result<Vec<InsertOutcome>, StoreError> {
-        let mut preparer = Preparer::new(arena, &self.scheme);
-        let mut outcomes = Vec::with_capacity(roots.len());
-        let mut pending: Vec<PreparedTerm<H>> = Vec::new();
-        let mut pending_entries = 0usize;
-        for &root in roots {
-            let t = self.obs.tick();
-            let pt = preparer.prepare_term(arena, root, min_nodes, &self.table);
-            self.obs.rec_prepare(t, pt.root.node_count);
-            pending_entries += 1 + pt.subs.len();
-            pending.push(pt);
-            if pending_entries >= self.chunk_entries {
-                outcomes.extend(self.ingest_prepared_terms(std::mem::take(&mut pending))?);
-                pending_entries = 0;
-            }
-        }
-        if !pending.is_empty() {
-            outcomes.extend(self.ingest_prepared_terms(pending)?);
-        }
-        let (nodes, misses) = preparer.take_hash_counters();
-        self.obs.add_hash_counters(nodes, misses);
-        Ok(outcomes)
-    }
-
-    /// The subexpression-granularity critical path, shared by `insert` (a
-    /// one-element batch), each `insert_batch` chunk and WAL replay: the
-    /// chunk is group-committed to the WAL (durable stores), then its
-    /// subexpression entries are drained shard by shard, then the roots —
-    /// each shard locked at most twice. Entries arrive pre-interned, so
-    /// every confirmation inside the locks is an O(1) ref compare.
-    pub(crate) fn ingest_prepared_terms(
-        &self,
-        terms: Vec<PreparedTerm<H>>,
-    ) -> Result<Vec<InsertOutcome>, StoreError> {
-        let outcomes = {
-            let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
-            self.check_writable()?;
-            self.wal_log_terms(&terms)?;
-            self.apply_prepared_terms(terms)
-        };
-        self.maybe_auto_checkpoint();
-        Ok(outcomes)
-    }
-
-    /// The lock-side second half of [`AlphaStore::ingest_prepared_terms`]
-    /// (everything after the WAL tee).
-    fn apply_prepared_terms(&self, terms: Vec<PreparedTerm<H>>) -> Vec<InsertOutcome> {
-        let count = terms.len();
-        let mut summaries: Vec<SubexprSummary> = Vec::with_capacity(count);
-        let mut sub_bits: Vec<Vec<(u64, u32)>> = Vec::with_capacity(count);
-        let mut roots_prepared: Vec<Prepared<H>> = Vec::with_capacity(count);
-        let mut by_shard: HashMap<usize, Vec<(usize, SubEntry<H>)>> = HashMap::new();
-        let mut total_skipped = 0u64;
-
-        for (ti, pt) in terms.into_iter().enumerate() {
-            summaries.push(SubexprSummary {
-                skipped_min_nodes: pt.skipped,
-                ..SubexprSummary::default()
-            });
-            total_skipped += pt.skipped;
-            sub_bits.push(Vec::with_capacity(pt.subs.len() + 1));
-            for entry in pt.subs {
-                let shard = self.shard_of(entry.hash);
-                by_shard.entry(shard).or_default().push((ti, entry));
-            }
-            let root_shard = self.shard_of(pt.root.hash);
-            roots_prepared.push(Prepared {
-                entry: pt.root,
-                shard: root_shard,
-            });
-        }
-        StatCounters::add(&self.counters.subterms_skipped_min_nodes, total_skipped);
-
-        // Sweep 1: the batch's subexpression entries, one lock per shard.
-        // Counter deltas accumulate locally and publish once at the end,
-        // so no atomic traffic happens inside the critical sections. A
-        // fresh entry with multiplicity m counts as 1 creation + (m-1)
-        // merges: the collapsed duplicates merged into the class the first
-        // occurrence created.
-        let (mut n_indexed, mut n_created, mut n_merged, mut n_collided) = (0u64, 0u64, 0u64, 0u64);
-        for (shard_index, entries) in by_shard {
-            let n_entries = entries.len() as u64;
-            let t_apply = self.obs.tick();
-            let t_lock = self.obs.tick();
-            let mut shard = self.shards[shard_index]
-                .write()
-                .expect("shard lock poisoned");
-            self.obs.rec_shard_lock_wait(t_lock);
-            let mut view = TableView::new(&self.table);
-            let shard_u16 = u16::try_from(shard_index).expect("shard count fits u16");
-            for (ti, entry) in entries {
-                let mult = entry.multiplicity;
-                let m = u64::from(mult);
-                let (class_index, fresh, collided) =
-                    shard.insert_entry(&self.table, &mut view, entry, false, &self.obs);
-                n_indexed += m;
-                summaries[ti].indexed += m;
-                if fresh {
-                    n_created += 1;
-                    n_merged += m - 1;
-                    summaries[ti].merged += m - 1;
-                } else {
-                    n_merged += m;
-                    summaries[ti].merged += m;
-                }
-                if collided {
-                    n_collided += 1;
-                }
-                sub_bits[ti].push((
-                    ClassId {
-                        shard: shard_u16,
-                        index: class_index,
-                    }
-                    .to_bits(),
-                    mult,
-                ));
-            }
-            drop(shard);
-            self.obs.rec_apply(t_apply, n_entries);
-        }
-        StatCounters::add(&self.counters.subterms_indexed, n_indexed);
-        StatCounters::add(&self.counters.classes_created, n_created);
-        StatCounters::add(&self.counters.subterm_merges_confirmed, n_merged);
-        StatCounters::add(&self.counters.hash_collisions, n_collided);
-
-        // Sort each term's class pairs by bits now, outside any lock —
-        // finish_insert only splices in the root's own class bit. Within
-        // one term every pair's class is distinct (prepare collapses
-        // duplicate canons into one multiplicity, and merges are exact),
-        // but coalesce defensively so the sorted-unique key invariant
-        // cannot break.
-        for bits in &mut sub_bits {
-            bits.sort_unstable();
-            bits.dedup_by(|b, a| {
-                if a.0 == b.0 {
-                    a.1 += b.1;
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-
-        // Sweep 2: the roots, one lock per shard.
-        self.drain_roots(roots_prepared, |i| {
-            (summaries[i], std::mem::take(&mut sub_bits[i]))
-        })
     }
 
     /// The critical section of a root insert (shard lock already held).
@@ -1169,39 +1035,21 @@ impl<H: HashWord> AlphaStore<H> {
         &self,
         shard: &mut Shard<H>,
         view: &mut TableView<'_>,
-        prepared: Prepared<H>,
+        shard_index: usize,
+        root: &RootEntry<H>,
         subs: SubexprSummary,
-        mut sub_bits: Vec<(u64, u32)>,
+        sub_bits: Vec<(u64, u32)>,
     ) -> InsertOutcome {
         StatCounters::bump(&self.counters.terms_ingested);
-        let shard_u16 = u16::try_from(prepared.shard).expect("shard count fits u16");
         let (class_index, fresh, collided) =
-            shard.insert_entry(&self.table, view, prepared.entry, true, &self.obs);
-        if fresh {
-            StatCounters::bump(&self.counters.classes_created);
-        } else {
-            StatCounters::bump(&self.counters.merges_confirmed);
-        }
-        if collided {
-            StatCounters::bump(&self.counters.hash_collisions);
-        }
-        let class = ClassId {
-            shard: shard_u16,
-            index: class_index,
-        };
-        if self.granularity.indexes_subexpressions() {
-            let bits = class.to_bits();
-            match sub_bits.binary_search_by_key(&bits, |p| p.0) {
-                Ok(pos) => sub_bits[pos].1 += 1,
-                Err(pos) => sub_bits.insert(pos, (bits, 1)),
-            }
-        }
+            shard.insert_entry(&self.table, view, root, true, &self.obs);
+        let class = self.count_root(shard_index, class_index, fresh, collided);
         let term_index = u32::try_from(shard.terms.len()).expect("shard term overflow");
         shard.terms.push(class.to_bits());
-        shard.term_subs.push(sub_bits.into_boxed_slice());
+        shard.term_subs.push(self.term_pairs(sub_bits, class));
         InsertOutcome {
             term: TermId {
-                shard: shard_u16,
+                shard: class.shard,
                 index: term_index,
             },
             class,
@@ -1210,76 +1058,81 @@ impl<H: HashWord> AlphaStore<H> {
         }
     }
 
-    /// The read-only probe shared by [`AlphaStore::lookup`] and
-    /// [`AlphaStore::contains`]: hash + canonicalize outside the lock,
-    /// then find the confirming class under the shard's read lock.
-    /// `roots_only` narrows the answer to classes with at least one
-    /// whole-term member. Probes never intern: the canon DAG only grows
-    /// through ingest.
-    pub(crate) fn probe(
+    /// Counts a root entry's insert (a created class or a confirmed merge,
+    /// and any collision) and names its class.
+    pub(crate) fn count_root(
         &self,
-        arena: &ExprArena,
-        root: NodeId,
-        roots_only: bool,
-    ) -> Option<ClassId> {
-        let t = self.obs.tick();
-        let mut preparer = self.preparers.take(arena, &self.scheme);
-        let prepared = self.prepare(&mut preparer, arena, root);
-        self.obs.rec_probe_prepare(t);
-        let (nodes, misses) = preparer.take_hash_counters();
-        self.obs.add_hash_counters(nodes, misses);
-        self.preparers.give(preparer, prepared.entry.node_count);
-        self.probe_prepared(&prepared, roots_only)
+        shard_index: usize,
+        class_index: u32,
+        fresh: bool,
+        collided: bool,
+    ) -> ClassId {
+        if fresh {
+            StatCounters::bump(&self.counters.classes_created);
+        } else {
+            StatCounters::bump(&self.counters.merges_confirmed);
+        }
+        if collided {
+            StatCounters::bump(&self.counters.hash_collisions);
+        }
+        ClassId {
+            shard: u16::try_from(shard_index).expect("shard count fits u16"),
+            index: class_index,
+        }
     }
 
-    fn probe_prepared(&self, prepared: &Prepared<H>, roots_only: bool) -> Option<ClassId> {
-        let t = self.obs.tick();
-        let t_lock = self.obs.tick();
-        let shard = self.shards[prepared.shard]
-            .read()
-            .expect("shard lock poisoned");
-        self.obs.rec_shard_lock_wait(t_lock);
-        let mut view = TableView::new(&self.table);
-        let found = shard
-            .find(&mut view, prepared)
-            .filter(|&index| !roots_only || shard.classes[index as usize].members > 0)
-            .map(|index| ClassId {
-                shard: u16::try_from(prepared.shard).expect("shard count fits u16"),
-                index,
-            });
-        drop(shard);
-        self.obs.rec_probe(t);
-        found
+    /// A term's `term_subs` entry: its sorted subexpression pairs plus its
+    /// own class, in an indexing store; empty in `Roots` mode, where the
+    /// root class is recovered from `terms` instead.
+    pub(crate) fn term_pairs(
+        &self,
+        mut pairs: Vec<(u64, u32)>,
+        class: ClassId,
+    ) -> Box<[(u64, u32)]> {
+        if self.granularity.indexes_subexpressions() {
+            let bits = class.to_bits();
+            match pairs.binary_search_by_key(&bits, |p| p.0) {
+                Ok(pos) => pairs[pos].1 += 1,
+                Err(pos) => pairs.insert(pos, (bits, 1)),
+            }
+        }
+        pairs.into_boxed_slice()
     }
 
-    /// Batched probes sharing one [`Preparer`] (and therefore one
-    /// name-hash cache and one set of traversal buffers) across all
-    /// patterns, grouped so each shard's read lock is taken at most once.
-    /// Backs [`AlphaStore::contains_batch`]; results are in input order.
+    /// The read-only probe behind [`AlphaStore::lookup`],
+    /// [`AlphaStore::contains`] and [`AlphaStore::contains_batch`]: every
+    /// pattern is hashed and canonicalized as a frontier form by one
+    /// pooled [`Preparer`] outside any lock, then each shard's read lock
+    /// is taken at most once to find the confirming classes. `roots_only`
+    /// narrows the answer to classes with at least one whole-term member.
+    /// Probes never intern: the canon DAG only grows through ingest.
+    /// Results are in input order.
     pub(crate) fn probe_batch(
         &self,
         arena: &ExprArena,
         patterns: &[NodeId],
         roots_only: bool,
     ) -> Vec<Option<ClassId>> {
+        // The first pattern's prepare time includes taking the preparer.
+        let mut t = self.obs.tick();
         let mut preparer = self.preparers.take(arena, &self.scheme);
-        let mut by_shard: HashMap<usize, Vec<(usize, Prepared<H>)>> = HashMap::new();
-        let mut largest = 0;
-        for (i, &p) in patterns.iter().enumerate() {
-            let t = self.obs.tick();
-            let prepared = self.prepare(&mut preparer, arena, p);
-            self.obs.rec_probe_prepare(t);
-            largest = largest.max(prepared.entry.node_count);
-            by_shard
-                .entry(prepared.shard)
-                .or_default()
-                .push((i, prepared));
-        }
+        let prepared: Vec<RootEntry<H>> = patterns
+            .iter()
+            .map(|&p| {
+                let root = preparer
+                    .prepare(arena, p, Granularity::Roots, &self.table)
+                    .root;
+                self.obs
+                    .rec_probe_prepare(std::mem::replace(&mut t, self.obs.tick()));
+                root
+            })
+            .collect();
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
-        self.preparers.give(preparer, largest);
+        self.preparers.give(preparer);
         let mut results: Vec<Option<ClassId>> = vec![None; patterns.len()];
-        for (shard_index, items) in by_shard {
+        let keys = self.by_shard(prepared.iter().map(|p| p.hash));
+        for (shard_index, run) in shard_runs(&keys) {
             let t_lock = self.obs.tick();
             let shard = self.shards[shard_index]
                 .read()
@@ -1287,10 +1140,10 @@ impl<H: HashWord> AlphaStore<H> {
             self.obs.rec_shard_lock_wait(t_lock);
             let mut view = TableView::new(&self.table);
             let shard_u16 = u16::try_from(shard_index).expect("shard count fits u16");
-            for (i, prepared) in items {
+            for i in run {
                 let t = self.obs.tick();
                 results[i] = shard
-                    .find(&mut view, &prepared)
+                    .find(&mut view, &prepared[i])
                     .filter(|&index| !roots_only || shard.classes[index as usize].members > 0)
                     .map(|index| ClassId {
                         shard: shard_u16,
@@ -1307,7 +1160,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// subexpressions of ingested terms do not count — that is what
     /// [`AlphaStore::contains`] answers.
     pub fn lookup(&self, arena: &ExprArena, root: NodeId) -> Option<ClassId> {
-        self.probe(arena, root, true)
+        self.probe_batch(arena, &[root], true)[0]
     }
 
     /// The class a previously ingested term belongs to.
@@ -1757,14 +1610,14 @@ impl<H: HashWord> AlphaStore<H> {
                         pending_entries += 1 + pt.subs.len();
                         pending.push(pt);
                         if pending_entries >= self.chunk_entries {
-                            self.ingest_prepared_terms(std::mem::take(&mut pending))
+                            self.ingest_prepared(std::mem::take(&mut pending))
                                 .expect("in-memory replay ingest cannot fail");
                             pending_entries = 0;
                         }
                     }
                     WalEntry::Update(delta) => {
                         if !pending.is_empty() {
-                            self.ingest_prepared_terms(std::mem::take(&mut pending))
+                            self.ingest_prepared(std::mem::take(&mut pending))
                                 .expect("in-memory replay ingest cannot fail");
                             pending_entries = 0;
                         }
@@ -1773,7 +1626,7 @@ impl<H: HashWord> AlphaStore<H> {
                 }
             }
             if !pending.is_empty() {
-                self.ingest_prepared_terms(pending)
+                self.ingest_prepared(pending)
                     .expect("in-memory replay ingest cannot fail");
             }
         }
@@ -1788,57 +1641,27 @@ impl<H: HashWord> AlphaStore<H> {
             hash: e.hash,
             node_count: e.node_count,
             multiplicity: e.multiplicity,
-            canon: PreparedCanon::Interned(refs[e.pos.index()]),
+            canon: refs[e.pos.index()],
         };
         PreparedTerm {
-            root: entry(&raw.root),
+            root: entry(&raw.root).widen(),
             subs: raw.subs.iter().map(entry).collect(),
             skipped: raw.skipped,
         }
     }
 
-    /// Tees a chunk of root-granularity inserts into the WAL as one group
-    /// commit (the chunk's records, then a boundary marker so replay can
-    /// reproduce the group exactly). No-op on in-memory stores. A write
-    /// failure is retried per the store's [`RetryPolicy`]; exhausting the
-    /// retries returns [`StoreError::Persist`] **without** applying the
-    /// chunk to memory, so memory and WAL stay in agreement.
-    fn wal_log_roots(&self, prepared: &[Prepared<H>]) -> Result<(), StoreError> {
+    /// Tees a chunk of inserts into the WAL as one group commit: the
+    /// chunk's records, then a boundary marker so replay can reproduce the
+    /// group exactly. No-op on in-memory stores. A write failure is
+    /// retried per the store's [`RetryPolicy`]; exhausting the retries
+    /// returns [`StoreError::Persist`] **without** applying the chunk to
+    /// memory, so memory and WAL stay in agreement.
+    fn wal_log(&self, terms: &[PreparedTerm<H>]) -> Result<(), StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(());
         };
         // ~10 bytes per canon node plus fixed costs: a close-enough guess
         // that the frame buffer almost never regrows mid-chunk.
-        let estimate: usize = prepared
-            .iter()
-            .map(|p| 80 + p.entry.node_count as usize * 10)
-            .sum();
-        let mut frames = Vec::with_capacity(estimate);
-        for p in prepared {
-            let PreparedCanon::Frontier { canon, canon_root } = &p.entry.canon else {
-                unreachable!("root-granularity prepares frontier forms");
-            };
-            crate::persist::wal::frame_record_frontier(
-                &mut frames,
-                p.entry.hash,
-                canon,
-                *canon_root,
-            );
-        }
-        crate::persist::wal::frame_commit(&mut frames, prepared.len() as u64);
-        self.wal_append_with_retry(durable, &frames, prepared.len() as u64)
-    }
-
-    /// Tees a chunk of subexpression-granularity inserts into the WAL as
-    /// one group commit. Each record's canon is encoded as one
-    /// node-deduplicated DAG (extracted from the canon table) with entries
-    /// addressing positions in it — duplicates within a term cost one
-    /// position and a multiplicity, not k copies. No-op on in-memory
-    /// stores; retried on write failure like [`AlphaStore::wal_log_roots`].
-    fn wal_log_terms(&self, terms: &[PreparedTerm<H>]) -> Result<(), StoreError> {
-        let Some(durable) = &self.durable else {
-            return Ok(());
-        };
         let estimate: usize = terms
             .iter()
             .map(|pt| 96 + 28 * pt.subs.len() + pt.root.node_count as usize * 10)
@@ -1848,14 +1671,14 @@ impl<H: HashWord> AlphaStore<H> {
         // order), and the view is dropped before appending.
         let mut view = TableView::new(&self.table);
         for pt in terms {
-            crate::persist::wal::frame_record_interned(&mut frames, &mut view, pt);
+            crate::persist::wal::frame_record(&mut frames, &mut view, pt);
         }
         drop(view);
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)
     }
 
-    /// The shared locked-append tail of the two `wal_log_*` tees, with the
+    /// The shared locked-append tail of the insert and delta tees, with the
     /// degraded-mode retry loop around it. Transient failures sleep a
     /// bounded exponential backoff (the WAL mutex is **held across the
     /// sleeps** — concurrent ingest queues behind the same broken disk
@@ -2194,6 +2017,33 @@ impl<H: HashWord> AlphaStore<H> {
     }
 }
 
+/// The runs of [`AlphaStore::by_shard`] keys: each shard index with the
+/// input indices routed to it.
+fn shard_runs(
+    keys: &[u64],
+) -> impl Iterator<Item = (usize, impl ExactSizeIterator<Item = usize> + '_)> {
+    keys.chunk_by(|a, b| a >> 32 == b >> 32).map(|run| {
+        let shard = (run[0] >> 32) as usize;
+        (shard, run.iter().map(|&key| key as u32 as usize))
+    })
+}
+
+/// Sorts a term's `(class bits, multiplicity)` pairs by bits, coalescing
+/// equal bits. Within one term every pair's class is distinct (prepare
+/// collapses duplicate canons into one multiplicity, and merges are
+/// exact), but coalescing keeps the sorted-unique key invariant safe.
+pub(crate) fn sort_pairs(pairs: &mut Vec<(u64, u32)>) {
+    pairs.sort_unstable();
+    pairs.dedup_by(|b, a| {
+        if a.0 == b.0 {
+            a.1 += b.1;
+            true
+        } else {
+            false
+        }
+    });
+}
+
 // The whole point of the sharded design: the store is shareable across
 // ingest threads. Fails to compile if a non-Sync type sneaks in.
 const _: fn() = || {
@@ -2253,34 +2103,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_matches_singles_and_preserves_order() {
+    /// Both granularities, for the tests that check one path in each.
+    const GRANULARITIES: [Granularity; 2] = [
+        Granularity::Roots,
+        Granularity::Subexpressions { min_nodes: 1 },
+    ];
+
+    fn store_in(granularity: Granularity, chunk_entries: usize) -> AlphaStore<u64> {
+        AlphaStore::builder()
+            .seed(0xA1FA)
+            .shards(8)
+            .granularity(granularity)
+            .chunk_entries(chunk_entries)
+            .build()
+    }
+
+    /// Single inserts against batches: a one-entry chunk budget makes
+    /// each term its own chunk, so that batch must match the singles
+    /// outcome for outcome. A default batch matches their partition and
+    /// per-term indexing; in `Subexpressions` mode a chunk sweeps its
+    /// subexpressions before its roots, so a class may be created by a
+    /// later term's subexpression, and only the creation total agrees.
+    fn check_batch_matches_singles(granularity: Granularity) {
         let mut arena = ExprArena::new();
         let roots: Vec<NodeId> = [r"\a. a", r"\b. b", "v + 7", r"\c. c + (v+7)"]
             .iter()
             .map(|s| parse(&mut arena, s).unwrap())
             .collect();
-
-        let singles = store();
-        let one_by_one: Vec<ClassId> = roots
+        let default_chunk = AlphaStore::<u64>::DEFAULT_CHUNK_ENTRIES;
+        let singles_store = store_in(granularity, default_chunk);
+        let singles: Vec<InsertOutcome> = roots
             .iter()
-            .map(|&r| singles.insert(&arena, r).class)
+            .map(|&r| singles_store.insert(&arena, r))
             .collect();
+        let chunked = store_in(granularity, 1).insert_batch(&arena, &roots);
+        assert_eq!(chunked, singles, "{granularity:?}");
 
-        let batched = store();
-        let batch = batched.insert_batch(&arena, &roots);
+        let batch = store_in(granularity, default_chunk).insert_batch(&arena, &roots);
         assert_eq!(batch.len(), roots.len());
         // Same partition: term i and j share a class in one store iff they
         // do in the other.
         for i in 0..roots.len() {
             for j in 0..roots.len() {
                 assert_eq!(
-                    one_by_one[i] == one_by_one[j],
+                    singles[i].class == singles[j].class,
                     batch[i].class == batch[j].class,
                 );
             }
+            assert_eq!(batch[i].subs.indexed, singles[i].subs.indexed);
+            assert_eq!(
+                batch[i].subs.skipped_min_nodes,
+                singles[i].subs.skipped_min_nodes
+            );
+        }
+        if granularity == Granularity::Roots {
+            assert_eq!(batch, singles);
+        } else {
+            let created = |outcomes: &[InsertOutcome]| -> u64 {
+                outcomes
+                    .iter()
+                    .map(|o| u64::from(o.fresh) + o.subs.indexed - o.subs.merged)
+                    .sum()
+            };
+            assert_eq!(created(&batch), created(&singles));
+            assert_eq!(created(&batch), singles_store.num_classes() as u64);
+            // `v + 7` alone creates its class, but in one chunk the
+            // subexpression of the term after it gets there first.
+            assert!(singles[2].fresh && !batch[2].fresh);
         }
         assert!(batch[0].fresh && !batch[1].fresh);
+    }
+
+    #[test]
+    fn batch_matches_singles_and_preserves_order() {
+        for granularity in GRANULARITIES {
+            check_batch_matches_singles(granularity);
+        }
     }
 
     #[test]
@@ -2336,22 +2234,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn contains_batch_matches_single_probes() {
-        let store: AlphaStore<u64> = AlphaStore::builder().seed(0xBA7C).subexpressions(1).build();
+    /// Batched probes answer exactly what single probes do. A `Roots`
+    /// store finds only the whole term; an indexing store also finds its
+    /// subexpressions.
+    fn check_contains_batch_matches_single_probes(granularity: Granularity) {
+        let store = store_in(granularity, AlphaStore::<u64>::DEFAULT_CHUNK_ENTRIES);
         let mut arena = ExprArena::new();
         let t = parse(&mut arena, r"foo (\x. x + 7) (v * 3)").unwrap();
-        store.insert(&arena, t);
-        let patterns: Vec<NodeId> = [r"\p. p + 7", "v * 3", "v * 4", "foo", r"\z. z"]
-            .iter()
-            .map(|s| parse(&mut arena, s).unwrap())
-            .collect();
+        let inserted = store.insert(&arena, t);
+        let patterns: Vec<NodeId> = [
+            r"\p. p + 7",
+            "v * 3",
+            "v * 4",
+            "foo",
+            r"\z. z",
+            r"foo (\y. y + 7) (v * 3)",
+        ]
+        .iter()
+        .map(|s| parse(&mut arena, s).unwrap())
+        .collect();
         let batch = store.contains_batch(&arena, &patterns);
         for (i, &p) in patterns.iter().enumerate() {
             assert_eq!(batch[i], store.contains(&arena, p), "pattern {i}");
         }
-        assert!(batch[0].is_some() && batch[1].is_some());
-        assert!(batch[2].is_none() && batch[4].is_none());
+        let found: Vec<bool> = batch.iter().map(Option::is_some).collect();
+        let indexed = granularity.indexes_subexpressions();
+        assert_eq!(found, [indexed, indexed, false, indexed, false, true]);
+        assert_eq!(batch[5], Some(inserted.class));
+        assert_eq!(store.lookup(&arena, patterns[5]), Some(inserted.class));
+        assert_eq!(store.lookup(&arena, patterns[0]), None);
+    }
+
+    #[test]
+    fn contains_batch_matches_single_probes() {
+        for granularity in GRANULARITIES {
+            check_contains_batch_matches_single_probes(granularity);
+        }
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! alpha-hash only along the spine from the edit site to the root. This
 //! module turns that observation into a store operation:
 //!
-//! * **Hashing** — under [`Granularity::Roots`]
-//!   the store keeps a bounded cache of live
-//!   [`IncrementalHasher`]s,
-//!   one per recently updated term, so a rewrite re-hashes the patch plus
-//!   the O(spine) path to the root instead of the whole term.
+//! * **Hashing** — the one step that depends on the granularity. Under
+//!   [`Granularity::Roots`] the store keeps a bounded cache of live
+//!   [`IncrementalHasher`]s, one per recently updated term, so a rewrite
+//!   re-hashes the patch plus the O(spine) path to the root instead of
+//!   the whole term. Under [`Granularity::Subexpressions`] the index
+//!   needs every node's hash, so the effective rewritten term is
+//!   prepared whole. Either way the result is a prepared term, and the
+//!   lock prologue, the WAL delta, the memory apply and its replay are
+//!   shared.
 //! * **Canonical storage** — the rewritten canonical form is produced by
 //!   *splicing* the patch's canon into the class's existing canon along
 //!   the rewrite path. Every untouched subtree reuses its interned
@@ -20,12 +24,12 @@
 //!   and the patch's canonical node run. Recovery re-splices the delta
 //!   through this same code, re-confirming the result exactly like insert
 //!   replay, so exactness (zero unconfirmed merges) survives restarts.
-//! * **Subexpression index** — under
-//!   [`Granularity::Subexpressions`]
-//!   the update diffs the term's old `(class, multiplicity)` pairs against
-//!   the rewritten term's and touches only the entries whose membership
-//!   actually changed; unchanged pairs keep their classes without a probe
-//!   (class ↔ canon is a bijection, so ref equality decides).
+//! * **Subexpression index** — the apply diffs the term's old
+//!   `(class, multiplicity)` pairs against the rewritten term's and
+//!   touches only the entries whose membership actually changed;
+//!   unchanged pairs keep their classes without a probe (class ↔ canon is
+//!   a bijection, so ref equality decides). In `Roots` mode both lists are
+//!   empty and only the root moves.
 //!
 //! ## Semantics: normalized delete + re-insert
 //!
@@ -66,9 +70,9 @@ use crate::granularity::Granularity;
 use crate::persist::format::RawDelta;
 use crate::persist::wal::{frame_commit, frame_delta};
 use crate::persist::PersistError;
-use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, SubEntry};
+use crate::prepare::{PreparedTerm, Preparer};
 use crate::stats::StatCounters;
-use crate::store::{AlphaStore, ClassId, StoreError, SubexprSummary, TermId};
+use crate::store::{sort_pairs, AlphaStore, ClassId, StoreError, SubexprSummary, TermId};
 use alpha_hash::combine::HashWord;
 use alpha_hash::incremental::IncrementalHasher;
 use lambda_lang::arena::{Children, ExprArena, NodeId};
@@ -314,6 +318,21 @@ fn build_rewritten<H: HashWord>(
     Ok(host_root)
 }
 
+/// The effective rewritten term prepared whole: the `Subexpressions`-mode
+/// rehash, live and replayed, since the index needs every node's hash.
+fn prepare_rewritten<H: HashWord>(
+    store: &AlphaStore<H>,
+    old_canon: CanonRef,
+    path: &[u32],
+    patch: &DbArena,
+    patch_root: DbId,
+) -> Result<PreparedTerm<H>, String> {
+    let mut dst = ExprArena::new();
+    let root = build_rewritten(store, old_canon, path, patch, patch_root, &mut dst)?;
+    let mut preparer = Preparer::new(&dst, &store.scheme);
+    Ok(preparer.prepare(&dst, root, store.granularity, &store.table))
+}
+
 impl<H: HashWord> AlphaStore<H> {
     /// Applies a local rewrite to a previously ingested term, re-hashing
     /// only the patch and the spine to the root, reusing interned canon
@@ -372,12 +391,78 @@ impl<H: HashWord> AlphaStore<H> {
     ) -> Result<UpdateOutcome, StoreError> {
         self.validate_term(term)?;
         check_patch_closed(rewrite.arena, rewrite.root)?;
-        match self.granularity {
-            Granularity::Roots => self.update_roots(term, &rewrite),
-            Granularity::Subexpressions { min_nodes } => {
-                self.update_subs(term, &rewrite, min_nodes)
+        let outcome = {
+            // Lock order: maintenance (shared) → updates → WAL → shards.
+            let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
+            self.check_writable()?;
+            // The cache mutex is also the update serializer: the old-pairs
+            // snapshot must stay consistent with the apply.
+            let mut cache = self.updates.lock().expect("update lock poisoned");
+            let term_bits = term.to_bits();
+            let (old_class, old_pairs) = {
+                let shard = self.shards[term.shard as usize]
+                    .read()
+                    .expect("shard lock poisoned");
+                (
+                    ClassId::from_bits(shard.terms[term.index as usize]),
+                    shard.term_subs[term.index as usize].to_vec(),
+                )
+            };
+            let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
+            let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
+
+            // The one granularity-dependent step: how the rewritten term is
+            // prepared. `Roots` re-hashes the spine through the cached
+            // hasher; `Subexpressions` re-prepares the whole rewritten term.
+            let (pt, rehashed, hasher) = match self.granularity {
+                Granularity::Roots => {
+                    let (pt, hasher, spine_nodes) = self.rehash_spine(
+                        &mut cache,
+                        term_bits,
+                        old_class,
+                        old_canon,
+                        &rewrite,
+                        (&patch_db, patch_db_root),
+                    )?;
+                    (pt, spine_nodes, Some(hasher))
+                }
+                Granularity::Subexpressions { .. } => {
+                    let pt =
+                        prepare_rewritten(self, old_canon, rewrite.path, &patch_db, patch_db_root)
+                            .map_err(invalid)?;
+                    let nodes = pt.root.node_count;
+                    (pt, nodes, None)
+                }
+            };
+
+            let delta = RawDelta {
+                term_bits,
+                old_hash,
+                new_hash: pt.root.hash,
+                new_node_count: pt.root.node_count,
+                path: rewrite.path.to_vec(),
+                patch: patch_db,
+                patch_root: patch_db_root,
+            };
+            // WAL failure: memory untouched, a spine hasher dropped by `?`.
+            self.wal_log_delta(&delta)?;
+
+            let (class, fresh, subs) = self.apply_update(term, old_class, &old_pairs, pt);
+            if let Some(hasher) = hasher {
+                cache.put(term_bits, class.to_bits(), hasher);
             }
-        }
+            self.obs.rec_update(rehashed);
+            UpdateOutcome {
+                term,
+                old_class,
+                class,
+                fresh,
+                subs,
+                spine_nodes_rehashed: rehashed,
+            }
+        };
+        self.maybe_auto_checkpoint();
+        Ok(outcome)
     }
 
     /// Applies a sequence of rewrites, one [`AlphaStore::try_update`]
@@ -431,172 +516,62 @@ impl<H: HashWord> AlphaStore<H> {
         )))
     }
 
-    /// The `Roots`-granularity update: O(spine) re-hash through the
-    /// cached [`IncrementalHasher`], O(spine) canon re-intern through
-    /// [`splice_canon`], one delta WAL append, three brief shard
-    /// critical sections.
-    fn update_roots(
+    /// The `Roots`-mode rehash: O(spine) re-hash through the term's
+    /// cached [`IncrementalHasher`] (rebuilt once, O(n), from the class
+    /// canon when none is cached), and O(spine) canon re-intern through
+    /// [`splice_canon`]. Returns the rewritten term, the hasher to re-cache
+    /// and the nodes re-hashed. A refused rewrite leaves store, cache and
+    /// hasher exactly as they were.
+    fn rehash_spine(
         &self,
-        term: TermId,
+        cache: &mut UpdateCache<H>,
+        term_bits: u64,
+        old_class: ClassId,
+        old_canon: CanonRef,
         rewrite: &Rewrite<'_>,
-    ) -> Result<UpdateOutcome, StoreError> {
-        let outcome = {
-            // Lock order: maintenance (shared) → updates → WAL → shards.
-            let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
-            self.check_writable()?;
-            let mut cache = self.updates.lock().expect("update lock poisoned");
-            let term_bits = term.to_bits();
-            let old_class = {
-                let shard = self.shards[term.shard as usize]
-                    .read()
-                    .expect("shard lock poisoned");
-                ClassId::from_bits(shard.terms[term.index as usize])
-            };
-            let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
-
-            // The spine hasher: cached from the previous update of this
-            // term, or rebuilt (O(n), once) from the class canon.
-            let mut hasher = match cache.take(term_bits, old_class.to_bits()) {
-                Some(h) => h,
-                None => {
-                    let (db, db_root) = {
-                        let mut view = TableView::new(&self.table);
-                        extract_one(&mut view, old_canon)
-                    };
-                    let mut arena = ExprArena::new();
-                    let root = rebuild_named(&db, db_root, &mut arena);
-                    IncrementalHasher::new(arena, root, self.scheme)
-                }
-            };
-
-            // Validate the path and build the canonical splice before
-            // mutating anything: a refusal here leaves store, cache and
-            // hasher exactly as they were (interned orphan nodes aside,
-            // which is the same pre-WAL interning the prepare path does).
-            let target = match resolve_path_named(hasher.arena(), hasher.root(), rewrite.path) {
-                Ok(t) => t,
-                Err(reason) => {
-                    cache.put(term_bits, old_class.to_bits(), hasher);
-                    return Err(invalid(reason));
-                }
-            };
-            let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
-            let patch_ref = self.table.intern_arena(&patch_db, patch_db_root);
-            let new_canon = match splice_canon(&self.table, old_canon, rewrite.path, patch_ref) {
-                Ok(r) => r,
-                Err(reason) => {
-                    cache.put(term_bits, old_class.to_bits(), hasher);
-                    return Err(invalid(reason));
-                }
-            };
-
-            // O(spine) re-hash. From here the hasher has diverged from
-            // the stored class: failure paths drop it (eviction) instead
-            // of re-caching, and the next update rebuilds from canon.
-            let replaced = hasher
-                .replace_subtree(target, rewrite.arena, rewrite.root)
-                .map_err(|e| invalid(format!("replacement target is not live: {e}")))?;
-            let spine_nodes = replaced.stats.nodes_recomputed as u64;
-            let new_hash = hasher.root_hash();
-            let new_node_count = hasher.live_nodes() as u64;
-
-            let delta = RawDelta {
-                term_bits,
-                old_hash,
-                new_hash,
-                new_node_count,
-                path: rewrite.path.to_vec(),
-                patch: patch_db,
-                patch_root: patch_db_root,
-            };
-            // WAL failure: memory untouched, hasher dropped by `?`.
-            self.wal_log_delta(&delta)?;
-
-            let (class, fresh) =
-                self.apply_root_update(term, old_class, new_hash, new_node_count, new_canon);
-            cache.put(term_bits, class.to_bits(), hasher);
-            self.obs.rec_update(spine_nodes);
-            UpdateOutcome {
-                term,
-                old_class,
-                class,
-                fresh,
-                subs: SubexprSummary::default(),
-                spine_nodes_rehashed: spine_nodes,
+        (patch_db, patch_db_root): (&DbArena, DbId),
+    ) -> Result<(PreparedTerm<H>, IncrementalHasher<H>, u64), StoreError> {
+        let mut hasher = match cache.take(term_bits, old_class.to_bits()) {
+            Some(h) => h,
+            None => {
+                let (db, db_root) = {
+                    let mut view = TableView::new(&self.table);
+                    extract_one(&mut view, old_canon)
+                };
+                let mut arena = ExprArena::new();
+                let root = rebuild_named(&db, db_root, &mut arena);
+                IncrementalHasher::new(arena, root, self.scheme)
             }
         };
-        self.maybe_auto_checkpoint();
-        Ok(outcome)
-    }
 
-    /// The `Subexpressions`-granularity update: build the effective
-    /// rewritten term, re-prepare it (the index needs every node's hash),
-    /// log the same compact delta, then **diff** the old and new
-    /// `(class, multiplicity)` pair lists so only changed entries touch
-    /// their shards.
-    fn update_subs(
-        &self,
-        term: TermId,
-        rewrite: &Rewrite<'_>,
-        min_nodes: usize,
-    ) -> Result<UpdateOutcome, StoreError> {
-        let outcome = {
-            let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
-            self.check_writable()?;
-            // The cache is unused here, but its mutex is the update
-            // serializer: the old-pairs snapshot must stay consistent
-            // with the apply.
-            let _serial = self.updates.lock().expect("update lock poisoned");
-            let (old_class, old_pairs) = {
-                let shard = self.shards[term.shard as usize]
-                    .read()
-                    .expect("shard lock poisoned");
-                (
-                    ClassId::from_bits(shard.terms[term.index as usize]),
-                    shard.term_subs[term.index as usize].to_vec(),
-                )
-            };
-            let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
-
-            let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
-            let mut dst = ExprArena::new();
-            let new_root = build_rewritten(
-                self,
-                old_canon,
-                rewrite.path,
-                &patch_db,
-                patch_db_root,
-                &mut dst,
-            )
-            .map_err(invalid)?;
-            let mut preparer = Preparer::new(&dst, &self.scheme);
-            let pt = preparer.prepare_term(&dst, new_root, min_nodes, &self.table);
-            let rehashed = pt.root.node_count;
-
-            let delta = RawDelta {
-                term_bits: term.to_bits(),
-                old_hash,
-                new_hash: pt.root.hash,
-                new_node_count: pt.root.node_count,
-                path: rewrite.path.to_vec(),
-                patch: patch_db,
-                patch_root: patch_db_root,
-            };
-            self.wal_log_delta(&delta)?;
-
-            let (class, fresh, subs) = self.apply_sub_update(term, old_class, old_pairs, pt);
-            self.obs.rec_update(rehashed);
-            UpdateOutcome {
-                term,
-                old_class,
-                class,
-                fresh,
-                subs,
-                spine_nodes_rehashed: rehashed,
+        // Validate the path and build the canonical splice before
+        // mutating anything (interned orphan nodes aside, which is the
+        // same pre-WAL interning the prepare path does).
+        let target = match resolve_path_named(hasher.arena(), hasher.root(), rewrite.path) {
+            Ok(t) => t,
+            Err(reason) => {
+                cache.put(term_bits, old_class.to_bits(), hasher);
+                return Err(invalid(reason));
             }
         };
-        self.maybe_auto_checkpoint();
-        Ok(outcome)
+        let patch_ref = self.table.intern_arena(patch_db, patch_db_root);
+        let new_canon = match splice_canon(&self.table, old_canon, rewrite.path, patch_ref) {
+            Ok(r) => r,
+            Err(reason) => {
+                cache.put(term_bits, old_class.to_bits(), hasher);
+                return Err(invalid(reason));
+            }
+        };
+
+        // From here the hasher has diverged from the stored class: failure
+        // paths drop it (eviction) instead of re-caching, and the next
+        // update rebuilds from canon.
+        let replaced = hasher
+            .replace_subtree(target, rewrite.arena, rewrite.root)
+            .map_err(|e| invalid(format!("replacement target is not live: {e}")))?;
+        let pt =
+            PreparedTerm::interned_root(hasher.root_hash(), hasher.live_nodes() as u64, new_canon);
+        Ok((pt, hasher, replaced.stats.nodes_recomputed as u64))
     }
 
     /// Tees one delta record into the WAL as its own group commit. No-op
@@ -612,72 +587,20 @@ impl<H: HashWord> AlphaStore<H> {
         self.wal_append_with_retry(durable, &frames, 1)
     }
 
-    /// The shared memory apply of a `Roots`-mode update (live and
-    /// replay): leave the old class (never removing it), join or create
-    /// the new one — merge confirmation is the usual interned ref
-    /// compare — and repoint the term.
-    pub(crate) fn apply_root_update(
+    /// The memory apply of an update, live and replayed, in both
+    /// granularities: diff the term's old `(class, multiplicity)` pairs
+    /// against the prepared new term, then move the root. Pairs whose
+    /// class recurs keep it without a probe (ref bijection); only the
+    /// occurrence delta is applied. Entries only the new term has go
+    /// through the normal exact insert; entries only the old term had are
+    /// un-indexed by their recorded multiplicity. In `Roots` mode both
+    /// sides are empty, and only the root moves: leave the old class
+    /// (never removing it), join or create the new one, repoint the term.
+    pub(crate) fn apply_update(
         &self,
         term: TermId,
         old_class: ClassId,
-        new_hash: H,
-        new_node_count: u64,
-        new_canon: CanonRef,
-    ) -> (ClassId, bool) {
-        {
-            let mut shard = self.shards[old_class.shard as usize]
-                .write()
-                .expect("shard lock poisoned");
-            let c = &mut shard.classes[old_class.index as usize];
-            c.members -= 1;
-            c.occurrences -= 1;
-        }
-        let shard_index = self.shard_of(new_hash);
-        let entry = SubEntry {
-            hash: new_hash,
-            node_count: new_node_count,
-            multiplicity: 1,
-            canon: PreparedCanon::Interned(new_canon),
-        };
-        let (class_index, fresh, collided) = {
-            let mut shard = self.shards[shard_index]
-                .write()
-                .expect("shard lock poisoned");
-            let mut view = TableView::new(&self.table);
-            shard.insert_entry(&self.table, &mut view, entry, true, &self.obs)
-        };
-        if fresh {
-            StatCounters::bump(&self.counters.classes_created);
-        } else {
-            StatCounters::bump(&self.counters.merges_confirmed);
-        }
-        if collided {
-            StatCounters::bump(&self.counters.hash_collisions);
-        }
-        let class = ClassId {
-            shard: u16::try_from(shard_index).expect("shard count fits u16"),
-            index: class_index,
-        };
-        {
-            let mut shard = self.shards[term.shard as usize]
-                .write()
-                .expect("shard lock poisoned");
-            shard.terms[term.index as usize] = class.to_bits();
-        }
-        (class, fresh)
-    }
-
-    /// The shared memory apply of a `Subexpressions`-mode update (live
-    /// and replay): diff the old pair list against the prepared new term.
-    /// Pairs whose class recurs keep it without a probe (ref bijection);
-    /// only the occurrence delta is applied. Entries only the new term
-    /// has go through the normal exact insert; entries only the old term
-    /// had are un-indexed by their recorded multiplicity.
-    pub(crate) fn apply_sub_update(
-        &self,
-        term: TermId,
-        old_class: ClassId,
-        old_pairs: Vec<(u64, u32)>,
+        old_pairs: &[(u64, u32)],
         pt: PreparedTerm<H>,
     ) -> (ClassId, bool, SubexprSummary) {
         // Key the old pairs by their class's canon ref: class ↔ canon is
@@ -685,7 +608,7 @@ impl<H: HashWord> AlphaStore<H> {
         // "same subexpression class" without touching buckets.
         let old_root_bits = old_class.to_bits();
         let mut old_map: HashMap<CanonRef, (u64, u32)> = HashMap::with_capacity(old_pairs.len());
-        for &(bits, mult) in &old_pairs {
+        for &(bits, mult) in old_pairs {
             if bits == old_root_bits {
                 // The root's own pair carries exactly the root occurrence:
                 // a proper subterm is strictly smaller than the root, so
@@ -701,20 +624,14 @@ impl<H: HashWord> AlphaStore<H> {
             skipped_min_nodes: pt.skipped,
             ..SubexprSummary::default()
         };
-        let mut new_pairs: Vec<(u64, u32)> = Vec::with_capacity(pt.subs.len() + 1);
+        let mut new_pairs: Vec<(u64, u32)> = Vec::with_capacity(pt.subs.len());
         let (mut n_indexed, mut n_created, mut n_merged, mut n_collided) = (0u64, 0u64, 0u64, 0u64);
-        for entry in pt.subs {
-            let cref = match &entry.canon {
-                PreparedCanon::Interned(r) => *r,
-                PreparedCanon::Frontier { .. } => {
-                    unreachable!("prepare_term interns every subexpression entry")
-                }
-            };
+        for entry in &pt.subs {
             let mult = entry.multiplicity;
             let m = u64::from(mult);
             n_indexed += m;
             summary.indexed += m;
-            match old_map.remove(&cref) {
+            match old_map.remove(&entry.canon) {
                 Some((bits, old_mult)) => {
                     // Retained pair: same class, possibly different count.
                     if old_mult != mult {
@@ -737,24 +654,22 @@ impl<H: HashWord> AlphaStore<H> {
                             .write()
                             .expect("shard lock poisoned");
                         let mut view = TableView::new(&self.table);
-                        shard.insert_entry(&self.table, &mut view, entry, false, &self.obs)
+                        shard.insert_entry(&self.table, &mut view, &entry.widen(), false, &self.obs)
                     };
                     let bits = ClassId {
                         shard: u16::try_from(shard_index).expect("shard count fits u16"),
                         index: class_index,
                     }
                     .to_bits();
-                    if fresh {
+                    let merged = if fresh {
                         n_created += 1;
-                        n_merged += m - 1;
-                        summary.merged += m - 1;
+                        m - 1
                     } else {
-                        n_merged += m;
-                        summary.merged += m;
-                    }
-                    if collided {
-                        n_collided += 1;
-                    }
+                        m
+                    };
+                    n_merged += merged;
+                    summary.merged += merged;
+                    n_collided += u64::from(collided);
                     new_pairs.push((bits, mult));
                 }
             }
@@ -768,7 +683,14 @@ impl<H: HashWord> AlphaStore<H> {
                 .expect("shard lock poisoned");
             shard.classes[class.index as usize].occurrences -= u64::from(mult);
         }
-        // The root: leave the old class, join or create the new one.
+        StatCounters::add(&self.counters.subterms_indexed, n_indexed);
+        StatCounters::add(&self.counters.classes_created, n_created);
+        StatCounters::add(&self.counters.subterm_merges_confirmed, n_merged);
+        StatCounters::add(&self.counters.hash_collisions, n_collided);
+        StatCounters::add(&self.counters.subterms_skipped_min_nodes, pt.skipped);
+
+        // The root: leave the old class, join or create the new one (the
+        // usual exact confirmation), repoint the term.
         {
             let mut shard = self.shards[old_class.shard as usize]
                 .write()
@@ -783,48 +705,17 @@ impl<H: HashWord> AlphaStore<H> {
                 .write()
                 .expect("shard lock poisoned");
             let mut view = TableView::new(&self.table);
-            shard.insert_entry(&self.table, &mut view, pt.root, true, &self.obs)
+            shard.insert_entry(&self.table, &mut view, &pt.root, true, &self.obs)
         };
-        let class = ClassId {
-            shard: u16::try_from(root_shard).expect("shard count fits u16"),
-            index: class_index,
-        };
-        if fresh {
-            StatCounters::bump(&self.counters.classes_created);
-        } else {
-            StatCounters::bump(&self.counters.merges_confirmed);
-        }
-        if collided {
-            StatCounters::bump(&self.counters.hash_collisions);
-        }
-        StatCounters::add(&self.counters.subterms_indexed, n_indexed);
-        StatCounters::add(&self.counters.classes_created, n_created);
-        StatCounters::add(&self.counters.subterm_merges_confirmed, n_merged);
-        StatCounters::add(&self.counters.hash_collisions, n_collided);
-        StatCounters::add(&self.counters.subterms_skipped_min_nodes, pt.skipped);
-
-        // Sort + coalesce, then splice the root's own bit — the same
-        // sorted-unique invariant finish_insert maintains.
-        new_pairs.sort_unstable();
-        new_pairs.dedup_by(|b, a| {
-            if a.0 == b.0 {
-                a.1 += b.1;
-                true
-            } else {
-                false
-            }
-        });
-        let bits = class.to_bits();
-        match new_pairs.binary_search_by_key(&bits, |p| p.0) {
-            Ok(pos) => new_pairs[pos].1 += 1,
-            Err(pos) => new_pairs.insert(pos, (bits, 1)),
-        }
+        let class = self.count_root(root_shard, class_index, fresh, collided);
+        sort_pairs(&mut new_pairs);
+        let pairs = self.term_pairs(new_pairs, class);
         {
             let mut shard = self.shards[term.shard as usize]
                 .write()
                 .expect("shard lock poisoned");
-            shard.terms[term.index as usize] = bits;
-            shard.term_subs[term.index as usize] = new_pairs.into_boxed_slice();
+            shard.terms[term.index as usize] = class.to_bits();
+            shard.term_subs[term.index as usize] = pairs;
         }
         (class, fresh, summary)
     }
@@ -853,15 +744,17 @@ pub(crate) fn apply_update_replay<H: HashWord>(
             store.shards.len()
         )));
     }
-    let old_class_bits = {
+    let (old_class, old_pairs) = {
         let shard = store.shards[s].read().expect("shard lock poisoned");
         let i = term.index as usize;
         if i >= shard.terms.len() {
             return Err(corrupt(format!("delta names unknown term {term:?}")));
         }
-        shard.terms[i]
+        (
+            ClassId::from_bits(shard.terms[i]),
+            shard.term_subs[i].to_vec(),
+        )
     };
-    let old_class = ClassId::from_bits(old_class_bits);
     let (old_hash, old_canon) = store.with_class(old_class, |c| (c.hash, c.canon));
     if old_hash != delta.old_hash {
         return Err(corrupt(format!(
@@ -869,7 +762,7 @@ pub(crate) fn apply_update_replay<H: HashWord>(
              term's pre-update class"
         )));
     }
-    match store.granularity {
+    let pt = match store.granularity {
         Granularity::Roots => {
             let patch_ref = store.table.intern_arena(&delta.patch, delta.patch_root);
             let new_canon = splice_canon(&store.table, old_canon, &delta.path, patch_ref)
@@ -894,31 +787,17 @@ pub(crate) fn apply_update_replay<H: HashWord>(
                     ));
                 }
             }
-            store.apply_root_update(
-                term,
-                old_class,
-                delta.new_hash,
-                delta.new_node_count,
-                new_canon,
-            );
+            PreparedTerm::interned_root(delta.new_hash, delta.new_node_count, new_canon)
         }
-        Granularity::Subexpressions { min_nodes } => {
-            let old_pairs = {
-                let shard = store.shards[s].read().expect("shard lock poisoned");
-                shard.term_subs[term.index as usize].to_vec()
-            };
-            let mut dst = ExprArena::new();
-            let new_root = build_rewritten(
+        Granularity::Subexpressions { .. } => {
+            let pt = prepare_rewritten(
                 store,
                 old_canon,
                 &delta.path,
                 &delta.patch,
                 delta.patch_root,
-                &mut dst,
             )
             .map_err(|e| corrupt(format!("delta does not splice: {e}")))?;
-            let mut preparer = Preparer::new(&dst, &store.scheme);
-            let pt = preparer.prepare_term(&dst, new_root, min_nodes, &store.table);
             if pt.root.hash != delta.new_hash || pt.root.node_count != delta.new_node_count {
                 return Err(corrupt(
                     "delta re-hash mismatch: replayed rewrite does not reproduce the \
@@ -926,9 +805,10 @@ pub(crate) fn apply_update_replay<H: HashWord>(
                         .to_owned(),
                 ));
             }
-            store.apply_sub_update(term, old_class, old_pairs, pt);
+            pt
         }
-    }
+    };
+    store.apply_update(term, old_class, &old_pairs, pt);
     Ok(())
 }
 

@@ -390,6 +390,52 @@ fn transient_fault_retries_and_heals() {
     assert!(reopened.lookup(&arena, roots[4]).is_some());
 }
 
+/// A batch whose WAL append fails still accounts the hashing it did: every
+/// chunk drains its hash counters before its append, so with no probe in
+/// between `hash_nodes` equals `prepare_nodes.sum` after a successful
+/// batch and after a failed one, in both granularities.
+#[test]
+fn failed_batch_appends_keep_their_hash_counters() {
+    for (granularity, tag) in [
+        (Granularity::Roots, "hashcount-roots"),
+        (
+            Granularity::Subexpressions { min_nodes: 2 },
+            "hashcount-subs",
+        ),
+    ] {
+        let mut arena = ExprArena::new();
+        let roots = corpus(&mut arena, 0xC0DE, 16);
+        let dir = TempDir::new(tag);
+        let fault = FaultVfs::new();
+        let store = builder(granularity, &fault)
+            .open_durable(dir.path())
+            .expect("open durable");
+        let counts = || {
+            let report = store.obs_report();
+            (
+                report.counter("alpha_store_hash_nodes").unwrap(),
+                report.histogram("alpha_store_prepare_nodes").unwrap().sum,
+            )
+        };
+        store
+            .try_insert_batch(&arena, &roots[..8])
+            .expect("healthy batch");
+        let (hashed, prepared) = counts();
+        assert!(prepared > 0);
+        assert_eq!(hashed, prepared, "{granularity:?}: after a good batch");
+
+        fault.fail_always(FaultKind::Eio);
+        let err = store.try_insert_batch(&arena, &roots[8..]).unwrap_err();
+        assert!(matches!(err, StoreError::Persist(_)), "{err}");
+        let (hashed_after, prepared_after) = counts();
+        assert!(prepared_after > prepared, "the failed chunk was prepared");
+        assert_eq!(
+            hashed_after, prepared_after,
+            "{granularity:?}: the failed chunk's hashing is counted"
+        );
+    }
+}
+
 /// A disk whose every 5th write-side op fails once with EIO: the retry
 /// policy absorbs each fault (truncate to the last good frame, re-append),
 /// the ingest never surfaces an error, the store stays healthy and exact,

@@ -5,7 +5,7 @@
 //! without stopping the counters, and the enabled instrumentation stays
 //! within a generous overhead bound.
 
-use alpha_store::{AlphaStore, StoreBuilder};
+use alpha_store::{AlphaStore, Granularity, StoreBuilder};
 use lambda_lang::arena::{ExprArena, NodeId};
 use lambda_lang::uniquify::uniquify_into;
 use proptest::prelude::*;
@@ -99,20 +99,36 @@ fn report_exposes_the_mandated_catalog_in_both_formats() {
     );
 }
 
-/// The reconciliation invariants a Roots-mode store must satisfy however
-/// ingest is interleaved: every confirmed merge was counted by exactly
-/// one confirmation path, every frontier confirmation logged its walk
-/// length, and every ingested term was prepared (and timed) once.
-fn check_roots_reconciliation(store: &AlphaStore<u64>) -> Result<(), TestCaseError> {
+/// The reconciliation invariants of `docs/OBSERVABILITY.md` that hold
+/// however ingest is interleaved: every confirmed merge was counted by
+/// its confirmation path, every frontier confirmation logged its walk
+/// length, every ingested term was prepared (and timed) once, and the
+/// canon table holds one node per intern miss.
+fn check_reconciliation(store: &AlphaStore<u64>) -> Result<(), TestCaseError> {
     let report = store.obs_report();
     let stats = store.stats();
     let by_ref = report.counter("alpha_store_merge_confirm_ref").unwrap();
     let by_walk = report.counter("alpha_store_merge_confirm_walk").unwrap();
-    prop_assert_eq!(
-        by_ref + by_walk,
-        stats.merges_confirmed,
-        "every confirmed merge is attributed to exactly one confirmation path"
-    );
+    if store.granularity().indexes_subexpressions() {
+        // Every entry is interned at prepare time: no walks, one ref
+        // compare per root merge, and at most one per subexpression merge
+        // (duplicates collapsed into one entry merge without a compare).
+        prop_assert_eq!(by_walk, 0);
+        prop_assert!(
+            stats.merges_confirmed <= by_ref
+                && by_ref <= stats.merges_confirmed + stats.subterm_merges_confirmed,
+            "{} ref confirms for {} root and {} subexpression merges",
+            by_ref,
+            stats.merges_confirmed,
+            stats.subterm_merges_confirmed
+        );
+    } else {
+        prop_assert_eq!(
+            by_ref + by_walk,
+            stats.merges_confirmed,
+            "every confirmed merge is attributed to exactly one confirmation path"
+        );
+    }
     let walks = report.histogram("alpha_store_frontier_walk_nodes").unwrap();
     prop_assert_eq!(walks.count, by_walk);
     let prepared = report.histogram("alpha_store_prepare_ns").unwrap();
@@ -120,6 +136,10 @@ fn check_roots_reconciliation(store: &AlphaStore<u64>) -> Result<(), TestCaseErr
     let prepared_nodes = report.histogram("alpha_store_prepare_nodes").unwrap();
     prop_assert_eq!(prepared_nodes.count, stats.terms_ingested);
     prop_assert!(report.counter("alpha_store_hash_nodes").unwrap() >= prepared_nodes.sum);
+    prop_assert_eq!(
+        report.counter("alpha_store_canon_intern_misses"),
+        Some(store.canon_dag_stats().resident_nodes)
+    );
     check_stripe_waits(&report)
 }
 
@@ -136,7 +156,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Concurrent batched ingest from several threads: the obs counters
-    /// reconcile exactly with `StoreStats`, whatever the interleaving.
+    /// reconcile exactly with `StoreStats`, whatever the interleaving, in
+    /// both granularities.
     #[test]
     fn obs_counters_reconcile_with_stats_under_concurrent_ingest(
         seed in 0u64..1_000,
@@ -145,15 +166,21 @@ proptest! {
     ) {
         let mut arena = ExprArena::new();
         let roots = corpus(&mut arena, seed, count);
-        let store: AlphaStore<u64> = AlphaStore::builder().seed(9).shards(4).build();
-        let chunk = roots.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for part in roots.chunks(chunk) {
-                scope.spawn(|| store.insert_batch(&arena, part));
-            }
-        });
-        prop_assert!(store.stats().is_exact());
-        check_roots_reconciliation(&store)?;
+        for granularity in [Granularity::Roots, Granularity::Subexpressions { min_nodes: 2 }] {
+            let store: AlphaStore<u64> = AlphaStore::builder()
+                .seed(9)
+                .shards(4)
+                .granularity(granularity)
+                .build();
+            let chunk = roots.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for part in roots.chunks(chunk) {
+                    scope.spawn(|| store.insert_batch(&arena, part));
+                }
+            });
+            prop_assert!(store.stats().is_exact());
+            check_reconciliation(&store)?;
+        }
     }
 }
 
