@@ -405,8 +405,8 @@ impl Client {
         self.simple_op(wire::OP_STATS, true, |input| Ok(wire::take_stats(input)?))
     }
 
-    /// Fetches the Prometheus exposition-format metrics text (requires
-    /// an `obs`-enabled server).
+    /// Fetches the server store's metrics in the Prometheus exposition
+    /// text format.
     pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
         self.simple_op(wire::OP_METRICS_PROMETHEUS, true, |input| {
             Ok(wire::take_str(input)?)

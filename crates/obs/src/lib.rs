@@ -8,23 +8,22 @@
 //!   and [`Gauge`]s, and striped lock-free log2-bucket [`Histogram`]s
 //!   from which p50/p90/p99/max are derived at snapshot time. Recording
 //!   is wait-free and safe inside any critical section.
-//! - **Tracing** ([`trace`]): a [`Tracer`] facade handing out RAII
-//!   timer [`Span`]s with static call-site names, routed to a pluggable
-//!   [`Subscriber`] (default: a ring buffer of recent events). A
-//!   runtime toggle disarms spans at one atomic load per call site.
+//! - **Tracing** ([`trace`]): a [`Tracer`] that stamps caller-timed
+//!   events with static call-site names into a bounded ring of recent
+//!   events.
 //! - **Export** ([`export`]): a [`Registry`] of named instruments whose
 //!   [`Report`] snapshot renders to Prometheus text format or JSON and
 //!   offers typed accessors for programmatic reads.
 //!
-//! The instrumented component (see `alpha-store`'s `obs` feature)
+//! The instrumented component (see `alpha-store`'s `obs` module)
 //! decides *what* to measure; this crate only provides the mechanics.
+//! Nothing here can be switched off: every instrument records on every
+//! call.
 //!
 //! [`Counter`]: metrics::Counter
 //! [`Gauge`]: metrics::Gauge
 //! [`Histogram`]: hist::Histogram
 //! [`Tracer`]: trace::Tracer
-//! [`Span`]: trace::Span
-//! [`Subscriber`]: trace::Subscriber
 //! [`Registry`]: export::Registry
 //! [`Report`]: export::Report
 
@@ -39,4 +38,4 @@ pub mod trace;
 pub use export::{Desc, Registry, Report, Sample};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
-pub use trace::{Event, RingSubscriber, Span, Subscriber, Tracer};
+pub use trace::{Event, Tracer};

@@ -1,10 +1,10 @@
 //! Atomic counters and gauges.
 //!
 //! Both are thin wrappers over a relaxed [`AtomicU64`]: a [`Counter`]
-//! only ever goes up, a [`Gauge`] can be set or moved in either
-//! direction. Neither allocates, blocks, or takes locks — they are safe
-//! to touch from inside any critical section (see the lock-order rules
-//! in `docs/OBSERVABILITY.md`).
+//! only ever goes up, a [`Gauge`] can be overwritten or raised. Neither
+//! allocates, blocks, or takes locks — they are safe to touch from
+//! inside any critical section (see the lock-order rules in
+//! `docs/OBSERVABILITY.md`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,7 +37,7 @@ impl Counter {
     }
 }
 
-/// A point-in-time measurement that can move both ways.
+/// A point-in-time level: overwritten, or raised and later reset.
 #[derive(Default)]
 pub struct Gauge(AtomicU64);
 
@@ -57,13 +57,6 @@ impl Gauge {
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract `n` (saturating at zero only in aggregate use; the raw
-    /// wrapping subtraction is intentional — pair adds with subs).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -87,8 +80,7 @@ mod tests {
         let g = Gauge::new();
         g.set(10);
         g.add(5);
-        g.sub(3);
-        assert_eq!(g.get(), 12);
+        assert_eq!(g.get(), 15);
         g.set(0);
         assert_eq!(g.get(), 0);
     }

@@ -1,28 +1,24 @@
-//! Span/event tracing facade.
+//! Event tracing into a bounded ring.
 //!
-//! A [`Tracer`] hands out RAII [`Span`]s: creating one stamps the clock,
-//! dropping it emits an [`Event`] to the installed [`Subscriber`]. Call
-//! sites are registered statically — an event's `name` is a `&'static
-//! str`, so emitting never allocates. The default subscriber is a
-//! [`RingSubscriber`] holding the most recent events for post-hoc
-//! dumping ("what were the last 1024 things the store did?"); services
-//! can install their own sink with [`Tracer::set_subscriber`].
-//!
-//! When the tracer is disabled ([`Tracer::set_enabled`]`(false)`) spans
-//! are disarmed at construction: no clock read, no emission — one
-//! relaxed atomic load per call site.
+//! A [`Tracer`] stamps each [`Event`] against one origin instant and
+//! keeps the most recent ones for post-hoc dumping ("what were the last
+//! 1024 things the store did?"). Call sites are registered statically —
+//! an event's `name` is a `&'static str`, so emitting never allocates.
+//! Durations are measured by the caller, so an event can report time
+//! spent under a lock the tracer must not take. Emission is always on:
+//! one short mutex hold per event, never nested inside a store lock.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// One traced occurrence: a completed span or an instantaneous event.
+/// One traced occurrence: a timed section or an instantaneous event.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// Static call-site name, e.g. `"store.apply_chunk"`.
     pub name: &'static str,
-    /// Nanoseconds since the tracer's origin at which the event ended.
+    /// Nanoseconds since the tracer's origin at which the event was
+    /// emitted (non-decreasing along the ring).
     pub t_ns: u64,
     /// Duration in nanoseconds (0 for instantaneous events).
     pub dur_ns: u64,
@@ -30,161 +26,55 @@ pub struct Event {
     pub arg: u64,
 }
 
-/// A sink for [`Event`]s. Implementations must not block for long and
-/// must never call back into the store (events are emitted from inside
-/// its hot paths, though never while store locks are held).
-pub trait Subscriber: Send + Sync {
-    /// Receive one event.
-    fn event(&self, e: &Event);
-}
-
-/// The default subscriber: a bounded ring of the most recent events.
-pub struct RingSubscriber {
+/// Stamps events against one origin instant and keeps the most recent
+/// ones in a bounded ring (oldest evicted first).
+pub struct Tracer {
+    origin: Instant,
     cap: usize,
-    buf: Mutex<VecDeque<Event>>,
+    ring: Mutex<VecDeque<Event>>,
 }
 
-impl RingSubscriber {
-    /// A ring holding up to `cap` events (oldest evicted first).
+impl Tracer {
+    /// A tracer whose ring holds up to `cap` events.
     pub fn new(cap: usize) -> Self {
-        RingSubscriber {
+        Tracer {
+            origin: Instant::now(),
             cap: cap.max(1),
-            buf: Mutex::new(VecDeque::with_capacity(cap.clamp(1, 4096))),
+            ring: Mutex::new(VecDeque::with_capacity(cap.clamp(1, 4096))),
         }
+    }
+
+    /// Emit a pre-measured event. The timestamp is read under the ring's
+    /// lock, so ring order is time order.
+    #[inline]
+    pub fn event(&self, name: &'static str, dur_ns: u64, arg: u64) {
+        let mut ring = self.ring.lock().expect("trace ring poisoned");
+        if ring.len() == self.cap {
+            ring.pop_front();
+        }
+        ring.push_back(Event {
+            name,
+            t_ns: self.origin.elapsed().as_nanos() as u64,
+            dur_ns,
+            arg,
+        });
     }
 
     /// The buffered events, oldest first.
     pub fn recent(&self) -> Vec<Event> {
-        self.buf
+        self.ring
             .lock()
-            .expect("ring poisoned")
+            .expect("trace ring poisoned")
             .iter()
             .copied()
             .collect()
     }
 }
 
-impl Default for RingSubscriber {
+impl Default for Tracer {
+    /// A tracer holding the 1024 most recent events.
     fn default() -> Self {
         Self::new(1024)
-    }
-}
-
-impl Subscriber for RingSubscriber {
-    fn event(&self, e: &Event) {
-        let mut buf = self.buf.lock().expect("ring poisoned");
-        if buf.len() == self.cap {
-            buf.pop_front();
-        }
-        buf.push_back(*e);
-    }
-}
-
-/// Hands out spans, stamps them against one origin instant, and routes
-/// finished events to the current subscriber.
-pub struct Tracer {
-    origin: Instant,
-    enabled: AtomicBool,
-    subscriber: RwLock<Arc<dyn Subscriber>>,
-}
-
-impl Tracer {
-    /// A tracer with the given subscriber, enabled.
-    pub fn new(subscriber: Arc<dyn Subscriber>) -> Self {
-        Tracer {
-            origin: Instant::now(),
-            enabled: AtomicBool::new(true),
-            subscriber: RwLock::new(subscriber),
-        }
-    }
-
-    /// A tracer with a default 1024-event ring subscriber.
-    pub fn with_ring() -> (Self, Arc<RingSubscriber>) {
-        let ring = Arc::new(RingSubscriber::default());
-        (Self::new(ring.clone()), ring)
-    }
-
-    /// Turn emission on or off. Off means spans are disarmed at
-    /// construction: no clock reads, no events.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Is emission currently on?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Replace the subscriber. Spans already in flight emit to the sink
-    /// that is installed when they drop.
-    pub fn set_subscriber(&self, s: Arc<dyn Subscriber>) {
-        *self.subscriber.write().expect("subscriber lock poisoned") = s;
-    }
-
-    /// Start a span. If the tracer is disabled this is a no-op shell
-    /// (one atomic load, no clock read).
-    #[inline]
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        Span {
-            tracer: self,
-            name,
-            start: if self.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-            arg: 0,
-        }
-    }
-
-    /// Emit a pre-measured event (used when the duration was captured
-    /// outside a span, e.g. under a lock the span must not hold).
-    #[inline]
-    pub fn event(&self, name: &'static str, dur_ns: u64, arg: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.emit(name, dur_ns, arg);
-    }
-
-    fn emit(&self, name: &'static str, dur_ns: u64, arg: u64) {
-        let e = Event {
-            name,
-            t_ns: self.origin.elapsed().as_nanos() as u64,
-            dur_ns,
-            arg,
-        };
-        self.subscriber
-            .read()
-            .expect("subscriber lock poisoned")
-            .event(&e);
-    }
-}
-
-/// An in-flight RAII timer; dropping it emits the event. Obtained from
-/// [`Tracer::span`].
-pub struct Span<'t> {
-    tracer: &'t Tracer,
-    name: &'static str,
-    start: Option<Instant>,
-    arg: u64,
-}
-
-impl Span<'_> {
-    /// Attach the event's free argument (a count, a byte size, …).
-    #[inline]
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let dur = start.elapsed().as_nanos() as u64;
-            self.tracer.emit(self.name, dur, self.arg);
-        }
     }
 }
 
@@ -193,63 +83,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_emit_to_ring_in_order() {
-        let (tracer, ring) = Tracer::with_ring();
-        {
-            let mut s = tracer.span("first");
-            s.set_arg(7);
-        }
+    fn events_emit_to_ring_in_order() {
+        let tracer = Tracer::default();
+        tracer.event("first", 0, 7);
         tracer.event("second", 123, 9);
-        let events = ring.recent();
+        let events = tracer.recent();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "first");
         assert_eq!(events[0].arg, 7);
         assert_eq!(events[1].name, "second");
         assert_eq!(events[1].dur_ns, 123);
         assert_eq!(events[1].arg, 9);
-    }
-
-    #[test]
-    fn disabled_tracer_emits_nothing() {
-        let (tracer, ring) = Tracer::with_ring();
-        tracer.set_enabled(false);
-        drop(tracer.span("quiet"));
-        tracer.event("also-quiet", 1, 1);
-        assert!(ring.recent().is_empty());
-        tracer.set_enabled(true);
-        drop(tracer.span("loud"));
-        assert_eq!(ring.recent().len(), 1);
+        assert!(events[0].t_ns <= events[1].t_ns);
     }
 
     #[test]
     fn ring_evicts_oldest() {
-        let ring = RingSubscriber::new(3);
-        let tracer = Tracer::new(Arc::new(RingSubscriber::new(1)));
-        // Exercise the ring directly (tracer origin irrelevant here).
+        let tracer = Tracer::new(3);
         for i in 0..5u64 {
-            ring.event(&Event {
-                name: "e",
-                t_ns: i,
-                dur_ns: 0,
-                arg: i,
-            });
+            tracer.event("e", 0, i);
         }
-        let events = ring.recent();
+        let events = tracer.recent();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].arg, 2);
         assert_eq!(events[2].arg, 4);
-        drop(tracer);
-    }
-
-    #[test]
-    fn subscriber_can_be_swapped() {
-        let (tracer, first) = Tracer::with_ring();
-        drop(tracer.span("a"));
-        let second = Arc::new(RingSubscriber::default());
-        tracer.set_subscriber(second.clone());
-        drop(tracer.span("b"));
-        assert_eq!(first.recent().len(), 1);
-        assert_eq!(second.recent().len(), 1);
-        assert_eq!(second.recent()[0].name, "b");
     }
 }

@@ -114,6 +114,5 @@ pub use update::{Rewrite, UpdateOutcome};
 /// The zero-dependency metrics/tracing crate backing
 /// [`AlphaStore::obs_report`] and friends, re-exported so downstream
 /// callers can name its types ([`Report`](alpha_obs::Report),
-/// [`Event`](alpha_obs::Event), [`Subscriber`](alpha_obs::Subscriber))
-/// without a separate dependency edge.
+/// [`Event`](alpha_obs::Event)) without a separate dependency edge.
 pub use alpha_obs;

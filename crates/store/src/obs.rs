@@ -2,12 +2,12 @@
 //!
 //! Everything the hot paths touch goes through [`StoreObs`] (and its
 //! WAL-side sibling [`WalObs`]): a struct owning an `alpha-obs`
-//! [`Registry`](alpha_obs::Registry) of histograms, counters and gauges
-//! plus a [`Tracer`](alpha_obs::Tracer). Timed sections are bracketed by
-//! [`StoreObs::tick`], which reads the clock only while the runtime
-//! toggle is on; counters and length histograms record unconditionally
-//! (one relaxed atomic op), so reconciliation invariants hold whether or
-//! not timing is enabled.
+//! [`Registry`] of histograms, counters and gauges plus a [`Tracer`]
+//! whose bounded ring keeps the most recent events. Timed sections are
+//! bracketed by [`StoreObs::tick`] (one clock read) and the matching
+//! `rec_*` call; counters and length histograms are one relaxed atomic
+//! op each. There is no switch: every instrument records on every call,
+//! so the figures a benchmark reads are the ones production exports.
 //!
 //! **Lock-order rule:** obs recording never takes a store lock. Inside
 //! a shard or canon-table critical section only wait-free operations
@@ -17,10 +17,7 @@
 //! ordering-safe regardless (store locks → obs internals is acyclic).
 //! See `docs/ARCHITECTURE.md` ("instrumentation seam").
 
-use alpha_obs::{
-    Counter, Desc, Event, Gauge, Histogram, Registry, Report, Sample, Subscriber, Tracer,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
+use alpha_obs::{Counter, Desc, Event, Gauge, Histogram, Registry, Report, Sample, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,15 +25,15 @@ const fn desc(name: &'static str, help: &'static str, unit: &'static str) -> Des
     Desc { name, help, unit }
 }
 
-/// A started (or disarmed) timer, obtained from [`StoreObs::tick`]
-/// or [`WalObs::tick`] and consumed by the matching `rec_*` call.
+/// A started timer, obtained from [`StoreObs::tick`] or
+/// [`WalObs::tick`] and consumed by the matching `rec_*` call.
 #[derive(Clone, Copy)]
-pub(crate) struct Tick(Option<Instant>);
+pub(crate) struct Tick(Instant);
 
 impl Tick {
     #[inline]
-    fn elapsed_ns(self) -> Option<u64> {
-        self.0.map(|s| s.elapsed().as_nanos() as u64)
+    fn elapsed_ns(self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
     }
 }
 
@@ -45,9 +42,7 @@ impl Tick {
 ///
 /// [`AlphaStore`]: crate::AlphaStore
 pub(crate) struct StoreObs {
-    recording: Arc<AtomicBool>,
     tracer: Tracer,
-    ring: Arc<alpha_obs::RingSubscriber>,
     registry: Registry,
     // Latency histograms (ns).
     prepare_ns: Arc<Histogram>,
@@ -80,7 +75,6 @@ pub(crate) struct StoreObs {
 /// The subset of instruments the WAL records into, shared between
 /// the store's registry and the `Wal` behind its mutex.
 pub(crate) struct WalShared {
-    recording: Arc<AtomicBool>,
     append_ns: Arc<Histogram>,
     fsync_ns: Arc<Histogram>,
     bytes_since_checkpoint: Arc<Gauge>,
@@ -210,19 +204,14 @@ impl StoreObs {
             "Checkpoints triggered by the WAL watermarks",
             "checkpoints",
         ));
-        let recording = Arc::new(AtomicBool::new(true));
-        let (tracer, ring) = Tracer::with_ring();
         let wal = Arc::new(WalShared {
-            recording: recording.clone(),
             append_ns: wal_append_ns,
             fsync_ns: wal_fsync_ns,
             bytes_since_checkpoint,
             persist_errors,
         });
         StoreObs {
-            recording,
-            tracer,
-            ring,
+            tracer: Tracer::default(),
             registry,
             prepare_ns,
             prepare_nodes,
@@ -248,33 +237,14 @@ impl StoreObs {
         }
     }
 
-    /// Start a timer; reads the clock only while recording is on.
+    /// Start a timer.
     #[inline]
     pub(crate) fn tick(&self) -> Tick {
-        if self.recording.load(Ordering::Relaxed) {
-            Tick(Some(Instant::now()))
-        } else {
-            Tick(None)
-        }
-    }
-
-    /// Runtime toggle for everything that costs a clock read or an
-    /// emission. Counters keep recording either way.
-    pub(crate) fn set_enabled(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
-        self.tracer.set_enabled(on);
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
+        Tick(Instant::now())
     }
 
     pub(crate) fn recent_events(&self) -> Vec<Event> {
-        self.ring.recent()
-    }
-
-    pub(crate) fn set_subscriber(&self, s: Arc<dyn Subscriber>) {
-        self.tracer.set_subscriber(s);
+        self.tracer.recent()
     }
 
     /// A WAL-side handle sharing this store's instruments.
@@ -293,53 +263,42 @@ impl StoreObs {
     #[inline]
     pub(crate) fn rec_prepare(&self, t: Tick, nodes: u64) {
         self.prepare_nodes.record(nodes);
-        if let Some(ns) = t.elapsed_ns() {
-            self.prepare_ns.record(ns);
-        }
+        self.prepare_ns.record(t.elapsed_ns());
     }
 
     #[inline]
     pub(crate) fn rec_shard_lock_wait(&self, t: Tick) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.shard_lock_wait_ns.record(ns);
-        }
+        self.shard_lock_wait_ns.record(t.elapsed_ns());
     }
 
     #[inline]
     pub(crate) fn rec_apply(&self, t: Tick, entries: u64) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.apply_ns.record(ns);
-            self.tracer.event("store.apply_chunk", ns, entries);
-        }
+        let ns = t.elapsed_ns();
+        self.apply_ns.record(ns);
+        self.tracer.event("store.apply_chunk", ns, entries);
     }
 
     #[inline]
     pub(crate) fn rec_wal_commit(&self, t: Tick, records: u64) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.wal_commit_ns.record(ns);
-            self.tracer.event("store.wal_commit", ns, records);
-        }
+        let ns = t.elapsed_ns();
+        self.wal_commit_ns.record(ns);
+        self.tracer.event("store.wal_commit", ns, records);
     }
 
     #[inline]
     pub(crate) fn rec_probe_prepare(&self, t: Tick) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.probe_prepare_ns.record(ns);
-        }
+        self.probe_prepare_ns.record(t.elapsed_ns());
     }
 
     #[inline]
     pub(crate) fn rec_probe(&self, t: Tick) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.probe_ns.record(ns);
-        }
+        self.probe_ns.record(t.elapsed_ns());
     }
 
     pub(crate) fn rec_snapshot_write(&self, t: Tick, bytes: u64) {
-        if let Some(ns) = t.elapsed_ns() {
-            self.snapshot_write_ns.record(ns);
-            self.tracer.event("store.snapshot_write", ns, bytes);
-        }
+        let ns = t.elapsed_ns();
+        self.snapshot_write_ns.record(ns);
+        self.tracer.event("store.snapshot_write", ns, bytes);
     }
 
     /// Recovery phases are timed before the store (and thus this
@@ -431,23 +390,20 @@ impl std::fmt::Debug for WalObs {
 impl WalObs {
     #[inline]
     pub(crate) fn tick(&self) -> Tick {
-        match &self.inner {
-            Some(w) if w.recording.load(Ordering::Relaxed) => Tick(Some(Instant::now())),
-            _ => Tick(None),
-        }
+        Tick(Instant::now())
     }
 
     #[inline]
     pub(crate) fn rec_append(&self, t: Tick) {
-        if let (Some(w), Some(ns)) = (&self.inner, t.elapsed_ns()) {
-            w.append_ns.record(ns);
+        if let Some(w) = &self.inner {
+            w.append_ns.record(t.elapsed_ns());
         }
     }
 
     #[inline]
     pub(crate) fn rec_fsync(&self, t: Tick) {
-        if let (Some(w), Some(ns)) = (&self.inner, t.elapsed_ns()) {
-            w.fsync_ns.record(ns);
+        if let Some(w) = &self.inner {
+            w.fsync_ns.record(t.elapsed_ns());
         }
     }
 

@@ -296,6 +296,10 @@ pub struct Preparer<H: HashWord> {
     /// Node count of the largest term prepared since the preparer was
     /// built or last forgot its arena (see `PreparerPool::give`).
     largest: u64,
+    /// Scratch of the store's probe: the prepared patterns and their
+    /// shard sort keys, kept so a warm probe reuses their capacity.
+    pub(crate) probe_roots: Vec<RootEntry<H>>,
+    pub(crate) probe_keys: Vec<u64>,
 }
 
 /// End of an occurrence list in [`Preparer`]'s `occ_prev`.
@@ -361,15 +365,22 @@ impl<H: HashWord> Preparer<H> {
             closing: Vec::new(),
             path_stack: Vec::new(),
             largest: 0,
+            probe_roots: Vec::new(),
+            probe_keys: Vec::new(),
         }
     }
 
     /// Empties the arena-affine caches (name hashes and canon name ids)
-    /// in O(symbols they hold), so the preparer may serve another arena.
+    /// in O(symbols they hold), and the probe scratch, so the preparer
+    /// may serve another arena.
     fn forget_arena(&mut self) {
         self.summariser.forget_names();
         self.name_ids.clear();
         self.largest = 0;
+        self.probe_roots.clear();
+        self.probe_roots.shrink_to(POOLED_PROBE_SCRATCH);
+        self.probe_keys.clear();
+        self.probe_keys.shrink_to(POOLED_PROBE_SCRATCH);
     }
 
     /// Drains the summariser's cumulative work counters — `(nodes pushed,
@@ -692,6 +703,10 @@ pub const POOLED_PREPARER_MAX_PAGES: usize = 64;
 /// walk stacks, per-node records) sized to them; a preparer that prepared
 /// one is dropped instead of pooled, so warm preparers stay small.
 const POOLED_PREPARER_MAX_NODES: u64 = 1 << 16;
+
+/// Patterns of probe scratch a pooled preparer keeps: a large
+/// `contains_batch` leaves no batch-sized buffers behind in the pool.
+const POOLED_PROBE_SCRATCH: usize = 256;
 
 /// Warm preparers for the store's single-call paths (`lookup`,
 /// `contains`, `contains_batch`, `try_insert`): a call borrows one and

@@ -900,17 +900,18 @@ impl<H: HashWord> AlphaStore<H> {
         Ok(outcomes)
     }
 
-    /// Sort keys grouping the indices of `hashes` by shard: `(shard << 32)
-    /// | index`, sorted, so [`shard_runs`] yields one run per shard with
-    /// input order kept within it, and a sweep takes each shard lock once
-    /// without building a shard map.
-    fn by_shard(&self, hashes: impl Iterator<Item = H>) -> Vec<u64> {
-        let mut keys: Vec<u64> = hashes
-            .enumerate()
-            .map(|(i, h)| ((self.shard_of(h) as u64) << 32) | i as u64)
-            .collect();
+    /// Fills `keys` with sort keys grouping the indices of `hashes` by
+    /// shard: `(shard << 32) | index`, sorted, so [`shard_runs`] yields one
+    /// run per shard with input order kept within it, and a sweep takes
+    /// each shard lock once without building a shard map.
+    fn by_shard(&self, keys: &mut Vec<u64>, hashes: impl Iterator<Item = H>) {
+        keys.clear();
+        keys.extend(
+            hashes
+                .enumerate()
+                .map(|(i, h)| ((self.shard_of(h) as u64) << 32) | i as u64),
+        );
         keys.sort_unstable();
-        keys
     }
 
     /// The lock-side second half of [`AlphaStore::ingest_prepared`]
@@ -943,7 +944,8 @@ impl<H: HashWord> AlphaStore<H> {
         // merges: the collapsed duplicates merged into the class the first
         // occurrence created.
         let (mut n_indexed, mut n_created, mut n_merged, mut n_collided) = (0u64, 0u64, 0u64, 0u64);
-        let keys = self.by_shard(subs.iter().map(|(_, e)| e.hash));
+        let mut keys = Vec::new();
+        self.by_shard(&mut keys, subs.iter().map(|(_, e)| e.hash));
         for (shard_index, run) in shard_runs(&keys) {
             let n_entries = run.len() as u64;
             let t_apply = self.obs.tick();
@@ -994,7 +996,7 @@ impl<H: HashWord> AlphaStore<H> {
         // Sweep 2: the roots, one lock per shard, each finished in input
         // order within its shard.
         let mut outcomes: Vec<Option<InsertOutcome>> = vec![None; count];
-        let keys = self.by_shard(roots.iter().map(|r| r.hash));
+        self.by_shard(&mut keys, roots.iter().map(|r| r.hash));
         for (shard_index, run) in shard_runs(&keys) {
             let n_items = run.len() as u64;
             let t_apply = self.obs.tick();
@@ -1116,22 +1118,22 @@ impl<H: HashWord> AlphaStore<H> {
         // The first pattern's prepare time includes taking the preparer.
         let mut t = self.obs.tick();
         let mut preparer = self.preparers.take(arena, &self.scheme);
-        let prepared: Vec<RootEntry<H>> = patterns
-            .iter()
-            .map(|&p| {
-                let root = preparer
-                    .prepare(arena, p, Granularity::Roots, &self.table)
-                    .root;
-                self.obs
-                    .rec_probe_prepare(std::mem::replace(&mut t, self.obs.tick()));
-                root
-            })
-            .collect();
+        // The pooled preparer's scratch: a warm probe allocates only its
+        // results.
+        let mut prepared = std::mem::take(&mut preparer.probe_roots);
+        let mut keys = std::mem::take(&mut preparer.probe_keys);
+        for &p in patterns {
+            let root = preparer
+                .prepare(arena, p, Granularity::Roots, &self.table)
+                .root;
+            prepared.push(root);
+            self.obs
+                .rec_probe_prepare(std::mem::replace(&mut t, self.obs.tick()));
+        }
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
-        self.preparers.give(preparer);
         let mut results: Vec<Option<ClassId>> = vec![None; patterns.len()];
-        let keys = self.by_shard(prepared.iter().map(|p| p.hash));
+        self.by_shard(&mut keys, prepared.iter().map(|p| p.hash));
         for (shard_index, run) in shard_runs(&keys) {
             let t_lock = self.obs.tick();
             let shard = self.shards[shard_index]
@@ -1152,6 +1154,9 @@ impl<H: HashWord> AlphaStore<H> {
                 self.obs.rec_probe(t);
             }
         }
+        preparer.probe_roots = prepared;
+        preparer.probe_keys = keys;
+        self.preparers.give(preparer);
         results
     }
 
@@ -1985,35 +1990,11 @@ impl<H: HashWord> AlphaStore<H> {
         self.obs.report(extras)
     }
 
-    /// Runtime toggle for the clock-reading / event-emitting half of
-    /// instrumentation (on by default). Counters and length histograms
-    /// keep recording regardless — one relaxed atomic op each — so
-    /// reconciliation invariants (e.g. confirmations vs
-    /// [`StoreStats::merges_confirmed`]) hold in either state.
-    pub fn set_obs_enabled(&self, on: bool) {
-        self.obs.set_enabled(on);
-    }
-
-    /// Whether timed instrumentation is currently enabled.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.enabled()
-    }
-
-    /// The most recent trace events from the default ring-buffer
-    /// subscriber (newest last). Empty after
-    /// [`set_obs_subscriber`](Self::set_obs_subscriber) replaces the
-    /// ring.
+    /// The most recent trace events (at most 1,024, oldest first, with
+    /// non-decreasing `t_ns`): apply chunks, WAL commits, snapshot
+    /// writes and health transitions.
     pub fn obs_recent_events(&self) -> Vec<alpha_obs::Event> {
         self.obs.recent_events()
-    }
-
-    /// Replaces the trace subscriber (the default is a bounded ring
-    /// buffer readable via
-    /// [`obs_recent_events`](Self::obs_recent_events)). The subscriber
-    /// is called with store locks possibly held: it must not call back
-    /// into this store.
-    pub fn set_obs_subscriber(&self, s: std::sync::Arc<dyn alpha_obs::Subscriber>) {
-        self.obs.set_subscriber(s);
     }
 }
 
