@@ -139,32 +139,12 @@ impl Client {
 
     fn ensure_conn(&mut self) -> Result<&mut Conn, ClientError> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
+            let mut stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true).ok();
-            let mut conn = Conn {
-                stream,
-                hello: ServerHello {
-                    version: 0,
-                    hash_bits: 0,
-                    shard_count: 0,
-                    subexpr_min_nodes: None,
-                },
-            };
-            let mut out = Vec::new();
-            wire::put_handshake(&mut out, wire::PROTOCOL_VERSION);
-            wire::write_frame(&mut conn.stream, &out)?;
-            let payload = read_response(&mut conn.stream)?;
-            let mut input = payload.as_slice();
-            match wire::take_u8(&mut input)? {
-                wire::RESP_OK => {
-                    conn.hello = wire::take_hello(&mut input)?;
-                }
-                code => {
-                    let message = wire::take_str(&mut input).unwrap_or_default();
-                    return Err(ClientError::Remote { code, message });
-                }
-            }
-            self.conn = Some(conn);
+            let mut handshake = Vec::new();
+            wire::put_handshake(&mut handshake, wire::PROTOCOL_VERSION);
+            let hello = exchange(&mut stream, &handshake, wire::take_hello)?;
+            self.conn = Some(Conn { stream, hello });
         }
         Ok(self.conn.as_mut().expect("just ensured"))
     }
@@ -198,18 +178,9 @@ impl Client {
         arena: &ExprArena,
         root: NodeId,
     ) -> Result<RemoteOutcome, ClientError> {
-        let mut payload = Vec::new();
-        wire::put_u8(&mut payload, wire::OP_INSERT);
-        wire::put_term(&mut payload, arena, root);
-        self.with_conn(false, |conn| {
-            wire::write_frame(&mut conn.stream, &payload)?;
-            let resp = read_response(&mut conn.stream)?;
-            let mut input = resp.as_slice();
-            match wire::take_u8(&mut input)? {
-                wire::RESP_OK => Ok(wire::take_outcome(&mut input)?),
-                code => Err(remote(code, &mut input)),
-            }
-        })
+        let mut request = vec![wire::OP_INSERT];
+        wire::put_term(&mut request, arena, root);
+        self.call(false, &request, wire::take_outcome)
     }
 
     /// Ingests `roots` as a streamed batch, returning one outcome per
@@ -222,59 +193,13 @@ impl Client {
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<RemoteOutcome>, ClientError> {
-        let chunk_terms = self.chunk_terms;
-        self.with_conn(false, |conn| {
-            let mut announce = Vec::new();
-            wire::put_u8(&mut announce, wire::OP_INSERT_BATCH);
-            wire::write_frame(&mut conn.stream, &announce)?;
-            for chunk in roots.chunks(chunk_terms.max(1)) {
-                let mut payload = Vec::new();
-                wire::put_u8(&mut payload, wire::OP_BATCH_CHUNK);
-                wire::put_u32(
-                    &mut payload,
-                    u32::try_from(chunk.len()).expect("chunk fits u32"),
-                );
-                for &root in chunk {
-                    wire::put_term(&mut payload, arena, root);
-                }
-                wire::write_frame(&mut conn.stream, &payload)?;
-            }
-            let mut end = Vec::new();
-            wire::put_u8(&mut end, wire::OP_BATCH_END);
-            wire::write_frame(&mut conn.stream, &end)?;
-
-            let mut outcomes = Vec::with_capacity(roots.len());
-            loop {
-                let resp = read_response(&mut conn.stream)?;
-                let mut input = resp.as_slice();
-                match wire::take_u8(&mut input)? {
-                    wire::RESP_CHUNK => {
-                        let count = wire::take_u32(&mut input)?;
-                        for _ in 0..count {
-                            outcomes.push(wire::take_outcome(&mut input)?);
-                        }
-                    }
-                    wire::RESP_END => {
-                        let _total = wire::take_u64(&mut input)?;
-                        return Ok(outcomes);
-                    }
-                    code => {
-                        let err = remote(code, &mut input);
-                        // Drain the remaining per-chunk responses and the
-                        // END so the connection stays usable, then
-                        // surface the first error.
-                        loop {
-                            let resp = read_response(&mut conn.stream)?;
-                            let mut input = resp.as_slice();
-                            if wire::take_u8(&mut input)? == wire::RESP_END {
-                                break;
-                            }
-                        }
-                        return Err(err);
-                    }
-                }
-            }
-        })
+        self.stream_batch(
+            wire::OP_INSERT_BATCH,
+            false,
+            arena,
+            roots,
+            wire::take_outcome,
+        )
     }
 
     /// Incrementally rewrites a previously ingested term in place: the
@@ -291,18 +216,9 @@ impl Client {
         arena: &ExprArena,
         root: NodeId,
     ) -> Result<RemoteOutcome, ClientError> {
-        let mut payload = Vec::new();
-        wire::put_u8(&mut payload, wire::OP_UPDATE);
-        wire::put_update(&mut payload, term, path, arena, root);
-        self.with_conn(false, |conn| {
-            wire::write_frame(&mut conn.stream, &payload)?;
-            let resp = read_response(&mut conn.stream)?;
-            let mut input = resp.as_slice();
-            match wire::take_u8(&mut input)? {
-                wire::RESP_OK => Ok(wire::take_outcome(&mut input)?),
-                code => Err(remote(code, &mut input)),
-            }
-        })
+        let mut request = vec![wire::OP_UPDATE];
+        wire::put_update(&mut request, term, path, arena, root);
+        self.call(false, &request, wire::take_outcome)
     }
 
     /// Exact-match class lookup (no ingest). `Some(bits)` is the class
@@ -327,18 +243,9 @@ impl Client {
         arena: &ExprArena,
         root: NodeId,
     ) -> Result<Option<u64>, ClientError> {
-        let mut payload = Vec::new();
-        wire::put_u8(&mut payload, op);
-        wire::put_term(&mut payload, arena, root);
-        self.with_conn(true, |conn| {
-            wire::write_frame(&mut conn.stream, &payload)?;
-            let resp = read_response(&mut conn.stream)?;
-            let mut input = resp.as_slice();
-            match wire::take_u8(&mut input)? {
-                wire::RESP_OK => Ok(wire::take_opt_class(&mut input)?),
-                code => Err(remote(code, &mut input)),
-            }
-        })
+        let mut request = vec![op];
+        wire::put_term(&mut request, arena, root);
+        self.call(true, &request, wire::take_opt_class)
     }
 
     /// Batched containment query: one `Option<class bits>` per pattern,
@@ -348,100 +255,99 @@ impl Client {
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<Option<u64>>, ClientError> {
-        let chunk_terms = self.chunk_terms;
-        self.with_conn(true, |conn| {
-            let mut announce = Vec::new();
-            wire::put_u8(&mut announce, wire::OP_CONTAINS_BATCH);
-            wire::write_frame(&mut conn.stream, &announce)?;
-            for chunk in roots.chunks(chunk_terms.max(1)) {
-                let mut payload = Vec::new();
-                wire::put_u8(&mut payload, wire::OP_BATCH_CHUNK);
-                wire::put_u32(
-                    &mut payload,
-                    u32::try_from(chunk.len()).expect("chunk fits u32"),
-                );
-                for &root in chunk {
-                    wire::put_term(&mut payload, arena, root);
-                }
-                wire::write_frame(&mut conn.stream, &payload)?;
-            }
-            let mut end = Vec::new();
-            wire::put_u8(&mut end, wire::OP_BATCH_END);
-            wire::write_frame(&mut conn.stream, &end)?;
-
-            let mut classes = Vec::with_capacity(roots.len());
-            loop {
-                let resp = read_response(&mut conn.stream)?;
-                let mut input = resp.as_slice();
-                match wire::take_u8(&mut input)? {
-                    wire::RESP_CHUNK => {
-                        let count = wire::take_u32(&mut input)?;
-                        for _ in 0..count {
-                            classes.push(wire::take_opt_class(&mut input)?);
-                        }
-                    }
-                    wire::RESP_END => {
-                        let _total = wire::take_u64(&mut input)?;
-                        return Ok(classes);
-                    }
-                    code => {
-                        let err = remote(code, &mut input);
-                        loop {
-                            let resp = read_response(&mut conn.stream)?;
-                            let mut input = resp.as_slice();
-                            if wire::take_u8(&mut input)? == wire::RESP_END {
-                                break;
-                            }
-                        }
-                        return Err(err);
-                    }
-                }
-            }
-        })
+        self.stream_batch(
+            wire::OP_CONTAINS_BATCH,
+            true,
+            arena,
+            roots,
+            wire::take_opt_class,
+        )
     }
 
     /// Fetches the server's stats/health/recovery snapshot.
     pub fn stats(&mut self) -> Result<RemoteStats, ClientError> {
-        self.simple_op(wire::OP_STATS, true, |input| Ok(wire::take_stats(input)?))
+        self.call(true, &[wire::OP_STATS], wire::take_stats)
     }
 
     /// Fetches the server store's metrics in the Prometheus exposition
     /// text format.
     pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
-        self.simple_op(wire::OP_METRICS_PROMETHEUS, true, |input| {
-            Ok(wire::take_str(input)?)
-        })
+        self.call(true, &[wire::OP_METRICS_PROMETHEUS], wire::take_str)
     }
 
     /// Asks the server to checkpoint (snapshot + WAL reset). Also the
     /// remote healing edge for a read-only store.
     pub fn checkpoint(&mut self) -> Result<(), ClientError> {
-        self.simple_op(wire::OP_CHECKPOINT, false, |_| Ok(()))
+        self.call(false, &[wire::OP_CHECKPOINT], |_| Ok(()))
     }
 
     /// Asks the daemon to shut down gracefully. The acknowledgement
     /// arrives before the drain starts; the socket then closes.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let out = self.simple_op(wire::OP_SHUTDOWN, false, |_| Ok(()));
+        let out = self.call(false, &[wire::OP_SHUTDOWN], |_| Ok(()));
         self.conn = None;
         out
     }
 
-    fn simple_op<T>(
+    /// One request frame, one response frame (see [`exchange`]), on a
+    /// live connection.
+    fn call<T>(
+        &mut self,
+        retry: bool,
+        request: &[u8],
+        parse: impl Fn(&mut &[u8]) -> Result<T, WireError>,
+    ) -> Result<T, ClientError> {
+        self.with_conn(retry, |conn| exchange(&mut conn.stream, request, &parse))
+    }
+
+    /// Streams `roots` as an `op` batch (the announce, one
+    /// `OP_BATCH_CHUNK` per `chunk_terms` terms, `OP_BATCH_END`) and
+    /// collects the items of the per-chunk responses with `take_item`.
+    /// After a refused chunk, the remaining responses and the END are
+    /// read and dropped so the connection stays usable, and the first
+    /// error is returned.
+    fn stream_batch<T>(
         &mut self,
         op: u8,
         retry: bool,
-        parse: impl Fn(&mut &[u8]) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
+        arena: &ExprArena,
+        roots: &[NodeId],
+        take_item: impl Fn(&mut &[u8]) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, ClientError> {
+        let chunk_terms = self.chunk_terms;
         self.with_conn(retry, |conn| {
-            let mut payload = Vec::new();
-            wire::put_u8(&mut payload, op);
-            wire::write_frame(&mut conn.stream, &payload)?;
-            let resp = read_response(&mut conn.stream)?;
-            let mut input = resp.as_slice();
-            match wire::take_u8(&mut input)? {
-                wire::RESP_OK => parse(&mut input),
-                code => Err(remote(code, &mut input)),
+            wire::write_frame(&mut conn.stream, &[op])?;
+            for chunk in roots.chunks(chunk_terms) {
+                let mut request = vec![wire::OP_BATCH_CHUNK];
+                wire::put_u32(
+                    &mut request,
+                    u32::try_from(chunk.len()).expect("chunk fits u32"),
+                );
+                for &root in chunk {
+                    wire::put_term(&mut request, arena, root);
+                }
+                wire::write_frame(&mut conn.stream, &request)?;
+            }
+            wire::write_frame(&mut conn.stream, &[wire::OP_BATCH_END])?;
+
+            let mut items = Vec::with_capacity(roots.len());
+            let mut refused = None;
+            loop {
+                let response = read_response(&mut conn.stream)?;
+                let mut input = response.as_slice();
+                match wire::take_u8(&mut input)? {
+                    wire::RESP_END => {
+                        wire::take_u64(&mut input)?;
+                        return refused.map_or(Ok(items), Err);
+                    }
+                    _ if refused.is_some() => {}
+                    wire::RESP_CHUNK => {
+                        for _ in 0..wire::take_u32(&mut input)? {
+                            items.push(take_item(&mut input)?);
+                        }
+                    }
+                    code => refused = Some(remote(code, &mut input)),
+                }
             }
         })
     }
@@ -451,6 +357,22 @@ impl Client {
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.ensure_conn()?.stream.set_read_timeout(timeout)?;
         Ok(())
+    }
+}
+
+/// Writes `request` and reads its response: `parse` decodes the body
+/// after `RESP_OK`; any other status is the typed remote error.
+fn exchange<T>(
+    stream: &mut TcpStream,
+    request: &[u8],
+    parse: impl Fn(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<T, ClientError> {
+    wire::write_frame(stream, request)?;
+    let response = read_response(stream)?;
+    let mut input = response.as_slice();
+    match wire::take_u8(&mut input)? {
+        wire::RESP_OK => Ok(parse(&mut input)?),
+        code => Err(remote(code, &mut input)),
     }
 }
 

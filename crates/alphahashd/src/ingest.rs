@@ -26,6 +26,7 @@ use alpha_hash::HashWord;
 use alpha_store::AlphaStore;
 use lambda_lang::ExprArena;
 
+use crate::server::DaemonConfig;
 use crate::wire::{self, RemoteOutcome};
 
 /// One unit of ingest work: `count` terms, encoded back-to-back with
@@ -64,40 +65,35 @@ pub(crate) struct IngestPool {
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Tuning for the accumulator workers (see [`DaemonConfig`] for the
-/// user-facing knobs that feed this).
-///
-/// [`DaemonConfig`]: crate::server::DaemonConfig
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct IngestConfig {
-    pub(crate) workers: usize,
-    pub(crate) flush_terms: usize,
-    pub(crate) linger: Duration,
-    pub(crate) queue_depth: usize,
-}
+/// Bounded depth of each worker's job queue: the backpressure point for
+/// ingest.
+const QUEUE_DEPTH: usize = 64;
 
 impl IngestPool {
-    /// Spawns `config.workers` accumulator threads over `store`.
+    /// Spawns `config.ingest_workers` accumulator threads over `store`.
     pub(crate) fn spawn<H: HashWord>(
         store: Arc<AlphaStore<H>>,
-        config: IngestConfig,
+        config: &DaemonConfig,
     ) -> Arc<IngestPool> {
-        let mut senders = Vec::with_capacity(config.workers);
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let (tx, rx) = sync_channel::<Job>(config.queue_depth);
+        let workers = config.ingest_workers.max(1);
+        let flush_terms = config.flush_terms.max(1);
+        let linger = config.linger;
+        let mut senders = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let (tx, rx) = sync_channel::<Job>(QUEUE_DEPTH);
             let store = Arc::clone(&store);
             let handle = std::thread::Builder::new()
                 .name(format!("alphahashd-ingest-{i}"))
-                .spawn(move || worker_loop(&store, &rx, config))
+                .spawn(move || worker_loop(&store, &rx, flush_terms, linger))
                 .expect("spawn ingest worker");
             senders.push(tx);
-            workers.push(handle);
+            handles.push(handle);
         }
         Arc::new(IngestPool {
             senders: RwLock::new(Some(senders)),
             next: AtomicUsize::new(0),
-            workers: Mutex::new(workers),
+            workers: Mutex::new(handles),
         })
     }
 
@@ -137,7 +133,12 @@ impl IngestPool {
 /// One accumulator worker: block for a first job, then keep absorbing
 /// jobs until the flush watermark (`flush_terms`) or the linger
 /// deadline, then ingest the accumulated run as one store batch.
-fn worker_loop<H: HashWord>(store: &AlphaStore<H>, rx: &Receiver<Job>, config: IngestConfig) {
+fn worker_loop<H: HashWord>(
+    store: &AlphaStore<H>,
+    rx: &Receiver<Job>,
+    flush_terms: usize,
+    linger: Duration,
+) {
     loop {
         let first = match rx.recv() {
             Ok(job) => job,
@@ -146,8 +147,8 @@ fn worker_loop<H: HashWord>(store: &AlphaStore<H>, rx: &Receiver<Job>, config: I
         };
         let mut jobs = vec![first];
         let mut total = jobs[0].count as usize;
-        let deadline = Instant::now() + config.linger;
-        while total < config.flush_terms {
+        let deadline = Instant::now() + linger;
+        while total < flush_terms {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -200,9 +201,8 @@ fn flush<H: HashWord>(store: &AlphaStore<H>, jobs: Vec<Job>) {
             decoded.push((job, start));
         }
     }
-    if roots.is_empty() {
-        return;
-    }
+    // A flush of zero-count jobs only is no special case: the store
+    // ingests nothing and each job gets its empty outcome slice.
     match store.try_insert_batch(&arena, &roots) {
         Ok(outcomes) => {
             for (job, start) in decoded {

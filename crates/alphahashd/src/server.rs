@@ -23,7 +23,7 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,11 +32,11 @@ use alpha_hash::HashWord;
 use alpha_store::{AlphaStore, Granularity};
 use lambda_lang::ExprArena;
 
-use crate::ingest::{IngestConfig, IngestPool, Job, Reply};
-use crate::wire::{self, RemoteStats, ServerHello, WireError};
+use crate::ingest::{IngestPool, Job, Reply};
+use crate::wire::{self, RemoteOutcome, RemoteStats, ServerHello, WireError};
 
-/// Tuning for [`Daemon::spawn`]. The defaults are sized for the 1-core
-/// container the benches run on: one ingest worker, a 512-term flush
+/// Tuning for [`Daemon::spawn`]. The defaults, which the `alphahash
+/// serve` flags also start from: one ingest worker, a 512-term flush
 /// watermark (the store's internal chunk size), a 2 ms linger.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -49,9 +49,6 @@ pub struct DaemonConfig {
     pub flush_terms: usize,
     /// Flush no later than this after a worker's first pending term.
     pub linger: Duration,
-    /// Bounded depth of each worker's job queue (the backpressure
-    /// point for ingest).
-    pub queue_depth: usize,
     /// Also drain on SIGINT/SIGTERM (the CLI sets this; tests drive
     /// shutdown through [`Daemon::request_shutdown`] or the wire op).
     pub handle_signals: bool,
@@ -64,7 +61,6 @@ impl Default for DaemonConfig {
             ingest_workers: 1,
             flush_terms: 512,
             linger: Duration::from_millis(2),
-            queue_depth: 64,
             handle_signals: false,
         }
     }
@@ -145,15 +141,7 @@ impl<H: HashWord> Daemon<H> {
                 .spawn(move || watch_signals(&shutdown))
                 .expect("spawn signal watcher")
         });
-        let pool = IngestPool::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                workers: config.ingest_workers.max(1),
-                flush_terms: config.flush_terms.max(1),
-                linger: config.linger,
-                queue_depth: config.queue_depth.max(1),
-            },
-        );
+        let pool = IngestPool::spawn(Arc::clone(&store), &config);
         let accept_thread = {
             let store = Arc::clone(&store);
             let shutdown = Arc::clone(&shutdown);
@@ -273,122 +261,227 @@ fn accept_loop<H: HashWord>(
     }
 }
 
+/// The idle flag a streamed batch reads its chunks with: never set. The
+/// batch is one in-flight request, so the drain waits for its END
+/// rather than tearing it mid-stream (a dead peer still ends it via
+/// EOF).
+static IN_BATCH: AtomicBool = AtomicBool::new(false);
+
 /// Per-connection request loop: handshake, then frames until EOF,
-/// protocol violation, or shutdown.
+/// protocol violation, or shutdown. Between frames, read timeouts poll
+/// the shutdown latch, so an idle connection closes when the daemon
+/// drains.
 fn handle_connection<H: HashWord>(
     mut stream: TcpStream,
     store: &AlphaStore<H>,
     pool: &IngestPool,
     latch: &Shutdown,
 ) -> Result<(), WireError> {
-    let shutdown = &latch.requested;
+    let shutdown = Some(&latch.requested);
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     // Handshake first: magic + client version, answered with the hello.
-    let payload = match read_frame_polling(&mut stream, Some(shutdown))? {
-        Some(p) => p,
-        None => return Ok(()),
+    let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown)? else {
+        return Ok(());
     };
     let client_version = wire::take_handshake(&mut payload.as_slice())?;
     if client_version != wire::PROTOCOL_VERSION {
-        let mut out = Vec::new();
-        wire::put_error(
-            &mut out,
-            wire::ERR_UNSUPPORTED_VERSION,
-            &format!(
-                "server speaks protocol version {}, client sent {client_version}",
-                wire::PROTOCOL_VERSION
-            ),
+        let message = format!(
+            "server speaks protocol version {}, client sent {client_version}",
+            wire::PROTOCOL_VERSION
         );
-        wire::write_frame(&mut stream, &out)?;
-        return Ok(());
+        return wire::write_frame(&mut stream, &error(wire::ERR_UNSUPPORTED_VERSION, &message));
     }
-    let mut hello = Vec::new();
-    wire::put_u8(&mut hello, wire::RESP_OK);
-    wire::put_hello(
-        &mut hello,
-        &ServerHello {
-            version: wire::PROTOCOL_VERSION,
-            hash_bits: u16::try_from(H::BITS).expect("hash width fits u16"),
-            shard_count: u32::try_from(store.shard_count()).unwrap_or(u32::MAX),
-            subexpr_min_nodes: match store.granularity() {
-                Granularity::Roots => None,
-                Granularity::Subexpressions { min_nodes } => Some(min_nodes as u64),
-            },
+    let hello = ServerHello {
+        version: wire::PROTOCOL_VERSION,
+        hash_bits: u16::try_from(H::BITS).expect("hash width fits u16"),
+        shard_count: u32::try_from(store.shard_count()).unwrap_or(u32::MAX),
+        subexpr_min_nodes: match store.granularity() {
+            Granularity::Roots => None,
+            Granularity::Subexpressions { min_nodes } => Some(min_nodes as u64),
         },
-    );
-    wire::write_frame(&mut stream, &hello)?;
+    };
+    wire::write_frame(&mut stream, &ok(|out| wire::put_hello(out, &hello)))?;
 
     loop {
-        let payload = match read_frame_polling(&mut stream, Some(shutdown))? {
-            Some(p) => p,
-            None => return Ok(()),
+        let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown)? else {
+            return Ok(());
         };
         let mut input = payload.as_slice();
         let op = wire::take_u8(&mut input)?;
-        match op {
-            wire::OP_INSERT => handle_insert(&mut stream, pool, payload[1..].to_vec())?,
+        let reply = match op {
+            // A single insert rides the accumulator path like everything
+            // else, so lone-term clients still aggregate into store
+            // batches.
+            wire::OP_INSERT => match wait(&submit(pool, input.to_vec(), 1)) {
+                Ok(outcomes) => ok(|out| wire::put_outcome(out, &outcomes[0])),
+                Err(refused) => refused,
+            },
+            // Each chunk goes to the pool as its own job, so ingestion
+            // starts while later chunks are still in flight.
             wire::OP_INSERT_BATCH => {
-                handle_insert_batch(&mut stream, pool)?;
-            }
-            wire::OP_LOOKUP => {
-                let reply = with_decoded_term(&mut input, |arena, root| {
-                    ok_opt_class(store.lookup(arena, root).map(|c| c.to_bits()))
-                });
-                wire::write_frame(&mut stream, &reply)?;
-            }
-            wire::OP_CONTAINS => {
-                let reply = with_decoded_term(&mut input, |arena, root| {
-                    ok_opt_class(store.contains(arena, root).map(|c| c.to_bits()))
-                });
-                wire::write_frame(&mut stream, &reply)?;
-            }
-            wire::OP_CONTAINS_BATCH => handle_contains_batch(&mut stream, store)?,
-            wire::OP_UPDATE => {
-                let reply = handle_update(store, &mut input);
-                wire::write_frame(&mut stream, &reply)?;
-            }
-            wire::OP_STATS => {
-                let mut out = Vec::new();
-                wire::put_u8(&mut out, wire::RESP_OK);
-                wire::put_stats(&mut out, &gather_stats(store));
-                wire::write_frame(&mut stream, &out)?;
-            }
-            wire::OP_METRICS_PROMETHEUS => {
-                let mut out = Vec::new();
-                metrics_response(store, &mut out);
-                wire::write_frame(&mut stream, &out)?;
-            }
-            wire::OP_CHECKPOINT => {
-                let mut out = Vec::new();
-                match store.checkpoint() {
-                    Ok(()) => wire::put_u8(&mut out, wire::RESP_OK),
-                    Err(e) => {
-                        wire::put_error(&mut out, wire::persist_error_code(&e), &e.to_string());
+                serve_batch(&mut stream, |count, terms| {
+                    let reply = submit(pool, terms.to_vec(), count);
+                    move || match wait(&reply) {
+                        Ok(outcomes) => (
+                            outcomes.len() as u64,
+                            chunk(outcomes.iter(), wire::put_outcome),
+                        ),
+                        Err(refused) => (0, refused),
                     }
-                }
-                wire::write_frame(&mut stream, &out)?;
+                })?;
+                continue;
             }
+            wire::OP_LOOKUP => with_decoded_term(&mut input, |arena, root| {
+                let class = store.lookup(arena, root).map(|c| c.to_bits());
+                ok(|out| wire::put_opt_class(out, class))
+            }),
+            wire::OP_CONTAINS => with_decoded_term(&mut input, |arena, root| {
+                let class = store.contains(arena, root).map(|c| c.to_bits());
+                ok(|out| wire::put_opt_class(out, class))
+            }),
+            // Containment is a read: each chunk is answered as it
+            // arrives, no ingest pipeline involved.
+            wire::OP_CONTAINS_BATCH => {
+                serve_batch(&mut stream, |count, mut terms| {
+                    let mut arena = ExprArena::new();
+                    let mut roots = Vec::new();
+                    let answer = match wire::take_terms(&mut terms, count, &mut arena, &mut roots) {
+                        Err(e) => {
+                            let message = format!("pattern failed to decode: {e}");
+                            (0, error(wire::ERR_TERM, &message))
+                        }
+                        Ok(()) => {
+                            let classes = store.contains_batch(&arena, &roots);
+                            let items = classes.len() as u64;
+                            let response = chunk(classes.into_iter(), |out, c| {
+                                wire::put_opt_class(out, c.map(|c| c.to_bits()));
+                            });
+                            (items, response)
+                        }
+                    };
+                    move || answer
+                })?;
+                continue;
+            }
+            wire::OP_UPDATE => handle_update(store, &mut input),
+            wire::OP_STATS => ok(|out| wire::put_stats(out, &gather_stats(store))),
+            wire::OP_METRICS_PROMETHEUS => {
+                ok(|out| wire::put_str(out, &store.obs_report().to_prometheus()))
+            }
+            wire::OP_CHECKPOINT => match store.checkpoint() {
+                Ok(()) => ok(|_| {}),
+                Err(e) => error(wire::persist_error_code(&e), &e.to_string()),
+            },
             wire::OP_SHUTDOWN => {
-                let mut out = Vec::new();
-                wire::put_u8(&mut out, wire::RESP_OK);
-                wire::write_frame(&mut stream, &out)?;
+                wire::write_frame(&mut stream, &ok(|_| {}))?;
                 latch.trigger();
                 return Ok(());
             }
             // A bare chunk/end without an announce is a sequencing bug.
             wire::OP_BATCH_CHUNK | wire::OP_BATCH_END => {
-                let mut out = Vec::new();
-                wire::put_error(&mut out, wire::ERR_MALFORMED, "batch chunk outside a batch");
-                wire::write_frame(&mut stream, &out)?;
+                error(wire::ERR_MALFORMED, "batch chunk outside a batch")
             }
-            _ => {
-                let mut out = Vec::new();
-                wire::put_error(&mut out, wire::ERR_BAD_OP, &format!("unknown op {op:#04x}"));
-                wire::write_frame(&mut stream, &out)?;
+            _ => error(wire::ERR_BAD_OP, &format!("unknown op {op:#04x}")),
+        };
+        wire::write_frame(&mut stream, &reply)?;
+    }
+}
+
+/// The streamed-batch loop behind both batch ops: hands each
+/// `OP_BATCH_CHUNK` (its count and encoded terms) to `on_chunk`, which
+/// returns how to answer it, until `OP_BATCH_END`; then writes one
+/// response per chunk, in order, and `RESP_END` with the total of the
+/// answers' item counts. Responses wait for END so the two sides never
+/// both block writing.
+fn serve_batch<A: FnOnce() -> (u64, Vec<u8>)>(
+    stream: &mut TcpStream,
+    mut on_chunk: impl FnMut(u32, &[u8]) -> A,
+) -> Result<(), WireError> {
+    let mut answers = Vec::new();
+    loop {
+        // A torn connection ends the batch; chunks already submitted
+        // still complete server-side.
+        let Some(payload) = wire::read_frame_or_stop(stream, Some(&IN_BATCH))? else {
+            return Ok(());
+        };
+        let mut input = payload.as_slice();
+        match wire::take_u8(&mut input)? {
+            wire::OP_BATCH_CHUNK => {
+                let count = wire::take_u32(&mut input)?;
+                answers.push(on_chunk(count, input));
+            }
+            wire::OP_BATCH_END => break,
+            op => {
+                let message = format!("expected batch chunk/end, got op {op:#04x}");
+                return wire::write_frame(stream, &error(wire::ERR_MALFORMED, &message));
             }
         }
     }
+    let mut total = 0;
+    for answer in answers {
+        let (items, response) = answer();
+        total += items;
+        wire::write_frame(stream, &response)?;
+    }
+    let mut end = vec![wire::RESP_END];
+    wire::put_u64(&mut end, total);
+    wire::write_frame(stream, &end)
+}
+
+/// Submits `count` encoded terms to the ingest pool. The returned
+/// receiver yields the job's reply, or hangs up if the pool refused the
+/// job because the daemon is draining; then every later submit is
+/// refused too, as the pool only closes once.
+fn submit(pool: &IngestPool, terms: Vec<u8>, count: u32) -> Receiver<Reply> {
+    let (reply, rx) = sync_channel(1);
+    // A refused job drops its sender, which hangs up `rx`.
+    let _ = pool.submit(Job {
+        terms,
+        count,
+        reply,
+    });
+    rx
+}
+
+/// Waits for an ingest job's outcomes. A refused job, or one the pool
+/// never took because the daemon is draining, yields its error response
+/// instead.
+fn wait(reply: &Receiver<Reply>) -> Result<Vec<RemoteOutcome>, Vec<u8>> {
+    match reply.recv() {
+        Ok(Reply::Outcomes(outcomes)) => Ok(outcomes),
+        Ok(Reply::Refused { code, message }) => Err(error(code, &message)),
+        Err(RecvError) => Err(error(wire::ERR_SHUTTING_DOWN, "daemon is draining")),
+    }
+}
+
+/// A `RESP_OK` response with the body `put` writes.
+fn ok(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::put_u8(&mut out, wire::RESP_OK);
+    put(&mut out);
+    out
+}
+
+/// An error response: status `code` and `message`.
+fn error(code: u8, message: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::put_error(&mut out, code, message);
+    out
+}
+
+/// A `RESP_CHUNK` response: the item count, then each item.
+fn chunk<T>(items: impl ExactSizeIterator<Item = T>, put: impl Fn(&mut Vec<u8>, T)) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::put_u8(&mut out, wire::RESP_CHUNK);
+    wire::put_u32(
+        &mut out,
+        u32::try_from(items.len()).expect("chunk fits u32"),
+    );
+    for item in items {
+        put(&mut out, item);
+    }
+    out
 }
 
 /// Decodes one term and runs `f` on it, packaging term-decode failures
@@ -400,15 +493,7 @@ fn with_decoded_term(
     let mut arena = ExprArena::new();
     match wire::take_term(input, &mut arena) {
         Ok(root) => f(&arena, root),
-        Err(e) => {
-            let mut out = Vec::new();
-            wire::put_error(
-                &mut out,
-                wire::ERR_TERM,
-                &format!("term failed to decode: {e}"),
-            );
-            out
-        }
+        Err(e) => error(wire::ERR_TERM, &format!("term failed to decode: {e}")),
     }
 }
 
@@ -419,16 +504,13 @@ fn with_decoded_term(
 /// the response, like any other durable op.
 fn handle_update<H: HashWord>(store: &AlphaStore<H>, input: &mut &[u8]) -> Vec<u8> {
     let mut arena = ExprArena::new();
-    let mut out = Vec::new();
     let (term_bits, path, patch_root) = match wire::take_update(input, &mut arena) {
         Ok(parts) => parts,
         Err(e) => {
-            wire::put_error(
-                &mut out,
+            return error(
                 wire::ERR_TERM,
                 &format!("update request failed to decode: {e}"),
-            );
-            return out;
+            )
         }
     };
     let rewrite = alpha_store::Rewrite {
@@ -437,197 +519,9 @@ fn handle_update<H: HashWord>(store: &AlphaStore<H>, input: &mut &[u8]) -> Vec<u
         root: patch_root,
     };
     match store.try_update(alpha_store::TermId::from_bits(term_bits), rewrite) {
-        Ok(outcome) => {
-            wire::put_u8(&mut out, wire::RESP_OK);
-            wire::put_outcome(&mut out, &wire::RemoteOutcome::from(&outcome));
-        }
-        Err(e) => wire::put_error(&mut out, wire::store_error_code(&e), &e.to_string()),
+        Ok(outcome) => ok(|out| wire::put_outcome(out, &wire::RemoteOutcome::from(&outcome))),
+        Err(e) => error(wire::store_error_code(&e), &e.to_string()),
     }
-    out
-}
-
-fn ok_opt_class(class: Option<u64>) -> Vec<u8> {
-    let mut out = Vec::new();
-    wire::put_u8(&mut out, wire::RESP_OK);
-    wire::put_opt_class(&mut out, class);
-    out
-}
-
-/// Single insert: one term rides the accumulator path like everything
-/// else, so lone-term clients still aggregate into store batches.
-fn handle_insert(
-    stream: &mut TcpStream,
-    pool: &IngestPool,
-    terms: Vec<u8>,
-) -> Result<(), WireError> {
-    let (reply_tx, reply_rx) = sync_channel::<Reply>(1);
-    let submitted = pool.submit(Job {
-        terms,
-        count: 1,
-        reply: reply_tx,
-    });
-    let mut out = Vec::new();
-    match submitted {
-        Err(_) => {
-            wire::put_error(&mut out, wire::ERR_SHUTTING_DOWN, "daemon is draining");
-        }
-        Ok(()) => match reply_rx.recv() {
-            Ok(Reply::Outcomes(outcomes)) => {
-                wire::put_u8(&mut out, wire::RESP_OK);
-                wire::put_outcome(&mut out, &outcomes[0]);
-            }
-            Ok(Reply::Refused { code, message }) => wire::put_error(&mut out, code, &message),
-            Err(_) => {
-                wire::put_error(&mut out, wire::ERR_SHUTTING_DOWN, "ingest worker went away");
-            }
-        },
-    }
-    wire::write_frame(stream, &out)
-}
-
-/// Streamed insert batch: forward each incoming chunk to the pool as
-/// its own job (so ingestion starts while later chunks are still in
-/// flight), then answer chunk-for-chunk after the client's END.
-fn handle_insert_batch(stream: &mut TcpStream, pool: &IngestPool) -> Result<(), WireError> {
-    let mut pending: Vec<(u32, std::sync::mpsc::Receiver<Reply>)> = Vec::new();
-    let mut refused_on_submit = false;
-    loop {
-        let payload = match read_frame_polling(stream, None)? {
-            Some(p) => p,
-            None => return Ok(()), // torn connection: jobs already
-                                   // submitted still complete server-side
-        };
-        let mut input = payload.as_slice();
-        match wire::take_u8(&mut input)? {
-            wire::OP_BATCH_CHUNK => {
-                let count = wire::take_u32(&mut input)?;
-                let (reply_tx, reply_rx) = sync_channel::<Reply>(1);
-                let job = Job {
-                    terms: input.to_vec(),
-                    count,
-                    reply: reply_tx,
-                };
-                if refused_on_submit || pool.submit(job).is_err() {
-                    // Keep reading to END so the response sequence stays
-                    // aligned, but refuse this and later chunks.
-                    refused_on_submit = true;
-                    pending.push((count, never_reply()));
-                } else {
-                    pending.push((count, reply_rx));
-                }
-            }
-            wire::OP_BATCH_END => break,
-            op => {
-                let mut out = Vec::new();
-                wire::put_error(
-                    &mut out,
-                    wire::ERR_MALFORMED,
-                    &format!("expected batch chunk/end, got op {op:#04x}"),
-                );
-                wire::write_frame(stream, &out)?;
-                return Ok(());
-            }
-        }
-    }
-    let mut total_ok: u64 = 0;
-    for (count, reply_rx) in pending {
-        let mut out = Vec::new();
-        match reply_rx.recv().ok() {
-            Some(Reply::Outcomes(outcomes)) => {
-                debug_assert_eq!(outcomes.len() as u32, count);
-                total_ok += outcomes.len() as u64;
-                wire::put_u8(&mut out, wire::RESP_CHUNK);
-                wire::put_u32(
-                    &mut out,
-                    u32::try_from(outcomes.len()).expect("chunk fits u32"),
-                );
-                for o in &outcomes {
-                    wire::put_outcome(&mut out, o);
-                }
-            }
-            Some(Reply::Refused { code, message }) => wire::put_error(&mut out, code, &message),
-            None => {
-                wire::put_error(&mut out, wire::ERR_SHUTTING_DOWN, "daemon is draining");
-            }
-        }
-        wire::write_frame(stream, &out)?;
-    }
-    let mut out = Vec::new();
-    wire::put_u8(&mut out, wire::RESP_END);
-    wire::put_u64(&mut out, total_ok);
-    wire::write_frame(stream, &out)
-}
-
-/// A receiver that reports "no reply will ever come" — used to keep the
-/// per-chunk response alignment when a chunk was never submitted.
-fn never_reply() -> std::sync::mpsc::Receiver<Reply> {
-    let (_tx, rx) = sync_channel::<Reply>(1);
-    rx
-}
-
-/// Streamed containment batch: chunks are answered as they arrive (no
-/// ingest pipeline involved — `contains_batch` is a read).
-fn handle_contains_batch<H: HashWord>(
-    stream: &mut TcpStream,
-    store: &AlphaStore<H>,
-) -> Result<(), WireError> {
-    let mut responses: Vec<Vec<u8>> = Vec::new();
-    let mut total: u64 = 0;
-    loop {
-        let payload = match read_frame_polling(stream, None)? {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let mut input = payload.as_slice();
-        match wire::take_u8(&mut input)? {
-            wire::OP_BATCH_CHUNK => {
-                let count = wire::take_u32(&mut input)?;
-                let mut arena = ExprArena::new();
-                let mut roots = Vec::new();
-                let mut out = Vec::new();
-                match wire::take_terms(&mut input, count, &mut arena, &mut roots) {
-                    Err(e) => {
-                        wire::put_error(
-                            &mut out,
-                            wire::ERR_TERM,
-                            &format!("pattern failed to decode: {e}"),
-                        );
-                    }
-                    Ok(()) => {
-                        let classes = store.contains_batch(&arena, &roots);
-                        total += classes.len() as u64;
-                        wire::put_u8(&mut out, wire::RESP_CHUNK);
-                        wire::put_u32(
-                            &mut out,
-                            u32::try_from(classes.len()).expect("chunk fits u32"),
-                        );
-                        for c in classes {
-                            wire::put_opt_class(&mut out, c.map(|c| c.to_bits()));
-                        }
-                    }
-                }
-                responses.push(out);
-            }
-            wire::OP_BATCH_END => break,
-            op => {
-                let mut out = Vec::new();
-                wire::put_error(
-                    &mut out,
-                    wire::ERR_MALFORMED,
-                    &format!("expected batch chunk/end, got op {op:#04x}"),
-                );
-                wire::write_frame(stream, &out)?;
-                return Ok(());
-            }
-        }
-    }
-    for out in responses {
-        wire::write_frame(stream, &out)?;
-    }
-    let mut out = Vec::new();
-    wire::put_u8(&mut out, wire::RESP_END);
-    wire::put_u64(&mut out, total);
-    wire::write_frame(stream, &out)
 }
 
 /// Snapshot of everything [`wire::RemoteStats`] carries.
@@ -651,81 +545,4 @@ fn gather_stats<H: HashWord>(store: &AlphaStore<H>) -> RemoteStats {
         recovery: store.recovery_info().map(|r| (r.replayed_records, r.clean)),
         obs_json: store.obs_report().to_json(),
     }
-}
-
-fn metrics_response<H: HashWord>(store: &AlphaStore<H>, out: &mut Vec<u8>) {
-    wire::put_u8(out, wire::RESP_OK);
-    wire::put_str(out, &store.obs_report().to_prometheus());
-}
-
-/// Like [`wire::read_frame`] but over a socket with a read timeout:
-/// between frames, timeouts poll the shutdown flag (an idle connection
-/// closes when the daemon drains); once a frame has started, it is
-/// always read to completion so in-flight requests drain cleanly.
-///
-/// Pass `shutdown: None` while inside a streamed batch: the batch is
-/// one in-flight request, so the drain waits for its END rather than
-/// tearing it mid-stream (a dead peer still ends it via EOF).
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    shutdown: Option<&AtomicBool>,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let mut header = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match std::io::Read::read(stream, &mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::Frame(format!(
-                        "connection closed {filled} bytes into a frame header"
-                    )))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 && shutdown.is_some_and(|s| s.load(Ordering::SeqCst)) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > wire::MAX_FRAME_LEN {
-        return Err(WireError::Frame(format!(
-            "frame length {len} exceeds MAX_FRAME_LEN {}",
-            wire::MAX_FRAME_LEN
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match std::io::Read::read(stream, &mut payload[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Frame(format!(
-                    "connection closed {filled} bytes into a {len}-byte payload"
-                )));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let actual = alpha_store::persist::format::crc32(&payload);
-    if actual != crc {
-        return Err(WireError::Frame(format!(
-            "payload CRC {actual:#010x} does not match header CRC {crc:#010x}"
-        )));
-    }
-    Ok(Some(payload))
 }

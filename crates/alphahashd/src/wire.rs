@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use alpha_store::persist::format::crc32;
 use lambda_lang::visit::postorder;
@@ -226,10 +227,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
 
 /// Reads one frame, verifying the length bound and the payload CRC.
 /// `Ok(None)` means the peer closed the connection cleanly *between*
-/// frames; EOF mid-frame is a [`WireError::Frame`].
+/// frames; EOF mid-frame is a [`WireError::Frame`]. A read timeout is a
+/// [`WireError::Io`]: this is the server's reader without its idle hook.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+    read_frame_or_stop(r, None)
+}
+
+/// [`read_frame`] with a between-frames idle hook, for a socket with a
+/// read timeout. With `stop: Some(flag)`, a timeout before the frame's
+/// first byte returns `Ok(None)` if `flag` is set and otherwise keeps
+/// waiting, and a frame that has started is always read to completion.
+/// With `stop: None`, a timeout is a [`WireError::Io`].
+pub(crate) fn read_frame_or_stop(
+    r: &mut impl Read,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Vec<u8>>, WireError> {
+    let wait = stop.is_some();
     let mut header = [0u8; 8];
-    match read_full(r, &mut header)? {
+    match read_full(r, &mut header, wait, stop)? {
         0 => return Ok(None),
         8 => {}
         n => {
@@ -246,7 +261,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
         )));
     }
     let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload)?;
+    let got = read_full(r, &mut payload, wait, None)?;
     if got != payload.len() {
         return Err(frame_err(format!(
             "connection closed {got} bytes into a {len}-byte payload"
@@ -263,14 +278,32 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 
 /// Reads until `buf` is full or EOF; returns the bytes read. Unlike
 /// `read_exact` this reports a clean EOF at offset 0 distinguishably,
-/// and retries on `Interrupted`.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
+/// and retries on `Interrupted`. A read timeout is an error unless
+/// `wait` is set; then it is retried, except that before the first byte
+/// a set `idle_stop` ends the read as an EOF would.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    wait: bool,
+    idle_stop: Option<&AtomicBool>,
+) -> Result<usize, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if wait
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                if filled == 0 && idle_stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                    break;
+                }
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -1114,6 +1147,107 @@ mod tests {
                 .expect("reads")
                 .expect("one frame");
             assert_eq!(back, payload);
+        }
+    }
+
+    /// Serves `bytes` in order, failing once with `fault` when the read
+    /// position reaches `fault_at`, then EOF.
+    struct Scripted {
+        bytes: Vec<u8>,
+        pos: usize,
+        fault_at: usize,
+        fault: Option<io::ErrorKind>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.fault_at {
+                if let Some(kind) = self.fault.take() {
+                    return Err(kind.into());
+                }
+            }
+            let limit = if self.fault.is_some() {
+                self.fault_at
+            } else {
+                self.bytes.len()
+            };
+            let n = buf.len().min(limit - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    const PAYLOAD: &[u8] = b"hello alphahashd";
+    /// Before the header, mid-header, mid-payload.
+    const FAULT_POINTS: [usize; 3] = [0, 3, 8 + 5];
+    const TIMEOUTS: [io::ErrorKind; 2] = [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut];
+
+    fn read_with_fault(
+        kind: io::ErrorKind,
+        fault_at: usize,
+        stop: Option<bool>,
+    ) -> Result<Option<Vec<u8>>, WireError> {
+        let mut r = Scripted {
+            bytes: framed(PAYLOAD),
+            pos: 0,
+            fault_at,
+            fault: Some(kind),
+        };
+        let flag = stop.map(AtomicBool::new);
+        read_frame_or_stop(&mut r, flag.as_ref())
+    }
+
+    #[test]
+    fn idle_timeout_with_stop_set_ends_the_read() {
+        for kind in TIMEOUTS {
+            let got = read_with_fault(kind, 0, Some(true)).expect("no error");
+            assert!(got.is_none(), "{kind:?} before the header");
+        }
+    }
+
+    #[test]
+    fn started_frame_is_read_whole_whatever_the_stop_flag() {
+        for kind in TIMEOUTS {
+            for at in FAULT_POINTS {
+                for stop in [false, true] {
+                    if at == 0 && stop {
+                        continue; // idle: the read ends instead
+                    }
+                    let got = read_with_fault(kind, at, Some(stop));
+                    assert_eq!(
+                        got.expect("no error").as_deref(),
+                        Some(PAYLOAD),
+                        "{kind:?} at byte {at}, stop {stop}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeout_without_hook_is_an_io_error() {
+        for kind in TIMEOUTS {
+            for at in FAULT_POINTS {
+                match read_with_fault(kind, at, None) {
+                    Err(WireError::Io(e)) => assert_eq!(e.kind(), kind, "at byte {at}"),
+                    other => panic!("{kind:?} at byte {at}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_with_or_without_hook() {
+        for at in FAULT_POINTS {
+            for stop in [None, Some(false), Some(true)] {
+                let got = read_with_fault(io::ErrorKind::Interrupted, at, stop);
+                assert_eq!(
+                    got.expect("no error").as_deref(),
+                    Some(PAYLOAD),
+                    "at byte {at}, stop {stop:?}"
+                );
+            }
         }
     }
 

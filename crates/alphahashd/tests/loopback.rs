@@ -808,3 +808,62 @@ fn oversized_counts_are_refused_and_the_daemon_keeps_serving() {
     client.shutdown().expect("shutdown op");
     daemon.join();
 }
+
+/// A zero-count chunk is legal in both streamed batches: it is answered
+/// with an empty `RESP_CHUNK`, the batch ends with `RESP_END` 0, and the
+/// same connection keeps serving. (An insert batch once refused it as
+/// "daemon is draining" on a healthy daemon.)
+#[test]
+fn zero_count_chunks_are_answered_empty_in_both_batch_ops() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x2E60, 1);
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::builder().seed(0xD6).build());
+    let daemon = spawn_daemon(Arc::clone(&store));
+
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect raw");
+    let mut hs = Vec::new();
+    wire::put_handshake(&mut hs, wire::PROTOCOL_VERSION);
+    wire::write_frame(&mut stream, &hs).expect("handshake");
+    let _ = wire::read_frame(&mut stream).expect("hello");
+    let mut empty_chunk = vec![wire::OP_BATCH_CHUNK];
+    empty_chunk.extend_from_slice(&0u32.to_le_bytes());
+    let mut empty_end = vec![wire::RESP_END];
+    empty_end.extend_from_slice(&0u64.to_le_bytes());
+    for op in [wire::OP_INSERT_BATCH, wire::OP_CONTAINS_BATCH] {
+        wire::write_frame(&mut stream, &[op]).expect("announce");
+        wire::write_frame(&mut stream, &empty_chunk).expect("chunk");
+        wire::write_frame(&mut stream, &[wire::OP_BATCH_END]).expect("end");
+        let resp = wire::read_frame(&mut stream)
+            .expect("chunk response")
+            .expect("frame");
+        assert_eq!(resp, [wire::RESP_CHUNK, 0, 0, 0, 0], "op {op:#04x}");
+        let resp = wire::read_frame(&mut stream)
+            .expect("end response")
+            .expect("frame");
+        assert_eq!(resp, empty_end, "op {op:#04x}");
+    }
+    // A batch with no chunks at all is answered with END alone.
+    wire::write_frame(&mut stream, &[wire::OP_INSERT_BATCH]).expect("announce");
+    wire::write_frame(&mut stream, &[wire::OP_BATCH_END]).expect("end");
+    let resp = wire::read_frame(&mut stream)
+        .expect("end response")
+        .expect("frame");
+    assert_eq!(resp, empty_end);
+    assert_eq!(store.num_terms(), 0);
+
+    let mut insert = vec![wire::OP_INSERT];
+    wire::put_term(&mut insert, &arena, roots[0]);
+    wire::write_frame(&mut stream, &insert).expect("insert");
+    let resp = wire::read_frame(&mut stream)
+        .expect("insert response")
+        .expect("frame");
+    assert_eq!(resp[0], wire::RESP_OK);
+    assert_eq!(store.num_terms(), 1);
+
+    wire::write_frame(&mut stream, &[wire::OP_SHUTDOWN]).expect("shutdown");
+    let resp = wire::read_frame(&mut stream)
+        .expect("shutdown ack")
+        .expect("frame");
+    assert_eq!(resp, [wire::RESP_OK]);
+    daemon.join();
+}

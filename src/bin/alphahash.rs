@@ -73,10 +73,20 @@ fn serve(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     };
     let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7474".to_owned());
     let sub_min_nodes = take_flag(&mut args, "--sub-min-nodes").map(|v| v.parse::<usize>());
-    let workers = take_flag(&mut args, "--workers").map_or(Ok(1), |v| v.parse::<usize>())?;
-    let flush_terms =
-        take_flag(&mut args, "--flush-terms").map_or(Ok(512), |v| v.parse::<usize>())?;
-    let linger_ms = take_flag(&mut args, "--linger-ms").map_or(Ok(2u64), |v| v.parse::<u64>())?;
+    let mut config = alphahashd::DaemonConfig {
+        addr,
+        handle_signals: true,
+        ..alphahashd::DaemonConfig::default()
+    };
+    if let Some(v) = take_flag(&mut args, "--workers") {
+        config.ingest_workers = v.parse()?;
+    }
+    if let Some(v) = take_flag(&mut args, "--flush-terms") {
+        config.flush_terms = v.parse()?;
+    }
+    if let Some(v) = take_flag(&mut args, "--linger-ms") {
+        config.linger = std::time::Duration::from_millis(v.parse()?);
+    }
     if !args.is_empty() {
         eprintln!("alphahash serve: unexpected arguments {args:?}");
         std::process::exit(2);
@@ -87,14 +97,6 @@ fn serve(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         builder = builder.subexpressions(min_nodes?);
     }
     let store = Arc::new(builder.open_durable(&dir)?);
-    let config = alphahashd::DaemonConfig {
-        addr,
-        ingest_workers: workers,
-        flush_terms,
-        linger: std::time::Duration::from_millis(linger_ms),
-        handle_signals: true,
-        ..alphahashd::DaemonConfig::default()
-    };
     let daemon = alphahashd::Daemon::spawn(store, config)?;
     eprintln!(
         "alphahashd: serving {dir} on {} ({} classes, {} terms); \
