@@ -105,6 +105,8 @@ pub struct Client {
     addr: String,
     conn: Option<Conn>,
     chunk_terms: usize,
+    /// Applied to every socket the client dials, reconnects included.
+    read_timeout: Option<Duration>,
 }
 
 struct Conn {
@@ -121,6 +123,7 @@ impl Client {
             addr: addr.into(),
             conn: None,
             chunk_terms: DEFAULT_CHUNK_TERMS,
+            read_timeout: None,
         };
         client.ensure_conn()?;
         Ok(client)
@@ -141,6 +144,7 @@ impl Client {
         if self.conn.is_none() {
             let mut stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true).ok();
+            stream.set_read_timeout(self.read_timeout)?;
             let mut handshake = Vec::new();
             wire::put_handshake(&mut handshake, wire::PROTOCOL_VERSION);
             let hello = exchange(&mut stream, &handshake, wire::take_hello)?;
@@ -353,9 +357,13 @@ impl Client {
     }
 
     /// Sets the socket read timeout used while waiting for responses
-    /// (`None`, the default, blocks indefinitely).
+    /// (`None`, the default, blocks indefinitely), on the current
+    /// connection and on every one a reconnect dials.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.ensure_conn()?.stream.set_read_timeout(timeout)?;
+        if let Some(conn) = &self.conn {
+            conn.stream.set_read_timeout(timeout)?;
+        }
+        self.read_timeout = timeout;
         Ok(())
     }
 }
@@ -392,4 +400,69 @@ fn read_response(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
 fn remote(code: u8, input: &mut &[u8]) -> ClientError {
     let message = wire::take_str(input).unwrap_or_default();
     ClientError::Remote { code, message }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// Reads the handshake on `stream` and answers it with a hello.
+    fn answer_handshake(stream: &mut TcpStream) {
+        wire::read_frame(stream)
+            .expect("handshake readable")
+            .expect("handshake frame");
+        let mut hello = vec![wire::RESP_OK];
+        let server = ServerHello {
+            version: wire::PROTOCOL_VERSION,
+            hash_bits: 64,
+            shard_count: 1,
+            subexpr_min_nodes: None,
+        };
+        wire::put_hello(&mut hello, &server);
+        wire::write_frame(stream, &hello).expect("hello written");
+    }
+
+    /// The read timeout outlives a reconnect. The fake server takes
+    /// exactly two connections: the first hangs up on the first request,
+    /// the second answers the handshake and then never answers. With a
+    /// 200 ms timeout, the request on the redialled socket must fail
+    /// instead of blocking.
+    #[test]
+    fn read_timeout_holds_after_a_reconnect() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().expect("first connection");
+            answer_handshake(&mut first);
+            let _ = wire::read_frame(&mut first);
+            drop(first);
+            let (mut second, _) = listener.accept().expect("second connection");
+            answer_handshake(&mut second);
+            // Swallow requests unanswered until the client hangs up.
+            while let Ok(Some(_)) = wire::read_frame(&mut second) {}
+        });
+
+        let (done, outcome) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .expect("set the timeout");
+            let mut arena = ExprArena::new();
+            let term = lambda_lang::parse(&mut arena, r"\x. x").expect("parses");
+            let first = client.insert(&arena, term).map(drop);
+            let second = client.insert(&arena, term).map(drop);
+            done.send((first, second)).expect("test thread waits");
+        });
+
+        let (first, second) = outcome
+            .recv_timeout(Duration::from_secs(3))
+            .expect("the request on the redialled socket blocked for 3 s");
+        assert!(matches!(first, Err(ClientError::Io(_))), "{first:?}");
+        assert!(matches!(second, Err(ClientError::Io(_))), "{second:?}");
+        client.join().expect("client thread");
+        server.join().expect("server thread");
+    }
 }

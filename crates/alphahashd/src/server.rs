@@ -526,17 +526,9 @@ fn handle_update<H: HashWord>(store: &AlphaStore<H>, input: &mut &[u8]) -> Vec<u
 
 /// Snapshot of everything [`wire::RemoteStats`] carries.
 fn gather_stats<H: HashWord>(store: &AlphaStore<H>) -> RemoteStats {
-    let stats = store.stats();
     let health = store.health();
     RemoteStats {
-        terms_ingested: stats.terms_ingested,
-        classes_created: stats.classes_created,
-        merges_confirmed: stats.merges_confirmed,
-        hash_collisions: stats.hash_collisions,
-        unconfirmed_merges: stats.unconfirmed_merges,
-        subterms_indexed: stats.subterms_indexed,
-        subterm_merges_confirmed: stats.subterm_merges_confirmed,
-        subterms_skipped_min_nodes: stats.subterms_skipped_min_nodes,
+        store: store.stats(),
         num_classes: store.num_classes() as u64,
         num_terms: store.num_terms() as u64,
         wal_records: store.wal_records(),

@@ -24,6 +24,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use alpha_store::persist::format::crc32;
+use alpha_store::StoreStats;
 use lambda_lang::visit::postorder;
 use lambda_lang::{ExprArena, ExprNode, Literal, NodeId, Symbol};
 
@@ -825,22 +826,8 @@ pub fn take_opt_class(input: &mut &[u8]) -> Result<Option<u64>, WireError> {
 /// recovery did at open, and the full metrics report as JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RemoteStats {
-    /// Terms ingested.
-    pub terms_ingested: u64,
-    /// Classes created.
-    pub classes_created: u64,
-    /// Root-level merges confirmed by canonical comparison.
-    pub merges_confirmed: u64,
-    /// True hash collisions kept as separate classes.
-    pub hash_collisions: u64,
-    /// Always zero — merges are never taken on hash alone.
-    pub unconfirmed_merges: u64,
-    /// Subexpression entries indexed.
-    pub subterms_indexed: u64,
-    /// Subexpression merges confirmed.
-    pub subterm_merges_confirmed: u64,
-    /// Subexpressions skipped by the `min_nodes` floor.
-    pub subterms_skipped_min_nodes: u64,
+    /// The store's ingest counters ([`alpha_store::AlphaStore::stats`]).
+    pub store: StoreStats,
     /// Distinct classes currently in the store.
     pub num_classes: u64,
     /// Terms currently tracked by the store.
@@ -860,14 +847,15 @@ pub struct RemoteStats {
 
 /// Encodes a [`RemoteStats`] body.
 pub fn put_stats(out: &mut Vec<u8>, s: &RemoteStats) {
-    put_u64(out, s.terms_ingested);
-    put_u64(out, s.classes_created);
-    put_u64(out, s.merges_confirmed);
-    put_u64(out, s.hash_collisions);
-    put_u64(out, s.unconfirmed_merges);
-    put_u64(out, s.subterms_indexed);
-    put_u64(out, s.subterm_merges_confirmed);
-    put_u64(out, s.subterms_skipped_min_nodes);
+    let c = &s.store;
+    put_u64(out, c.terms_ingested);
+    put_u64(out, c.classes_created);
+    put_u64(out, c.merges_confirmed);
+    put_u64(out, c.hash_collisions);
+    put_u64(out, c.unconfirmed_merges);
+    put_u64(out, c.subterms_indexed);
+    put_u64(out, c.subterm_merges_confirmed);
+    put_u64(out, c.subterms_skipped_min_nodes);
     put_u64(out, s.num_classes);
     put_u64(out, s.num_terms);
     match s.wal_records {
@@ -893,14 +881,16 @@ pub fn put_stats(out: &mut Vec<u8>, s: &RemoteStats) {
 /// Decodes a [`RemoteStats`] body.
 pub fn take_stats(input: &mut &[u8]) -> Result<RemoteStats, WireError> {
     let mut s = RemoteStats {
-        terms_ingested: take_u64(input)?,
-        classes_created: take_u64(input)?,
-        merges_confirmed: take_u64(input)?,
-        hash_collisions: take_u64(input)?,
-        unconfirmed_merges: take_u64(input)?,
-        subterms_indexed: take_u64(input)?,
-        subterm_merges_confirmed: take_u64(input)?,
-        subterms_skipped_min_nodes: take_u64(input)?,
+        store: StoreStats {
+            terms_ingested: take_u64(input)?,
+            classes_created: take_u64(input)?,
+            merges_confirmed: take_u64(input)?,
+            hash_collisions: take_u64(input)?,
+            unconfirmed_merges: take_u64(input)?,
+            subterms_indexed: take_u64(input)?,
+            subterm_merges_confirmed: take_u64(input)?,
+            subterms_skipped_min_nodes: take_u64(input)?,
+        },
         num_classes: take_u64(input)?,
         num_terms: take_u64(input)?,
         ..RemoteStats::default()
@@ -995,9 +985,12 @@ mod tests {
     #[test]
     fn stats_and_outcome_round_trip() {
         let stats = RemoteStats {
-            terms_ingested: 10,
-            classes_created: 4,
-            merges_confirmed: 6,
+            store: StoreStats {
+                terms_ingested: 10,
+                classes_created: 4,
+                merges_confirmed: 6,
+                ..StoreStats::default()
+            },
             num_classes: 4,
             num_terms: 10,
             wal_records: Some(7),
@@ -1005,7 +998,6 @@ mod tests {
             health_reason: "disk full".to_owned(),
             recovery: Some((3, false)),
             obs_json: "{}".to_owned(),
-            ..RemoteStats::default()
         };
         let mut bytes = Vec::new();
         put_stats(&mut bytes, &stats);

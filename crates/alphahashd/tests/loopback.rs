@@ -297,7 +297,7 @@ fn read_only_store_refuses_wire_ingest_with_typed_code() {
     let stats = client.stats().expect("stats serves");
     assert_eq!(stats.health_code, 2, "health is read-only on the wire");
     assert!(!stats.health_reason.is_empty());
-    assert_eq!(stats.terms_ingested, known.len() as u64);
+    assert_eq!(stats.store.terms_ingested, known.len() as u64);
 
     // The operator fixes the disk; a *remote* checkpoint heals.
     fault.clear();

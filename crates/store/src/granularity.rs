@@ -62,58 +62,11 @@
 //! ```
 
 use crate::persist::vfs::{OsVfs, Vfs};
-use crate::persist::{ExpectedConfig, PersistError};
+use crate::persist::PersistError;
 use crate::store::{AlphaStore, AutoCheckpoint, RetryPolicy};
 use alpha_hash::combine::{HashScheme, HashWord};
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A [`StoreBuilder`] setting that cannot describe a working store,
-/// reported by [`StoreBuilder::try_build`]. The infallible
-/// [`StoreBuilder::build`] instead silently clamps each of these to the
-/// nearest legal value (kept for compatibility); `try_build` is for
-/// callers wiring user- or config-file-supplied numbers through, where a
-/// silently corrected typo (`shards(0)` for `shards(10)`, say) is worse
-/// than an error.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `shards(0)`: a store needs at least one lock stripe.
-    ZeroShards,
-    /// More lock stripes than the 16-bit shard index in [`ClassId`] can
-    /// address (the limit is 65 536).
-    ///
-    /// [`ClassId`]: crate::ClassId
-    TooManyShards {
-        /// The out-of-range stripe count that was requested.
-        requested: usize,
-    },
-    /// `chunk_entries(0)`: batch ingest must be allowed to hold at least
-    /// one prepared entry, or it could never drain.
-    ZeroChunkEntries,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroShards => {
-                write!(f, "shard count must be at least 1 (got 0)")
-            }
-            ConfigError::TooManyShards { requested } => {
-                write!(
-                    f,
-                    "shard count {requested} exceeds the maximum of 65536 \
-                     (ClassId addresses shards with 16 bits)"
-                )
-            }
-            ConfigError::ZeroChunkEntries => {
-                write!(f, "chunk_entries must be at least 1 (got 0)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// Which terms an [`AlphaStore`] indexes: whole inserted terms only, or
 /// every subexpression of them. Fixed at build time via [`StoreBuilder`].
@@ -179,15 +132,15 @@ impl Granularity {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StoreBuilder<H: HashWord = u64> {
-    scheme: HashScheme<H>,
-    shards: usize,
-    granularity: Granularity,
-    chunk_entries: usize,
-    sync_on_commit: bool,
-    verify_on_replay: bool,
-    vfs: Arc<dyn Vfs>,
-    retry: RetryPolicy,
-    auto_ckpt: AutoCheckpoint,
+    pub(crate) scheme: HashScheme<H>,
+    pub(crate) shards: usize,
+    pub(crate) granularity: Granularity,
+    pub(crate) chunk_entries: usize,
+    pub(crate) sync_on_commit: bool,
+    pub(crate) verify_on_replay: bool,
+    pub(crate) vfs: Arc<dyn Vfs>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) auto_ckpt: AutoCheckpoint,
 }
 
 impl<H: HashWord> Default for StoreBuilder<H> {
@@ -348,54 +301,11 @@ impl<H: HashWord> StoreBuilder<H> {
         self
     }
 
-    /// Checks the numeric settings without building anything.
-    fn validate(&self) -> Result<(), ConfigError> {
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards > 1 << 16 {
-            return Err(ConfigError::TooManyShards {
-                requested: self.shards,
-            });
-        }
-        if self.chunk_entries == 0 {
-            return Err(ConfigError::ZeroChunkEntries);
-        }
-        Ok(())
-    }
-
     /// Builds the store (in-memory), silently clamping degenerate
     /// settings to the nearest legal value: shard counts round up to a
-    /// power of two in `1..=65536`, `chunk_entries` to at least 1. Use
-    /// [`StoreBuilder::try_build`] to get an error instead of a clamp.
+    /// power of two in `1..=65536`, `chunk_entries` to at least 1.
     pub fn build(self) -> AlphaStore<H> {
-        AlphaStore::with_config(
-            self.scheme,
-            self.shards,
-            self.granularity,
-            self.chunk_entries,
-        )
-    }
-
-    /// Builds the store (in-memory), rejecting settings that
-    /// [`StoreBuilder::build`] would silently clamp — the right entry
-    /// point when shard or chunk counts come from configuration rather
-    /// than literals. (Non-power-of-two shard counts in range are not an
-    /// error in either entry point; they round up as documented on
-    /// [`StoreBuilder::shards`].)
-    ///
-    /// ```
-    /// use alpha_store::{AlphaStore, ConfigError, StoreBuilder};
-    ///
-    /// let err = StoreBuilder::<u64>::new().shards(0).try_build().err();
-    /// assert_eq!(err, Some(ConfigError::ZeroShards));
-    ///
-    /// let store: AlphaStore<u64> = StoreBuilder::new().shards(8).try_build().unwrap();
-    /// assert_eq!(store.shard_count(), 8);
-    /// ```
-    pub fn try_build(self) -> Result<AlphaStore<H>, ConfigError> {
-        self.validate()?;
-        Ok(self.build())
+        AlphaStore::new(&self)
     }
 
     /// Builds a **durable** store rooted at `dir`: every insert is teed
@@ -403,10 +313,10 @@ impl<H: HashWord> StoreBuilder<H> {
     /// [`AlphaStore::checkpoint`] keep a point-in-time image alongside it.
     ///
     /// If `dir` already holds a store, it is recovered — snapshot loaded,
-    /// WAL tail replayed with every merge re-confirmed — and its on-disk
-    /// configuration must match this builder's scheme, shard count and
-    /// granularity ([`PersistError::Mismatch`] otherwise). If `dir` is
-    /// empty or missing, a fresh store is created there. See
+    /// WAL tail replayed with every merge re-confirmed — and both files
+    /// must carry this builder's identity: hash width, scheme seed, shard
+    /// count and granularity ([`PersistError::Mismatch`] otherwise). If
+    /// `dir` is empty or missing, a fresh store is created there. See
     /// [`crate::persist`] for the crash-consistency story.
     ///
     /// ```
@@ -431,28 +341,7 @@ impl<H: HashWord> StoreBuilder<H> {
         self,
         dir: impl AsRef<std::path::Path>,
     ) -> Result<AlphaStore<H>, PersistError> {
-        let dir = dir.as_ref();
-        let expect = ExpectedConfig {
-            shard_count: u32::try_from(self.shards.clamp(1, 1 << 16).next_power_of_two())
-                .expect("shard count fits u32"),
-            scheme: self.scheme,
-            granularity: self.granularity,
-        };
-        // The recover-vs-create decision happens inside, under the
-        // directory lock, so a racing opener can never truncate files a
-        // first opener is writing.
-        crate::persist::open_or_create_store(
-            dir,
-            &expect,
-            crate::persist::OpenConfig {
-                sync_on_commit: self.sync_on_commit,
-                chunk_entries: self.chunk_entries.max(1),
-                verify_on_replay: self.verify_on_replay,
-                vfs: self.vfs,
-                retry: self.retry,
-                auto_ckpt: self.auto_ckpt,
-            },
-        )
+        crate::persist::open(dir.as_ref(), self, true)
     }
 }
 
@@ -488,43 +377,17 @@ mod tests {
     }
 
     #[test]
-    fn try_build_rejects_degenerate_configs() {
-        assert_eq!(
-            StoreBuilder::<u64>::new().shards(0).try_build().err(),
-            Some(ConfigError::ZeroShards)
-        );
-        assert_eq!(
-            StoreBuilder::<u64>::new()
-                .shards((1 << 16) + 1)
-                .try_build()
-                .err(),
-            Some(ConfigError::TooManyShards {
-                requested: (1 << 16) + 1
-            })
-        );
-        assert_eq!(
-            StoreBuilder::<u64>::new()
-                .chunk_entries(0)
-                .try_build()
-                .err(),
-            Some(ConfigError::ZeroChunkEntries)
-        );
-        // Errors render something actionable.
-        let msg = ConfigError::TooManyShards { requested: 70_000 }.to_string();
-        assert!(msg.contains("70000") && msg.contains("65536"), "{msg}");
-    }
-
-    #[test]
-    fn try_build_accepts_what_build_accepts() {
-        let store: AlphaStore<u64> = StoreBuilder::new()
-            .shards(6) // in range, not a power of two: rounds up, no error
-            .chunk_entries(16)
-            .subexpressions(2)
-            .try_build()
-            .unwrap();
-        assert_eq!(store.shard_count(), 8);
-        // build() still clamps the same degenerate inputs silently.
-        let clamped: AlphaStore<u64> = StoreBuilder::new().shards(0).build();
-        assert_eq!(clamped.shard_count(), 1);
+    fn build_rounds_and_clamps_shard_counts() {
+        let shards = |n: usize| StoreBuilder::<u64>::new().shards(n).build().shard_count();
+        assert_eq!(shards(6), 8, "in range, not a power of two: rounds up");
+        assert_eq!(shards(0), 1);
+        assert_eq!(shards((1 << 16) + 1), 1 << 16);
+        // chunk_entries(0) clamps to 1: a batch still drains.
+        let store: AlphaStore<u64> = StoreBuilder::new().chunk_entries(0).build();
+        let mut arena = lambda_lang::ExprArena::new();
+        let roots =
+            [r"\x. x", r"\y. y", "v + 1"].map(|src| lambda_lang::parse(&mut arena, src).unwrap());
+        assert_eq!(store.insert_batch(&arena, &roots).len(), 3);
+        assert_eq!(store.num_classes(), 2);
     }
 }

@@ -101,7 +101,7 @@ pub mod store;
 pub mod update;
 
 pub use corpus::{corpus_shared_dag_size, store_backed_cse, StoreBackedCse};
-pub use granularity::{ConfigError, Granularity, StoreBuilder};
+pub use granularity::{Granularity, StoreBuilder};
 pub use persist::vfs::{FaultKind, FaultVfs, OsVfs, Vfs, VfsFile};
 pub use persist::{PersistError, SnapshotOp, WalOp};
 pub use prepare::{Preparer, POOLED_PREPARER_MAX_PAGES};

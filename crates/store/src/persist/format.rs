@@ -27,7 +27,8 @@
 //!
 //! * **primitives** — `put_*`/`take_*` for the fixed-width integers, byte
 //!   strings, hash words (always serialized as two 64-bit lanes, whatever
-//!   the in-memory width) and [`Granularity`];
+//!   the in-memory width), [`Granularity`] and the `StoreIdentity`
+//!   both file headers open with;
 //! * **CRC-32** — the IEEE polynomial, used both as the whole-snapshot
 //!   checksum and as the per-record WAL frame check;
 //! * **structure codecs** — shared-DAG node runs (`put_dag`/`take_dag`,
@@ -101,8 +102,9 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// A hash word is always serialized as its two 64-bit lanes (16 bytes),
 /// whatever the in-memory width; the header's `hash_bits` field is what
-/// fixes the width, and readers reject a mismatch before decoding any
-/// hash. This keeps record layouts identical across widths.
+/// fixes the width, and the identity check refuses a file of another
+/// width before any hash decoded from it is used. This keeps record
+/// layouts identical across widths.
 pub(crate) fn put_hash<H: HashWord>(out: &mut Vec<u8>, h: H) {
     let (lo, hi) = h.to_lanes();
     put_u64(out, lo);
@@ -228,7 +230,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 const GRANULARITY_ROOTS: u8 = 0;
 const GRANULARITY_SUBEXPRESSIONS: u8 = 1;
 
-pub(crate) fn put_granularity(out: &mut Vec<u8>, g: Granularity) {
+fn put_granularity(out: &mut Vec<u8>, g: Granularity) {
     match g {
         Granularity::Roots => {
             put_u8(out, GRANULARITY_ROOTS);
@@ -241,7 +243,7 @@ pub(crate) fn put_granularity(out: &mut Vec<u8>, g: Granularity) {
     }
 }
 
-pub(crate) fn take_granularity(input: &mut &[u8]) -> Result<Granularity, PersistError> {
+fn take_granularity(input: &mut &[u8]) -> Result<Granularity, PersistError> {
     let tag = take_u8(input)?;
     let min_nodes = take_u64(input)?;
     match tag {
@@ -250,6 +252,79 @@ pub(crate) fn take_granularity(input: &mut &[u8]) -> Result<Granularity, Persist
             min_nodes: usize::try_from(min_nodes).map_err(|_| corrupt("min_nodes"))?,
         }),
         _ => Err(corrupt("granularity tag")),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Store identity (the head of both files)
+// ---------------------------------------------------------------------
+
+/// What a persisted hash means: the hash width, scheme seed, shard count
+/// and granularity of the store that wrote it. The collision bound holds
+/// for one seeded combiner family at one width, so a record is replayed
+/// only by a store of the same identity. `wal.bin` and `snapshot.bin`
+/// both carry it right after magic and version, and every open applies
+/// the one rule [`StoreIdentity::check`] to each file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StoreIdentity {
+    pub(crate) hash_bits: u32,
+    pub(crate) scheme_seed: u64,
+    pub(crate) shard_count: u32,
+    pub(crate) granularity: Granularity,
+}
+
+impl StoreIdentity {
+    /// Encoded length: `hash_bits`, `scheme_seed`, `shard_count`, granularity.
+    pub(crate) const LEN: u64 = 4 + 8 + 4 + 9;
+
+    pub(crate) fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.hash_bits);
+        put_u64(out, self.scheme_seed);
+        put_u32(out, self.shard_count);
+        put_granularity(out, self.granularity);
+    }
+
+    pub(crate) fn take(input: &mut &[u8]) -> Result<Self, PersistError> {
+        Ok(StoreIdentity {
+            hash_bits: take_u32(input)?,
+            scheme_seed: take_u64(input)?,
+            shard_count: take_u32(input)?,
+            granularity: take_granularity(input)?,
+        })
+    }
+
+    /// Checks the identity `file` carries against this one, the opening
+    /// store's: [`PersistError::Mismatch`] naming the first field that
+    /// differs.
+    pub(crate) fn check(&self, found: &StoreIdentity, file: &str) -> Result<(), PersistError> {
+        let (field, on_disk, store) = if found.hash_bits != self.hash_bits {
+            (
+                "hash width",
+                found.hash_bits.to_string(),
+                self.hash_bits.to_string(),
+            )
+        } else if found.scheme_seed != self.scheme_seed {
+            let hex = |seed: u64| format!("{seed:#x}");
+            ("scheme seed", hex(found.scheme_seed), hex(self.scheme_seed))
+        } else if found.shard_count != self.shard_count {
+            (
+                "shard count",
+                found.shard_count.to_string(),
+                self.shard_count.to_string(),
+            )
+        } else if found.granularity != self.granularity {
+            let name = |g: Granularity| format!("{g:?}");
+            (
+                "granularity",
+                name(found.granularity),
+                name(self.granularity),
+            )
+        } else {
+            return Ok(());
+        };
+        Err(PersistError::Mismatch {
+            context: format!("{file} has {field} {on_disk}, the store opening it has {store}"),
+        })
     }
 }
 
@@ -603,6 +678,13 @@ mod tests {
         put_str(&mut buf, "héllo");
         put_hash(&mut buf, 0x1122_3344_5566_7788_99AA_BBCC_DDEE_FF00u128);
         put_granularity(&mut buf, Granularity::Subexpressions { min_nodes: 7 });
+        let identity = StoreIdentity {
+            hash_bits: 128,
+            scheme_seed: 0x5EED,
+            shard_count: 8,
+            granularity: Granularity::Subexpressions { min_nodes: 2 },
+        };
+        identity.put(&mut buf);
 
         let mut input = buf.as_slice();
         assert_eq!(take_u8(&mut input).unwrap(), 0xAB);
@@ -618,7 +700,60 @@ mod tests {
             take_granularity(&mut input).unwrap(),
             Granularity::Subexpressions { min_nodes: 7 }
         );
+        let before = input.len();
+        assert_eq!(StoreIdentity::take(&mut input).unwrap(), identity);
+        assert_eq!((before - input.len()) as u64, StoreIdentity::LEN);
         assert!(input.is_empty());
+    }
+
+    #[test]
+    fn identity_check_names_the_field_that_differs() {
+        let store = StoreIdentity {
+            hash_bits: 64,
+            scheme_seed: 7,
+            shard_count: 4,
+            granularity: Granularity::Roots,
+        };
+        assert!(store.check(&store, "wal.bin").is_ok());
+        let cases = [
+            (
+                StoreIdentity {
+                    hash_bits: 128,
+                    ..store
+                },
+                "hash width 128",
+            ),
+            (
+                StoreIdentity {
+                    scheme_seed: 8,
+                    ..store
+                },
+                "scheme seed 0x8",
+            ),
+            (
+                StoreIdentity {
+                    shard_count: 16,
+                    ..store
+                },
+                "shard count 16",
+            ),
+            (
+                StoreIdentity {
+                    granularity: Granularity::Subexpressions { min_nodes: 2 },
+                    ..store
+                },
+                "granularity Subexpressions",
+            ),
+        ];
+        for (found, named) in cases {
+            match store.check(&found, "snapshot.bin") {
+                Err(PersistError::Mismatch { context }) => {
+                    assert!(context.starts_with("snapshot.bin has "), "{context}");
+                    assert!(context.contains(named), "{context}");
+                }
+                other => panic!("expected Mismatch naming {named:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

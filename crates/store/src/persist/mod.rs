@@ -17,16 +17,19 @@
 //!   a **commit marker** per group commit, so replay can reproduce the
 //!   original batch grouping exactly.
 //!
-//! Recovery ([`AlphaStore::open`](crate::AlphaStore::open) or
-//! [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable)) loads
-//! the snapshot, replays the WAL tail **through the normal ingest path** —
+//! Both files open with the same store identity (hash width, scheme seed,
+//! shard count, granularity), and one open path serves
+//! [`AlphaStore::open`](crate::AlphaStore::open) and
+//! [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable): it
+//! checks each file's identity against the opening store's, loads the
+//! snapshot, replays the WAL tail **through the normal ingest path** —
 //! every replayed merge is re-confirmed by canonical-form identity, so the
 //! store's exactness invariant (`unconfirmed_merges == 0`) survives
-//! restarts by construction, not by trust in the disk — and then
-//! checkpoints: it writes a fresh snapshot and resets the WAL under a new
-//! epoch, so every successfully opened store starts from the clean
-//! `(full snapshot, empty WAL)` state whatever crash weirdness it
-//! recovered from. [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) upgrades replay to
+//! restarts by construction, not by trust in the disk — and then, unless
+//! the reopen was clean, checkpoints: it writes a fresh snapshot and
+//! resets the WAL under a new epoch, so every successfully opened store
+//! starts from a consistent `(snapshot, WAL)` pair whatever crash
+//! weirdness it recovered from. [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) upgrades replay to
 //! paranoid mode: every record is re-hashed from its canonical payload
 //! before being trusted, catching consistent corruption that CRC framing
 //! and merge confirmation cannot see.
@@ -51,15 +54,15 @@ pub(crate) mod wal;
 
 use crate::canon::rebuild_named;
 use crate::dag::CanonTable;
-use crate::granularity::Granularity;
-use crate::store::{AlphaStore, AutoCheckpoint, RetryPolicy};
+use crate::granularity::StoreBuilder;
+use crate::store::AlphaStore;
 use alpha_hash::combine::{HashScheme, HashWord};
 use format::RawRecord;
 use lambda_lang::debruijn::DbNode;
 use lambda_lang::ExprArena;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use vfs::Vfs;
 
 /// File name of the snapshot inside a durable store's directory.
@@ -92,9 +95,10 @@ pub enum PersistError {
         /// Human-readable description of what failed to parse.
         context: String,
     },
-    /// Intact data that belongs to a different configuration: wrong format
-    /// version, wrong hash width, or a store opened with a builder whose
-    /// scheme/shards/granularity disagree with what is on disk.
+    /// Intact data that belongs to a different store: a format version
+    /// other than the current one, or a file whose identity (hash width,
+    /// scheme seed, shard count, granularity) differs from the opening
+    /// store's — the builder's, or the one the other file carries.
     Mismatch {
         /// Human-readable description of the disagreement.
         context: String,
@@ -244,24 +248,6 @@ pub(crate) struct Durable {
     _lock: std::fs::File,
 }
 
-/// Open-time knobs shared by every durable-open entry point.
-#[derive(Clone, Debug)]
-pub(crate) struct OpenConfig {
-    pub(crate) sync_on_commit: bool,
-    pub(crate) chunk_entries: usize,
-    /// Paranoid replay: re-hash every record's canonical payload before
-    /// trusting it (see
-    /// [`StoreBuilder::verify_on_replay`](crate::StoreBuilder::verify_on_replay)).
-    pub(crate) verify_on_replay: bool,
-    /// The storage backend every persisted byte flows through
-    /// ([`vfs::OsVfs`] in production, [`vfs::FaultVfs`] under test).
-    pub(crate) vfs: Arc<dyn Vfs>,
-    /// WAL append/sync retry policy for the health state machine.
-    pub(crate) retry: RetryPolicy,
-    /// Auto-checkpoint watermarks (off by default).
-    pub(crate) auto_ckpt: AutoCheckpoint,
-}
-
 /// Paranoid-mode record validation: recompute what the record *claims*
 /// from its canonical payload alone. The tree sizes are re-derived by a
 /// sharing-aware DP over the record's node run, then each entry's canon
@@ -337,92 +323,70 @@ fn acquire_dir_lock(dir: &Path) -> Result<std::fs::File, PersistError> {
     }
 }
 
-/// The builder-side configuration a reopened store must match.
-pub(crate) struct ExpectedConfig<H: HashWord> {
-    pub(crate) scheme: HashScheme<H>,
-    /// Already clamped/rounded the way the store constructor does it.
-    pub(crate) shard_count: u32,
-    pub(crate) granularity: Granularity,
-}
-
-fn check_config<H: HashWord>(
-    expect: &ExpectedConfig<H>,
-    seed: u64,
-    shard_count: u32,
-    granularity: Granularity,
-) -> Result<(), PersistError> {
-    let mismatch = |context: String| Err(PersistError::Mismatch { context });
-    if expect.scheme.seed() != seed {
-        return mismatch(format!(
-            "on-disk scheme seed {seed:#x} != builder scheme seed {:#x}",
-            expect.scheme.seed()
-        ));
-    }
-    if expect.shard_count != shard_count {
-        return mismatch(format!(
-            "on-disk shard count {shard_count} != builder shard count {}",
-            expect.shard_count
-        ));
-    }
-    if expect.granularity != granularity {
-        return mismatch(format!(
-            "on-disk granularity {granularity:?} != builder granularity {:?}",
-            expect.granularity
-        ));
-    }
-    Ok(())
-}
-
-/// The recover-or-create path behind
-/// [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable): the
-/// directory lock is taken **before** deciding between recovery and
+/// The one durable-open path, behind
+/// [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable)
+/// (`create`) and [`AlphaStore::open`] (not `create`).
+///
+/// With `create`, a directory holding no store gets a fresh one, and an
+/// existing store must carry the builder's identity. Without it, the
+/// store must exist and its scheme seed, shard count and granularity are
+/// read from disk; the hash width is always the store type's. Either
+/// way, both files are checked against the opening store's
+/// [`StoreIdentity`](format::StoreIdentity) by the one rule
+/// [`StoreIdentity::check`](format::StoreIdentity::check).
+///
+/// The directory lock is taken **before** deciding between recovery and
 /// creation, so a racing second opener can never observe "empty" and
 /// truncate files a first opener is writing.
-pub(crate) fn open_or_create_store<H: HashWord>(
+pub(crate) fn open<H: HashWord>(
     dir: &Path,
-    expect: &ExpectedConfig<H>,
-    config: OpenConfig,
+    builder: StoreBuilder<H>,
+    create: bool,
 ) -> Result<AlphaStore<H>, PersistError> {
-    std::fs::create_dir_all(dir)?;
+    if create {
+        std::fs::create_dir_all(dir)?;
+    }
     let lock = acquire_dir_lock(dir)?;
+    let wal_path = dir.join(WAL_FILE);
+    let vfs = Arc::clone(&builder.vfs);
     // A WAL alone whose fixed header never finished reaching the disk is
     // a creation that crashed mid-flight: nothing was ever committed
-    // through it, so it does not count as an existing store and the
-    // create path below (which truncates it) starts over.
-    let exists = dir.join(SNAPSHOT_FILE).is_file()
-        || (dir.join(WAL_FILE).is_file() && wal::header_intact(&dir.join(WAL_FILE)));
-    if exists {
-        open_store_locked(dir, Some(expect), config, lock)
+    // through it, so it does not count as an existing store and creation
+    // (which truncates it) starts over.
+    let fresh = create
+        && !dir.join(SNAPSHOT_FILE).is_file()
+        && !(wal_path.is_file() && wal::header_intact(&wal_path));
+    let (mut store, wal) = if fresh {
+        let store = AlphaStore::new(&builder);
+        let header = wal::WalHeader {
+            identity: store.identity(),
+            epoch: 1,
+        };
+        let wal = wal::Wal::create(&*vfs, &wal_path, header, builder.sync_on_commit)?;
+        (store, wal)
     } else {
-        create_store_locked(dir, expect, config, lock)
-    }
+        recover(dir, builder, create)?
+    };
+    store.attach_durable(Durable {
+        wal: Mutex::new(wal),
+        dir: dir.to_owned(),
+        vfs,
+        _lock: lock,
+    });
+    Ok(store)
 }
 
-/// The shared open/recovery path behind [`AlphaStore::open`] and
-/// [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable).
-///
-/// `expect` is `Some` when a builder supplies a configuration the on-disk
-/// store must match, `None` when the configuration is read entirely from
-/// disk. Ends with a checkpoint — fresh snapshot, reset WAL, next epoch —
-/// unless the reopen was *clean* (intact snapshot,
-/// same-epoch WAL fully absorbed, nothing torn), in which case the
-/// existing files simply continue: no O(store) snapshot rewrite for a
+/// Recovers the store in `dir` for [`open`] and returns it with the WAL
+/// it goes on appending to. Ends with a checkpoint — fresh snapshot,
+/// reset WAL, next epoch — unless the reopen was *clean* (intact
+/// snapshot, same-epoch WAL fully absorbed, nothing torn), in which case
+/// the existing WAL simply continues: no O(store) snapshot rewrite for a
 /// no-op reopen.
-pub(crate) fn open_store<H: HashWord>(
+fn recover<H: HashWord>(
     dir: &Path,
-    expect: Option<&ExpectedConfig<H>>,
-    config: OpenConfig,
-) -> Result<AlphaStore<H>, PersistError> {
-    let lock = acquire_dir_lock(dir)?;
-    open_store_locked(dir, expect, config, lock)
-}
-
-fn open_store_locked<H: HashWord>(
-    dir: &Path,
-    expect: Option<&ExpectedConfig<H>>,
-    config: OpenConfig,
-    lock: std::fs::File,
-) -> Result<AlphaStore<H>, PersistError> {
+    builder: StoreBuilder<H>,
+    create: bool,
+) -> Result<(AlphaStore<H>, wal::Wal), PersistError> {
     let snap_path = dir.join(SNAPSHOT_FILE);
     let wal_path = dir.join(WAL_FILE);
     let have_snapshot = snap_path.is_file();
@@ -433,86 +397,78 @@ fn open_store_locked<H: HashWord>(
             format!("no {SNAPSHOT_FILE} or {WAL_FILE} in {}", dir.display()),
         )));
     }
+    let vfs = Arc::clone(&builder.vfs);
 
-    // 0. Read the WAL once up front; both the config-derivation step and
-    // the replay step below consume this same scan.
-    let wal_scan: Option<Result<wal::WalContents<H>, PersistError>> =
-        have_wal.then(|| wal::read_wal::<H>(&*config.vfs, &wal_path));
+    // 0. Read the WAL once up front; both the identity check and the
+    // replay step below consume this same scan.
+    let wal_scan = have_wal.then(|| wal::read_wal::<H>(&*vfs, &wal_path));
 
-    // 1. The snapshot (or an empty store described by the WAL header).
-    // Every canonical form decoded anywhere below interns into this one
-    // table, which the rebuilt store then owns.
+    // 1. The snapshot. Every canonical form decoded anywhere below
+    // interns into this one table, which the store then owns. Recovery
+    // phases are timed here and folded into the store's obs registry
+    // once the store exists.
     let table = CanonTable::new();
-    // Recovery-phase timings, folded into the store's obs registry once
-    // the store exists (it does not yet, while the phases run).
-    let mut snap_load_ns = 0u64;
-    let mut replay_ns = 0u64;
-    let (mut store, snap_epoch, records_applied, wal_contents) = if have_snapshot {
-        let t = std::time::Instant::now();
-        let (header, shards) = snapshot::read_snapshot::<H>(&*config.vfs, &snap_path, &table)?;
-        snap_load_ns = t.elapsed().as_nanos() as u64;
-        if let Some(expect) = expect {
-            check_config(
-                expect,
-                header.scheme_seed,
-                header.shard_count,
-                header.granularity,
-            )?;
-        }
-        let store = AlphaStore::from_loaded(
-            HashScheme::from_raw_seed(header.scheme_seed),
-            shards,
-            header.granularity,
-            &header.stats,
-            config.chunk_entries,
-            table,
-        )?;
-        // With an intact snapshot, a WAL whose *header* cannot even be
-        // decoded (truncated by a disk-full crash during reset, zeroed,
-        // overwritten) is treated like a stale WAL: the snapshot is the
-        // authoritative committed state, and the checkpoint below lays
-        // down a fresh log. Intact-but-mismatched WALs still error.
-        let wal_contents = match wal_scan {
-            None => None,
-            Some(Ok(contents)) => Some(contents),
-            Some(Err(PersistError::Corrupt { .. })) => None,
-            Some(Err(e)) => return Err(e),
-        };
-        (
-            store,
-            Some(header.wal_epoch),
-            header.wal_records_applied,
-            wal_contents,
-        )
+    let t = std::time::Instant::now();
+    let snapshot = have_snapshot
+        .then(|| snapshot::read_snapshot::<H>(&*vfs, &snap_path, &table))
+        .transpose()?;
+    let snap_load_ns = if have_snapshot {
+        t.elapsed().as_nanos() as u64
     } else {
-        let contents = wal_scan.expect("have_wal when no snapshot exists")?;
-        let h = contents.header;
-        if h.hash_bits != H::BITS {
-            return Err(PersistError::Mismatch {
-                context: format!(
-                    "WAL hashes are {}-bit, store type is {}-bit",
-                    h.hash_bits,
-                    H::BITS
-                ),
-            });
-        }
-        if let Some(expect) = expect {
-            check_config(expect, h.scheme_seed, h.shard_count, h.granularity)?;
-        }
-        let store = AlphaStore::from_loaded(
-            HashScheme::from_raw_seed(h.scheme_seed),
-            (0..h.shard_count)
-                .map(|_| crate::store::Shard::empty())
-                .collect(),
-            h.granularity,
-            &crate::stats::StoreStats::default(),
-            config.chunk_entries,
-            table,
-        )?;
-        (store, None, 0, Some(contents))
+        0
+    };
+    let mut replay_ns = 0u64;
+    // With an intact snapshot, a WAL whose *header* cannot even be
+    // decoded (truncated by a disk-full crash during reset, zeroed,
+    // overwritten) is treated like a stale WAL: the snapshot is the
+    // authoritative committed state, and the checkpoint below lays down
+    // a fresh log. Without a snapshot there is nothing to fall back on.
+    let wal_contents = match wal_scan {
+        Some(Err(PersistError::Corrupt { .. })) if have_snapshot => None,
+        scan => scan.transpose()?,
     };
 
-    // 2. The WAL tail.
+    // 2. The identity. Without `create` the store takes the one on disk
+    // (the snapshot's, else the WAL's); either way every file present
+    // must match the store's.
+    let builder = if create {
+        builder
+    } else {
+        let found = match (&snapshot, &wal_contents) {
+            (Some((header, _)), _) => header.identity,
+            (None, contents) => {
+                contents
+                    .as_ref()
+                    .expect("a WAL without a snapshot")
+                    .header
+                    .identity
+            }
+        };
+        builder
+            .scheme(HashScheme::from_raw_seed(found.scheme_seed))
+            .shards(found.shard_count as usize)
+            .granularity(found.granularity)
+    };
+    let mut store = AlphaStore::new(&builder);
+    let identity = store.identity();
+    if let Some((header, _)) = &snapshot {
+        identity.check(&header.identity, SNAPSHOT_FILE)?;
+    }
+    if let Some(contents) = &wal_contents {
+        identity.check(&contents.header.identity, WAL_FILE)?;
+    }
+    let (snap_epoch, records_applied) = match snapshot {
+        Some((header, shards)) => {
+            // Same shard count as the store's: the identity says so.
+            store.table = table;
+            store.shards = shards.into_iter().map(RwLock::new).collect();
+            store.counters.restore(&header.stats);
+            (Some(header.wal_epoch), header.wal_records_applied)
+        }
+        None => (None, 0),
+    };
+
+    // 3. The WAL tail.
     let mut last_epoch = snap_epoch.unwrap_or(0);
     // `Some((records, good_len))` when the reopen is *clean*: intact
     // snapshot, intact same-epoch WAL whose every record the snapshot
@@ -522,27 +478,17 @@ fn open_store_locked<H: HashWord>(
     // [`AlphaStore::recovery_info`].
     let mut replayed_records: u64 = 0;
     if let Some(contents) = wal_contents {
-        let h = contents.header;
-        if h.hash_bits != H::BITS
-            || h.scheme_seed != store.scheme().seed()
-            || h.granularity != store.granularity()
-            || usize::try_from(h.shard_count) != Ok(store.shard_count())
-        {
-            return Err(PersistError::Mismatch {
-                context: "WAL header disagrees with the snapshot it extends".to_owned(),
-            });
-        }
+        let epoch = contents.header.epoch;
         match snap_epoch {
-            Some(es) if h.epoch > es => {
+            Some(es) if epoch > es => {
                 return Err(PersistError::Corrupt {
                     context: format!(
-                        "WAL epoch {} is ahead of snapshot epoch {es} — the snapshot \
-                         this WAL extends is missing",
-                        h.epoch
+                        "WAL epoch {epoch} is ahead of snapshot epoch {es} — the snapshot \
+                         this WAL extends is missing"
                     ),
                 });
             }
-            Some(es) if h.epoch < es => {
+            Some(es) if epoch < es => {
                 // Crash between compaction's snapshot rename and WAL
                 // reset: every record in this WAL is already folded into
                 // the snapshot. Discard.
@@ -553,7 +499,7 @@ fn open_store_locked<H: HashWord>(
                 // the snapshot has not absorbed. A tail torn inside the
                 // already-applied region means those lost records are in
                 // the snapshot anyway.
-                last_epoch = h.epoch.max(last_epoch);
+                last_epoch = epoch.max(last_epoch);
                 let count = contents.total_records;
                 if have_snapshot && !contents.torn && count == records_applied {
                     // Clean reopen: the snapshot already holds every WAL
@@ -564,7 +510,7 @@ fn open_store_locked<H: HashWord>(
                     let tail = drop_applied_records(contents.groups, records_applied);
                     replayed_records = tail.iter().map(|g| g.len() as u64).sum();
                     let t = std::time::Instant::now();
-                    store.replay(tail, config.verify_on_replay)?;
+                    store.replay(tail, builder.verify_on_replay)?;
                     replay_ns = t.elapsed().as_nanos() as u64;
                 }
             }
@@ -577,50 +523,33 @@ fn open_store_locked<H: HashWord>(
         clean: clean_wal.is_some(),
     });
 
-    // 3a. Clean reopen: nothing was replayed and nothing was torn, so the
-    // on-disk pair is already in a consistent state — skip the O(store)
-    // checkpoint and keep appending to the existing WAL.
-    if let Some((records, good_len)) = clean_wal {
-        let wal = wal::Wal::open_for_append(
-            &*config.vfs,
+    let wal = match clean_wal {
+        // 4a. Clean reopen: nothing was replayed and nothing was torn, so
+        // the on-disk pair is already in a consistent state — skip the
+        // O(store) checkpoint and keep appending to the existing WAL.
+        Some((records, good_len)) => wal::Wal::open_for_append(
+            &*vfs,
             &wal_path,
             last_epoch,
             records,
             good_len,
-            config.sync_on_commit,
-        )?;
-        store.set_reliability(config.retry, config.auto_ckpt);
-        store.attach_durable(Durable {
-            wal: Mutex::new(wal),
-            dir: dir.to_owned(),
-            vfs: config.vfs,
-            _lock: lock,
-        });
-        return Ok(store);
-    }
-
-    // 3b. Checkpoint: the recovered state becomes the new snapshot and the
-    // WAL restarts empty under the next epoch, so the on-disk pair is in
-    // the clean post-compaction state no matter what was recovered (this
-    // is also what migrates a v1 store to the current format).
-    let new_epoch = last_epoch + 1;
-    let header = wal::WalHeader {
-        hash_bits: H::BITS,
-        scheme_seed: store.scheme().seed(),
-        shard_count: u32::try_from(store.shard_count()).expect("shard count fits u32"),
-        granularity: store.granularity(),
-        epoch: new_epoch,
+            builder.sync_on_commit,
+        )?,
+        // 4b. Checkpoint: the recovered state becomes the new snapshot
+        // and the WAL restarts empty under the next epoch, so the on-disk
+        // pair is in the clean post-compaction state no matter what was
+        // recovered.
+        None => {
+            let new_epoch = last_epoch + 1;
+            store.write_snapshot_file(&*vfs, &snap_path, new_epoch, 0)?;
+            let header = wal::WalHeader {
+                identity,
+                epoch: new_epoch,
+            };
+            wal::Wal::create(&*vfs, &wal_path, header, builder.sync_on_commit)?
+        }
     };
-    store.write_snapshot_file(&*config.vfs, &snap_path, new_epoch, 0)?;
-    let wal = wal::Wal::create(&*config.vfs, &wal_path, header, config.sync_on_commit)?;
-    store.set_reliability(config.retry, config.auto_ckpt);
-    store.attach_durable(Durable {
-        wal: Mutex::new(wal),
-        dir: dir.to_owned(),
-        vfs: config.vfs,
-        _lock: lock,
-    });
-    Ok(store)
+    Ok((store, wal))
 }
 
 /// Drops the first `applied` entries (the ones the snapshot already
@@ -643,47 +572,4 @@ fn drop_applied_records<T>(groups: Vec<Vec<T>>, applied: u64) -> Vec<Vec<T>> {
         }
     }
     out
-}
-
-/// Creates a brand-new durable store directory (no snapshot yet, empty
-/// WAL) for a builder's configuration. The caller already holds the
-/// directory lock and has confirmed, under that lock, that no store
-/// files exist.
-fn create_store_locked<H: HashWord>(
-    dir: &Path,
-    expect: &ExpectedConfig<H>,
-    config: OpenConfig,
-    lock: std::fs::File,
-) -> Result<AlphaStore<H>, PersistError> {
-    let header = wal::WalHeader {
-        hash_bits: H::BITS,
-        scheme_seed: expect.scheme.seed(),
-        shard_count: expect.shard_count,
-        granularity: expect.granularity,
-        epoch: 1,
-    };
-    let wal = wal::Wal::create(
-        &*config.vfs,
-        &dir.join(WAL_FILE),
-        header,
-        config.sync_on_commit,
-    )?;
-    let mut store = AlphaStore::from_loaded(
-        expect.scheme,
-        (0..expect.shard_count)
-            .map(|_| crate::store::Shard::empty())
-            .collect(),
-        expect.granularity,
-        &crate::stats::StoreStats::default(),
-        config.chunk_entries,
-        CanonTable::new(),
-    )?;
-    store.set_reliability(config.retry, config.auto_ckpt);
-    store.attach_durable(Durable {
-        wal: Mutex::new(wal),
-        dir: dir.to_owned(),
-        vfs: config.vfs,
-        _lock: lock,
-    });
-    Ok(store)
 }

@@ -28,13 +28,12 @@
 //! `docs/PERSISTENCE_FORMAT.md`.
 
 use super::format::{
-    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, FORMAT_VERSION,
-    SNAPSHOT_MAGIC,
+    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, StoreIdentity,
+    FORMAT_VERSION, SNAPSHOT_MAGIC,
 };
 use super::vfs::Vfs;
 use super::{PersistError, SnapshotOp};
 use crate::dag::CanonTable;
-use crate::granularity::Granularity;
 use crate::stats::StoreStats;
 use crate::store::{ClassId, Shard, StoredClass};
 use alpha_hash::combine::HashWord;
@@ -42,15 +41,11 @@ use lambda_lang::canon::CanonRef;
 use lambda_lang::debruijn::{DbArena, DbId};
 use std::path::Path;
 
-/// Everything the snapshot header records. The configuration fields must
-/// agree with the WAL header and with any builder trying to reopen the
-/// store.
+/// Everything the snapshot header records: the same [`StoreIdentity`]
+/// the WAL header opens with, the WAL linkage, and the statistics.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SnapshotHeader {
-    pub(crate) hash_bits: u32,
-    pub(crate) scheme_seed: u64,
-    pub(crate) shard_count: u32,
-    pub(crate) granularity: Granularity,
+    pub(crate) identity: StoreIdentity,
     /// Epoch of the WAL this snapshot pairs with.
     pub(crate) wal_epoch: u64,
     /// How many records of that WAL are already folded into this snapshot
@@ -101,10 +96,7 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, header.hash_bits);
-    put_u64(&mut out, header.scheme_seed);
-    put_u32(&mut out, header.shard_count);
-    format::put_granularity(&mut out, header.granularity);
+    header.identity.put(&mut out);
     put_u64(&mut out, header.wal_epoch);
     put_u64(&mut out, header.wal_records_applied);
     put_stats(&mut out, &header.stats);
@@ -112,7 +104,7 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     // The node table, once.
     format::put_dag(&mut out, dag);
 
-    debug_assert_eq!(shards.len(), header.shard_count as usize);
+    debug_assert_eq!(shards.len(), header.identity.shard_count as usize);
     debug_assert_eq!(
         class_roots.len(),
         shards.iter().map(|s| s.classes.len()).sum::<usize>()
@@ -158,6 +150,8 @@ pub(crate) fn encode_snapshot<H: HashWord>(
 /// Canonical forms are interned into `table` (so the returned shards'
 /// [`CanonRef`]s address it). Verifies the trailing CRC before reading
 /// anything else, then refuses any format version but the current one.
+/// The header's identity is returned unchecked: the open path checks it
+/// by the same rule as the WAL's.
 pub(crate) fn decode_snapshot<H: HashWord>(
     bytes: &[u8],
     table: &CanonTable,
@@ -185,30 +179,19 @@ pub(crate) fn decode_snapshot<H: HashWord>(
         });
     }
     let header = SnapshotHeader {
-        hash_bits: take_u32(&mut input)?,
-        scheme_seed: take_u64(&mut input)?,
-        shard_count: take_u32(&mut input)?,
-        granularity: format::take_granularity(&mut input)?,
+        identity: StoreIdentity::take(&mut input)?,
         wal_epoch: take_u64(&mut input)?,
         wal_records_applied: take_u64(&mut input)?,
         stats: take_stats(&mut input)?,
     };
-    if header.hash_bits != H::BITS {
-        return Err(PersistError::Mismatch {
-            context: format!(
-                "snapshot hashes are {}-bit, store type is {}-bit",
-                header.hash_bits,
-                H::BITS
-            ),
-        });
-    }
 
     // One shared node run up front, re-interned once; classes address
     // positions in it.
     let node_refs: Vec<CanonRef> = table.intern_arena_refs(&format::take_dag(&mut input)?);
 
-    let mut shards = Vec::with_capacity(header.shard_count.min(1 << 16) as usize);
-    for _ in 0..header.shard_count {
+    let shard_count = header.identity.shard_count;
+    let mut shards = Vec::with_capacity(shard_count.min(1 << 16) as usize);
+    for _ in 0..shard_count {
         let class_count = take_u32(&mut input)? as usize;
         let mut classes = Vec::with_capacity(class_count.min(1 << 20));
         for _ in 0..class_count {
@@ -337,10 +320,12 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let header = SnapshotHeader {
-            hash_bits: <u64 as HashWord>::BITS,
-            scheme_seed: 7,
-            shard_count: 1,
-            granularity: Granularity::Roots,
+            identity: StoreIdentity {
+                hash_bits: <u64 as HashWord>::BITS,
+                scheme_seed: 7,
+                shard_count: 1,
+                granularity: crate::granularity::Granularity::Roots,
+            },
             wal_epoch: 0,
             wal_records_applied: 0,
             stats: StoreStats::default(),

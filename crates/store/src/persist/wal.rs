@@ -27,8 +27,9 @@
 //! [`StoreBuilder::sync_on_commit`](crate::StoreBuilder::sync_on_commit)
 //! upgrades every group commit to an `fsync`.
 //!
-//! The file opens with a header naming the format version, hash width,
-//! scheme seed, shard count, granularity and an **epoch**. The epoch ties
+//! The file opens with a header naming the format version, the store's
+//! identity (hash width, scheme seed, shard count, granularity — the same
+//! block the snapshot header carries) and an **epoch**. The epoch ties
 //! the WAL to the snapshot that logically precedes it:
 //! [`checkpoint`](crate::AlphaStore::checkpoint) bumps it in the snapshot first
 //! and resets the WAL second, so a crash between the two steps leaves a
@@ -38,13 +39,12 @@
 //! `docs/PERSISTENCE_FORMAT.md` for the byte layout.
 
 use super::format::{
-    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, RawDelta, RawRecord,
-    FORMAT_VERSION, WAL_MAGIC,
+    self, crc32, put_u16, put_u64, take_u16, take_u32, take_u64, RawDelta, RawRecord,
+    StoreIdentity, FORMAT_VERSION, WAL_MAGIC,
 };
 use super::vfs::{Vfs, VfsFile};
 use super::{PersistError, WalOp};
 use crate::dag::{extract_canon, TableView};
-use crate::granularity::Granularity;
 use crate::obs::WalObs;
 use crate::prepare::{PreparedCanon, PreparedTerm};
 use alpha_hash::combine::HashWord;
@@ -71,28 +71,21 @@ pub(crate) enum WalEntry<H> {
     Update(RawDelta<H>),
 }
 
-/// Everything a WAL header records about the store it logs for. Must match
-/// the snapshot header (and the opening builder's configuration) exactly;
-/// recovery refuses to replay records hashed under a different scheme.
+/// A WAL header: the [`StoreIdentity`] of the store it logs for, then
+/// the epoch tying it to its snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct WalHeader {
-    pub(crate) hash_bits: u32,
-    pub(crate) scheme_seed: u64,
-    pub(crate) shard_count: u32,
-    pub(crate) granularity: Granularity,
+    pub(crate) identity: StoreIdentity,
     pub(crate) epoch: u64,
 }
 
-pub(crate) const WAL_HEADER_LEN: u64 = 8 + 2 + 4 + 8 + 4 + 1 + 8 + 8;
+pub(crate) const WAL_HEADER_LEN: u64 = 8 + 2 + StoreIdentity::LEN + 8;
 
 fn encode_header(h: &WalHeader) -> Vec<u8> {
     let mut out = Vec::with_capacity(WAL_HEADER_LEN as usize);
     out.extend_from_slice(&WAL_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, h.hash_bits);
-    put_u64(&mut out, h.scheme_seed);
-    put_u32(&mut out, h.shard_count);
-    format::put_granularity(&mut out, h.granularity);
+    h.identity.put(&mut out);
     put_u64(&mut out, h.epoch);
     debug_assert_eq!(out.len() as u64, WAL_HEADER_LEN);
     out
@@ -112,10 +105,7 @@ fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
         });
     }
     Ok(WalHeader {
-        hash_bits: take_u32(input)?,
-        scheme_seed: take_u64(input)?,
-        shard_count: take_u32(input)?,
-        granularity: format::take_granularity(input)?,
+        identity: StoreIdentity::take(input)?,
         epoch: take_u64(input)?,
     })
 }
@@ -509,6 +499,7 @@ pub(crate) fn frame_commit(out: &mut Vec<u8>, count: u64) {
 mod tests {
     use super::*;
     use crate::dag::CanonTable;
+    use crate::granularity::Granularity;
     use crate::persist::vfs::{FaultKind, FaultVfs, OsVfs};
     use alpha_hash::combine::HashScheme;
     use lambda_lang::debruijn::db_eq;
@@ -525,10 +516,12 @@ mod tests {
 
     fn header() -> WalHeader {
         WalHeader {
-            hash_bits: 64,
-            scheme_seed: 0xABCD,
-            shard_count: 4,
-            granularity: Granularity::Roots,
+            identity: StoreIdentity {
+                hash_bits: 64,
+                scheme_seed: 0xABCD,
+                shard_count: 4,
+                granularity: Granularity::Roots,
+            },
             epoch: 3,
         }
     }

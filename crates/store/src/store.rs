@@ -45,7 +45,7 @@ use crate::canon::rebuild_named;
 use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable, TableView};
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
-use crate::persist::format::RawRecord;
+use crate::persist::format::{RawRecord, StoreIdentity};
 use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{WalEntry, WalHeader};
@@ -646,27 +646,23 @@ impl<H: HashWord> AlphaStore<H> {
     /// canonical forms whatever the batch size.
     pub const DEFAULT_CHUNK_ENTRIES: usize = 8192;
 
-    /// The actual constructor, reached via [`StoreBuilder::build`].
-    pub(crate) fn with_config(
-        scheme: HashScheme<H>,
-        shards: usize,
-        granularity: Granularity,
-        chunk_entries: usize,
-    ) -> Self {
-        let count = shards.clamp(1, 1 << 16).next_power_of_two();
-        let shards: Box<[RwLock<Shard<H>>]> =
-            (0..count).map(|_| RwLock::new(Shard::empty())).collect();
+    /// The one constructor: an empty store with `builder`'s settings,
+    /// the shard count rounded up to a power of two in `1..=65536` and
+    /// `chunk_entries` to at least 1. Reached via [`StoreBuilder::build`]
+    /// and the durable open path, which may then load a snapshot into it.
+    pub(crate) fn new(builder: &StoreBuilder<H>) -> Self {
+        let count = builder.shards.clamp(1, 1 << 16).next_power_of_two();
         AlphaStore {
-            scheme,
-            shards,
+            scheme: builder.scheme,
+            shards: (0..count).map(|_| RwLock::new(Shard::empty())).collect(),
             mask: count - 1,
             counters: StatCounters::default(),
-            granularity,
+            granularity: builder.granularity,
             table: CanonTable::new(),
-            chunk_entries: chunk_entries.max(1),
+            chunk_entries: builder.chunk_entries.max(1),
             durable: None,
-            retry: RetryPolicy::default(),
-            auto_ckpt: AutoCheckpoint::default(),
+            retry: builder.retry.clone(),
+            auto_ckpt: builder.auto_ckpt,
             health: HealthState::default(),
             maintenance: RwLock::new(()),
             updates: Mutex::new(crate::update::UpdateCache::default()),
@@ -676,43 +672,15 @@ impl<H: HashWord> AlphaStore<H> {
         }
     }
 
-    /// Rebuilds a store from loaded snapshot state (the recovery path).
-    /// `table` is the canon table the snapshot's classes were interned
-    /// into during decode.
-    pub(crate) fn from_loaded(
-        scheme: HashScheme<H>,
-        shards: Vec<Shard<H>>,
-        granularity: Granularity,
-        stats: &StoreStats,
-        chunk_entries: usize,
-        table: CanonTable,
-    ) -> Result<Self, PersistError> {
-        let count = shards.len();
-        if !(1..=1 << 16).contains(&count) || !count.is_power_of_two() {
-            return Err(PersistError::Corrupt {
-                context: format!("shard count {count} is not a power of two in 1..=65536"),
-            });
+    /// What every file of this store is headed with and checked against:
+    /// hash width, scheme seed, shard count and granularity.
+    pub(crate) fn identity(&self) -> StoreIdentity {
+        StoreIdentity {
+            hash_bits: H::BITS,
+            scheme_seed: self.scheme.seed(),
+            shard_count: u32::try_from(self.shards.len()).expect("shard count fits u32"),
+            granularity: self.granularity,
         }
-        let counters = StatCounters::default();
-        counters.restore(stats);
-        Ok(AlphaStore {
-            scheme,
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            mask: count - 1,
-            counters,
-            granularity,
-            table,
-            chunk_entries: chunk_entries.max(1),
-            durable: None,
-            retry: RetryPolicy::default(),
-            auto_ckpt: AutoCheckpoint::default(),
-            health: HealthState::default(),
-            maintenance: RwLock::new(()),
-            updates: Mutex::new(crate::update::UpdateCache::default()),
-            obs: StoreObs::new(),
-            recovery: None,
-            preparers: PreparerPool::default(),
-        })
     }
 
     pub(crate) fn attach_durable(&mut self, mut durable: Durable) {
@@ -722,14 +690,7 @@ impl<H: HashWord> AlphaStore<H> {
         self.durable = Some(durable);
     }
 
-    /// Installs the builder's reliability knobs (called by the durable
-    /// open paths before any ingest can run).
-    pub(crate) fn set_reliability(&mut self, retry: RetryPolicy, auto_ckpt: AutoCheckpoint) {
-        self.retry = retry;
-        self.auto_ckpt = auto_ckpt;
-    }
-
-    /// Recovery phases are timed in `persist::open_store_locked`, before
+    /// Recovery phases are timed in `persist::recover`, before
     /// this store exists; they arrive here as raw durations.
     pub(crate) fn record_recovery(&self, snapshot_load_ns: u64, replay_ns: u64) {
         self.obs.rec_recovery(snapshot_load_ns, replay_ns);
@@ -1325,19 +1286,21 @@ impl<H: HashWord> AlphaStore<H> {
 
     // ---- persistence ---------------------------------------------------
 
-    /// Opens a durable store from its directory, reading the whole
-    /// configuration (hash scheme, shard count, granularity) from disk:
-    /// loads the latest snapshot, replays the WAL tail — **re-confirming
-    /// every replayed merge by canonical-form identity**, so exactness
-    /// survives restarts — truncates any torn tail left by a crash, and
-    /// checkpoints (fresh snapshot, reset WAL). Use
+    /// Opens a durable store from its directory with the default
+    /// builder's settings, reading the store's identity (scheme seed,
+    /// shard count, granularity) from disk: loads the latest snapshot,
+    /// replays the WAL tail — **re-confirming every replayed merge by
+    /// canonical-form identity**, so exactness survives restarts —
+    /// truncates any torn tail left by a crash, and checkpoints (fresh
+    /// snapshot, reset WAL) unless the reopen was clean. Use
     /// [`StoreBuilder::open_durable`] instead when the caller knows the
     /// configuration and wants it verified against what is on disk (or
     /// wants [`StoreBuilder::verify_on_replay`] paranoia).
     ///
     /// The hash width is the one thing the type system fixes: opening a
-    /// store whose snapshot was written at a different `H` fails with
-    /// [`PersistError::Mismatch`].
+    /// store whose files were written at a different `H` fails with
+    /// [`PersistError::Mismatch`], as does a WAL whose identity differs
+    /// from the snapshot's.
     ///
     /// ```
     /// use alpha_store::AlphaStore;
@@ -1359,18 +1322,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// # std::fs::remove_dir_all(&dir).unwrap();
     /// ```
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
-        crate::persist::open_store(
-            dir.as_ref(),
-            None,
-            crate::persist::OpenConfig {
-                sync_on_commit: false,
-                chunk_entries: Self::DEFAULT_CHUNK_ENTRIES,
-                verify_on_replay: false,
-                vfs: Arc::new(crate::persist::vfs::OsVfs),
-                retry: RetryPolicy::default(),
-                auto_ckpt: AutoCheckpoint::default(),
-            },
-        )
+        crate::persist::open(dir.as_ref(), StoreBuilder::new(), false)
     }
 
     /// Whether this store tees inserts into a write-ahead log (built via
@@ -1466,10 +1418,7 @@ impl<H: HashWord> AlphaStore<H> {
             return Err(e);
         }
         match wal.reset(WalHeader {
-            hash_bits: H::BITS,
-            scheme_seed: self.scheme.seed(),
-            shard_count: u32::try_from(self.shard_count()).expect("shard count fits u32"),
-            granularity: self.granularity,
+            identity: self.identity(),
             epoch: new_epoch,
         }) {
             Ok(()) => {
@@ -1560,10 +1509,7 @@ impl<H: HashWord> AlphaStore<H> {
         let class_roots = extract_canon(&mut view, &refs, &mut dag);
         drop(view);
         let header = SnapshotHeader {
-            hash_bits: H::BITS,
-            scheme_seed: self.scheme.seed(),
-            shard_count: u32::try_from(self.shards.len()).expect("shard count fits u32"),
-            granularity: self.granularity,
+            identity: self.identity(),
             wal_epoch,
             wal_records_applied,
             stats: self.counters.snapshot(),

@@ -425,6 +425,103 @@ fn config_mismatches_are_rejected() {
     assert_eq!(store.num_terms(), 1);
 }
 
+/// Every identity mismatch (seed, shard count, granularity, hash width)
+/// is refused by a WAL-only directory and by a checkpointed one (a
+/// snapshot and its WAL) alike, naming the field and the file that
+/// disagree, and leaves the directory reopenable by the matching
+/// configuration.
+#[test]
+fn identity_mismatches_are_rejected_with_and_without_a_snapshot() {
+    use alpha_store::PersistError;
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x1D, 6);
+    let builder = || AlphaStore::<u64>::builder().seed(7).shards(4);
+    for checkpointed in [false, true] {
+        let dir = TempDir::new("identity");
+        {
+            let store = builder().open_durable(dir.path()).expect("create");
+            store.insert_batch(&arena, &roots);
+            if checkpointed {
+                store.checkpoint().expect("checkpoint");
+            }
+        }
+        assert_eq!(dir.path().join("snapshot.bin").is_file(), checkpointed);
+        // The snapshot is checked first when there is one.
+        let file = if checkpointed {
+            "snapshot.bin"
+        } else {
+            "wal.bin"
+        };
+        let refusals = [
+            (
+                expect_err(builder().seed(8).open_durable(dir.path())),
+                "scheme seed",
+            ),
+            (
+                expect_err(builder().shards(16).open_durable(dir.path())),
+                "shard count",
+            ),
+            (
+                expect_err(builder().subexpressions(2).open_durable(dir.path())),
+                "granularity",
+            ),
+            (
+                expect_err(AlphaStore::<u128>::open(dir.path())),
+                "hash width",
+            ),
+        ];
+        for (err, field) in refusals {
+            assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{file} has {field}")), "{msg}");
+        }
+        let store = builder()
+            .open_durable(dir.path())
+            .expect("matching builder reopens");
+        assert_eq!(store.num_terms(), roots.len());
+        drop(store);
+        let store = AlphaStore::<u64>::open(dir.path()).expect("matching width reopens");
+        assert_eq!(store.num_terms(), roots.len());
+        assert_eq!(store.scheme().seed(), HashScheme::<u64>::new(7).seed());
+        assert_eq!(store.shard_count(), 4);
+    }
+}
+
+/// Another store's WAL next to this store's snapshot is refused even when
+/// the epochs line up: two stores of different seeds, each checkpointed
+/// once (both WALs at epoch 2), then the second one's `wal.bin` copied
+/// over the first's.
+#[test]
+fn foreign_wal_next_to_a_snapshot_is_a_mismatch() {
+    use alpha_store::PersistError;
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0xF0, 8);
+    let builder = |seed| AlphaStore::<u64>::builder().seed(seed).shards(4);
+    let first = TempDir::new("foreign-first");
+    let second = TempDir::new("foreign-second");
+    for (dir, seed) in [(&first, 7), (&second, 8)] {
+        let store = builder(seed).open_durable(dir.path()).expect("create");
+        store.insert_batch(&arena, &roots);
+        store.checkpoint().expect("checkpoint");
+    }
+    // The WAL header's epoch is its last 8 bytes (magic, version,
+    // 25-byte identity, epoch).
+    for dir in [&first, &second] {
+        let wal = std::fs::read(dir.path().join("wal.bin")).expect("read wal");
+        assert_eq!(wal[35..43], 2u64.to_le_bytes(), "checkpointed once");
+    }
+    std::fs::copy(second.path().join("wal.bin"), first.path().join("wal.bin"))
+        .expect("copy the foreign WAL");
+    let refusals = [
+        expect_err(builder(7).open_durable(first.path())),
+        expect_err(AlphaStore::<u64>::open(first.path())),
+    ];
+    for err in refusals {
+        assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
+        assert!(err.to_string().contains("wal.bin has scheme seed"), "{err}");
+    }
+}
+
 #[test]
 fn clean_reopen_skips_the_checkpoint_and_keeps_appending() {
     // A store whose snapshot already absorbed every WAL record reopens

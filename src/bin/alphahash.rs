@@ -198,22 +198,11 @@ fn client(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         }
         "stats" => {
             let stats = client.stats()?;
+            println!("{}", stats.store);
             println!(
-                "{} terms -> {} classes ({} confirmed merges, {} hash collisions, {} unconfirmed)",
-                stats.terms_ingested,
-                stats.num_classes,
-                stats.merges_confirmed,
-                stats.hash_collisions,
-                stats.unconfirmed_merges,
+                "{} classes, {} terms held",
+                stats.num_classes, stats.num_terms
             );
-            if stats.subterms_indexed > 0 {
-                println!(
-                    "{} subterms indexed ({} merged, {} skipped by min_nodes)",
-                    stats.subterms_indexed,
-                    stats.subterm_merges_confirmed,
-                    stats.subterms_skipped_min_nodes,
-                );
-            }
             match stats.wal_records {
                 Some(records) => println!("durable: {records} WAL records since last checkpoint"),
                 None => println!("in-memory store"),

@@ -89,9 +89,9 @@ pub mod prelude {
     pub use alpha_hash::hashed::{hash_all_subexpressions, hash_expr};
     pub use alpha_hash::incremental::IncrementalHasher;
     pub use alpha_store::{
-        corpus_shared_dag_size, store_backed_cse, AlphaStore, CanonDagStats, ClassId, ConfigError,
-        Granularity, InsertOutcome, PersistError, Rewrite, StoreBuilder, StoreError, StoreStats,
-        SubexprSummary, TermId, UpdateOutcome, WalOp,
+        corpus_shared_dag_size, store_backed_cse, AlphaStore, CanonDagStats, ClassId, Granularity,
+        InsertOutcome, PersistError, Rewrite, StoreBuilder, StoreError, StoreStats, SubexprSummary,
+        TermId, UpdateOutcome, WalOp,
     };
     pub use lambda_lang::{
         alpha_eq, check_unique_binders, parse, print::print, uniquify, ExprArena, ExprNode,
