@@ -12,6 +12,7 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
+use alpha_store::codec::{self, DecodeError};
 use lambda_lang::{ExprArena, NodeId};
 
 use crate::wire::{self, RemoteOutcome, RemoteStats, ServerHello, WireError};
@@ -90,6 +91,12 @@ impl From<WireError> for ClientError {
             WireError::Io(e) => ClientError::Io(e),
             WireError::Frame(msg) => ClientError::Protocol(msg),
         }
+    }
+}
+
+impl From<DecodeError> for ClientError {
+    fn from(e: DecodeError) -> Self {
+        ClientError::Protocol(e.to_string())
     }
 }
 
@@ -249,7 +256,7 @@ impl Client {
     ) -> Result<Option<u64>, ClientError> {
         let mut request = vec![op];
         wire::put_term(&mut request, arena, root);
-        self.call(true, &request, wire::take_opt_class)
+        self.call(true, &request, |input| Ok(codec::take_opt_u64(input)?))
     }
 
     /// Batched containment query: one `Option<class bits>` per pattern,
@@ -259,13 +266,9 @@ impl Client {
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<Option<u64>>, ClientError> {
-        self.stream_batch(
-            wire::OP_CONTAINS_BATCH,
-            true,
-            arena,
-            roots,
-            wire::take_opt_class,
-        )
+        self.stream_batch(wire::OP_CONTAINS_BATCH, true, arena, roots, |input| {
+            Ok(codec::take_opt_u64(input)?)
+        })
     }
 
     /// Fetches the server's stats/health/recovery snapshot.
@@ -276,7 +279,9 @@ impl Client {
     /// Fetches the server store's metrics in the Prometheus exposition
     /// text format.
     pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
-        self.call(true, &[wire::OP_METRICS_PROMETHEUS], wire::take_str)
+        self.call(true, &[wire::OP_METRICS_PROMETHEUS], |input| {
+            Ok(codec::take_str(input)?.to_owned())
+        })
     }
 
     /// Asks the server to checkpoint (snapshot + WAL reset). Also the
@@ -323,10 +328,7 @@ impl Client {
             wire::write_frame(&mut conn.stream, &[op])?;
             for chunk in roots.chunks(chunk_terms) {
                 let mut request = vec![wire::OP_BATCH_CHUNK];
-                wire::put_u32(
-                    &mut request,
-                    u32::try_from(chunk.len()).expect("chunk fits u32"),
-                );
+                codec::put_count(&mut request, chunk.len());
                 for &root in chunk {
                     wire::put_term(&mut request, arena, root);
                 }
@@ -339,14 +341,14 @@ impl Client {
             loop {
                 let response = read_response(&mut conn.stream)?;
                 let mut input = response.as_slice();
-                match wire::take_u8(&mut input)? {
+                match codec::take_u8(&mut input)? {
                     wire::RESP_END => {
-                        wire::take_u64(&mut input)?;
+                        codec::take_u64(&mut input)?;
                         return refused.map_or(Ok(items), Err);
                     }
                     _ if refused.is_some() => {}
                     wire::RESP_CHUNK => {
-                        for _ in 0..wire::take_u32(&mut input)? {
+                        for _ in 0..codec::take_u32(&mut input)? {
                             items.push(take_item(&mut input)?);
                         }
                     }
@@ -378,7 +380,7 @@ fn exchange<T>(
     wire::write_frame(stream, request)?;
     let response = read_response(stream)?;
     let mut input = response.as_slice();
-    match wire::take_u8(&mut input)? {
+    match codec::take_u8(&mut input)? {
         wire::RESP_OK => Ok(parse(&mut input)?),
         code => Err(remote(code, &mut input)),
     }
@@ -398,7 +400,7 @@ fn read_response(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
 }
 
 fn remote(code: u8, input: &mut &[u8]) -> ClientError {
-    let message = wire::take_str(input).unwrap_or_default();
+    let message = codec::take_str(input).unwrap_or_default().to_owned();
     ClientError::Remote { code, message }
 }
 

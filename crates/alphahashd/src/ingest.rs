@@ -177,29 +177,24 @@ fn flush<H: HashWord>(store: &AlphaStore<H>, jobs: Vec<Job>) {
     for job in jobs {
         let start = roots.len();
         let mut input = job.terms.as_slice();
-        let mut ok = true;
-        if let Err(e) = wire::take_terms(&mut input, job.count, &mut arena, &mut roots) {
-            // The job's encoded run is damaged: refuse the whole job and
-            // drop whatever it half-decoded from the batch (the arena
-            // keeps the orphan nodes; they are never used as roots).
-            roots.truncate(start);
-            let _ = job.reply.try_send(Reply::Refused {
-                code: wire::ERR_TERM,
-                message: format!("term failed to decode: {e}"),
-            });
-            ok = false;
-        }
-        if ok && !input.is_empty() {
-            roots.truncate(start);
-            let _ = job.reply.try_send(Reply::Refused {
-                code: wire::ERR_TERM,
-                message: format!("{} trailing bytes after the last term", input.len()),
-            });
-            ok = false;
-        }
-        if ok {
-            decoded.push((job, start));
-        }
+        let damage = match wire::take_terms(&mut input, job.count, &mut arena, &mut roots) {
+            Err(e) => format!("term failed to decode: {e}"),
+            Ok(()) if !input.is_empty() => {
+                format!("{} trailing bytes after the last term", input.len())
+            }
+            Ok(()) => {
+                decoded.push((job, start));
+                continue;
+            }
+        };
+        // The job's encoded run is damaged: refuse the whole job and drop
+        // whatever it half-decoded from the batch (the arena keeps the
+        // orphan nodes; they are never used as roots).
+        roots.truncate(start);
+        let _ = job.reply.try_send(Reply::Refused {
+            code: wire::ERR_TERM,
+            message: damage,
+        });
     }
     // A flush of zero-count jobs only is no special case: the store
     // ingests nothing and each job gets its empty outcome slice.

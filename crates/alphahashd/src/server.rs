@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use alpha_hash::HashWord;
-use alpha_store::{AlphaStore, Granularity};
+use alpha_store::{codec, AlphaStore, Granularity};
 use lambda_lang::ExprArena;
 
 use crate::ingest::{IngestPool, Job, Reply};
@@ -308,7 +308,7 @@ fn handle_connection<H: HashWord>(
             return Ok(());
         };
         let mut input = payload.as_slice();
-        let op = wire::take_u8(&mut input)?;
+        let op = codec::take_u8(&mut input)?;
         let reply = match op {
             // A single insert rides the accumulator path like everything
             // else, so lone-term clients still aggregate into store
@@ -334,11 +334,11 @@ fn handle_connection<H: HashWord>(
             }
             wire::OP_LOOKUP => with_decoded_term(&mut input, |arena, root| {
                 let class = store.lookup(arena, root).map(|c| c.to_bits());
-                ok(|out| wire::put_opt_class(out, class))
+                ok(|out| codec::put_opt_u64(out, class))
             }),
             wire::OP_CONTAINS => with_decoded_term(&mut input, |arena, root| {
                 let class = store.contains(arena, root).map(|c| c.to_bits());
-                ok(|out| wire::put_opt_class(out, class))
+                ok(|out| codec::put_opt_u64(out, class))
             }),
             // Containment is a read: each chunk is answered as it
             // arrives, no ingest pipeline involved.
@@ -355,7 +355,7 @@ fn handle_connection<H: HashWord>(
                             let classes = store.contains_batch(&arena, &roots);
                             let items = classes.len() as u64;
                             let response = chunk(classes.into_iter(), |out, c| {
-                                wire::put_opt_class(out, c.map(|c| c.to_bits()));
+                                codec::put_opt_u64(out, c.map(|c| c.to_bits()));
                             });
                             (items, response)
                         }
@@ -367,7 +367,7 @@ fn handle_connection<H: HashWord>(
             wire::OP_UPDATE => handle_update(store, &mut input),
             wire::OP_STATS => ok(|out| wire::put_stats(out, &gather_stats(store))),
             wire::OP_METRICS_PROMETHEUS => {
-                ok(|out| wire::put_str(out, &store.obs_report().to_prometheus()))
+                ok(|out| codec::put_str(out, &store.obs_report().to_prometheus()))
             }
             wire::OP_CHECKPOINT => match store.checkpoint() {
                 Ok(()) => ok(|_| {}),
@@ -406,9 +406,9 @@ fn serve_batch<A: FnOnce() -> (u64, Vec<u8>)>(
             return Ok(());
         };
         let mut input = payload.as_slice();
-        match wire::take_u8(&mut input)? {
+        match codec::take_u8(&mut input)? {
             wire::OP_BATCH_CHUNK => {
-                let count = wire::take_u32(&mut input)?;
+                let count = codec::take_u32(&mut input)?;
                 answers.push(on_chunk(count, input));
             }
             wire::OP_BATCH_END => break,
@@ -425,7 +425,7 @@ fn serve_batch<A: FnOnce() -> (u64, Vec<u8>)>(
         wire::write_frame(stream, &response)?;
     }
     let mut end = vec![wire::RESP_END];
-    wire::put_u64(&mut end, total);
+    codec::put_u64(&mut end, total);
     wire::write_frame(stream, &end)
 }
 
@@ -457,8 +457,7 @@ fn wait(reply: &Receiver<Reply>) -> Result<Vec<RemoteOutcome>, Vec<u8>> {
 
 /// A `RESP_OK` response with the body `put` writes.
 fn ok(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::new();
-    wire::put_u8(&mut out, wire::RESP_OK);
+    let mut out = vec![wire::RESP_OK];
     put(&mut out);
     out
 }
@@ -472,12 +471,8 @@ fn error(code: u8, message: &str) -> Vec<u8> {
 
 /// A `RESP_CHUNK` response: the item count, then each item.
 fn chunk<T>(items: impl ExactSizeIterator<Item = T>, put: impl Fn(&mut Vec<u8>, T)) -> Vec<u8> {
-    let mut out = Vec::new();
-    wire::put_u8(&mut out, wire::RESP_CHUNK);
-    wire::put_u32(
-        &mut out,
-        u32::try_from(items.len()).expect("chunk fits u32"),
-    );
+    let mut out = vec![wire::RESP_CHUNK];
+    codec::put_count(&mut out, items.len());
     for item in items {
         put(&mut out, item);
     }

@@ -6,10 +6,11 @@
 //! this file keeps that document honest against the compiled constants,
 //! the same pattern `persist/format.rs` uses for the persistence spec.
 //!
-//! Everything is little-endian, hand-rolled over `std::io` like the
-//! persistence format — no serde, no tokio. A connection is a sequence
-//! of **frames**; each frame is one request or response payload guarded
-//! by length and CRC:
+//! Scalars, strings, the stats block, counts and the frame header are
+//! [`alpha_store::codec`]'s, the one codec the WAL and the snapshot use
+//! too — no serde, no tokio. A connection is a sequence of **frames**;
+//! each frame is one request or response payload guarded by length and
+//! CRC:
 //!
 //! ```text
 //! [len: u32][crc32(payload): u32][payload: len bytes]
@@ -23,7 +24,11 @@ use std::collections::BTreeMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use alpha_store::persist::format::crc32;
+use alpha_store::codec::{
+    self, check_frame, frame_header, put_count, put_opt_u64, put_str, put_u16, put_u32, put_u64,
+    put_u8, take_bytes, take_count, take_frame_header, take_opt_u64, take_str, take_u16, take_u32,
+    take_u64, take_u8, DecodeError, FRAME_HEADER_LEN,
+};
 use alpha_store::StoreStats;
 use lambda_lang::visit::postorder;
 use lambda_lang::{ExprArena, ExprNode, Literal, NodeId, Symbol};
@@ -189,6 +194,12 @@ impl From<io::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Frame(e.to_string())
+    }
+}
+
 fn frame_err(msg: impl Into<String>) -> WireError {
     WireError::Frame(msg.into())
 }
@@ -209,9 +220,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
             "payload of {len} bytes exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
         )));
     }
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&len.to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let header = frame_header(payload);
     let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
     let mut pending = &mut slices[..];
     while !pending.is_empty() {
@@ -244,38 +253,43 @@ pub(crate) fn read_frame_or_stop(
     stop: Option<&AtomicBool>,
 ) -> Result<Option<Vec<u8>>, WireError> {
     let wait = stop.is_some();
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     match read_full(r, &mut header, wait, stop)? {
         0 => return Ok(None),
-        8 => {}
+        FRAME_HEADER_LEN => {}
         n => {
             return Err(frame_err(format!(
                 "connection closed {n} bytes into a frame header"
             )))
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
+    let (claimed, crc) = take_frame_header(&mut header.as_slice())?;
+    let len = claimed as usize;
+    if claimed > MAX_FRAME_LEN {
         return Err(frame_err(format!(
             "frame length {len} exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload, wait, None)?;
-    if got != payload.len() {
-        return Err(frame_err(format!(
-            "connection closed {got} bytes into a {len}-byte payload"
-        )));
+    // The length is untrusted: the buffer grows with the bytes that
+    // arrive, at most `READ_AHEAD` ahead of them.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(filled + READ_AHEAD), 0);
+        let got = read_full(r, &mut payload[filled..], wait, None)?;
+        if filled + got < payload.len() {
+            return Err(frame_err(format!(
+                "connection closed {} bytes into a {len}-byte payload",
+                filled + got
+            )));
+        }
     }
-    let actual = crc32(&payload);
-    if actual != crc {
-        return Err(frame_err(format!(
-            "payload CRC {actual:#010x} does not match header CRC {crc:#010x}"
-        )));
-    }
+    check_frame(&payload, crc)?;
     Ok(Some(payload))
 }
+
+/// How far a frame's payload buffer may run ahead of the bytes received.
+const READ_AHEAD: usize = 64 * 1024;
 
 /// Reads until `buf` is full or EOF; returns the bytes read. Unlike
 /// `read_exact` this reports a clean EOF at offset 0 distinguishably,
@@ -312,73 +326,6 @@ fn read_full(
 }
 
 // ---------------------------------------------------------------------
-// Scalar codecs (the persistence format's idiom, re-rolled here because
-// those helpers are crate-private to alpha-store and return its error).
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).expect("string fits u32"));
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn take_u8(input: &mut &[u8]) -> Result<u8, WireError> {
-    Ok(take_bytes(input, 1)?[0])
-}
-
-pub(crate) fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if input.len() < n {
-        return Err(frame_err(format!(
-            "payload truncated: wanted {n} more bytes, have {}",
-            input.len()
-        )));
-    }
-    let (head, tail) = input.split_at(n);
-    *input = tail;
-    Ok(head)
-}
-
-pub(crate) fn take_u16(input: &mut &[u8]) -> Result<u16, WireError> {
-    let b = take_bytes(input, 2)?;
-    Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-}
-
-pub(crate) fn take_u32(input: &mut &[u8]) -> Result<u32, WireError> {
-    let b = take_bytes(input, 4)?;
-    Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-}
-
-pub(crate) fn take_u64(input: &mut &[u8]) -> Result<u64, WireError> {
-    let b = take_bytes(input, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-pub(crate) fn take_str(input: &mut &[u8]) -> Result<String, WireError> {
-    take_str_ref(input).map(str::to_owned)
-}
-
-/// [`take_str`] without the copy: the string borrowed from the payload.
-fn take_str_ref<'a>(input: &mut &'a [u8]) -> Result<&'a str, WireError> {
-    let len = take_u32(input)? as usize;
-    let bytes = take_bytes(input, len)?;
-    std::str::from_utf8(bytes).map_err(|_| frame_err("string is not UTF-8"))
-}
-
-// ---------------------------------------------------------------------
 // Term codec.
 
 const NODE_VAR: u8 = 0;
@@ -395,8 +342,6 @@ const LIT_BOOL: u8 = 2;
 const MIN_NAME_BYTES: usize = 4;
 /// Smallest encoded node: a boolean literal (tag, literal tag, byte).
 const MIN_NODE_BYTES: usize = 3;
-/// Smallest encoded term: no names and a single smallest node.
-const MIN_TERM_BYTES: usize = 4 + 4 + MIN_NODE_BYTES;
 
 /// The per-term name table [`put_term`] builds: each distinct symbol
 /// once, in first-use order, with an ordered index so a term with `d`
@@ -472,14 +417,11 @@ pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
     }
     let table_len: usize = names.syms.iter().map(|&s| 4 + arena.name(s).len()).sum();
     out.reserve(4 + table_len + 4 + run_len);
-    put_u32(
-        out,
-        u32::try_from(names.syms.len()).expect("name table fits u32"),
-    );
+    put_count(out, names.syms.len());
     for &s in &names.syms {
         put_str(out, arena.name(s));
     }
-    put_u32(out, u32::try_from(order.len()).expect("node run fits u32"));
+    put_count(out, order.len());
     let mut name_refs = name_refs.into_iter();
     let mut next_name = || name_refs.next().expect("one table index per named node");
     let mut emitted: Vec<u32> = Vec::new();
@@ -557,24 +499,24 @@ fn claim_child(run: &mut [(NodeId, bool)], p: u32) -> Result<NodeId, WireError> 
 /// decoded term is always a well-formed tree: its size is the run's
 /// length, never the unfolded size of a shared DAG.
 ///
-/// The name and node counts are untrusted: buffers (and the arena) are
-/// sized by what the rest of `input` can actually hold, never by a
-/// count alone. Names are interned straight from the payload bytes.
+/// The name and node counts are untrusted: [`take_count`] refuses one
+/// whose items the rest of `input` cannot hold before anything (the
+/// arena included) is sized by it. Names are interned straight from the
+/// payload bytes.
 pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, WireError> {
-    let name_count = take_u32(input)? as usize;
-    let mut syms = Vec::with_capacity(name_count.min(input.len() / MIN_NAME_BYTES));
+    let name_count = take_count(input, MIN_NAME_BYTES)?;
+    let mut syms = Vec::with_capacity(name_count);
     for _ in 0..name_count {
-        syms.push(arena.intern(take_str_ref(input)?));
+        syms.push(arena.intern(take_str(input)?));
     }
-    let node_count = take_u32(input)? as usize;
+    let node_count = take_count(input, MIN_NODE_BYTES)?;
     if node_count == 0 {
         return Err(frame_err("term has zero nodes"));
     }
-    let capacity = node_count.min(input.len() / MIN_NODE_BYTES);
     // Each decoded node, and whether a later node has claimed it as a
     // child yet.
-    let mut run: Vec<(NodeId, bool)> = Vec::with_capacity(capacity);
-    arena.reserve(capacity);
+    let mut run: Vec<(NodeId, bool)> = Vec::with_capacity(node_count);
+    arena.reserve(node_count);
     let sym = |syms: &[Symbol], i: u32| {
         syms.get(i as usize)
             .copied()
@@ -622,16 +564,15 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Wir
 }
 
 /// Decodes a batch chunk's `count` consecutive terms into `arena`,
-/// appending their roots to `roots`. `count` is untrusted: `roots` is
-/// grown up front only by as many terms as `input` could hold. On error
-/// `roots` keeps the terms decoded before the damaged one.
+/// appending their roots to `roots`. `count` is untrusted: `roots` grows
+/// only by the terms decoded. On error `roots` keeps the terms decoded
+/// before the damaged one.
 pub fn take_terms(
     input: &mut &[u8],
     count: u32,
     arena: &mut ExprArena,
     roots: &mut Vec<NodeId>,
 ) -> Result<(), WireError> {
-    roots.reserve((count as usize).min(input.len() / MIN_TERM_BYTES));
     for _ in 0..count {
         roots.push(take_term(input, arena)?);
     }
@@ -669,7 +610,7 @@ pub fn take_handshake(input: &mut &[u8]) -> Result<u16, WireError> {
             "handshake magic mismatch: not an alphahashd client",
         ));
     }
-    take_u16(input)
+    Ok(take_u16(input)?)
 }
 
 /// Encodes the server hello body (after the [`RESP_OK`] status byte).
@@ -677,30 +618,18 @@ pub fn put_hello(out: &mut Vec<u8>, hello: &ServerHello) {
     put_u16(out, hello.version);
     put_u16(out, hello.hash_bits);
     put_u32(out, hello.shard_count);
-    match hello.subexpr_min_nodes {
-        None => put_u8(out, 0),
-        Some(m) => {
-            put_u8(out, 1);
-            put_u64(out, m);
-        }
-    }
+    put_opt_u64(out, hello.subexpr_min_nodes);
 }
 
 /// Decodes a server hello body.
 pub fn take_hello(input: &mut &[u8]) -> Result<ServerHello, WireError> {
     let version = take_u16(input)?;
     let hash_bits = take_u16(input)?;
-    let shard_count = take_u32(input)?;
-    let subexpr_min_nodes = match take_u8(input)? {
-        0 => None,
-        1 => Some(take_u64(input)?),
-        tag => return Err(frame_err(format!("unknown granularity tag {tag}"))),
-    };
     Ok(ServerHello {
         version,
         hash_bits,
-        shard_count,
-        subexpr_min_nodes,
+        shard_count: take_u32(input)?,
+        subexpr_min_nodes: take_opt_u64(input)?,
     })
 }
 
@@ -777,7 +706,7 @@ pub fn take_outcome(input: &mut &[u8]) -> Result<RemoteOutcome, WireError> {
 /// representative), and the replacement term.
 pub fn put_update(out: &mut Vec<u8>, term: u64, path: &[u32], arena: &ExprArena, root: NodeId) {
     put_u64(out, term);
-    put_u32(out, u32::try_from(path.len()).expect("path fits u32"));
+    put_count(out, path.len());
     for &slot in path {
         put_u32(out, slot);
     }
@@ -791,34 +720,11 @@ pub fn take_update(
     arena: &mut ExprArena,
 ) -> Result<(u64, Vec<u32>, NodeId), WireError> {
     let term = take_u64(input)?;
-    let path_len = take_u32(input)? as usize;
-    let mut path = Vec::with_capacity(path_len.min(1024));
-    for _ in 0..path_len {
-        path.push(take_u32(input)?);
-    }
+    let path = (0..take_count(input, 4)?)
+        .map(|_| take_u32(input))
+        .collect::<Result<_, _>>()?;
     let root = take_term(input, arena)?;
     Ok((term, path, root))
-}
-
-/// Encodes an optional class (lookup / contains responses and
-/// contains-batch items): presence byte + bits when present.
-pub fn put_opt_class(out: &mut Vec<u8>, class: Option<u64>) {
-    match class {
-        None => put_u8(out, 0),
-        Some(bits) => {
-            put_u8(out, 1);
-            put_u64(out, bits);
-        }
-    }
-}
-
-/// Decodes an optional class.
-pub fn take_opt_class(input: &mut &[u8]) -> Result<Option<u64>, WireError> {
-    match take_u8(input)? {
-        0 => Ok(None),
-        1 => Ok(Some(take_u64(input)?)),
-        tag => Err(frame_err(format!("unknown option tag {tag}"))),
-    }
 }
 
 /// Point-in-time store state as served by [`OP_STATS`]: the ingest
@@ -847,24 +753,10 @@ pub struct RemoteStats {
 
 /// Encodes a [`RemoteStats`] body.
 pub fn put_stats(out: &mut Vec<u8>, s: &RemoteStats) {
-    let c = &s.store;
-    put_u64(out, c.terms_ingested);
-    put_u64(out, c.classes_created);
-    put_u64(out, c.merges_confirmed);
-    put_u64(out, c.hash_collisions);
-    put_u64(out, c.unconfirmed_merges);
-    put_u64(out, c.subterms_indexed);
-    put_u64(out, c.subterm_merges_confirmed);
-    put_u64(out, c.subterms_skipped_min_nodes);
+    codec::put_store_stats(out, &s.store);
     put_u64(out, s.num_classes);
     put_u64(out, s.num_terms);
-    match s.wal_records {
-        None => put_u8(out, 0),
-        Some(n) => {
-            put_u8(out, 1);
-            put_u64(out, n);
-        }
-    }
+    put_opt_u64(out, s.wal_records);
     put_u8(out, s.health_code);
     put_str(out, &s.health_reason);
     match s.recovery {
@@ -881,33 +773,20 @@ pub fn put_stats(out: &mut Vec<u8>, s: &RemoteStats) {
 /// Decodes a [`RemoteStats`] body.
 pub fn take_stats(input: &mut &[u8]) -> Result<RemoteStats, WireError> {
     let mut s = RemoteStats {
-        store: StoreStats {
-            terms_ingested: take_u64(input)?,
-            classes_created: take_u64(input)?,
-            merges_confirmed: take_u64(input)?,
-            hash_collisions: take_u64(input)?,
-            unconfirmed_merges: take_u64(input)?,
-            subterms_indexed: take_u64(input)?,
-            subterm_merges_confirmed: take_u64(input)?,
-            subterms_skipped_min_nodes: take_u64(input)?,
-        },
+        store: codec::take_store_stats(input)?,
         num_classes: take_u64(input)?,
         num_terms: take_u64(input)?,
         ..RemoteStats::default()
     };
-    s.wal_records = match take_u8(input)? {
-        0 => None,
-        1 => Some(take_u64(input)?),
-        tag => return Err(frame_err(format!("unknown option tag {tag}"))),
-    };
+    s.wal_records = take_opt_u64(input)?;
     s.health_code = take_u8(input)?;
-    s.health_reason = take_str(input)?;
+    s.health_reason = take_str(input)?.to_owned();
     s.recovery = match take_u8(input)? {
         0 => None,
         1 => Some((take_u64(input)?, take_u8(input)? != 0)),
         tag => return Err(frame_err(format!("unknown option tag {tag}"))),
     };
-    s.obs_json = take_str(input)?;
+    s.obs_json = take_str(input)?.to_owned();
     Ok(s)
 }
 
@@ -920,6 +799,7 @@ pub fn put_error(out: &mut Vec<u8>, code: u8, message: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alpha_store::codec::crc32;
     use lambda_lang::parse;
 
     #[test]
@@ -1268,8 +1148,8 @@ mod tests {
         assert!(matches!(err, Err(WireError::Frame(_))));
         assert_eq!(
             arena.len(),
-            1,
-            "decoding stopped at the missing second node"
+            0,
+            "the count rule refused the run before its first node"
         );
     }
 

@@ -89,6 +89,7 @@
 #![forbid(unsafe_code)]
 
 pub mod canon;
+pub mod codec;
 pub mod corpus;
 pub(crate) mod dag;
 pub mod granularity;

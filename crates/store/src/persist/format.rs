@@ -1,8 +1,8 @@
 //! The versioned, endian-fixed binary format shared by snapshots and the
 //! write-ahead log.
 //!
-//! Everything on disk is **little-endian, fixed-width**, hand-rolled over
-//! `std::io` (the build environment vendors no serialization crates). The
+//! Everything on disk is built from [`crate::codec`]'s little-endian
+//! primitives, which the daemon's wire shares. The
 //! byte-level layout is specified in `docs/PERSISTENCE_FORMAT.md`; a unit
 //! test in this module asserts that the magic numbers and version constant
 //! documented there are exactly the ones compiled in, so the spec cannot
@@ -23,24 +23,23 @@
 //! v3 is written and only v3 decodes: a header naming any other version
 //! is refused with [`PersistError::Mismatch`].
 //!
-//! Three layers live here:
-//!
-//! * **primitives** — `put_*`/`take_*` for the fixed-width integers, byte
-//!   strings, hash words (always serialized as two 64-bit lanes, whatever
-//!   the in-memory width), [`Granularity`] and the `StoreIdentity`
-//!   both file headers open with;
-//! * **CRC-32** — the IEEE polynomial, used both as the whole-snapshot
-//!   checksum and as the per-record WAL frame check;
-//! * **structure codecs** — shared-DAG node runs (`put_dag`/`take_dag`,
-//!   represented in memory as a [`DbArena`], which holds DAGs as well as
-//!   trees), and the `RawRecord` insert records the WAL replays.
+//! Here live the [`Granularity`] and `StoreIdentity` codecs both file
+//! headers open with, and the structure codecs: shared-DAG node runs
+//! (`put_dag`/`take_dag`, a [`DbArena`] in memory, which holds DAGs as
+//! well as trees), `RawRecord` insert records and `RawDelta` rewrites.
 //!
 //! Decoding never panics on malformed input: every `take_*` returns
 //! [`PersistError::Corrupt`] on truncation or bad tags, which is what lets
 //! recovery treat a torn WAL tail as an expected condition rather than a
 //! crash. In particular child references must point at already-decoded
-//! positions, so no decoded structure can contain a cycle.
+//! positions, so no decoded structure can contain a cycle, and every
+//! count goes through [`take_count`], so none sizes a buffer beyond what
+//! the input holds.
 
+use crate::codec::{
+    put_count, put_hash, put_str, put_u32, put_u64, put_u8, take_count, take_hash, take_str,
+    take_u32, take_u64, take_u8,
+};
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
 use alpha_hash::combine::HashWord;
@@ -69,158 +68,10 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// decode only this version.
 pub const FORMAT_VERSION: u16 = 3;
 
-// ---------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------
-
 fn corrupt(context: &str) -> PersistError {
     PersistError::Corrupt {
         context: context.to_owned(),
     }
-}
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).expect("string fits u32"));
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A hash word is always serialized as its two 64-bit lanes (16 bytes),
-/// whatever the in-memory width; the header's `hash_bits` field is what
-/// fixes the width, and the identity check refuses a file of another
-/// width before any hash decoded from it is used. This keeps record
-/// layouts identical across widths.
-pub(crate) fn put_hash<H: HashWord>(out: &mut Vec<u8>, h: H) {
-    let (lo, hi) = h.to_lanes();
-    put_u64(out, lo);
-    put_u64(out, hi);
-}
-
-pub(crate) fn take_u8(input: &mut &[u8]) -> Result<u8, PersistError> {
-    let (&v, rest) = input.split_first().ok_or_else(|| corrupt("u8"))?;
-    *input = rest;
-    Ok(v)
-}
-
-pub(crate) fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], PersistError> {
-    if input.len() < n {
-        return Err(corrupt("byte run"));
-    }
-    let (head, rest) = input.split_at(n);
-    *input = rest;
-    Ok(head)
-}
-
-pub(crate) fn take_u16(input: &mut &[u8]) -> Result<u16, PersistError> {
-    Ok(u16::from_le_bytes(
-        take_bytes(input, 2)?.try_into().unwrap(),
-    ))
-}
-
-pub(crate) fn take_u32(input: &mut &[u8]) -> Result<u32, PersistError> {
-    Ok(u32::from_le_bytes(
-        take_bytes(input, 4)?.try_into().unwrap(),
-    ))
-}
-
-pub(crate) fn take_u64(input: &mut &[u8]) -> Result<u64, PersistError> {
-    Ok(u64::from_le_bytes(
-        take_bytes(input, 8)?.try_into().unwrap(),
-    ))
-}
-
-pub(crate) fn take_str(input: &mut &[u8]) -> Result<String, PersistError> {
-    let len = take_u32(input)? as usize;
-    let bytes = take_bytes(input, len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("utf-8 name"))
-}
-
-pub(crate) fn take_hash<H: HashWord>(input: &mut &[u8]) -> Result<H, PersistError> {
-    let lo = take_u64(input)?;
-    let hi = take_u64(input)?;
-    Ok(H::from_lanes(lo, hi))
-}
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected)
-// ---------------------------------------------------------------------
-
-/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
-/// table; table `k` advances a byte through `k` additional zero bytes, so
-/// eight lanes combine to process 8 input bytes per iteration. WAL framing
-/// checksums every ingested byte, so this sits on the durable ingest hot
-/// path.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `bytes` — the integrity check on every WAL record
-/// frame and on the snapshot body. Slice-by-8 for throughput.
-///
-/// ```
-/// // The standard check value for the IEEE polynomial.
-/// assert_eq!(alpha_store::persist::format::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[..4].try_into().unwrap()) ^ crc;
-        let hi = u32::from_le_bytes(chunk[4..].try_into().unwrap());
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------
@@ -343,6 +194,13 @@ const LIT_I64: u8 = 1;
 const LIT_F64: u8 = 2;
 const LIT_BOOL: u8 = 3;
 
+// Item sizes for the count rule: a name is at least its `u32` length, a
+// node its tag and one `u32`; a sub entry is hash, position, node count
+// and multiplicity.
+const MIN_NAME_BYTES: usize = 4;
+const MIN_NODE_BYTES: usize = 5;
+const SUB_ENTRY_BYTES: usize = 16 + 4 + 8 + 4;
+
 /// Encodes a shared-DAG node run: the free-variable name table (in symbol
 /// order, so re-interning on decode reproduces identical symbol indices),
 /// then the nodes in arena order. Arena order is construction order, so
@@ -351,11 +209,11 @@ const LIT_BOOL: u8 = 3;
 /// acyclic. The arena may be a tree (one use per node) or a DAG (shared
 /// children); the encoding is the same.
 pub(crate) fn put_dag(out: &mut Vec<u8>, dag: &DbArena) {
-    put_u32(out, u32::try_from(dag.names_len()).expect("names fit u32"));
+    put_count(out, dag.names_len());
     for name in dag.names() {
         put_str(out, name);
     }
-    put_u32(out, u32::try_from(dag.len()).expect("nodes fit u32"));
+    put_count(out, dag.len());
     for node in dag.nodes() {
         match node {
             DbNode::BVar(index) => {
@@ -400,13 +258,16 @@ pub(crate) fn put_dag(out: &mut Vec<u8>, dag: &DbArena) {
 /// and the result is guaranteed acyclic.
 pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
     let mut arena = DbArena::new();
-    let name_count = take_u32(input)? as usize;
-    for _ in 0..name_count {
-        let name = take_str(input)?;
-        arena.intern(&name);
+    let name_count = take_count(input, MIN_NAME_BYTES)?;
+    for i in 0..name_count {
+        // A repeated name would intern to an earlier symbol and leave
+        // the table shorter than `name_count`; encoders never write one.
+        if arena.intern(take_str(input)?).index() as usize != i {
+            return Err(corrupt("repeated name in a node run's name table"));
+        }
     }
-    let node_count = take_u32(input)? as usize;
-    let mut ids: Vec<DbId> = Vec::with_capacity(node_count.min(1 << 20));
+    let node_count = take_count(input, MIN_NODE_BYTES)?;
+    let mut ids: Vec<DbId> = Vec::with_capacity(node_count);
     let child = |ids: &[DbId], raw: u32| -> Result<DbId, PersistError> {
         ids.get(raw as usize)
             .copied()
@@ -448,6 +309,25 @@ pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
         ids.push(arena.push(node));
     }
     Ok(arena)
+}
+
+/// How many binders above each position of `dag` its term needs (0 if
+/// closed). Encoders write closed canonical forms only (a variable bound
+/// outside a subterm is a free name in its form), so an entry at an open
+/// position is damage, and rebuilding it would index past its binders.
+pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
+    let mut open: Vec<u32> = Vec::with_capacity(dag.len());
+    for node in dag.nodes() {
+        let depth = match node {
+            DbNode::BVar(i) => i.saturating_add(1),
+            DbNode::FVar(_) | DbNode::Lit(_) => 0,
+            DbNode::Lam(body) => open[body.index()].saturating_sub(1),
+            DbNode::App(fun, arg) => open[fun.index()].max(open[arg.index()]),
+            DbNode::Let(rhs, body) => open[rhs.index()].max(open[body.index()].saturating_sub(1)),
+        };
+        open.push(depth);
+    }
+    open
 }
 
 // ---------------------------------------------------------------------
@@ -500,7 +380,7 @@ pub(crate) fn put_record<H: HashWord>(
     put_hash(out, root.0);
     put_u32(out, root.1.index() as u32);
     put_u64(out, root.2);
-    put_u32(out, u32::try_from(subs.len()).expect("sub count fits u32"));
+    put_count(out, subs.len());
     for &(hash, pos, node_count, multiplicity) in subs {
         put_hash(out, hash);
         put_u32(out, pos.index() as u32);
@@ -513,28 +393,25 @@ pub(crate) fn put_record<H: HashWord>(
 /// Decodes one insert record.
 pub(crate) fn take_record<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
     let canon = take_dag(input)?;
-    let root = {
-        let hash = take_hash(input)?;
-        let pos_raw = take_u32(input)? as usize;
-        if pos_raw >= canon.len() {
-            return Err(corrupt("entry root out of range"));
-        }
-        let node_count = take_u64(input)?;
-        RawEntry {
-            hash,
-            pos: DbId::from_index(pos_raw),
-            node_count,
-            multiplicity: 1,
+    let open = open_depths(&canon);
+    let take_pos = |input: &mut &[u8]| -> Result<DbId, PersistError> {
+        let pos = take_u32(input)? as usize;
+        match open.get(pos) {
+            Some(0) => Ok(DbId::from_index(pos)),
+            _ => Err(corrupt("entry root out of range or not closed")),
         }
     };
-    let sub_count = take_u32(input)? as usize;
-    let mut subs = Vec::with_capacity(sub_count.min(1 << 16));
+    let root = RawEntry {
+        hash: take_hash(input)?,
+        pos: take_pos(input)?,
+        node_count: take_u64(input)?,
+        multiplicity: 1,
+    };
+    let sub_count = take_count(input, SUB_ENTRY_BYTES)?;
+    let mut subs = Vec::with_capacity(sub_count);
     for _ in 0..sub_count {
         let hash = take_hash(input)?;
-        let pos_raw = take_u32(input)? as usize;
-        if pos_raw >= canon.len() {
-            return Err(corrupt("entry root out of range"));
-        }
+        let pos = take_pos(input)?;
         let node_count = take_u64(input)?;
         let multiplicity = take_u32(input)?;
         if multiplicity == 0 {
@@ -542,7 +419,7 @@ pub(crate) fn take_record<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>
         }
         subs.push(RawEntry {
             hash,
-            pos: DbId::from_index(pos_raw),
+            pos,
             node_count,
             multiplicity,
         });
@@ -594,7 +471,7 @@ pub(crate) fn put_delta<H: HashWord>(out: &mut Vec<u8>, delta: &RawDelta<H>) {
     put_hash(out, delta.old_hash);
     put_hash(out, delta.new_hash);
     put_u64(out, delta.new_node_count);
-    put_u32(out, u32::try_from(delta.path.len()).expect("path fits u32"));
+    put_count(out, delta.path.len());
     for &step in &delta.path {
         put_u32(out, step);
     }
@@ -608,15 +485,13 @@ pub(crate) fn take_delta<H: HashWord>(input: &mut &[u8]) -> Result<RawDelta<H>, 
     let old_hash = take_hash(input)?;
     let new_hash = take_hash(input)?;
     let new_node_count = take_u64(input)?;
-    let path_len = take_u32(input)? as usize;
-    let mut path = Vec::with_capacity(path_len.min(1 << 16));
-    for _ in 0..path_len {
-        path.push(take_u32(input)?);
-    }
+    let path = (0..take_count(input, 4)?)
+        .map(|_| take_u32(input))
+        .collect::<Result<_, _>>()?;
     let patch = take_dag(input)?;
     let root_raw = take_u32(input)? as usize;
-    if root_raw >= patch.len() {
-        return Err(corrupt("patch root out of range"));
+    if open_depths(&patch).get(root_raw) != Some(&0) {
+        return Err(corrupt("patch root out of range or not closed"));
     }
     Ok(RawDelta {
         term_bits,
@@ -632,6 +507,7 @@ pub(crate) fn take_delta<H: HashWord>(input: &mut &[u8]) -> Result<RawDelta<H>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{crc32, put_u16, take_u16};
     use lambda_lang::debruijn::{db_eq, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::ExprArena;
@@ -754,6 +630,43 @@ mod tests {
                 other => panic!("expected Mismatch naming {named:?}, got {other:?}"),
             }
         }
+    }
+
+    /// A name table that repeats a name once decoded to an arena with
+    /// fewer names than the table, so `FVar(1)` passed the range check
+    /// and interning the run indexed past the arena's name list.
+    #[test]
+    fn take_dag_refuses_a_repeated_name() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        put_str(&mut buf, "a");
+        put_str(&mut buf, "a");
+        put_u32(&mut buf, 1);
+        put_u8(&mut buf, NODE_FVAR);
+        put_u32(&mut buf, 1);
+        assert!(matches!(
+            take_dag(&mut buf.as_slice()),
+            Err(PersistError::Corrupt { .. })
+        ));
+    }
+
+    /// An entry whose term uses a de Bruijn index no binder of it
+    /// binds: no encoder writes one, and rebuilding it named would index
+    /// past its binder scope.
+    #[test]
+    fn an_open_entry_is_corrupt() {
+        let mut dag = DbArena::new();
+        let bvar = dag.push(DbNode::BVar(0));
+        let lam = dag.push(DbNode::Lam(bvar));
+        let mut closed = Vec::new();
+        put_record::<u64>(&mut closed, &dag, (1, lam, 2), &[], 0);
+        assert!(take_record::<u64>(&mut closed.as_slice()).is_ok());
+        let mut open = Vec::new();
+        put_record::<u64>(&mut open, &dag, (1, lam, 2), &[(2, bvar, 1, 1)], 0);
+        assert!(matches!(
+            take_record::<u64>(&mut open.as_slice()),
+            Err(PersistError::Corrupt { .. })
+        ));
     }
 
     #[test]

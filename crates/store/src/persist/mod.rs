@@ -42,12 +42,15 @@
 //! | snapshot write | old snapshot + complete WAL (temp file ignored) | replay from the old snapshot |
 //! | compaction, between snapshot rename and WAL reset | new snapshot + **stale-epoch** WAL | epoch mismatch detected, stale WAL discarded (its records are in the snapshot) |
 //!
-//! The byte-level layout lives in [`mod@format`] and is specified in
+//! The byte-level layout lives in [`mod@format`], built on the scalars,
+//! frames and count rule of [`crate::codec`], and is specified in
 //! `docs/PERSISTENCE_FORMAT.md`; a test asserts the two agree on magic
 //! numbers and versions. Only the current format version decodes; files
 //! of any other version are refused with [`PersistError::Mismatch`].
 
 pub mod format;
+#[cfg(test)]
+mod mutation;
 pub(crate) mod snapshot;
 pub mod vfs;
 pub(crate) mod wal;
@@ -234,6 +237,14 @@ impl std::error::Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
+    }
+}
+
+impl From<crate::codec::DecodeError> for PersistError {
+    fn from(e: crate::codec::DecodeError) -> Self {
+        PersistError::Corrupt {
+            context: e.to_string(),
+        }
     }
 }
 

@@ -27,12 +27,13 @@
 //! not already absorbed. See the [module docs](super) and
 //! `docs/PERSISTENCE_FORMAT.md`.
 
-use super::format::{
-    self, crc32, put_u16, put_u32, put_u64, take_u16, take_u32, take_u64, StoreIdentity,
-    FORMAT_VERSION, SNAPSHOT_MAGIC,
-};
+use super::format::{self, StoreIdentity, FORMAT_VERSION, SNAPSHOT_MAGIC};
 use super::vfs::Vfs;
 use super::{PersistError, SnapshotOp};
+use crate::codec::{
+    crc32, put_count, put_hash, put_store_stats, put_u16, put_u32, put_u64, take_count, take_hash,
+    take_store_stats, take_u16, take_u32, take_u64,
+};
 use crate::dag::CanonTable;
 use crate::stats::StoreStats;
 use crate::store::{ClassId, Shard, StoredClass};
@@ -54,33 +55,12 @@ pub(crate) struct SnapshotHeader {
     pub(crate) stats: StoreStats,
 }
 
-fn put_stats(out: &mut Vec<u8>, s: &StoreStats) {
-    for v in [
-        s.terms_ingested,
-        s.classes_created,
-        s.merges_confirmed,
-        s.hash_collisions,
-        s.unconfirmed_merges,
-        s.subterms_indexed,
-        s.subterm_merges_confirmed,
-        s.subterms_skipped_min_nodes,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn take_stats(input: &mut &[u8]) -> Result<StoreStats, PersistError> {
-    Ok(StoreStats {
-        terms_ingested: take_u64(input)?,
-        classes_created: take_u64(input)?,
-        merges_confirmed: take_u64(input)?,
-        hash_collisions: take_u64(input)?,
-        unconfirmed_merges: take_u64(input)?,
-        subterms_indexed: take_u64(input)?,
-        subterm_merges_confirmed: take_u64(input)?,
-        subterms_skipped_min_nodes: take_u64(input)?,
-    })
-}
+// Item sizes for the count rule: a class is hash, members, occurrences,
+// node count and canon position; a term at least its class bits and an
+// empty sub list's length; a sub pair is class bits and multiplicity.
+const CLASS_BYTES: usize = 16 + 8 + 8 + 8 + 4;
+const MIN_TERM_BYTES: usize = 8 + 4;
+const SUB_PAIR_BYTES: usize = 8 + 4;
 
 /// Serializes a consistent view of the shards (the caller holds the locks)
 /// into the full snapshot byte image, trailing CRC included. `dag` is the
@@ -99,7 +79,7 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     header.identity.put(&mut out);
     put_u64(&mut out, header.wal_epoch);
     put_u64(&mut out, header.wal_records_applied);
-    put_stats(&mut out, &header.stats);
+    put_store_stats(&mut out, &header.stats);
 
     // The node table, once.
     format::put_dag(&mut out, dag);
@@ -111,29 +91,23 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     );
     let mut root_cursor = 0usize;
     for shard in shards {
-        put_u32(
-            &mut out,
-            u32::try_from(shard.classes.len()).expect("classes fit u32"),
-        );
+        put_count(&mut out, shard.classes.len());
         for class in &shard.classes {
-            format::put_hash(&mut out, class.hash);
+            put_hash(&mut out, class.hash);
             put_u64(&mut out, class.members);
             put_u64(&mut out, class.occurrences);
             put_u64(&mut out, class.node_count);
             put_u32(&mut out, class_roots[root_cursor].index() as u32);
             root_cursor += 1;
         }
-        put_u32(
-            &mut out,
-            u32::try_from(shard.terms.len()).expect("terms fit u32"),
-        );
+        put_count(&mut out, shard.terms.len());
         // Full ClassId bits — an updated term's class may live in a
         // different shard than the term id.
         for &class_bits in &shard.terms {
             put_u64(&mut out, class_bits);
         }
         for subs in &shard.term_subs {
-            put_u32(&mut out, u32::try_from(subs.len()).expect("subs fit u32"));
+            put_count(&mut out, subs.len());
             for &(bits, multiplicity) in subs.iter() {
                 put_u64(&mut out, bits);
                 put_u32(&mut out, multiplicity);
@@ -165,9 +139,8 @@ pub(crate) fn decode_snapshot<H: HashWord>(
     if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(corrupt("magic mismatch"));
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(&body[SNAPSHOT_MAGIC.len()..]) != stored_crc {
+    let (body, mut crc_bytes) = bytes.split_at(bytes.len() - 4);
+    if crc32(&body[SNAPSHOT_MAGIC.len()..]) != take_u32(&mut crc_bytes)? {
         return Err(corrupt("body CRC mismatch"));
     }
 
@@ -182,28 +155,31 @@ pub(crate) fn decode_snapshot<H: HashWord>(
         identity: StoreIdentity::take(&mut input)?,
         wal_epoch: take_u64(&mut input)?,
         wal_records_applied: take_u64(&mut input)?,
-        stats: take_stats(&mut input)?,
+        stats: take_store_stats(&mut input)?,
     };
 
     // One shared node run up front, re-interned once; classes address
     // positions in it.
-    let node_refs: Vec<CanonRef> = table.intern_arena_refs(&format::take_dag(&mut input)?);
+    let dag = format::take_dag(&mut input)?;
+    let node_refs: Vec<CanonRef> = table.intern_arena_refs(&dag);
+    let open = format::open_depths(&dag);
 
-    let shard_count = header.identity.shard_count;
-    let mut shards = Vec::with_capacity(shard_count.min(1 << 16) as usize);
-    for _ in 0..shard_count {
-        let class_count = take_u32(&mut input)? as usize;
-        let mut classes = Vec::with_capacity(class_count.min(1 << 20));
+    // The shard count is the header's, not a count of what follows:
+    // `shards` grows by the shards actually decoded.
+    let mut shards = Vec::new();
+    for _ in 0..header.identity.shard_count {
+        let class_count = take_count(&mut input, CLASS_BYTES)?;
+        let mut classes = Vec::with_capacity(class_count);
         for _ in 0..class_count {
-            let hash = format::take_hash::<H>(&mut input)?;
+            let hash = take_hash::<H>(&mut input)?;
             let members = take_u64(&mut input)?;
             let occurrences = take_u64(&mut input)?;
             let node_count = take_u64(&mut input)?;
             let pos = take_u32(&mut input)? as usize;
-            let canon = node_refs
-                .get(pos)
-                .copied()
-                .ok_or_else(|| corrupt("class canon position out of range"))?;
+            if open.get(pos) != Some(&0) {
+                return Err(corrupt("class canon position out of range or not closed"));
+            }
+            let canon = node_refs[pos];
             classes.push(StoredClass {
                 hash,
                 canon,
@@ -212,17 +188,17 @@ pub(crate) fn decode_snapshot<H: HashWord>(
                 occurrences,
             });
         }
-        let term_count = take_u32(&mut input)? as usize;
-        let mut terms = Vec::with_capacity(term_count.min(1 << 20));
+        let term_count = take_count(&mut input, MIN_TERM_BYTES)?;
+        let mut terms = Vec::with_capacity(term_count);
         for _ in 0..term_count {
             // Full ClassId bits; validated against every shard's class
             // count once all shards are decoded.
             terms.push(take_u64(&mut input)?);
         }
-        let mut term_subs = Vec::with_capacity(term_count.min(1 << 20));
+        let mut term_subs = Vec::with_capacity(term_count);
         for _ in 0..term_count {
-            let len = take_u32(&mut input)? as usize;
-            let mut pairs = Vec::with_capacity(len.min(1 << 16));
+            let len = take_count(&mut input, SUB_PAIR_BYTES)?;
+            let mut pairs = Vec::with_capacity(len);
             for _ in 0..len {
                 let bits = take_u64(&mut input)?;
                 let multiplicity = take_u32(&mut input)?;
@@ -238,18 +214,20 @@ pub(crate) fn decode_snapshot<H: HashWord>(
     if !input.is_empty() {
         return Err(corrupt("trailing bytes after the last shard"));
     }
-    // Cross-shard term pointers can only be range-checked once every
-    // shard's class list is known.
-    for shard in &shards {
-        for &class_bits in &shard.terms {
-            let cid = ClassId::from_bits(class_bits);
-            let in_range = shards
-                .get(cid.shard as usize)
-                .is_some_and(|s| (cid.index as usize) < s.classes.len());
-            if !in_range {
-                return Err(corrupt("term references a class out of range"));
-            }
-        }
+    // Cross-shard class pointers (a term's class, the classes of its
+    // subexpressions) can only be range-checked once every shard's class
+    // list is known.
+    let in_range = |bits: u64| {
+        let cid = ClassId::from_bits(bits);
+        let shard = shards.get(cid.shard as usize);
+        shard.is_some_and(|s| (cid.index as usize) < s.classes.len())
+    };
+    let mut pointers = shards.iter().flat_map(|s| {
+        let subs = s.term_subs.iter().flatten().map(|&(bits, _)| bits);
+        s.terms.iter().copied().chain(subs)
+    });
+    if !pointers.all(in_range) {
+        return Err(corrupt("class pointer out of range"));
     }
     Ok((header, shards))
 }
@@ -313,23 +291,59 @@ pub(crate) fn read_snapshot<H: HashWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::granularity::Granularity;
+    use lambda_lang::debruijn::DbNode;
+
+    fn header(granularity: Granularity) -> SnapshotHeader {
+        SnapshotHeader {
+            identity: StoreIdentity {
+                hash_bits: <u64 as HashWord>::BITS,
+                scheme_seed: 7,
+                shard_count: 1,
+                granularity,
+            },
+            wal_epoch: 0,
+            wal_records_applied: 0,
+            stats: StoreStats::default(),
+        }
+    }
+
+    /// A term's subexpression pair naming a class in a shard the image
+    /// does not have once decoded `Ok`; the first update of that term or
+    /// occurrence count through the pair then indexed past the shards.
+    #[test]
+    fn a_sub_pair_out_of_range_is_corrupt() {
+        let table = CanonTable::new();
+        let mut dag = DbArena::new();
+        let x = dag.intern("x");
+        let root = dag.push(DbNode::FVar(x));
+        let class = StoredClass {
+            hash: 7u64,
+            canon: table.intern_arena(&dag, root),
+            node_count: 1,
+            members: 1,
+            occurrences: 1,
+        };
+        let own = ClassId { shard: 0, index: 0 }.to_bits();
+        let stray = ClassId { shard: 5, index: 9 }.to_bits();
+        let pairs = vec![(own, 1), (stray, 1)].into_boxed_slice();
+        let shard = Shard::from_parts(vec![class], vec![own], vec![pairs]);
+        let header = header(Granularity::Subexpressions { min_nodes: 1 });
+        let bytes = encode_snapshot(&header, &[&shard], &dag, &[root]);
+        match decode_snapshot::<u64>(&bytes, &CanonTable::new()) {
+            Err(PersistError::Corrupt { context }) => {
+                assert!(context.contains("out of range"), "{context}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
 
     /// A snapshot whose header names any version but the current one —
     /// the retired v1 and v2 layouts included — is a typed refusal, even
     /// when its CRC checks out, and never a panic.
     #[test]
     fn wrong_version_is_rejected() {
-        let header = SnapshotHeader {
-            identity: StoreIdentity {
-                hash_bits: <u64 as HashWord>::BITS,
-                scheme_seed: 7,
-                shard_count: 1,
-                granularity: crate::granularity::Granularity::Roots,
-            },
-            wal_epoch: 0,
-            wal_records_applied: 0,
-            stats: StoreStats::default(),
-        };
+        let header = header(Granularity::Roots);
         let shard = Shard::<u64>::empty();
         let bytes = encode_snapshot(&header, &[&shard], &DbArena::new(), &[]);
         assert!(decode_snapshot::<u64>(&bytes, &CanonTable::new()).is_ok());

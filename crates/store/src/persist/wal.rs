@@ -4,7 +4,8 @@
 //! term the ingest path consumed, canon encoded as one node-deduplicated
 //! DAG — into the WAL, so a crash loses at most the writes the OS had not
 //! yet persisted, and never corrupts what came before. Frames are
-//! `[len u32][crc32 u32][payload]`, where the payload's first byte is a
+//! [`crate::codec`]'s `[len u32][crc32 u32][payload]`, the daemon's wire
+//! frame too, where the payload's first byte is a
 //! kind tag: an **insert record**, a **delta record** (v3: one
 //! [`crate::AlphaStore::update`], logged as old root + spine path +
 //! patch canon instead of the full rewritten term), or a **commit
@@ -38,12 +39,13 @@
 //! one is refused with [`PersistError::Mismatch`]. See
 //! `docs/PERSISTENCE_FORMAT.md` for the byte layout.
 
-use super::format::{
-    self, crc32, put_u16, put_u64, take_u16, take_u32, take_u64, RawDelta, RawRecord,
-    StoreIdentity, FORMAT_VERSION, WAL_MAGIC,
-};
+use super::format::{self, RawDelta, RawRecord, StoreIdentity, FORMAT_VERSION, WAL_MAGIC};
 use super::vfs::{Vfs, VfsFile};
 use super::{PersistError, WalOp};
+use crate::codec::{
+    begin_frame, end_frame, put_u16, put_u64, put_u8, take_bytes, take_frame, take_u16, take_u64,
+    take_u8, FRAME_HEADER_LEN,
+};
 use crate::dag::{extract_canon, TableView};
 use crate::obs::WalObs;
 use crate::prepare::{PreparedCanon, PreparedTerm};
@@ -92,7 +94,7 @@ fn encode_header(h: &WalHeader) -> Vec<u8> {
 }
 
 fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
-    let magic = format::take_bytes(input, 8)?;
+    let magic = take_bytes(input, 8)?;
     if magic != WAL_MAGIC {
         return Err(PersistError::Corrupt {
             context: "WAL magic mismatch".to_owned(),
@@ -151,57 +153,45 @@ pub(crate) fn header_intact(path: &Path) -> bool {
     )
 }
 
-/// Reads and decodes a whole WAL file. Frames after the first bad one are
-/// dropped; a bad *header* is an error (there is nothing to recover).
+/// Reads and decodes a whole WAL file (see [`decode_wal`]).
 pub(crate) fn read_wal<H: HashWord>(
     vfs: &dyn Vfs,
     path: &Path,
 ) -> Result<WalContents<H>, PersistError> {
-    let bytes = vfs.read(path)?;
-    let mut input = bytes.as_slice();
+    decode_wal(&vfs.read(path)?)
+}
+
+/// Decodes a whole WAL image. Frames after the first bad one are
+/// dropped; a bad *header* is an error (there is nothing to recover).
+pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, PersistError> {
+    let mut input = bytes;
     let header = decode_header(&mut input)?;
     let mut groups: Vec<Vec<WalEntry<H>>> = Vec::new();
     let mut current: Vec<WalEntry<H>> = Vec::new();
     let mut total_records = 0u64;
     let mut good_len = bytes.len() as u64 - input.len() as u64;
     let torn = loop {
-        let frame_start = input.len();
-        let Ok(len) = take_u32(&mut input) else {
-            // Clean EOF, or trailing garbage shorter than a length field.
-            break frame_start != 0;
-        };
-        let Ok(crc) = take_u32(&mut input) else {
-            break true;
-        };
-        let Ok(payload) = format::take_bytes(&mut input, len as usize) else {
-            break true;
-        };
-        if crc32(payload) != crc {
-            break true;
+        if input.is_empty() {
+            break false;
         }
-        let mut payload_input = payload;
-        let Ok(kind) = format::take_u8(&mut payload_input) else {
+        let Ok(mut payload_input) = take_frame(&mut input) else {
+            break true;
+        };
+        let frame_len = FRAME_HEADER_LEN + payload_input.len();
+        let Ok(kind) = take_u8(&mut payload_input) else {
             break true;
         };
         match kind {
-            FRAME_RECORD => {
-                let Ok(record) = format::take_record::<H>(&mut payload_input) else {
-                    break true;
+            FRAME_RECORD | FRAME_DELTA => {
+                let entry = if kind == FRAME_RECORD {
+                    format::take_record(&mut payload_input).map(WalEntry::Insert)
+                } else {
+                    format::take_delta(&mut payload_input).map(WalEntry::Update)
                 };
-                if !payload_input.is_empty() {
-                    break true;
+                match entry {
+                    Ok(entry) if payload_input.is_empty() => current.push(entry),
+                    _ => break true,
                 }
-                current.push(WalEntry::Insert(record));
-                total_records += 1;
-            }
-            FRAME_DELTA => {
-                let Ok(delta) = format::take_delta::<H>(&mut payload_input) else {
-                    break true;
-                };
-                if !payload_input.is_empty() {
-                    break true;
-                }
-                current.push(WalEntry::Update(delta));
                 total_records += 1;
             }
             FRAME_COMMIT => {
@@ -215,7 +205,7 @@ pub(crate) fn read_wal<H: HashWord>(
             }
             _ => break true,
         }
-        good_len += 8 + len as u64;
+        good_len += frame_len as u64;
     };
     // Writers always land a group's records and its commit marker in one
     // append, so records with no closing marker — even ending exactly on
@@ -418,26 +408,8 @@ impl Wal {
     }
 }
 
-/// Reserves a frame header, returns the payload start offset.
-fn begin_frame(out: &mut Vec<u8>) -> usize {
-    let frame_start = out.len();
-    out.extend_from_slice(&[0u8; 8]); // len + crc placeholders
-    frame_start
-}
-
-/// Patches length + CRC over the payload written since [`begin_frame`].
-fn end_frame(out: &mut [u8], frame_start: usize) {
-    let payload = &out[frame_start + 8..];
-    let len = u32::try_from(payload.len()).expect("record fits u32");
-    let crc = crc32(payload);
-    out[frame_start..frame_start + 4].copy_from_slice(&len.to_le_bytes());
-    out[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Frames one insert record, encoding the payload **in place**:
-/// placeholder bytes are reserved, the record is written directly after
-/// them, and length + CRC are patched in once known — no staging buffer,
-/// no second copy. A frontier root (a term with nothing indexed below it)
+/// Frames one insert record, encoding the payload in place (see
+/// [`begin_frame`]). A frontier root (a term with nothing indexed below it)
 /// is already a topologically ordered node run whose positions are the
 /// record positions. An interned term's entries are extracted from the
 /// canon DAG **once**, as one node-deduplicated run (shared structure
@@ -449,7 +421,7 @@ pub(crate) fn frame_record<H: HashWord>(
     pt: &PreparedTerm<H>,
 ) {
     let frame_start = begin_frame(out);
-    format::put_u8(out, FRAME_RECORD);
+    put_u8(out, FRAME_RECORD);
     let root = &pt.root;
     match &root.canon {
         PreparedCanon::Frontier { canon, canon_root } => {
@@ -482,7 +454,7 @@ pub(crate) fn frame_record<H: HashWord>(
 /// rewritten term, which is the point of the delta format.
 pub(crate) fn frame_delta<H: HashWord>(out: &mut Vec<u8>, delta: &RawDelta<H>) {
     let frame_start = begin_frame(out);
-    format::put_u8(out, FRAME_DELTA);
+    put_u8(out, FRAME_DELTA);
     format::put_delta(out, delta);
     end_frame(out, frame_start);
 }
@@ -490,7 +462,7 @@ pub(crate) fn frame_delta<H: HashWord>(out: &mut Vec<u8>, delta: &RawDelta<H>) {
 /// Frames the commit marker that closes a group of `count` records.
 pub(crate) fn frame_commit(out: &mut Vec<u8>, count: u64) {
     let frame_start = begin_frame(out);
-    format::put_u8(out, FRAME_COMMIT);
+    put_u8(out, FRAME_COMMIT);
     put_u64(out, count);
     end_frame(out, frame_start);
 }

@@ -650,7 +650,7 @@ fn refresh_wal_crcs(wal_path: &Path) {
         if payload_end > bytes.len() {
             break;
         }
-        let crc = alpha_store::persist::format::crc32(&bytes[payload_start..payload_end]);
+        let crc = alpha_store::codec::crc32(&bytes[payload_start..payload_end]);
         bytes[offset + 4..offset + 8].copy_from_slice(&crc.to_le_bytes());
         offset = payload_end;
     }
