@@ -261,12 +261,6 @@ fn accept_loop<H: HashWord>(
     }
 }
 
-/// The idle flag a streamed batch reads its chunks with: never set. The
-/// batch is one in-flight request, so the drain waits for its END
-/// rather than tearing it mid-stream (a dead peer still ends it via
-/// EOF).
-static IN_BATCH: AtomicBool = AtomicBool::new(false);
-
 /// Per-connection request loop: handshake, then frames until EOF,
 /// protocol violation, or shutdown. Between frames, read timeouts poll
 /// the shutdown latch, so an idle connection closes when the daemon
@@ -281,7 +275,7 @@ fn handle_connection<H: HashWord>(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
     // Handshake first: magic + client version, answered with the hello.
-    let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown)? else {
+    let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown, Duration::ZERO)? else {
         return Ok(());
     };
     let client_version = wire::take_handshake(&mut payload.as_slice())?;
@@ -304,7 +298,7 @@ fn handle_connection<H: HashWord>(
     wire::write_frame(&mut stream, &ok(|out| wire::put_hello(out, &hello)))?;
 
     loop {
-        let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown)? else {
+        let Some(payload) = wire::read_frame_or_stop(&mut stream, shutdown, Duration::ZERO)? else {
             return Ok(());
         };
         let mut input = payload.as_slice();
@@ -320,7 +314,7 @@ fn handle_connection<H: HashWord>(
             // Each chunk goes to the pool as its own job, so ingestion
             // starts while later chunks are still in flight.
             wire::OP_INSERT_BATCH => {
-                serve_batch(&mut stream, |count, terms| {
+                serve_batch(&mut stream, &latch.requested, |count, terms| {
                     let reply = submit(pool, terms.to_vec(), count);
                     move || match wait(&reply) {
                         Ok(outcomes) => (
@@ -343,7 +337,7 @@ fn handle_connection<H: HashWord>(
             // Containment is a read: each chunk is answered as it
             // arrives, no ingest pipeline involved.
             wire::OP_CONTAINS_BATCH => {
-                serve_batch(&mut stream, |count, mut terms| {
+                serve_batch(&mut stream, &latch.requested, |count, mut terms| {
                     let mut arena = ExprArena::new();
                     let mut roots = Vec::new();
                     let answer = match wire::take_terms(&mut terms, count, &mut arena, &mut roots) {
@@ -394,15 +388,22 @@ fn handle_connection<H: HashWord>(
 /// response per chunk, in order, and `RESP_END` with the total of the
 /// answers' item counts. Responses wait for END so the two sides never
 /// both block writing.
+///
+/// The batch is one in-flight request, so a drain (`shutdown` set) waits
+/// for its END while chunks keep arriving; a peer silent for
+/// [`wire::DRAIN_STALL_LIMIT`] by then ends the batch as a torn
+/// connection does.
 fn serve_batch<A: FnOnce() -> (u64, Vec<u8>)>(
     stream: &mut TcpStream,
+    shutdown: &AtomicBool,
     mut on_chunk: impl FnMut(u32, &[u8]) -> A,
 ) -> Result<(), WireError> {
     let mut answers = Vec::new();
     loop {
-        // A torn connection ends the batch; chunks already submitted
-        // still complete server-side.
-        let Some(payload) = wire::read_frame_or_stop(stream, Some(&IN_BATCH))? else {
+        // A torn or stalled connection ends the batch; chunks already
+        // submitted still complete server-side.
+        let stop = Some(shutdown);
+        let Some(payload) = wire::read_frame_or_stop(stream, stop, wire::DRAIN_STALL_LIMIT)? else {
             return Ok(());
         };
         let mut input = payload.as_slice();

@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use alpha_store::codec::{
     self, check_frame, frame_header, put_count, put_opt_u64, put_str, put_u16, put_u32, put_u64,
@@ -240,26 +241,33 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
 /// frames; EOF mid-frame is a [`WireError::Frame`]. A read timeout is a
 /// [`WireError::Io`]: this is the server's reader without its idle hook.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    read_frame_or_stop(r, None)
+    read_frame_or_stop(r, None, Duration::ZERO)
 }
 
-/// [`read_frame`] with a between-frames idle hook, for a socket with a
-/// read timeout. With `stop: Some(flag)`, a timeout before the frame's
-/// first byte returns `Ok(None)` if `flag` is set and otherwise keeps
-/// waiting, and a frame that has started is always read to completion.
-/// With `stop: None`, a timeout is a [`WireError::Io`].
+/// How long a draining daemon waits on a peer that has gone silent inside
+/// a frame, or between the frames of a streamed batch, before it treats
+/// the connection as torn.
+pub(crate) const DRAIN_STALL_LIMIT: Duration = Duration::from_secs(1);
+
+/// [`read_frame`] with an idle hook, for a socket with a read timeout.
+/// With `stop: Some(flag)`, timeouts are retried until `flag` is set and
+/// the peer has sent nothing for `idle` (before the frame's first byte;
+/// the read then returns `Ok(None)`) or for [`DRAIN_STALL_LIMIT`] (inside
+/// the frame; the read then fails as on a torn connection). So a frame
+/// that keeps arriving is read whole, even while the daemon drains. With
+/// `stop: None`, a timeout is a [`WireError::Io`].
 pub(crate) fn read_frame_or_stop(
     r: &mut impl Read,
     stop: Option<&AtomicBool>,
+    idle: Duration,
 ) -> Result<Option<Vec<u8>>, WireError> {
-    let wait = stop.is_some();
     let mut header = [0u8; FRAME_HEADER_LEN];
-    match read_full(r, &mut header, wait, stop)? {
+    match read_full(r, &mut header, stop.map(|s| (s, idle)))? {
         0 => return Ok(None),
         FRAME_HEADER_LEN => {}
         n => {
             return Err(frame_err(format!(
-                "connection closed {n} bytes into a frame header"
+                "connection closed or stalled {n} bytes into a frame header"
             )))
         }
     }
@@ -276,10 +284,11 @@ pub(crate) fn read_frame_or_stop(
     while payload.len() < len {
         let filled = payload.len();
         payload.resize(len.min(filled + READ_AHEAD), 0);
-        let got = read_full(r, &mut payload[filled..], wait, None)?;
+        let hook = stop.map(|s| (s, DRAIN_STALL_LIMIT));
+        let got = read_full(r, &mut payload[filled..], hook)?;
         if filled + got < payload.len() {
             return Err(frame_err(format!(
-                "connection closed {} bytes into a {len}-byte payload",
+                "connection closed or stalled {} bytes into a {len}-byte payload",
                 filled + got
             )));
         }
@@ -293,29 +302,42 @@ const READ_AHEAD: usize = 64 * 1024;
 
 /// Reads until `buf` is full or EOF; returns the bytes read. Unlike
 /// `read_exact` this reports a clean EOF at offset 0 distinguishably,
-/// and retries on `Interrupted`. A read timeout is an error unless
-/// `wait` is set; then it is retried, except that before the first byte
-/// a set `idle_stop` ends the read as an EOF would.
+/// and retries on `Interrupted`. A read timeout is an error without a
+/// `hook`. With `hook: Some((stop, idle))` it is retried, except that once
+/// `stop` is set a peer silent for `idle` ends the read as an EOF would
+/// (for at least [`DRAIN_STALL_LIMIT`] once a byte has arrived). Silence
+/// is timed from the first timeout after the last byte.
 fn read_full(
     r: &mut impl Read,
     buf: &mut [u8],
-    wait: bool,
-    idle_stop: Option<&AtomicBool>,
+    hook: Option<(&AtomicBool, Duration)>,
 ) -> Result<usize, WireError> {
     let mut filled = 0;
+    let mut silent_since = None;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                silent_since = None;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
-                if wait
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
-                if filled == 0 && idle_stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                let Some((stop, idle)) = hook else {
+                    return Err(WireError::Io(e));
+                };
+                let idle = if filled == 0 {
+                    idle
+                } else {
+                    idle.max(DRAIN_STALL_LIMIT)
+                };
+                let since: &mut Instant = silent_since.get_or_insert_with(Instant::now);
+                if stop.load(Ordering::SeqCst) && since.elapsed() >= idle {
                     break;
                 }
             }
@@ -1067,7 +1089,7 @@ mod tests {
             fault: Some(kind),
         };
         let flag = stop.map(AtomicBool::new);
-        read_frame_or_stop(&mut r, flag.as_ref())
+        read_frame_or_stop(&mut r, flag.as_ref(), Duration::ZERO)
     }
 
     #[test]

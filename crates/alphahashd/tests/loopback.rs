@@ -867,3 +867,134 @@ fn zero_count_chunks_are_answered_empty_in_both_batch_ops() {
     assert_eq!(resp, [wire::RESP_OK]);
     daemon.join();
 }
+
+/// A raw connection past the handshake, with a batch of `op` announced.
+fn announce_batch(addr: std::net::SocketAddr, op: u8) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut hs = Vec::new();
+    wire::put_handshake(&mut hs, wire::PROTOCOL_VERSION);
+    wire::write_frame(&mut stream, &hs).expect("handshake");
+    let hello = wire::read_frame(&mut stream)
+        .expect("hello")
+        .expect("hello frame");
+    assert_eq!(hello[0], wire::RESP_OK);
+    wire::write_frame(&mut stream, &[op]).expect("announce");
+    stream
+}
+
+/// A client that announces a streamed batch and then goes silent, between
+/// frames or inside one, must not hold the drain: once shutdown is
+/// requested, the daemon gives up on it after the stall limit (one
+/// second) and `join` returns.
+#[test]
+fn a_stalled_batch_does_not_hold_the_drain() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x57A1, 2);
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::builder().seed(0xD8).build());
+    let daemon = spawn_daemon(Arc::clone(&store));
+    let mut stream = announce_batch(daemon.local_addr(), wire::OP_INSERT_BATCH);
+    let mut chunk = vec![wire::OP_BATCH_CHUNK];
+    chunk.extend_from_slice(&2u32.to_le_bytes());
+    for &root in &roots {
+        wire::put_term(&mut chunk, &arena, root);
+    }
+    wire::write_frame(&mut stream, &chunk).expect("chunk");
+    // A second batch stalls inside a frame: a header promising 1,000
+    // bytes, then 10 of them.
+    let mut torn = announce_batch(daemon.local_addr(), wire::OP_INSERT_BATCH);
+    torn.write_all(&1000u32.to_le_bytes()).expect("len");
+    torn.write_all(&0u32.to_le_bytes()).expect("crc");
+    torn.write_all(&[wire::OP_BATCH_CHUNK; 10])
+        .expect("some payload");
+
+    // The submitted chunk completes; then both clients stall, sockets open.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while store.num_terms() < 2 {
+        assert!(Instant::now() < deadline, "chunk was never ingested");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let start = Instant::now();
+    daemon.request_shutdown();
+    daemon.join();
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_secs(11),
+        "join took {waited:?} with a stalled batch open"
+    );
+    assert_eq!(store.num_terms(), 2, "the chunk sent before the stall");
+    // The daemon dropped the batch unanswered, as a torn connection.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    assert!(matches!(wire::read_frame(&mut stream), Ok(None) | Err(_)));
+    drop(torn);
+}
+
+/// A batch that keeps sending chunks through the drain, each gap well
+/// inside the stall limit but the whole stream longer than it, is read to
+/// its END and answered in full.
+#[test]
+fn a_batch_streaming_through_the_drain_is_answered() {
+    let mut arena = ExprArena::new();
+    let roots = corpus(&mut arena, 0x57A2, 4);
+    let store: Arc<AlphaStore<u64>> = Arc::new(AlphaStore::builder().seed(0xD9).build());
+    let daemon = spawn_daemon(Arc::clone(&store));
+    let mut stream = announce_batch(daemon.local_addr(), wire::OP_INSERT_BATCH);
+    daemon.request_shutdown();
+    for &root in &roots {
+        std::thread::sleep(Duration::from_millis(400));
+        let mut chunk = vec![wire::OP_BATCH_CHUNK];
+        chunk.extend_from_slice(&1u32.to_le_bytes());
+        wire::put_term(&mut chunk, &arena, root);
+        wire::write_frame(&mut stream, &chunk).expect("chunk during the drain");
+    }
+    wire::write_frame(&mut stream, &[wire::OP_BATCH_END]).expect("end");
+    for _ in &roots {
+        let resp = wire::read_frame(&mut stream)
+            .expect("chunk response")
+            .expect("frame");
+        assert_eq!(resp[0], wire::RESP_CHUNK);
+    }
+    let mut end = vec![wire::RESP_END];
+    end.extend_from_slice(&(roots.len() as u64).to_le_bytes());
+    let resp = wire::read_frame(&mut stream)
+        .expect("end response")
+        .expect("frame");
+    assert_eq!(resp, end);
+    drop(stream);
+    daemon.join();
+    assert_eq!(store.num_terms(), roots.len());
+}
+
+/// Binders need not be distinct: a debug-build daemon prepares a term
+/// whose inner binder shadows the outer one as its `uniquify`d copy, in
+/// both granularities.
+#[test]
+fn shadowed_binders_are_classed_as_their_uniquified_copy() {
+    for granularity in [
+        alpha_store::Granularity::Roots,
+        alpha_store::Granularity::Subexpressions { min_nodes: 1 },
+    ] {
+        let store: Arc<AlphaStore<u64>> = Arc::new(
+            AlphaStore::builder()
+                .seed(0xDA)
+                .granularity(granularity)
+                .build(),
+        );
+        let daemon = spawn_daemon(Arc::clone(&store));
+        let mut client = Client::connect(daemon.local_addr().to_string()).expect("connect");
+        let mut arena = ExprArena::new();
+        let [shadowed, renamed, other] = [r"\x. \x. x", r"\y. \z. z", r"\y. \z. y"]
+            .map(|src| lambda_lang::parse::parse(&mut arena, src).expect("parse"));
+        let outcome = client.insert(&arena, shadowed).expect("insert answered");
+        assert!(outcome.fresh, "{granularity:?}");
+        assert_eq!(
+            client.lookup(&arena, renamed).expect("lookup"),
+            Some(outcome.class),
+            "{granularity:?}"
+        );
+        assert_eq!(client.lookup(&arena, other).expect("lookup"), None);
+        client.shutdown().expect("shutdown op");
+        daemon.join();
+    }
+}

@@ -422,8 +422,8 @@ impl<H: HashWord> FlatVarMap<H> {
     }
 
     /// §4.8 smaller-into-bigger merge across all tiers, in place: folds
-    /// `smaller` into `self` (the bigger map), calling `join(bigger's
-    /// entry, smaller's entry)` **exactly once per smaller entry** to
+    /// `smaller` into `self` (the bigger map), calling `join(symbol,
+    /// bigger's entry, smaller's entry)` **exactly once per smaller entry** to
     /// compute the merged position tree, and `name_hash` to resolve each
     /// joined symbol's name hash for the XOR fix-up. Callers keep the
     /// Lemma 6.1 `merge_ops` accounting (`+= smaller.len()`); this method
@@ -441,7 +441,7 @@ impl<H: HashWord> FlatVarMap<H> {
         scheme: &HashScheme<H>,
         pool: &mut MapPool<H>,
         name_hash: &mut impl FnMut(Symbol) -> u64,
-        join: &mut impl FnMut(Option<PosH<H>>, PosH<H>) -> PosH<H>,
+        join: &mut impl FnMut(Symbol, Option<PosH<H>>, PosH<H>) -> PosH<H>,
     ) {
         debug_assert!(self.len() >= smaller.len(), "merge direction flipped");
         if self.is_tree() || smaller.is_tree() {
@@ -453,7 +453,7 @@ impl<H: HashWord> FlatVarMap<H> {
             // Common case: everything stays inline; insert in place.
             for &(sym, small_pos) in smaller.flat_slice() {
                 let nh = name_hash(sym);
-                let new_pos = join(self.get(sym), small_pos);
+                let new_pos = join(sym, self.get(sym), small_pos);
                 self.upsert_pooled(scheme, sym, nh, new_pos, pool);
             }
             smaller.recycle(pool);
@@ -481,7 +481,7 @@ impl<H: HashWord> FlatVarMap<H> {
             } else {
                 None
             };
-            let new_pos = join(old, small_pos);
+            let new_pos = join(sym, old, small_pos);
             xor = xor.xor(scheme.entry(nh, new_pos.hash));
             out.push((sym, new_pos));
             si += 1;
@@ -500,7 +500,7 @@ impl<H: HashWord> FlatVarMap<H> {
         scheme: &HashScheme<H>,
         pool: &mut MapPool<H>,
         name_hash: &mut impl FnMut(Symbol) -> u64,
-        join: &mut impl FnMut(Option<PosH<H>>, PosH<H>) -> PosH<H>,
+        join: &mut impl FnMut(Symbol, Option<PosH<H>>, PosH<H>) -> PosH<H>,
     ) -> Self {
         let mut xor = bigger.xor;
         // The bigger side is normally already a tree (flat maps never
@@ -519,7 +519,7 @@ impl<H: HashWord> FlatVarMap<H> {
             Slots::Tree(small_tree) => {
                 let merged = big_tree.union_join(&small_tree, |sym, old, small_pos| {
                     let nh = name_hash(*sym);
-                    let new_pos = join(old.copied(), *small_pos);
+                    let new_pos = join(*sym, old.copied(), *small_pos);
                     if let Some(old_pos) = old {
                         xor = xor.xor(scheme.entry(nh, old_pos.hash));
                     }
@@ -540,7 +540,7 @@ impl<H: HashWord> FlatVarMap<H> {
                 for &(sym, small_pos) in flat.flat_slice() {
                     let nh = name_hash(sym);
                     let old = tree.get(&sym).copied();
-                    let new_pos = join(old, small_pos);
+                    let new_pos = join(sym, old, small_pos);
                     if let Some(old_pos) = old {
                         xor = xor.xor(scheme.entry(nh, old_pos.hash));
                     }

@@ -17,6 +17,9 @@
 //! The summariser records each node's e-summary hash *before* the node's
 //! variable map is consumed (and mutated) by its parent, so Rust ownership
 //! replaces the persistence Haskell's `Data.Map` provided.
+//!
+//! This is the crate's one §4.8 traversal: every other consumer of the
+//! pass is a [`SummarySink`] fed its own merge decisions.
 
 use crate::combine::{HashScheme, HashWord};
 use crate::flatmap::{FlatVarMap, MapPool};
@@ -44,13 +47,8 @@ pub struct StructH<H> {
     pub size: u64,
 }
 
-/// A variable map in hashed form (§5.2): flat sorted storage plus the
-/// XOR-maintained hash of its entries.
-///
-/// Since the fast-path overhaul this is the [`FlatVarMap`] of
-/// [`crate::flatmap`] — inline storage for small maps, one sorted `Vec`
-/// beyond that — rather than a `BTreeMap`. The API (and the §4.8 merge
-/// semantics built on it) is unchanged.
+/// A variable map in hashed form (§5.2): the tiered sorted storage of
+/// [`crate::flatmap`] plus the XOR-maintained hash of its entries.
 pub type VarMapH<H> = FlatVarMap<H>;
 
 /// An e-summary in hashed form.
@@ -198,12 +196,6 @@ pub struct SubtreeHashes<H> {
 }
 
 impl<H: HashWord> SubtreeHashes<H> {
-    fn new(capacity: usize) -> Self {
-        SubtreeHashes {
-            hashes: vec![None; capacity],
-        }
-    }
-
     /// Wraps a dense per-node-index vector of hashes. Used by the
     /// Appendix C variant and the baseline hashers, which share this
     /// result type so that grouping and benchmarking code is uniform.
@@ -237,6 +229,53 @@ impl<H: HashWord> SubtreeHashes<H> {
     /// Whether no node was hashed.
     pub fn is_empty(&self) -> bool {
         self.hashes.iter().all(|h| h.is_none())
+    }
+}
+
+/// A consumer of [`HashedSummariser`]'s one pass: it is fed the §4.8
+/// algorithm's map operations and structures node by node in post-order,
+/// each with the hash the pass computed for it. A sink is a generic
+/// parameter, monomorphised per caller, and every method defaults to
+/// nothing, so the `()` sink is the bare hashing pass. Under
+/// [`MergeStrategy::TransformBoth`] no joins are recorded.
+pub trait SummarySink<H: HashWord> {
+    /// A `Var` node's map starts as `{sym ↦ here}`.
+    #[inline]
+    fn here(&mut self, _sym: Symbol, _here: PosH<H>) {}
+    /// A `Lam`, or a `Let` before its merge, removed `sym` from its body's
+    /// map, which held `pos` for it.
+    #[inline]
+    fn remove(&mut self, _sym: Symbol, _pos: Option<PosH<H>>) {}
+    /// Where a binary node's merge records, once per smaller-side entry
+    /// and in no fixed order, `(sym, joined)`: the entry's `Join` in the
+    /// bigger map under the node's tag (its size). `None` records nothing.
+    #[inline]
+    fn joins(&mut self) -> Option<&mut Vec<(Symbol, PosH<H>)>> {
+        None
+    }
+    /// Node `n` is summarised, after its map events. `left_bigger` is the
+    /// §4.8 flag of an `App` or `Let` (the function's or the rhs's map was
+    /// the bigger one), and false for the other nodes.
+    #[inline]
+    fn node(&mut self, _n: NodeId, _left_bigger: bool, _structure: StructH<H>, _hash: H) {}
+}
+
+/// The bare pass: hashes only.
+impl<H: HashWord> SummarySink<H> for () {}
+
+/// Records every node's hash by [`NodeId`].
+impl<H: HashWord> SummarySink<H> for SubtreeHashes<H> {
+    #[inline]
+    fn node(&mut self, n: NodeId, _left_bigger: bool, _structure: StructH<H>, hash: H) {
+        self.set(n, hash);
+    }
+}
+
+/// Records `(node, hash, size)` for every node, in post-order.
+impl<H: HashWord> SummarySink<H> for Vec<(NodeId, H, u64)> {
+    #[inline]
+    fn node(&mut self, n: NodeId, _left_bigger: bool, structure: StructH<H>, hash: H) {
+        self.push((n, hash, structure.size));
     }
 }
 
@@ -351,49 +390,6 @@ impl<H: HashWord> HashedSummariser<H> {
         self.pool.set_tree_threshold(threshold);
     }
 
-    /// §4.8 merge of a binary node's child maps, in place: folds the smaller
-    /// map into the bigger one, tagging each moved entry with the parent
-    /// structure's `tag`, and leaves the result in `left`'s slot. Returns
-    /// whether the left map was the bigger one.
-    ///
-    /// Only smaller-side entries count as merge operations (Lemma 6.1) —
-    /// counted here, in one tier-independent increment — while the
-    /// representation work happens in [`VarMapH::merge_from_smaller`]: in
-    /// place when the result fits inline, one linear merge-join of the two
-    /// sorted runs in the flat-spill tier, and an O(m log(n/m + 1))
-    /// persistent-tree union in the tree tier.
-    fn merge_smaller(
-        &mut self,
-        arena: &ExprArena,
-        tag: u64,
-        left: &mut VarMapH<H>,
-        right: VarMapH<H>,
-    ) -> bool {
-        let left_bigger = left.len() >= right.len();
-        let smaller = if left_bigger {
-            right
-        } else {
-            std::mem::replace(left, right)
-        };
-        if smaller.is_empty() {
-            smaller.recycle(&mut self.pool);
-            return left_bigger;
-        }
-        self.merge_ops += smaller.len() as u64;
-        let scheme = &self.scheme;
-        let names = &mut self.names;
-        let mut nh = |sym: Symbol| names.get(arena, scheme, sym);
-        let mut join = |old: Option<PosH<H>>, small_pos: PosH<H>| {
-            let size = 1 + old.map_or(0, |p| p.size) + small_pos.size;
-            PosH {
-                hash: scheme.pt_join(size, tag, old.map(|p| p.hash), small_pos.hash),
-                size,
-            }
-        };
-        left.merge_from_smaller(smaller, scheme, &mut self.pool, &mut nh, &mut join);
-        left_bigger
-    }
-
     /// §4.6 merge: wrap every left entry `LeftOnly`, every right entry
     /// `RightOnly`, and both-sides entries `Both`. Touches every entry — the
     /// quadratic baseline for the ablation. Implemented as one merge-join
@@ -453,55 +449,87 @@ impl<H: HashWord> HashedSummariser<H> {
         VarMapH::from_sorted(out, xor, &mut self.pool)
     }
 
-    /// Merges the variable map on top of the stack into the one below it
-    /// (the maps of a binary node's right and left child), leaving the
-    /// merged map in the lower slot. `tag` is the parent structure's size.
-    /// Returns whether the left map was the bigger one (the §4.8 flag).
-    fn merge_top(&mut self, arena: &ExprArena, tag: u64) -> bool {
+    /// Merges the variable map on top of the stack (a binary node's right
+    /// child's) into the one below it (the left child's), leaving the
+    /// result in the lower slot, and returns whether the left map was the
+    /// bigger one (the §4.8 flag). `tag` is the parent structure's size.
+    ///
+    /// The §4.8 merge folds the smaller map into the bigger one, tagging
+    /// each moved entry with `tag` and recording it in `joins` if given.
+    /// Only smaller-side entries count as merge operations (Lemma 6.1) —
+    /// counted here, in one tier-independent increment — while the
+    /// representation work happens in [`VarMapH::merge_from_smaller`]: in
+    /// place when the result fits inline, one linear merge-join of the two
+    /// sorted runs in the flat-spill tier, and an O(m log(n/m + 1))
+    /// persistent-tree union in the tree tier.
+    fn merge_top(
+        &mut self,
+        arena: &ExprArena,
+        tag: u64,
+        mut joins: Option<&mut Vec<(Symbol, PosH<H>)>>,
+    ) -> bool {
         // Out of `self` for the merge, which needs the rest of it.
         let mut maps = std::mem::take(&mut self.maps);
         let right = maps.pop().expect("binary node has a right child");
         let left = maps.last_mut().expect("binary node has a left child");
-        let left_bigger = match self.strategy {
-            MergeStrategy::SmallerIntoBigger => self.merge_smaller(arena, tag, left, right),
-            MergeStrategy::TransformBoth => {
-                let both = std::mem::take(left);
-                *left = self.merge_both(arena, both, right);
-                true
-            }
+        if self.strategy == MergeStrategy::TransformBoth {
+            let both = std::mem::take(left);
+            *left = self.merge_both(arena, both, right);
+            self.maps = maps;
+            return true;
+        }
+        let left_bigger = left.len() >= right.len();
+        let smaller = if left_bigger {
+            right
+        } else {
+            std::mem::replace(left, right)
         };
+        if smaller.is_empty() {
+            smaller.recycle(&mut self.pool);
+        } else {
+            self.merge_ops += smaller.len() as u64;
+            let scheme = &self.scheme;
+            let names = &mut self.names;
+            let mut nh = |sym: Symbol| names.get(arena, scheme, sym);
+            let mut join = |sym: Symbol, old: Option<PosH<H>>, small_pos: PosH<H>| {
+                let size = 1 + old.map_or(0, |p| p.size) + small_pos.size;
+                let joined = PosH {
+                    hash: scheme.pt_join(size, tag, old.map(|p| p.hash), small_pos.hash),
+                    size,
+                };
+                if let Some(joins) = &mut joins {
+                    joins.push((sym, joined));
+                }
+                joined
+            };
+            left.merge_from_smaller(smaller, scheme, &mut self.pool, &mut nh, &mut join);
+        }
         self.maps = maps;
         left_bigger
     }
 
-    /// Starts a streaming summary. The value stack must be empty — i.e.
-    /// every previously begun term was [`finish`](Self::finish)ed.
-    pub fn begin(&mut self) {
-        assert!(
-            self.structs.is_empty(),
-            "begin() while a summary is in flight"
-        );
-    }
-
-    /// Feeds one node of a post-order traversal and returns its
-    /// subexpression hash. The caller drives the traversal — this is what
-    /// lets the store fuse hashing with de Bruijn conversion in a single
-    /// pass. Nodes **must** arrive in post-order (children before parents,
-    /// `Let` rhs before body), and terms must satisfy the unique-binder
-    /// precondition (§2.2).
-    pub fn push_node(&mut self, arena: &ExprArena, n: NodeId) -> H {
-        self.push_node_sized(arena, n).0
-    }
-
-    /// Like [`push_node`](Self::push_node), but also returns the node's
-    /// subtree size (its structure size, the §4.8 `StructureTag`). This is
-    /// the per-subexpression record the store's `Subexpressions` mode
-    /// indexes: the batched pass yields `(hash, node_count)` for **every**
+    /// Feeds one node of a post-order traversal, reports it to `sink`, and
+    /// returns its subexpression hash and its subtree size (its structure
+    /// size, the §4.8 `StructureTag`). The caller drives the traversal —
+    /// this is what lets the store fuse hashing with de Bruijn conversion
+    /// in a single pass — and nodes **must** arrive in post-order
+    /// (children before parents, `Let` rhs before body). Binders need not
+    /// be distinct: each binder removes only the occurrences still free in
+    /// its body, so a shadowed name hashes as its `uniquify`d copy does.
+    ///
+    /// The size makes this the per-subexpression record the store's
+    /// `Subexpressions` mode indexes: `(hash, node_count)` for **every**
     /// node of the term at no extra cost, so granularity filters like
     /// `min_nodes` need no second traversal.
-    pub fn push_node_sized(&mut self, arena: &ExprArena, n: NodeId) -> (H, u64) {
+    pub fn push_node<S: SummarySink<H>>(
+        &mut self,
+        arena: &ExprArena,
+        n: NodeId,
+        sink: &mut S,
+    ) -> (H, u64) {
         self.nodes_pushed += 1;
         let scheme = &self.scheme;
+        let mut left_bigger = false;
         let structure = match arena.node(n) {
             ExprNode::Var(s) => {
                 let pos = PosH {
@@ -510,6 +538,7 @@ impl<H: HashWord> HashedSummariser<H> {
                 };
                 let nh = self.names.get(arena, scheme, s);
                 self.maps.push(VarMapH::singleton(scheme, s, nh, pos));
+                sink.here(s, pos);
                 StructH {
                     hash: scheme.s_var(),
                     size: 1,
@@ -527,6 +556,7 @@ impl<H: HashWord> HashedSummariser<H> {
                 let nh = self.names.get(arena, scheme, x);
                 let map = self.maps.last_mut().expect("lam body map");
                 let x_pos = map.remove(scheme, x, nh);
+                sink.remove(x, x_pos);
                 let size = 1 + body.size;
                 StructH {
                     hash: scheme.s_lam(size, x_pos.map(|p| p.hash), body.hash),
@@ -537,7 +567,7 @@ impl<H: HashWord> HashedSummariser<H> {
                 let right = self.structs.pop().expect("app arg summary");
                 let left = self.structs.pop().expect("app fun summary");
                 let size = 1 + left.size + right.size;
-                let left_bigger = self.merge_top(arena, size);
+                left_bigger = self.merge_top(arena, size, sink.joins());
                 StructH {
                     hash: self.scheme.s_app(size, left_bigger, left.hash, right.hash),
                     size,
@@ -551,12 +581,13 @@ impl<H: HashWord> HashedSummariser<H> {
                 // scope over the rhs.
                 let body_map = self.maps.last_mut().expect("let body map");
                 let x_pos = body_map.remove(scheme, x, nh);
+                sink.remove(x, x_pos);
                 let size = 1 + rhs.size + body.size;
-                let rhs_bigger = self.merge_top(arena, size);
+                left_bigger = self.merge_top(arena, size, sink.joins());
                 StructH {
                     hash: self.scheme.s_let(
                         size,
-                        rhs_bigger,
+                        left_bigger,
                         x_pos.map(|p| p.hash),
                         rhs.hash,
                         body.hash,
@@ -567,12 +598,12 @@ impl<H: HashWord> HashedSummariser<H> {
         };
         let map = self.maps.last().expect("every node leaves a map");
         let hash = self.scheme.esummary(structure.hash, map.hash());
+        sink.node(n, left_bigger, structure, hash);
         self.structs.push(structure);
         (hash, structure.size)
     }
 
-    /// Completes a streaming summary begun with [`begin`](Self::begin),
-    /// returning the root e-summary.
+    /// Completes a streaming summary, returning the root e-summary.
     ///
     /// # Panics
     ///
@@ -597,38 +628,30 @@ impl<H: HashWord> HashedSummariser<H> {
         result.varmap.recycle(&mut self.pool);
     }
 
-    /// Summarises the subtree at `root`, recording per-node hashes through
-    /// `record`. Iterative post-order; stack-safe at any depth.
-    fn summarise_impl(
-        &mut self,
-        arena: &ExprArena,
-        root: NodeId,
-        record: &mut dyn FnMut(NodeId, H),
-    ) -> ESummaryH<H> {
-        debug_assert!(
-            lambda_lang::uniquify::check_unique_binders(arena, root).is_ok(),
-            "summarise requires distinct binders (run uniquify first)"
-        );
-        self.begin();
+    /// Feeds the subtree at `root` to [`push_node`](Self::push_node) in
+    /// post-order (iteratively, so any depth is stack-safe). Complete the
+    /// summary with [`finish`](Self::finish) or
+    /// [`finish_discard`](Self::finish_discard).
+    pub fn push_tree<S: SummarySink<H>>(&mut self, arena: &ExprArena, root: NodeId, sink: &mut S) {
         let mut walk = std::mem::take(&mut self.walk);
         postorder_with(arena, root, &mut walk, |n| {
-            let hash = self.push_node(arena, n);
-            record(n, hash);
+            self.push_node(arena, n, sink);
         });
         self.walk = walk;
-        self.finish()
     }
 
     /// Summarises the subtree at `root`, returning its e-summary.
     pub fn summarise(&mut self, arena: &ExprArena, root: NodeId) -> ESummaryH<H> {
-        self.summarise_impl(arena, root, &mut |_, _| {})
+        self.push_tree(arena, root, &mut ());
+        self.finish()
     }
 
     /// Hashes every subexpression of the subtree at `root` — the paper's
     /// headline operation. O(n (log n)²) with the §4.8 strategy.
     pub fn summarise_all(&mut self, arena: &ExprArena, root: NodeId) -> SubtreeHashes<H> {
-        let mut out = SubtreeHashes::new(arena.len());
-        self.summarise_impl(arena, root, &mut |node, hash| out.set(node, hash));
+        let mut out = SubtreeHashes::from_vec(vec![None; arena.len()]);
+        self.push_tree(arena, root, &mut out);
+        self.finish_discard();
         out
     }
 }
@@ -853,15 +876,56 @@ mod tests {
 
     #[test]
     fn different_widths_work() {
-        let mut a = ExprArena::new();
-        let parsed = parse(&mut a, r"\x. x + y").unwrap();
-        let (b, root) = lambda_lang::uniquify::uniquify(&a, parsed);
-        let h16 = hash_expr::<u16>(&b, root, &HashScheme::new(1));
-        let h128 = hash_expr::<u128>(&b, root, &HashScheme::new(1));
-        // Sanity: both computed; widths differ.
-        assert!(u128::from(h16) <= u128::from(u16::MAX));
-        assert!(h128 > u128::from(u64::MAX) || h128 <= u128::from(u64::MAX)); // always true, just touch it
-        let _ = (h16, h128);
+        // u16 and u128 induce the same partition of the paper's examples:
+        // a 16-bit word is wide enough for 17 terms, and both widths see
+        // the same equal pairs.
+        let sources = [
+            r"\x. x + y",
+            r"\p. p + y",
+            r"\q. q + z",
+            r"\x. x",
+            r"\y. y",
+            "let bar = x+1 in bar*y",
+            "let p = x+1 in p*y",
+            r"map (\y. y+1) vs",
+            r"map (\x. x+1) vs",
+            "x + 2",
+            "y + 2",
+            "add x y",
+            "add x x",
+            r"\x. \y. x",
+            r"\x. \y. y",
+            "1",
+            "1.0",
+        ];
+        let hashes = |width: fn(&ExprArena, NodeId) -> u128| -> Vec<u128> {
+            sources
+                .iter()
+                .map(|src| {
+                    let mut a = ExprArena::new();
+                    let parsed = parse(&mut a, src).unwrap();
+                    let (b, root) = lambda_lang::uniquify::uniquify(&a, parsed);
+                    width(&b, root)
+                })
+                .collect()
+        };
+        let h16 = hashes(|a, r| u128::from(hash_expr::<u16>(a, r, &HashScheme::new(1))));
+        let h128 = hashes(|a, r| hash_expr::<u128>(a, r, &HashScheme::new(1)));
+        assert!(h16.iter().all(|&h| h <= u128::from(u16::MAX)));
+        let mut equal_pairs = 0;
+        for i in 0..sources.len() {
+            for j in 0..sources.len() {
+                assert_eq!(
+                    h16[i] == h16[j],
+                    h128[i] == h128[j],
+                    "u16 and u128 disagree on {} vs {}",
+                    sources[i],
+                    sources[j]
+                );
+                equal_pairs += usize::from(i < j && h128[i] == h128[j]);
+            }
+        }
+        assert_eq!(equal_pairs, 4, "the four alpha-equivalent pairs");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! balanced tree recomputes O(log n) nodes, not O(n).
 
 use crate::combine::{HashScheme, HashWord};
-use crate::hashed::PosH;
+use crate::hashed::{NameHashCache, PosH};
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::symbol::Symbol;
 use lambda_lang::visit::postorder;
@@ -107,7 +107,8 @@ pub struct IncrementalHasher<H: HashWord> {
     arena: ExprArena,
     root: NodeId,
     scheme: HashScheme<H>,
-    name_hashes: Vec<u64>,
+    /// Name hashes of the symbols the engine has touched.
+    names: NameHashCache,
     parent: HashMap<NodeId, NodeId>,
     state: HashMap<NodeId, NodeState<H>>,
     /// Work counters for the most recent edit.
@@ -130,30 +131,16 @@ impl<H: HashWord> IncrementalHasher<H> {
             arena,
             root,
             scheme,
-            name_hashes: Vec::new(),
+            names: NameHashCache::new(),
             parent: HashMap::new(),
             state: HashMap::new(),
             last_stats: RecomputeStats::default(),
         };
-        engine.refresh_name_hashes();
         let mut stats = RecomputeStats::default();
         engine.compute_subtree(root, &mut stats);
         engine.parent = lambda_lang::visit::parent_map(&engine.arena, root);
         engine.last_stats = stats;
         engine
-    }
-
-    fn refresh_name_hashes(&mut self) {
-        let total = self.arena.interner().len();
-        for i in self.name_hashes.len()..total {
-            let name = self.arena.interner().resolve(Symbol::from_index(i as u32));
-            self.name_hashes.push(self.scheme.var_name(name));
-        }
-    }
-
-    #[inline]
-    fn name_hash(&self, sym: Symbol) -> u64 {
-        self.name_hashes[sym.index() as usize]
     }
 
     /// The current root node.
@@ -199,7 +186,7 @@ impl<H: HashWord> IncrementalHasher<H> {
                     hash: scheme.pt_here(),
                     size: 1,
                 };
-                let nh = self.name_hash(s);
+                let nh = self.names.get(&self.arena, &self.scheme, s);
                 let (vm, _) = PMap::new().insert(s, pos);
                 stats.map_ops += 1;
                 NodeState {
@@ -219,7 +206,7 @@ impl<H: HashWord> IncrementalHasher<H> {
             },
             ExprNode::Lam(x, b) => {
                 let body = self.state[&b].clone();
-                let nh = self.name_hash(x);
+                let nh = self.names.get(&self.arena, &self.scheme, x);
                 let (vm, x_pos) = body.vm.remove(&x);
                 stats.map_ops += 1;
                 let vm_xor = match x_pos {
@@ -251,7 +238,7 @@ impl<H: HashWord> IncrementalHasher<H> {
             ExprNode::Let(x, r, b) => {
                 let rhs = self.state[&r].clone();
                 let mut body = self.state[&b].clone();
-                let nh = self.name_hash(x);
+                let nh = self.names.get(&self.arena, &self.scheme, x);
                 let (body_vm, x_pos) = body.vm.remove(&x);
                 stats.map_ops += 1;
                 body.vm = body_vm;
@@ -284,7 +271,7 @@ impl<H: HashWord> IncrementalHasher<H> {
     /// The §4.8 merge over persistent maps: clone the bigger version
     /// (O(1)) and fold in the smaller one's entries.
     fn merge(
-        &self,
+        &mut self,
         tag: u64,
         left: &NodeState<H>,
         right: &NodeState<H>,
@@ -300,7 +287,7 @@ impl<H: HashWord> IncrementalHasher<H> {
         let mut xor = bigger.vm_xor;
         for (&sym, &small_pos) in smaller.vm.iter() {
             stats.map_ops += 1;
-            let nh = self.name_hash(sym);
+            let nh = self.names.get(&self.arena, &self.scheme, sym);
             let old = vm.get(&sym).copied();
             let new_size = 1 + old.map_or(0, |p| p.size) + small_pos.size;
             let new_pos = PosH {
@@ -361,7 +348,6 @@ impl<H: HashWord> IncrementalHasher<H> {
 
         // Import with freshened binders, then hash the new subtree.
         let new_root = lambda_lang::uniquify::uniquify_into(src, src_root, &mut self.arena);
-        self.refresh_name_hashes();
         self.compute_subtree(new_root, &mut stats);
         for n in postorder(&self.arena, new_root) {
             for c in self.arena.node(n).children() {

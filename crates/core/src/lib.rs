@@ -12,8 +12,8 @@
 //! |--------|-------|----------|
 //! | [`combine`] | §5, §6.2 | hash widths (u16…u128), seeded combiner families |
 //! | [`summary::reference`] | §4.2–4.7 | invertible e-summary, quadratic merge, `rebuild` |
-//! | [`summary::fast`] | §4.8 | smaller-subtree merge with `StructureTag`s, `rebuild` |
-//! | [`hashed`] | §5 | **the final algorithm**: structures/positions as hash codes, XOR map hash |
+//! | [`summary::fast`] | §4.8 | smaller-subtree merge with `StructureTag`s, `rebuild`: a sink of the production pass |
+//! | [`hashed`] | §5 | **the final algorithm**, the one §4.8 traversal: structures/positions as hash codes, XOR map hash, `SummarySink`s |
 //! | [`flatmap`] | §5.2 | flat variable maps: inline small-map storage, sorted-run merges, buffer pool |
 //! | [`equiv`] | §3 | equivalence classes of all subexpressions |
 //! | [`linear`] | App. C | lazy linear-map variant replacing tags |

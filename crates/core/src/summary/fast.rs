@@ -17,12 +17,19 @@
 //!
 //! Total map operations: O(n log n) (Lemma 6.1 — each node can be on the
 //! smaller side only O(log n) times).
+//!
+//! This module has no traversal of its own: [`FastSummariser`] is a
+//! [`SummarySink`] of the production pass ([`HashedSummariser`]), which
+//! is this algorithm with structures and position trees replaced by their
+//! hashes (§5.1). The sink interns what the pass's events describe, so
+//! `rebuild` inverts the very merge decisions the store's hashes encode.
 
+use crate::combine::HashScheme;
+use crate::hashed::{HashedSummariser, PosH, StructH, SummarySink};
 use crate::intern::NodeInterner;
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::literal::Literal;
 use lambda_lang::symbol::{Interner, Symbol};
-use lambda_lang::visit::postorder;
 use std::collections::{BTreeMap, HashMap};
 
 /// Interned id of a [`PosNodeF`].
@@ -136,70 +143,11 @@ impl FastSummariser {
         self.sizes[id as usize]
     }
 
-    /// The summariser-local symbol for an arena symbol's name. `cache`
-    /// memoises the translation per arena symbol so each distinct name is
-    /// string-hashed once per `summarise` call.
-    fn local_name(
-        &mut self,
-        arena: &ExprArena,
-        cache: &mut HashMap<Symbol, Symbol>,
-        sym: Symbol,
-    ) -> Symbol {
-        *cache
-            .entry(sym)
-            .or_insert_with(|| self.names.intern(arena.name(sym)))
-    }
-
-    /// Folds the smaller map into the bigger one (§4.8's `add_kv` loop):
-    /// every smaller entry is wrapped in a `Join` with this node's tag;
-    /// bigger-only entries are untouched.
-    fn merge_smaller_into_bigger(
-        &mut self,
-        tag: StructureTag,
-        mut bigger: VarMapF,
-        smaller: VarMapF,
-    ) -> VarMapF {
-        for (name, small_pos) in smaller {
-            self.merge_ops += 1;
-            let old = bigger.get(&name).copied();
-            let joined = self.pos.intern(PosNodeF::Join {
-                tag,
-                bigger: old,
-                smaller: small_pos,
-            });
-            bigger.insert(name, joined);
-        }
-        bigger
-    }
-
-    /// Merges the two child maps of a binary node, returning the combined
-    /// map and whether the left map was the bigger one. Ties pick left, so
-    /// the choice is deterministic — and it depends only on map *sizes*,
-    /// which are alpha-invariant, so alpha-equivalent terms always merge
-    /// the same way.
-    fn merge_binary(
-        &mut self,
-        tag: StructureTag,
-        left: VarMapF,
-        right: VarMapF,
-    ) -> (VarMapF, bool) {
-        let left_bigger = left.len() >= right.len();
-        let merged = if left_bigger {
-            self.merge_smaller_into_bigger(tag, left, right)
-        } else {
-            self.merge_smaller_into_bigger(tag, right, left)
-        };
-        (merged, left_bigger)
-    }
-
-    /// Summarises the subtree at `root` with the §4.8 algorithm.
-    /// Iterative post-order; stack-safe at any depth.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds assert the unique-binder precondition (§2.2).
+    /// Summarises the subtree at `root` with the §4.8 algorithm: the
+    /// production pass ([`HashedSummariser`]) walks the term and this
+    /// summariser's sink builds the invertible summary from its events.
     pub fn summarise(&mut self, arena: &ExprArena, root: NodeId) -> ESummaryFast {
-        self.summarise_impl(arena, root, &mut |_, _| {})
+        self.run(arena, root, None).0
     }
 
     /// Per-subexpression summaries (see the caveats on
@@ -209,136 +157,64 @@ impl FastSummariser {
         arena: &ExprArena,
         root: NodeId,
     ) -> HashMap<NodeId, ESummaryFast> {
-        let mut out = HashMap::new();
-        self.summarise_impl(arena, root, &mut |node, summary| {
-            out.insert(node, summary.clone());
-        });
-        out
+        self.run(arena, root, Some(HashMap::new()))
+            .1
+            .unwrap_or_default()
     }
 
-    fn summarise_impl(
+    fn run(
         &mut self,
         arena: &ExprArena,
         root: NodeId,
-        record: &mut dyn FnMut(NodeId, &ESummaryFast),
-    ) -> ESummaryFast {
-        debug_assert!(
-            lambda_lang::uniquify::check_unique_binders(arena, root).is_ok(),
-            "summarise requires distinct binders (run uniquify first)"
-        );
-        let mut names: HashMap<Symbol, Symbol> = HashMap::new();
-        let mut stack: Vec<ESummaryFast> = Vec::new();
-
-        for n in postorder(arena, root) {
-            let summary = match arena.node(n) {
-                ExprNode::Var(s) => {
-                    let here = self.pos.intern(PosNodeF::Here);
-                    let mut vm = VarMapF::new();
-                    let local = self.local_name(arena, &mut names, s);
-                    vm.insert(local, here);
-                    ESummaryFast {
-                        structure: self.intern_struct(StructNodeF::Var, 1),
-                        varmap: vm,
-                    }
-                }
-                ExprNode::Lit(l) => ESummaryFast {
-                    structure: self.intern_struct(StructNodeF::Lit(l), 1),
-                    varmap: VarMapF::new(),
-                },
-                ExprNode::Lam(x, _) => {
-                    let mut body = stack.pop().expect("lam body summary");
-                    let name = self.local_name(arena, &mut names, x);
-                    let x_pos = body.varmap.remove(&name);
-                    let size = 1 + self.structure_tag(body.structure);
-                    ESummaryFast {
-                        structure: self
-                            .intern_struct(StructNodeF::Lam(x_pos, body.structure), size),
-                        varmap: body.varmap,
-                    }
-                }
-                ExprNode::App(_, _) => {
-                    let right = stack.pop().expect("app arg summary");
-                    let left = stack.pop().expect("app fun summary");
-                    let size = 1
-                        + self.structure_tag(left.structure)
-                        + self.structure_tag(right.structure);
-                    // The tag is the size of the structure being built;
-                    // it is known before interning.
-                    let (varmap, left_bigger) = self.merge_binary(size, left.varmap, right.varmap);
-                    let structure = self.intern_struct(
-                        StructNodeF::App {
-                            left_bigger,
-                            fun: left.structure,
-                            arg: right.structure,
-                        },
-                        size,
-                    );
-                    ESummaryFast { structure, varmap }
-                }
-                ExprNode::Let(x, _, _) => {
-                    let mut body = stack.pop().expect("let body summary");
-                    let rhs = stack.pop().expect("let rhs summary");
-                    let name = self.local_name(arena, &mut names, x);
-                    let x_pos = body.varmap.remove(&name);
-                    let size =
-                        1 + self.structure_tag(rhs.structure) + self.structure_tag(body.structure);
-                    let (varmap, rhs_bigger) = self.merge_binary(size, rhs.varmap, body.varmap);
-                    let structure = self.intern_struct(
-                        StructNodeF::Let {
-                            rhs_bigger,
-                            pos: x_pos,
-                            rhs: rhs.structure,
-                            body: body.structure,
-                        },
-                        size,
-                    );
-                    ESummaryFast { structure, varmap }
-                }
-            };
-            record(n, &summary);
-            stack.push(summary);
-        }
-
-        let result = stack.pop().expect("summarise produced a result");
-        debug_assert!(stack.is_empty());
-        result
+        all: Option<HashMap<NodeId, ESummaryFast>>,
+    ) -> (ESummaryFast, Option<HashMap<NodeId, ESummaryFast>>) {
+        let mut pass = HashedSummariser::<u64>::new(arena, &HashScheme::default());
+        let mut sink = FastSink {
+            fs: self,
+            arena,
+            stack: Vec::new(),
+            binder: None,
+            joins: Vec::new(),
+            all,
+        };
+        pass.push_tree(arena, root, &mut sink);
+        pass.finish_discard();
+        let result = sink.stack.pop().expect("summarise produced a result");
+        debug_assert!(sink.stack.is_empty());
+        (result, sink.all)
     }
 
-    /// Inverts the tagged merge (§4.8's `upd_small`): an entry came from
-    /// the smaller map iff its top node is a `Join` with this tag.
-    fn upd_small(&self, tag: StructureTag, pos: PosId) -> Option<PosId> {
-        match *self.pos.get(pos) {
-            PosNodeF::Join {
-                tag: ptag, smaller, ..
-            } if ptag == tag => Some(smaller),
-            _ => None,
-        }
-    }
-
-    /// §4.8's `upd_big`: entries joined at this tag revert to what the
-    /// bigger map held (possibly nothing); untouched entries belonged to
-    /// the bigger map as-is.
-    fn upd_big(&self, tag: StructureTag, pos: PosId) -> Option<PosId> {
-        match *self.pos.get(pos) {
-            PosNodeF::Join {
-                tag: ptag, bigger, ..
-            } if ptag == tag => bigger,
-            _ => Some(pos),
-        }
-    }
-
-    fn split_vm(&self, tag: StructureTag, vm: &VarMapF) -> (VarMapF, VarMapF) {
+    /// Inverts the tagged merge at the node with tag `tag` (§4.8's
+    /// `upd_big` and `upd_small`): its left and right child's maps, the
+    /// left one being the bigger iff `left_bigger`.
+    fn split_vm(&self, tag: StructureTag, left_bigger: bool, vm: &VarMapF) -> (VarMapF, VarMapF) {
         let mut big = VarMapF::new();
         let mut small = VarMapF::new();
         for (&name, &pos) in vm {
-            if let Some(p) = self.upd_big(tag, pos) {
-                big.insert(name, p);
-            }
-            if let Some(p) = self.upd_small(tag, pos) {
-                small.insert(name, p);
+            match *self.pos.get(pos) {
+                // Joined here: the smaller map's entry over what the
+                // bigger map held, possibly nothing.
+                PosNodeF::Join {
+                    tag: ptag,
+                    bigger,
+                    smaller,
+                } if ptag == tag => {
+                    small.insert(name, smaller);
+                    if let Some(b) = bigger {
+                        big.insert(name, b);
+                    }
+                }
+                // Untouched: the bigger map's entry as-is.
+                _ => {
+                    big.insert(name, pos);
+                }
             }
         }
-        (big, small)
+        if left_bigger {
+            (big, small)
+        } else {
+            (small, big)
+        }
     }
 
     /// Rebuilds an expression alpha-equivalent to the summarised one —
@@ -370,8 +246,7 @@ impl FastSummariser {
                 let fresh = dst.fresh("x");
                 let mut inner = vm.clone();
                 if let Some(p) = x_pos {
-                    let local = self.names.intern(dst.name(fresh));
-                    inner.insert(local, p);
+                    inner.insert(self.names.intern(dst.name(fresh)), p);
                 }
                 let body_id = self.rebuild_rec(body, &inner, dst);
                 dst.lam(fresh, body_id)
@@ -381,12 +256,7 @@ impl FastSummariser {
                 fun,
                 arg,
             } => {
-                let (big, small) = self.split_vm(tag, vm);
-                let (m1, m2) = if left_bigger {
-                    (big, small)
-                } else {
-                    (small, big)
-                };
+                let (m1, m2) = self.split_vm(tag, left_bigger, vm);
                 let f = self.rebuild_rec(fun, &m1, dst);
                 let a = self.rebuild_rec(arg, &m2, dst);
                 dst.app(f, a)
@@ -397,21 +267,131 @@ impl FastSummariser {
                 rhs,
                 body,
             } => {
-                let (big, small) = self.split_vm(tag, vm);
-                let (m_rhs, mut m_body) = if rhs_bigger {
-                    (big, small)
-                } else {
-                    (small, big)
-                };
+                let (m_rhs, mut m_body) = self.split_vm(tag, rhs_bigger, vm);
                 let fresh = dst.fresh("x");
                 if let Some(p) = pos {
-                    let local = self.names.intern(dst.name(fresh));
-                    m_body.insert(local, p);
+                    m_body.insert(self.names.intern(dst.name(fresh)), p);
                 }
                 let r = self.rebuild_rec(rhs, &m_rhs, dst);
                 let b = self.rebuild_rec(body, &m_body, dst);
                 dst.let_(fresh, r, b)
             }
+        }
+    }
+}
+
+/// The [`SummarySink`] behind [`FastSummariser`]: replays the hashed
+/// pass's map events on `BTreeMap`s of interned position trees. Every
+/// merge decision — which map is bigger, which entries join under which
+/// tag — is the pass's; the sink only records it invertibly.
+struct FastSink<'a> {
+    fs: &'a mut FastSummariser,
+    arena: &'a ExprArena,
+    /// Summaries of the nodes awaiting their parent; a leaf's structure
+    /// is set by its node event.
+    stack: Vec<ESummaryFast>,
+    /// What the last binder removed from its body's map, until the
+    /// binder's node event.
+    binder: Option<PosId>,
+    /// The entries the pass joined at the binary node being summarised.
+    joins: Vec<(Symbol, PosH<u64>)>,
+    /// Every node's summary, when [`FastSummariser::summarise_all`] asks.
+    all: Option<HashMap<NodeId, ESummaryFast>>,
+}
+
+impl FastSink<'_> {
+    /// The summariser-local symbol for an arena symbol's name.
+    fn local(&mut self, sym: Symbol) -> Symbol {
+        self.fs.names.intern(self.arena.name(sym))
+    }
+
+    /// Closes a binary node with tag `tag`: §4.8's `add_kv` for each entry
+    /// the pass joined (the smaller map's entry, wrapped in a `Join` over
+    /// whatever the bigger map held), then pops the right child, leaving
+    /// the merged map in the left child's slot. Returns the children's
+    /// structures.
+    fn merge_children(&mut self, tag: u64, left_bigger: bool) -> (StructId, StructId) {
+        let [left, right] = self.stack.last_chunk_mut().expect("binary node children");
+        let (bigger, smaller) = if left_bigger {
+            (left, &*right)
+        } else {
+            (right, &*left)
+        };
+        for (sym, _joined) in self.joins.drain(..) {
+            self.fs.merge_ops += 1;
+            let name = self.fs.names.intern(self.arena.name(sym));
+            let joined = self.fs.pos.intern(PosNodeF::Join {
+                tag,
+                bigger: bigger.varmap.get(&name).copied(),
+                smaller: smaller.varmap[&name],
+            });
+            bigger.varmap.insert(name, joined);
+        }
+        let right = self.stack.pop().expect("right child summary");
+        let left = self.stack.last_mut().expect("left child summary");
+        if !left_bigger {
+            left.varmap = right.varmap;
+        }
+        (left.structure, right.structure)
+    }
+}
+
+impl SummarySink<u64> for FastSink<'_> {
+    fn here(&mut self, sym: Symbol, _here: PosH<u64>) {
+        let varmap = VarMapF::from([(self.local(sym), self.fs.pos.intern(PosNodeF::Here))]);
+        self.stack.push(ESummaryFast {
+            structure: 0,
+            varmap,
+        });
+    }
+
+    fn remove(&mut self, sym: Symbol, _pos: Option<PosH<u64>>) {
+        let name = self.local(sym);
+        let body = self.stack.last_mut().expect("binder body summary");
+        self.binder = body.varmap.remove(&name);
+    }
+
+    fn joins(&mut self) -> Option<&mut Vec<(Symbol, PosH<u64>)>> {
+        Some(&mut self.joins)
+    }
+
+    fn node(&mut self, n: NodeId, left_bigger: bool, structure: StructH<u64>, _hash: u64) {
+        let size = structure.size;
+        let node = match self.arena.node(n) {
+            ExprNode::Var(_) => StructNodeF::Var,
+            ExprNode::Lit(l) => {
+                self.stack.push(ESummaryFast {
+                    structure: 0,
+                    varmap: VarMapF::new(),
+                });
+                StructNodeF::Lit(l)
+            }
+            ExprNode::Lam(_, _) => {
+                let body = self.stack.last().expect("lam body summary").structure;
+                StructNodeF::Lam(self.binder.take(), body)
+            }
+            ExprNode::App(_, _) => {
+                let (fun, arg) = self.merge_children(size, left_bigger);
+                StructNodeF::App {
+                    left_bigger,
+                    fun,
+                    arg,
+                }
+            }
+            ExprNode::Let(_, _, _) => {
+                let (rhs, body) = self.merge_children(size, left_bigger);
+                StructNodeF::Let {
+                    rhs_bigger: left_bigger,
+                    pos: self.binder.take(),
+                    rhs,
+                    body,
+                }
+            }
+        };
+        let top = self.stack.last_mut().expect("node summary");
+        top.structure = self.fs.intern_struct(node, size);
+        if let Some(all) = &mut self.all {
+            all.insert(n, top.clone());
         }
     }
 }

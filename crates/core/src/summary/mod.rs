@@ -4,7 +4,10 @@
 //! * [`mod@reference`] — the basic algorithm with the quadratic `mergeVM`
 //!   (§4.6) and its `rebuild` inverse (§4.7).
 //! * [`fast`] — the smaller-subtree merge with `StructureTag`s (§4.8),
-//!   also invertible.
+//!   also invertible. It has no traversal of its own: it is a
+//!   [`crate::hashed::SummarySink`] of the production pass, which makes
+//!   every merge decision, so `rebuild` witnesses that the store's own
+//!   pass loses no information.
 //!
 //! Neither of these is the production algorithm (that is
 //! [`crate::hashed`]); they exist because the paper's correctness argument

@@ -15,6 +15,9 @@
 //! * [`wide`] — open application spines that sustain a configurable
 //!   free-variable width, the context-sensitive-corpus regime where
 //!   e-summary maps stay wide (the tiered var-map's target workload).
+//! * [`shapes`] — ANF let chains and binder fans: compiler-IR shapes on
+//!   which per-subterm canonical forms grow quadratically while the hasher
+//!   stays within the paper's bound.
 //!
 //! All generators produce expressions whose binding sites are distinct
 //! (the §2.2 precondition), so they can be hashed directly.
@@ -26,10 +29,12 @@ pub mod adversarial;
 pub mod arith;
 pub mod models;
 pub mod random_terms;
+pub mod shapes;
 pub mod wide;
 
 pub use adversarial::adversarial_pair;
 pub use arith::arithmetic;
 pub use models::{bert, gmm, mnist_cnn};
 pub use random_terms::{balanced, unbalanced};
+pub use shapes::{anf_chain, binder_fan};
 pub use wide::wide_open_spine;

@@ -1,10 +1,20 @@
 //! Binder uniquification — the preprocessing step of paper §2.2.
 //!
-//! All the hashing algorithms assume "every binding site binds a distinct
-//! variable name". This pass establishes the invariant by giving every
-//! binder a fresh name (free variables are untouched), in time O(n log n).
-//! [`check_unique_binders`] verifies the invariant; the summarisers
-//! `debug_assert!` it at their entry points.
+//! The paper assumes "every binding site binds a distinct variable name".
+//! This pass establishes the invariant by giving every binder a fresh name
+//! (free variables are untouched), in time O(n log n).
+//! [`check_unique_binders`] verifies it.
+//!
+//! What the invariant buys is in-context identity: in
+//! `foo (let x = bar in x+2) (let x = pubx in x+2)` the two `x+2` are the
+//! same standalone subterm but refer to different binders, and only after
+//! uniquification do they hash apart. A term's own hash does not need it.
+//! The hashed summariser (`alpha_hash::hashed`) and the store's
+//! preparation remove each binder's occurrences at the binder, so a
+//! shadowed name is already taken by its inner binder, and a raw term
+//! hashes, prepares and classifies as its uniquified copy does. The §4.6
+//! reference summariser and the incremental engine still `debug_assert!`
+//! the invariant at their entry points.
 
 use crate::arena::{ExprArena, ExprNode, NodeId};
 use crate::symbol::Symbol;

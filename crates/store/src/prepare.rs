@@ -54,7 +54,7 @@ use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::symbol::Symbol;
-use lambda_lang::visit::{postorder_with, walk_scoped_with, ScopeEvent, ScopeStack};
+use lambda_lang::visit::{walk_scoped_with, ScopeEvent, ScopeStack};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
@@ -270,8 +270,6 @@ pub struct Preparer<H: HashWord> {
     db_stack: Vec<DbId>,
     /// Traversal scratch of the fused root walk.
     scope: ScopeStack,
-    /// Scratch for the pure post-order hashing pass.
-    post_stack: Vec<(NodeId, bool)>,
     /// Per-node `(node, hash, size)` records of the latest hashing pass,
     /// in post-order (so the root is last). Only filled by `prepare_term`.
     sub_infos: Vec<(NodeId, H, u64)>,
@@ -355,7 +353,6 @@ impl<H: HashWord> Preparer<H> {
             saved: Vec::new(),
             db_stack: Vec::new(),
             scope: ScopeStack::new(),
-            post_stack: Vec::new(),
             sub_infos: Vec::new(),
             name_ids: IndexMap::default(),
             dedup: IndexMap::default(),
@@ -431,17 +428,12 @@ impl<H: HashWord> Preparer<H> {
     /// The de Bruijn output is structurally identical to
     /// [`lambda_lang::debruijn::to_debruijn`]'s (the property tests
     /// cross-check this), and the hash equals
-    /// [`alpha_hash::hashed::hash_expr`]. Terms must satisfy the
-    /// unique-binder precondition (§2.2), as for `hash_expr`.
+    /// [`alpha_hash::hashed::hash_expr`]. Binders need not be distinct: a
+    /// shadowed name prepares as its `uniquify`d copy does.
     pub fn hash_and_canon(&mut self, arena: &ExprArena, root: NodeId) -> (H, DbArena, DbId) {
-        debug_assert!(
-            lambda_lang::uniquify::check_unique_binders(arena, root).is_ok(),
-            "store ingest requires distinct binders (run uniquify first)"
-        );
         let mut dst = DbArena::new();
         let mut depth: u32 = 0;
         let mut root_hash = None;
-        self.summariser.begin();
         self.db_stack.clear();
 
         // Split-borrow the fields once so the closure can use them all.
@@ -455,7 +447,7 @@ impl<H: HashWord> Preparer<H> {
             ScopeEvent::Bind { sym, .. } => bind(env, saved, &mut depth, sym),
             ScopeEvent::Unbind { sym, .. } => unbind(env, saved, &mut depth, sym),
             ScopeEvent::Exit(n) => {
-                let (hash, _) = summariser.push_node_sized(arena, n);
+                let (hash, _) = summariser.push_node(arena, n, &mut ());
                 root_hash = Some(hash);
                 emit_db(arena, n, env, depth, &mut dst, db_stack);
             }
@@ -470,25 +462,14 @@ impl<H: HashWord> Preparer<H> {
         (root_hash.expect("non-empty term"), dst, db_root)
     }
 
-    /// The pure hashing pass of [`Preparer::prepare_term`]: one post-order
-    /// walk records `(node, hash, size)` for every node into `sub_infos`.
+    /// The pure hashing pass of [`Preparer::prepare_term`]: the
+    /// summariser's one post-order pass records `(node, hash, size)` for
+    /// every node into `sub_infos`.
     fn hash_all(&mut self, arena: &ExprArena, root: NodeId) -> H {
-        debug_assert!(
-            lambda_lang::uniquify::check_unique_binders(arena, root).is_ok(),
-            "store ingest requires distinct binders (run uniquify first)"
-        );
-        self.summariser.begin();
         self.sub_infos.clear();
-        let mut root_hash = None;
-        let summariser = &mut self.summariser;
-        let sub_infos = &mut self.sub_infos;
-        postorder_with(arena, root, &mut self.post_stack, |n| {
-            let (hash, size) = summariser.push_node_sized(arena, n);
-            root_hash = Some(hash);
-            sub_infos.push((n, hash, size));
-        });
+        self.summariser.push_tree(arena, root, &mut self.sub_infos);
         self.summariser.finish_discard();
-        root_hash.expect("non-empty term")
+        self.sub_infos.last().expect("non-empty term").1
     }
 
     /// Prepares a term at subexpression granularity: **one** fused

@@ -8,11 +8,12 @@
 //! strategies); this one compares them with numbers recorded once.
 //!
 //! The corpus is the paper's worked examples plus seeded `balanced`,
-//! `unbalanced` and `wide_open_spine` terms. The wide spines sustain more
-//! free variables than the flat tiers hold, so the pass runs through the
-//! inline, spilled and tree tiers of `FlatVarMap`. For every term, width
-//! (u16, u32, u64, u128) and `MergeStrategy`, a line pins the root hash
-//! and a digest of every subexpression hash in post-order.
+//! `unbalanced`, `wide_open_spine`, `anf_chain` and `binder_fan` terms.
+//! The wide spines sustain more free variables than the flat tiers hold,
+//! so the pass runs through the inline, spilled and tree tiers of
+//! `FlatVarMap`. For every term, width (u16, u32, u64, u128) and
+//! `MergeStrategy`, a line pins the root hash and a digest of every
+//! subexpression hash in post-order.
 
 use alpha_hash::combine::{HashScheme, HashWord};
 use alpha_hash::hashed::{HashedSummariser, MergeStrategy};
@@ -71,6 +72,12 @@ fn corpus() -> (ExprArena, Vec<(String, NodeId)>) {
         let root = expr_gen::wide_open_spine(&mut arena, 300, width, &mut rng);
         terms.push((format!("wide/{seed}/{width}"), root));
     }
+    // The compiler-IR shapes on which per-subterm canon is quadratic.
+    let mut rng = StdRng::seed_from_u64(7);
+    let root = expr_gen::anf_chain(&mut arena, 50, &mut rng);
+    terms.push(("anf/7/50".to_owned(), root));
+    let root = expr_gen::binder_fan(&mut arena, 43, &mut rng);
+    terms.push(("fan/7/43".to_owned(), root));
     (arena, terms)
 }
 
@@ -195,6 +202,8 @@ wide/3/3 SmallerIntoBigger u16 root=cdfd subs=a0b68d6b04ae1f70
 wide/4/6 SmallerIntoBigger u16 root=79c5 subs=a38ce8c593ef51e7
 wide/5/12 SmallerIntoBigger u16 root=1b67 subs=b3fdfb232ef71ab6
 wide/6/48 SmallerIntoBigger u16 root=af33 subs=2bd05be967eb5042
+anf/7/50 SmallerIntoBigger u16 root=159c subs=276431a9f104b797
+fan/7/43 SmallerIntoBigger u16 root=ca54 subs=1cc9776449f2ad22
 paper0 SmallerIntoBigger u32 root=923a592a subs=c9fb98ab39a69e72
 paper1 SmallerIntoBigger u32 root=d47244f9 subs=54c47495845c577c
 paper2 SmallerIntoBigger u32 root=46784b5f subs=de5094eedfab13db
@@ -224,6 +233,8 @@ wide/3/3 SmallerIntoBigger u32 root=f707a29b subs=1279e142fd90007a
 wide/4/6 SmallerIntoBigger u32 root=b9cd6b37 subs=4367e9e844931a82
 wide/5/12 SmallerIntoBigger u32 root=479bdd04 subs=a415bcb5bcc5f023
 wide/6/48 SmallerIntoBigger u32 root=a2f14630 subs=1dd5742425649ac7
+anf/7/50 SmallerIntoBigger u32 root=bab77c3c subs=ab00837a636fbb6e
+fan/7/43 SmallerIntoBigger u32 root=815fecdf subs=548c8ba52e874bf1
 paper0 SmallerIntoBigger u64 root=8654ab1937a394ce subs=65990b86a92f55c4
 paper1 SmallerIntoBigger u64 root=142f07f0d33cd0e3 subs=d214e394806ee17f
 paper2 SmallerIntoBigger u64 root=900ae7bbbcc53e2a subs=5b3f293e7baddae9
@@ -253,6 +264,8 @@ wide/3/3 SmallerIntoBigger u64 root=c2f4b9199cc5cab3 subs=aeff34eb8c9c60e6
 wide/4/6 SmallerIntoBigger u64 root=a3228930688865de subs=227ace829f43852d
 wide/5/12 SmallerIntoBigger u64 root=684b3a12a5c1ad74 subs=2c501f2d3e211600
 wide/6/48 SmallerIntoBigger u64 root=32a8f5f0294d82d3 subs=9d2d59f1dfc63a25
+anf/7/50 SmallerIntoBigger u64 root=a3b8c624e0b4bcd0 subs=cea566befea587b1
+fan/7/43 SmallerIntoBigger u64 root=4f17724dc1c09ca1 subs=cbeee3fa928ef946
 paper0 SmallerIntoBigger u128 root=4fb06a69ed4f0dfda6c3a11879c9ab0c subs=9385c4912225dad6
 paper1 SmallerIntoBigger u128 root=dd62cd803e885ee99ee66dcf7b394dbd subs=4da572f14f139465
 paper2 SmallerIntoBigger u128 root=a14e9deb7062e6390f89da610d9bfa52 subs=7b544f04fd6d17f2
@@ -282,6 +295,8 @@ wide/3/3 SmallerIntoBigger u128 root=d9961372e024e4cc4aebcb93e690a122 subs=12e1c
 wide/4/6 SmallerIntoBigger u128 root=f9d02fbc672838919643af81b03bec57 subs=7cb1b8c49f9bb0bb
 wide/5/12 SmallerIntoBigger u128 root=67c00b28bd6df427ecdf740a9610a41 subs=31ea9168019d1987
 wide/6/48 SmallerIntoBigger u128 root=593f0330304abbdc5f40ac24341a651a subs=bf7776fec6ee7721
+anf/7/50 SmallerIntoBigger u128 root=c287e8568e749ea520f08dd56ddd783c subs=fcde13875b027065
+fan/7/43 SmallerIntoBigger u128 root=1f7eb6a86e4ac0cb2bf5e450fa3aa2f4 subs=69aa2f69add4643e
 paper0 TransformBoth u16 root=d36e subs=11c9350e2a63228c
 paper1 TransformBoth u16 root=bee5 subs=5481e941b10c2ed6
 paper2 TransformBoth u16 root=cfb6 subs=17af39222ec9b67c
@@ -311,6 +326,8 @@ wide/3/3 TransformBoth u16 root=313e subs=9ec6b906f42482a4
 wide/4/6 TransformBoth u16 root=ee5c subs=95e9e16c30ad3e0c
 wide/5/12 TransformBoth u16 root=583b subs=c3254856c2bea589
 wide/6/48 TransformBoth u16 root=c8de subs=1b8c8f4443d35c47
+anf/7/50 TransformBoth u16 root=cb71 subs=a4477a727eb671cb
+fan/7/43 TransformBoth u16 root=9266 subs=d9ece08915be6939
 paper0 TransformBoth u32 root=14e715a subs=9b0d765c156a2185
 paper1 TransformBoth u32 root=4c07521d subs=9561b6cf4bf7b807
 paper2 TransformBoth u32 root=3c5b0a13 subs=c912eee0f5511bff
@@ -340,6 +357,8 @@ wide/3/3 TransformBoth u32 root=f5c6b3f4 subs=7c880221d0006262
 wide/4/6 TransformBoth u32 root=8ae5bec3 subs=a3caf631b1db291c
 wide/5/12 TransformBoth u32 root=b457881d subs=8566e2acc877998f
 wide/6/48 TransformBoth u32 root=c60ec029 subs=81f8c19ad34d6bee
+anf/7/50 TransformBoth u32 root=b1fba8e0 subs=766855c43ce9b937
+fan/7/43 TransformBoth u32 root=8603e322 subs=ea8ca8bc8f56e42c
 paper0 TransformBoth u64 root=d22f85ee9cc7faa5 subs=4a4e127272cff5f0
 paper1 TransformBoth u64 root=b5c7785501625e41 subs=fa9473de653647ff
 paper2 TransformBoth u64 root=88a5d49d7b8b9b3d subs=3aad188d5fa8206d
@@ -369,6 +388,8 @@ wide/3/3 TransformBoth u64 root=6d480a74ed0cc4f1 subs=391d39566bb25192
 wide/4/6 TransformBoth u64 root=a04fe96a951460ae subs=246bcb7b218ebb57
 wide/5/12 TransformBoth u64 root=37003a587a4b9b80 subs=e0109187c29c7d6e
 wide/6/48 TransformBoth u64 root=818aef32fea2d96d subs=80b428f33780dd6f
+anf/7/50 TransformBoth u64 root=20ab318c0e63c021 subs=41bf2d500e03e950
+fan/7/43 TransformBoth u64 root=a121ac01fe2e9077 subs=f6bca171f49e5955
 paper0 TransformBoth u128 root=a02c87fd8188aa21ed39c3e2b77d424b subs=c1eee1a8e3aebbc7
 paper1 TransformBoth u128 root=510c3e8db24c8d74f557fdb535584d11 subs=09cb9972fa5789ee
 paper2 TransformBoth u128 root=a44997c09966bbc9f7a932c3a5ea723 subs=0d744e4c46d28a5e
@@ -397,4 +418,6 @@ unbalanced/2/400 TransformBoth u128 root=a832c8f01cc7dbed3447de0285637447 subs=2
 wide/3/3 TransformBoth u128 root=b9b42ce9f6ea7d97d62b6d7e1b644e1e subs=7f475ffd4da4b1b9
 wide/4/6 TransformBoth u128 root=a09b8a66fd161cffc7b7e1df8dd8d970 subs=4bfe73724b528bd7
 wide/5/12 TransformBoth u128 root=cecb3f52e4321610bfd44e4f99d98b49 subs=f65f5eaf446ee147
-wide/6/48 TransformBoth u128 root=fe576860232a62b9bd836c58fc234f1a subs=3ed241a2217e6402"#;
+wide/6/48 TransformBoth u128 root=fe576860232a62b9bd836c58fc234f1a subs=3ed241a2217e6402
+anf/7/50 TransformBoth u128 root=1088b41912dcdb78d08f95de9484c24a subs=a45e3a624d54168f
+fan/7/43 TransformBoth u128 root=307d4bbe78d6369c238f6960ded51f25 subs=31412c0faf0f81ae"#;

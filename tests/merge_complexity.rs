@@ -76,6 +76,23 @@ fn balanced_terms_stay_log_linear() {
 }
 
 #[test]
+fn anf_chains_and_binder_fans_stay_log_linear() {
+    // The two IR shapes on which per-subterm de Bruijn canon is Θ(n²):
+    // the hasher's merges must still meet the Lemma 6.1 bound.
+    let mut rng = StdRng::seed_from_u64(0xAF);
+    for k in [250usize, 500, 1000] {
+        let mut arena = ExprArena::new();
+        let anf = expr_gen::anf_chain(&mut arena, k, &mut rng);
+        let fan = expr_gen::binder_fan(&mut arena, k, &mut rng);
+        for (label, root) in [("anf chain", anf), ("binder fan", fan)] {
+            let n = arena.subtree_size(root);
+            let ops = merge_ops_of(&arena, root);
+            assert_log_linear(&format!("{label} k={k}"), n, ops);
+        }
+    }
+}
+
+#[test]
 fn wide_open_spines_are_subquadratic_per_merge_op() {
     // The wide-open regime (sustained free-var width, width growing with
     // the node budget) is where the sorted-Vec spill was honestly

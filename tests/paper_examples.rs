@@ -90,12 +90,17 @@ fn section2_2_false_positive_name_overloading() {
         .collect();
     assert_ne!(hashes.get(lets[0]), hashes.get(lets[1]), "the lets differ");
 
-    // (Hashing the raw program without preprocessing is rejected by a
-    // debug assertion — the §2.2 precondition is load-bearing, and
-    // `check_unique_binders` reports the violation.)
+    // Without preprocessing (`check_unique_binders` reports the repeated
+    // binder) the two x+2s are the same standalone subterm and hash
+    // equal: the §2.2 precondition is what tells them apart in context.
+    // The whole program's hash does not depend on it.
     let mut raw = ExprArena::new();
     let raw_root = parse(&mut raw, "foo (let x = bar in x+2) (let x = pubx in x+2)").unwrap();
     assert!(check_unique_binders(&raw, raw_root).is_err());
+    let raw_hashes = hash_all_subexpressions(&raw, raw_root, &scheme());
+    let raw_x2s = subterms_of_size(&raw, raw_root, 5);
+    assert_eq!(raw_hashes.get(raw_x2s[0]), raw_hashes.get(raw_x2s[1]));
+    assert_eq!(raw_hashes.get(raw_root), hashes.get(root));
 }
 
 #[test]
