@@ -4,14 +4,21 @@
 //! encoder it replaced — two hash maps, node id → run position and name
 //! → table index — kept below as [`reference_put_term`]: the term
 //! encoding is part of protocol v2 and does not change with the encoder.
-//! And `take_term`/`take_update` must answer any damaged payload with a
-//! typed error or a term that survives a second round trip, never with
-//! a panic.
+//! And every decoder of untrusted wire bytes — `take_term`,
+//! `take_terms`, `take_update`, `take_handshake`, `take_hello`,
+//! `take_outcome`, `take_stats` and the frame reader `read_frame` — must
+//! answer any damaged input with a typed error or a value that survives
+//! a second round trip through its encoder, never with a panic.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use alphahashd::wire::{put_term, put_update, take_term, take_update};
+use alpha_store::StoreStats;
+use alphahashd::wire::{
+    put_handshake, put_hello, put_outcome, put_stats, put_term, put_update, read_frame,
+    take_handshake, take_hello, take_outcome, take_stats, take_term, take_terms, take_update,
+    write_frame, RemoteOutcome, RemoteStats, ServerHello, WireError, PROTOCOL_VERSION,
+};
 use lambda_lang::visit::postorder;
 use lambda_lang::{parse, ExprArena, ExprNode, Literal, NodeId};
 use rand::rngs::StdRng;
@@ -354,11 +361,27 @@ fn a_tree_in_any_backward_order_decodes() {
 // ---------------------------------------------------------------------
 // Damaged payloads.
 
-/// A valid payload to damage, with the offsets of its length and count
-/// fields (path length, name count, name lengths, node count).
+/// The decoder a damaged input is fed to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Term,
+    Update,
+    /// A batch chunk of this many terms.
+    Terms(u32),
+    Handshake,
+    Hello,
+    Outcome,
+    Stats,
+    /// A stream of frames, read until a clean end.
+    Frames,
+}
+
+/// A valid input to damage, with the offsets of its `u32` length and
+/// count fields (path length, name count, name lengths, node count,
+/// string lengths, frame lengths).
 struct Base {
     bytes: Vec<u8>,
-    update: bool,
+    kind: Kind,
     fields: Vec<usize>,
 }
 
@@ -366,8 +389,9 @@ fn u32_at(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize
 }
 
-/// Offsets of the count fields of the term encoded at `at`.
-fn term_fields(bytes: &[u8], mut at: usize, fields: &mut Vec<usize>) {
+/// Offsets of the count fields of the term encoded at `at`; returns the
+/// offset just past the term's name table.
+fn term_fields(bytes: &[u8], mut at: usize, fields: &mut Vec<usize>) -> usize {
     fields.push(at);
     let names = u32_at(bytes, at);
     at += 4;
@@ -376,6 +400,7 @@ fn term_fields(bytes: &[u8], mut at: usize, fields: &mut Vec<usize>) {
         at += 4 + u32_at(bytes, at);
     }
     fields.push(at);
+    at
 }
 
 fn term_base(arena: &ExprArena, root: NodeId) -> Base {
@@ -385,7 +410,7 @@ fn term_base(arena: &ExprArena, root: NodeId) -> Base {
     term_fields(&bytes, 0, &mut fields);
     Base {
         bytes,
-        update: false,
+        kind: Kind::Term,
         fields,
     }
 }
@@ -397,8 +422,75 @@ fn update_base(path: &[u32], arena: &ExprArena, root: NodeId) -> Base {
     term_fields(&bytes, 12 + 4 * path.len(), &mut fields);
     Base {
         bytes,
-        update: true,
+        kind: Kind::Update,
         fields,
+    }
+}
+
+/// A batch chunk body: `roots` encoded back to back.
+fn terms_base(arena: &ExprArena, roots: &[NodeId]) -> Base {
+    let (mut bytes, mut fields) = (Vec::new(), Vec::new());
+    for &root in roots {
+        let at = bytes.len();
+        put_term(&mut bytes, arena, root);
+        term_fields(&bytes, at, &mut fields);
+    }
+    Base {
+        bytes,
+        kind: Kind::Terms(roots.len() as u32),
+        fields,
+    }
+}
+
+fn stats_base(reason: &str, recovery: Option<(u64, bool)>, obs_json: &str) -> Base {
+    let stats = RemoteStats {
+        store: StoreStats {
+            terms_ingested: 40,
+            classes_created: 12,
+            merges_confirmed: 28,
+            ..StoreStats::default()
+        },
+        num_classes: 12,
+        num_terms: 40,
+        wal_records: Some(7),
+        health_code: u8::from(!reason.is_empty()),
+        health_reason: reason.to_owned(),
+        recovery,
+        obs_json: obs_json.to_owned(),
+    };
+    let mut bytes = Vec::new();
+    put_stats(&mut bytes, &stats);
+    // Store stats, the census, `Some(7)` and the health code come first.
+    let reason_at = 64 + 16 + 9 + 1;
+    let recovery_len = if recovery.is_some() { 10 } else { 1 };
+    let fields = vec![reason_at, reason_at + 4 + reason.len() + recovery_len];
+    Base {
+        bytes,
+        kind: Kind::Stats,
+        fields,
+    }
+}
+
+fn frames_base(payloads: &[&[u8]]) -> Base {
+    let (mut bytes, mut fields) = (Vec::new(), Vec::new());
+    for payload in payloads {
+        fields.push(bytes.len());
+        write_frame(&mut bytes, payload).expect("frames fit");
+    }
+    Base {
+        bytes,
+        kind: Kind::Frames,
+        fields,
+    }
+}
+
+fn fixed_base(kind: Kind, put: impl FnOnce(&mut Vec<u8>)) -> Base {
+    let mut bytes = Vec::new();
+    put(&mut bytes);
+    Base {
+        bytes,
+        kind,
+        fields: Vec::new(),
     }
 }
 
@@ -408,20 +500,57 @@ fn bases() -> Vec<Base> {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(0xC0DE ^ seed);
         for size in [3usize, 11, 30] {
-            let root = expr_gen::balanced(&mut arena, size, &mut rng);
-            out.push(term_base(&arena, root));
-            let root = expr_gen::unbalanced(&mut arena, size, &mut rng);
-            out.push(term_base(&arena, root));
+            let balanced = expr_gen::balanced(&mut arena, size, &mut rng);
+            out.push(term_base(&arena, balanced));
+            let unbalanced = expr_gen::unbalanced(&mut arena, size, &mut rng);
+            out.push(term_base(&arena, unbalanced));
             let root = expr_gen::arithmetic(&mut arena, size.max(8), &mut rng);
             out.push(term_base(&arena, root));
             out.push(update_base(&[0, 1, 0][..(seed % 4) as usize], &arena, root));
+            out.push(terms_base(
+                &arena,
+                &[balanced, unbalanced, root][..1 + (seed % 3) as usize],
+            ));
         }
     }
     for src in [r"let f = \x. \y. x + (y * 2) in f true 3", r"\x. \x. x x"] {
         let root = parse(&mut arena, src).expect("parses");
         out.push(term_base(&arena, root));
         out.push(update_base(&[1], &arena, root));
+        out.push(terms_base(&arena, &[root, root]));
     }
+    out.push(terms_base(&arena, &[]));
+    for version in [PROTOCOL_VERSION, 1, u16::MAX] {
+        out.push(fixed_base(Kind::Handshake, |b| put_handshake(b, version)));
+    }
+    for subexpr_min_nodes in [None, Some(3)] {
+        let hello = ServerHello {
+            version: PROTOCOL_VERSION,
+            hash_bits: 64,
+            shard_count: 16,
+            subexpr_min_nodes,
+        };
+        out.push(fixed_base(Kind::Hello, |b| put_hello(b, &hello)));
+    }
+    for fresh in [false, true] {
+        let outcome = RemoteOutcome {
+            term: 0x0003_0000_0000_0009,
+            class: 0x0001_0000_0000_0004,
+            fresh,
+            subs_indexed: 17,
+            subs_merged: u64::from(fresh) * 5,
+            subs_skipped_min_nodes: 2,
+        };
+        out.push(fixed_base(Kind::Outcome, |b| put_outcome(b, &outcome)));
+    }
+    out.push(stats_base("", None, "{}"));
+    out.push(stats_base(
+        "wal append failed",
+        Some((42, false)),
+        r#"{"m":[1,2]}"#,
+    ));
+    out.push(frames_base(&[b"\x05hello"]));
+    out.push(frames_base(&[b"", b"\x01\x02\x03", &[0xAB; 40]]));
     out
 }
 
@@ -442,9 +571,23 @@ fn hostile_u32(rng: &mut StdRng, old: usize, payload_len: usize) -> u32 {
     }
 }
 
-fn mutate(base: &Base, rng: &mut StdRng) -> Vec<u8> {
+/// Damages `base`: flipped bits, a truncation, a hostile count field or
+/// a hostile 4-byte window — or, for a batch chunk, a hostile term count.
+fn mutate(base: &Base, rng: &mut StdRng) -> (Vec<u8>, Kind) {
     let mut bytes = base.bytes.clone();
-    match rng.random_range(0..4u32) {
+    if let Kind::Terms(count) = base.kind {
+        if bytes.is_empty() || rng.random_range(0..5u32) == 0 {
+            return (
+                bytes,
+                Kind::Terms(hostile_u32(rng, count as usize, base.bytes.len())),
+            );
+        }
+    }
+    let mut pick = rng.random_range(0..4u32);
+    if pick == 2 && base.fields.is_empty() || pick == 3 && bytes.len() < 4 {
+        pick = 0;
+    }
+    match pick {
         0 => {
             for _ in 0..rng.random_range(1..=3u32) {
                 let bit = rng.random_range(0..bytes.len() * 8);
@@ -464,62 +607,155 @@ fn mutate(base: &Base, rng: &mut StdRng) -> Vec<u8> {
             bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
         }
     }
-    bytes
+    (bytes, base.kind)
 }
 
-/// Decodes `bytes`; on success re-encodes what it got and checks that
-/// decoding those bytes gives the same tree again. `true` iff the
-/// damaged payload decoded.
-fn decode_and_round_trip(bytes: &[u8], update: bool) -> bool {
+/// Decodes a value with `take`; on success re-encodes it with `put` and
+/// checks that decoding those bytes gives the same value again.
+fn value_round_trip<T: PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    take: impl Fn(&mut &[u8]) -> Result<T, WireError>,
+    put: impl Fn(&mut Vec<u8>, &T),
+) -> bool {
+    let Ok(value) = take(&mut &bytes[..]) else {
+        return false;
+    };
+    let mut again = Vec::new();
+    put(&mut again, &value);
+    let value2 = take(&mut again.as_slice()).expect("re-encoded value decodes");
+    assert_eq!(value, value2);
+    true
+}
+
+/// Decodes `bytes` as `kind`; on success re-encodes what it got and
+/// checks that decoding those bytes gives the same value again. `true`
+/// iff the damaged input decoded.
+fn decode_and_round_trip(bytes: &[u8], kind: Kind) -> bool {
     let mut arena = ExprArena::new();
     let mut input = bytes;
-    if update {
-        let Ok((term, path, root)) = take_update(&mut input, &mut arena) else {
-            return false;
-        };
-        let mut again = Vec::new();
-        put_update(&mut again, term, &path, &arena, root);
-        let mut arena2 = ExprArena::new();
-        let (term2, path2, root2) =
-            take_update(&mut again.as_slice(), &mut arena2).expect("re-encoded update decodes");
-        assert_eq!((term, &path), (term2, &path2));
-        assert!(same_tree(&arena, root, &arena2, root2));
-    } else {
-        let Ok(root) = take_term(&mut input, &mut arena) else {
-            return false;
-        };
-        let mut again = Vec::new();
-        put_term(&mut again, &arena, root);
-        let mut arena2 = ExprArena::new();
-        let root2 = take_term(&mut again.as_slice(), &mut arena2).expect("re-encoded term decodes");
-        assert!(same_tree(&arena, root, &arena2, root2));
+    match kind {
+        Kind::Update => {
+            let Ok((term, path, root)) = take_update(&mut input, &mut arena) else {
+                return false;
+            };
+            let mut again = Vec::new();
+            put_update(&mut again, term, &path, &arena, root);
+            let mut arena2 = ExprArena::new();
+            let (term2, path2, root2) =
+                take_update(&mut again.as_slice(), &mut arena2).expect("re-encoded update decodes");
+            assert_eq!((term, &path), (term2, &path2));
+            assert!(same_tree(&arena, root, &arena2, root2));
+        }
+        Kind::Term => {
+            let Ok(root) = take_term(&mut input, &mut arena) else {
+                return false;
+            };
+            let mut again = Vec::new();
+            put_term(&mut again, &arena, root);
+            let mut arena2 = ExprArena::new();
+            let root2 =
+                take_term(&mut again.as_slice(), &mut arena2).expect("re-encoded term decodes");
+            assert!(same_tree(&arena, root, &arena2, root2));
+        }
+        Kind::Terms(count) => {
+            let mut roots = Vec::new();
+            if take_terms(&mut input, count, &mut arena, &mut roots).is_err() {
+                assert!(
+                    roots.len() < count as usize,
+                    "a failed chunk decoded every term"
+                );
+                return false;
+            }
+            let mut again = Vec::new();
+            for &root in &roots {
+                put_term(&mut again, &arena, root);
+            }
+            let (mut arena2, mut roots2) = (ExprArena::new(), Vec::new());
+            take_terms(&mut again.as_slice(), count, &mut arena2, &mut roots2)
+                .expect("re-encoded chunk decodes");
+            assert_eq!(roots.len(), roots2.len());
+            for (&a, &b) in roots.iter().zip(&roots2) {
+                assert!(same_tree(&arena, a, &arena2, b));
+            }
+        }
+        Kind::Handshake => {
+            return value_round_trip(bytes, take_handshake, |b, &v| put_handshake(b, v))
+        }
+        Kind::Hello => return value_round_trip(bytes, take_hello, put_hello),
+        Kind::Outcome => return value_round_trip(bytes, take_outcome, put_outcome),
+        Kind::Stats => return value_round_trip(bytes, take_stats, put_stats),
+        Kind::Frames => {
+            let mut payloads = Vec::new();
+            loop {
+                match read_frame(&mut input) {
+                    Ok(Some(payload)) => payloads.push(payload),
+                    Ok(None) => break,
+                    Err(_) => return false,
+                }
+            }
+            let mut again = Vec::new();
+            for payload in &payloads {
+                write_frame(&mut again, payload).expect("a decoded payload fits a frame");
+            }
+            let mut stream = again.as_slice();
+            for payload in &payloads {
+                assert_eq!(
+                    read_frame(&mut stream).expect("re-framed").as_ref(),
+                    Some(payload)
+                );
+            }
+            assert!(read_frame(&mut stream).expect("clean end").is_none());
+        }
     }
     true
 }
 
 #[test]
 fn damaged_payloads_never_panic_and_decoded_terms_round_trip() {
-    const CASES: usize = 12_000;
+    const CASES: usize = 20_000;
     let bases = bases();
     let mut rng = StdRng::seed_from_u64(0x00DA_3A6E);
-    let mut decoded = 0;
+    // Per decoder: (decoded, refused).
+    let mut outcomes: HashMap<&str, (usize, usize)> = HashMap::new();
     for case in 0..CASES {
         let base = &bases[rng.random_range(0..bases.len())];
-        let bytes = mutate(base, &mut rng);
-        match catch_unwind(AssertUnwindSafe(|| {
-            decode_and_round_trip(&bytes, base.update)
-        })) {
-            Ok(true) => decoded += 1,
-            Ok(false) => {}
+        let (bytes, kind) = mutate(base, &mut rng);
+        let decoded = match catch_unwind(AssertUnwindSafe(|| decode_and_round_trip(&bytes, kind))) {
+            Ok(decoded) => decoded,
             Err(_) => panic!(
-                "case {case}: decoding {} damaged bytes panicked: {bytes:02x?}",
+                "case {case}: decoding {} damaged bytes as {kind:?} panicked: {bytes:02x?}",
                 bytes.len()
             ),
+        };
+        let name = match kind {
+            Kind::Terms(_) => "terms",
+            Kind::Term => "term",
+            Kind::Update => "update",
+            Kind::Handshake => "handshake",
+            Kind::Hello => "hello",
+            Kind::Outcome => "outcome",
+            Kind::Stats => "stats",
+            Kind::Frames => "frames",
+        };
+        let tally = outcomes.entry(name).or_default();
+        if decoded {
+            tally.0 += 1;
+        } else {
+            tally.1 += 1;
         }
     }
-    // Both outcomes must be exercised, or the mutations prove nothing.
+    // Both outcomes must be exercised for every decoder, or the
+    // mutations prove nothing about it.
+    assert_eq!(outcomes.len(), 8, "{outcomes:?}");
+    for (name, (decoded, refused)) in &outcomes {
+        assert!(
+            *decoded > 0 && *refused > 0,
+            "{name}: {decoded} decoded, {refused} refused"
+        );
+    }
+    let decoded: usize = outcomes.values().map(|t| t.0).sum();
     assert!(
         decoded > CASES / 20 && decoded < CASES - CASES / 20,
-        "{decoded} of {CASES} damaged payloads decoded"
+        "{decoded} of {CASES} damaged inputs decoded"
     );
 }

@@ -30,33 +30,33 @@
 //!
 //! The table is sharded by node hash ([`default_table_shards`] stripes:
 //! the machine's core count rounded up to a power of two, at least
-//! [`DEFAULT_TABLE_SHARDS`]). Each stripe holds
-//! its nodes in an append-only `RwLock<Vec<CanonNode>>` plus, behind a
-//! `Mutex`, a compact interning index of `u64` slots, each packing a
-//! 32-bit hash tag with a node's position, probed linearly and doubled
-//! at 3/4 load. The index mutex also guards the stripe's own hit, miss
-//! and wait counts, so interning touches no cache line shared with
-//! another stripe (stripes are aligned to 128 bytes). One node hash
-//! serves a whole probe: its low bits pick the stripe, the bits above
-//! them the first slot, its high half the tag. A probe reads the node
-//! vector (under a read guard) only to confirm a tag match, and writes it
-//! only to append a miss. Readers use a [`TableView`], which lazily caches
-//! one read guard per stripe so a whole compare or extraction walk costs
-//! one batch of lock acquisitions, not one per node. Lock order: store
-//! locks are always taken **before** table locks (maintenance → WAL →
-//! store shards → canon table), and interning holds at most one stripe's
-//! index mutex and then its node lock, never two stripes, so the lock
-//! graph is acyclic. A [`TableView`] must be [released](TableView::release)
-//! before its thread interns (read→write upgrade on one stripe would
-//! deadlock); the store does this exactly where a fresh class interns its
-//! frontier canon.
+//! [`DEFAULT_TABLE_SHARDS`]). Each stripe holds its nodes in append-only
+//! [`Segments`] plus, behind the segments' writer mutex, a compact
+//! interning index of `u64` slots, each packing a 32-bit hash tag with a
+//! node's position, probed linearly and doubled at 3/4 load. The mutex
+//! also guards the stripe's own hit, miss and wait counts, so interning
+//! touches no cache line shared with another stripe (stripes are aligned
+//! to 128 bytes). One node hash serves a whole probe: its low bits pick
+//! the stripe, the bits above them the first slot, its high half the tag.
+//!
+//! Nodes never move once written: segment chunks grow geometrically and
+//! are freed only with the table. The one writer of a stripe fills a slot
+//! and then publishes the stripe's length with a `Release` store; a reader
+//! `Acquire`-loads the length and reads the slot, so **reads take no
+//! lock** ([`CanonTable::node`], [`CanonTable::name`]) and may run
+//! alongside interning on any stripe, their own thread's included.
+//! Interning holds one writer mutex at a time — the name map's or one
+//! stripe's — and takes no other lock under it, so the table adds no
+//! edge to the store's lock graph.
 
 use alpha_hash::combine::mix64;
 use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
+use lambda_lang::Literal;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// The floor of a [`CanonTable`]'s stripe count. Refs pack the stripe
 /// into their low bits, but nothing **on disk** depends on the count
@@ -174,11 +174,157 @@ fn pack_slot(tag: u64, position: u32) -> u64 {
     (tag << 32) | u64::from(position)
 }
 
+/// log2 of a [`Segments`]' first chunk: chunk `k` holds
+/// `2^(BASE_BITS + k)` slots, so [`CHUNKS`] chunks cover every `u32`
+/// position.
+const BASE_BITS: u32 = 4;
+const CHUNKS: usize = 33 - BASE_BITS as usize;
+
+/// The chunk of `position` and its offset in that chunk.
+#[inline]
+fn locate(position: usize) -> (usize, usize) {
+    let shifted = position + (1 << BASE_BITS);
+    let top = usize::BITS - 1 - shifted.leading_zeros();
+    ((top - BASE_BITS) as usize, shifted - (1 << top))
+}
+
+/// Append-only storage whose published prefix is read without a lock.
+/// Slots live in geometrically growing chunks that never move or free
+/// before the storage drops. Only the holder of the writer mutex, whose
+/// state `W` is a stripe's interning index or the name map, can push:
+/// through the [`Appender`] that [`lock`](Self::lock) returns. Aligned to
+/// two cache lines so neighbouring stripes never share one.
+#[derive(Default)]
+#[repr(align(128))]
+struct Segments<S, W> {
+    /// Published slot count: every slot below it is written.
+    len: AtomicUsize,
+    chunks: [OnceLock<Box<[S]>>; CHUNKS],
+    writer: Mutex<W>,
+}
+
+impl<S: Default, W> Segments<S, W> {
+    /// The published slot count.
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// The slot at `position`. Panics unless `position` is below the
+    /// published length, as a `Vec` index would.
+    #[inline]
+    fn get(&self, position: usize) -> &S {
+        let len = self.len();
+        if position >= len {
+            past_published(position, len);
+        }
+        let (chunk, offset) = locate(position);
+        &self.chunks[chunk].get().expect("a published chunk exists")[offset]
+    }
+
+    /// Locks the writer mutex, and says whether another thread held it
+    /// first (a count, not a timing: reading a clock costs a third of a
+    /// probe).
+    fn lock(&self) -> (Appender<'_, S, W>, bool) {
+        let (state, waited) = match self.writer.try_lock() {
+            Ok(state) => (state, false),
+            Err(TryLockError::WouldBlock) => {
+                (self.writer.lock().expect("canon writer poisoned"), true)
+            }
+            Err(TryLockError::Poisoned(_)) => panic!("canon writer poisoned"),
+        };
+        (Appender { log: self, state }, waited)
+    }
+}
+
+/// Out of line, so a read's hot path keeps its operands in registers.
+#[cold]
+#[inline(never)]
+fn past_published(position: usize, len: usize) -> ! {
+    panic!("canon position {position} is past the published length {len}")
+}
+
+/// The one writer of a [`Segments`]: its locked writer state, and the
+/// right to push.
+struct Appender<'a, S, W> {
+    log: &'a Segments<S, W>,
+    state: MutexGuard<'a, W>,
+}
+
+impl<S: Default, W> Appender<'_, S, W> {
+    /// Fills the next slot with `fill`, then publishes it; returns its
+    /// position.
+    fn push(&mut self, fill: impl FnOnce(&S)) -> usize {
+        let position = self.log.len.load(Ordering::Relaxed);
+        let (chunk, offset) = locate(position);
+        let slots = self.log.chunks[chunk].get_or_init(|| {
+            (0..1usize << (BASE_BITS as usize + chunk))
+                .map(|_| S::default())
+                .collect()
+        });
+        fill(&slots[offset]);
+        self.log.len.store(position + 1, Ordering::Release);
+        position
+    }
+}
+
+/// One stored [`CanonNode`]: a variant tag word and a payload word, 16
+/// bytes like the node itself. Its writer stores both words before it
+/// publishes the slot, so `Relaxed` accesses suffice on both sides.
+#[derive(Default)]
+struct NodeSlot([AtomicU64; 2]);
+
+// The resident-bytes figure (nodes × `size_of::<CanonNode>()`) is the
+// true slot cost.
+const _: () = assert!(std::mem::size_of::<NodeSlot>() == std::mem::size_of::<CanonNode>());
+
+impl NodeSlot {
+    fn store(&self, node: CanonNode) {
+        let pair = |a: CanonRef, b: CanonRef| u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32;
+        let words = match node {
+            CanonNode::BVar(i) => [0, u64::from(i)],
+            CanonNode::FVar(id) => [1, u64::from(id.index())],
+            CanonNode::Lam(b) => [2, u64::from(b.to_bits())],
+            CanonNode::App(f, a) => [3, pair(f, a)],
+            CanonNode::Let(r, b) => [4, pair(r, b)],
+            CanonNode::Lit(Literal::I64(v)) => [5, v as u64],
+            CanonNode::Lit(Literal::F64Bits(bits)) => [6, bits],
+            CanonNode::Lit(Literal::Bool(b)) => [7, u64::from(b)],
+        };
+        for (slot, word) in self.0.iter().zip(words) {
+            slot.store(word, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn load(&self) -> CanonNode {
+        let payload = self.0[1].load(Ordering::Relaxed);
+        let low = CanonRef::from_bits(payload as u32);
+        let high = CanonRef::from_bits((payload >> 32) as u32);
+        match self.0[0].load(Ordering::Relaxed) {
+            0 => CanonNode::BVar(payload as u32),
+            1 => CanonNode::FVar(NameId::from_index(payload as u32)),
+            2 => CanonNode::Lam(low),
+            3 => CanonNode::App(low, high),
+            4 => CanonNode::Let(low, high),
+            5 => CanonNode::Lit(Literal::I64(payload as i64)),
+            6 => CanonNode::Lit(Literal::F64Bits(payload)),
+            7 => CanonNode::Lit(Literal::Bool(payload != 0)),
+            tag => unreachable!("canon slot tag {tag}"),
+        }
+    }
+}
+
+/// One stripe of the table: its nodes, written under the stripe's
+/// interning index. The index mutex serialises interning per stripe and
+/// is held across check-and-insert, so each node is appended exactly
+/// once.
+type Stripe = Segments<NodeSlot, StripeIndex>;
+
 /// A stripe's interning index: open addressing with linear probing over
 /// packed `(tag, position)` slots, one `u64` each, plus the stripe's
-/// intern counters. It lives behind the stripe's index mutex, so the
-/// counters are plain integers that only the stripe's own lock holder
-/// touches — no cache line is shared between stripes.
+/// intern counters. It is the writer state of the stripe's nodes, so the
+/// counters are plain integers that only the stripe's own writer touches
+/// — no cache line is shared between stripes.
 #[derive(Default)]
 struct StripeIndex {
     /// Power-of-two length once anything is inserted, at most 3/4 full.
@@ -194,34 +340,21 @@ struct StripeIndex {
 impl StripeIndex {
     /// The position of `node` in `nodes`, or `Err` with the empty slot
     /// where it belongs. `probe` is the node hash with the stripe bits
-    /// shifted out. A tag match is confirmed against the stored node
-    /// under a read guard, taken at most once per probe.
-    fn find(
-        &self,
-        nodes: &RwLock<Vec<CanonNode>>,
-        probe: u64,
-        tag: u64,
-        node: &CanonNode,
-    ) -> Result<u32, usize> {
+    /// shifted out. A tag match is confirmed against the stored node.
+    fn find(&self, nodes: &Stripe, probe: u64, tag: u64, node: &CanonNode) -> Result<u32, usize> {
         if self.slots.is_empty() {
             // No slot yet: the insert that follows builds the index.
             return Err(0);
         }
         let mask = self.slots.len() - 1;
         let mut at = probe as usize & mask;
-        let mut guard = None;
         loop {
             let slot = self.slots[at];
             if slot == EMPTY_SLOT {
                 return Err(at);
             }
-            if slot >> 32 == tag {
-                let position = slot as u32;
-                let nodes =
-                    guard.get_or_insert_with(|| nodes.read().expect("canon nodes poisoned"));
-                if nodes[position as usize] == *node {
-                    return Ok(position);
-                }
+            if slot >> 32 == tag && nodes.get(slot as u32 as usize).load() == *node {
+                return Ok(slot as u32);
             }
             at = (at + 1) & mask;
         }
@@ -231,28 +364,20 @@ impl StripeIndex {
     /// stripe's newest node at `position` — or, when that would push the
     /// load past 3/4, rebuilds the index at double size from `nodes`
     /// (which already holds the new node).
-    fn insert(
-        &mut self,
-        nodes: &RwLock<Vec<CanonNode>>,
-        shard_bits: u32,
-        empty: usize,
-        tag: u64,
-        position: u32,
-    ) {
-        let len = position as usize + 1;
-        if len * 4 <= self.slots.len() * 3 {
+    fn insert(&mut self, nodes: &Stripe, shard_bits: u32, empty: usize, tag: u64, position: u32) {
+        let len = position + 1;
+        if len as usize * 4 <= self.slots.len() * 3 {
             self.slots[empty] = pack_slot(tag, position);
             return;
         }
         let mut capacity = (self.slots.len() * 2).max(MIN_SLOTS);
-        while len * 4 > capacity * 3 {
+        while len as usize * 4 > capacity * 3 {
             capacity *= 2;
         }
         let mask = capacity - 1;
         let mut slots = vec![EMPTY_SLOT; capacity];
-        let nodes = nodes.read().expect("canon nodes poisoned");
-        for (position, node) in (0u32..).zip(nodes.iter()) {
-            let hash = node_hash(node);
+        for position in 0..len {
+            let hash = node_hash(&nodes.get(position as usize).load());
             let mut at = (hash >> shard_bits) as usize & mask;
             while slots[at] != EMPTY_SLOT {
                 at = (at + 1) & mask;
@@ -260,43 +385,6 @@ impl StripeIndex {
             slots[at] = pack_slot(slot_tag(hash), position);
         }
         self.slots = slots;
-    }
-}
-
-/// One lock stripe of the table: append-only node storage plus the
-/// interning index over it. The index mutex serialises interning per
-/// stripe and is held across check-and-insert, so each node is appended
-/// exactly once; the node `RwLock` lets any number of [`TableView`]s
-/// read concurrently with interning on *other* stripes, and is taken for
-/// writing only to append. Aligned to two cache lines so neighbouring
-/// stripes' locks and counters never share one.
-#[repr(align(128))]
-struct TableShard {
-    nodes: RwLock<Vec<CanonNode>>,
-    index: Mutex<StripeIndex>,
-}
-
-impl TableShard {
-    fn new() -> Self {
-        TableShard {
-            nodes: RwLock::new(Vec::new()),
-            index: Mutex::new(StripeIndex::default()),
-        }
-    }
-
-    /// Locks the stripe index, counting a wait when another thread holds
-    /// it (a count, not a timing: reading a clock costs a third of a
-    /// probe).
-    fn lock_index(&self) -> MutexGuard<'_, StripeIndex> {
-        match self.index.try_lock() {
-            Ok(index) => index,
-            Err(TryLockError::WouldBlock) => {
-                let mut index = self.index.lock().expect("canon index poisoned");
-                index.waits += 1;
-                index
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("canon index poisoned"),
-        }
     }
 }
 
@@ -317,13 +405,13 @@ pub(crate) struct InternStats {
 /// [`AlphaStore`](crate::AlphaStore); every class and every interned
 /// prepared entry holds [`CanonRef`]s into it.
 pub(crate) struct CanonTable {
-    shards: Vec<TableShard>,
+    shards: Vec<Stripe>,
     /// log2 of the stripe count: how far packed refs shift their index.
     shard_bits: u32,
     /// Stripe count minus one, for masking node hashes and packed refs.
     shard_mask: u32,
-    names: RwLock<Vec<Box<str>>>,
-    name_map: Mutex<HashMap<Box<str>, u32>>,
+    /// Free-variable names by [`NameId`], written under the name map.
+    names: Segments<OnceLock<Box<str>>, HashMap<Box<str>, u32>>,
 }
 
 impl CanonTable {
@@ -340,11 +428,10 @@ impl CanonTable {
             "canon table stripe count must be a power of two in 1..={MAX_TABLE_SHARDS}, got {count}"
         );
         CanonTable {
-            shards: (0..count).map(|_| TableShard::new()).collect(),
+            shards: (0..count).map(|_| Stripe::default()).collect(),
             shard_bits: count.trailing_zeros(),
             shard_mask: count as u32 - 1,
-            names: RwLock::new(Vec::new()),
-            name_map: Mutex::new(HashMap::new()),
+            names: Segments::default(),
         }
     }
 
@@ -362,23 +449,40 @@ impl CanonTable {
         let shard = (hash & u64::from(self.shard_mask)) as usize;
         let stripe = &self.shards[shard];
         let tag = slot_tag(hash);
-        let mut index = stripe.lock_index();
-        match index.find(&stripe.nodes, hash >> self.shard_bits, tag, &node) {
+        let (mut writer, waited) = stripe.lock();
+        let index = &mut writer.state;
+        index.waits += u64::from(waited);
+        match index.find(stripe, hash >> self.shard_bits, tag, &node) {
             Ok(position) => {
                 index.hits += 1;
                 pack_ref(self.shard_bits, shard, position)
             }
             Err(empty) => {
-                let mut nodes = stripe.nodes.write().expect("canon nodes poisoned");
-                let position = u32::try_from(nodes.len()).expect("canon stripe overflow");
-                let r = pack_ref(self.shard_bits, shard, position);
-                nodes.push(node);
-                drop(nodes);
-                index.insert(&stripe.nodes, self.shard_bits, empty, tag, position);
+                let position = writer.push(|slot| slot.store(node));
+                let position = u32::try_from(position).expect("canon stripe overflow");
+                let index = &mut writer.state;
+                index.insert(stripe, self.shard_bits, empty, tag, position);
                 index.misses += 1;
-                r
+                pack_ref(self.shard_bits, shard, position)
             }
         }
+    }
+
+    /// The node behind `r`: a lock-free read. Panics if `r` is past its
+    /// stripe's published length.
+    #[inline]
+    pub(crate) fn node(&self, r: CanonRef) -> CanonNode {
+        let (shard, position) = unpack_ref(self.shard_bits, self.shard_mask, r);
+        self.shards[shard].get(position).load()
+    }
+
+    /// The name string behind `id`: a lock-free read.
+    #[inline]
+    pub(crate) fn name(&self, id: NameId) -> &str {
+        self.names
+            .get(id.index() as usize)
+            .get()
+            .expect("a published name is set")
     }
 
     /// The intern-probe counts since construction — the dedup ratio of
@@ -388,7 +492,7 @@ impl CanonTable {
         self.shards
             .iter()
             .fold(InternStats::default(), |sum, stripe| {
-                let index = stripe.index.lock().expect("canon index poisoned");
+                let index = &stripe.lock().0.state;
                 InternStats {
                     hits: sum.hits + index.hits,
                     misses: sum.misses + index.misses,
@@ -399,15 +503,13 @@ impl CanonTable {
 
     /// Interns a free-variable name, returning its global id. Idempotent.
     pub(crate) fn intern_name(&self, name: &str) -> NameId {
-        let mut map = self.name_map.lock().expect("name map poisoned");
-        if let Some(&index) = map.get(name) {
+        let mut writer = self.names.lock().0;
+        if let Some(&index) = writer.state.get(name) {
             return NameId::from_index(index);
         }
-        let mut names = self.names.write().expect("names poisoned");
-        let index = u32::try_from(names.len()).expect("name table overflow");
-        names.push(name.into());
-        drop(names);
-        map.insert(name.into(), index);
+        let index = writer.push(|slot| slot.set(name.into()).expect("a fresh name slot is empty"));
+        let index = u32::try_from(index).expect("name table overflow");
+        writer.state.insert(name.into(), index);
         NameId::from_index(index)
     }
 
@@ -439,104 +541,16 @@ impl CanonTable {
 
     /// Resident distinct nodes across all stripes.
     pub(crate) fn resident_nodes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.nodes.read().expect("canon nodes poisoned").len() as u64)
-            .sum()
+        self.shards.iter().map(|s| s.len() as u64).sum()
     }
 
     /// Resident distinct names and their total string bytes.
     pub(crate) fn resident_names(&self) -> (u64, u64) {
-        let names = self.names.read().expect("names poisoned");
-        let bytes: u64 = names.iter().map(|n| n.len() as u64).sum();
-        (names.len() as u64, bytes)
-    }
-}
-
-/// A read-only view of a [`CanonTable`] that caches one read guard per
-/// stripe (plus the name table), acquired all-at-once on first use, so a
-/// DAG walk costs O(stripes) lock acquisitions and then indexes guards
-/// directly — no per-node branching. Create one per locked sweep, and
-/// [release](TableView::release) it before interning on the same thread.
-pub(crate) struct TableView<'t> {
-    table: &'t CanonTable,
-    guards: Option<ViewGuards<'t>>,
-}
-
-/// The acquired read guards: every node stripe plus the name table.
-pub(crate) struct ViewGuards<'t> {
-    nodes: Vec<RwLockReadGuard<'t, Vec<CanonNode>>>,
-    /// Copied from the owning table so ref unpacking needs no extra hop.
-    shard_bits: u32,
-    shard_mask: u32,
-    names: RwLockReadGuard<'t, Vec<Box<str>>>,
-}
-
-impl ViewGuards<'_> {
-    /// The node behind `r` — two array indexes, no locking.
-    #[inline]
-    pub(crate) fn node(&self, r: CanonRef) -> CanonNode {
-        let (shard, index) = unpack_ref(self.shard_bits, self.shard_mask, r);
-        self.nodes[shard][index]
-    }
-
-    /// The name string behind `id`.
-    #[inline]
-    pub(crate) fn name(&self, id: NameId) -> &str {
-        &self.names[id.index() as usize]
-    }
-
-    /// Flattens the guard set to plain slices — hot walks resolve these
-    /// once per walk and then read nodes with a single dependent load
-    /// each, instead of re-dereferencing a guard per node. One small
-    /// allocation per walk, amortised over its whole node count.
-    #[inline]
-    pub(crate) fn slices(&self) -> Vec<&[CanonNode]> {
-        self.nodes.iter().map(|g| g.as_slice()).collect()
-    }
-}
-
-impl<'t> TableView<'t> {
-    pub(crate) fn new(table: &'t CanonTable) -> Self {
-        TableView {
-            table,
-            guards: None,
-        }
-    }
-
-    /// The guard set, acquired on first use. Hoist this out of node-walk
-    /// loops: the returned reference indexes without branches.
-    pub(crate) fn guards(&mut self) -> &ViewGuards<'t> {
-        let table = self.table;
-        self.guards.get_or_insert_with(|| ViewGuards {
-            nodes: table
-                .shards
-                .iter()
-                .map(|s| s.nodes.read().expect("canon nodes poisoned"))
-                .collect(),
-            shard_bits: table.shard_bits,
-            shard_mask: table.shard_mask,
-            names: table.names.read().expect("names poisoned"),
-        })
-    }
-
-    /// The node behind `r` (acquiring the guards if needed).
-    pub(crate) fn node(&mut self, r: CanonRef) -> CanonNode {
-        self.guards().node(r)
-    }
-
-    /// The name string behind `id` (acquiring the guards if needed).
-    pub(crate) fn name(&mut self, id: NameId) -> &str {
-        self.guards();
-        // Reborrow through the field so the returned &str ties to the
-        // stored guards, not to the &mut self borrow `guards()` took.
-        self.guards.as_ref().expect("just acquired").name(id)
-    }
-
-    /// Drops every cached guard. **Required** before the owning thread
-    /// interns (a stripe's read guard would deadlock its write lock).
-    pub(crate) fn release(&mut self) {
-        self.guards = None;
+        let count = self.names.len() as u32;
+        let bytes = (0..count)
+            .map(|id| self.name(NameId::from_index(id)).len() as u64)
+            .sum();
+        (u64::from(count), bytes)
     }
 }
 
@@ -548,32 +562,23 @@ impl<'t> TableView<'t> {
 /// the instrumentation seam reports for frontier merge confirmations);
 /// pass `&mut 0` when the count is not wanted.
 pub(crate) fn eq_frontier(
-    view: &mut TableView<'_>,
+    table: &CanonTable,
     cref: CanonRef,
     arena: &DbArena,
     root: DbId,
     steps: &mut u64,
 ) -> bool {
-    // Acquire the guard set once and flatten it to slices; the walk then
-    // costs one dependent load per table node, like an arena walk.
-    let guards = view.guards();
-    let (shard_bits, shard_mask) = (guards.shard_bits, guards.shard_mask);
-    let slices = guards.slices();
-    let node_at = |r: CanonRef| {
-        let (shard, index) = unpack_ref(shard_bits, shard_mask, r);
-        slices[shard][index]
-    };
     let mut stack: Vec<(CanonRef, DbId)> = vec![(cref, root)];
     while let Some((r, d)) = stack.pop() {
         *steps += 1;
-        match (node_at(r), arena.node(d)) {
+        match (table.node(r), arena.node(d)) {
             (CanonNode::BVar(i), DbNode::BVar(j)) => {
                 if i != j {
                     return false;
                 }
             }
             (CanonNode::FVar(id), DbNode::FVar(sym)) => {
-                if guards.name(id) != arena.name(sym) {
+                if table.name(id) != arena.name(sym) {
                     return false;
                 }
             }
@@ -605,7 +610,7 @@ pub(crate) fn eq_frontier(
 /// than parents (post-order emission), matching the wire format's
 /// topological-order rule.
 pub(crate) fn extract_canon(
-    view: &mut TableView<'_>,
+    table: &CanonTable,
     roots: &[CanonRef],
     dst: &mut DbArena,
 ) -> Vec<DbId> {
@@ -618,7 +623,7 @@ pub(crate) fn extract_canon(
             if memo.contains_key(&r.to_bits()) {
                 continue;
             }
-            let node = view.node(r);
+            let node = table.node(r);
             if !expanded {
                 stack.push((r, true));
                 let mut push_child = |c: CanonRef, memo: &HashMap<u32, DbId>| {
@@ -645,7 +650,7 @@ pub(crate) fn extract_canon(
                         let sym = match name_memo.get(&id.index()) {
                             Some(&sym) => sym,
                             None => {
-                                let sym = dst.intern(view.name(id));
+                                let sym = dst.intern(table.name(id));
                                 name_memo.insert(id.index(), sym);
                                 sym
                             }
@@ -666,9 +671,9 @@ pub(crate) fn extract_canon(
 
 /// Convenience wrapper: extracts one interned term as a standalone
 /// `(arena, root)` pair.
-pub(crate) fn extract_one(view: &mut TableView<'_>, cref: CanonRef) -> (DbArena, DbId) {
+pub(crate) fn extract_one(table: &CanonTable, cref: CanonRef) -> (DbArena, DbId) {
     let mut dst = DbArena::new();
-    let root = extract_canon(view, &[cref], &mut dst)[0];
+    let root = extract_canon(table, &[cref], &mut dst)[0];
     (dst, root)
 }
 
@@ -735,10 +740,9 @@ mod tests {
             let (c1, r1) = canon_of(s1);
             let (c2, r2) = canon_of(s2);
             let i1 = table.intern_arena(&c1, r1);
-            let mut view = TableView::new(&table);
             let mut steps = 0u64;
             assert_eq!(
-                eq_frontier(&mut view, i1, &c2, r2, &mut steps),
+                eq_frontier(&table, i1, &c2, r2, &mut steps),
                 expected,
                 "{s1} vs {s2}"
             );
@@ -752,8 +756,7 @@ mod tests {
         let table = CanonTable::new();
         let (c, r) = canon_of(r"foo (\x. x+7) (\y. y+7) ((v+1) * (v+1))");
         let cref = table.intern_arena(&c, r);
-        let mut view = TableView::new(&table);
-        let (out, out_root) = extract_one(&mut view, cref);
+        let (out, out_root) = extract_one(&table, cref);
         assert!(db_eq(&c, r, &out, out_root), "extraction changed the term");
         // Sharing survives: the extracted arena holds one node per
         // *distinct* subterm, strictly fewer than the tree size.
@@ -773,8 +776,7 @@ mod tests {
         let (c, r) = to_debruijn(&a, e);
         let cref = table.intern_arena(&c, r);
         assert_eq!(table.resident_nodes(), 120_001);
-        let mut view = TableView::new(&table);
-        let (out, out_root) = extract_one(&mut view, cref);
+        let (out, out_root) = extract_one(&table, cref);
         assert_eq!(out.len(), 120_001);
         assert!(matches!(out.node(out_root), DbNode::Lam(_)));
     }
@@ -811,8 +813,7 @@ mod tests {
             }
             assert_eq!(table.resident_nodes(), baseline.resident_nodes());
             // Extraction round-trips under every stripe count.
-            let mut view = TableView::new(&table);
-            let (out, out_root) = extract_one(&mut view, refs[0]);
+            let (out, out_root) = extract_one(&table, refs[0]);
             assert!(db_eq(&canons[0].0, canons[0].1, &out, out_root));
         }
     }
@@ -880,8 +881,13 @@ mod tests {
     }
 
     /// Interns `stream` (children as stream positions), returning each
-    /// probe's node (children as table refs) and the ref it got.
-    fn intern_stream(table: &CanonTable, stream: &[CanonNode]) -> Vec<(CanonNode, CanonRef)> {
+    /// probe's node (children as table refs) and the ref it got. Hands
+    /// every probe so far to `handoff` after each 64th.
+    fn intern_stream(
+        table: &CanonTable,
+        stream: &[CanonNode],
+        mut handoff: impl FnMut(&[(CanonNode, CanonRef)]),
+    ) -> Vec<(CanonNode, CanonRef)> {
         let mut probes: Vec<(CanonNode, CanonRef)> = Vec::with_capacity(stream.len());
         for &spec in stream {
             let at = |c: CanonRef| probes[c.to_bits() as usize].1;
@@ -892,6 +898,9 @@ mod tests {
                 leaf => leaf,
             };
             probes.push((node, table.intern_node(node)));
+            if probes.len().is_multiple_of(64) {
+                handoff(&probes);
+            }
         }
         probes
     }
@@ -914,7 +923,7 @@ mod tests {
                     .map(|stream| {
                         scope.spawn(|| {
                             start.wait();
-                            intern_stream(&table, stream)
+                            intern_stream(&table, stream, |_| {})
                         })
                     })
                     .collect();
@@ -922,7 +931,6 @@ mod tests {
             });
             let mut by_node: HashMap<CanonNode, CanonRef> = HashMap::new();
             let mut by_ref: HashMap<CanonRef, CanonNode> = HashMap::new();
-            let mut view = TableView::new(&table);
             for &(node, r) in probes.iter().flatten() {
                 assert_eq!(
                     *by_node.entry(node).or_insert(r),
@@ -935,12 +943,11 @@ mod tests {
                     "{count} stripes: distinct nodes share {r:?}"
                 );
                 assert_eq!(
-                    view.node(r),
+                    table.node(r),
                     node,
                     "{count} stripes: {r:?} reads back wrong"
                 );
             }
-            view.release();
             let stats = table.intern_stats();
             assert_eq!(stats.hits + stats.misses, 2 * PER_THREAD as u64);
             assert_eq!(stats.misses, table.resident_nodes());
@@ -972,5 +979,120 @@ mod tests {
             assert_eq!(&refs[0], other);
         }
         assert_eq!(refs[0][0], refs[0][1], "alpha-equal terms share a ref");
+    }
+
+    #[test]
+    fn lock_free_readers_see_every_published_node_while_threads_intern() {
+        // Two threads intern overlapping streams, and names, across index
+        // doublings and chunk boundaries (at 1 stripe, into chunk 13)
+        // while two readers (a) read back every (node, ref) pair the
+        // interners hand them and (b) read each stripe's and the name
+        // table's published prefix as soon as it grows, checked against
+        // the final table once every thread is done. A multiple of 64, so
+        // every probe is handed over.
+        const PER_THREAD: usize = 102_400;
+        let streams = [
+            oracle_stream(0xC0FFEE, 0xD1CE, PER_THREAD),
+            oracle_stream(0xC0FFEE, 0xFACE, PER_THREAD),
+        ];
+        for count in [1usize, DEFAULT_TABLE_SHARDS] {
+            let table = CanonTable::with_shards(count);
+            let handed: Mutex<Vec<(CanonNode, CanonRef)>> = Mutex::new(Vec::new());
+            let interning = AtomicUsize::new(streams.len());
+            /// Counts its interner out even if it panics, so no reader
+            /// spins forever.
+            struct Finished<'a>(&'a AtomicUsize);
+            impl Drop for Finished<'_> {
+                fn drop(&mut self) {
+                    self.0.fetch_sub(1, Ordering::Release);
+                }
+            }
+            let prefix_reads: Vec<Vec<(CanonRef, CanonNode)>> = std::thread::scope(|scope| {
+                for stream in &streams {
+                    let (table, handed, interning) = (&table, &handed, &interning);
+                    scope.spawn(move || {
+                        let _finished = Finished(interning);
+                        let mut sent = 0;
+                        intern_stream(table, stream, |probes| {
+                            table.intern_name(&format!("v{}", probes.len() % 900));
+                            handed.lock().unwrap().extend_from_slice(&probes[sent..]);
+                            sent = probes.len();
+                        });
+                    });
+                }
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (table, handed, interning) = (&table, &handed, &interning);
+                        scope.spawn(move || {
+                            let mut reads = Vec::new();
+                            let (mut seen_handed, mut seen_names) = (0, 0);
+                            let mut seen = vec![0usize; table.shard_count()];
+                            loop {
+                                let done = interning.load(Ordering::Acquire) == 0;
+                                let fresh = handed.lock().unwrap()[seen_handed..].to_vec();
+                                seen_handed += fresh.len();
+                                for (node, r) in fresh {
+                                    assert_eq!(table.node(r), node, "{r:?} reads back wrong");
+                                }
+                                for (shard, seen) in seen.iter_mut().enumerate() {
+                                    let len = table.shards[shard].len();
+                                    for position in *seen..len {
+                                        let r = pack_ref(table.shard_bits, shard, position as u32);
+                                        reads.push((r, table.node(r)));
+                                    }
+                                    *seen = len;
+                                }
+                                let names = table.names.len();
+                                for id in seen_names..names {
+                                    let name = table.name(NameId::from_index(id as u32));
+                                    assert!(name.starts_with('v'), "name {id} reads {name:?}");
+                                }
+                                seen_names = names;
+                                if done {
+                                    return reads;
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let by_node: HashMap<CanonNode, CanonRef> =
+                handed.into_inner().unwrap().into_iter().collect();
+            assert_eq!(by_node.len() as u64, table.resident_nodes());
+            for (&node, &r) in &by_node {
+                assert_eq!(
+                    table.node(r),
+                    node,
+                    "{count} stripes: {r:?} reads back wrong"
+                );
+            }
+            for reads in &prefix_reads {
+                assert_eq!(
+                    reads.len() as u64,
+                    table.resident_nodes(),
+                    "a reader saw every node"
+                );
+                for &(r, node) in reads {
+                    assert_eq!(
+                        by_node[&node], r,
+                        "{count} stripes: {r:?} was read before it was written"
+                    );
+                }
+            }
+            assert!(table.resident_names().0 > 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the published length")]
+    fn a_ref_past_the_published_length_panics() {
+        let table = CanonTable::with_shards(1);
+        for i in 0..3 {
+            table.intern_node(CanonNode::BVar(i));
+        }
+        assert_eq!(table.node(CanonRef::from_bits(2)), CanonNode::BVar(2));
+        // Position 3 lies inside the first chunk but was never published.
+        table.node(CanonRef::from_bits(3));
     }
 }

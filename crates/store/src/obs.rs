@@ -63,6 +63,7 @@ pub(crate) struct StoreObs {
     name_cache_misses: Arc<Counter>,
     updates_applied: Arc<Counter>,
     spine_nodes_rehashed: Arc<Counter>,
+    update_hasher_rebuilds: Arc<Counter>,
     // Reliability instruments (health state machine, retry loop,
     // auto-checkpoint).
     health: Arc<Gauge>,
@@ -179,6 +180,11 @@ impl StoreObs {
             "Nodes re-hashed by incremental updates (patch + spine to root)",
             "nodes",
         ));
+        let update_hasher_rebuilds = registry.counter(desc(
+            "alpha_store_update_hasher_rebuilds",
+            "Roots-mode updates that found no cached hasher and rebuilt one from the class canon",
+            "rebuilds",
+        ));
         let persist_errors = registry.counter(desc(
             "alpha_store_persist_errors",
             "I/O errors surfaced by the persistence layer",
@@ -230,6 +236,7 @@ impl StoreObs {
             name_cache_misses,
             updates_applied,
             spine_nodes_rehashed,
+            update_hasher_rebuilds,
             health,
             wal_retries,
             auto_checkpoints,
@@ -336,6 +343,12 @@ impl StoreObs {
     pub(crate) fn rec_update(&self, spine_nodes: u64) {
         self.updates_applied.inc();
         self.spine_nodes_rehashed.add(spine_nodes);
+    }
+
+    /// A `Roots`-mode update that rebuilt its term's hasher, O(n).
+    #[inline]
+    pub(crate) fn rec_hasher_rebuild(&self) {
+        self.update_hasher_rebuilds.inc();
     }
 
     // ---- reliability recorders ----------------------------------

@@ -17,7 +17,7 @@ use super::snapshot::{decode_snapshot, encode_snapshot};
 use super::wal::{decode_wal, WalEntry, WAL_HEADER_LEN};
 use super::{SNAPSHOT_FILE, WAL_FILE};
 use crate::codec::{begin_frame, crc32, end_frame, take_frame};
-use crate::dag::{extract_canon, CanonTable, TableView};
+use crate::dag::{extract_canon, CanonTable};
 use crate::store::{ClassId, Shard};
 use crate::{AlphaStore, Granularity, Rewrite, StoreBuilder};
 use lambda_lang::debruijn::DbArena;
@@ -338,7 +338,7 @@ fn snapshot_case(bytes: &[u8]) -> bool {
             .flat_map(|s| s.classes.iter().map(|c| c.canon))
             .collect();
         let mut dag = DbArena::new();
-        let roots = extract_canon(&mut TableView::new(table), &refs, &mut dag);
+        let roots = extract_canon(table, &refs, &mut dag);
         let shard_refs: Vec<&Shard<u64>> = shards.iter().collect();
         encode_snapshot(&header, &shard_refs, &dag, &roots)
     };

@@ -46,7 +46,7 @@ use crate::codec::{
     begin_frame, end_frame, put_u16, put_u64, put_u8, take_bytes, take_frame, take_u16, take_u64,
     take_u8, FRAME_HEADER_LEN,
 };
-use crate::dag::{extract_canon, TableView};
+use crate::dag::{extract_canon, CanonTable};
 use crate::obs::WalObs;
 use crate::prepare::{PreparedCanon, PreparedTerm};
 use alpha_hash::combine::HashWord;
@@ -417,7 +417,7 @@ impl Wal {
 /// positions in it.
 pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
-    view: &mut TableView<'_>,
+    table: &CanonTable,
     pt: &PreparedTerm<H>,
 ) {
     let frame_start = begin_frame(out);
@@ -434,7 +434,7 @@ pub(crate) fn frame_record<H: HashWord>(
                 .chain(pt.subs.iter().map(|s| s.canon))
                 .collect();
             let mut dag = DbArena::new();
-            let ids = extract_canon(view, &refs, &mut dag);
+            let ids = extract_canon(table, &refs, &mut dag);
             let subs: Vec<(H, DbId, u64, u32)> = pt
                 .subs
                 .iter()
@@ -511,7 +511,7 @@ mod tests {
             for src in *group {
                 let parsed = parse(&mut arena, src).unwrap();
                 let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
-                frame_record(&mut frames, &mut TableView::new(&table), &pt);
+                frame_record(&mut frames, &table, &pt);
                 count += 1;
             }
             frame_commit(&mut frames, group.len() as u64);
@@ -550,7 +550,7 @@ mod tests {
         let table = CanonTable::new();
         let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
-        frame_record(&mut frames, &mut TableView::new(&table), &pt);
+        frame_record(&mut frames, &table, &pt);
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);

@@ -748,7 +748,7 @@ impl<H: HashWord> PreparerPool<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{extract_one, TableView};
+    use crate::dag::extract_one;
     use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::visit::postorder;
@@ -756,8 +756,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn print_ref(table: &CanonTable, cref: CanonRef) -> String {
-        let mut view = TableView::new(table);
-        let (arena, root) = extract_one(&mut view, cref);
+        let (arena, root) = extract_one(table, cref);
         db_print(&arena, root)
     }
 

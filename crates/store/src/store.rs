@@ -42,7 +42,7 @@
 //! [`StoreStats::hash_collisions`].
 
 use crate::canon::rebuild_named;
-use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable, TableView};
+use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable};
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
 use crate::persist::format::{RawRecord, StoreIdentity};
@@ -437,13 +437,9 @@ impl<H: HashWord> Shard<H> {
     /// the first class of `entry`'s bucket whose canonical form equals the
     /// entry's, with how that was confirmed, and whether a class of the
     /// same hash but another form came before it. Confirmation is an O(1)
-    /// ref compare for an interned entry and a structural DAG walk
-    /// (through `view`) for a frontier one.
-    fn scan(
-        &self,
-        view: &mut TableView<'_>,
-        entry: &RootEntry<H>,
-    ) -> (Option<(u32, Confirm)>, bool) {
+    /// ref compare for an interned entry and a structural DAG walk for a
+    /// frontier one.
+    fn scan(&self, table: &CanonTable, entry: &RootEntry<H>) -> (Option<(u32, Confirm)>, bool) {
         let mut mismatched = false;
         for &ci in self.buckets.get(&entry.hash).into_iter().flatten() {
             let class = &self.classes[ci as usize];
@@ -452,7 +448,7 @@ impl<H: HashWord> Shard<H> {
                     PreparedCanon::Interned(r) => (*r == class.canon).then_some(Confirm::Ref),
                     PreparedCanon::Frontier { canon, canon_root } => {
                         let mut steps = 0u64;
-                        eq_frontier(view, class.canon, canon, *canon_root, &mut steps)
+                        eq_frontier(table, class.canon, canon, *canon_root, &mut steps)
                             .then_some(Confirm::Walk(steps))
                     }
                 };
@@ -471,17 +467,15 @@ impl<H: HashWord> Shard<H> {
     /// class that turned out not to be alpha-equivalent — on the merge
     /// path as well as on class creation — matching the definition of
     /// [`StoreStats::hash_collisions`]. A frontier entry that creates a
-    /// class is interned here — `view` is released first, since interning
-    /// write-locks table stripes the view may hold read guards on.
+    /// class is interned here.
     pub(crate) fn insert_entry(
         &mut self,
         table: &CanonTable,
-        view: &mut TableView<'_>,
         entry: &RootEntry<H>,
         is_root: bool,
         obs: &StoreObs,
     ) -> (u32, bool, bool) {
-        let (found, collided) = self.scan(view, entry);
+        let (found, collided) = self.scan(table, entry);
         if let Some((ci, how)) = found {
             match how {
                 Confirm::Ref => obs.confirm_ref(),
@@ -496,10 +490,7 @@ impl<H: HashWord> Shard<H> {
         }
         let canon = match &entry.canon {
             PreparedCanon::Interned(r) => *r,
-            PreparedCanon::Frontier { canon, canon_root } => {
-                view.release();
-                table.intern_arena(canon, *canon_root)
-            }
+            PreparedCanon::Frontier { canon, canon_root } => table.intern_arena(canon, *canon_root),
         };
         let ci = u32::try_from(self.classes.len()).expect("shard class overflow");
         self.buckets.entry(entry.hash).or_default().push(ci);
@@ -515,8 +506,8 @@ impl<H: HashWord> Shard<H> {
 
     /// Read-only probe: the class whose canonical form equals the
     /// prepared entry's, if any.
-    pub(crate) fn find(&self, view: &mut TableView<'_>, entry: &RootEntry<H>) -> Option<u32> {
-        self.scan(view, entry).0.map(|(ci, _)| ci)
+    pub(crate) fn find(&self, table: &CanonTable, entry: &RootEntry<H>) -> Option<u32> {
+        self.scan(table, entry).0.map(|(ci, _)| ci)
     }
 }
 
@@ -561,9 +552,8 @@ pub struct AlphaStore<H: HashWord = u64> {
     pub(crate) counters: StatCounters,
     pub(crate) granularity: Granularity,
     /// The shared, hash-consed storage of every canonical form the store
-    /// holds. Lock order: store locks (maintenance → WAL → shards) are
-    /// always taken before table locks, and a thread never holds a table
-    /// read guard while acquiring a store lock.
+    /// holds. Reads take no lock; interning takes one leaf mutex at a
+    /// time, so the table sits outside the store's lock order.
     pub(crate) table: CanonTable,
     /// Batch ingest drains in chunks of at most this many prepared
     /// entries, bounding both the prepared-state high-water mark and the
@@ -585,7 +575,7 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// `(WAL record count, shard state)` cut is consistent — no insert is
     /// ever logged-but-unapplied or applied-but-unlogged at the moment the
     /// cut is taken. Lock order: `maintenance` → `updates` → WAL mutex →
-    /// shard locks → canon-table locks.
+    /// shard locks (the canon table's leaf mutexes come last).
     pub(crate) maintenance: RwLock<()>,
     /// Incremental-rewrite state ([`crate::update`]): a bounded cache of
     /// live spine hashers keyed by term, behind the mutex that serializes
@@ -915,14 +905,13 @@ impl<H: HashWord> AlphaStore<H> {
                 .write()
                 .expect("shard lock poisoned");
             self.obs.rec_shard_lock_wait(t_lock);
-            let mut view = TableView::new(&self.table);
             let shard_u16 = u16::try_from(shard_index).expect("shard count fits u16");
             for i in run {
                 let (ti, entry) = &subs[i];
                 let mult = entry.multiplicity;
                 let m = u64::from(mult);
                 let (class_index, fresh, collided) =
-                    shard.insert_entry(&self.table, &mut view, &entry.widen(), false, &self.obs);
+                    shard.insert_entry(&self.table, &entry.widen(), false, &self.obs);
                 n_indexed += m;
                 summaries[*ti].indexed += m;
                 let merged = if fresh {
@@ -967,13 +956,9 @@ impl<H: HashWord> AlphaStore<H> {
                     .write()
                     .expect("shard lock poisoned");
                 self.obs.rec_shard_lock_wait(t_lock);
-                // One view per critical section: table guards are only ever
-                // taken *after* the shard lock (the documented lock order).
-                let mut view = TableView::new(&self.table);
                 for i in run {
                     outcomes[i] = Some(self.finish_insert(
                         &mut shard,
-                        &mut view,
                         shard_index,
                         &roots[i],
                         summaries[i],
@@ -997,15 +982,13 @@ impl<H: HashWord> AlphaStore<H> {
     fn finish_insert(
         &self,
         shard: &mut Shard<H>,
-        view: &mut TableView<'_>,
         shard_index: usize,
         root: &RootEntry<H>,
         subs: SubexprSummary,
         sub_bits: Vec<(u64, u32)>,
     ) -> InsertOutcome {
         StatCounters::bump(&self.counters.terms_ingested);
-        let (class_index, fresh, collided) =
-            shard.insert_entry(&self.table, view, root, true, &self.obs);
+        let (class_index, fresh, collided) = shard.insert_entry(&self.table, root, true, &self.obs);
         let class = self.count_root(shard_index, class_index, fresh, collided);
         let term_index = u32::try_from(shard.terms.len()).expect("shard term overflow");
         shard.terms.push(class.to_bits());
@@ -1101,12 +1084,11 @@ impl<H: HashWord> AlphaStore<H> {
                 .read()
                 .expect("shard lock poisoned");
             self.obs.rec_shard_lock_wait(t_lock);
-            let mut view = TableView::new(&self.table);
             let shard_u16 = u16::try_from(shard_index).expect("shard count fits u16");
             for i in run {
                 let t = self.obs.tick();
                 results[i] = shard
-                    .find(&mut view, &prepared[i])
+                    .find(&self.table, &prepared[i])
                     .filter(|&index| !roots_only || shard.classes[index as usize].members > 0)
                     .map(|index| ClassId {
                         shard: shard_u16,
@@ -1218,8 +1200,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// Panics if `class` was not issued by this store.
     pub fn canonical_text(&self, class: ClassId) -> String {
         let cref = self.with_class(class, |c| c.canon);
-        let mut view = TableView::new(&self.table);
-        let (arena, root) = extract_one(&mut view, cref);
+        let (arena, root) = extract_one(&self.table, cref);
         db_print(&arena, root)
     }
 
@@ -1231,9 +1212,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// Panics if `class` was not issued by this store.
     pub fn representative_into(&self, class: ClassId, dst: &mut ExprArena) -> NodeId {
         let cref = self.with_class(class, |c| c.canon);
-        let mut view = TableView::new(&self.table);
-        let (arena, root) = extract_one(&mut view, cref);
-        drop(view);
+        let (arena, root) = extract_one(&self.table, cref);
         rebuild_named(&arena, root, dst)
     }
 
@@ -1480,10 +1459,9 @@ impl<H: HashWord> AlphaStore<H> {
 
     /// Serializes the current state to `path` (the caller has quiesced
     /// ingest or owns the store exclusively). Shard read locks are taken
-    /// in index order, then the canon table is read — after the
-    /// maintenance/WAL locks, per the documented lock order. The node
-    /// table is emitted **once** (the reachable sub-DAG, sharing
-    /// preserved); classes serialize as positions into it.
+    /// in index order, then the canon table is read. The node table is
+    /// emitted **once** (the reachable sub-DAG, sharing preserved);
+    /// classes serialize as positions into it.
     pub(crate) fn write_snapshot_file(
         &self,
         vfs: &dyn Vfs,
@@ -1505,9 +1483,7 @@ impl<H: HashWord> AlphaStore<H> {
             .flat_map(|s| s.classes.iter().map(|c| c.canon))
             .collect();
         let mut dag = lambda_lang::debruijn::DbArena::new();
-        let mut view = TableView::new(&self.table);
-        let class_roots = extract_canon(&mut view, &refs, &mut dag);
-        drop(view);
+        let class_roots = extract_canon(&self.table, &refs, &mut dag);
         let header = SnapshotHeader {
             identity: self.identity(),
             wal_epoch,
@@ -1618,13 +1594,9 @@ impl<H: HashWord> AlphaStore<H> {
             .map(|pt| 96 + 28 * pt.subs.len() + pt.root.node_count as usize * 10)
             .sum();
         let mut frames = Vec::with_capacity(estimate);
-        // Table reads happen here, before the WAL mutex is taken (lock
-        // order), and the view is dropped before appending.
-        let mut view = TableView::new(&self.table);
         for pt in terms {
-            crate::persist::wal::frame_record(&mut frames, &mut view, pt);
+            crate::persist::wal::frame_record(&mut frames, &self.table, pt);
         }
-        drop(view);
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)
     }

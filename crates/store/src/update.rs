@@ -65,7 +65,7 @@
 //! stale-class rule the rest of the store follows.
 
 use crate::canon::rebuild_named;
-use crate::dag::{extract_one, CanonTable, TableView};
+use crate::dag::{extract_one, CanonTable};
 use crate::granularity::Granularity;
 use crate::persist::format::RawDelta;
 use crate::persist::wal::{frame_commit, frame_delta};
@@ -131,8 +131,8 @@ pub struct UpdateOutcome {
 
 /// How many per-term incremental hashers the store keeps alive. Each one
 /// holds a named copy of its term plus O(n) hash state, so the cache is
-/// deliberately small; evicted terms just pay one O(n) rebuild on their
-/// next update.
+/// deliberately small; it evicts the least recently updated term, which
+/// pays one O(n) rebuild on its next update.
 const UPDATE_CACHE_CAP: usize = 64;
 
 /// The store's incremental-rewrite state: a bounded map from
@@ -141,6 +141,8 @@ const UPDATE_CACHE_CAP: usize = 64;
 /// doubles as the serializer for all updates (both granularities).
 pub(crate) struct UpdateCache<H: HashWord> {
     entries: HashMap<u64, CachedSpine<H>>,
+    /// Ticks once per [`put`](Self::put); orders entries by last use.
+    clock: u64,
 }
 
 struct CachedSpine<H: HashWord> {
@@ -148,12 +150,15 @@ struct CachedSpine<H: HashWord> {
     /// synchronized — the cache-validity check.
     class_bits: u64,
     hasher: IncrementalHasher<H>,
+    /// The [`UpdateCache::clock`] of the entry's last `put`.
+    last_used: u64,
 }
 
 impl<H: HashWord> Default for UpdateCache<H> {
     fn default() -> Self {
         UpdateCache {
             entries: HashMap::new(),
+            clock: 0,
         }
     }
 }
@@ -167,15 +172,23 @@ impl<H: HashWord> UpdateCache<H> {
         (cached.class_bits == class_bits).then_some(cached.hasher)
     }
 
-    /// (Re-)caches a hasher, evicting an arbitrary entry at capacity.
+    /// (Re-)caches a hasher, evicting the least recently used entry at
+    /// capacity (an O(capacity) scan).
     fn put(&mut self, term_bits: u64, class_bits: u64, hasher: IncrementalHasher<H>) {
         if self.entries.len() >= UPDATE_CACHE_CAP && !self.entries.contains_key(&term_bits) {
-            if let Some(&victim) = self.entries.keys().next() {
+            let victim = self.entries.iter().min_by_key(|(_, c)| c.last_used);
+            if let Some(victim) = victim.map(|(&t, _)| t) {
                 self.entries.remove(&victim);
             }
         }
-        self.entries
-            .insert(term_bits, CachedSpine { class_bits, hasher });
+        self.clock += 1;
+        let last_used = self.clock;
+        let spine = CachedSpine {
+            class_bits,
+            hasher,
+            last_used,
+        };
+        self.entries.insert(term_bits, spine);
     }
 }
 
@@ -250,18 +263,13 @@ fn splice_canon(
         return Ok(patch);
     }
     let mut spine: Vec<(CanonNode, u32)> = Vec::with_capacity(path.len());
-    {
-        // Walk down under a read view; released before interning (the
-        // table's documented view-before-write discipline).
-        let mut view = TableView::new(table);
-        let mut cur = old_root;
-        for (depth, &slot) in path.iter().enumerate() {
-            let node = view.node(cur);
-            cur = canon_child(&node, slot).ok_or_else(|| {
-                format!("path step {depth} asks for child {slot}, which the canonical form lacks")
-            })?;
-            spine.push((node, slot));
-        }
+    let mut cur = old_root;
+    for (depth, &slot) in path.iter().enumerate() {
+        let node = table.node(cur);
+        cur = canon_child(&node, slot).ok_or_else(|| {
+            format!("path step {depth} asks for child {slot}, which the canonical form lacks")
+        })?;
+        spine.push((node, slot));
     }
     let mut replacement = patch;
     for (node, slot) in spine.into_iter().rev() {
@@ -302,10 +310,7 @@ fn build_rewritten<H: HashWord>(
     patch_root: DbId,
     dst: &mut ExprArena,
 ) -> Result<NodeId, String> {
-    let (host_db, host_db_root) = {
-        let mut view = TableView::new(&store.table);
-        extract_one(&mut view, old_canon)
-    };
+    let (host_db, host_db_root) = extract_one(&store.table, old_canon);
     let host_root = rebuild_named(&host_db, host_db_root, dst);
     if path.is_empty() {
         return Ok(rebuild_named(patch, patch_root, dst));
@@ -534,10 +539,8 @@ impl<H: HashWord> AlphaStore<H> {
         let mut hasher = match cache.take(term_bits, old_class.to_bits()) {
             Some(h) => h,
             None => {
-                let (db, db_root) = {
-                    let mut view = TableView::new(&self.table);
-                    extract_one(&mut view, old_canon)
-                };
+                self.obs.rec_hasher_rebuild();
+                let (db, db_root) = extract_one(&self.table, old_canon);
                 let mut arena = ExprArena::new();
                 let root = rebuild_named(&db, db_root, &mut arena);
                 IncrementalHasher::new(arena, root, self.scheme)
@@ -653,8 +656,7 @@ impl<H: HashWord> AlphaStore<H> {
                         let mut shard = self.shards[shard_index]
                             .write()
                             .expect("shard lock poisoned");
-                        let mut view = TableView::new(&self.table);
-                        shard.insert_entry(&self.table, &mut view, &entry.widen(), false, &self.obs)
+                        shard.insert_entry(&self.table, &entry.widen(), false, &self.obs)
                     };
                     let bits = ClassId {
                         shard: u16::try_from(shard_index).expect("shard count fits u16"),
@@ -704,8 +706,7 @@ impl<H: HashWord> AlphaStore<H> {
             let mut shard = self.shards[root_shard]
                 .write()
                 .expect("shard lock poisoned");
-            let mut view = TableView::new(&self.table);
-            shard.insert_entry(&self.table, &mut view, &pt.root, true, &self.obs)
+            shard.insert_entry(&self.table, &pt.root, true, &self.obs)
         };
         let class = self.count_root(root_shard, class_index, fresh, collided);
         sort_pairs(&mut new_pairs);
@@ -771,10 +772,7 @@ pub(crate) fn apply_update_replay<H: HashWord>(
                 // Paranoid mode: rebuild a named representative of the
                 // spliced canon and push it through the full hashing
                 // pipeline before trusting the recorded hash.
-                let (db, db_root) = {
-                    let mut view = TableView::new(&store.table);
-                    extract_one(&mut view, new_canon)
-                };
+                let (db, db_root) = extract_one(&store.table, new_canon);
                 let mut arena = ExprArena::new();
                 let root = rebuild_named(&db, db_root, &mut arena);
                 let mut preparer = Preparer::new(&arena, &store.scheme);

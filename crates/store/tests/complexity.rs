@@ -1,0 +1,162 @@
+//! Work-count complexity gates for the `Roots` paths: every deterministic
+//! work counter a term's life touches stays within c·n·(log₂ n)² of its
+//! node count n, the paper's bound for the hasher.
+//!
+//! Each term goes through a fresh durable `Roots` store: it is inserted,
+//! an alpha-renamed copy (the store's canonical representative, with its
+//! fresh binder names) is looked up, containment-probed and inserted (a
+//! merge confirmed by a frontier walk), the term's deepest leaf is
+//! rewritten twice (a hasher rebuild, then a cached spine rehash), and
+//! the store is dropped and reopened from its WAL. The
+//! shapes are the ones that make `Subexpressions` ingest quadratic — the
+//! ANF chain and the binder fan, both Θ(n) deep — plus a balanced term,
+//! at three sizes spanning 4x. Counters, not clocks, so the gate is
+//! exact and runs in tier-1.
+
+use alpha_store::persist::WAL_FILE;
+use alpha_store::{AlphaStore, Rewrite};
+use lambda_lang::arena::{ExprArena, NodeId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::path::PathBuf;
+
+/// The constant of the c·n·(log₂ n)² bound every counter must meet.
+const C: f64 = 0.5;
+
+/// A fresh temp directory, removed on drop (even when a check fails).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let tag: String = tag.chars().filter(char::is_ascii_alphanumeric).collect();
+        TempDir(std::env::temp_dir().join(format!(
+            "alpha-store-complexity-{}-{tag}",
+            std::process::id()
+        )))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The child-slot path to the deepest leaf under `root`, following the
+/// larger subtree at every branch.
+fn deepest_path(arena: &ExprArena, root: NodeId) -> Vec<u32> {
+    let mut path = Vec::new();
+    let mut node = root;
+    while let Some((slot, child)) = arena
+        .node(node)
+        .children()
+        .into_iter()
+        .enumerate()
+        .max_by_key(|&(_, c)| arena.subtree_size(c))
+    {
+        path.push(slot as u32);
+        node = child;
+    }
+    path
+}
+
+/// Runs one term's life through a durable `Roots` store and reports
+/// every work counter that breaks the bound.
+fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
+    let n = arena.subtree_size(root) as u64;
+    let dir = TempDir::new(label);
+    let builder = || AlphaStore::<u64>::builder().seed(0xC0DE).shards(4);
+    let store = builder().open_durable(&dir.0).unwrap();
+    let inserted = store.insert(arena, root);
+    let (term, class) = (inserted.term, inserted.class);
+
+    let mut copy = ExprArena::new();
+    let renamed = store.representative_into(class, &mut copy);
+    assert_eq!(store.lookup(&copy, renamed), Some(class), "{label}");
+    assert_eq!(store.contains(&copy, renamed), Some(class), "{label}");
+    assert_eq!(store.insert(&copy, renamed).class, class, "{label}");
+
+    let path = deepest_path(&copy, renamed);
+    for value in [-1, -2] {
+        let mut patch = ExprArena::new();
+        let leaf = patch.int(value);
+        store.update(
+            term,
+            Rewrite {
+                path: &path,
+                arena: &patch,
+                root: leaf,
+            },
+        );
+    }
+    assert!(store.stats().is_exact(), "{label}");
+
+    let report = store.obs_report();
+    let counter = |name: &str| report.counter(name).unwrap();
+    let mut work = vec![
+        ("hash_nodes", counter("alpha_store_hash_nodes")),
+        (
+            "intern probes",
+            counter("alpha_store_canon_intern_hits") + counter("alpha_store_canon_intern_misses"),
+        ),
+        (
+            "canon_resident_nodes",
+            report.gauge("alpha_store_canon_resident_nodes").unwrap(),
+        ),
+        (
+            "frontier_walk_nodes",
+            report
+                .histogram("alpha_store_frontier_walk_nodes")
+                .unwrap()
+                .sum,
+        ),
+        (
+            "spine_nodes_rehashed",
+            counter("alpha_store_spine_nodes_rehashed"),
+        ),
+    ];
+    drop(store);
+    let wal_bytes = std::fs::metadata(dir.0.join(WAL_FILE)).unwrap().len();
+    work.push(("WAL bytes", wal_bytes));
+
+    let reopened = builder().open_durable(&dir.0).unwrap();
+    let report = reopened.obs_report();
+    let counter = |name: &str| report.counter(name).unwrap();
+    work.push((
+        "reopen intern probes",
+        counter("alpha_store_canon_intern_hits") + counter("alpha_store_canon_intern_misses"),
+    ));
+    assert_eq!(reopened.num_terms(), 2, "{label}");
+
+    let log = (n as f64).log2();
+    let bound = (C * n as f64 * log * log).ceil() as u64;
+    work.into_iter()
+        .filter_map(|(counter, value)| match value {
+            0 => Some(format!("{label}: {counter} counted no work")),
+            v if v > bound => Some(format!(
+                "{label}: {counter} = {v} exceeds c·n·(log2 n)^2 = {bound} for n = {n}"
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn roots_paths_stay_within_n_log_squared_n() {
+    let mut rng = StdRng::seed_from_u64(0xB0B);
+    let mut broken = Vec::new();
+    for k in [250usize, 500, 1000] {
+        let mut arena = ExprArena::new();
+        let anf = expr_gen::anf_chain(&mut arena, k, &mut rng);
+        let fan = expr_gen::binder_fan(&mut arena, k, &mut rng);
+        let balanced = expr_gen::balanced(&mut arena, 7 * k, &mut rng);
+        broken.extend(check_term(&format!("anf_chain k={k}"), &arena, anf));
+        broken.extend(check_term(&format!("binder_fan k={k}"), &arena, fan));
+        broken.extend(check_term(
+            &format!("balanced n={}", 7 * k),
+            &arena,
+            balanced,
+        ));
+    }
+    assert!(broken.is_empty(), "{}", broken.join("\n"));
+}

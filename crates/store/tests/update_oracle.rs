@@ -521,8 +521,60 @@ fn spine_local_updates_do_work_proportional_to_depth_not_size() {
     assert!(!outcome.fresh);
 }
 
+fn counter<H: HashWord>(store: &AlphaStore<H>, name: &str) -> u64 {
+    store.obs_report().counter(name).unwrap()
+}
+
+/// The update cache evicts the least recently used hasher: a hot term
+/// updated between each of 1,000 updates to distinct cold terms keeps
+/// its hasher, so each of its updates stays spine-local and only the
+/// first rebuilds. With a random victim, a cold update would evict the
+/// hot hasher with probability 1/64. Two stores fed the same sequence
+/// report the same totals.
+#[test]
+fn the_update_cache_evicts_the_least_recently_used_hasher() {
+    const COLD: usize = 1_000;
+    let run = || {
+        let (store, hot, rep_arena, rep, path) = deep_term(500);
+        let n = rep_arena.subtree_size(rep) as u64;
+        let mut arena = ExprArena::new();
+        let cold: Vec<TermId> = (0..COLD)
+            .map(|i| {
+                let (plus, v, lit) = (
+                    arena.var_named("+"),
+                    arena.var_named("v"),
+                    arena.int(i as i64),
+                );
+                let sum = arena.app(plus, v);
+                let root = arena.app(sum, lit);
+                store.insert(&arena, root).term
+            })
+            .collect();
+        for (i, &term) in cold.iter().enumerate() {
+            let rehashed = set_leaf(&store, hot, &path, i as i64);
+            assert!(
+                rehashed < n,
+                "hot update {i} re-hashed {rehashed} of {n} nodes"
+            );
+            set_leaf(&store, term, &[1], -(i as i64));
+        }
+        assert_eq!(
+            counter(&store, "alpha_store_update_hasher_rebuilds"),
+            COLD as u64 + 1,
+            "the hot term's hasher was rebuilt after an eviction"
+        );
+        assert!(store.stats().is_exact());
+        (
+            counter(&store, "alpha_store_spine_nodes_rehashed"),
+            counter(&store, "alpha_store_update_hasher_rebuilds"),
+        )
+    };
+    assert_eq!(run(), run(), "one update sequence, two different totals");
+}
+
 /// The wall-clock side of the spine-local update: a cold-cache hasher
-/// rebuilt on every call is visible to no counter, only to the clock.
+/// rebuild costs O(n) that no work counter measures (the rebuild
+/// counter counts rebuilds, not their nodes), only the clock does.
 /// 100 deepest-leaf rewrites of a 4,000-node term must beat re-ingesting
 /// the rewritten term 100 times by at least 5x. Timing-based, so it runs
 /// in release only: `cargo test --release --test update_oracle --
