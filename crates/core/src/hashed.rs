@@ -271,14 +271,6 @@ impl<H: HashWord> SummarySink<H> for SubtreeHashes<H> {
     }
 }
 
-/// Records `(node, hash, size)` for every node, in post-order.
-impl<H: HashWord> SummarySink<H> for Vec<(NodeId, H, u64)> {
-    #[inline]
-    fn node(&mut self, n: NodeId, _left_bigger: bool, structure: StructH<H>, hash: H) {
-        self.push((n, hash, structure.size));
-    }
-}
-
 /// Which merge strategy the summariser uses at binary nodes — the §4.8
 /// smaller-subtree merge (the paper's final choice) or the §4.6 merge that
 /// transforms every entry of both maps. The latter exists for the ablation

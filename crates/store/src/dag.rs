@@ -1,4 +1,4 @@
-//! The hash-consed canon DAG: one shared, append-only node table for every
+//! The hash-consed canon DAG: shared, append-only node tables for every
 //! canonical form the store holds.
 //!
 //! ## Why
@@ -26,6 +26,15 @@
 //! walk against the DAG ([`eq_frontier`]). Either way no merge is ever
 //! taken on hash equality alone.
 //!
+//! The same argument covers the other node kinds. A
+//! `Subexpressions` store keys its classes by the paper's §4.8 e-summary
+//! instead (see [`crate::esummary`]): structures, position trees,
+//! variable-map treap nodes and `(structure, map)` keys, each kind in its
+//! own [`NodeTable`] and each interned node by node. A map's treap shape
+//! is fixed by its key set, so two key refs are equal iff the e-summaries
+//! are, and the summary is invertible (§4.8), so iff the terms are
+//! alpha-equivalent.
+//!
 //! ## Concurrency
 //!
 //! The table is sharded by node hash ([`default_table_shards`] stripes:
@@ -49,12 +58,12 @@
 //! stripe's — and takes no other lock under it, so the table adds no
 //! edge to the store's lock graph.
 
-use alpha_hash::combine::mix64;
+use crate::esummary::{KeyNode, MapNode, PosNode, StructNode};
+use alpha_hash::combine::{hash_str, mix64};
 use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::Literal;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
@@ -85,71 +94,39 @@ fn pack_ref(shard_bits: u32, shard: usize, index: u32) -> CanonRef {
     // A hard check, not a debug_assert: a truncated shift would alias two
     // distinct nodes under one ref, silently breaking the hash-consing
     // invariant (ref equality ⟺ term identity) the store's exactness
-    // rests on. 2^(32-bits) nodes per stripe is the packing's capacity.
+    // rests on. 2^(32-bits) nodes per stripe is the packing's capacity,
+    // less the all-ones value, which stands for "no ref" in a slot.
+    let packed = (u64::from(index) << shard_bits) | shard as u64;
     assert!(
         // u64 shift: with a single stripe `shard_bits` is 0 and the
         // capacity is the full 2^32, which a u32 shift cannot express.
-        (index as u64) < (1u64 << (32 - shard_bits)),
+        packed < u64::from(NO_REF),
         "canon table stripe overflow: {index} does not fit a packed CanonRef"
     );
-    CanonRef::from_bits((index << shard_bits) | shard as u32)
+    CanonRef::from_bits(packed as u32)
+}
+
+/// The one `u32` no packed ref takes: a slot's encoding of "no ref"
+/// (an absent child, an empty map).
+pub(crate) const NO_REF: u32 = u32::MAX;
+
+/// A slot word holding an optional ref.
+#[inline]
+pub(crate) fn opt_bits(r: Option<CanonRef>) -> u64 {
+    u64::from(r.map_or(NO_REF, CanonRef::to_bits))
+}
+
+/// Inverse of [`opt_bits`] on a word's low 32 bits.
+#[inline]
+pub(crate) fn bits_opt(word: u64) -> Option<CanonRef> {
+    let bits = word as u32;
+    (bits != NO_REF).then(|| CanonRef::from_bits(bits))
 }
 
 #[inline]
 fn unpack_ref(shard_bits: u32, shard_mask: u32, r: CanonRef) -> (usize, usize) {
     let bits = r.to_bits();
     ((bits & shard_mask) as usize, (bits >> shard_bits) as usize)
-}
-
-/// A fast, deterministic hasher for [`CanonNode`]s: it routes nodes to
-/// table stripes and places them in a stripe's index (std's default
-/// hasher is both slower and randomly seeded; stripe routing wants
-/// determinism for reproducible profiles). Folds every written word
-/// through the splitmix64 finaliser, so every bit of the result is mixed.
-#[derive(Default)]
-struct NodeHasher(u64);
-
-impl Hasher for NodeHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.0 = mix64(self.0 ^ u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.0 = mix64(self.0 ^ v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = mix64(self.0 ^ v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix64(self.0 ^ v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.0 = mix64(self.0 ^ v as u64);
-    }
-}
-
-#[inline]
-fn node_hash(node: &CanonNode) -> u64 {
-    let mut h = NodeHasher::default();
-    node.hash(&mut h);
-    h.finish()
 }
 
 /// An index slot: the high 32 bits are the node hash's tag, the low 32
@@ -267,20 +244,69 @@ impl<S: Default, W> Appender<'_, S, W> {
     }
 }
 
-/// One stored [`CanonNode`]: a variant tag word and a payload word, 16
-/// bytes like the node itself. Its writer stores both words before it
+/// A node kind a [`NodeTable`] holds: a fixed number of words per node,
+/// stored in a slot of exactly that many atomic words.
+pub(crate) trait TableNode: Copy + Eq {
+    /// The node's words, `[u64; K]`: equal iff the nodes are, so the
+    /// table compares and hashes words.
+    type Words: Copy + Eq + AsRef<[u64]>;
+    /// Its slot: `K` atomic words.
+    type Slot: Default + Send + Sync + WordSlot<Words = Self::Words>;
+    fn encode(self) -> Self::Words;
+    fn decode(words: Self::Words) -> Self;
+}
+
+/// The hash that routes a node to a stripe and an index slot: its words
+/// folded through the splitmix64 finaliser, so every bit is mixed.
+#[inline]
+fn words_hash(words: &[u64]) -> u64 {
+    words.iter().fold(0, |h, &word| mix64(h ^ word))
+}
+
+/// Storage of one node's words. Its writer stores every word before it
 /// publishes the slot, so `Relaxed` accesses suffice on both sides.
-#[derive(Default)]
-struct NodeSlot([AtomicU64; 2]);
+pub(crate) trait WordSlot {
+    type Words;
+    fn store(&self, words: Self::Words);
+    fn load(&self) -> Self::Words;
+}
 
-// The resident-bytes figure (nodes × `size_of::<CanonNode>()`) is the
-// true slot cost.
-const _: () = assert!(std::mem::size_of::<NodeSlot>() == std::mem::size_of::<CanonNode>());
+/// `K` atomic words: the slot of a `K`-word node kind.
+pub(crate) struct Words<const K: usize>([AtomicU64; K]);
 
-impl NodeSlot {
-    fn store(&self, node: CanonNode) {
+impl<const K: usize> Default for Words<K> {
+    fn default() -> Self {
+        Words(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl<const K: usize> WordSlot for Words<K> {
+    type Words = [u64; K];
+
+    #[inline]
+    fn store(&self, words: [u64; K]) {
+        for (slot, word) in self.0.iter().zip(words) {
+            slot.store(word, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn load(&self) -> [u64; K] {
+        std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
+    }
+}
+
+// The resident-bytes figure (nodes × slot size) is the true slot cost.
+const _: () = assert!(std::mem::size_of::<Words<2>>() == std::mem::size_of::<CanonNode>());
+
+/// A canonical de Bruijn node: a variant tag word and a payload word.
+impl TableNode for CanonNode {
+    type Words = [u64; 2];
+    type Slot = Words<2>;
+
+    fn encode(self) -> [u64; 2] {
         let pair = |a: CanonRef, b: CanonRef| u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32;
-        let words = match node {
+        match self {
             CanonNode::BVar(i) => [0, u64::from(i)],
             CanonNode::FVar(id) => [1, u64::from(id.index())],
             CanonNode::Lam(b) => [2, u64::from(b.to_bits())],
@@ -289,18 +315,14 @@ impl NodeSlot {
             CanonNode::Lit(Literal::I64(v)) => [5, v as u64],
             CanonNode::Lit(Literal::F64Bits(bits)) => [6, bits],
             CanonNode::Lit(Literal::Bool(b)) => [7, u64::from(b)],
-        };
-        for (slot, word) in self.0.iter().zip(words) {
-            slot.store(word, Ordering::Relaxed);
         }
     }
 
     #[inline]
-    fn load(&self) -> CanonNode {
-        let payload = self.0[1].load(Ordering::Relaxed);
+    fn decode([tag, payload]: [u64; 2]) -> Self {
         let low = CanonRef::from_bits(payload as u32);
         let high = CanonRef::from_bits((payload >> 32) as u32);
-        match self.0[0].load(Ordering::Relaxed) {
+        match tag {
             0 => CanonNode::BVar(payload as u32),
             1 => CanonNode::FVar(NameId::from_index(payload as u32)),
             2 => CanonNode::Lam(low),
@@ -314,46 +336,92 @@ impl NodeSlot {
     }
 }
 
-/// One stripe of the table: its nodes, written under the stripe's
-/// interning index. The index mutex serialises interning per stripe and
-/// is held across check-and-insert, so each node is appended exactly
-/// once.
-type Stripe = Segments<NodeSlot, StripeIndex>;
+/// One stripe of a [`NodeTable`]: its nodes, written under the stripe's
+/// writer mutex, and the interning index over them. The mutex serialises
+/// interning per stripe and is held across check-and-insert, so each node
+/// is appended exactly once; lookups read the index without it.
+struct Stripe<N: TableNode> {
+    nodes: Segments<N::Slot, StripeCounts>,
+    index: StripeIndex,
+}
 
-/// A stripe's interning index: open addressing with linear probing over
-/// packed `(tag, position)` slots, one `u64` each, plus the stripe's
-/// intern counters. It is the writer state of the stripe's nodes, so the
-/// counters are plain integers that only the stripe's own writer touches
-/// — no cache line is shared between stripes.
+impl<N: TableNode> Default for Stripe<N> {
+    fn default() -> Self {
+        Stripe {
+            nodes: Segments::default(),
+            index: StripeIndex::default(),
+        }
+    }
+}
+
+/// A stripe's intern counters: the writer state of its nodes, so they
+/// are plain integers that only the stripe's own writer touches — no
+/// cache line is shared between stripes.
 #[derive(Default)]
-struct StripeIndex {
-    /// Power-of-two length once anything is inserted, at most 3/4 full.
-    slots: Vec<u64>,
+struct StripeCounts {
     /// Probes answered by a node already resident in the stripe.
     hits: u64,
     /// Probes that appended a fresh node to the stripe.
     misses: u64,
-    /// Probes that found the index mutex held and had to block.
+    /// Probes that found the writer mutex held and had to block.
     waits: u64,
 }
 
+/// Index generations a stripe can grow through: generation `g` holds
+/// `MIN_SLOTS << g` slots, so the last one indexes every `u32` position.
+const GENERATIONS: usize = 32;
+
+/// A stripe's interning index: open addressing with linear probing over
+/// packed `(tag, position)` slots, one `u64` each, at most 3/4 full. Only
+/// the holder of the stripe's writer mutex fills a slot — after the
+/// node's own slot is published — or rebuilds the index at double size
+/// into the next generation, which it publishes whole. Readers probe the
+/// published generation without a lock. Generations are freed only with
+/// the table, together at most the size of the newest, so a reader on an
+/// older one reads a valid index that merely lacks the newest nodes.
+#[derive(Default)]
+struct StripeIndex {
+    /// Generations built so far; the newest is the live one.
+    built: AtomicUsize,
+    generations: [OnceLock<Box<[AtomicU64]>>; GENERATIONS],
+}
+
 impl StripeIndex {
-    /// The position of `node` in `nodes`, or `Err` with the empty slot
-    /// where it belongs. `probe` is the node hash with the stripe bits
-    /// shifted out. A tag match is confirmed against the stored node.
-    fn find(&self, nodes: &Stripe, probe: u64, tag: u64, node: &CanonNode) -> Result<u32, usize> {
-        if self.slots.is_empty() {
+    /// The live generation's slots (none before the first insert).
+    #[inline]
+    fn slots(&self) -> &[AtomicU64] {
+        match self.built.load(Ordering::Acquire) {
+            0 => &[],
+            g => self.generations[g - 1]
+                .get()
+                .expect("a built generation is set"),
+        }
+    }
+
+    /// The position of the node encoding to `words` in `nodes`, or `Err`
+    /// with the empty slot where it belongs. `probe` is the node hash with
+    /// the stripe bits shifted out. A tag match is confirmed against the
+    /// stored node's words.
+    fn find<N: TableNode>(
+        &self,
+        nodes: &Segments<N::Slot, StripeCounts>,
+        probe: u64,
+        tag: u64,
+        words: &N::Words,
+    ) -> Result<u32, usize> {
+        let slots = self.slots();
+        if slots.is_empty() {
             // No slot yet: the insert that follows builds the index.
             return Err(0);
         }
-        let mask = self.slots.len() - 1;
+        let mask = slots.len() - 1;
         let mut at = probe as usize & mask;
         loop {
-            let slot = self.slots[at];
+            let slot = slots[at].load(Ordering::Acquire);
             if slot == EMPTY_SLOT {
                 return Err(at);
             }
-            if slot >> 32 == tag && nodes.get(slot as u32 as usize).load() == *node {
+            if slot >> 32 == tag && nodes.get(slot as u32 as usize).load() == *words {
                 return Ok(slot as u32);
             }
             at = (at + 1) & mask;
@@ -362,29 +430,41 @@ impl StripeIndex {
 
     /// Fills an empty slot, found by [`find`](Self::find), with the
     /// stripe's newest node at `position` — or, when that would push the
-    /// load past 3/4, rebuilds the index at double size from `nodes`
-    /// (which already holds the new node).
-    fn insert(&mut self, nodes: &Stripe, shard_bits: u32, empty: usize, tag: u64, position: u32) {
+    /// load past 3/4, builds the next generation from `nodes` (which
+    /// already holds the new node). The caller holds the writer mutex.
+    fn insert<N: TableNode>(
+        &self,
+        nodes: &Segments<N::Slot, StripeCounts>,
+        shard_bits: u32,
+        empty: usize,
+        tag: u64,
+        position: u32,
+    ) {
         let len = position + 1;
-        if len as usize * 4 <= self.slots.len() * 3 {
-            self.slots[empty] = pack_slot(tag, position);
+        let slots = self.slots();
+        if len as usize * 4 <= slots.len() * 3 {
+            slots[empty].store(pack_slot(tag, position), Ordering::Release);
             return;
         }
-        let mut capacity = (self.slots.len() * 2).max(MIN_SLOTS);
-        while len as usize * 4 > capacity * 3 {
-            capacity *= 2;
+        let mut g = self.built.load(Ordering::Relaxed);
+        while len as usize * 4 > (MIN_SLOTS << g) * 3 {
+            g += 1;
         }
-        let mask = capacity - 1;
-        let mut slots = vec![EMPTY_SLOT; capacity];
+        let mask = (MIN_SLOTS << g) - 1;
+        let mut fresh: Box<[AtomicU64]> = (0..=mask).map(|_| AtomicU64::new(EMPTY_SLOT)).collect();
         for position in 0..len {
-            let hash = node_hash(&nodes.get(position as usize).load());
+            let hash = words_hash(nodes.get(position as usize).load().as_ref());
             let mut at = (hash >> shard_bits) as usize & mask;
-            while slots[at] != EMPTY_SLOT {
+            while *fresh[at].get_mut() != EMPTY_SLOT {
                 at = (at + 1) & mask;
             }
-            slots[at] = pack_slot(slot_tag(hash), position);
+            *fresh[at].get_mut() = pack_slot(slot_tag(hash), position);
         }
-        self.slots = slots;
+        assert!(
+            self.generations[g].set(fresh).is_ok(),
+            "an index generation is built once"
+        );
+        self.built.store(g + 1, Ordering::Release);
     }
 }
 
@@ -401,17 +481,140 @@ pub(crate) struct InternStats {
     pub(crate) stripe_waits: u64,
 }
 
-/// The shared, sharded, hash-consed canon node table. One per
-/// [`AlphaStore`](crate::AlphaStore); every class and every interned
-/// prepared entry holds [`CanonRef`]s into it.
-pub(crate) struct CanonTable {
-    shards: Vec<Stripe>,
+impl InternStats {
+    fn plus(self, other: InternStats) -> InternStats {
+        InternStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            stripe_waits: self.stripe_waits + other.stripe_waits,
+        }
+    }
+}
+
+/// A sharded, hash-consed table of one node kind: equal nodes intern to
+/// one [`CanonRef`], so ref equality is node equality, and by induction
+/// over the children term identity.
+pub(crate) struct NodeTable<N: TableNode> {
+    shards: Vec<Stripe<N>>,
     /// log2 of the stripe count: how far packed refs shift their index.
     shard_bits: u32,
     /// Stripe count minus one, for masking node hashes and packed refs.
     shard_mask: u32,
-    /// Free-variable names by [`NameId`], written under the name map.
-    names: Segments<OnceLock<Box<str>>, HashMap<Box<str>, u32>>,
+}
+
+impl<N: TableNode> NodeTable<N> {
+    fn with_shards(count: usize) -> Self {
+        NodeTable {
+            shards: (0..count).map(|_| Stripe::<N>::default()).collect(),
+            shard_bits: count.trailing_zeros(),
+            shard_mask: count as u32 - 1,
+        }
+    }
+
+    /// Interns one node (children already interned), returning its ref.
+    /// Idempotent: equal nodes always return the same ref. One node hash
+    /// serves the whole probe: its low `shard_bits` pick the stripe, the
+    /// bits above them the first index slot, its high half the tag.
+    pub(crate) fn intern(&self, node: N) -> CanonRef {
+        let words = node.encode();
+        let hash = words_hash(words.as_ref());
+        let shard = (hash & u64::from(self.shard_mask)) as usize;
+        let stripe = &self.shards[shard];
+        let tag = slot_tag(hash);
+        let (mut writer, waited) = stripe.nodes.lock();
+        writer.state.waits += u64::from(waited);
+        let probe = hash >> self.shard_bits;
+        match stripe.index.find::<N>(&stripe.nodes, probe, tag, &words) {
+            Ok(position) => {
+                writer.state.hits += 1;
+                pack_ref(self.shard_bits, shard, position)
+            }
+            Err(empty) => {
+                let position = writer.push(|slot| slot.store(words));
+                let position = u32::try_from(position).expect("canon stripe overflow");
+                stripe
+                    .index
+                    .insert::<N>(&stripe.nodes, self.shard_bits, empty, tag, position);
+                writer.state.misses += 1;
+                pack_ref(self.shard_bits, shard, position)
+            }
+        }
+    }
+
+    /// The ref of `node` if it is resident, without interning it or
+    /// counting a probe: the read-only probes' lookup, which takes no
+    /// lock. A node interned concurrently may or may not be seen.
+    pub(crate) fn find(&self, node: &N) -> Option<CanonRef> {
+        let words = node.encode();
+        let hash = words_hash(words.as_ref());
+        let shard = (hash & u64::from(self.shard_mask)) as usize;
+        let stripe = &self.shards[shard];
+        let position = stripe
+            .index
+            .find::<N>(
+                &stripe.nodes,
+                hash >> self.shard_bits,
+                slot_tag(hash),
+                &words,
+            )
+            .ok()?;
+        Some(pack_ref(self.shard_bits, shard, position))
+    }
+
+    /// The node behind `r`: a lock-free read. Panics if `r` is past its
+    /// stripe's published length.
+    #[inline]
+    pub(crate) fn node(&self, r: CanonRef) -> N {
+        let (shard, position) = unpack_ref(self.shard_bits, self.shard_mask, r);
+        N::decode(self.shards[shard].nodes.get(position).load())
+    }
+
+    /// The stripes' intern-probe counts, one lock each.
+    pub(crate) fn stats(&self) -> InternStats {
+        self.shards
+            .iter()
+            .fold(InternStats::default(), |sum, stripe| {
+                let counts = &stripe.nodes.lock().0.state;
+                sum.plus(InternStats {
+                    hits: counts.hits,
+                    misses: counts.misses,
+                    stripe_waits: counts.waits,
+                })
+            })
+    }
+
+    /// Resident distinct nodes across all stripes.
+    fn resident(&self) -> u64 {
+        self.shards.iter().map(|s| s.nodes.len() as u64).sum()
+    }
+
+    /// Resident bytes: nodes at their slot size.
+    fn resident_bytes(&self) -> u64 {
+        self.resident() * std::mem::size_of::<N::Slot>() as u64
+    }
+}
+
+/// A name and its order key.
+type NameSlot = (Box<str>, u64);
+
+/// The shared, sharded, hash-consed canon tables: one per
+/// [`AlphaStore`](crate::AlphaStore). Every class and every interned
+/// prepared entry holds a [`CanonRef`] into it: a de Bruijn root in a
+/// `Roots` store, an e-summary key (see [`crate::esummary`]) in a
+/// `Subexpressions` store. Each node kind has its own [`NodeTable`];
+/// free-variable names are shared by both shapes.
+pub(crate) struct CanonTable {
+    /// Canonical de Bruijn nodes.
+    db: NodeTable<CanonNode>,
+    /// §4.8 structures, position trees, variable-map treap nodes and
+    /// class keys.
+    pub(crate) structs: NodeTable<StructNode>,
+    pub(crate) positions: NodeTable<PosNode>,
+    pub(crate) maps: NodeTable<MapNode>,
+    pub(crate) keys: NodeTable<KeyNode>,
+    /// Free-variable names by [`NameId`], each with its order key (see
+    /// [`CanonTable::name_order`]), written under the name map.
+    names: Segments<OnceLock<NameSlot>, HashMap<Box<str>, u32>>,
 }
 
 impl CanonTable {
@@ -420,85 +623,74 @@ impl CanonTable {
         Self::with_shards(default_table_shards())
     }
 
-    /// A table with `count` lock stripes. `count` must be a power of two
-    /// in `1..=`[`MAX_TABLE_SHARDS`].
+    /// A table with `count` lock stripes per node kind. `count` must be a
+    /// power of two in `1..=`[`MAX_TABLE_SHARDS`].
     pub(crate) fn with_shards(count: usize) -> Self {
         assert!(
             count.is_power_of_two() && count <= MAX_TABLE_SHARDS,
             "canon table stripe count must be a power of two in 1..={MAX_TABLE_SHARDS}, got {count}"
         );
         CanonTable {
-            shards: (0..count).map(|_| Stripe::default()).collect(),
-            shard_bits: count.trailing_zeros(),
-            shard_mask: count as u32 - 1,
+            db: NodeTable::with_shards(count),
+            structs: NodeTable::with_shards(count),
+            positions: NodeTable::with_shards(count),
+            maps: NodeTable::with_shards(count),
+            keys: NodeTable::with_shards(count),
             names: Segments::default(),
         }
     }
 
     /// Number of lock stripes this table was built with.
     pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.db.shards.len()
     }
 
-    /// Interns one node (children already interned), returning its ref.
-    /// Idempotent: equal nodes always return the same ref. One node hash
-    /// serves the whole probe: its low `shard_bits` pick the stripe, the
-    /// bits above them the first index slot, its high half the tag.
+    /// Interns one de Bruijn node (children already interned), returning
+    /// its ref.
     pub(crate) fn intern_node(&self, node: CanonNode) -> CanonRef {
-        let hash = node_hash(&node);
-        let shard = (hash & u64::from(self.shard_mask)) as usize;
-        let stripe = &self.shards[shard];
-        let tag = slot_tag(hash);
-        let (mut writer, waited) = stripe.lock();
-        let index = &mut writer.state;
-        index.waits += u64::from(waited);
-        match index.find(stripe, hash >> self.shard_bits, tag, &node) {
-            Ok(position) => {
-                index.hits += 1;
-                pack_ref(self.shard_bits, shard, position)
-            }
-            Err(empty) => {
-                let position = writer.push(|slot| slot.store(node));
-                let position = u32::try_from(position).expect("canon stripe overflow");
-                let index = &mut writer.state;
-                index.insert(stripe, self.shard_bits, empty, tag, position);
-                index.misses += 1;
-                pack_ref(self.shard_bits, shard, position)
-            }
-        }
+        self.db.intern(node)
     }
 
-    /// The node behind `r`: a lock-free read. Panics if `r` is past its
-    /// stripe's published length.
+    /// The de Bruijn node behind `r`: a lock-free read.
     #[inline]
     pub(crate) fn node(&self, r: CanonRef) -> CanonNode {
-        let (shard, position) = unpack_ref(self.shard_bits, self.shard_mask, r);
-        self.shards[shard].get(position).load()
+        self.db.node(r)
     }
 
     /// The name string behind `id`: a lock-free read.
     #[inline]
     pub(crate) fn name(&self, id: NameId) -> &str {
+        &self
+            .names
+            .get(id.index() as usize)
+            .get()
+            .expect("a published name is set")
+            .0
+    }
+
+    /// The order key of the name behind `id`: a hash of its string, so
+    /// that how names compare — and the shape of every variable-map treap
+    /// — does not depend on the order in which names were interned. A
+    /// lock-free read.
+    #[inline]
+    pub(crate) fn name_order(&self, id: NameId) -> u64 {
         self.names
             .get(id.index() as usize)
             .get()
             .expect("a published name is set")
+            .1
     }
 
-    /// The intern-probe counts since construction — the dedup ratio of
-    /// the hash-consing layer and its stripe contention, read by the obs
-    /// surface. Sums the stripes' own counts, one lock each.
+    /// The intern-probe counts since construction, over every node kind
+    /// — the dedup ratio of the hash-consing layer and its stripe
+    /// contention, read by the obs surface.
     pub(crate) fn intern_stats(&self) -> InternStats {
-        self.shards
-            .iter()
-            .fold(InternStats::default(), |sum, stripe| {
-                let index = &stripe.lock().0.state;
-                InternStats {
-                    hits: sum.hits + index.hits,
-                    misses: sum.misses + index.misses,
-                    stripe_waits: sum.stripe_waits + index.waits,
-                }
-            })
+        self.db
+            .stats()
+            .plus(self.structs.stats())
+            .plus(self.positions.stats())
+            .plus(self.maps.stats())
+            .plus(self.keys.stats())
     }
 
     /// Interns a free-variable name, returning its global id. Idempotent.
@@ -507,10 +699,23 @@ impl CanonTable {
         if let Some(&index) = writer.state.get(name) {
             return NameId::from_index(index);
         }
-        let index = writer.push(|slot| slot.set(name.into()).expect("a fresh name slot is empty"));
+        let order = hash_str(0, name);
+        let index = writer.push(|slot| {
+            slot.set((name.into(), order))
+                .expect("a fresh name slot is empty")
+        });
         let index = u32::try_from(index).expect("name table overflow");
         writer.state.insert(name.into(), index);
         NameId::from_index(index)
+    }
+
+    /// The id of `name` if the table holds it, without interning it.
+    pub(crate) fn find_name(&self, name: &str) -> Option<NameId> {
+        let writer = self.names.lock().0;
+        writer
+            .state
+            .get(name)
+            .map(|&index| NameId::from_index(index))
     }
 
     /// Interns every node of a [`DbArena`] term bottom-up (arena order is
@@ -539,9 +744,24 @@ impl CanonTable {
         self.intern_arena_refs(arena)[root.index()]
     }
 
-    /// Resident distinct nodes across all stripes.
+    /// Resident distinct nodes across all stripes and node kinds.
     pub(crate) fn resident_nodes(&self) -> u64 {
-        self.shards.iter().map(|s| s.len() as u64).sum()
+        self.db.resident()
+            + self.structs.resident()
+            + self.positions.resident()
+            + self.maps.resident()
+            + self.keys.resident()
+    }
+
+    /// Resident bytes: every node of every kind at its slot size, plus
+    /// the name strings.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.db.resident_bytes()
+            + self.structs.resident_bytes()
+            + self.positions.resident_bytes()
+            + self.maps.resident_bytes()
+            + self.keys.resident_bytes()
+            + self.resident_names().1
     }
 
     /// Resident distinct names and their total string bytes.
@@ -985,11 +1205,11 @@ mod tests {
     fn lock_free_readers_see_every_published_node_while_threads_intern() {
         // Two threads intern overlapping streams, and names, across index
         // doublings and chunk boundaries (at 1 stripe, into chunk 13)
-        // while two readers (a) read back every (node, ref) pair the
-        // interners hand them and (b) read each stripe's and the name
-        // table's published prefix as soon as it grows, checked against
-        // the final table once every thread is done. A multiple of 64, so
-        // every probe is handed over.
+        // while two readers (a) read back, and find through the lock-free
+        // index, every (node, ref) pair the interners hand them and (b)
+        // read each stripe's and the name table's published prefix as
+        // soon as it grows, checked against the final table once every
+        // thread is done. A multiple of 64, so every probe is handed over.
         const PER_THREAD: usize = 102_400;
         let streams = [
             oracle_stream(0xC0FFEE, 0xD1CE, PER_THREAD),
@@ -1033,11 +1253,13 @@ mod tests {
                                 seen_handed += fresh.len();
                                 for (node, r) in fresh {
                                     assert_eq!(table.node(r), node, "{r:?} reads back wrong");
+                                    assert_eq!(table.db.find(&node), Some(r), "{node:?} not found");
                                 }
                                 for (shard, seen) in seen.iter_mut().enumerate() {
-                                    let len = table.shards[shard].len();
+                                    let len = table.db.shards[shard].nodes.len();
                                     for position in *seen..len {
-                                        let r = pack_ref(table.shard_bits, shard, position as u32);
+                                        let r =
+                                            pack_ref(table.db.shard_bits, shard, position as u32);
                                         reads.push((r, table.node(r)));
                                     }
                                     *seen = len;

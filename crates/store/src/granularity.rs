@@ -23,23 +23,21 @@
 //! ## Cost model
 //!
 //! Hashing all subexpressions stays one O(n (log n)²) pass (the paper's
-//! headline bound). What subexpression *indexing* adds is canonical-form
-//! material: each indexed subterm needs its standalone de Bruijn form,
-//! both to confirm candidate merges exactly and to seed new classes, and
-//! those forms are genuinely different terms (a variable bound outside a
-//! subterm is *free by name* inside it), so they cannot be shared with the
-//! root's form. They can be built up, though: one bottom-up pass interns
-//! each node's standalone form from its children's, and only a binder
-//! changes anything below it, so at each `Lam`/`Let` the pass re-interns
-//! just the paths from the binder's body down to its own occurrences. A
-//! term costs O(n + Σ binder→occurrence path lengths) intern probes, and
-//! only nodes whose canonical form actually changes are re-interned —
-//! O(n) on a binder-free spine, and O(n · depth) only when every binder's
-//! occurrences sit deep below it. `min_nodes` decides which subterms
+//! headline bound). What subexpression *indexing* adds is a class key per
+//! indexed subterm, both to confirm candidate merges exactly and to seed
+//! new classes. A subterm's standalone de Bruijn form would not do: it
+//! differs from its in-context form along every path from an outer binder
+//! to its occurrences (a variable bound outside a subterm is *free by
+//! name* inside it), so building those forms is Θ(n²) on ANF chains and
+//! binder fans. The key is the paper's §4.8 e-summary instead, interned by
+//! the same pass (see `crate::esummary`): a subterm's structure and
+//! position trees are the same nodes standalone and in context, and its
+//! variable map is a hash-consed treap, so a term costs O(n (log n)²)
+//! intern probes and resident nodes. `min_nodes` decides which subterms
 //! become index entries: raising it skips the long tail of tiny
 //! subterms, which dominate the count but rarely matter for containment
-//! queries. Their standalone forms are still interned, as building blocks
-//! of the forms above them.
+//! queries. Their structures and maps are still interned, as building
+//! blocks of the keys above them.
 //!
 //! ```
 //! use alpha_store::{AlphaStore, Granularity};

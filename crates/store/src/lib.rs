@@ -92,6 +92,7 @@ pub mod canon;
 pub mod codec;
 pub mod corpus;
 pub(crate) mod dag;
+pub(crate) mod esummary;
 pub mod granularity;
 pub(crate) mod obs;
 pub mod persist;

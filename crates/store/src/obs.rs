@@ -47,6 +47,7 @@ pub(crate) struct StoreObs {
     // Latency histograms (ns).
     prepare_ns: Arc<Histogram>,
     prepare_nodes: Arc<Histogram>,
+    prepare_intern_probes_per_node: Arc<Histogram>,
     shard_lock_wait_ns: Arc<Histogram>,
     apply_ns: Arc<Histogram>,
     wal_commit_ns: Arc<Histogram>,
@@ -64,6 +65,7 @@ pub(crate) struct StoreObs {
     updates_applied: Arc<Counter>,
     spine_nodes_rehashed: Arc<Counter>,
     update_hasher_rebuilds: Arc<Counter>,
+    update_rebuild_nodes: Arc<Counter>,
     // Reliability instruments (health state machine, retry loop,
     // auto-checkpoint).
     health: Arc<Gauge>,
@@ -94,6 +96,11 @@ impl StoreObs {
             "alpha_store_prepare_nodes",
             "Nodes per prepared term at ingest",
             "nodes",
+        ));
+        let prepare_intern_probes_per_node = registry.histogram(desc(
+            "alpha_store_prepare_intern_probes_per_node",
+            "Canon-table intern probes one ingest prepare made per input node, rounded up",
+            "probes/node",
         ));
         let shard_lock_wait_ns = registry.histogram(desc(
             "alpha_store_shard_lock_wait_ns",
@@ -185,6 +192,11 @@ impl StoreObs {
             "Roots-mode updates that found no cached hasher and rebuilt one from the class canon",
             "rebuilds",
         ));
+        let update_rebuild_nodes = registry.counter(desc(
+            "alpha_store_update_rebuild_nodes",
+            "Nodes of the terms whose Roots-mode update hasher was rebuilt from the class canon",
+            "nodes",
+        ));
         let persist_errors = registry.counter(desc(
             "alpha_store_persist_errors",
             "I/O errors surfaced by the persistence layer",
@@ -221,6 +233,7 @@ impl StoreObs {
             registry,
             prepare_ns,
             prepare_nodes,
+            prepare_intern_probes_per_node,
             shard_lock_wait_ns,
             apply_ns,
             wal_commit_ns,
@@ -237,6 +250,7 @@ impl StoreObs {
             updates_applied,
             spine_nodes_rehashed,
             update_hasher_rebuilds,
+            update_rebuild_nodes,
             health,
             wal_retries,
             auto_checkpoints,
@@ -268,8 +282,10 @@ impl StoreObs {
     // ---- hot-path recorders -------------------------------------
 
     #[inline]
-    pub(crate) fn rec_prepare(&self, t: Tick, nodes: u64) {
+    pub(crate) fn rec_prepare(&self, t: Tick, nodes: u64, intern_probes: u64) {
         self.prepare_nodes.record(nodes);
+        self.prepare_intern_probes_per_node
+            .record(intern_probes.div_ceil(nodes.max(1)));
         self.prepare_ns.record(t.elapsed_ns());
     }
 
@@ -345,10 +361,12 @@ impl StoreObs {
         self.spine_nodes_rehashed.add(spine_nodes);
     }
 
-    /// A `Roots`-mode update that rebuilt its term's hasher, O(n).
+    /// A `Roots`-mode update that rebuilt its term's hasher from the
+    /// `nodes` of its class canon, O(n).
     #[inline]
-    pub(crate) fn rec_hasher_rebuild(&self) {
+    pub(crate) fn rec_hasher_rebuild(&self, nodes: u64) {
         self.update_hasher_rebuilds.inc();
+        self.update_rebuild_nodes.add(nodes);
     }
 
     // ---- reliability recorders ----------------------------------

@@ -469,9 +469,18 @@ fn recover<H: HashWord>(
         identity.check(&contents.header.identity, WAL_FILE)?;
     }
     let (snap_epoch, records_applied) = match snapshot {
-        Some((header, shards)) => {
-            // Same shard count as the store's: the identity says so.
-            store.table = table;
+        Some((header, mut shards)) => {
+            // Same shard count as the store's: the identity says so. A
+            // `Subexpressions` store re-summarises each class's decoded
+            // form into its key; the decoded table is dropped.
+            if store.granularity().indexes_subexpressions() {
+                for class in shards.iter_mut().flat_map(|s| s.classes.iter_mut()) {
+                    let (db, root) = crate::dag::extract_one(&table, class.canon);
+                    class.canon = store.canons_of(&db, &[root])[0];
+                }
+            } else {
+                store.table = table;
+            }
             store.shards = shards.into_iter().map(RwLock::new).collect();
             store.counters.restore(&header.stats);
             (Some(header.wal_epoch), header.wal_records_applied)

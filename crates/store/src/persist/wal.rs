@@ -46,7 +46,6 @@ use crate::codec::{
     begin_frame, end_frame, put_u16, put_u64, put_u8, take_bytes, take_frame, take_u16, take_u64,
     take_u8, FRAME_HEADER_LEN,
 };
-use crate::dag::{extract_canon, CanonTable};
 use crate::obs::WalObs;
 use crate::prepare::{PreparedCanon, PreparedTerm};
 use alpha_hash::combine::HashWord;
@@ -411,14 +410,14 @@ impl Wal {
 /// Frames one insert record, encoding the payload in place (see
 /// [`begin_frame`]). A frontier root (a term with nothing indexed below it)
 /// is already a topologically ordered node run whose positions are the
-/// record positions. An interned term's entries are extracted from the
-/// canon DAG **once**, as one node-deduplicated run (shared structure
-/// appears one time, however many entries use it), and address
-/// positions in it.
+/// record positions. An interned term's entries are converted by `run`
+/// **once**, as one node-deduplicated de Bruijn run (shared structure
+/// appears one time, however many entries use it; see
+/// `AlphaStore::debruijn_run`), and address positions in it.
 pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
-    table: &CanonTable,
     pt: &PreparedTerm<H>,
+    run: impl FnOnce(&[CanonRef], &mut DbArena) -> Vec<DbId>,
 ) {
     let frame_start = begin_frame(out);
     put_u8(out, FRAME_RECORD);
@@ -434,7 +433,7 @@ pub(crate) fn frame_record<H: HashWord>(
                 .chain(pt.subs.iter().map(|s| s.canon))
                 .collect();
             let mut dag = DbArena::new();
-            let ids = extract_canon(table, &refs, &mut dag);
+            let ids = run(&refs, &mut dag);
             let subs: Vec<(H, DbId, u64, u32)> = pt
                 .subs
                 .iter()
@@ -444,6 +443,7 @@ pub(crate) fn frame_record<H: HashWord>(
             let head = (root.hash, ids[0], root.node_count);
             format::put_record(out, &dag, head, &subs, pt.skipped);
         }
+        PreparedCanon::Absent => unreachable!("only probes are absent"),
     }
     end_frame(out, frame_start);
 }
@@ -470,7 +470,7 @@ pub(crate) fn frame_commit(out: &mut Vec<u8>, count: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::CanonTable;
+    use crate::dag::{extract_canon, CanonTable};
     use crate::granularity::Granularity;
     use crate::persist::vfs::{FaultKind, FaultVfs, OsVfs};
     use alpha_hash::combine::HashScheme;
@@ -511,7 +511,9 @@ mod tests {
             for src in *group {
                 let parsed = parse(&mut arena, src).unwrap();
                 let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
-                frame_record(&mut frames, &table, &pt);
+                frame_record(&mut frames, &pt, |refs, dag| {
+                    extract_canon(&table, refs, dag)
+                });
                 count += 1;
             }
             frame_commit(&mut frames, group.len() as u64);
@@ -550,7 +552,9 @@ mod tests {
         let table = CanonTable::new();
         let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
-        frame_record(&mut frames, &table, &pt);
+        frame_record(&mut frames, &pt, |refs, dag| {
+            extract_canon(&table, refs, dag)
+        });
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);

@@ -2,56 +2,48 @@
 //! canonical form of a term, from one traversal — the only step of ingest
 //! that depends on the store's [`Granularity`].
 //!
-//! The store used to prepare a term in two walks — `hash_expr` (post-order
-//! summarisation) followed by `to_debruijn` (scoped conversion) — and each
-//! walk rebuilt its scaffolding from scratch. [`Preparer`] fuses the two,
-//! and one `Preparer` serves a whole batch, so its environment table, node
-//! stacks, summariser scratch buffers and caches are all reused from term
-//! to term.
+//! [`Preparer`] fuses hashing with canonicalisation, and one `Preparer`
+//! serves a whole batch, so its environment table, node stacks,
+//! summariser scratch buffers and caches are all reused from term to term.
 //!
-//! `Preparer::prepare` (crate-internal) is the one entry point. It returns
-//! a `PreparedTerm` in both granularities: a root entry plus the indexed
-//! subexpression entries, of which `Roots` mode has none. Everything below
-//! it (the batch driver, the WAL framer, the shard sweeps, probes and
-//! updates) runs one path for both. The root entry carries its canonical
-//! form in one of two shapes:
+//! `Preparer::prepare` (crate-internal) is the one ingest entry point and
+//! `Preparer::probe` the read-only one. Both return a root entry, and
+//! ingest adds the indexed subexpression entries, of which `Roots` mode
+//! has none. Everything below it (the batch driver, the WAL framer, the
+//! shard sweeps, probes and updates) runs one path for both. The root
+//! entry carries its canonical form in one of two shapes:
 //!
-//! * **Frontier** ([`Preparer::hash_and_canon`]) — `Roots` mode and
-//!   read-only probes: one fused scoped walk yields the term's hash and a
-//!   standalone [`DbArena`] canonical form. Frontier forms are cheap (no
-//!   table traffic on the hot path); a merge is confirmed by walking the
-//!   form against the DAG, and the form is interned only if the insert
-//!   creates a class.
-//! * **Interned** (`Preparer::prepare_term`) — `Subexpressions` mode: one
-//!   O(n (log n)²) post-order pass hashes **every** node (the paper's
-//!   headline result), then one bottom-up pass over the same post-order
-//!   canonicalizes every node **directly into the canon DAG** — no
-//!   per-subterm arena is ever allocated. Because interning is exact
-//!   hash-consing, identical subterms *within* a term come back as the
-//!   same [`CanonRef`], and the preparer collapses them into one
-//!   `SubEntry` with an occurrence `multiplicity` instead of k copies.
-//!   Downstream, the shard sweep confirms interned entries against
-//!   candidate classes with an O(1) ref compare.
+//! * **Frontier** ([`Preparer::hash_and_canon`]) — `Roots` mode: one
+//!   fused scoped walk yields the term's hash and a standalone [`DbArena`]
+//!   de Bruijn form. Frontier forms are cheap (no table traffic on the hot
+//!   path); a merge is confirmed by walking the form against the DAG, and
+//!   the form is interned only if the insert creates a class.
+//! * **Interned** (`Preparer::prepare_term`) — `Subexpressions` mode: the
+//!   paper's one O(n (log n)²) post-order pass hashes **every** node and,
+//!   through an interning sink (`crate::esummary`), hash-conses every
+//!   node's §4.8 e-summary into the table. A subterm's class key is one
+//!   interned `(structure, map)` node, the same ref standalone and in
+//!   context, so no node's form is ever rebuilt for its subterms: a term
+//!   costs O(1) probes per node plus O(log n) per Lemma 6.1 map operation,
+//!   O(n (log n)²) in all. Identical subterms *within* a term come back as
+//!   the same key, and the preparer collapses them into one `SubEntry`
+//!   with an occurrence `multiplicity`. Downstream, the shard sweep
+//!   confirms entries against candidate classes with an O(1) ref compare.
+//!   A probe of a `Subexpressions` store runs the same pass with lookups
+//!   only, and is absent at the first e-summary node the table lacks.
 //!
-//! A subterm's canonical form cannot be sliced out of the root's — a
-//! variable bound *outside* a subterm is free *by name* inside it. But it
-//! can be *built up* from its children's: an `App` (or a `Var`/`Lit`
-//! leaf) interns one node from its children's refs, and only a binder
-//! changes anything below it — its own occurrences turn from `FVar(x)`
-//! into `BVar(i)`. So at a `Lam x`/`Let x` the pass re-interns just the
-//! union of paths from the binder's body down to those occurrences and
-//! keeps every other subtree's ref as it is. A term costs
-//! O(n + Σ binder→occurrence path lengths) intern probes, and only nodes
-//! whose canonical form actually changes are re-interned. The standalone
-//! forms of subterms below the `min_nodes` floor are interned too, as the
-//! building blocks of the forms above them.
+//! De Bruijn form stays the boundary format: the WAL, the snapshot and
+//! `representative_into` convert keys through the §4.8 inverse
+//! (`crate::esummary::Inverse`), and replay re-summarises what they
+//! carry.
 
 use crate::dag::CanonTable;
+use crate::esummary::Scratch;
 use crate::granularity::Granularity;
 use alpha_hash::combine::{HashScheme, HashWord};
 use alpha_hash::hashed::HashedSummariser;
 use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
-use lambda_lang::canon::{CanonNode, CanonRef, NameId};
+use lambda_lang::canon::CanonRef;
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::symbol::Symbol;
 use lambda_lang::visit::{walk_scoped_with, ScopeEvent, ScopeStack};
@@ -64,7 +56,7 @@ use std::sync::Mutex;
 /// strings, so SipHash's flooding resistance buys nothing here. One
 /// rotate, xor and multiply per word (the FxHash step).
 #[derive(Default)]
-struct IndexHasher(u64);
+pub(crate) struct IndexHasher(u64);
 
 impl Hasher for IndexHasher {
     #[inline]
@@ -91,7 +83,7 @@ impl Hasher for IndexHasher {
 }
 
 /// A hash map keyed by an interner index (see [`IndexHasher`]).
-type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
+pub(crate) type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
 
 /// How a prepared root entry carries its canonical form to the shard
 /// sweep.
@@ -110,6 +102,9 @@ pub(crate) enum PreparedCanon {
         /// Root of `canon`.
         canon_root: DbId,
     },
+    /// A probe of a `Subexpressions` store whose e-summary has a node the
+    /// table lacks: no class can match it.
+    Absent,
 }
 
 /// One prepared (sub)expression: everything the store needs to index it —
@@ -182,9 +177,7 @@ impl<H> PreparedTerm<H> {
 }
 
 /// Brings `sym` into scope at the current depth, remembering any shadowed
-/// outer binding on the `saved` stack. Only the fused root walk keeps an
-/// environment: the subexpression pass resolves binders by post-order
-/// range instead (see `Preparer::close_binder`).
+/// outer binding on the `saved` stack.
 fn bind(
     env: &mut IndexMap<Symbol, u32>,
     saved: &mut Vec<Option<u32>>,
@@ -257,10 +250,11 @@ fn emit_db(
 /// Reusable state for preparing many terms of one arena: the streaming
 /// summariser plus the conversion environments, stacks and caches. A
 /// `Preparer` is arena-affine — like the summariser's name-hash cache, the
-/// symbol→[`NameId`] cache assumes every call passes the arena the
-/// preparer was built for — until `forget_arena` empties both caches.
-/// It keeps its own copy of the [`HashScheme`] and borrows nothing, so the
-/// store can keep warm preparers between calls (`PreparerPool`).
+/// e-summary scratch's symbol→[`NameId`](lambda_lang::canon::NameId) cache
+/// assumes every call passes the arena (and the table) the preparer was
+/// built for — until `forget_arena` empties both caches. It keeps its own
+/// copy of the [`HashScheme`] and borrows nothing, so the store can keep
+/// warm preparers between calls (`PreparerPool`).
 pub struct Preparer<H: HashWord> {
     summariser: HashedSummariser<H>,
     /// Binder symbol → binding level (distance from the root), for the
@@ -270,27 +264,12 @@ pub struct Preparer<H: HashWord> {
     db_stack: Vec<DbId>,
     /// Traversal scratch of the fused root walk.
     scope: ScopeStack,
-    /// Per-node `(node, hash, size)` records of the latest hashing pass,
-    /// in post-order (so the root is last). Only filled by `prepare_term`.
-    sub_infos: Vec<(NodeId, H, u64)>,
-    /// Arena symbol → global canon-DAG name, cached per preparer.
-    name_ids: IndexMap<Symbol, NameId>,
-    /// Intra-term dedup: interned ref bits → index into the subs vec.
+    /// The e-summary sinks' stacks and caches (`Subexpressions` mode).
+    esum: Scratch<H>,
+    /// Intra-term dedup: interned key bits → index into the subs vec.
     dedup: IndexMap<u32, usize>,
-    /// Per post-order position: the node's canon ref in the context of its
-    /// most recently finished enclosing subterm (its standalone ref at the
-    /// moment it finishes).
-    refs: Vec<CanonRef>,
-    /// Per post-order position of a `Var`: the previous still-free
-    /// occurrence of the same symbol, or [`NO_OCC`]. With `occ_head`, one
-    /// linked stack of open occurrences per symbol.
-    occ_prev: Vec<u32>,
-    /// Symbol → post-order position of its latest still-free occurrence.
-    occ_head: IndexMap<Symbol, u32>,
-    /// The occurrences the binder being closed captures, ascending.
-    closing: Vec<u32>,
-    /// Work stack of the path re-interning walk.
-    path_stack: Vec<PathTask>,
+    /// Intern probes the latest `prepare` made (none in `Roots` mode).
+    pub(crate) intern_probes: u64,
     /// Node count of the largest term prepared since the preparer was
     /// built or last forgot its arena (see `PreparerPool::give`).
     largest: u64,
@@ -298,50 +277,6 @@ pub struct Preparer<H: HashWord> {
     /// shard sort keys, kept so a warm probe reuses their capacity.
     pub(crate) probe_roots: Vec<RootEntry<H>>,
     pub(crate) probe_keys: Vec<u64>,
-}
-
-/// End of an occurrence list in [`Preparer`]'s `occ_prev`.
-const NO_OCC: u32 = u32::MAX;
-
-/// One step of [`Preparer::close_binder`]'s walk down the paths to a
-/// binder's occurrences. Positions are post-order positions in the term;
-/// `lo..hi` is the slice of `closing` that lies inside the node's subtree.
-enum PathTask {
-    /// Visit the node at `pos`, which sits under `depth` binders below the
-    /// one being closed.
-    Enter {
-        pos: u32,
-        lo: u32,
-        hi: u32,
-        depth: u32,
-    },
-    /// Re-intern the node at `pos` from its children's (updated) refs.
-    Exit(u32),
-}
-
-/// Post-order position of the left child (`App` function, `Let` rhs) of a
-/// binary node whose right child sits at `right`: the left subtree ends
-/// where the right one starts.
-fn left_of<H>(infos: &[(NodeId, H, u64)], right: usize) -> usize {
-    right - infos[right].2 as usize
-}
-
-/// The canon node for the inner node at post-order position `p`, built
-/// from its children's current refs. The right child (the body of a
-/// `Lam`/`Let`, the argument of an `App`) always ends at `p - 1`.
-fn compose<H>(
-    node: ExprNode,
-    p: usize,
-    infos: &[(NodeId, H, u64)],
-    refs: &[CanonRef],
-) -> CanonNode {
-    let right = refs[p - 1];
-    match node {
-        ExprNode::Lam(_, _) => CanonNode::Lam(right),
-        ExprNode::App(_, _) => CanonNode::App(refs[left_of(infos, p - 1)], right),
-        ExprNode::Let(_, _, _) => CanonNode::Let(refs[left_of(infos, p - 1)], right),
-        ExprNode::Var(_) | ExprNode::Lit(_) => unreachable!("leaves have no children"),
-    }
 }
 
 impl<H: HashWord> Preparer<H> {
@@ -353,14 +288,9 @@ impl<H: HashWord> Preparer<H> {
             saved: Vec::new(),
             db_stack: Vec::new(),
             scope: ScopeStack::new(),
-            sub_infos: Vec::new(),
-            name_ids: IndexMap::default(),
+            esum: Scratch::default(),
             dedup: IndexMap::default(),
-            refs: Vec::new(),
-            occ_prev: Vec::new(),
-            occ_head: IndexMap::default(),
-            closing: Vec::new(),
-            path_stack: Vec::new(),
+            intern_probes: 0,
             largest: 0,
             probe_roots: Vec::new(),
             probe_keys: Vec::new(),
@@ -372,7 +302,7 @@ impl<H: HashWord> Preparer<H> {
     /// may serve another arena.
     fn forget_arena(&mut self) {
         self.summariser.forget_names();
-        self.name_ids.clear();
+        self.esum.forget_arena();
         self.largest = 0;
         self.probe_roots.clear();
         self.probe_roots.shrink_to(POOLED_PROBE_SCRATCH);
@@ -391,7 +321,6 @@ impl<H: HashWord> Preparer<H> {
     /// Prepares a term for a store of `granularity`: in `Roots` mode the
     /// frontier root of [`Preparer::hash_and_canon`] with nothing indexed
     /// below it, in `Subexpressions` mode `Preparer::prepare_term`.
-    /// Read-only probes prepare as `Roots` mode does.
     pub(crate) fn prepare(
         &mut self,
         arena: &ExprArena,
@@ -399,6 +328,7 @@ impl<H: HashWord> Preparer<H> {
         granularity: Granularity,
         table: &CanonTable,
     ) -> PreparedTerm<H> {
+        self.intern_probes = 0;
         let pt = match granularity {
             Granularity::Roots => {
                 let (hash, canon, canon_root) = self.hash_and_canon(arena, root);
@@ -421,9 +351,35 @@ impl<H: HashWord> Preparer<H> {
         pt
     }
 
+    /// Prepares a read-only probe of a store of `granularity`: the
+    /// frontier root of a `Roots` prepare, or, in `Subexpressions` mode,
+    /// the pattern's class key looked up without writing the table
+    /// ([`PreparedCanon::Absent`] if it is not there).
+    pub(crate) fn probe(
+        &mut self,
+        arena: &ExprArena,
+        root: NodeId,
+        granularity: Granularity,
+        table: &CanonTable,
+    ) -> RootEntry<H> {
+        let Granularity::Subexpressions { .. } = granularity else {
+            return self.prepare(arena, root, granularity, table).root;
+        };
+        let (hash, node_count, key) =
+            self.esum
+                .probe_term(&mut self.summariser, arena, root, table);
+        self.largest = self.largest.max(node_count);
+        SubEntry {
+            hash,
+            node_count,
+            multiplicity: 1,
+            canon: key.map_or(PreparedCanon::Absent, PreparedCanon::Interned),
+        }
+    }
+
     /// Computes the term's alpha-hash and its canonical de Bruijn form in
-    /// one fused post-order pass — the frontier shape used by
-    /// root-granularity ingest and by read-only probes.
+    /// one fused post-order pass — the frontier shape of root-granularity
+    /// ingest and probes.
     ///
     /// The de Bruijn output is structurally identical to
     /// [`lambda_lang::debruijn::to_debruijn`]'s (the property tests
@@ -462,24 +418,13 @@ impl<H: HashWord> Preparer<H> {
         (root_hash.expect("non-empty term"), dst, db_root)
     }
 
-    /// The pure hashing pass of [`Preparer::prepare_term`]: the
-    /// summariser's one post-order pass records `(node, hash, size)` for
-    /// every node into `sub_infos`.
-    fn hash_all(&mut self, arena: &ExprArena, root: NodeId) -> H {
-        self.sub_infos.clear();
-        self.summariser.push_tree(arena, root, &mut self.sub_infos);
-        self.summariser.finish_discard();
-        self.sub_infos.last().expect("non-empty term").1
-    }
-
-    /// Prepares a term at subexpression granularity: **one** fused
-    /// O(n (log n)²) walk hashes every node (no per-subterm `hash_expr`),
-    /// then one bottom-up pass canonicalizes every node straight into
-    /// `table` (see the module docs for its cost). Each proper
-    /// subexpression with at least `min_nodes` nodes becomes an entry, and
-    /// duplicate occurrences collapse into one entry with a multiplicity
-    /// (exact, by hash-consed ref equality). The root is always included,
-    /// whatever its size.
+    /// Prepares a term at subexpression granularity: **one** O(n (log n)²)
+    /// pass hashes every node and interns every node's e-summary into
+    /// `table` (see the module docs). Each proper subexpression with at
+    /// least `min_nodes` nodes becomes an entry keyed by its interned
+    /// `(structure, map)` node, and duplicate occurrences collapse into
+    /// one entry with a multiplicity (exact, by hash-consed ref
+    /// equality). The root is always included, whatever its size.
     pub(crate) fn prepare_term(
         &mut self,
         arena: &ExprArena,
@@ -488,190 +433,41 @@ impl<H: HashWord> Preparer<H> {
         table: &CanonTable,
     ) -> PreparedTerm<H> {
         let min_nodes = min_nodes.max(1) as u64;
-        let root_hash = self.hash_all(arena, root);
-        let infos = std::mem::take(&mut self.sub_infos);
-        debug_assert_eq!(infos.last().map(|&(n, _, _)| n), Some(root));
-        self.refs.clear();
-        self.occ_prev.clear();
-        self.occ_head.clear();
-
+        let interned = self
+            .esum
+            .intern_term(&mut self.summariser, arena, root, min_nodes, table);
+        self.intern_probes = interned.probes;
+        // Every indexed node but the root, which is last when indexed.
+        let indexed = &self.esum.indexed;
+        let proper = &indexed[..indexed.len() - usize::from(interned.size >= min_nodes)];
         let mut subs: Vec<SubEntry<H>> = Vec::new();
-        let mut skipped = 0u64;
         self.dedup.clear();
-        let last = infos.len() - 1;
-        for (p, &(_, hash, size)) in infos.iter().enumerate() {
-            let cref = self.canon_node(arena, table, &infos, p);
-            if p == last {
-                break;
-            }
-            if size < min_nodes {
-                skipped += 1;
-                continue;
-            }
-            match self.dedup.get(&cref.to_bits()) {
+        for &(key, hash, size) in proper {
+            match self.dedup.get(&key.to_bits()) {
                 Some(&at) => {
-                    debug_assert_eq!(subs[at].hash, hash, "equal canon implies equal hash");
+                    debug_assert_eq!(subs[at].hash, hash, "equal keys imply equal hashes");
                     subs[at].multiplicity += 1;
                 }
                 None => {
-                    self.dedup.insert(cref.to_bits(), subs.len());
+                    self.dedup.insert(key.to_bits(), subs.len());
                     subs.push(SubEntry {
                         hash,
                         node_count: size,
                         multiplicity: 1,
-                        canon: cref,
+                        canon: key,
                     });
                 }
             }
         }
-        let root_ref = self.refs[last];
-        let root_size = infos[last].2;
-        self.sub_infos = infos; // give the buffer back for reuse
         PreparedTerm {
             root: SubEntry {
-                hash: root_hash,
-                node_count: root_size,
+                hash: interned.hash,
+                node_count: interned.size,
                 multiplicity: 1,
-                canon: PreparedCanon::Interned(root_ref),
+                canon: PreparedCanon::Interned(interned.key),
             },
             subs,
-            skipped,
-        }
-    }
-
-    /// Finishes the node at post-order position `p` (every node before it
-    /// is finished): interns its standalone canonical form from its
-    /// children's refs, after closing its binder if it has one, and records
-    /// the ref at `refs[p]`.
-    fn canon_node(
-        &mut self,
-        arena: &ExprArena,
-        table: &CanonTable,
-        infos: &[(NodeId, H, u64)],
-        p: usize,
-    ) -> CanonRef {
-        debug_assert_eq!(self.refs.len(), p);
-        let node = arena.node(infos[p].0);
-        let mut prev = NO_OCC;
-        let canon = match node {
-            ExprNode::Var(s) => {
-                // Free in its own standalone form; an enclosing binder
-                // rewrites it when it closes.
-                prev = self.occ_head.insert(s, p as u32).unwrap_or(NO_OCC);
-                CanonNode::FVar(
-                    *self
-                        .name_ids
-                        .entry(s)
-                        .or_insert_with(|| table.intern_name(arena.name(s))),
-                )
-            }
-            ExprNode::Lit(l) => CanonNode::Lit(l),
-            ExprNode::Lam(x, _) | ExprNode::Let(x, _, _) => {
-                self.close_binder(arena, table, infos, p, x);
-                compose(node, p, infos, &self.refs)
-            }
-            ExprNode::App(_, _) => compose(node, p, infos, &self.refs),
-        };
-        self.occ_prev.push(prev);
-        let cref = table.intern_node(canon);
-        self.refs.push(cref);
-        cref
-    }
-
-    /// Closes the binder of `x` at post-order position `p`: the still-free
-    /// occurrences of `x` inside its body (the body is the node's last
-    /// child, so it spans the positions just before `p`) become bound, and
-    /// every node on a path from the body down to one of them is
-    /// re-interned with `FVar(x)` → `BVar(binders in between)`. Subtrees
-    /// holding no such occurrence keep their refs. Occurrences are popped
-    /// off `x`'s open-occurrence stack, so an outer binder of the same
-    /// symbol never sees them again, and a `Let`'s rhs (outside its scope)
-    /// keeps its own.
-    fn close_binder(
-        &mut self,
-        arena: &ExprArena,
-        table: &CanonTable,
-        infos: &[(NodeId, H, u64)],
-        p: usize,
-        x: Symbol,
-    ) {
-        let body = p - 1;
-        let body_start = (p - infos[body].2 as usize) as u32;
-        let Some(head) = self.occ_head.get_mut(&x) else {
-            return;
-        };
-        self.closing.clear();
-        while *head != NO_OCC && *head >= body_start {
-            self.closing.push(*head);
-            *head = self.occ_prev[*head as usize];
-        }
-        if self.closing.is_empty() {
-            return;
-        }
-        self.closing.reverse();
-
-        let closing = &self.closing;
-        let refs = &mut self.refs;
-        let stack = &mut self.path_stack;
-        stack.clear();
-        stack.push(PathTask::Enter {
-            pos: body as u32,
-            lo: 0,
-            hi: closing.len() as u32,
-            depth: 0,
-        });
-        while let Some(task) = stack.pop() {
-            match task {
-                PathTask::Enter { pos, lo, hi, depth } => {
-                    let q = pos as usize;
-                    let node = arena.node(infos[q].0);
-                    // Binders below the closed one at the right child, and
-                    // whether there is a left child (outside any binder
-                    // this node introduces).
-                    let (right_depth, binary) = match node {
-                        ExprNode::Var(_) => {
-                            debug_assert!(hi == lo + 1 && closing[lo as usize] == pos);
-                            refs[q] = table.intern_node(CanonNode::BVar(depth));
-                            continue;
-                        }
-                        ExprNode::Lit(_) => unreachable!("a literal is no occurrence"),
-                        ExprNode::Lam(_, _) => (depth + 1, false),
-                        ExprNode::App(_, _) => (depth, true),
-                        ExprNode::Let(_, _, _) => (depth + 1, true),
-                    };
-                    stack.push(PathTask::Exit(pos));
-                    let right = q - 1;
-                    let mut split = lo;
-                    if binary {
-                        // Occurrences before the right subtree's first
-                        // position lie in the left one.
-                        let left = left_of(infos, right);
-                        split += closing[lo as usize..hi as usize]
-                            .partition_point(|&o| o as usize <= left)
-                            as u32;
-                        if split > lo {
-                            stack.push(PathTask::Enter {
-                                pos: left as u32,
-                                lo,
-                                hi: split,
-                                depth,
-                            });
-                        }
-                    }
-                    if hi > split {
-                        stack.push(PathTask::Enter {
-                            pos: right as u32,
-                            lo: split,
-                            hi,
-                            depth: right_depth,
-                        });
-                    }
-                }
-                PathTask::Exit(pos) => {
-                    let q = pos as usize;
-                    refs[q] = table.intern_node(compose(arena.node(infos[q].0), q, infos, refs));
-                }
-            }
+            skipped: interned.size - 1 - proper.len() as u64,
         }
     }
 }
@@ -748,15 +544,16 @@ impl<H: HashWord> PreparerPool<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::extract_one;
+    use crate::esummary::Inverse;
     use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::visit::postorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn print_ref(table: &CanonTable, cref: CanonRef) -> String {
-        let (arena, root) = extract_one(table, cref);
+    /// The de Bruijn text of an e-summary key, through the inverse.
+    fn print_ref(table: &CanonTable, key: CanonRef) -> String {
+        let (arena, root) = Inverse::new(table).debruijn(key);
         db_print(&arena, root)
     }
 
@@ -872,34 +669,33 @@ mod tests {
         }
     }
 
-    /// The reference build for `prepare_term`: every indexed node
-    /// converted standalone by `to_debruijn` and interned whole. Returns
-    /// ref → (occurrences, node count) over the proper subterms clearing
-    /// `min_nodes`, and the root's ref.
+    /// The reference build for `prepare_term`: every proper subterm
+    /// clearing `min_nodes`, converted standalone by `to_debruijn`.
+    /// Returns de Bruijn text → (occurrences, node count), and the root's
+    /// text.
     fn reference_entries(
-        table: &CanonTable,
         arena: &ExprArena,
         root: NodeId,
         min_nodes: usize,
-    ) -> (HashMap<CanonRef, (u32, u64)>, CanonRef) {
-        let mut entries: HashMap<CanonRef, (u32, u64)> = HashMap::new();
+    ) -> (HashMap<String, (u32, u64)>, String) {
+        let text = |n: NodeId| {
+            let (db, db_root) = to_debruijn(arena, n);
+            db_print(&db, db_root)
+        };
+        let mut entries: HashMap<String, (u32, u64)> = HashMap::new();
         for n in postorder(arena, root) {
             let size = arena.subtree_size(n);
             if n == root || size < min_nodes {
                 continue;
             }
-            let (db, db_root) = to_debruijn(arena, n);
-            let entry = entries
-                .entry(table.intern_arena(&db, db_root))
-                .or_insert((0, size as u64));
-            entry.0 += 1;
+            entries.entry(text(n)).or_insert((0, size as u64)).0 += 1;
         }
-        let (db, db_root) = to_debruijn(arena, root);
-        (entries, table.intern_arena(&db, db_root))
+        (entries, text(root))
     }
 
     /// Checks `prepare_term` against [`reference_entries`] at every node
-    /// of `root`: the same refs, with the same multiplicities.
+    /// of `root`: one key per distinct de Bruijn form, with the same
+    /// multiplicities.
     fn assert_matches_reference(
         preparer: &mut Preparer<u64>,
         table: &CanonTable,
@@ -908,22 +704,31 @@ mod tests {
         what: &str,
     ) {
         let pt = preparer.prepare_term(arena, root, 1, table);
-        let got: HashMap<CanonRef, (u32, u64)> = pt
+        let got: HashMap<String, (u32, u64)> = pt
             .subs
             .iter()
-            .map(|entry| (entry.canon, (entry.multiplicity, entry.node_count)))
+            .map(|entry| {
+                (
+                    print_ref(table, entry.canon),
+                    (entry.multiplicity, entry.node_count),
+                )
+            })
             .collect();
         assert_eq!(
             got.len(),
             pt.subs.len(),
-            "entries are distinct refs ({what})"
+            "distinct keys have distinct forms ({what})"
         );
-        let (expected, expected_root) = reference_entries(table, arena, root, 1);
+        let (expected, expected_root) = reference_entries(arena, root, 1);
         assert_eq!(
             got, expected,
-            "subterm refs differ from the reference ({what})"
+            "subterm keys differ from the reference ({what})"
         );
-        assert_eq!(root_ref(&pt), expected_root, "root ref differs ({what})");
+        assert_eq!(
+            print_ref(table, root_ref(&pt)),
+            expected_root,
+            "root key differs ({what})"
+        );
     }
 
     #[test]
@@ -979,20 +784,35 @@ mod tests {
         }
     }
 
-    /// Intern probes (hits + misses) `prepare_term` makes on `root`.
-    fn intern_probes(arena: &ExprArena, root: NodeId) -> u64 {
+    /// Intern probes `prepare_term` makes on `root`, per e-summary node
+    /// kind — `[structures, position trees, map nodes, keys]` — after
+    /// checking that its root key inverts to `to_debruijn`'s form.
+    fn intern_probes(arena: &ExprArena, root: NodeId) -> [u64; 4] {
         let scheme: HashScheme<u64> = HashScheme::new(3);
         let table = CanonTable::new();
         let mut preparer = Preparer::new(arena, &scheme);
-        let _ = preparer.prepare_term(arena, root, 1, &table);
-        let stats = table.intern_stats();
-        stats.hits + stats.misses
+        let pt = preparer.prepare_term(arena, root, 1, &table);
+        let (db, db_root) = to_debruijn(arena, root);
+        assert_eq!(print_ref(&table, root_ref(&pt)), db_print(&db, db_root));
+        let probes = |stats: crate::dag::InternStats| stats.hits + stats.misses;
+        let kinds = [
+            probes(table.structs.stats()),
+            probes(table.positions.stats()),
+            probes(table.maps.stats()),
+            probes(table.keys.stats()),
+        ];
+        assert_eq!(probes(table.intern_stats()), preparer.intern_probes);
+        assert_eq!(kinds.iter().sum::<u64>(), preparer.intern_probes);
+        kinds
     }
 
     #[test]
     fn a_binder_free_spine_costs_one_intern_probe_per_node() {
-        // f a0 a1 … a9999: 20,001 nodes, no binder, so no node's form is
-        // ever rewritten. Scoped per-subterm walks made ~10⁸ probes here.
+        // f a0 a1 … a9999: 20,001 nodes, no binder. A node costs at most
+        // one probe for its structure, one for its position tree and one
+        // for its key; only the spine's growing variable map costs more,
+        // O(log n) per argument joining it. Scoped per-subterm walks made
+        // ~10⁸ probes here.
         let mut arena = ExprArena::new();
         let mut spine = arena.var_named("f");
         for i in 0..10_000 {
@@ -1001,32 +821,35 @@ mod tests {
         }
         let nodes = arena.subtree_size(spine) as u64;
         assert_eq!(nodes, 20_001);
-        assert_eq!(intern_probes(&arena, spine), nodes);
+        let [structs, positions, maps, keys] = intern_probes(&arena, spine);
+        assert!(structs <= nodes, "{structs} structure probes");
+        assert!(positions <= nodes, "{positions} position-tree probes");
+        assert_eq!(keys, nodes);
+        let log = (nodes as f64).log2().ceil() as u64;
+        assert!(maps <= 2 * 10_000 * log, "{maps} map probes");
     }
 
     #[test]
     fn a_lambda_spine_rewrites_only_the_short_paths_to_its_occurrences() {
         // \x0. x0 (\x1. x1 (… (\x4999. x4999 z))): each occurrence sits
-        // two nodes under its binder, so closing a binder re-interns the
-        // App and the Var below it and nothing else.
+        // two nodes under its binder, so each binder costs one position
+        // tree, the short path to its occurrence, and closes over a
+        // two-entry map, whatever the depth.
         let mut arena = ExprArena::new();
         let mut spine = arena.var_named("z");
-        for i in (0..5_000).rev() {
+        let binders = 5_000;
+        for i in (0..binders).rev() {
             let x = arena.intern(&format!("x{i}"));
             let occurrence = arena.var(x);
             let body = arena.app(occurrence, spine);
             spine = arena.lam(x, body);
         }
         let nodes = arena.subtree_size(spine) as u64;
-        assert_eq!(intern_probes(&arena, spine), nodes + 2 * 5_000);
-        assert!(nodes + 2 * 5_000 <= 2 * nodes);
-
-        let scheme: HashScheme<u64> = HashScheme::new(4);
-        let table = CanonTable::new();
-        let mut preparer = Preparer::new(&arena, &scheme);
-        let pt = preparer.prepare_term(&arena, spine, 1, &table);
-        let (db, db_root) = to_debruijn(&arena, spine);
-        assert_eq!(root_ref(&pt), table.intern_arena(&db, db_root));
+        let [structs, positions, maps, keys] = intern_probes(&arena, spine);
+        assert!(structs <= nodes, "{structs} structure probes");
+        assert!(positions <= binders + 1, "{positions} position-tree probes");
+        assert!(maps <= 4 * binders, "{maps} map probes");
+        assert_eq!(keys, nodes);
     }
 
     #[test]

@@ -43,6 +43,7 @@
 
 use crate::canon::rebuild_named;
 use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable};
+use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
 use crate::persist::format::{RawRecord, StoreIdentity};
@@ -54,8 +55,8 @@ use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEn
 use crate::stats::{CanonDagStats, StatCounters, StoreStats};
 use alpha_hash::combine::{mix64, HashScheme, HashWord};
 use lambda_lang::arena::{ExprArena, NodeId};
-use lambda_lang::canon::{CanonNode, CanonRef};
-use lambda_lang::debruijn::db_print;
+use lambda_lang::canon::CanonRef;
+use lambda_lang::debruijn::{db_print, DbArena, DbId};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -451,6 +452,7 @@ impl<H: HashWord> Shard<H> {
                         eq_frontier(table, class.canon, canon, *canon_root, &mut steps)
                             .then_some(Confirm::Walk(steps))
                     }
+                    PreparedCanon::Absent => None,
                 };
                 if let Some(how) = confirm {
                     return (Some((ci, how)), mismatched);
@@ -491,6 +493,7 @@ impl<H: HashWord> Shard<H> {
         let canon = match &entry.canon {
             PreparedCanon::Interned(r) => *r,
             PreparedCanon::Frontier { canon, canon_root } => table.intern_arena(canon, *canon_root),
+            PreparedCanon::Absent => unreachable!("only probes are absent"),
         };
         let ci = u32::try_from(self.classes.len()).expect("shard class overflow");
         self.buckets.entry(entry.hash).or_default().push(ci);
@@ -818,7 +821,8 @@ impl<H: HashWord> AlphaStore<H> {
         for (i, &root) in roots.iter().enumerate() {
             let t = self.obs.tick();
             let pt = preparer.prepare(arena, root, self.granularity, &self.table);
-            self.obs.rec_prepare(t, pt.root.node_count);
+            self.obs
+                .rec_prepare(t, pt.root.node_count, preparer.intern_probes);
             entries += 1 + pt.subs.len();
             chunk.push(pt);
             if entries >= self.chunk_entries || i + 1 == roots.len() {
@@ -1047,12 +1051,13 @@ impl<H: HashWord> AlphaStore<H> {
 
     /// The read-only probe behind [`AlphaStore::lookup`],
     /// [`AlphaStore::contains`] and [`AlphaStore::contains_batch`]: every
-    /// pattern is hashed and canonicalized as a frontier form by one
-    /// pooled [`Preparer`] outside any lock, then each shard's read lock
-    /// is taken at most once to find the confirming classes. `roots_only`
-    /// narrows the answer to classes with at least one whole-term member.
-    /// Probes never intern: the canon DAG only grows through ingest.
-    /// Results are in input order.
+    /// pattern is hashed and canonicalized by one pooled [`Preparer`]
+    /// outside any lock — a frontier form in `Roots` mode, a looked-up
+    /// e-summary key in `Subexpressions` mode — then each shard's read
+    /// lock is taken at most once to find the confirming classes.
+    /// `roots_only` narrows the answer to classes with at least one
+    /// whole-term member. Probes never intern: the canon DAG only grows
+    /// through ingest. Results are in input order.
     pub(crate) fn probe_batch(
         &self,
         arena: &ExprArena,
@@ -1067,10 +1072,7 @@ impl<H: HashWord> AlphaStore<H> {
         let mut prepared = std::mem::take(&mut preparer.probe_roots);
         let mut keys = std::mem::take(&mut preparer.probe_keys);
         for &p in patterns {
-            let root = preparer
-                .prepare(arena, p, Granularity::Roots, &self.table)
-                .root;
-            prepared.push(root);
+            prepared.push(preparer.probe(arena, p, self.granularity, &self.table));
             self.obs
                 .rec_probe_prepare(std::mem::replace(&mut t, self.obs.tick()));
         }
@@ -1199,8 +1201,7 @@ impl<H: HashWord> AlphaStore<H> {
     ///
     /// Panics if `class` was not issued by this store.
     pub fn canonical_text(&self, class: ClassId) -> String {
-        let cref = self.with_class(class, |c| c.canon);
-        let (arena, root) = extract_one(&self.table, cref);
+        let (arena, root) = self.debruijn_of(self.with_class(class, |c| c.canon));
         db_print(&arena, root)
     }
 
@@ -1211,9 +1212,67 @@ impl<H: HashWord> AlphaStore<H> {
     ///
     /// Panics if `class` was not issued by this store.
     pub fn representative_into(&self, class: ClassId, dst: &mut ExprArena) -> NodeId {
-        let cref = self.with_class(class, |c| c.canon);
-        let (arena, root) = extract_one(&self.table, cref);
+        let (arena, root) = self.debruijn_of(self.with_class(class, |c| c.canon));
         rebuild_named(&arena, root, dst)
+    }
+
+    /// The canonical de Bruijn form behind a class canon: extracted from
+    /// the DAG in a `Roots` store, rebuilt from its e-summary key through
+    /// the §4.8 inverse in a `Subexpressions` store.
+    pub(crate) fn debruijn_of(&self, canon: CanonRef) -> (DbArena, DbId) {
+        if self.granularity.indexes_subexpressions() {
+            Inverse::new(&self.table).debruijn(canon)
+        } else {
+            extract_one(&self.table, canon)
+        }
+    }
+
+    /// `canons` as roots of one node-deduplicated de Bruijn run in `dag`,
+    /// the run [`extract_canon`] gives: what the WAL and the snapshot
+    /// carry. A `Subexpressions` store's keys are converted through a
+    /// scratch de Bruijn table first, so both stores write the same bytes
+    /// for the same forms.
+    pub(crate) fn debruijn_run(&self, canons: &[CanonRef], dag: &mut DbArena) -> Vec<DbId> {
+        if !self.granularity.indexes_subexpressions() {
+            return extract_canon(&self.table, canons, dag);
+        }
+        let scratch = CanonTable::with_shards(1);
+        let mut inverse = Inverse::new(&self.table);
+        let refs: Vec<CanonRef> = canons
+            .iter()
+            .map(|&key| {
+                let (db, root) = inverse.debruijn(key);
+                scratch.intern_arena(&db, root)
+            })
+            .collect();
+        extract_canon(&scratch, &refs, dag)
+    }
+
+    /// The class canons of the de Bruijn roots at `positions` of `dag`:
+    /// the run interned whole in a `Roots` store, and in a
+    /// `Subexpressions` store each root rebuilt as a named term and
+    /// re-summarised into its key. How replay and snapshot load cross
+    /// the de Bruijn boundary. Each root is rebuilt into an arena of its
+    /// own, so its binders take the same few fresh names as every other
+    /// root's and the name table does not grow with them.
+    pub(crate) fn canons_of(&self, dag: &DbArena, positions: &[DbId]) -> Vec<CanonRef> {
+        if !self.granularity.indexes_subexpressions() {
+            let refs = self.table.intern_arena_refs(dag);
+            return positions.iter().map(|p| refs[p.index()]).collect();
+        }
+        positions
+            .iter()
+            .map(|&p| {
+                let mut arena = ExprArena::new();
+                let named = rebuild_named(dag, p, &mut arena);
+                let mut preparer = Preparer::new(&arena, &self.scheme);
+                let pt = preparer.prepare_term(&arena, named, usize::MAX, &self.table);
+                let PreparedCanon::Interned(key) = pt.root.canon else {
+                    unreachable!("prepare_term interns its root");
+                };
+                key
+            })
+            .collect()
     }
 
     /// Shared-DAG size of a corpus under this store's hash scheme; see
@@ -1242,7 +1301,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// structure-sharing win.
     pub fn canon_dag_stats(&self) -> CanonDagStats {
         let resident_nodes = self.table.resident_nodes();
-        let (resident_names, name_bytes) = self.table.resident_names();
+        let (resident_names, _) = self.table.resident_names();
         let logical_nodes: u64 = self
             .shards
             .iter()
@@ -1257,7 +1316,7 @@ impl<H: HashWord> AlphaStore<H> {
             .sum();
         CanonDagStats {
             resident_nodes,
-            resident_bytes: resident_nodes * std::mem::size_of::<CanonNode>() as u64 + name_bytes,
+            resident_bytes: self.table.resident_bytes(),
             resident_names,
             logical_nodes,
         }
@@ -1482,8 +1541,8 @@ impl<H: HashWord> AlphaStore<H> {
             .iter()
             .flat_map(|s| s.classes.iter().map(|c| c.canon))
             .collect();
-        let mut dag = lambda_lang::debruijn::DbArena::new();
-        let class_roots = extract_canon(&self.table, &refs, &mut dag);
+        let mut dag = DbArena::new();
+        let class_roots = self.debruijn_run(&refs, &mut dag);
         let header = SnapshotHeader {
             identity: self.identity(),
             wal_epoch,
@@ -1561,18 +1620,23 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// Interns one decoded WAL record's canon DAG into the store's table
-    /// and re-addresses its entries as interned prepared entries.
+    /// (see [`AlphaStore::canons_of`]) and re-addresses its entries as
+    /// interned prepared entries.
     fn intern_raw(&self, raw: RawRecord<H>) -> PreparedTerm<H> {
-        let refs = self.table.intern_arena_refs(&raw.canon);
-        let entry = |e: &crate::persist::format::RawEntry<H>| SubEntry {
+        let positions: Vec<DbId> = std::iter::once(&raw.root)
+            .chain(&raw.subs)
+            .map(|e| e.pos)
+            .collect();
+        let canons = self.canons_of(&raw.canon, &positions);
+        let entry = |(e, &canon): (&crate::persist::format::RawEntry<H>, &CanonRef)| SubEntry {
             hash: e.hash,
             node_count: e.node_count,
             multiplicity: e.multiplicity,
-            canon: refs[e.pos.index()],
+            canon,
         };
         PreparedTerm {
-            root: entry(&raw.root).widen(),
-            subs: raw.subs.iter().map(entry).collect(),
+            root: entry((&raw.root, &canons[0])).widen(),
+            subs: raw.subs.iter().zip(&canons[1..]).map(entry).collect(),
             skipped: raw.skipped,
         }
     }
@@ -1595,7 +1659,9 @@ impl<H: HashWord> AlphaStore<H> {
             .sum();
         let mut frames = Vec::with_capacity(estimate);
         for pt in terms {
-            crate::persist::wal::frame_record(&mut frames, &self.table, pt);
+            crate::persist::wal::frame_record(&mut frames, pt, |canons, dag| {
+                self.debruijn_run(canons, dag)
+            });
         }
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)

@@ -310,7 +310,7 @@ fn build_rewritten<H: HashWord>(
     patch_root: DbId,
     dst: &mut ExprArena,
 ) -> Result<NodeId, String> {
-    let (host_db, host_db_root) = extract_one(&store.table, old_canon);
+    let (host_db, host_db_root) = store.debruijn_of(old_canon);
     let host_root = rebuild_named(&host_db, host_db_root, dst);
     if path.is_empty() {
         return Ok(rebuild_named(patch, patch_root, dst));
@@ -539,11 +539,12 @@ impl<H: HashWord> AlphaStore<H> {
         let mut hasher = match cache.take(term_bits, old_class.to_bits()) {
             Some(h) => h,
             None => {
-                self.obs.rec_hasher_rebuild();
                 let (db, db_root) = extract_one(&self.table, old_canon);
                 let mut arena = ExprArena::new();
                 let root = rebuild_named(&db, db_root, &mut arena);
-                IncrementalHasher::new(arena, root, self.scheme)
+                let hasher = IncrementalHasher::new(arena, root, self.scheme);
+                self.obs.rec_hasher_rebuild(hasher.live_nodes() as u64);
+                hasher
             }
         };
 

@@ -1,20 +1,23 @@
-//! Work-count complexity gates for the `Roots` paths: every deterministic
+//! Work-count complexity gates for the store's paths: every deterministic
 //! work counter a term's life touches stays within c·n·(log₂ n)² of its
 //! node count n, the paper's bound for the hasher.
 //!
-//! Each term goes through a fresh durable `Roots` store: it is inserted,
-//! an alpha-renamed copy (the store's canonical representative, with its
-//! fresh binder names) is looked up, containment-probed and inserted (a
-//! merge confirmed by a frontier walk), the term's deepest leaf is
-//! rewritten twice (a hasher rebuild, then a cached spine rehash), and
-//! the store is dropped and reopened from its WAL. The
-//! shapes are the ones that make `Subexpressions` ingest quadratic — the
-//! ANF chain and the binder fan, both Θ(n) deep — plus a balanced term,
-//! at three sizes spanning 4x. Counters, not clocks, so the gate is
+//! In the `Roots` test each term goes through a fresh durable `Roots`
+//! store: it is inserted, an alpha-renamed copy (the store's canonical
+//! representative, with its fresh binder names) is looked up,
+//! containment-probed and inserted (a merge confirmed by a frontier walk),
+//! the term's deepest leaf is rewritten twice (a hasher rebuild, then a
+//! cached spine rehash), and the store is dropped and reopened from its
+//! WAL. The `Subexpressions` test runs the same life, reopen aside,
+//! through an in-memory store that indexes every subterm: its ingest,
+//! probes and whole-term updates go through the interned e-summary. The
+//! shapes are the ones that made de Bruijn subterm indexing quadratic —
+//! the ANF chain and the binder fan, both Θ(n) deep — plus a balanced
+//! term, at three sizes spanning 4x. Counters, not clocks, so the gate is
 //! exact and runs in tier-1.
 
 use alpha_store::persist::WAL_FILE;
-use alpha_store::{AlphaStore, Rewrite};
+use alpha_store::{AlphaStore, ClassId, Rewrite, TermId};
 use lambda_lang::arena::{ExprArena, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,13 +63,15 @@ fn deepest_path(arena: &ExprArena, root: NodeId) -> Vec<u32> {
     path
 }
 
-/// Runs one term's life through a durable `Roots` store and reports
-/// every work counter that breaks the bound.
-fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
-    let n = arena.subtree_size(root) as u64;
-    let dir = TempDir::new(label);
-    let builder = || AlphaStore::<u64>::builder().seed(0xC0DE).shards(4);
-    let store = builder().open_durable(&dir.0).unwrap();
+/// The life both tests share: `root` is inserted, the store's renamed
+/// representative is looked up, containment-probed and inserted, and the
+/// deepest leaf is rewritten twice.
+fn live(
+    label: &str,
+    store: &AlphaStore<u64>,
+    arena: &ExprArena,
+    root: NodeId,
+) -> (TermId, ClassId) {
     let inserted = store.insert(arena, root);
     let (term, class) = (inserted.term, inserted.class);
 
@@ -90,10 +95,15 @@ fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
         );
     }
     assert!(store.stats().is_exact(), "{label}");
+    (term, class)
+}
 
+/// The counters both tests bound: hashing, interning, residency and
+/// update rehashing.
+fn common_work(store: &AlphaStore<u64>) -> Vec<(&'static str, u64)> {
     let report = store.obs_report();
     let counter = |name: &str| report.counter(name).unwrap();
-    let mut work = vec![
+    vec![
         ("hash_nodes", counter("alpha_store_hash_nodes")),
         (
             "intern probes",
@@ -104,30 +114,15 @@ fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
             report.gauge("alpha_store_canon_resident_nodes").unwrap(),
         ),
         (
-            "frontier_walk_nodes",
-            report
-                .histogram("alpha_store_frontier_walk_nodes")
-                .unwrap()
-                .sum,
-        ),
-        (
             "spine_nodes_rehashed",
             counter("alpha_store_spine_nodes_rehashed"),
         ),
-    ];
-    drop(store);
-    let wal_bytes = std::fs::metadata(dir.0.join(WAL_FILE)).unwrap().len();
-    work.push(("WAL bytes", wal_bytes));
+    ]
+}
 
-    let reopened = builder().open_durable(&dir.0).unwrap();
-    let report = reopened.obs_report();
-    let counter = |name: &str| report.counter(name).unwrap();
-    work.push((
-        "reopen intern probes",
-        counter("alpha_store_canon_intern_hits") + counter("alpha_store_canon_intern_misses"),
-    ));
-    assert_eq!(reopened.num_terms(), 2, "{label}");
-
+/// Every counter of `work` that counted nothing or breaks the
+/// c·n·(log₂ n)² bound for a term of `n` nodes.
+fn over_bound(label: &str, n: u64, work: Vec<(&str, u64)>) -> Vec<String> {
     let log = (n as f64).log2();
     let bound = (C * n as f64 * log * log).ceil() as u64;
     work.into_iter()
@@ -141,22 +136,90 @@ fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn roots_paths_stay_within_n_log_squared_n() {
+/// Runs one term's life through a durable `Roots` store and reports
+/// every work counter that breaks the bound.
+fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
+    let n = arena.subtree_size(root) as u64;
+    let dir = TempDir::new(label);
+    let builder = || AlphaStore::<u64>::builder().seed(0xC0DE).shards(4);
+    let store = builder().open_durable(&dir.0).unwrap();
+    live(label, &store, arena, root);
+
+    let report = store.obs_report();
+    let mut work = common_work(&store);
+    work.extend([
+        (
+            "frontier_walk_nodes",
+            report
+                .histogram("alpha_store_frontier_walk_nodes")
+                .unwrap()
+                .sum,
+        ),
+        (
+            "update_rebuild_nodes",
+            report.counter("alpha_store_update_rebuild_nodes").unwrap(),
+        ),
+    ]);
+    drop(store);
+    let wal_bytes = std::fs::metadata(dir.0.join(WAL_FILE)).unwrap().len();
+    work.push(("WAL bytes", wal_bytes));
+
+    let reopened = builder().open_durable(&dir.0).unwrap();
+    let report = reopened.obs_report();
+    let counter = |name: &str| report.counter(name).unwrap();
+    work.push((
+        "reopen intern probes",
+        counter("alpha_store_canon_intern_hits") + counter("alpha_store_canon_intern_misses"),
+    ));
+    assert_eq!(reopened.num_terms(), 2, "{label}");
+    over_bound(label, n, work)
+}
+
+/// Runs one term's life through an in-memory store indexing every
+/// subterm and reports every work counter that breaks the bound.
+fn check_subexpressions_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
+    let n = arena.subtree_size(root) as u64;
+    let store = AlphaStore::<u64>::builder()
+        .seed(0xC0DE)
+        .shards(4)
+        .subexpressions(1)
+        .build();
+    live(label, &store, arena, root);
+    over_bound(label, n, common_work(&store))
+}
+
+/// The shapes and sizes both tests run.
+fn shapes() -> Vec<(String, ExprArena, NodeId)> {
     let mut rng = StdRng::seed_from_u64(0xB0B);
-    let mut broken = Vec::new();
+    let mut terms = Vec::new();
     for k in [250usize, 500, 1000] {
         let mut arena = ExprArena::new();
         let anf = expr_gen::anf_chain(&mut arena, k, &mut rng);
+        terms.push((format!("anf_chain k={k}"), arena, anf));
+        let mut arena = ExprArena::new();
         let fan = expr_gen::binder_fan(&mut arena, k, &mut rng);
+        terms.push((format!("binder_fan k={k}"), arena, fan));
+        let mut arena = ExprArena::new();
         let balanced = expr_gen::balanced(&mut arena, 7 * k, &mut rng);
-        broken.extend(check_term(&format!("anf_chain k={k}"), &arena, anf));
-        broken.extend(check_term(&format!("binder_fan k={k}"), &arena, fan));
-        broken.extend(check_term(
-            &format!("balanced n={}", 7 * k),
-            &arena,
-            balanced,
-        ));
+        terms.push((format!("balanced n={}", 7 * k), arena, balanced));
     }
+    terms
+}
+
+#[test]
+fn roots_paths_stay_within_n_log_squared_n() {
+    let broken: Vec<String> = shapes()
+        .iter()
+        .flat_map(|(label, arena, root)| check_term(label, arena, *root))
+        .collect();
+    assert!(broken.is_empty(), "{}", broken.join("\n"));
+}
+
+#[test]
+fn subexpressions_ingest_probes_and_updates_stay_within_n_log_squared_n() {
+    let broken: Vec<String> = shapes()
+        .iter()
+        .flat_map(|(label, arena, root)| check_subexpressions_term(label, arena, *root))
+        .collect();
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }

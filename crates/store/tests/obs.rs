@@ -38,6 +38,7 @@ fn corpus(arena: &mut ExprArena, seed: u64, count: usize) -> Vec<NodeId> {
 /// Every metric the acceptance list mandates, by exported name.
 const MANDATED: &[&str] = &[
     "alpha_store_prepare_ns",
+    "alpha_store_prepare_intern_probes_per_node",
     "alpha_store_apply_ns",
     "alpha_store_wal_commit_ns",
     "alpha_store_wal_fsync_ns",

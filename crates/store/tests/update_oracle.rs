@@ -538,6 +538,7 @@ fn the_update_cache_evicts_the_least_recently_used_hasher() {
         let (store, hot, rep_arena, rep, path) = deep_term(500);
         let n = rep_arena.subtree_size(rep) as u64;
         let mut arena = ExprArena::new();
+        let mut cold_nodes = 0u64;
         let cold: Vec<TermId> = (0..COLD)
             .map(|i| {
                 let (plus, v, lit) = (
@@ -547,6 +548,7 @@ fn the_update_cache_evicts_the_least_recently_used_hasher() {
                 );
                 let sum = arena.app(plus, v);
                 let root = arena.app(sum, lit);
+                cold_nodes += arena.subtree_size(root) as u64;
                 store.insert(&arena, root).term
             })
             .collect();
@@ -563,6 +565,13 @@ fn the_update_cache_evicts_the_least_recently_used_hasher() {
             COLD as u64 + 1,
             "the hot term's hasher was rebuilt after an eviction"
         );
+        // Each rebuild counts its term's nodes: the hot term's once, and
+        // every cold term's at its one update.
+        assert_eq!(
+            counter(&store, "alpha_store_update_rebuild_nodes"),
+            n + cold_nodes,
+            "rebuilt nodes are the node total of the rebuilt terms"
+        );
         assert!(store.stats().is_exact());
         (
             counter(&store, "alpha_store_spine_nodes_rehashed"),
@@ -573,8 +582,8 @@ fn the_update_cache_evicts_the_least_recently_used_hasher() {
 }
 
 /// The wall-clock side of the spine-local update: a cold-cache hasher
-/// rebuild costs O(n) that no work counter measures (the rebuild
-/// counter counts rebuilds, not their nodes), only the clock does.
+/// rebuild costs O(n), which `alpha_store_update_rebuild_nodes` counts
+/// apart from `spine_nodes_rehashed`.
 /// 100 deepest-leaf rewrites of a 4,000-node term must beat re-ingesting
 /// the rewritten term 100 times by at least 5x. Timing-based, so it runs
 /// in release only: `cargo test --release --test update_oracle --
