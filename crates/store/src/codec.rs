@@ -5,11 +5,16 @@
 //! rule: [`take_count`] refuses a count whose items cannot fit in the
 //! bytes that remain, so no decoder sizes a buffer by what a count
 //! claims. Decoders return [`DecodeError`], never panic, and each format
-//! maps the error onto its own. Node runs stay with their formats, whose
-//! node and literal tags differ.
+//! maps the error onto its own. The named-term run ([`put_term`],
+//! [`take_term`], `docs/PROTOCOL.md` §5) is the wire's term payload and a
+//! `Subexpressions` store's WAL record; de Bruijn runs stay with
+//! `persist::format`.
 
 use crate::stats::StoreStats;
 use alpha_hash::combine::HashWord;
+use lambda_lang::visit::postorder;
+use lambda_lang::{ExprArena, ExprNode, Literal, NodeId, Symbol};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why bytes failed to decode: the description each format's own typed
@@ -290,6 +295,246 @@ pub fn take_frame<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     let payload = take_bytes(input, len as usize)?;
     check_frame(payload, crc)?;
     Ok(payload)
+}
+
+// Named terms.
+
+const NODE_VAR: u8 = 0;
+const NODE_LAM: u8 = 1;
+const NODE_APP: u8 = 2;
+const NODE_LET: u8 = 3;
+const NODE_LIT: u8 = 4;
+
+const LIT_I64: u8 = 0;
+const LIT_F64_BITS: u8 = 1;
+const LIT_BOOL: u8 = 2;
+
+/// Smallest encoded name: the `u32` length prefix of an empty string.
+const MIN_NAME_BYTES: usize = 4;
+/// Smallest encoded node: a boolean literal (tag, literal tag, byte).
+const MIN_NODE_BYTES: usize = 3;
+
+/// The per-term name table [`put_term`] builds: each distinct symbol
+/// once, in first-use order, with an ordered index so a term with `d`
+/// distinct names costs O(log d) per named node. An arena interns one
+/// symbol per string, so keying by symbol yields exactly the table that
+/// keying by name would.
+#[derive(Default)]
+struct NameTable {
+    syms: Vec<Symbol>,
+    index: BTreeMap<Symbol, u32>,
+}
+
+impl NameTable {
+    /// The table index of `sym`, appending it on first use.
+    fn index_of(&mut self, sym: Symbol) -> u32 {
+        let next = u32::try_from(self.syms.len()).expect("name table fits u32");
+        *self.index.entry(sym).or_insert_with(|| {
+            self.syms.push(sym);
+            next
+        })
+    }
+}
+
+/// The name a node carries in the run (binder or variable), if any.
+fn node_name(node: ExprNode) -> Option<Symbol> {
+    match node {
+        ExprNode::Var(s) | ExprNode::Lam(s, _) | ExprNode::Let(s, _, _) => Some(s),
+        ExprNode::App(..) | ExprNode::Lit(_) => None,
+    }
+}
+
+/// Encoded size of one node of the run.
+fn node_len(node: ExprNode) -> usize {
+    match node {
+        ExprNode::Var(_) => 5,
+        ExprNode::Lam(..) | ExprNode::App(..) => 9,
+        ExprNode::Let(..) => 13,
+        ExprNode::Lit(Literal::Bool(_)) => MIN_NODE_BYTES,
+        ExprNode::Lit(Literal::I64(_) | Literal::F64Bits(_)) => 10,
+    }
+}
+
+/// The run position of the most recently emitted node no parent has
+/// claimed yet: in postorder that is the current node's last child.
+fn pop_child(emitted: &mut Vec<u32>) -> u32 {
+    emitted
+        .pop()
+        .expect("postorder emits a node's children before it")
+}
+
+/// Encodes one term as a postorder node run: a name table (the binder
+/// and variable names this term uses), then the nodes, children
+/// referenced by their position earlier in the run. The root is the
+/// last node. Appended to `out`, so terms concatenate.
+///
+/// No hashing: names are looked up by symbol in a per-term table, and a
+/// node's children are the positions it pops off a stack of emitted
+/// positions (postorder emits them last, in order). `out` grows once,
+/// by the exact encoded size.
+pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
+    let order = postorder(arena, root);
+    // First pass: the name table, each named node's table index in run
+    // order, and the run's encoded size.
+    let mut names = NameTable::default();
+    let mut name_refs = Vec::with_capacity(order.len());
+    let mut run_len = 0;
+    for &id in &order {
+        let node = arena.node(id);
+        run_len += node_len(node);
+        if let Some(s) = node_name(node) {
+            name_refs.push(names.index_of(s));
+        }
+    }
+    let table_len: usize = names.syms.iter().map(|&s| 4 + arena.name(s).len()).sum();
+    out.reserve(4 + table_len + 4 + run_len);
+    put_count(out, names.syms.len());
+    for &s in &names.syms {
+        put_str(out, arena.name(s));
+    }
+    put_count(out, order.len());
+    let mut name_refs = name_refs.into_iter();
+    let mut next_name = || name_refs.next().expect("one table index per named node");
+    let mut emitted: Vec<u32> = Vec::new();
+    for (i, &id) in order.iter().enumerate() {
+        match arena.node(id) {
+            ExprNode::Var(_) => {
+                put_u8(out, NODE_VAR);
+                put_u32(out, next_name());
+            }
+            ExprNode::Lam(..) => {
+                let body = pop_child(&mut emitted);
+                put_u8(out, NODE_LAM);
+                put_u32(out, next_name());
+                put_u32(out, body);
+            }
+            ExprNode::App(..) => {
+                let arg = pop_child(&mut emitted);
+                let func = pop_child(&mut emitted);
+                put_u8(out, NODE_APP);
+                put_u32(out, func);
+                put_u32(out, arg);
+            }
+            ExprNode::Let(..) => {
+                let body = pop_child(&mut emitted);
+                let rhs = pop_child(&mut emitted);
+                put_u8(out, NODE_LET);
+                put_u32(out, next_name());
+                put_u32(out, rhs);
+                put_u32(out, body);
+            }
+            ExprNode::Lit(lit) => {
+                put_u8(out, NODE_LIT);
+                match lit {
+                    Literal::I64(v) => {
+                        put_u8(out, LIT_I64);
+                        put_u64(out, v as u64);
+                    }
+                    Literal::F64Bits(bits) => {
+                        put_u8(out, LIT_F64_BITS);
+                        put_u64(out, bits);
+                    }
+                    Literal::Bool(b) => {
+                        put_u8(out, LIT_BOOL);
+                        put_u8(out, u8::from(b));
+                    }
+                }
+            }
+        }
+        emitted.push(u32::try_from(i).expect("node run fits u32"));
+    }
+}
+
+/// Claims run position `p` as a child of the node being decoded (the
+/// next one after `run`): `p` must be earlier in the run and not yet
+/// claimed by another node.
+fn claim_child(run: &mut [(NodeId, bool)], p: u32) -> Result<NodeId, DecodeError> {
+    let i = run.len();
+    match run.get_mut(p as usize) {
+        None => Err(error(format_args!(
+            "child reference {p} at node {i} is not backward"
+        ))),
+        Some((_, true)) => Err(error(format_args!(
+            "node {p} is referenced again at node {i}: a term is a tree"
+        ))),
+        Some((id, claimed)) => {
+            *claimed = true;
+            Ok(*id)
+        }
+    }
+}
+
+/// Decodes one term into `arena`, returning its root. Rejects forward
+/// or self child references, out-of-range name indices and any node
+/// other than the root that is not referenced exactly once, so a
+/// decoded term is always a well-formed tree: its size is the run's
+/// length, never the unfolded size of a shared DAG, and whatever walks
+/// it does work bounded by the bytes it came from.
+///
+/// The name and node counts are untrusted: [`take_count`] refuses one
+/// whose items the rest of `input` cannot hold before anything (the
+/// arena included) is sized by it. Names are interned straight from the
+/// payload bytes.
+pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, DecodeError> {
+    let name_count = take_count(input, MIN_NAME_BYTES)?;
+    let mut syms = Vec::with_capacity(name_count);
+    for _ in 0..name_count {
+        syms.push(arena.intern(take_str(input)?));
+    }
+    let node_count = take_count(input, MIN_NODE_BYTES)?;
+    if node_count == 0 {
+        return Err(error(format_args!("term has zero nodes")));
+    }
+    // Each decoded node, and whether a later node has claimed it as a
+    // child yet.
+    let mut run: Vec<(NodeId, bool)> = Vec::with_capacity(node_count);
+    arena.reserve(node_count);
+    let sym = |syms: &[Symbol], i: u32| {
+        syms.get(i as usize).copied().ok_or_else(|| {
+            error(format_args!(
+                "name index {i} out of range ({name_count} names)"
+            ))
+        })
+    };
+    for _ in 0..node_count {
+        let id = match take_u8(input)? {
+            NODE_VAR => {
+                let s = sym(&syms, take_u32(input)?)?;
+                arena.var(s)
+            }
+            NODE_LAM => {
+                let s = sym(&syms, take_u32(input)?)?;
+                let body = claim_child(&mut run, take_u32(input)?)?;
+                arena.lam(s, body)
+            }
+            NODE_APP => {
+                let f = claim_child(&mut run, take_u32(input)?)?;
+                let a = claim_child(&mut run, take_u32(input)?)?;
+                arena.app(f, a)
+            }
+            NODE_LET => {
+                let s = sym(&syms, take_u32(input)?)?;
+                let rhs = claim_child(&mut run, take_u32(input)?)?;
+                let body = claim_child(&mut run, take_u32(input)?)?;
+                arena.let_(s, rhs, body)
+            }
+            NODE_LIT => match take_u8(input)? {
+                LIT_I64 => arena.lit(Literal::I64(take_u64(input)? as i64)),
+                LIT_F64_BITS => arena.lit(Literal::F64Bits(take_u64(input)?)),
+                LIT_BOOL => arena.lit(Literal::Bool(take_u8(input)? != 0)),
+                tag => return Err(error(format_args!("unknown literal tag {tag}"))),
+            },
+            tag => return Err(error(format_args!("unknown node tag {tag}"))),
+        };
+        run.push((id, false));
+    }
+    let (root, nodes) = run.split_last().expect("node_count > 0");
+    if let Some(p) = nodes.iter().position(|&(_, claimed)| !claimed) {
+        return Err(error(format_args!(
+            "node {p} is not the root and no later node references it"
+        )));
+    }
+    Ok(root.0)
 }
 
 #[cfg(test)]

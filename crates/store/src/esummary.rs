@@ -33,8 +33,9 @@
 //!
 //! The summary is invertible (§4.8), which is the exactness argument and
 //! the way back to de Bruijn form: [`Inverse`] rebuilds the canonical
-//! de Bruijn term of a key, which is what the WAL, the snapshot and
-//! `representative_into` carry.
+//! de Bruijn term of a key, which is what the snapshot and
+//! `representative_into` carry. The WAL needs no inverse: it logs the
+//! terms themselves, and replay summarises them again.
 
 use crate::dag::{bits_opt, opt_bits, CanonTable, TableNode, Words};
 use crate::prepare::IndexMap;

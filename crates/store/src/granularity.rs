@@ -222,11 +222,14 @@ impl<H: HashWord> StoreBuilder<H> {
         self
     }
 
-    /// Paranoid recovery: during WAL replay, **re-hash** every record —
-    /// rebuild a named term from its canonical payload and push it through
-    /// the full hashing pipeline — and fail the open with
-    /// [`PersistError::Corrupt`] if the recomputed address disagrees with
-    /// the recorded one.
+    /// Paranoid recovery of a [`Granularity::Roots`] store: during WAL
+    /// replay, **re-hash** every record — rebuild a named term from its
+    /// canonical payload and push it through the full hashing pipeline —
+    /// and fail the open with [`PersistError::Corrupt`] if the recomputed
+    /// address disagrees with the recorded one. A
+    /// [`Granularity::Subexpressions`] store's records are the terms
+    /// themselves, re-prepared and so re-hashed on every replay, so there
+    /// this setting changes nothing.
     ///
     /// The frame CRC catches random torn writes, and the normal replay
     /// path re-confirms every merge by canonical-form identity — but both

@@ -8,25 +8,29 @@
 //! documented there are exactly the ones compiled in, so the spec cannot
 //! silently drift from the code.
 //!
-//! **Format v3** (this version) adds rewrite **delta records** to the
-//! WAL — `AlphaStore::update` logs the rewritten term as its old root
-//! plus the spine path and the patch canon, not as a full re-ingest —
-//! and widens the snapshot's per-term bookkeeping to full `ClassId`
-//! bits with per-class occurrence multiplicities (an updated term's
-//! class may live in a different shard than the term id, and exact
-//! un-indexing needs the counts). **Format v2** stored canonical
-//! structure as shared DAGs: a snapshot carries one node table (the
-//! class-reachable sub-DAG, deduplicated) with classes addressing
-//! positions in it, and a WAL record carries one node-deduplicated DAG
-//! with its entries addressing positions — mirroring the in-memory
-//! hash-consed canon table (`crate::dag`); v3 keeps all of that. Only
-//! v3 is written and only v3 decodes: a header naming any other version
-//! is refused with [`PersistError::Mismatch`].
+//! **Format v4** (this version) logs a `Subexpressions` store's insert
+//! as the term itself: its root hash plus the wire's named-term encoding
+//! ([`crate::codec::put_term`]), which replay re-prepares, so a record
+//! no longer carries a standalone de Bruijn form per indexed subterm. A
+//! `Roots` insert record is the term's frontier de Bruijn run with its
+//! root's hash, position and node count, and no entry list. **Format
+//! v3** added rewrite **delta records** — `AlphaStore::update` logs the
+//! rewritten term as its old root plus the spine path and the patch
+//! canon — and widened the snapshot's per-term bookkeeping to full
+//! `ClassId` bits with per-class occurrence multiplicities. **Format v2**
+//! stored canonical structure as shared DAGs: a snapshot carries one
+//! node table (the class-reachable sub-DAG, deduplicated) with classes
+//! addressing positions in it, mirroring the in-memory hash-consed canon
+//! table (`crate::dag`); v4 keeps that snapshot layout. Only v4 is
+//! written and only v4 decodes: a header naming any other version is
+//! refused with [`PersistError::Mismatch`].
 //!
 //! Here live the [`Granularity`] and `StoreIdentity` codecs both file
 //! headers open with, and the structure codecs: shared-DAG node runs
 //! (`put_dag`/`take_dag`, a [`DbArena`] in memory, which holds DAGs as
-//! well as trees), `RawRecord` insert records and `RawDelta` rewrites.
+//! well as trees), `Roots` insert records (`RawRecord`), `Subexpressions`
+//! insert records (`put_term_record`/`take_term_record`) and `RawDelta`
+//! rewrites.
 //!
 //! Decoding never panics on malformed input: every `take_*` returns
 //! [`PersistError::Corrupt`] on truncation or bad tags, which is what lets
@@ -37,8 +41,8 @@
 //! the input holds.
 
 use crate::codec::{
-    put_count, put_hash, put_str, put_u32, put_u64, put_u8, take_count, take_hash, take_str,
-    take_u32, take_u64, take_u8,
+    put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, take_count, take_hash,
+    take_str, take_term, take_u32, take_u64, take_u8,
 };
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
@@ -46,6 +50,7 @@ use alpha_hash::combine::HashWord;
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::literal::Literal;
 use lambda_lang::symbol::Symbol;
+use lambda_lang::{ExprArena, NodeId};
 
 /// Magic bytes opening a snapshot file (`docs/PERSISTENCE_FORMAT.md`).
 ///
@@ -66,7 +71,7 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// [`alpha_hash::combine`], since persisted content addresses must keep
 /// meaning what they meant. Writers emit only this version, and readers
 /// decode only this version.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 fn corrupt(context: &str) -> PersistError {
     PersistError::Corrupt {
@@ -195,11 +200,9 @@ const LIT_F64: u8 = 2;
 const LIT_BOOL: u8 = 3;
 
 // Item sizes for the count rule: a name is at least its `u32` length, a
-// node its tag and one `u32`; a sub entry is hash, position, node count
-// and multiplicity.
+// node its tag and one `u32`.
 const MIN_NAME_BYTES: usize = 4;
 const MIN_NODE_BYTES: usize = 5;
-const SUB_ENTRY_BYTES: usize = 16 + 4 + 8 + 4;
 
 /// Encodes a shared-DAG node run: the free-variable name table (in symbol
 /// order, so re-interning on decode reproduces identical symbol indices),
@@ -313,8 +316,9 @@ pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
 
 /// How many binders above each position of `dag` its term needs (0 if
 /// closed). Encoders write closed canonical forms only (a variable bound
-/// outside a subterm is a free name in its form), so an entry at an open
-/// position is damage, and rebuilding it would index past its binders.
+/// outside a subterm is a free name in its form), so a record root, patch
+/// or class at an open position is damage, and rebuilding it would index
+/// past its binders.
 pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
     let mut open: Vec<u32> = Vec::with_capacity(dag.len());
     for node in dag.nodes() {
@@ -334,103 +338,70 @@ pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
 // Insert records (the WAL payload)
 // ---------------------------------------------------------------------
 
-/// One decoded record entry: a content address plus the position of its
-/// canonical root inside the record's node run.
-#[derive(Debug)]
-pub(crate) struct RawEntry<H> {
-    /// The alpha-invariant hash (content address).
-    pub hash: H,
-    /// Root of this entry's canonical form within the record's node run.
-    pub pos: DbId,
-    /// Tree node count of the entry.
-    pub node_count: u64,
-    /// Occurrences of this entry within the ingested term (1 for roots).
-    pub multiplicity: u32,
-}
-
-/// One decoded insert record: a node-deduplicated canonical DAG shared by
-/// all of the record's entries, the root entry, the distinct indexed
-/// subexpression entries, and the `min_nodes` skip count. A complete,
-/// replayable description of what `insert` did — recovery re-interns the
-/// DAG and re-runs the insert through the normal ingest path, so every
-/// replayed merge is re-confirmed exactly like a live insert.
+/// One decoded `Roots` insert record: the term's frontier canon, a
+/// standalone de Bruijn run, with its root's position, hash and tree
+/// node count. Recovery interns the run and applies the root as the live
+/// insert did, re-confirming its merge by canonical identity.
 #[derive(Debug)]
 pub(crate) struct RawRecord<H> {
-    /// The record's canonical structure (a DAG: entries share nodes).
+    /// The term's canonical structure.
     pub canon: DbArena,
-    /// The whole-term entry.
-    pub root: RawEntry<H>,
-    /// Distinct indexed proper subexpressions with multiplicities.
-    pub subs: Vec<RawEntry<H>>,
-    /// Proper subexpression occurrences skipped by the `min_nodes` floor.
-    pub skipped: u64,
+    /// The alpha-invariant hash (content address).
+    pub hash: H,
+    /// Root of the canonical form within `canon`.
+    pub pos: DbId,
+    /// Tree node count of the term.
+    pub node_count: u64,
 }
 
-/// Encodes one insert record: the shared node run, then the root entry
-/// `(hash, pos, node_count)`, then each sub entry with its multiplicity,
-/// then the skip count. Positions address `dag`.
-pub(crate) fn put_record<H: HashWord>(
-    out: &mut Vec<u8>,
-    dag: &DbArena,
-    root: (H, DbId, u64),
-    subs: &[(H, DbId, u64, u32)],
-    skipped: u64,
-) {
+/// Encodes one `Roots` insert record: the node run, then the root's
+/// `(hash, pos, node_count)`.
+pub(crate) fn put_record<H: HashWord>(out: &mut Vec<u8>, dag: &DbArena, root: (H, DbId, u64)) {
     put_dag(out, dag);
     put_hash(out, root.0);
     put_u32(out, root.1.index() as u32);
     put_u64(out, root.2);
-    put_count(out, subs.len());
-    for &(hash, pos, node_count, multiplicity) in subs {
-        put_hash(out, hash);
-        put_u32(out, pos.index() as u32);
-        put_u64(out, node_count);
-        put_u32(out, multiplicity);
-    }
-    put_u64(out, skipped);
 }
 
-/// Decodes one insert record.
+/// Decodes one `Roots` insert record.
 pub(crate) fn take_record<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
     let canon = take_dag(input)?;
-    let open = open_depths(&canon);
-    let take_pos = |input: &mut &[u8]| -> Result<DbId, PersistError> {
-        let pos = take_u32(input)? as usize;
-        match open.get(pos) {
-            Some(0) => Ok(DbId::from_index(pos)),
-            _ => Err(corrupt("entry root out of range or not closed")),
-        }
-    };
-    let root = RawEntry {
-        hash: take_hash(input)?,
-        pos: take_pos(input)?,
-        node_count: take_u64(input)?,
-        multiplicity: 1,
-    };
-    let sub_count = take_count(input, SUB_ENTRY_BYTES)?;
-    let mut subs = Vec::with_capacity(sub_count);
-    for _ in 0..sub_count {
-        let hash = take_hash(input)?;
-        let pos = take_pos(input)?;
-        let node_count = take_u64(input)?;
-        let multiplicity = take_u32(input)?;
-        if multiplicity == 0 {
-            return Err(corrupt("zero entry multiplicity"));
-        }
-        subs.push(RawEntry {
-            hash,
-            pos,
-            node_count,
-            multiplicity,
-        });
+    let hash = take_hash(input)?;
+    let pos = take_u32(input)? as usize;
+    if open_depths(&canon).get(pos) != Some(&0) {
+        return Err(corrupt("record root out of range or not closed"));
     }
-    let skipped = take_u64(input)?;
     Ok(RawRecord {
         canon,
-        root,
-        subs,
-        skipped,
+        hash,
+        pos: DbId::from_index(pos),
+        node_count: take_u64(input)?,
     })
+}
+
+/// Encodes one `Subexpressions` insert record: the root's hash, then
+/// the term as ingested in the wire's term encoding
+/// ([`crate::codec::put_term`]). Its classes' keys depend on the
+/// binder names above each subterm, which only the named term keeps, so
+/// replay re-prepares the term to recompute them.
+pub(crate) fn put_term_record<H: HashWord>(
+    out: &mut Vec<u8>,
+    hash: H,
+    arena: &ExprArena,
+    root: NodeId,
+) {
+    put_hash(out, hash);
+    put_term(out, arena, root);
+}
+
+/// Decodes one `Subexpressions` insert record, its term into `arena`:
+/// the recorded hash and the term's root.
+pub(crate) fn take_term_record<H: HashWord>(
+    input: &mut &[u8],
+    arena: &mut ExprArena,
+) -> Result<(H, NodeId), PersistError> {
+    let hash = take_hash(input)?;
+    Ok((hash, take_term(input, arena)?))
 }
 
 // ---------------------------------------------------------------------
@@ -538,10 +509,9 @@ mod tests {
             )),
             "spec must document that only v{FORMAT_VERSION} decodes"
         );
-        assert!(
-            spec.contains("### Delta records"),
-            "spec must document the v3 delta-record layout"
-        );
+        for section in ["### Delta records", "### `Subexpressions` insert record"] {
+            assert!(spec.contains(section), "spec must document {section:?}");
+        }
     }
 
     #[test]
@@ -650,7 +620,7 @@ mod tests {
         ));
     }
 
-    /// An entry whose term uses a de Bruijn index no binder of it
+    /// A record root whose term uses a de Bruijn index no binder of it
     /// binds: no encoder writes one, and rebuilding it named would index
     /// past its binder scope.
     #[test]
@@ -659,10 +629,10 @@ mod tests {
         let bvar = dag.push(DbNode::BVar(0));
         let lam = dag.push(DbNode::Lam(bvar));
         let mut closed = Vec::new();
-        put_record::<u64>(&mut closed, &dag, (1, lam, 2), &[], 0);
+        put_record::<u64>(&mut closed, &dag, (1, lam, 2));
         assert!(take_record::<u64>(&mut closed.as_slice()).is_ok());
         let mut open = Vec::new();
-        put_record::<u64>(&mut open, &dag, (1, lam, 2), &[(2, bvar, 1, 1)], 0);
+        put_record::<u64>(&mut open, &dag, (1, bvar, 1));
         assert!(matches!(
             take_record::<u64>(&mut open.as_slice()),
             Err(PersistError::Corrupt { .. })
@@ -700,12 +670,14 @@ mod tests {
             let parsed = parse(&mut arena, src).unwrap();
             let (canon, root) = to_debruijn(&arena, parsed);
             let mut buf = Vec::new();
-            put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64), &[], 0);
+            put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64));
             let mut input = buf.as_slice();
             let decoded: RawRecord<u64> = take_record(&mut input).unwrap();
             assert!(input.is_empty(), "trailing bytes for {src}");
+            assert_eq!(decoded.hash, 0x5EED);
+            assert_eq!(decoded.node_count, canon.len() as u64);
             assert!(
-                db_eq(&canon, root, &decoded.canon, decoded.root.pos),
+                db_eq(&canon, root, &decoded.canon, decoded.pos),
                 "decode changed the term for {src}"
             );
             assert_eq!(decoded.canon.len(), canon.len());
@@ -718,7 +690,7 @@ mod tests {
         let parsed = parse(&mut arena, r"\x. x + 1").unwrap();
         let (canon, root) = to_debruijn(&arena, parsed);
         let mut buf = Vec::new();
-        put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64), &[], 0);
+        put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64));
         // Flipping any single byte must yield Corrupt or a *different*
         // term — never a panic. (CRC catches the difference in practice;
         // here we only assert decode robustness.)
@@ -765,33 +737,31 @@ mod tests {
         }
     }
 
+    /// A `Subexpressions` record carries the term as ingested: names,
+    /// shadowing and all, so replay re-prepares exactly what was logged.
     #[test]
-    fn record_v2_round_trips_with_sharing_and_multiplicity() {
-        // Build a record whose DAG shares a subterm between two entries.
+    fn term_record_round_trips_the_term_as_ingested() {
         let mut arena = ExprArena::new();
-        let parsed = parse(&mut arena, "(v + 7) * (v + 7)").unwrap();
-        let (dag, root) = to_debruijn(&arena, parsed);
-        // A "subterm" entry: reuse the root's left child region by picking
-        // an interior node. For the test's purpose any valid position works.
-        let sub_pos = DbId::from_index(4.min(dag.len() - 1));
+        let root = parse(&mut arena, r"\x. (\x. x + y) x").unwrap();
         let mut buf = Vec::new();
-        put_record::<u64>(
-            &mut buf,
-            &dag,
-            (0xAAAA, root, dag.len() as u64),
-            &[(0xBBBB, sub_pos, 5, 2)],
-            3,
-        );
+        put_term_record::<u128>(&mut buf, 0xAAAA_BBBB, &arena, root);
+        let mut decoded_arena = ExprArena::new();
         let mut input = buf.as_slice();
-        let decoded: RawRecord<u64> = take_record(&mut input).unwrap();
+        let (hash, decoded) = take_term_record::<u128>(&mut input, &mut decoded_arena).unwrap();
         assert!(input.is_empty());
-        assert_eq!(decoded.root.hash, 0xAAAA);
-        assert_eq!(decoded.root.pos, root);
-        assert_eq!(decoded.skipped, 3);
-        assert_eq!(decoded.subs.len(), 1);
-        assert_eq!(decoded.subs[0].multiplicity, 2);
-        assert_eq!(decoded.subs[0].node_count, 5);
-        assert!(db_eq(&decoded.canon, decoded.root.pos, &dag, root));
+        assert_eq!(hash, 0xAAAA_BBBB);
+        assert_eq!(
+            lambda_lang::print::print(&arena, root),
+            lambda_lang::print::print(&decoded_arena, decoded)
+        );
+        // Truncations surface as Corrupt, never as panics.
+        for cut in 0..buf.len() {
+            let mut input = &buf[..cut];
+            assert!(matches!(
+                take_term_record::<u128>(&mut input, &mut ExprArena::new()),
+                Err(PersistError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

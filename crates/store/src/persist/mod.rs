@@ -11,7 +11,9 @@
 //!   node table + per-class refs + scheme seed + granularity, nothing
 //!   more.
 //! * `wal.bin` — an append-only log of every insert and rewrite-update
-//!   since that snapshot: one CRC-framed record per ingested term, one
+//!   since that snapshot: one CRC-framed record per ingested term (its
+//!   frontier canon in a `Roots` store, the term itself in a
+//!   `Subexpressions` store), one
 //!   **delta record** per [`update`](crate::AlphaStore::update) (old
 //!   root + spine path + patch canon, not the full rewritten term), plus
 //!   a **commit marker** per group commit, so replay can reproduce the
@@ -29,10 +31,12 @@
 //! the reopen was clean, checkpoints: it writes a fresh snapshot and
 //! resets the WAL under a new epoch, so every successfully opened store
 //! starts from a consistent `(snapshot, WAL)` pair whatever crash
-//! weirdness it recovered from. [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) upgrades replay to
-//! paranoid mode: every record is re-hashed from its canonical payload
-//! before being trusted, catching consistent corruption that CRC framing
-//! and merge confirmation cannot see.
+//! weirdness it recovered from. [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) upgrades a `Roots`
+//! store's replay to paranoid mode: every record is re-hashed from its
+//! canonical payload before being trusted, catching consistent
+//! corruption that CRC framing and merge confirmation cannot see. A
+//! `Subexpressions` store's records are its terms as ingested, re-hashed
+//! on every replay.
 //!
 //! What each crash window leaves behind:
 //!
@@ -259,14 +263,15 @@ pub(crate) struct Durable {
     _lock: std::fs::File,
 }
 
-/// Paranoid-mode record validation: recompute what the record *claims*
-/// from its canonical payload alone. The tree sizes are re-derived by a
-/// sharing-aware DP over the record's node run, then each entry's canon
-/// is rebuilt to a named term and pushed through the full hashing
+/// Paranoid-mode validation of a `Roots` record: recompute what the
+/// record *claims* from its canonical payload alone. The tree size is
+/// re-derived by a sharing-aware DP over the record's node run, then the
+/// canon is rebuilt to a named term and pushed through the full hashing
 /// pipeline; any disagreement with the recorded `node_count`/`hash` is
 /// corruption that frame CRCs (computed over already-corrupt bytes) and
 /// merge confirmation (which only compares canon against canon) cannot
-/// catch.
+/// catch. (A `Subexpressions` record is re-prepared, and so re-hashed,
+/// on every replay.)
 pub(crate) fn verify_record<H: HashWord>(
     scheme: &HashScheme<H>,
     raw: &RawRecord<H>,
@@ -287,31 +292,23 @@ pub(crate) fn verify_record<H: HashWord>(
         };
         sizes.push(size);
     }
-    let check = |entry: &format::RawEntry<H>| -> Result<(), PersistError> {
-        if sizes[entry.pos.index()] != entry.node_count {
-            return Err(PersistError::Corrupt {
-                context: format!(
-                    "verify_on_replay: recorded node count {} but canonical payload has {}",
-                    entry.node_count,
-                    sizes[entry.pos.index()]
-                ),
-            });
-        }
-        let mut scratch = ExprArena::new();
-        let named = rebuild_named(&raw.canon, entry.pos, &mut scratch);
-        let rehashed = alpha_hash::hashed::hash_expr(&scratch, named, scheme);
-        if rehashed != entry.hash {
-            return Err(PersistError::Corrupt {
-                context: "verify_on_replay: canonical payload re-hashes to a different \
-                          content address than the record claims"
-                    .to_owned(),
-            });
-        }
-        Ok(())
-    };
-    check(&raw.root)?;
-    for sub in &raw.subs {
-        check(sub)?;
+    if sizes[raw.pos.index()] != raw.node_count {
+        return Err(PersistError::Corrupt {
+            context: format!(
+                "verify_on_replay: recorded node count {} but canonical payload has {}",
+                raw.node_count,
+                sizes[raw.pos.index()]
+            ),
+        });
+    }
+    let mut scratch = ExprArena::new();
+    let named = rebuild_named(&raw.canon, raw.pos, &mut scratch);
+    if alpha_hash::hashed::hash_expr(&scratch, named, scheme) != raw.hash {
+        return Err(PersistError::Corrupt {
+            context: "verify_on_replay: canonical payload re-hashes to a different \
+                      content address than the record claims"
+                .to_owned(),
+        });
     }
     Ok(())
 }
@@ -476,7 +473,7 @@ fn recover<H: HashWord>(
             if store.granularity().indexes_subexpressions() {
                 for class in shards.iter_mut().flat_map(|s| s.classes.iter_mut()) {
                     let (db, root) = crate::dag::extract_one(&table, class.canon);
-                    class.canon = store.canons_of(&db, &[root])[0];
+                    class.canon = store.key_of(&db, root);
                 }
             } else {
                 store.table = table;
@@ -530,7 +527,7 @@ fn recover<H: HashWord>(
                     let tail = drop_applied_records(contents.groups, records_applied);
                     replayed_records = tail.iter().map(|g| g.len() as u64).sum();
                     let t = std::time::Instant::now();
-                    store.replay(tail, builder.verify_on_replay)?;
+                    store.replay(&contents.arena, tail, builder.verify_on_replay)?;
                     replay_ns = t.elapsed().as_nanos() as u64;
                 }
             }

@@ -3,16 +3,20 @@
 //!
 //! Two stores, one per granularity, ingest an `expr_gen` corpus plus a
 //! few named terms and updates, so their WAL holds insert records of
-//! both shapes and delta records, and their snapshot holds subexpression
-//! pairs. Each case damages one image — bit flips, a truncation, a
-//! hostile count, length or position word, a repeated name in a node
-//! run's name table, a subexpression pair naming a class out of range —
+//! both shapes (a `Roots` store's de Bruijn run, a `Subexpressions`
+//! store's named term) and delta records, and their snapshot holds
+//! subexpression pairs. Each case damages one image — bit flips, a
+//! truncation, a hostile count, length, name index or child reference
+//! word, a repeated name in a name table, a subexpression pair naming a
+//! class out of range —
 //! and re-seals its CRCs, so the decoders meet the damage rather than
 //! the CRC check. The property: no panic, in decoding or in what
 //! recovery does with a decoded WAL (replaying it); and every value that
 //! decodes re-encodes to bytes that decode to the same value.
 
-use super::format::{put_delta, put_record, take_delta, take_record};
+use super::format::{
+    put_delta, put_record, put_term_record, take_delta, take_record, take_term_record,
+};
 use super::snapshot::{decode_snapshot, encode_snapshot};
 use super::wal::{decode_wal, WalEntry, WAL_HEADER_LEN};
 use super::{SNAPSHOT_FILE, WAL_FILE};
@@ -126,14 +130,7 @@ impl Walk<'_> {
     }
 
     fn dag(&mut self) {
-        let mut names = Vec::new();
-        for _ in 0..self.word() {
-            let start = self.at;
-            let len = self.word();
-            self.skip(len);
-            names.push((start, 4 + len));
-        }
-        self.fields.name_tables.push(names);
+        self.names();
         for _ in 0..self.word() {
             let tag = self.bytes[self.at];
             self.skip(1);
@@ -145,22 +142,52 @@ impl Walk<'_> {
         }
     }
 
-    /// A WAL payload: kind byte, then an insert record, a commit marker
-    /// or a delta.
-    fn payload(&mut self) {
+    /// A name table: each name's `(offset, encoded length)`.
+    fn names(&mut self) {
+        let mut names = Vec::new();
+        for _ in 0..self.word() {
+            let start = self.at;
+            let len = self.word();
+            self.skip(len);
+            names.push((start, 4 + len));
+        }
+        self.fields.name_tables.push(names);
+    }
+
+    /// A term in the wire's encoding (`docs/PROTOCOL.md` §5): name table,
+    /// then postorder nodes whose name indices and child references are
+    /// all words.
+    fn term(&mut self) {
+        self.names();
+        for _ in 0..self.word() {
+            let tag = self.bytes[self.at];
+            self.skip(1);
+            match tag {
+                0 => drop(self.word()),
+                1 | 2 => drop((self.word(), self.word())),
+                3 => drop((self.word(), self.word(), self.word())),
+                _ => {
+                    let lit = self.bytes[self.at];
+                    self.skip(if lit == 2 { 2 } else { 9 });
+                }
+            }
+        }
+    }
+
+    /// A WAL payload: kind byte, then an insert record of the store's
+    /// granularity, a commit marker or a delta.
+    fn payload(&mut self, granularity: Granularity) {
         match self.bytes[0] {
+            1 if granularity.indexes_subexpressions() => {
+                self.skip(1 + 16);
+                self.term();
+            }
             1 => {
                 self.skip(1);
                 self.dag();
                 self.skip(16);
                 self.word();
                 self.skip(8);
-                for _ in 0..self.word() {
-                    self.skip(16);
-                    self.word();
-                    self.skip(8);
-                    self.word();
-                }
             }
             3 => {
                 self.skip(1 + 8 + 16 + 16 + 8);
@@ -170,7 +197,7 @@ impl Walk<'_> {
                 self.dag();
                 self.word();
             }
-            _ => {}
+            _ => self.skip(1 + 8), // a commit marker
         }
     }
 
@@ -196,17 +223,23 @@ impl Walk<'_> {
     }
 }
 
-fn fields(bytes: &[u8], snapshot: bool) -> Fields {
+/// The fields of a WAL payload of a `granularity` store, or (`None`) of
+/// a snapshot.
+fn fields(bytes: &[u8], granularity: Option<Granularity>) -> Fields {
     let mut walk = Walk {
         bytes,
         at: 0,
         fields: Fields::default(),
     };
-    if snapshot {
-        walk.snapshot();
-        assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
-    } else {
-        walk.payload();
+    match granularity {
+        None => {
+            walk.snapshot();
+            assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
+        }
+        Some(granularity) => {
+            walk.payload(granularity);
+            assert_eq!(walk.at, bytes.len(), "the walk ends with the payload");
+        }
     }
     walk.fields
 }
@@ -290,42 +323,41 @@ fn wal_case(images: &Images, bytes: &[u8], verify: bool) -> bool {
     let contents = decode_wal::<u64>(bytes).expect("the header is intact");
     for entry in contents.groups.iter().flatten() {
         let mut again = Vec::new();
+        let mut third = Vec::new();
         match entry {
             WalEntry::Insert(raw) => {
-                let subs: Vec<_> = raw
-                    .subs
-                    .iter()
-                    .map(|s| (s.hash, s.pos, s.node_count, s.multiplicity))
-                    .collect();
-                let root = (raw.root.hash, raw.root.pos, raw.root.node_count);
-                put_record(&mut again, &raw.canon, root, &subs, raw.skipped);
+                put_record(&mut again, &raw.canon, (raw.hash, raw.pos, raw.node_count));
                 let mut input = again.as_slice();
                 let back = take_record::<u64>(&mut input).expect("re-encoded record decodes");
                 assert!(input.is_empty());
-                let subs: Vec<_> = back
-                    .subs
-                    .iter()
-                    .map(|s| (s.hash, s.pos, s.node_count, s.multiplicity))
-                    .collect();
-                let root = (back.root.hash, back.root.pos, back.root.node_count);
-                let mut third = Vec::new();
-                put_record(&mut third, &back.canon, root, &subs, back.skipped);
-                assert_eq!(again, third, "a decoded record re-encodes stably");
+                put_record(
+                    &mut third,
+                    &back.canon,
+                    (back.hash, back.pos, back.node_count),
+                );
+            }
+            &WalEntry::Term { hash, root } => {
+                put_term_record(&mut again, hash, &contents.arena, root);
+                let mut arena = ExprArena::new();
+                let mut input = again.as_slice();
+                let (hash, root) = take_term_record::<u64>(&mut input, &mut arena)
+                    .expect("re-encoded term decodes");
+                assert!(input.is_empty());
+                put_term_record(&mut third, hash, &arena, root);
             }
             WalEntry::Update(delta) => {
                 put_delta(&mut again, delta);
                 let mut input = again.as_slice();
                 let back = take_delta::<u64>(&mut input).expect("re-encoded delta decodes");
                 assert!(input.is_empty());
-                let mut third = Vec::new();
                 put_delta(&mut third, &back);
-                assert_eq!(again, third, "a decoded delta re-encodes stably");
             }
         }
+        assert_eq!(again, third, "a decoded WAL entry re-encodes stably");
     }
     let torn = contents.torn;
     let mut store = builder(images.granularity).build();
-    let _ = store.replay(contents.groups, verify);
+    let _ = store.replay(&contents.arena, contents.groups, verify);
     !torn
 }
 
@@ -372,9 +404,12 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
     ];
     let wal_fields: Vec<Vec<Fields>> = stores
         .iter()
-        .map(|s| s.frames.iter().map(|f| fields(f, false)).collect())
+        .map(|s| {
+            let granularity = Some(s.granularity);
+            s.frames.iter().map(|f| fields(f, granularity)).collect()
+        })
         .collect();
-    let snapshot_fields: Vec<Fields> = stores.iter().map(|s| fields(&s.snapshot, true)).collect();
+    let snapshot_fields: Vec<Fields> = stores.iter().map(|s| fields(&s.snapshot, None)).collect();
     for (s, f) in stores.iter().zip(&wal_fields) {
         assert!(f.iter().any(|f| f.name_tables.iter().any(|t| t.len() >= 2)));
         assert!(s.frames.iter().any(|p| p[0] == 3), "the WAL holds deltas");

@@ -1,9 +1,9 @@
 //! The append-only write-ahead log.
 //!
-//! Every confirmed insert tees one **record** — the complete prepared
-//! term the ingest path consumed, canon encoded as one node-deduplicated
-//! DAG — into the WAL, so a crash loses at most the writes the OS had not
-//! yet persisted, and never corrupts what came before. Frames are
+//! Every confirmed insert tees one **record** into the WAL — in a `Roots`
+//! store the term's frontier de Bruijn form, in a `Subexpressions` store
+//! the term as ingested — so a crash loses at most the writes the OS had
+//! not yet persisted, and never corrupts what came before. Frames are
 //! [`crate::codec`]'s `[len u32][crc32 u32][payload]`, the daemon's wire
 //! frame too, where the payload's first byte is a
 //! kind tag: an **insert record**, a **delta record** (v3: one
@@ -49,8 +49,7 @@ use crate::codec::{
 use crate::obs::WalObs;
 use crate::prepare::{PreparedCanon, PreparedTerm};
 use alpha_hash::combine::HashWord;
-use lambda_lang::canon::CanonRef;
-use lambda_lang::debruijn::{DbArena, DbId};
+use lambda_lang::{ExprArena, NodeId};
 use std::path::Path;
 
 /// Payload kind tag: one insert record.
@@ -62,12 +61,17 @@ const FRAME_COMMIT: u8 = 2;
 /// Payload kind tag (v3): one rewrite delta record.
 const FRAME_DELTA: u8 = 3;
 
-/// One replayable WAL entry: a full insert record, or (v3) a rewrite
-/// delta. Replay dispatches on this — inserts go through the normal
-/// ingest path, deltas re-splice the patch into the interned old canon.
+/// One replayable WAL entry: an insert record, or (v3) a rewrite delta.
+/// Replay dispatches on this — a `Roots` record's canon is interned and
+/// applied, a `Subexpressions` record's term is re-prepared through the
+/// ingest driver, and a delta re-splices its patch into the interned old
+/// canon.
 pub(crate) enum WalEntry<H> {
-    /// A complete prepared term (one `insert`).
+    /// One `insert` into a `Roots` store: the term's frontier canon.
     Insert(RawRecord<H>),
+    /// One `insert` into a `Subexpressions` store: the recorded root hash
+    /// and the term, decoded into [`WalContents::arena`].
+    Term { hash: H, root: NodeId },
     /// A rewrite delta (one `update`).
     Update(RawDelta<H>),
 }
@@ -116,6 +120,8 @@ fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
 /// ends (everything past it is a torn tail).
 pub(crate) struct WalContents<H> {
     pub(crate) header: WalHeader,
+    /// The terms of every [`WalEntry::Term`], decoded into one arena.
+    pub(crate) arena: ExprArena,
     /// Entries, one inner `Vec` per group commit. A trailing group with no
     /// commit marker (crash mid-group) appears as the final element.
     pub(crate) groups: Vec<Vec<WalEntry<H>>>,
@@ -161,10 +167,13 @@ pub(crate) fn read_wal<H: HashWord>(
 }
 
 /// Decodes a whole WAL image. Frames after the first bad one are
-/// dropped; a bad *header* is an error (there is nothing to recover).
+/// dropped; a bad *header* is an error (there is nothing to recover). The
+/// header's granularity says which insert record the frames carry.
 pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, PersistError> {
     let mut input = bytes;
     let header = decode_header(&mut input)?;
+    let terms = header.identity.granularity.indexes_subexpressions();
+    let mut arena = ExprArena::new();
     let mut groups: Vec<Vec<WalEntry<H>>> = Vec::new();
     let mut current: Vec<WalEntry<H>> = Vec::new();
     let mut total_records = 0u64;
@@ -182,10 +191,13 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, Pe
         };
         match kind {
             FRAME_RECORD | FRAME_DELTA => {
-                let entry = if kind == FRAME_RECORD {
-                    format::take_record(&mut payload_input).map(WalEntry::Insert)
-                } else {
+                let entry = if kind == FRAME_DELTA {
                     format::take_delta(&mut payload_input).map(WalEntry::Update)
+                } else if terms {
+                    format::take_term_record(&mut payload_input, &mut arena)
+                        .map(|(hash, root)| WalEntry::Term { hash, root })
+                } else {
+                    format::take_record(&mut payload_input).map(WalEntry::Insert)
                 };
                 match entry {
                     Ok(entry) if payload_input.is_empty() => current.push(entry),
@@ -216,6 +228,7 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, Pe
     }
     Ok(WalContents {
         header,
+        arena,
         groups,
         total_records,
         good_len,
@@ -408,41 +421,24 @@ impl Wal {
 }
 
 /// Frames one insert record, encoding the payload in place (see
-/// [`begin_frame`]). A frontier root (a term with nothing indexed below it)
-/// is already a topologically ordered node run whose positions are the
-/// record positions. An interned term's entries are converted by `run`
-/// **once**, as one node-deduplicated de Bruijn run (shared structure
-/// appears one time, however many entries use it; see
-/// `AlphaStore::debruijn_run`), and address positions in it.
+/// [`begin_frame`]). A frontier root (a `Roots` store's) is already a
+/// topologically ordered node run whose positions are the record
+/// positions; an interned root (a `Subexpressions` store's) is logged as
+/// its hash and the term as ingested, `root` of `arena`.
 pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
     pt: &PreparedTerm<H>,
-    run: impl FnOnce(&[CanonRef], &mut DbArena) -> Vec<DbId>,
+    arena: &ExprArena,
+    root: NodeId,
 ) {
     let frame_start = begin_frame(out);
     put_u8(out, FRAME_RECORD);
-    let root = &pt.root;
-    match &root.canon {
+    let entry = &pt.root;
+    match &entry.canon {
         PreparedCanon::Frontier { canon, canon_root } => {
-            debug_assert!(pt.subs.is_empty(), "frontier roots index nothing below");
-            let head = (root.hash, *canon_root, root.node_count);
-            format::put_record(out, canon, head, &[], pt.skipped);
+            format::put_record(out, canon, (entry.hash, *canon_root, entry.node_count));
         }
-        PreparedCanon::Interned(root_ref) => {
-            let refs: Vec<CanonRef> = std::iter::once(*root_ref)
-                .chain(pt.subs.iter().map(|s| s.canon))
-                .collect();
-            let mut dag = DbArena::new();
-            let ids = run(&refs, &mut dag);
-            let subs: Vec<(H, DbId, u64, u32)> = pt
-                .subs
-                .iter()
-                .zip(&ids[1..])
-                .map(|(s, &id)| (s.hash, id, s.node_count, s.multiplicity))
-                .collect();
-            let head = (root.hash, ids[0], root.node_count);
-            format::put_record(out, &dag, head, &subs, pt.skipped);
-        }
+        PreparedCanon::Interned(_) => format::put_term_record(out, entry.hash, arena, root),
         PreparedCanon::Absent => unreachable!("only probes are absent"),
     }
     end_frame(out, frame_start);
@@ -470,7 +466,7 @@ pub(crate) fn frame_commit(out: &mut Vec<u8>, count: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{extract_canon, CanonTable};
+    use crate::dag::CanonTable;
     use crate::granularity::Granularity;
     use crate::persist::vfs::{FaultKind, FaultVfs, OsVfs};
     use alpha_hash::combine::HashScheme;
@@ -511,9 +507,7 @@ mod tests {
             for src in *group {
                 let parsed = parse(&mut arena, src).unwrap();
                 let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
-                frame_record(&mut frames, &pt, |refs, dag| {
-                    extract_canon(&table, refs, dag)
-                });
+                frame_record(&mut frames, &pt, &arena, parsed);
                 count += 1;
             }
             frame_commit(&mut frames, group.len() as u64);
@@ -552,9 +546,7 @@ mod tests {
         let table = CanonTable::new();
         let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
-        frame_record(&mut frames, &pt, |refs, dag| {
-            extract_canon(&table, refs, dag)
-        });
+        frame_record(&mut frames, &pt, &arena, parsed);
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);
@@ -563,9 +555,9 @@ mod tests {
         let WalEntry::Insert(record) = &contents.groups[0][0] else {
             panic!("expected an insert entry");
         };
-        assert_eq!(record.root.hash, hash);
-        assert_eq!(record.root.node_count, canon.len() as u64);
-        assert!(db_eq(&record.canon, record.root.pos, &canon, root));
+        assert_eq!(record.hash, hash);
+        assert_eq!(record.node_count, canon.len() as u64);
+        assert!(db_eq(&record.canon, record.pos, &canon, root));
     }
 
     #[test]

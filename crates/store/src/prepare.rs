@@ -32,10 +32,12 @@
 //!   A probe of a `Subexpressions` store runs the same pass with lookups
 //!   only, and is absent at the first e-summary node the table lacks.
 //!
-//! De Bruijn form stays the boundary format: the WAL, the snapshot and
-//! `representative_into` convert keys through the §4.8 inverse
-//! (`crate::esummary::Inverse`), and replay re-summarises what they
-//! carry.
+//! A `Subexpressions` store's WAL logs each term as ingested, and replay
+//! prepares it again through the same driver, since a subterm's key
+//! depends on the binder names above it. The snapshot and
+//! `representative_into` still convert keys to de Bruijn form through
+//! the §4.8 inverse (`crate::esummary::Inverse`), and snapshot load
+//! re-summarises what it reads.
 
 use crate::dag::CanonTable;
 use crate::esummary::Scratch;

@@ -46,7 +46,7 @@ use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable};
 use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
-use crate::persist::format::{RawRecord, StoreIdentity};
+use crate::persist::format::StoreIdentity;
 use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{WalEntry, WalHeader};
@@ -802,13 +802,14 @@ impl<H: HashWord> AlphaStore<H> {
         self.ingest_with(&mut Preparer::new(arena, &self.scheme), arena, roots)
     }
 
-    /// The one ingest driver, behind `insert` (a one-term batch) and
-    /// `insert_batch`: every term is prepared outside any lock, in the
-    /// shape the store's granularity asks for, and each chunk of at most
-    /// `chunk_entries` prepared entries goes to
-    /// [`AlphaStore::ingest_prepared`]. A chunk's hashing work is counted
-    /// before its WAL append, so a failed append does not lose it.
-    fn ingest_with(
+    /// The one ingest driver, behind `insert` (a one-term batch),
+    /// `insert_batch` and the WAL replay of a `Subexpressions` store: every
+    /// term is prepared outside any lock, in the shape the store's
+    /// granularity asks for, and each chunk of at most `chunk_entries`
+    /// prepared entries goes to [`AlphaStore::ingest_prepared`]. A chunk's
+    /// hashing work is counted before its WAL append, so a failed append
+    /// does not lose it.
+    pub(crate) fn ingest_with(
         &self,
         preparer: &mut Preparer<H>,
         arena: &ExprArena,
@@ -818,6 +819,7 @@ impl<H: HashWord> AlphaStore<H> {
         let mut chunk: Vec<PreparedTerm<H>> =
             Vec::with_capacity(roots.len().min(self.chunk_entries));
         let mut entries = 0usize;
+        let mut start = 0usize;
         for (i, &root) in roots.iter().enumerate() {
             let t = self.obs.tick();
             let pt = preparer.prepare(arena, root, self.granularity, &self.table);
@@ -828,25 +830,29 @@ impl<H: HashWord> AlphaStore<H> {
             if entries >= self.chunk_entries || i + 1 == roots.len() {
                 let (nodes, misses) = preparer.take_hash_counters();
                 self.obs.add_hash_counters(nodes, misses);
-                outcomes.extend(self.ingest_prepared(std::mem::take(&mut chunk))?);
+                let terms = std::mem::take(&mut chunk);
+                outcomes.extend(self.ingest_prepared(terms, arena, &roots[start..=i])?);
                 entries = 0;
+                start = i + 1;
             }
         }
         Ok(outcomes)
     }
 
-    /// The critical path shared by the ingest driver and WAL replay: the
-    /// chunk is group-committed to the WAL (durable stores), then its
-    /// subexpression entries are drained shard by shard, then the roots —
-    /// each shard locked at most twice.
-    pub(crate) fn ingest_prepared(
+    /// The critical path of one ingest chunk, `terms` prepared from
+    /// `roots` of `arena`: the chunk is group-committed to the WAL (durable
+    /// stores), then its subexpression entries are drained shard by
+    /// shard, then the roots — each shard locked at most twice.
+    fn ingest_prepared(
         &self,
         terms: Vec<PreparedTerm<H>>,
+        arena: &ExprArena,
+        roots: &[NodeId],
     ) -> Result<Vec<InsertOutcome>, StoreError> {
         let outcomes = {
             let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
             self.check_writable()?;
-            self.wal_log(&terms)?;
+            self.wal_log(&terms, arena, roots)?;
             self.apply_prepared(terms)
         };
         // The ingest guard is released: housekeeping takes the exclusive
@@ -870,7 +876,8 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// The lock-side second half of [`AlphaStore::ingest_prepared`]
-    /// (everything after the WAL tee).
+    /// (everything after the WAL tee), and the whole of a `Roots` record's
+    /// replay.
     fn apply_prepared(&self, terms: Vec<PreparedTerm<H>>) -> Vec<InsertOutcome> {
         let count = terms.len();
         // Room for the root's own pair, which only an indexing store keeps.
@@ -1228,10 +1235,10 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// `canons` as roots of one node-deduplicated de Bruijn run in `dag`,
-    /// the run [`extract_canon`] gives: what the WAL and the snapshot
-    /// carry. A `Subexpressions` store's keys are converted through a
-    /// scratch de Bruijn table first, so both stores write the same bytes
-    /// for the same forms.
+    /// the run [`extract_canon`] gives: what the snapshot carries. A
+    /// `Subexpressions` store's keys are converted through a scratch
+    /// de Bruijn table first, so both stores write the same bytes for the
+    /// same forms.
     pub(crate) fn debruijn_run(&self, canons: &[CanonRef], dag: &mut DbArena) -> Vec<DbId> {
         if !self.granularity.indexes_subexpressions() {
             return extract_canon(&self.table, canons, dag);
@@ -1248,31 +1255,21 @@ impl<H: HashWord> AlphaStore<H> {
         extract_canon(&scratch, &refs, dag)
     }
 
-    /// The class canons of the de Bruijn roots at `positions` of `dag`:
-    /// the run interned whole in a `Roots` store, and in a
-    /// `Subexpressions` store each root rebuilt as a named term and
-    /// re-summarised into its key. How replay and snapshot load cross
-    /// the de Bruijn boundary. Each root is rebuilt into an arena of its
-    /// own, so its binders take the same few fresh names as every other
-    /// root's and the name table does not grow with them.
-    pub(crate) fn canons_of(&self, dag: &DbArena, positions: &[DbId]) -> Vec<CanonRef> {
-        if !self.granularity.indexes_subexpressions() {
-            let refs = self.table.intern_arena_refs(dag);
-            return positions.iter().map(|p| refs[p.index()]).collect();
-        }
-        positions
-            .iter()
-            .map(|&p| {
-                let mut arena = ExprArena::new();
-                let named = rebuild_named(dag, p, &mut arena);
-                let mut preparer = Preparer::new(&arena, &self.scheme);
-                let pt = preparer.prepare_term(&arena, named, usize::MAX, &self.table);
-                let PreparedCanon::Interned(key) = pt.root.canon else {
-                    unreachable!("prepare_term interns its root");
-                };
-                key
-            })
-            .collect()
+    /// A `Subexpressions` store's class key for the de Bruijn term at
+    /// `root` of `dag`: the term rebuilt as a named term and re-summarised.
+    /// How snapshot load crosses the de Bruijn boundary. Each term is
+    /// rebuilt into an arena of its own, so its binders take the same few
+    /// fresh names as every other class's and the name table does not
+    /// grow with them.
+    pub(crate) fn key_of(&self, dag: &DbArena, root: DbId) -> CanonRef {
+        let mut arena = ExprArena::new();
+        let named = rebuild_named(dag, root, &mut arena);
+        let mut preparer = Preparer::new(&arena, &self.scheme);
+        let pt = preparer.prepare_term(&arena, named, usize::MAX, &self.table);
+        let PreparedCanon::Interned(key) = pt.root.canon else {
+            unreachable!("prepare_term interns its root");
+        };
+        key
     }
 
     /// Shared-DAG size of a corpus under this store's hash scheme; see
@@ -1559,109 +1556,119 @@ impl<H: HashWord> AlphaStore<H> {
         result
     }
 
-    /// Replays recovered WAL records through the normal ingest path,
-    /// group by group — each group is one original group commit, so the
-    /// root-vs-subterm merge-counter split is reproduced exactly (groups
-    /// are re-chunked by `chunk_entries`, which is the identity when the
-    /// store reopens with the configuration that wrote them). Every
-    /// replayed merge is re-confirmed by canonical-form identity. With
-    /// `verify`, every record is additionally **re-hashed** (its canon
-    /// rebuilt to a named term and pushed through the full hashing
-    /// pipeline) before being trusted — the paranoid mode that catches
-    /// canon payload corruption consistent enough to slip past CRC and
-    /// confirmation. Runs before the WAL is attached, so nothing is
-    /// re-logged.
+    /// Replays recovered WAL records, group by group — each group is one
+    /// original group commit, so the root-vs-subterm merge-counter split
+    /// is reproduced exactly (a `Subexpressions` group is re-chunked by
+    /// `chunk_entries`, which is the identity when the store reopens with
+    /// the configuration that wrote it). Runs before the WAL is attached,
+    /// so nothing is re-logged.
+    ///
+    /// A `Subexpressions` record's term, decoded into `arena`, goes
+    /// through the ingest driver ([`AlphaStore::ingest_with`]), so its
+    /// entries, multiplicities and skip count are recomputed as the live
+    /// insert made them; a term that does not hash to its recorded hash
+    /// is [`PersistError::Corrupt`]. A `Roots` record's frontier canon is
+    /// interned and applied, its merge re-confirmed by canonical-form
+    /// identity; with `verify` it is first **re-hashed** (rebuilt to a
+    /// named term and pushed through the full hashing pipeline) — the
+    /// paranoid mode that catches canon payload corruption consistent
+    /// enough to slip past CRC and confirmation.
     ///
     /// Delta records (v3 `update` frames) interleave with inserts in log
-    /// order: any pending insert chunk is flushed first, then the delta
+    /// order: the inserts before one are applied first, then the delta
     /// is re-applied through the same deterministic splice the live
     /// update used, its recorded root hash cross-checked
     /// ([`PersistError::Corrupt`] on mismatch).
     pub(crate) fn replay(
         &mut self,
+        arena: &ExprArena,
         groups: Vec<Vec<WalEntry<H>>>,
         verify: bool,
     ) -> Result<(), PersistError> {
         debug_assert!(self.durable.is_none(), "replay must not re-log records");
+        let mut preparer = Preparer::new(arena, &self.scheme);
+        let mut records: Vec<PreparedTerm<H>> = Vec::new();
+        let mut terms: Vec<(H, NodeId)> = Vec::new();
         for group in groups {
-            let mut pending: Vec<PreparedTerm<H>> = Vec::new();
-            let mut pending_entries = 0usize;
             for entry in group {
                 match entry {
                     WalEntry::Insert(raw) => {
                         if verify {
                             crate::persist::verify_record(&self.scheme, &raw)?;
                         }
-                        let pt = self.intern_raw(raw);
-                        pending_entries += 1 + pt.subs.len();
-                        pending.push(pt);
-                        if pending_entries >= self.chunk_entries {
-                            self.ingest_prepared(std::mem::take(&mut pending))
-                                .expect("in-memory replay ingest cannot fail");
-                            pending_entries = 0;
-                        }
+                        let refs = self.table.intern_arena_refs(&raw.canon);
+                        let canon = refs[raw.pos.index()];
+                        records.push(PreparedTerm::interned_root(raw.hash, raw.node_count, canon));
                     }
+                    WalEntry::Term { hash, root } => terms.push((hash, root)),
                     WalEntry::Update(delta) => {
-                        if !pending.is_empty() {
-                            self.ingest_prepared(std::mem::take(&mut pending))
-                                .expect("in-memory replay ingest cannot fail");
-                            pending_entries = 0;
-                        }
+                        self.replay_inserts(&mut preparer, arena, &mut records, &mut terms)?;
                         crate::update::apply_update_replay(self, delta, verify)?;
                     }
                 }
             }
-            if !pending.is_empty() {
-                self.ingest_prepared(pending)
-                    .expect("in-memory replay ingest cannot fail");
-            }
+            self.replay_inserts(&mut preparer, arena, &mut records, &mut terms)?;
         }
         Ok(())
     }
 
-    /// Interns one decoded WAL record's canon DAG into the store's table
-    /// (see [`AlphaStore::canons_of`]) and re-addresses its entries as
-    /// interned prepared entries.
-    fn intern_raw(&self, raw: RawRecord<H>) -> PreparedTerm<H> {
-        let positions: Vec<DbId> = std::iter::once(&raw.root)
-            .chain(&raw.subs)
-            .map(|e| e.pos)
-            .collect();
-        let canons = self.canons_of(&raw.canon, &positions);
-        let entry = |(e, &canon): (&crate::persist::format::RawEntry<H>, &CanonRef)| SubEntry {
-            hash: e.hash,
-            node_count: e.node_count,
-            multiplicity: e.multiplicity,
-            canon,
-        };
-        PreparedTerm {
-            root: entry((&raw.root, &canons[0])).widen(),
-            subs: raw.subs.iter().zip(&canons[1..]).map(entry).collect(),
-            skipped: raw.skipped,
+    /// Applies the inserts [`AlphaStore::replay`] has collected since the
+    /// last group boundary or delta, and empties both lists. A `Roots`
+    /// group is applied whole: with no subexpression entries, its
+    /// outcomes do not depend on where it is chunked.
+    fn replay_inserts(
+        &self,
+        preparer: &mut Preparer<H>,
+        arena: &ExprArena,
+        records: &mut Vec<PreparedTerm<H>>,
+        terms: &mut Vec<(H, NodeId)>,
+    ) -> Result<(), PersistError> {
+        if !records.is_empty() {
+            self.apply_prepared(std::mem::take(records));
         }
+        let roots: Vec<NodeId> = terms.iter().map(|&(_, root)| root).collect();
+        let outcomes = self
+            .ingest_with(preparer, arena, &roots)
+            .expect("in-memory replay ingest cannot fail");
+        if terms
+            .drain(..)
+            .zip(&outcomes)
+            .any(|((hash, _), o)| self.hash_of(o.class) != hash)
+        {
+            return Err(PersistError::Corrupt {
+                context: "WAL term re-hashes to a different content address than its \
+                          record claims"
+                    .to_owned(),
+            });
+        }
+        Ok(())
     }
 
-    /// Tees a chunk of inserts into the WAL as one group commit: the
-    /// chunk's records, then a boundary marker so replay can reproduce the
-    /// group exactly. No-op on in-memory stores. A write failure is
-    /// retried per the store's [`RetryPolicy`]; exhausting the retries
-    /// returns [`StoreError::Persist`] **without** applying the chunk to
-    /// memory, so memory and WAL stay in agreement.
-    fn wal_log(&self, terms: &[PreparedTerm<H>]) -> Result<(), StoreError> {
+    /// Tees a chunk of inserts, `terms` prepared from `roots` of `arena`,
+    /// into the WAL as one group commit: the chunk's records, then a
+    /// boundary marker so replay can reproduce the group exactly. No-op
+    /// on in-memory stores. A write failure is retried per the store's
+    /// [`RetryPolicy`]; exhausting the retries returns
+    /// [`StoreError::Persist`] **without** applying the chunk to memory, so
+    /// memory and WAL stay in agreement.
+    fn wal_log(
+        &self,
+        terms: &[PreparedTerm<H>],
+        arena: &ExprArena,
+        roots: &[NodeId],
+    ) -> Result<(), StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(());
         };
-        // ~10 bytes per canon node plus fixed costs: a close-enough guess
-        // that the frame buffer almost never regrows mid-chunk.
+        // ~10 bytes per node plus fixed costs: a close-enough guess that
+        // the frame buffer almost never regrows mid-chunk.
         let estimate: usize = terms
             .iter()
-            .map(|pt| 96 + 28 * pt.subs.len() + pt.root.node_count as usize * 10)
+            .map(|pt| 96 + pt.root.node_count as usize * 10)
             .sum();
         let mut frames = Vec::with_capacity(estimate);
-        for pt in terms {
-            crate::persist::wal::frame_record(&mut frames, pt, |canons, dag| {
-                self.debruijn_run(canons, dag)
-            });
+        for (pt, &root) in terms.iter().zip(roots) {
+            crate::persist::wal::frame_record(&mut frames, pt, arena, root);
         }
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)

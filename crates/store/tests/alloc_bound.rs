@@ -11,7 +11,7 @@
 
 use alpha_store::codec::{begin_frame, crc32, end_frame, put_u32, put_u64, put_u8};
 use alpha_store::persist::{SNAPSHOT_FILE, WAL_FILE};
-use alpha_store::{AlphaStore, PersistError};
+use alpha_store::{AlphaStore, Granularity, PersistError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -95,12 +95,13 @@ impl Drop for TempDir {
     }
 }
 
-/// An intact, empty, one-shard durable store with a snapshot and a WAL
-/// of the snapshot's epoch holding nothing.
-fn empty_store(tag: &str) -> TempDir {
+/// An intact, empty, one-shard durable store of `granularity` with a
+/// snapshot and a WAL of the snapshot's epoch holding nothing.
+fn empty_store(tag: &str, granularity: Granularity) -> TempDir {
     let dir = TempDir::new(tag);
     let store: AlphaStore<u64> = AlphaStore::builder()
         .shards(1)
+        .granularity(granularity)
         .open_durable(&dir.0)
         .expect("create");
     store.checkpoint().expect("checkpoint");
@@ -109,13 +110,13 @@ fn empty_store(tag: &str) -> TempDir {
 
 #[test]
 fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
-    let intact = empty_store("intact");
+    let intact = empty_store("intact", Granularity::Roots);
     let (opened, baseline) = peak_during(|| AlphaStore::<u64>::open(&intact.0));
     drop(opened.expect("an intact empty store opens"));
 
     // (a) A snapshot whose one shard claims 2³²−1 classes. Its last 12
     // bytes are that shard's class and term counts, then the CRC.
-    let dir = empty_store("classes");
+    let dir = empty_store("classes", Granularity::Roots);
     let path = dir.0.join(SNAPSHOT_FILE);
     let mut bytes = std::fs::read(&path).expect("snapshot");
     let end = bytes.len() - 4;
@@ -134,31 +135,49 @@ fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
         "snapshot claiming 2^32-1 classes: peak {peak} bytes, intact open {baseline}"
     );
 
-    // (b) A WAL whose one record claims 2³²−1 DAG nodes, in a CRC-valid
-    // frame closed by its commit marker: recovery stops there, as at any
-    // torn tail. Payload kinds 1 (record) and 2 (commit) are those of
-    // docs/PERSISTENCE_FORMAT.md.
-    let dir = empty_store("nodes");
-    let path = dir.0.join(WAL_FILE);
-    let mut bytes = std::fs::read(&path).expect("wal");
-    let start = begin_frame(&mut bytes);
-    put_u8(&mut bytes, 1);
-    put_u32(&mut bytes, 0); // names
-    put_u32(&mut bytes, u32::MAX); // nodes
-    bytes.extend_from_slice(&[0; 64]);
-    end_frame(&mut bytes, start);
-    let start = begin_frame(&mut bytes);
-    put_u8(&mut bytes, 2);
-    put_u64(&mut bytes, 1);
-    end_frame(&mut bytes, start);
-    std::fs::write(&path, &bytes).expect("write wal");
-    let (opened, peak) = peak_during(|| AlphaStore::<u64>::open(&dir.0));
-    let store = opened.expect("a torn tail recovers");
-    let recovery = store.recovery_info().expect("recovered");
-    assert_eq!(recovery.replayed_records, 0);
-    assert!(!recovery.clean, "the damaged frame is a torn tail");
-    assert!(
-        peak < baseline + MIB,
-        "record claiming 2^32-1 nodes: peak {peak} bytes, intact open {baseline}"
-    );
+    // (b) A `Roots` WAL whose one record claims 2³²−1 DAG nodes, and
+    // (c, d) a `Subexpressions` WAL whose one named-term record claims
+    // 2³²−1 names or 2³²−1 nodes. Each record is in a CRC-valid frame
+    // closed by its commit marker: recovery stops there, as at any torn
+    // tail. Payload kinds 1 (record) and 2 (commit) are those of
+    // docs/PERSISTENCE_FORMAT.md; a named record is a 16-byte hash, then
+    // the name count, the names, the node count and the nodes.
+    let subexpressions = Granularity::Subexpressions { min_nodes: 1 };
+    let intact = empty_store("intact-subs", subexpressions);
+    let (opened, subs_baseline) = peak_during(|| AlphaStore::<u64>::open(&intact.0));
+    drop(opened.expect("an intact empty store opens"));
+    let cases: [(&str, Granularity, usize, &[u32]); 3] = [
+        ("DAG nodes", Granularity::Roots, baseline, &[0, u32::MAX]),
+        ("term names", subexpressions, subs_baseline, &[u32::MAX]),
+        ("term nodes", subexpressions, subs_baseline, &[0, u32::MAX]),
+    ];
+    for (claim, granularity, baseline, counts) in cases {
+        let dir = empty_store(&claim.replace(' ', "-"), granularity);
+        let path = dir.0.join(WAL_FILE);
+        let mut bytes = std::fs::read(&path).expect("wal");
+        let start = begin_frame(&mut bytes);
+        put_u8(&mut bytes, 1);
+        if granularity != Granularity::Roots {
+            bytes.extend_from_slice(&[0; 16]); // the root hash
+        }
+        for &count in counts {
+            put_u32(&mut bytes, count);
+        }
+        bytes.extend_from_slice(&[0; 64]);
+        end_frame(&mut bytes, start);
+        let start = begin_frame(&mut bytes);
+        put_u8(&mut bytes, 2);
+        put_u64(&mut bytes, 1);
+        end_frame(&mut bytes, start);
+        std::fs::write(&path, &bytes).expect("write wal");
+        let (opened, peak) = peak_during(|| AlphaStore::<u64>::open(&dir.0));
+        let store = opened.expect("a torn tail recovers");
+        let recovery = store.recovery_info().expect("recovered");
+        assert_eq!(recovery.replayed_records, 0, "{claim}");
+        assert!(!recovery.clean, "{claim}: the damaged frame is a torn tail");
+        assert!(
+            peak < baseline + MIB,
+            "record claiming 2^32-1 {claim}: peak {peak} bytes, intact open {baseline}"
+        );
+    }
 }

@@ -150,17 +150,17 @@ fn subexpressions_store_files_are_byte_stable() {
 
 /// Recorded once; a change here is an on-disk format change.
 const ROOTS: &[&str] = &[
-    "open wal.bin=43:a1dec07848f01af3 snapshot.bin=absent",
-    "ingest wal.bin=3531:0b7c518791f1d126 snapshot.bin=absent",
-    "update wal.bin=3679:fdfd1408358d5bfb snapshot.bin=absent",
-    "checkpoint wal.bin=43:44ee6b5d28223c90 snapshot.bin=2543:af26d1d95ecea287",
-    "second batch wal.bin=1606:354d244c82964053 snapshot.bin=2543:af26d1d95ecea287",
+    "open wal.bin=43:b1f348abdc5b1f66 snapshot.bin=absent",
+    "ingest wal.bin=3327:961abbb9d984d40f snapshot.bin=absent",
+    "update wal.bin=3475:ecb7e94441a18de2 snapshot.bin=absent",
+    "checkpoint wal.bin=43:92f881a2d16bd545 snapshot.bin=2543:ba90b617c57f7cd2",
+    "second batch wal.bin=1510:588a78db7b84d745 snapshot.bin=2543:ba90b617c57f7cd2",
 ];
 
 const SUBEXPRESSIONS: &[&str] = &[
-    "open wal.bin=43:50bca1eec613eda6 snapshot.bin=absent",
-    "ingest wal.bin=10258:1fb949a554100cbe snapshot.bin=absent",
-    "update wal.bin=10406:6c5b62bb502ec7e3 snapshot.bin=absent",
-    "checkpoint wal.bin=43:31c1dae5bb24a385 snapshot.bin=13422:be86a314910eb199",
-    "second batch wal.bin=5162:f0016cbadd50b0e6 snapshot.bin=13422:be86a314910eb199",
+    "open wal.bin=43:3f0dbe55ab8badb7 snapshot.bin=absent",
+    "ingest wal.bin=4217:e7994558c879f861 snapshot.bin=absent",
+    "update wal.bin=4365:1521d3bc1a4d0a5c snapshot.bin=absent",
+    "checkpoint wal.bin=43:e21d693a8abdcf54 snapshot.bin=13422:c68c84b151e08cf6",
+    "second batch wal.bin=2002:56f05e04b8133a80 snapshot.bin=13422:c68c84b151e08cf6",
 ];

@@ -716,6 +716,46 @@ fn verify_on_replay_catches_crc_consistent_canon_corruption() {
     );
 }
 
+/// A `Subexpressions` record is the term as ingested, and replay
+/// re-prepares it, so the same CRC-consistent tampering is caught by
+/// every open, paranoid or not: the term re-hashes to an address other
+/// than the one its record claims.
+#[test]
+fn a_subexpressions_record_that_misses_its_hash_is_always_corrupt() {
+    let dir = TempDir::new("subs-rehash");
+    let mut arena = ExprArena::new();
+    let t1 = lambda_lang::parse(&mut arena, "qq + 1").unwrap();
+    let t2 = lambda_lang::parse(&mut arena, r"\x. x * qq").unwrap();
+    let builder = || {
+        AlphaStore::<u64>::builder()
+            .seed(17)
+            .shards(2)
+            .subexpressions(1)
+    };
+    {
+        let store = builder().open_durable(dir.path()).expect("create");
+        store.insert(&arena, t1);
+        store.insert(&arena, t2);
+    }
+    let wal_path = dir.path().join("wal.bin");
+    let mut bytes = std::fs::read(&wal_path).expect("read wal");
+    let needle = [2u8, 0, 0, 0, b'q', b'q'];
+    let at = bytes
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("the name appears in the WAL");
+    bytes[at + 5] = b'z';
+    std::fs::write(&wal_path, &bytes).expect("write wal");
+    refresh_wal_crcs(&wal_path);
+    for verify in [false, true] {
+        let err = expect_err(builder().verify_on_replay(verify).open_durable(dir.path()));
+        assert!(
+            matches!(err, alpha_store::PersistError::Corrupt { .. }),
+            "verify_on_replay({verify}) must reject the tampered term: {err}"
+        );
+    }
+}
+
 #[test]
 fn second_opener_is_locked_out_until_the_first_drops() {
     let dir = TempDir::new("locked");
