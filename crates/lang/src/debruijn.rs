@@ -111,8 +111,8 @@ impl DbArena {
 
     /// Appends one node, returning its id. The builder's contract is the
     /// usual arena one: child ids must already exist in this arena. Used
-    /// by external single-pass converters (the store's fused hash+canon
-    /// traversal) that build de Bruijn terms bottom-up.
+    /// by external converters that build de Bruijn terms bottom-up (the
+    /// store's canon extraction and its record decoder).
     pub fn push(&mut self, node: DbNode) -> DbId {
         let id = DbId(u32::try_from(self.nodes.len()).expect("db arena overflow"));
         self.nodes.push(node);

@@ -45,7 +45,7 @@ enum Task {
 /// Reusable scratch space for [`walk_scoped_with`].
 ///
 /// A scoped walk needs a work stack; callers that walk many terms (the
-/// store's fused ingest pass) keep one `ScopeStack` alive so steady-state
+/// store's named-term walks) keep one `ScopeStack` alive so steady-state
 /// traversal performs no allocation.
 /// The stack is cleared on entry to every walk; its contents between walks
 /// are unspecified.
@@ -99,8 +99,8 @@ pub fn walk_scoped(arena: &ExprArena, root: NodeId, f: impl FnMut(ScopeEvent)) {
 }
 
 /// [`walk_scoped`] with caller-provided scratch space — the allocation-free
-/// variant for passes that walk many terms (the store's fused root-mode
-/// ingest pass keeps one [`ScopeStack`] per batch). Subexpression-mode
+/// variant for passes that walk many terms (the store's root-mode
+/// interning and WAL framing keep one [`ScopeStack`] per preparer). Subexpression-mode
 /// canonicalization needs no scoped walk per subterm: one bottom-up pass
 /// builds every standalone form, re-interning only the paths from each
 /// binder down to its occurrences — O(n + Σ binder→occurrence path

@@ -21,10 +21,11 @@
 //! structure is context-free, so by induction **two refs are equal iff
 //! the terms they root are identical**.
 //! That upgrades merge confirmation: when both sides are interned, `db_eq`
-//! is one ref compare; only *frontier* terms (not yet interned — the root-
-//! granularity hot path, and read-only queries) fall back to a structural
-//! walk against the DAG ([`eq_frontier`]). Either way no merge is ever
-//! taken on hash equality alone.
+//! is one ref compare. A `Roots` entry is not interned: its named term is
+//! walked against the class's form under a binder environment
+//! ([`eq_named`]), and interned straight from the named term
+//! ([`intern_named`]) only when it creates a class. Either way no merge is
+//! ever taken on hash equality alone.
 //!
 //! The same argument covers the other node kinds. A
 //! `Subexpressions` store keys its classes by the paper's §4.8 e-summary
@@ -59,10 +60,15 @@
 //! edge to the store's lock graph.
 
 use crate::esummary::{KeyNode, MapNode, PosNode, StructNode};
+use crate::prepare::IndexMap;
 use alpha_hash::combine::{hash_str, mix64};
+use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
+use lambda_lang::symbol::Symbol;
+use lambda_lang::visit::{walk_scoped_with, ScopeEvent, ScopeStack};
 use lambda_lang::Literal;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
@@ -738,8 +744,8 @@ impl CanonTable {
         refs
     }
 
-    /// Interns the term rooted at `root` of `arena`, returning its ref —
-    /// the frontier→DAG crossing for freshly created classes.
+    /// Interns the term rooted at `root` of `arena`, returning its ref:
+    /// how a rewrite's patch and a snapshot's converted keys enter a table.
     pub(crate) fn intern_arena(&self, arena: &DbArena, root: DbId) -> CanonRef {
         self.intern_arena_refs(arena)[root.index()]
     }
@@ -774,47 +780,257 @@ impl CanonTable {
     }
 }
 
-/// Structural equality between an interned term (`cref` in the DAG) and a
-/// frontier term (`root` in `arena`) — the walk-compare that confirms
-/// merges at the intern frontier. Exactly [`lambda_lang::debruijn::db_eq`]
-/// semantics: indices by value, free variables by name, literals by value.
-/// `steps` accumulates the number of node pairs visited (the walk length
-/// the instrumentation seam reports for frontier merge confirmations);
-/// pass `&mut 0` when the count is not wanted.
-pub(crate) fn eq_frontier(
+/// Scratch of the walks over a named term — [`eq_named`],
+/// [`intern_named`] and the WAL's `Roots` record framing
+/// (`crate::persist::format::put_named_record`) — kept by a preparer, so
+/// a warm walk allocates nothing.
+#[derive(Default)]
+pub(crate) struct NamedScratch {
+    /// The bottom-up walk: binder environment, traversal and value stack.
+    pub(crate) fold: DbFold,
+    /// [`eq_named`]'s pending node pairs and scope brackets.
+    pairs: Vec<EqTask>,
+    /// Free name → the id the walk gave it: its table [`NameId`]
+    /// ([`eq_named`], [`intern_named`]) or its record symbol (framing).
+    pub(crate) free: IndexMap<Symbol, u32>,
+    /// Free names in first-occurrence order (framing).
+    pub(crate) names: Vec<Symbol>,
+    /// A record's node bytes, framed before its name table is known.
+    pub(crate) bytes: Vec<u8>,
+}
+
+/// The binder environment of a walk over a named term: each bound symbol
+/// maps to its binding level (the binders above it), and `saved` holds
+/// the outer bindings the live binders shadow, so its length is the
+/// current depth.
+#[derive(Default)]
+struct Scope {
+    env: IndexMap<Symbol, u32>,
+    saved: Vec<Option<u32>>,
+}
+
+impl Scope {
+    /// Empties the environment, which a walk that returned early may
+    /// have left bound.
+    fn clear(&mut self) {
+        self.env.clear();
+        self.saved.clear();
+    }
+
+    /// Brings `sym` into scope one level deeper, remembering the binding
+    /// it shadows.
+    fn bind(&mut self, sym: Symbol) {
+        let level = self.saved.len() as u32;
+        self.saved.push(self.env.insert(sym, level));
+    }
+
+    /// Takes `sym` out of scope, restoring the binding [`bind`](Self::bind)
+    /// shadowed.
+    fn unbind(&mut self, sym: Symbol) {
+        match self.saved.pop().expect("balanced bind/unbind") {
+            Some(level) => self.env.insert(sym, level),
+            None => self.env.remove(&sym),
+        };
+    }
+
+    /// The de Bruijn index of an occurrence of `sym`, `None` if it is
+    /// free: `level` counts binders from the root, the index from the
+    /// occurrence inward.
+    fn index(&self, sym: Symbol) -> Option<u32> {
+        let depth = self.saved.len() as u32;
+        self.env.get(&sym).map(|&level| depth - level - 1)
+    }
+}
+
+/// One node of a named term's de Bruijn form, as [`DbFold::run`] hands
+/// it over: a bound occurrence as its index, a free one by its symbol,
+/// and children as the values the fold returned for them.
+#[derive(Clone, Copy)]
+pub(crate) enum DbStep {
+    BVar(u32),
+    Free(Symbol),
+    Lit(Literal),
+    Lam(u32),
+    App(u32, u32),
+    Let(u32, u32),
+}
+
+/// The bottom-up walk of a named term's de Bruijn form.
+#[derive(Default)]
+pub(crate) struct DbFold {
+    scope: Scope,
+    walk: ScopeStack,
+    values: Vec<u32>,
+}
+
+impl DbFold {
+    /// Feeds `emit` every node of the named term at `root` of `arena` in
+    /// de Bruijn form, in the post-order `to_debruijn` builds its arena
+    /// in, and returns the value `emit` gave the root. Binders need not be
+    /// distinct: a shadowed name folds as its `uniquify`d copy does.
+    pub(crate) fn run(
+        &mut self,
+        arena: &ExprArena,
+        root: NodeId,
+        mut emit: impl FnMut(DbStep) -> u32,
+    ) -> u32 {
+        let DbFold {
+            scope,
+            walk,
+            values,
+        } = self;
+        scope.clear();
+        values.clear();
+        walk_scoped_with(arena, root, walk, |event| match event {
+            ScopeEvent::Enter(_) => {}
+            ScopeEvent::Bind { sym, .. } => scope.bind(sym),
+            ScopeEvent::Unbind { sym, .. } => scope.unbind(sym),
+            ScopeEvent::Exit(n) => {
+                let mut pop = || values.pop().expect("a child's value");
+                let step = match arena.node(n) {
+                    ExprNode::Var(s) => scope.index(s).map_or(DbStep::Free(s), DbStep::BVar),
+                    ExprNode::Lit(l) => DbStep::Lit(l),
+                    ExprNode::Lam(..) => DbStep::Lam(pop()),
+                    ExprNode::App(..) => {
+                        let arg = pop();
+                        DbStep::App(pop(), arg)
+                    }
+                    ExprNode::Let(..) => {
+                        let body = pop();
+                        DbStep::Let(pop(), body)
+                    }
+                };
+                values.push(emit(step));
+            }
+        });
+        values.pop().expect("a term has a root")
+    }
+}
+
+/// Interns the de Bruijn form of the named term at `root` of `arena`,
+/// node by node, and returns its ref: how a `Roots` insert that creates a
+/// class puts its form in the table. Each free name is interned once per
+/// term.
+pub(crate) fn intern_named(
+    table: &CanonTable,
+    arena: &ExprArena,
+    root: NodeId,
+    scratch: &mut NamedScratch,
+) -> CanonRef {
+    let NamedScratch { fold, free, .. } = scratch;
+    free.clear();
+    let root = fold.run(arena, root, |step| {
+        let node = match step {
+            DbStep::BVar(i) => CanonNode::BVar(i),
+            DbStep::Free(s) => {
+                let id = *free
+                    .entry(s)
+                    .or_insert_with(|| table.intern_name(arena.name(s)).index());
+                CanonNode::FVar(NameId::from_index(id))
+            }
+            DbStep::Lit(l) => CanonNode::Lit(l),
+            DbStep::Lam(body) => CanonNode::Lam(CanonRef::from_bits(body)),
+            DbStep::App(fun, arg) => {
+                CanonNode::App(CanonRef::from_bits(fun), CanonRef::from_bits(arg))
+            }
+            DbStep::Let(rhs, body) => {
+                CanonNode::Let(CanonRef::from_bits(rhs), CanonRef::from_bits(body))
+            }
+        };
+        table.intern_node(node).to_bits()
+    });
+    CanonRef::from_bits(root)
+}
+
+/// [`eq_named`]'s work: a node pair to compare, or a binder coming into
+/// or going out of scope.
+enum EqTask {
+    Pair(NodeId, CanonRef),
+    Bind(Symbol),
+    Unbind(Symbol),
+}
+
+/// Whether the named term at `root` of `arena` has the interned de Bruijn
+/// form `cref`: the walk that confirms a `Roots` entry against a class.
+/// Exactly [`lambda_lang::debruijn::db_eq`] of the term's `to_debruijn`
+/// form and `cref`'s, without building either: the named term is walked
+/// against the DAG under a binder environment, shadowed binders saved and
+/// restored, bound occurrences compared by index, free ones by name and
+/// literals by value. On success it has visited every node once, so a
+/// confirmed walk is as long as the term.
+pub(crate) fn eq_named(
     table: &CanonTable,
     cref: CanonRef,
-    arena: &DbArena,
-    root: DbId,
-    steps: &mut u64,
+    arena: &ExprArena,
+    root: NodeId,
+    scratch: &mut NamedScratch,
 ) -> bool {
-    let mut stack: Vec<(CanonRef, DbId)> = vec![(cref, root)];
-    while let Some((r, d)) = stack.pop() {
-        *steps += 1;
-        match (table.node(r), arena.node(d)) {
-            (CanonNode::BVar(i), DbNode::BVar(j)) => {
-                if i != j {
+    let NamedScratch {
+        fold, pairs, free, ..
+    } = scratch;
+    let scope = &mut fold.scope;
+    scope.clear();
+    free.clear();
+    pairs.clear();
+    pairs.push(EqTask::Pair(root, cref));
+    while let Some(task) = pairs.pop() {
+        let (n, r) = match task {
+            EqTask::Pair(n, r) => (n, r),
+            EqTask::Bind(x) => {
+                scope.bind(x);
+                continue;
+            }
+            EqTask::Unbind(x) => {
+                scope.unbind(x);
+                continue;
+            }
+        };
+        match (arena.node(n), table.node(r)) {
+            (ExprNode::Var(s), CanonNode::BVar(i)) => {
+                if scope.index(s) != Some(i) {
                     return false;
                 }
             }
-            (CanonNode::FVar(id), DbNode::FVar(sym)) => {
-                if table.name(id) != arena.name(sym) {
+            (ExprNode::Var(s), CanonNode::FVar(id)) => {
+                if scope.index(s).is_some() {
                     return false;
                 }
+                // Names intern to one id each, so after one string
+                // compare a free symbol's id stands for its name.
+                match free.entry(s) {
+                    Entry::Occupied(seen) => {
+                        if *seen.get() != id.index() {
+                            return false;
+                        }
+                    }
+                    Entry::Vacant(slot) => {
+                        if table.name(id) != arena.name(s) {
+                            return false;
+                        }
+                        slot.insert(id.index());
+                    }
+                }
             }
-            (CanonNode::Lit(l1), DbNode::Lit(l2)) => {
+            (ExprNode::Lit(l1), CanonNode::Lit(l2)) => {
                 if l1 != l2 {
                     return false;
                 }
             }
-            (CanonNode::Lam(b1), DbNode::Lam(b2)) => stack.push((b1, b2)),
-            (CanonNode::App(f1, a1), DbNode::App(f2, a2)) => {
-                stack.push((a1, a2));
-                stack.push((f1, f2));
+            (ExprNode::Lam(x, body), CanonNode::Lam(b)) => {
+                pairs.push(EqTask::Unbind(x));
+                pairs.push(EqTask::Pair(body, b));
+                pairs.push(EqTask::Bind(x));
             }
-            (CanonNode::Let(r1, b1), DbNode::Let(r2, b2)) => {
-                stack.push((b1, b2));
-                stack.push((r1, r2));
+            (ExprNode::App(f1, a1), CanonNode::App(f2, a2)) => {
+                pairs.push(EqTask::Pair(a1, a2));
+                pairs.push(EqTask::Pair(f1, f2));
+            }
+            (ExprNode::Let(x, rhs, body), CanonNode::Let(r2, b2)) => {
+                // The rhs is outside the binder's scope.
+                pairs.push(EqTask::Unbind(x));
+                pairs.push(EqTask::Pair(body, b2));
+                pairs.push(EqTask::Bind(x));
+                pairs.push(EqTask::Pair(rhs, r2));
             }
             _ => return false,
         }
@@ -944,31 +1160,101 @@ mod tests {
         );
     }
 
-    #[test]
-    fn eq_frontier_agrees_with_db_eq() {
-        let table = CanonTable::new();
-        let samples = [
-            (r"\x. x + y", r"\p. p + y", true),
-            (r"\x. x + y", r"\q. q + z", false),
-            (r"\x. \x. x", r"\a. \b. b", true),
-            ("let bar = x+1 in bar*y", "let p = x+1 in p*y", true),
-            ("let x = x in x", "let y = y in y", false),
-            ("42", "42", true),
-            ("42", "43", false),
-        ];
-        for (s1, s2, expected) in samples {
-            let (c1, r1) = canon_of(s1);
-            let (c2, r2) = canon_of(s2);
-            let i1 = table.intern_arena(&c1, r1);
-            let mut steps = 0u64;
-            assert_eq!(
-                eq_frontier(&table, i1, &c2, r2, &mut steps),
-                expected,
-                "{s1} vs {s2}"
-            );
-            assert!(steps > 0, "the walk visited at least the roots");
-            assert_eq!(db_eq(&c1, r1, &c2, r2), expected);
+    /// A random named term of depth at most `depth` over three names, so
+    /// that binders often shadow one another and a name occurs both free
+    /// and bound.
+    fn random_term(arena: &mut ExprArena, rng: &mut rand::rngs::StdRng, depth: u32) -> NodeId {
+        use rand::Rng;
+        let name = ["a", "b", "c"][rng.random_range(0..3)];
+        let pick = if depth == 0 {
+            rng.random_range(0..2u32)
+        } else {
+            rng.random_range(0..5u32)
+        };
+        match pick {
+            0 => arena.var_named(name),
+            1 => arena.lit(Literal::I64(rng.random_range(0..2))),
+            2 => {
+                let x = arena.intern(name);
+                let body = random_term(arena, rng, depth - 1);
+                arena.lam(x, body)
+            }
+            3 => {
+                let f = random_term(arena, rng, depth - 1);
+                let a = random_term(arena, rng, depth - 1);
+                arena.app(f, a)
+            }
+            _ => {
+                let x = arena.intern(name);
+                let rhs = random_term(arena, rng, depth - 1);
+                let body = random_term(arena, rng, depth - 1);
+                arena.let_(x, rhs, body)
+            }
         }
+    }
+
+    #[test]
+    fn eq_named_agrees_with_db_eq() {
+        use rand::SeedableRng;
+        let table = CanonTable::new();
+        let mut arena = ExprArena::new();
+        let mut pairs: Vec<(NodeId, NodeId)> = [
+            (r"\x. x + y", r"\p. p + y"),
+            (r"\x. x + y", r"\q. q + z"),
+            (r"\x. \x. x", r"\a. \b. b"),
+            // A free name against a bound one of the same name.
+            (r"\a. b", r"\b. b"),
+            // The rhs is outside the binder.
+            ("let a = a in a", "let b = b in b"),
+            ("let a = a in a", "let b = a in b"),
+            // A free name that an inner binder shadows.
+            (r"a (\a. a)", r"a (\b. b)"),
+            (r"a (\a. a)", r"b (\a. a)"),
+            ("42", "42"),
+            ("42", "43"),
+        ]
+        .iter()
+        .map(|(s1, s2)| {
+            (
+                parse(&mut arena, s1).unwrap(),
+                parse(&mut arena, s2).unwrap(),
+            )
+        })
+        .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xE94A3E);
+        for i in 0..3000 {
+            // Every third pair is a term and its `uniquify`d copy.
+            let mut source = ExprArena::new();
+            let generated = random_term(&mut source, &mut rng, 3);
+            let t1 = arena.import_subtree(&source, generated);
+            let t2 = if i % 3 == 0 {
+                lambda_lang::uniquify::uniquify_into(&source, generated, &mut arena)
+            } else {
+                random_term(&mut arena, &mut rng, 3)
+            };
+            pairs.push((t1, t2));
+        }
+        // One scratch for every walk: a walk that fails part-way must not
+        // leave state behind for the next.
+        let mut scratch = NamedScratch::default();
+        let mut agreed = [0usize; 2];
+        for (t1, t2) in pairs {
+            let (c1, r1) = to_debruijn(&arena, t1);
+            let (c2, r2) = to_debruijn(&arena, t2);
+            let cref = table.intern_arena(&c1, r1);
+            assert_eq!(intern_named(&table, &arena, t1, &mut scratch), cref);
+            let expected = db_eq(&c1, r1, &c2, r2);
+            assert_eq!(
+                eq_named(&table, cref, &arena, t2, &mut scratch),
+                expected,
+                "{} vs {}",
+                db_print(&c1, r1),
+                db_print(&c2, r2)
+            );
+            assert!(eq_named(&table, cref, &arena, t1, &mut scratch));
+            agreed[usize::from(expected)] += 1;
+        }
+        assert!(agreed[0] > 1000 && agreed[1] > 1000, "{agreed:?}");
     }
 
     #[test]

@@ -129,17 +129,17 @@ impl StoreObs {
         ));
         let frontier_walk_nodes = registry.histogram(desc(
             "alpha_store_frontier_walk_nodes",
-            "Structural-walk length when a merge is confirmed without an interned ref",
+            "Confirm-walk length when a merge is confirmed by walking a named term against a class",
             "nodes",
         ));
         let probe_prepare_ns = registry.histogram(desc(
             "alpha_store_probe_prepare_ns",
-            "Latency of hashing+canonising one probed pattern (lookup, contains)",
+            "Latency of preparing one probed pattern (lookup, contains): its hash, and in Subexpressions mode its looked-up key",
             "ns",
         ));
         let probe_ns = registry.histogram(desc(
             "alpha_store_probe_ns",
-            "Latency of one lookup or containment probe (prepared term to verdict)",
+            "Latency of one lookup or containment probe (prepared term to verdict, a Roots confirm walk included)",
             "ns",
         ));
         let snapshot_write_ns = registry.histogram(desc(
@@ -164,7 +164,7 @@ impl StoreObs {
         ));
         let merge_confirm_walk = registry.counter(desc(
             "alpha_store_merge_confirm_walk",
-            "Merges confirmed by structural frontier walk",
+            "Merges confirmed by walking a named term against the class form",
             "merges",
         ));
         let hash_nodes = registry.counter(desc(

@@ -12,8 +12,9 @@
 //! as the term itself: its root hash plus the wire's named-term encoding
 //! ([`crate::codec::put_term`]), which replay re-prepares, so a record
 //! no longer carries a standalone de Bruijn form per indexed subterm. A
-//! `Roots` insert record is the term's frontier de Bruijn run with its
-//! root's hash, position and node count, and no entry list. **Format
+//! `Roots` insert record is the term's de Bruijn node run, framed straight
+//! from the named term, with its root's hash, position and node count,
+//! and no entry list. **Format
 //! v3** added rewrite **delta records** — `AlphaStore::update` logs the
 //! rewritten term as its old root plus the spine path and the patch
 //! canon — and widened the snapshot's per-term bookkeeping to full
@@ -44,6 +45,7 @@ use crate::codec::{
     put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, take_count, take_hash,
     take_str, take_term, take_u32, take_u64, take_u8,
 };
+use crate::dag::{DbStep, NamedScratch};
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
 use alpha_hash::combine::HashWord;
@@ -218,39 +220,44 @@ pub(crate) fn put_dag(out: &mut Vec<u8>, dag: &DbArena) {
     }
     put_count(out, dag.len());
     for node in dag.nodes() {
-        match node {
-            DbNode::BVar(index) => {
-                put_u8(out, NODE_BVAR);
-                put_u32(out, index);
-            }
-            DbNode::FVar(sym) => {
-                put_u8(out, NODE_FVAR);
-                put_u32(out, sym.index());
-            }
-            DbNode::Lam(body) => {
-                put_u8(out, NODE_LAM);
-                put_u32(out, body.index() as u32);
-            }
-            DbNode::App(fun, arg) => {
-                put_u8(out, NODE_APP);
-                put_u32(out, fun.index() as u32);
-                put_u32(out, arg.index() as u32);
-            }
-            DbNode::Let(rhs, body) => {
-                put_u8(out, NODE_LET);
-                put_u32(out, rhs.index() as u32);
-                put_u32(out, body.index() as u32);
-            }
-            DbNode::Lit(lit) => {
-                put_u8(out, NODE_LIT);
-                let (kind, payload) = match lit {
-                    Literal::I64(v) => (LIT_I64, v as u64),
-                    Literal::F64Bits(bits) => (LIT_F64, bits),
-                    Literal::Bool(b) => (LIT_BOOL, b as u64),
-                };
-                put_u8(out, kind);
-                put_u64(out, payload);
-            }
+        put_node(out, node);
+    }
+}
+
+/// Encodes one node of a node run.
+fn put_node(out: &mut Vec<u8>, node: DbNode) {
+    match node {
+        DbNode::BVar(index) => {
+            put_u8(out, NODE_BVAR);
+            put_u32(out, index);
+        }
+        DbNode::FVar(sym) => {
+            put_u8(out, NODE_FVAR);
+            put_u32(out, sym.index());
+        }
+        DbNode::Lam(body) => {
+            put_u8(out, NODE_LAM);
+            put_u32(out, body.index() as u32);
+        }
+        DbNode::App(fun, arg) => {
+            put_u8(out, NODE_APP);
+            put_u32(out, fun.index() as u32);
+            put_u32(out, arg.index() as u32);
+        }
+        DbNode::Let(rhs, body) => {
+            put_u8(out, NODE_LET);
+            put_u32(out, rhs.index() as u32);
+            put_u32(out, body.index() as u32);
+        }
+        DbNode::Lit(lit) => {
+            put_u8(out, NODE_LIT);
+            let (kind, payload) = match lit {
+                Literal::I64(v) => (LIT_I64, v as u64),
+                Literal::F64Bits(bits) => (LIT_F64, bits),
+                Literal::Bool(b) => (LIT_BOOL, b as u64),
+            };
+            put_u8(out, kind);
+            put_u64(out, payload);
         }
     }
 }
@@ -338,7 +345,7 @@ pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
 // Insert records (the WAL payload)
 // ---------------------------------------------------------------------
 
-/// One decoded `Roots` insert record: the term's frontier canon, a
+/// One decoded `Roots` insert record: the term's canonical form, a
 /// standalone de Bruijn run, with its root's position, hash and tree
 /// node count. Recovery interns the run and applies the root as the live
 /// insert did, re-confirming its merge by canonical identity.
@@ -355,12 +362,69 @@ pub(crate) struct RawRecord<H> {
 }
 
 /// Encodes one `Roots` insert record: the node run, then the root's
-/// `(hash, pos, node_count)`.
+/// `(hash, pos, node_count)`. The reference [`put_named_record`] is held
+/// to.
+#[cfg(test)]
 pub(crate) fn put_record<H: HashWord>(out: &mut Vec<u8>, dag: &DbArena, root: (H, DbId, u64)) {
     put_dag(out, dag);
     put_hash(out, root.0);
     put_u32(out, root.1.index() as u32);
     put_u64(out, root.2);
+}
+
+/// Encodes one `Roots` insert record straight from the named term at
+/// `root` of `arena`, with its `(hash, node_count)`: byte for byte what
+/// [`put_record`] writes for the term's `to_debruijn` form, whose node
+/// run is the term's post-order and whose name table lists the free names
+/// in order of first occurrence.
+pub(crate) fn put_named_record<H: HashWord>(
+    out: &mut Vec<u8>,
+    (hash, node_count): (H, u64),
+    arena: &ExprArena,
+    root: NodeId,
+    scratch: &mut NamedScratch,
+) {
+    let NamedScratch {
+        fold,
+        free,
+        names,
+        bytes,
+        ..
+    } = scratch;
+    free.clear();
+    names.clear();
+    bytes.clear();
+    let mut len = 0u32;
+    let child = |value: u32| DbId::from_index(value as usize);
+    let pos = fold.run(arena, root, |step| {
+        let node = match step {
+            DbStep::BVar(i) => DbNode::BVar(i),
+            DbStep::Free(s) => {
+                let symbol = *free.entry(s).or_insert_with(|| {
+                    names.push(s);
+                    names.len() as u32 - 1
+                });
+                DbNode::FVar(Symbol::from_index(symbol))
+            }
+            DbStep::Lit(l) => DbNode::Lit(l),
+            DbStep::Lam(body) => DbNode::Lam(child(body)),
+            DbStep::App(fun, arg) => DbNode::App(child(fun), child(arg)),
+            DbStep::Let(rhs, body) => DbNode::Let(child(rhs), child(body)),
+        };
+        put_node(bytes, node);
+        len += 1;
+        len - 1
+    });
+    debug_assert_eq!(u64::from(len), node_count);
+    put_count(out, names.len());
+    for &name in names.iter() {
+        put_str(out, arena.name(name));
+    }
+    put_count(out, len as usize);
+    out.extend_from_slice(bytes);
+    put_hash(out, hash);
+    put_u32(out, pos);
+    put_u64(out, node_count);
 }
 
 /// Decodes one `Roots` insert record.
@@ -761,6 +825,69 @@ mod tests {
                 take_term_record::<u128>(&mut input, &mut ExprArena::new()),
                 Err(PersistError::Corrupt { .. })
             ));
+        }
+    }
+
+    /// A random raw term of depth at most `depth`: binders drawn from
+    /// three names, so they shadow one another and a name occurs both free
+    /// and bound, free names repeat, and literals of all three kinds.
+    fn raw_term(arena: &mut ExprArena, rng: &mut rand::rngs::StdRng, depth: u32) -> NodeId {
+        use rand::Rng;
+        let name = ["a", "b", "c"][rng.random_range(0..3)];
+        let pick = if depth == 0 {
+            rng.random_range(0..4u32)
+        } else {
+            rng.random_range(0..7u32)
+        };
+        match pick {
+            0 => arena.var_named(name),
+            1 => arena.lit(Literal::I64(rng.random_range(-2..2))),
+            2 => arena.lit(Literal::F64Bits(rng.random_range(0..3u64) << 62)),
+            3 => arena.lit(Literal::Bool(rng.random())),
+            4 => {
+                let x = arena.intern(name);
+                let body = raw_term(arena, rng, depth - 1);
+                arena.lam(x, body)
+            }
+            5 => {
+                let f = raw_term(arena, rng, depth - 1);
+                let a = raw_term(arena, rng, depth - 1);
+                arena.app(f, a)
+            }
+            _ => {
+                let x = arena.intern(name);
+                let rhs = raw_term(arena, rng, depth - 1);
+                let body = raw_term(arena, rng, depth - 1);
+                arena.let_(x, rhs, body)
+            }
+        }
+    }
+
+    /// A `Roots` record framed from the named term is byte for byte the
+    /// record of its `to_debruijn` form.
+    #[test]
+    fn a_named_record_is_the_record_of_its_debruijn_form() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EC04D);
+        let mut arena = ExprArena::new();
+        // One scratch for every term: no state may leak between records.
+        let mut scratch = NamedScratch::default();
+        let (mut named, mut reference) = (Vec::new(), Vec::new());
+        for i in 0..2000u64 {
+            let root = raw_term(&mut arena, &mut rng, 1 + (i % 7) as u32);
+            let (dag, pos) = to_debruijn(&arena, root);
+            let hash = (u128::from(i) << 64) | 0x5EED;
+            let node_count = dag.len() as u64;
+            named.clear();
+            reference.clear();
+            put_named_record(&mut named, (hash, node_count), &arena, root, &mut scratch);
+            put_record(&mut reference, &dag, (hash, pos, node_count));
+            assert_eq!(
+                named,
+                reference,
+                "{}",
+                lambda_lang::print::print(&arena, root)
+            );
         }
     }
 

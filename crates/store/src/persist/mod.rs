@@ -12,7 +12,7 @@
 //!   more.
 //! * `wal.bin` — an append-only log of every insert and rewrite-update
 //!   since that snapshot: one CRC-framed record per ingested term (its
-//!   frontier canon in a `Roots` store, the term itself in a
+//!   de Bruijn form in a `Roots` store, the term itself in a
 //!   `Subexpressions` store), one
 //!   **delta record** per [`update`](crate::AlphaStore::update) (old
 //!   root + spine path + patch canon, not the full rewritten term), plus

@@ -1,8 +1,8 @@
 //! The append-only write-ahead log.
 //!
 //! Every confirmed insert tees one **record** into the WAL — in a `Roots`
-//! store the term's frontier de Bruijn form, in a `Subexpressions` store
-//! the term as ingested — so a crash loses at most the writes the OS had
+//! store the term's de Bruijn form, framed straight from the named term,
+//! in a `Subexpressions` store the term as ingested — so a crash loses at most the writes the OS had
 //! not yet persisted, and never corrupts what came before. Frames are
 //! [`crate::codec`]'s `[len u32][crc32 u32][payload]`, the daemon's wire
 //! frame too, where the payload's first byte is a
@@ -47,7 +47,7 @@ use crate::codec::{
     take_u8, FRAME_HEADER_LEN,
 };
 use crate::obs::WalObs;
-use crate::prepare::{PreparedCanon, PreparedTerm};
+use crate::prepare::{Named, PreparedCanon, PreparedTerm};
 use alpha_hash::combine::HashWord;
 use lambda_lang::{ExprArena, NodeId};
 use std::path::Path;
@@ -67,7 +67,7 @@ const FRAME_DELTA: u8 = 3;
 /// ingest driver, and a delta re-splices its patch into the interned old
 /// canon.
 pub(crate) enum WalEntry<H> {
-    /// One `insert` into a `Roots` store: the term's frontier canon.
+    /// One `insert` into a `Roots` store: the term's de Bruijn run.
     Insert(RawRecord<H>),
     /// One `insert` into a `Subexpressions` store: the recorded root hash
     /// and the term, decoded into [`WalContents::arena`].
@@ -421,24 +421,28 @@ impl Wal {
 }
 
 /// Frames one insert record, encoding the payload in place (see
-/// [`begin_frame`]). A frontier root (a `Roots` store's) is already a
-/// topologically ordered node run whose positions are the record
-/// positions; an interned root (a `Subexpressions` store's) is logged as
-/// its hash and the term as ingested, `root` of `arena`.
+/// [`begin_frame`]): the term prepared as `pt` from `root` of
+/// `named.arena`. A named root (a `Roots` store's) is logged as its
+/// de Bruijn node run, framed straight from the term; an interned root (a
+/// `Subexpressions` store's) as its hash and the term as ingested.
 pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
     pt: &PreparedTerm<H>,
-    arena: &ExprArena,
     root: NodeId,
+    named: &mut Named<'_>,
 ) {
     let frame_start = begin_frame(out);
     put_u8(out, FRAME_RECORD);
     let entry = &pt.root;
-    match &entry.canon {
-        PreparedCanon::Frontier { canon, canon_root } => {
-            format::put_record(out, canon, (entry.hash, *canon_root, entry.node_count));
-        }
-        PreparedCanon::Interned(_) => format::put_term_record(out, entry.hash, arena, root),
+    match entry.canon {
+        PreparedCanon::Named(root) => format::put_named_record(
+            out,
+            (entry.hash, entry.node_count),
+            named.arena,
+            root,
+            named.scratch,
+        ),
+        PreparedCanon::Interned(_) => format::put_term_record(out, entry.hash, named.arena, root),
         PreparedCanon::Absent => unreachable!("only probes are absent"),
     }
     end_frame(out, frame_start);
@@ -507,7 +511,8 @@ mod tests {
             for src in *group {
                 let parsed = parse(&mut arena, src).unwrap();
                 let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
-                frame_record(&mut frames, &pt, &arena, parsed);
+                let mut named = preparer.named(&arena);
+                frame_record(&mut frames, &pt, parsed, &mut named);
                 count += 1;
             }
             frame_commit(&mut frames, group.len() as u64);
@@ -546,7 +551,8 @@ mod tests {
         let table = CanonTable::new();
         let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
-        frame_record(&mut frames, &pt, &arena, parsed);
+        let mut named = preparer.named(&arena);
+        frame_record(&mut frames, &pt, parsed, &mut named);
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);

@@ -1,10 +1,9 @@
-//! Fused single-pass ingest preparation: the alpha-hash **and** the
-//! canonical form of a term, from one traversal — the only step of ingest
-//! that depends on the store's [`Granularity`].
+//! Ingest preparation: the alpha-hash of a term and what confirms its
+//! merges exactly — the only step of ingest that depends on the store's
+//! [`Granularity`].
 //!
-//! [`Preparer`] fuses hashing with canonicalisation, and one `Preparer`
-//! serves a whole batch, so its environment table, node stacks,
-//! summariser scratch buffers and caches are all reused from term to term.
+//! One [`Preparer`] serves a whole batch, so its summariser scratch
+//! buffers, walk stacks and caches are all reused from term to term.
 //!
 //! `Preparer::prepare` (crate-internal) is the one ingest entry point and
 //! `Preparer::probe` the read-only one. Both return a root entry, and
@@ -13,11 +12,13 @@
 //! shard sweeps, probes and updates) runs one path for both. The root
 //! entry carries its canonical form in one of two shapes:
 //!
-//! * **Frontier** ([`Preparer::hash_and_canon`]) — `Roots` mode: one
-//!   fused scoped walk yields the term's hash and a standalone [`DbArena`]
-//!   de Bruijn form. Frontier forms are cheap (no table traffic on the hot
-//!   path); a merge is confirmed by walking the form against the DAG, and
-//!   the form is interned only if the insert creates a class.
+//! * **Named** — `Roots` mode: the paper's hashing pass alone, and the
+//!   term itself stands for its form. A merge is confirmed by walking the
+//!   named term against the class's interned de Bruijn form under a binder
+//!   environment (`crate::dag::eq_named`); the term is interned only if
+//!   the insert creates a class, and a durable store frames its WAL record
+//!   from it. Those walks share the preparer's [`NamedScratch`], so a warm
+//!   probe allocates only its result vector.
 //! * **Interned** (`Preparer::prepare_term`) — `Subexpressions` mode: the
 //!   paper's one O(n (log n)²) post-order pass hashes **every** node and,
 //!   through an interning sink (`crate::esummary`), hash-conses every
@@ -39,16 +40,14 @@
 //! the §4.8 inverse (`crate::esummary::Inverse`), and snapshot load
 //! re-summarises what it reads.
 
-use crate::dag::CanonTable;
+use crate::dag::{CanonTable, NamedScratch};
 use crate::esummary::Scratch;
 use crate::granularity::Granularity;
 use alpha_hash::combine::{HashScheme, HashWord};
-use alpha_hash::hashed::HashedSummariser;
-use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
+use alpha_hash::hashed::{HashedSummariser, StructH, SummarySink};
+use lambda_lang::arena::{ExprArena, NodeId};
 use lambda_lang::canon::CanonRef;
-use lambda_lang::debruijn::{DbArena, DbId, DbNode};
-use lambda_lang::symbol::Symbol;
-use lambda_lang::visit::{walk_scoped_with, ScopeEvent, ScopeStack};
+use lambda_lang::debruijn::{to_debruijn, DbArena, DbId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
@@ -95,15 +94,10 @@ pub(crate) enum PreparedCanon {
     /// roots, replayed records, updates): merge confirmation is one ref
     /// compare.
     Interned(CanonRef),
-    /// A standalone arena not yet in the DAG (root-granularity inserts and
-    /// read-only probes): confirmation walks the DAG structurally, and the
-    /// form is interned only if a class is created.
-    Frontier {
-        /// The canonical de Bruijn form.
-        canon: DbArena,
-        /// Root of `canon`.
-        canon_root: DbId,
-    },
+    /// The root of a named term of the batch's arena (root-granularity
+    /// inserts and read-only probes): confirmation walks it against the
+    /// DAG, and it is interned only if a class is created.
+    Named(NodeId),
     /// A probe of a `Subexpressions` store whose e-summary has a node the
     /// table lacks: no class can match it.
     Absent,
@@ -148,7 +142,7 @@ impl<H: Copy> SubEntry<H> {
 
 /// A prepared term: the root entry plus one entry per **distinct** indexed
 /// proper subexpression. `Roots` mode indexes nothing below the root, so
-/// its terms have no `subs`, and a frontier root never has any.
+/// its terms have no `subs`, and a named root never has any.
 #[derive(Debug)]
 pub(crate) struct PreparedTerm<H> {
     /// The whole term (always indexed, whatever its size).
@@ -178,79 +172,27 @@ impl<H> PreparedTerm<H> {
     }
 }
 
-/// Brings `sym` into scope at the current depth, remembering any shadowed
-/// outer binding on the `saved` stack.
-fn bind(
-    env: &mut IndexMap<Symbol, u32>,
-    saved: &mut Vec<Option<u32>>,
-    depth: &mut u32,
-    sym: Symbol,
-) {
-    saved.push(env.insert(sym, *depth));
-    *depth += 1;
+/// The terms of a batch's arena and the scratch their walks reuse: what
+/// a [`PreparedCanon::Named`] entry is confirmed, interned and logged
+/// from.
+pub(crate) struct Named<'a> {
+    pub(crate) arena: &'a ExprArena,
+    pub(crate) scratch: &'a mut NamedScratch,
 }
 
-/// Takes `sym` out of scope, restoring whatever binding [`bind`] shadowed.
-fn unbind(
-    env: &mut IndexMap<Symbol, u32>,
-    saved: &mut Vec<Option<u32>>,
-    depth: &mut u32,
-    sym: Symbol,
-) {
-    *depth -= 1;
-    match saved.pop().expect("balanced bind/unbind") {
-        Some(level) => {
-            env.insert(sym, level);
-        }
-        None => {
-            env.remove(&sym);
-        }
+/// The sink of the `Roots` hash pass: the last node's hash and size,
+/// which after a whole term's post-order feed are the root's.
+struct LastNode<H>(Option<(H, u64)>);
+
+impl<H: HashWord> SummarySink<H> for LastNode<H> {
+    #[inline]
+    fn node(&mut self, _n: NodeId, _left_bigger: bool, structure: StructH<H>, hash: H) {
+        self.0 = Some((hash, structure.size));
     }
 }
 
-/// Converts one post-order node to de Bruijn form against the current
-/// binder environment. `env` maps binder symbols to binding levels
-/// (distance from the walk root); occurrences of symbols not in `env` are
-/// free and keep their names.
-fn emit_db(
-    arena: &ExprArena,
-    n: NodeId,
-    env: &IndexMap<Symbol, u32>,
-    depth: u32,
-    dst: &mut DbArena,
-    db_stack: &mut Vec<DbId>,
-) {
-    let id = match arena.node(n) {
-        ExprNode::Var(s) => match env.get(&s) {
-            // `level` counts binders from the root; the index counts from
-            // the occurrence inward.
-            Some(&level) => dst.push(DbNode::BVar(depth - level - 1)),
-            None => {
-                let name = dst.intern(arena.name(s));
-                dst.push(DbNode::FVar(name))
-            }
-        },
-        ExprNode::Lit(l) => dst.push(DbNode::Lit(l)),
-        ExprNode::Lam(_, _) => {
-            let body = db_stack.pop().expect("lam body");
-            dst.push(DbNode::Lam(body))
-        }
-        ExprNode::App(_, _) => {
-            let arg = db_stack.pop().expect("app arg");
-            let fun = db_stack.pop().expect("app fun");
-            dst.push(DbNode::App(fun, arg))
-        }
-        ExprNode::Let(_, _, _) => {
-            let body = db_stack.pop().expect("let body");
-            let rhs = db_stack.pop().expect("let rhs");
-            dst.push(DbNode::Let(rhs, body))
-        }
-    };
-    db_stack.push(id);
-}
-
 /// Reusable state for preparing many terms of one arena: the streaming
-/// summariser plus the conversion environments, stacks and caches. A
+/// summariser plus the named-term walks' scratch, stacks and caches. A
 /// `Preparer` is arena-affine — like the summariser's name-hash cache, the
 /// e-summary scratch's symbol→[`NameId`](lambda_lang::canon::NameId) cache
 /// assumes every call passes the arena (and the table) the preparer was
@@ -259,13 +201,9 @@ fn emit_db(
 /// warm preparers between calls (`PreparerPool`).
 pub struct Preparer<H: HashWord> {
     summariser: HashedSummariser<H>,
-    /// Binder symbol → binding level (distance from the root), for the
-    /// innermost binding. Save/restore via `saved` handles shadowing.
-    env: IndexMap<Symbol, u32>,
-    saved: Vec<Option<u32>>,
-    db_stack: Vec<DbId>,
-    /// Traversal scratch of the fused root walk.
-    scope: ScopeStack,
+    /// Scratch of the walks over a `Roots` entry's named term: its
+    /// confirmation, its interning and its WAL record.
+    pub(crate) named: NamedScratch,
     /// The e-summary sinks' stacks and caches (`Subexpressions` mode).
     esum: Scratch<H>,
     /// Intra-term dedup: interned key bits → index into the subs vec.
@@ -286,10 +224,7 @@ impl<H: HashWord> Preparer<H> {
     pub fn new(arena: &ExprArena, scheme: &HashScheme<H>) -> Self {
         Preparer {
             summariser: HashedSummariser::new(arena, scheme),
-            env: IndexMap::default(),
-            saved: Vec::new(),
-            db_stack: Vec::new(),
-            scope: ScopeStack::new(),
+            named: NamedScratch::default(),
             esum: Scratch::default(),
             dedup: IndexMap::default(),
             intern_probes: 0,
@@ -312,6 +247,15 @@ impl<H: HashWord> Preparer<H> {
         self.probe_keys.shrink_to(POOLED_PROBE_SCRATCH);
     }
 
+    /// The terms of `arena` with this preparer's walk scratch, for the
+    /// shard sweep and the WAL framer to confirm, intern and log them.
+    pub(crate) fn named<'a>(&'a mut self, arena: &'a ExprArena) -> Named<'a> {
+        Named {
+            arena,
+            scratch: &mut self.named,
+        }
+    }
+
     /// Drains the summariser's cumulative work counters — `(nodes pushed,
     /// name-hash cache misses)` since the last drain — for the store's
     /// instrumentation seam. Resets both to zero.
@@ -320,9 +264,9 @@ impl<H: HashWord> Preparer<H> {
         (nodes, self.summariser.take_name_cache_misses())
     }
 
-    /// Prepares a term for a store of `granularity`: in `Roots` mode the
-    /// frontier root of [`Preparer::hash_and_canon`] with nothing indexed
-    /// below it, in `Subexpressions` mode `Preparer::prepare_term`.
+    /// Prepares a term for a store of `granularity`: in `Roots` mode its
+    /// hash and its named root, with nothing indexed below it, in
+    /// `Subexpressions` mode `Preparer::prepare_term`.
     pub(crate) fn prepare(
         &mut self,
         arena: &ExprArena,
@@ -333,13 +277,13 @@ impl<H: HashWord> Preparer<H> {
         self.intern_probes = 0;
         let pt = match granularity {
             Granularity::Roots => {
-                let (hash, canon, canon_root) = self.hash_and_canon(arena, root);
+                let (hash, node_count) = self.hash_root(arena, root);
                 PreparedTerm {
                     root: SubEntry {
                         hash,
-                        node_count: canon.len() as u64,
+                        node_count,
                         multiplicity: 1,
-                        canon: PreparedCanon::Frontier { canon, canon_root },
+                        canon: PreparedCanon::Named(root),
                     },
                     subs: Vec::new(),
                     skipped: 0,
@@ -354,7 +298,7 @@ impl<H: HashWord> Preparer<H> {
     }
 
     /// Prepares a read-only probe of a store of `granularity`: the
-    /// frontier root of a `Roots` prepare, or, in `Subexpressions` mode,
+    /// named root of a `Roots` prepare, or, in `Subexpressions` mode,
     /// the pattern's class key looked up without writing the table
     /// ([`PreparedCanon::Absent`] if it is not there).
     pub(crate) fn probe(
@@ -379,45 +323,25 @@ impl<H: HashWord> Preparer<H> {
         }
     }
 
-    /// Computes the term's alpha-hash and its canonical de Bruijn form in
-    /// one fused post-order pass — the frontier shape of root-granularity
-    /// ingest and probes.
-    ///
-    /// The de Bruijn output is structurally identical to
-    /// [`lambda_lang::debruijn::to_debruijn`]'s (the property tests
-    /// cross-check this), and the hash equals
-    /// [`alpha_hash::hashed::hash_expr`]. Binders need not be distinct: a
-    /// shadowed name prepares as its `uniquify`d copy does.
-    pub fn hash_and_canon(&mut self, arena: &ExprArena, root: NodeId) -> (H, DbArena, DbId) {
-        let mut dst = DbArena::new();
-        let mut depth: u32 = 0;
-        let mut root_hash = None;
-        self.db_stack.clear();
-
-        // Split-borrow the fields once so the closure can use them all.
-        let summariser = &mut self.summariser;
-        let env = &mut self.env;
-        let saved = &mut self.saved;
-        let db_stack = &mut self.db_stack;
-
-        walk_scoped_with(arena, root, &mut self.scope, |ev| match ev {
-            ScopeEvent::Enter(_) => {}
-            ScopeEvent::Bind { sym, .. } => bind(env, saved, &mut depth, sym),
-            ScopeEvent::Unbind { sym, .. } => unbind(env, saved, &mut depth, sym),
-            ScopeEvent::Exit(n) => {
-                let (hash, _) = summariser.push_node(arena, n, &mut ());
-                root_hash = Some(hash);
-                emit_db(arena, n, env, depth, &mut dst, db_stack);
-            }
-        });
-
+    /// The paper's hashing pass alone: the term's alpha-hash, equal to
+    /// [`alpha_hash::hashed::hash_expr`]'s, and its node count. Binders
+    /// need not be distinct: a shadowed name hashes as its `uniquify`d
+    /// copy does.
+    pub(crate) fn hash_root(&mut self, arena: &ExprArena, root: NodeId) -> (H, u64) {
+        let mut last = LastNode(None);
+        self.summariser.push_tree(arena, root, &mut last);
         self.summariser.finish_discard();
-        let db_root = self.db_stack.pop().expect("prepare produced a root");
-        debug_assert!(self.db_stack.is_empty());
-        debug_assert!(self.saved.is_empty());
-        debug_assert!(self.env.is_empty());
-        debug_assert_eq!(depth, 0);
-        (root_hash.expect("non-empty term"), dst, db_root)
+        last.0.expect("a term has a root")
+    }
+
+    /// The term's alpha-hash and its canonical de Bruijn form
+    /// ([`lambda_lang::debruijn::to_debruijn`]'s). No store path needs the
+    /// form: a `Roots` entry is confirmed, interned and logged from its
+    /// named term.
+    pub fn hash_and_canon(&mut self, arena: &ExprArena, root: NodeId) -> (H, DbArena, DbId) {
+        let (hash, _) = self.hash_root(arena, root);
+        let (canon, canon_root) = to_debruijn(arena, root);
+        (hash, canon, canon_root)
     }
 
     /// Prepares a term at subexpression granularity: **one** O(n (log n)²)
@@ -546,8 +470,9 @@ impl<H: HashWord> PreparerPool<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{eq_named, extract_one, intern_named};
     use crate::esummary::Inverse;
-    use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
+    use lambda_lang::debruijn::db_print;
     use lambda_lang::parse::parse;
     use lambda_lang::visit::postorder;
     use rand::rngs::StdRng;
@@ -567,8 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_pass_matches_the_two_walk_version() {
+    fn a_roots_prepare_is_the_hash_pass_and_the_named_root() {
         let scheme: HashScheme<u64> = HashScheme::new(0xFEED);
+        let table = CanonTable::new();
         let mut arena = ExprArena::new();
         let sources = [
             r"\x. x + 7",
@@ -583,40 +509,51 @@ mod tests {
         let mut preparer = Preparer::new(&arena, &scheme);
         for src in sources {
             let parsed = parse(&mut arena, src).unwrap();
-            let (hash, canon, canon_root) = preparer.hash_and_canon(&arena, parsed);
+            let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
             assert_eq!(
-                hash,
+                pt.root.hash,
                 alpha_hash::hashed::hash_expr(&arena, parsed, &scheme),
                 "hash mismatch for {src}"
             );
+            assert_eq!(pt.root.node_count as usize, arena.subtree_size(parsed));
+            assert!(matches!(pt.root.canon, PreparedCanon::Named(n) if n == parsed));
+            assert!(pt.subs.is_empty());
+            let (hash, canon, canon_root) = preparer.hash_and_canon(&arena, parsed);
+            assert_eq!(hash, pt.root.hash);
             let (expected, expected_root) = to_debruijn(&arena, parsed);
-            assert!(
-                db_eq(&canon, canon_root, &expected, expected_root),
-                "canon mismatch for {src}: {} vs {}",
+            assert_eq!(
                 db_print(&canon, canon_root),
                 db_print(&expected, expected_root)
             );
         }
+        assert_eq!(table.resident_nodes(), 0, "a Roots prepare interns nothing");
     }
 
     #[test]
     fn preparer_state_is_clean_between_terms() {
         // A term with deep binders followed by a term with free variables
         // of the same names: stale environment state would misclassify
-        // them as bound.
+        // them as bound. The middle walk fails inside both binders.
         let scheme: HashScheme<u64> = HashScheme::new(7);
+        let table = CanonTable::new();
         let mut arena = ExprArena::new();
         let bound = parse(&mut arena, r"\x. \y. x y").unwrap();
+        let swapped = parse(&mut arena, r"\x. \y. y x").unwrap();
         let free = parse(&mut arena, "x y").unwrap();
         let mut preparer = Preparer::new(&arena, &scheme);
-        let _ = preparer.hash_and_canon(&arena, bound);
-        let (_, canon, canon_root) = preparer.hash_and_canon(&arena, free);
+        let scratch = &mut preparer.named;
+        let cref = intern_named(&table, &arena, bound, scratch);
+        assert!(!eq_named(&table, cref, &arena, swapped, scratch));
+        let free_ref = intern_named(&table, &arena, free, scratch);
+        let (canon, canon_root) = extract_one(&table, free_ref);
         assert_eq!(db_print(&canon, canon_root), "x y");
+        assert!(eq_named(&table, free_ref, &arena, free, scratch));
     }
 
     #[test]
     fn deep_terms_are_stack_safe() {
         let scheme: HashScheme<u64> = HashScheme::new(9);
+        let table = CanonTable::new();
         let mut arena = ExprArena::new();
         let mut e = arena.var_named("z");
         for i in 0..120_000 {
@@ -624,9 +561,11 @@ mod tests {
             e = arena.lam(x, e);
         }
         let mut preparer = Preparer::new(&arena, &scheme);
-        let (_, canon, canon_root) = preparer.hash_and_canon(&arena, e);
-        assert_eq!(canon.len(), 120_001);
-        assert!(matches!(canon.node(canon_root), DbNode::Lam(_)));
+        let pt = preparer.prepare(&arena, e, Granularity::Roots, &table);
+        assert_eq!(pt.root.node_count, 120_001);
+        let cref = intern_named(&table, &arena, e, &mut preparer.named);
+        assert_eq!(table.resident_nodes(), 120_001);
+        assert!(eq_named(&table, cref, &arena, e, &mut preparer.named));
     }
 
     #[test]

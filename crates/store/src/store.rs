@@ -10,8 +10,8 @@
 //! stripe. All expensive work — hashing the term, canonicalizing it —
 //! happens *outside* the lock; the critical section is a bucket probe plus
 //! a merge confirmation that is **O(1)** for entries already interned into
-//! the shared canon DAG (a ref compare) and a linear
-//! canonical-form walk only at the intern frontier.
+//! the shared canon DAG (a ref compare) and one linear walk of a `Roots`
+//! entry's named term against the class's form.
 //!
 //! Canonical forms themselves live in one store-wide `CanonTable`
 //! (`crate::dag`):
@@ -27,22 +27,24 @@
 //! root. `insert` is a one-term `insert_batch`; both go through one chunked
 //! driver, one WAL tee, a subexpression sweep (empty in `Roots` mode) and a
 //! root sweep, and WAL replay joins at the tee's far side. The root's canon
-//! arrives in one of two shapes, frontier or interned, and only the bucket
-//! scan and the WAL framer look at which.
+//! arrives in one of two shapes, a named term or an interned ref, and only
+//! the bucket scan, the class-creating insert and the WAL framer look at
+//! which. The named term's walks reuse the preparer's scratch, which the
+//! driver and the probe hand down with the batch's arena (`Named`).
 //!
 //! ## Exactness
 //!
 //! Content-addressed stores are usually probabilistic: equal address ⇒
 //! assumed equal content. This store is exact. A hash match only nominates
 //! a candidate class; the merge happens after canonical-form identity is
-//! confirmed — by hash-consed ref equality (interned side) or a structural
-//! walk (`dag::eq_frontier`) at the frontier, both exact.
+//! confirmed — by hash-consed ref equality (interned side) or a walk of
+//! the named term against the class's form (`dag::eq_named`), both exact.
 //! Colliding-but-inequivalent terms coexist in the same bucket as distinct
 //! classes, and the collision is counted in
 //! [`StoreStats::hash_collisions`].
 
 use crate::canon::rebuild_named;
-use crate::dag::{eq_frontier, extract_canon, extract_one, CanonTable};
+use crate::dag::{eq_named, extract_canon, extract_one, intern_named, CanonTable};
 use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
@@ -51,7 +53,9 @@ use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{WalEntry, WalHeader};
 use crate::persist::{Durable, PersistError, SNAPSHOT_FILE};
-use crate::prepare::{PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEntry, SubEntry};
+use crate::prepare::{
+    Named, PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEntry, SubEntry,
+};
 use crate::stats::{CanonDagStats, StatCounters, StoreStats};
 use alpha_hash::combine::{mix64, HashScheme, HashWord};
 use lambda_lang::arena::{ExprArena, NodeId};
@@ -438,19 +442,25 @@ impl<H: HashWord> Shard<H> {
     /// the first class of `entry`'s bucket whose canonical form equals the
     /// entry's, with how that was confirmed, and whether a class of the
     /// same hash but another form came before it. Confirmation is an O(1)
-    /// ref compare for an interned entry and a structural DAG walk for a
-    /// frontier one.
-    fn scan(&self, table: &CanonTable, entry: &RootEntry<H>) -> (Option<(u32, Confirm)>, bool) {
+    /// ref compare for an interned entry and a walk of the named term
+    /// against the class's form for a named one, which only entries of
+    /// `named`'s arena are.
+    fn scan(
+        &self,
+        table: &CanonTable,
+        entry: &RootEntry<H>,
+        mut named: Option<&mut Named<'_>>,
+    ) -> (Option<(u32, Confirm)>, bool) {
         let mut mismatched = false;
         for &ci in self.buckets.get(&entry.hash).into_iter().flatten() {
             let class = &self.classes[ci as usize];
             if class.node_count == entry.node_count {
-                let confirm = match &entry.canon {
-                    PreparedCanon::Interned(r) => (*r == class.canon).then_some(Confirm::Ref),
-                    PreparedCanon::Frontier { canon, canon_root } => {
-                        let mut steps = 0u64;
-                        eq_frontier(table, class.canon, canon, *canon_root, &mut steps)
-                            .then_some(Confirm::Walk(steps))
+                let confirm = match entry.canon {
+                    PreparedCanon::Interned(r) => (r == class.canon).then_some(Confirm::Ref),
+                    PreparedCanon::Named(root) => {
+                        let named = named.as_deref_mut().expect("a named entry has its arena");
+                        eq_named(table, class.canon, named.arena, root, named.scratch)
+                            .then_some(Confirm::Walk(entry.node_count))
                     }
                     PreparedCanon::Absent => None,
                 };
@@ -468,16 +478,17 @@ impl<H: HashWord> Shard<H> {
     /// `collided` is true whenever this insert's hash matched at least one
     /// class that turned out not to be alpha-equivalent — on the merge
     /// path as well as on class creation — matching the definition of
-    /// [`StoreStats::hash_collisions`]. A frontier entry that creates a
-    /// class is interned here.
+    /// [`StoreStats::hash_collisions`]. A named entry that creates a class
+    /// is interned here, straight from its named term.
     pub(crate) fn insert_entry(
         &mut self,
         table: &CanonTable,
         entry: &RootEntry<H>,
         is_root: bool,
         obs: &StoreObs,
+        mut named: Option<&mut Named<'_>>,
     ) -> (u32, bool, bool) {
-        let (found, collided) = self.scan(table, entry);
+        let (found, collided) = self.scan(table, entry, named.as_deref_mut());
         if let Some((ci, how)) = found {
             match how {
                 Confirm::Ref => obs.confirm_ref(),
@@ -490,9 +501,12 @@ impl<H: HashWord> Shard<H> {
             }
             return (ci, false, collided);
         }
-        let canon = match &entry.canon {
-            PreparedCanon::Interned(r) => *r,
-            PreparedCanon::Frontier { canon, canon_root } => table.intern_arena(canon, *canon_root),
+        let canon = match entry.canon {
+            PreparedCanon::Interned(r) => r,
+            PreparedCanon::Named(root) => {
+                let named = named.expect("a named entry has its arena");
+                intern_named(table, named.arena, root, named.scratch)
+            }
             PreparedCanon::Absent => unreachable!("only probes are absent"),
         };
         let ci = u32::try_from(self.classes.len()).expect("shard class overflow");
@@ -509,8 +523,13 @@ impl<H: HashWord> Shard<H> {
 
     /// Read-only probe: the class whose canonical form equals the
     /// prepared entry's, if any.
-    pub(crate) fn find(&self, table: &CanonTable, entry: &RootEntry<H>) -> Option<u32> {
-        self.scan(table, entry).0.map(|(ci, _)| ci)
+    pub(crate) fn find(
+        &self,
+        table: &CanonTable,
+        entry: &RootEntry<H>,
+        named: &mut Named<'_>,
+    ) -> Option<u32> {
+        self.scan(table, entry, Some(named)).0.map(|(ci, _)| ci)
     }
 }
 
@@ -518,7 +537,7 @@ impl<H: HashWord> Shard<H> {
 enum Confirm {
     /// Interned-ref equality.
     Ref,
-    /// A structural walk over this many frontier nodes.
+    /// A walk of a named term of this many nodes.
     Walk(u64),
 }
 
@@ -831,7 +850,8 @@ impl<H: HashWord> AlphaStore<H> {
                 let (nodes, misses) = preparer.take_hash_counters();
                 self.obs.add_hash_counters(nodes, misses);
                 let terms = std::mem::take(&mut chunk);
-                outcomes.extend(self.ingest_prepared(terms, arena, &roots[start..=i])?);
+                let mut named = preparer.named(arena);
+                outcomes.extend(self.ingest_prepared(terms, &roots[start..=i], &mut named)?);
                 entries = 0;
                 start = i + 1;
             }
@@ -840,20 +860,20 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// The critical path of one ingest chunk, `terms` prepared from
-    /// `roots` of `arena`: the chunk is group-committed to the WAL (durable
-    /// stores), then its subexpression entries are drained shard by
-    /// shard, then the roots — each shard locked at most twice.
+    /// `roots` of `named.arena`: the chunk is group-committed to the WAL
+    /// (durable stores), then its subexpression entries are drained shard
+    /// by shard, then the roots — each shard locked at most twice.
     fn ingest_prepared(
         &self,
         terms: Vec<PreparedTerm<H>>,
-        arena: &ExprArena,
         roots: &[NodeId],
+        named: &mut Named<'_>,
     ) -> Result<Vec<InsertOutcome>, StoreError> {
         let outcomes = {
             let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
             self.check_writable()?;
-            self.wal_log(&terms, arena, roots)?;
-            self.apply_prepared(terms)
+            self.wal_log(&terms, roots, named)?;
+            self.apply_prepared(terms, named)
         };
         // The ingest guard is released: housekeeping takes the exclusive
         // maintenance lock if a watermark tripped.
@@ -877,8 +897,12 @@ impl<H: HashWord> AlphaStore<H> {
 
     /// The lock-side second half of [`AlphaStore::ingest_prepared`]
     /// (everything after the WAL tee), and the whole of a `Roots` record's
-    /// replay.
-    fn apply_prepared(&self, terms: Vec<PreparedTerm<H>>) -> Vec<InsertOutcome> {
+    /// replay. Named roots are terms of `named.arena`.
+    fn apply_prepared(
+        &self,
+        terms: Vec<PreparedTerm<H>>,
+        named: &mut Named<'_>,
+    ) -> Vec<InsertOutcome> {
         let count = terms.len();
         // Room for the root's own pair, which only an indexing store keeps.
         let root_pair = usize::from(self.granularity.indexes_subexpressions());
@@ -922,7 +946,7 @@ impl<H: HashWord> AlphaStore<H> {
                 let mult = entry.multiplicity;
                 let m = u64::from(mult);
                 let (class_index, fresh, collided) =
-                    shard.insert_entry(&self.table, &entry.widen(), false, &self.obs);
+                    shard.insert_entry(&self.table, &entry.widen(), false, &self.obs, None);
                 n_indexed += m;
                 summaries[*ti].indexed += m;
                 let merged = if fresh {
@@ -974,6 +998,7 @@ impl<H: HashWord> AlphaStore<H> {
                         &roots[i],
                         summaries[i],
                         std::mem::take(&mut sub_bits[i]),
+                        named,
                     ));
                 }
             }
@@ -997,9 +1022,11 @@ impl<H: HashWord> AlphaStore<H> {
         root: &RootEntry<H>,
         subs: SubexprSummary,
         sub_bits: Vec<(u64, u32)>,
+        named: &mut Named<'_>,
     ) -> InsertOutcome {
         StatCounters::bump(&self.counters.terms_ingested);
-        let (class_index, fresh, collided) = shard.insert_entry(&self.table, root, true, &self.obs);
+        let (class_index, fresh, collided) =
+            shard.insert_entry(&self.table, root, true, &self.obs, Some(named));
         let class = self.count_root(shard_index, class_index, fresh, collided);
         let term_index = u32::try_from(shard.terms.len()).expect("shard term overflow");
         shard.terms.push(class.to_bits());
@@ -1058,10 +1085,11 @@ impl<H: HashWord> AlphaStore<H> {
 
     /// The read-only probe behind [`AlphaStore::lookup`],
     /// [`AlphaStore::contains`] and [`AlphaStore::contains_batch`]: every
-    /// pattern is hashed and canonicalized by one pooled [`Preparer`]
-    /// outside any lock — a frontier form in `Roots` mode, a looked-up
-    /// e-summary key in `Subexpressions` mode — then each shard's read
-    /// lock is taken at most once to find the confirming classes.
+    /// pattern is prepared by one pooled [`Preparer`] outside any lock —
+    /// its hash alone in `Roots` mode, a looked-up e-summary key in
+    /// `Subexpressions` mode — then each shard's read lock is taken at
+    /// most once to find the confirming classes, a `Roots` pattern's by a
+    /// walk of the pattern against the class's form.
     /// `roots_only` narrows the answer to classes with at least one
     /// whole-term member. Probes never intern: the canon DAG only grows
     /// through ingest. Results are in input order.
@@ -1086,6 +1114,7 @@ impl<H: HashWord> AlphaStore<H> {
         let (nodes, misses) = preparer.take_hash_counters();
         self.obs.add_hash_counters(nodes, misses);
         let mut results: Vec<Option<ClassId>> = vec![None; patterns.len()];
+        let mut named = preparer.named(arena);
         self.by_shard(&mut keys, prepared.iter().map(|p| p.hash));
         for (shard_index, run) in shard_runs(&keys) {
             let t_lock = self.obs.tick();
@@ -1097,7 +1126,7 @@ impl<H: HashWord> AlphaStore<H> {
             for i in run {
                 let t = self.obs.tick();
                 results[i] = shard
-                    .find(&self.table, &prepared[i])
+                    .find(&self.table, &prepared[i], &mut named)
                     .filter(|&index| !roots_only || shard.classes[index as usize].members > 0)
                     .map(|index| ClassId {
                         shard: shard_u16,
@@ -1567,7 +1596,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// through the ingest driver ([`AlphaStore::ingest_with`]), so its
     /// entries, multiplicities and skip count are recomputed as the live
     /// insert made them; a term that does not hash to its recorded hash
-    /// is [`PersistError::Corrupt`]. A `Roots` record's frontier canon is
+    /// is [`PersistError::Corrupt`]. A `Roots` record's de Bruijn run is
     /// interned and applied, its merge re-confirmed by canonical-form
     /// identity; with `verify` it is first **re-hashed** (rebuilt to a
     /// named term and pushed through the full hashing pipeline) — the
@@ -1624,7 +1653,8 @@ impl<H: HashWord> AlphaStore<H> {
         terms: &mut Vec<(H, NodeId)>,
     ) -> Result<(), PersistError> {
         if !records.is_empty() {
-            self.apply_prepared(std::mem::take(records));
+            let mut named = preparer.named(arena);
+            self.apply_prepared(std::mem::take(records), &mut named);
         }
         let roots: Vec<NodeId> = terms.iter().map(|&(_, root)| root).collect();
         let outcomes = self
@@ -1644,18 +1674,19 @@ impl<H: HashWord> AlphaStore<H> {
         Ok(())
     }
 
-    /// Tees a chunk of inserts, `terms` prepared from `roots` of `arena`,
-    /// into the WAL as one group commit: the chunk's records, then a
-    /// boundary marker so replay can reproduce the group exactly. No-op
-    /// on in-memory stores. A write failure is retried per the store's
+    /// Tees a chunk of inserts, `terms` prepared from `roots` of
+    /// `named.arena`, into the WAL as one group commit: the chunk's
+    /// records, each framed from its term, then a boundary marker so
+    /// replay can reproduce the group exactly. No-op on in-memory stores.
+    /// A write failure is retried per the store's
     /// [`RetryPolicy`]; exhausting the retries returns
     /// [`StoreError::Persist`] **without** applying the chunk to memory, so
     /// memory and WAL stay in agreement.
     fn wal_log(
         &self,
         terms: &[PreparedTerm<H>],
-        arena: &ExprArena,
         roots: &[NodeId],
+        named: &mut Named<'_>,
     ) -> Result<(), StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(());
@@ -1668,7 +1699,7 @@ impl<H: HashWord> AlphaStore<H> {
             .sum();
         let mut frames = Vec::with_capacity(estimate);
         for (pt, &root) in terms.iter().zip(roots) {
-            crate::persist::wal::frame_record(&mut frames, pt, arena, root);
+            crate::persist::wal::frame_record(&mut frames, pt, root, named);
         }
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)

@@ -657,7 +657,7 @@ impl<H: HashWord> AlphaStore<H> {
                         let mut shard = self.shards[shard_index]
                             .write()
                             .expect("shard lock poisoned");
-                        shard.insert_entry(&self.table, &entry.widen(), false, &self.obs)
+                        shard.insert_entry(&self.table, &entry.widen(), false, &self.obs, None)
                     };
                     let bits = ClassId {
                         shard: u16::try_from(shard_index).expect("shard count fits u16"),
@@ -707,7 +707,7 @@ impl<H: HashWord> AlphaStore<H> {
             let mut shard = self.shards[root_shard]
                 .write()
                 .expect("shard lock poisoned");
-            shard.insert_entry(&self.table, &pt.root, true, &self.obs)
+            shard.insert_entry(&self.table, &pt.root, true, &self.obs, None)
         };
         let class = self.count_root(root_shard, class_index, fresh, collided);
         sort_pairs(&mut new_pairs);
@@ -777,7 +777,7 @@ pub(crate) fn apply_update_replay<H: HashWord>(
                 let mut arena = ExprArena::new();
                 let root = rebuild_named(&db, db_root, &mut arena);
                 let mut preparer = Preparer::new(&arena, &store.scheme);
-                let (hash, _, _) = preparer.hash_and_canon(&arena, root);
+                let (hash, _) = preparer.hash_root(&arena, root);
                 if hash != delta.new_hash {
                     return Err(corrupt(
                         "delta re-hash mismatch: spliced canon does not hash to the \

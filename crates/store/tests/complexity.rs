@@ -5,7 +5,7 @@
 //! In the `Roots` test each term goes through a fresh durable `Roots`
 //! store: it is inserted, an alpha-renamed copy (the store's canonical
 //! representative, with its fresh binder names) is looked up,
-//! containment-probed and inserted (a merge confirmed by a frontier walk),
+//! containment-probed and inserted (a merge confirmed by a confirm walk),
 //! the term's deepest leaf is rewritten twice (a hasher rebuild, then a
 //! cached spine rehash), and the store is dropped and reopened from its
 //! WAL. The `Subexpressions` tests run the same life through a durable

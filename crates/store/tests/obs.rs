@@ -103,9 +103,9 @@ fn report_exposes_the_mandated_catalog_in_both_formats() {
 
 /// The reconciliation invariants of `docs/OBSERVABILITY.md` that hold
 /// however ingest is interleaved: every confirmed merge was counted by
-/// its confirmation path, every frontier confirmation logged its walk
-/// length, every ingested term was prepared (and timed) once, and the
-/// canon table holds one node per intern miss.
+/// its confirmation path, every confirm walk logged its length, every
+/// ingested term was prepared (and timed) once, and the canon table
+/// holds one node per intern miss.
 fn check_reconciliation(store: &AlphaStore<u64>) -> Result<(), TestCaseError> {
     let report = store.obs_report();
     let stats = store.stats();

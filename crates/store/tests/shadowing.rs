@@ -9,6 +9,13 @@
 //! for `hash_expr` and for the root class in both granularities: insert
 //! one form, look up the other.
 //!
+//! The negative side is pinned too: over random pairs of raw terms and
+//! the classic traps (a free name against a bound one of the same name, a
+//! `Let` rhs that names its own binder, a free name an inner binder
+//! shadows), `lookup` and `contains` find a class exactly when
+//! `alpha_eq` says the probe is equivalent to an ingested term (or, for
+//! `contains` in a `Subexpressions` store, to one of its subterms).
+//!
 //! A durable `Subexpressions` store logs each term as ingested, names
 //! and shadowing included, and its reopen re-prepares what it logged: a
 //! subterm's class depends on the binder names above it (`\x. x + 1` and
@@ -18,14 +25,15 @@
 
 use alpha_hash::combine::HashScheme;
 use alpha_hash::hashed::hash_expr;
-use alpha_store::{AlphaStore, Granularity, StoreStats};
+use alpha_store::{AlphaStore, ClassId, Granularity, StoreStats};
 use lambda_lang::alpha::alpha_eq;
 use lambda_lang::arena::{ExprArena, NodeId};
 use lambda_lang::literal::Literal;
 use lambda_lang::uniquify::{check_unique_binders, uniquify_into};
+use lambda_lang::visit::postorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 const NAMES: [&str; 3] = ["a", "b", "c"];
 
@@ -102,6 +110,127 @@ fn raw_and_uniquified_terms_hash_and_classify_alike() {
         }
     }
     assert!(shadowed > 800, "only {shadowed} terms repeat a binder");
+}
+
+/// Every term a store of `granularity` indexes when it ingests `terms`,
+/// each with the class `classes` gives it (`None` for a proper subterm),
+/// grouped by node count; syntactically equal subterms are listed once.
+fn indexed_by_size(
+    arena: &ExprArena,
+    granularity: Granularity,
+    terms: &[(NodeId, ClassId)],
+) -> HashMap<usize, Vec<(NodeId, Option<ClassId>)>> {
+    let mut by_size: HashMap<usize, Vec<(NodeId, Option<ClassId>)>> = HashMap::new();
+    let mut seen: HashSet<String> = HashSet::new();
+    for &(root, class) in terms {
+        by_size
+            .entry(arena.subtree_size(root))
+            .or_default()
+            .push((root, Some(class)));
+        if granularity.indexes_subexpressions() {
+            for n in postorder(arena, root) {
+                if n != root && seen.insert(lambda_lang::print::print(arena, n)) {
+                    by_size
+                        .entry(arena.subtree_size(n))
+                        .or_default()
+                        .push((n, None));
+                }
+            }
+        }
+    }
+    by_size
+}
+
+#[test]
+fn lookup_and_contains_find_a_class_exactly_when_alpha_eq_holds() {
+    let mut arena = ExprArena::new();
+    let mut pairs: Vec<(NodeId, NodeId)> = [
+        // A free name against a bound one of the same name.
+        (r"\a. b", r"\b. b"),
+        (r"\a. a", r"\b. a"),
+        // The rhs is outside the binder.
+        ("let a = a in a", "let b = b in b"),
+        ("let a = a in a", "let b = a in b"),
+        ("let a = b in a", "let b = b in b"),
+        // A free name that an inner binder shadows.
+        (r"a (\a. a)", r"a (\b. b)"),
+        (r"a (\a. a)", r"b (\a. a)"),
+        (r"a (\a. a)", r"a (\b. a)"),
+        (r"\a. \a. a", r"\a. \b. a"),
+        (r"\a. \a. a", r"\b. \a. a"),
+    ]
+    .iter()
+    .flat_map(|(s1, s2)| {
+        let t1 = lambda_lang::parse::parse(&mut arena, s1).unwrap();
+        let t2 = lambda_lang::parse::parse(&mut arena, s2).unwrap();
+        [(t1, t2), (t2, t1)]
+    })
+    .collect();
+    let mut rng = StdRng::seed_from_u64(0x5AD2);
+    for i in 0..8000 {
+        // Every third pair is a raw term and its `uniquify`d copy.
+        let mut scratch = ExprArena::new();
+        let generated = raw_term(&mut scratch, &mut rng, 3);
+        let raw = arena.import_subtree(&scratch, generated);
+        let other = if i % 3 == 0 {
+            uniquify_into(&scratch, generated, &mut arena)
+        } else {
+            raw_term(&mut arena, &mut rng, 3)
+        };
+        pairs.push((raw, other));
+    }
+    for granularity in [
+        Granularity::Roots,
+        Granularity::Subexpressions { min_nodes: 1 },
+    ] {
+        // 16-bit hashes: inequivalent terms of one size often share a
+        // bucket, so the confirmation decides, not the hash.
+        let store: AlphaStore<u16> = AlphaStore::builder()
+            .seed(0x5AD2)
+            .shards(4)
+            .granularity(granularity)
+            .build();
+        let ingested: Vec<(NodeId, ClassId)> = pairs
+            .iter()
+            .map(|&(t, _)| (t, store.insert(&arena, t).class))
+            .collect();
+        assert!(store.stats().is_exact());
+        assert!(
+            store.stats().hash_collisions > 40,
+            "{granularity:?}: {} collisions",
+            store.stats().hash_collisions
+        );
+        let indexed = indexed_by_size(&arena, granularity, &ingested);
+        let mut verdicts = [0usize; 2];
+        for &(_, probe) in &pairs {
+            let same_size = &indexed[&arena.subtree_size(probe)];
+            let mut equivalent = same_size
+                .iter()
+                .filter(|&&(n, _)| alpha_eq(&arena, n, &arena, probe));
+            let first = equivalent.next();
+            let class = first
+                .and_then(|&(_, class)| class)
+                .or_else(|| equivalent.find_map(|&(_, class)| class));
+            let what = || {
+                format!(
+                    "{granularity:?}: {}",
+                    lambda_lang::print::print(&arena, probe)
+                )
+            };
+            assert_eq!(store.lookup(&arena, probe), class, "lookup {}", what());
+            assert_eq!(
+                store.contains(&arena, probe).is_some(),
+                first.is_some(),
+                "contains {}",
+                what()
+            );
+            verdicts[usize::from(class.is_some())] += 1;
+        }
+        assert!(
+            verdicts[0] > 1000 && verdicts[1] > 3000,
+            "{granularity:?}: {verdicts:?}"
+        );
+    }
 }
 
 /// Every class by canonical text, with its hash, members and node count,
