@@ -15,7 +15,7 @@ use std::time::Duration;
 use alpha_store::codec::{self, DecodeError};
 use lambda_lang::{ExprArena, NodeId};
 
-use crate::wire::{self, RemoteOutcome, RemoteStats, ServerHello, WireError};
+use crate::wire::{self, RemoteOutcome, RemoteStats, ServerHello, TermScratch, WireError};
 
 /// How many terms ride in one streamed batch chunk by default — matches
 /// the daemon's default flush watermark so one chunk fills one store
@@ -114,6 +114,8 @@ pub struct Client {
     chunk_terms: usize,
     /// Applied to every socket the client dials, reconnects included.
     read_timeout: Option<Duration>,
+    /// The term encoder's buffers, reused by every request.
+    terms: TermScratch,
 }
 
 struct Conn {
@@ -131,6 +133,7 @@ impl Client {
             conn: None,
             chunk_terms: DEFAULT_CHUNK_TERMS,
             read_timeout: None,
+            terms: TermScratch::default(),
         };
         client.ensure_conn()?;
         Ok(client)
@@ -190,7 +193,7 @@ impl Client {
         root: NodeId,
     ) -> Result<RemoteOutcome, ClientError> {
         let mut request = vec![wire::OP_INSERT];
-        wire::put_term(&mut request, arena, root);
+        codec::put_term(&mut request, arena, root, &mut self.terms);
         self.call(false, &request, wire::take_outcome)
     }
 
@@ -255,7 +258,7 @@ impl Client {
         root: NodeId,
     ) -> Result<Option<u64>, ClientError> {
         let mut request = vec![op];
-        wire::put_term(&mut request, arena, root);
+        codec::put_term(&mut request, arena, root, &mut self.terms);
         self.call(true, &request, |input| Ok(codec::take_opt_u64(input)?))
     }
 
@@ -324,13 +327,14 @@ impl Client {
         take_item: impl Fn(&mut &[u8]) -> Result<T, WireError>,
     ) -> Result<Vec<T>, ClientError> {
         let chunk_terms = self.chunk_terms;
-        self.with_conn(retry, |conn| {
+        let mut terms = std::mem::take(&mut self.terms);
+        let out = self.with_conn(retry, |conn| {
             wire::write_frame(&mut conn.stream, &[op])?;
             for chunk in roots.chunks(chunk_terms) {
                 let mut request = vec![wire::OP_BATCH_CHUNK];
                 codec::put_count(&mut request, chunk.len());
                 for &root in chunk {
-                    wire::put_term(&mut request, arena, root);
+                    codec::put_term(&mut request, arena, root, &mut terms);
                 }
                 wire::write_frame(&mut conn.stream, &request)?;
             }
@@ -355,7 +359,9 @@ impl Client {
                     code => refused = Some(remote(code, &mut input)),
                 }
             }
-        })
+        });
+        self.terms = terms;
+        out
     }
 
     /// Sets the socket read timeout used while waiting for responses

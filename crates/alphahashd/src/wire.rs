@@ -346,10 +346,18 @@ fn read_full(
 }
 
 // ---------------------------------------------------------------------
-// Term codec: `alpha_store::codec`'s, which a `Subexpressions` store's
-// WAL records share.
+// Term codec: `alpha_store::codec`'s, which the WAL's insert records
+// share.
 
-pub use alpha_store::codec::put_term;
+pub use alpha_store::codec::TermScratch;
+
+/// Encodes one term ([`alpha_store::codec::put_term`]) with buffers of
+/// its own. A caller that encodes many terms keeps one [`TermScratch`]
+/// and passes it to `codec::put_term`, as the
+/// [`Client`](crate::client::Client) does.
+pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
+    codec::put_term(out, arena, root, &mut TermScratch::default());
+}
 
 /// Decodes one term into `arena` ([`alpha_store::codec::take_term`]),
 /// its errors as [`WireError::Frame`].

@@ -998,3 +998,107 @@ fn shadowed_binders_are_classed_as_their_uniquified_copy() {
         daemon.join();
     }
 }
+
+/// Handles the daemon returns survive a replaying reopen: two ingest
+/// workers flush concurrent clients' batches into one durable store, the
+/// clients update terms by the handles they were issued, and a copy of
+/// the store's files taken before the shutdown checkpoint (a crash image)
+/// reopens with every returned term and class handle naming the
+/// canonical text it named in the live store.
+#[test]
+fn handles_from_two_ingest_workers_survive_replay() {
+    const CLIENTS: usize = 2;
+    const TERMS: usize = 160;
+    for granularity in [
+        alpha_store::Granularity::Roots,
+        alpha_store::Granularity::Subexpressions { min_nodes: 2 },
+    ] {
+        let mut arena = ExprArena::new();
+        let roots = corpus(&mut arena, 0x1D5, TERMS);
+        let patches: Vec<NodeId> = (0..TERMS)
+            .map(|i| lambda_lang::parse::parse(&mut arena, &format!("u * {i}")).expect("parse"))
+            .collect();
+        let dir = TempDir::new("handles");
+        let crash = TempDir::new("handles-crash");
+        let store: Arc<AlphaStore<u64>> = Arc::new(
+            AlphaStore::builder()
+                .seed(0xDB)
+                .granularity(granularity)
+                .open_durable(dir.path())
+                .expect("open durable"),
+        );
+        let config = DaemonConfig {
+            ingest_workers: 2,
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::spawn(Arc::clone(&store), config).expect("bind loopback daemon");
+        let addr = daemon.local_addr().to_string();
+        let slice_len = TERMS / CLIENTS;
+        let issued: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let (addr, arena, patches) = (addr.clone(), &arena, &patches);
+                    let slice = &roots[c * slice_len..(c + 1) * slice_len];
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        let mut issued = Vec::new();
+                        for (k, chunk) in slice.chunks(4).enumerate() {
+                            let outcomes = client.insert_batch(arena, chunk).expect("ingest");
+                            issued.extend(outcomes.iter().map(|o| (o.term, o.class)));
+                            if k % 5 == 4 {
+                                let term = outcomes[0].term;
+                                let patch = patches[c * slice_len + k];
+                                let out = client.update(term, &[], arena, patch).expect("update");
+                                issued.push((out.term, out.class));
+                            }
+                        }
+                        issued
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        std::fs::create_dir_all(crash.path()).expect("crash dir");
+        for file in [
+            alpha_store::persist::WAL_FILE,
+            alpha_store::persist::SNAPSHOT_FILE,
+        ] {
+            if dir.path().join(file).is_file() {
+                std::fs::copy(dir.path().join(file), crash.path().join(file)).expect("copy");
+            }
+        }
+        let text = |store: &AlphaStore<u64>, (term, class): (u64, u64)| {
+            let term = alpha_store::TermId::from_bits(term);
+            let class = alpha_store::ClassId::from_bits(class);
+            (
+                store.canonical_text(store.class_of(term)),
+                store.canonical_text(class),
+            )
+        };
+        let live: Vec<_> = issued.iter().map(|&h| text(&store, h)).collect();
+        let mut client = Client::connect(addr).expect("connect");
+        client.shutdown().expect("shutdown op");
+        daemon.join();
+        drop(store);
+
+        let reopened = match AlphaStore::<u64>::open(crash.path()) {
+            Ok(store) => store,
+            Err(e) => panic!("{granularity:?}: the crash image was refused: {e}"),
+        };
+        let moved = issued
+            .iter()
+            .zip(&live)
+            .filter(|&(&h, before)| text(&reopened, h) != *before)
+            .count();
+        assert_eq!(
+            moved,
+            0,
+            "{granularity:?}: returned handles naming another class after replay (of {})",
+            issued.len()
+        );
+        assert!(reopened.stats().is_exact());
+    }
+}

@@ -6,15 +6,15 @@
 //! bytes that remain, so no decoder sizes a buffer by what a count
 //! claims. Decoders return [`DecodeError`], never panic, and each format
 //! maps the error onto its own. The named-term run ([`put_term`],
-//! [`take_term`], `docs/PROTOCOL.md` §5) is the wire's term payload and a
-//! `Subexpressions` store's WAL record; de Bruijn runs stay with
+//! [`take_term`], `docs/PROTOCOL.md` §5) is the wire's term payload and
+//! the term of every WAL insert record; de Bruijn runs stay with
 //! `persist::format`.
 
+use crate::prepare::IndexMap;
 use crate::stats::StoreStats;
 use alpha_hash::combine::HashWord;
-use lambda_lang::visit::postorder;
+use lambda_lang::visit::postorder_with;
 use lambda_lang::{ExprArena, ExprNode, Literal, NodeId, Symbol};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why bytes failed to decode: the description each format's own typed
@@ -314,45 +314,27 @@ const MIN_NAME_BYTES: usize = 4;
 /// Smallest encoded node: a boolean literal (tag, literal tag, byte).
 const MIN_NODE_BYTES: usize = 3;
 
-/// The per-term name table [`put_term`] builds: each distinct symbol
-/// once, in first-use order, with an ordered index so a term with `d`
-/// distinct names costs O(log d) per named node. An arena interns one
-/// symbol per string, so keying by symbol yields exactly the table that
-/// keying by name would.
+/// Reusable buffers of [`put_term`]: the traversal stack, the per-term
+/// name table (each distinct symbol once, in first-use order, with its
+/// index), the emitted-position stack and the node run, which is encoded
+/// before the name table that precedes it is complete. An arena interns
+/// one symbol per string, so keying by symbol yields exactly the table
+/// that keying by name would.
 #[derive(Default)]
-struct NameTable {
+pub struct TermScratch {
+    walk: Vec<(NodeId, bool)>,
     syms: Vec<Symbol>,
-    index: BTreeMap<Symbol, u32>,
+    index: IndexMap<Symbol, u32>,
+    emitted: Vec<u32>,
+    run: Vec<u8>,
 }
 
-impl NameTable {
-    /// The table index of `sym`, appending it on first use.
-    fn index_of(&mut self, sym: Symbol) -> u32 {
-        let next = u32::try_from(self.syms.len()).expect("name table fits u32");
-        *self.index.entry(sym).or_insert_with(|| {
-            self.syms.push(sym);
-            next
-        })
-    }
-}
-
-/// The name a node carries in the run (binder or variable), if any.
-fn node_name(node: ExprNode) -> Option<Symbol> {
-    match node {
-        ExprNode::Var(s) | ExprNode::Lam(s, _) | ExprNode::Let(s, _, _) => Some(s),
-        ExprNode::App(..) | ExprNode::Lit(_) => None,
-    }
-}
-
-/// Encoded size of one node of the run.
-fn node_len(node: ExprNode) -> usize {
-    match node {
-        ExprNode::Var(_) => 5,
-        ExprNode::Lam(..) | ExprNode::App(..) => 9,
-        ExprNode::Let(..) => 13,
-        ExprNode::Lit(Literal::Bool(_)) => MIN_NODE_BYTES,
-        ExprNode::Lit(Literal::I64(_) | Literal::F64Bits(_)) => 10,
-    }
+/// The table index of `sym`, appending it to `syms` on first use.
+fn name_index(syms: &mut Vec<Symbol>, index: &mut IndexMap<Symbol, u32>, sym: Symbol) -> u32 {
+    *index.entry(sym).or_insert_with(|| {
+        syms.push(sym);
+        u32::try_from(syms.len() - 1).expect("name table fits u32")
+    })
 }
 
 /// The run position of the most recently emitted node no parent has
@@ -364,85 +346,84 @@ fn pop_child(emitted: &mut Vec<u32>) -> u32 {
 }
 
 /// Encodes one term as a postorder node run: a name table (the binder
-/// and variable names this term uses), then the nodes, children
-/// referenced by their position earlier in the run. The root is the
-/// last node. Appended to `out`, so terms concatenate.
+/// and variable names this term uses, in first-use order), then the
+/// nodes, children referenced by their position earlier in the run. The
+/// root is the last node. Appended to `out`, so terms concatenate.
 ///
-/// No hashing: names are looked up by symbol in a per-term table, and a
-/// node's children are the positions it pops off a stack of emitted
-/// positions (postorder emits them last, in order). `out` grows once,
-/// by the exact encoded size.
-pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId) {
-    let order = postorder(arena, root);
-    // First pass: the name table, each named node's table index in run
-    // order, and the run's encoded size.
-    let mut names = NameTable::default();
-    let mut name_refs = Vec::with_capacity(order.len());
-    let mut run_len = 0;
-    for &id in &order {
-        let node = arena.node(id);
-        run_len += node_len(node);
-        if let Some(s) = node_name(node) {
-            name_refs.push(names.index_of(s));
-        }
-    }
-    let table_len: usize = names.syms.iter().map(|&s| 4 + arena.name(s).len()).sum();
-    out.reserve(4 + table_len + 4 + run_len);
-    put_count(out, names.syms.len());
-    for &s in &names.syms {
-        put_str(out, arena.name(s));
-    }
-    put_count(out, order.len());
-    let mut name_refs = name_refs.into_iter();
-    let mut next_name = || name_refs.next().expect("one table index per named node");
-    let mut emitted: Vec<u32> = Vec::new();
-    for (i, &id) in order.iter().enumerate() {
+/// One pass, no hashing: names are looked up by symbol in a per-term
+/// table, and a node's children are the positions it pops off a stack of
+/// emitted positions (postorder emits them last, in order). The run goes
+/// to `scratch` while the walk builds the table, then both go to `out`.
+/// A warm `scratch` makes an encode allocation-free but for `out`.
+pub fn put_term(out: &mut Vec<u8>, arena: &ExprArena, root: NodeId, scratch: &mut TermScratch) {
+    let TermScratch {
+        walk,
+        syms,
+        index,
+        emitted,
+        run,
+    } = scratch;
+    syms.clear();
+    index.clear();
+    emitted.clear();
+    run.clear();
+    let mut len = 0u32;
+    postorder_with(arena, root, walk, |id| {
         match arena.node(id) {
-            ExprNode::Var(_) => {
-                put_u8(out, NODE_VAR);
-                put_u32(out, next_name());
+            ExprNode::Var(s) => {
+                put_u8(run, NODE_VAR);
+                put_u32(run, name_index(syms, index, s));
             }
-            ExprNode::Lam(..) => {
-                let body = pop_child(&mut emitted);
-                put_u8(out, NODE_LAM);
-                put_u32(out, next_name());
-                put_u32(out, body);
+            ExprNode::Lam(s, _) => {
+                let body = pop_child(emitted);
+                put_u8(run, NODE_LAM);
+                put_u32(run, name_index(syms, index, s));
+                put_u32(run, body);
             }
             ExprNode::App(..) => {
-                let arg = pop_child(&mut emitted);
-                let func = pop_child(&mut emitted);
-                put_u8(out, NODE_APP);
-                put_u32(out, func);
-                put_u32(out, arg);
+                let arg = pop_child(emitted);
+                let func = pop_child(emitted);
+                put_u8(run, NODE_APP);
+                put_u32(run, func);
+                put_u32(run, arg);
             }
-            ExprNode::Let(..) => {
-                let body = pop_child(&mut emitted);
-                let rhs = pop_child(&mut emitted);
-                put_u8(out, NODE_LET);
-                put_u32(out, next_name());
-                put_u32(out, rhs);
-                put_u32(out, body);
+            ExprNode::Let(s, _, _) => {
+                let body = pop_child(emitted);
+                let rhs = pop_child(emitted);
+                put_u8(run, NODE_LET);
+                put_u32(run, name_index(syms, index, s));
+                put_u32(run, rhs);
+                put_u32(run, body);
             }
             ExprNode::Lit(lit) => {
-                put_u8(out, NODE_LIT);
+                put_u8(run, NODE_LIT);
                 match lit {
                     Literal::I64(v) => {
-                        put_u8(out, LIT_I64);
-                        put_u64(out, v as u64);
+                        put_u8(run, LIT_I64);
+                        put_u64(run, v as u64);
                     }
                     Literal::F64Bits(bits) => {
-                        put_u8(out, LIT_F64_BITS);
-                        put_u64(out, bits);
+                        put_u8(run, LIT_F64_BITS);
+                        put_u64(run, bits);
                     }
                     Literal::Bool(b) => {
-                        put_u8(out, LIT_BOOL);
-                        put_u8(out, u8::from(b));
+                        put_u8(run, LIT_BOOL);
+                        put_u8(run, u8::from(b));
                     }
                 }
             }
         }
-        emitted.push(u32::try_from(i).expect("node run fits u32"));
+        emitted.push(len);
+        len = len.checked_add(1).expect("node run fits u32");
+    });
+    let table_len: usize = syms.iter().map(|&s| 4 + arena.name(s).len()).sum();
+    out.reserve(4 + table_len + 4 + run.len());
+    put_count(out, syms.len());
+    for &s in syms.iter() {
+        put_str(out, arena.name(s));
     }
+    put_count(out, len as usize);
+    out.extend_from_slice(run);
 }
 
 /// Claims run position `p` as a child of the node being decoded (the

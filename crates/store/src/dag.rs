@@ -59,6 +59,7 @@
 //! stripe's — and takes no other lock under it, so the table adds no
 //! edge to the store's lock graph.
 
+use crate::codec::TermScratch;
 use crate::esummary::{KeyNode, MapNode, PosNode, StructNode};
 use crate::prepare::IndexMap;
 use alpha_hash::combine::{hash_str, mix64};
@@ -781,22 +782,24 @@ impl CanonTable {
 }
 
 /// Scratch of the walks over a named term — [`eq_named`],
-/// [`intern_named`] and the WAL's `Roots` record framing
-/// (`crate::persist::format::put_named_record`) — kept by a preparer, so
-/// a warm walk allocates nothing.
+/// [`intern_named`] and the WAL's insert record framing
+/// (`crate::persist::wal::frame_record`) — kept by a preparer, so a warm
+/// walk allocates nothing.
 #[derive(Default)]
 pub(crate) struct NamedScratch {
-    /// The bottom-up walk: binder environment, traversal and value stack.
-    pub(crate) fold: DbFold,
+    /// The binder environment of [`eq_named`] and [`intern_named`].
+    scope: Scope,
+    /// [`intern_named`]'s traversal.
+    walk: ScopeStack,
+    /// [`intern_named`]'s interned children, awaiting their parent.
+    refs: Vec<CanonRef>,
     /// [`eq_named`]'s pending node pairs and scope brackets.
     pairs: Vec<EqTask>,
-    /// Free name → the id the walk gave it: its table [`NameId`]
-    /// ([`eq_named`], [`intern_named`]) or its record symbol (framing).
-    pub(crate) free: IndexMap<Symbol, u32>,
-    /// Free names in first-occurrence order (framing).
-    pub(crate) names: Vec<Symbol>,
-    /// A record's node bytes, framed before its name table is known.
-    pub(crate) bytes: Vec<u8>,
+    /// Free name → the table [`NameId`] the walk gave it ([`eq_named`],
+    /// [`intern_named`]).
+    free: IndexMap<Symbol, u32>,
+    /// The record framer's term encoding buffers.
+    pub(crate) term: TermScratch,
 }
 
 /// The binder environment of a walk over a named term: each bound symbol
@@ -842,104 +845,59 @@ impl Scope {
     }
 }
 
-/// One node of a named term's de Bruijn form, as [`DbFold::run`] hands
-/// it over: a bound occurrence as its index, a free one by its symbol,
-/// and children as the values the fold returned for them.
-#[derive(Clone, Copy)]
-pub(crate) enum DbStep {
-    BVar(u32),
-    Free(Symbol),
-    Lit(Literal),
-    Lam(u32),
-    App(u32, u32),
-    Let(u32, u32),
-}
-
-/// The bottom-up walk of a named term's de Bruijn form.
-#[derive(Default)]
-pub(crate) struct DbFold {
-    scope: Scope,
-    walk: ScopeStack,
-    values: Vec<u32>,
-}
-
-impl DbFold {
-    /// Feeds `emit` every node of the named term at `root` of `arena` in
-    /// de Bruijn form, in the post-order `to_debruijn` builds its arena
-    /// in, and returns the value `emit` gave the root. Binders need not be
-    /// distinct: a shadowed name folds as its `uniquify`d copy does.
-    pub(crate) fn run(
-        &mut self,
-        arena: &ExprArena,
-        root: NodeId,
-        mut emit: impl FnMut(DbStep) -> u32,
-    ) -> u32 {
-        let DbFold {
-            scope,
-            walk,
-            values,
-        } = self;
-        scope.clear();
-        values.clear();
-        walk_scoped_with(arena, root, walk, |event| match event {
-            ScopeEvent::Enter(_) => {}
-            ScopeEvent::Bind { sym, .. } => scope.bind(sym),
-            ScopeEvent::Unbind { sym, .. } => scope.unbind(sym),
-            ScopeEvent::Exit(n) => {
-                let mut pop = || values.pop().expect("a child's value");
-                let step = match arena.node(n) {
-                    ExprNode::Var(s) => scope.index(s).map_or(DbStep::Free(s), DbStep::BVar),
-                    ExprNode::Lit(l) => DbStep::Lit(l),
-                    ExprNode::Lam(..) => DbStep::Lam(pop()),
-                    ExprNode::App(..) => {
-                        let arg = pop();
-                        DbStep::App(pop(), arg)
-                    }
-                    ExprNode::Let(..) => {
-                        let body = pop();
-                        DbStep::Let(pop(), body)
-                    }
-                };
-                values.push(emit(step));
-            }
-        });
-        values.pop().expect("a term has a root")
-    }
-}
-
 /// Interns the de Bruijn form of the named term at `root` of `arena`,
-/// node by node, and returns its ref: how a `Roots` insert that creates a
-/// class puts its form in the table. Each free name is interned once per
-/// term.
+/// node by node, in the post-order `to_debruijn` builds its arena in, and
+/// returns its ref: how a `Roots` insert that creates a class puts its
+/// form in the table. Binders need not be distinct: a shadowed name
+/// interns as its `uniquify`d copy does. Each free name is interned once
+/// per term.
 pub(crate) fn intern_named(
     table: &CanonTable,
     arena: &ExprArena,
     root: NodeId,
     scratch: &mut NamedScratch,
 ) -> CanonRef {
-    let NamedScratch { fold, free, .. } = scratch;
+    let NamedScratch {
+        scope,
+        walk,
+        refs,
+        free,
+        ..
+    } = scratch;
+    scope.clear();
+    refs.clear();
     free.clear();
-    let root = fold.run(arena, root, |step| {
-        let node = match step {
-            DbStep::BVar(i) => CanonNode::BVar(i),
-            DbStep::Free(s) => {
-                let id = *free
-                    .entry(s)
-                    .or_insert_with(|| table.intern_name(arena.name(s)).index());
-                CanonNode::FVar(NameId::from_index(id))
-            }
-            DbStep::Lit(l) => CanonNode::Lit(l),
-            DbStep::Lam(body) => CanonNode::Lam(CanonRef::from_bits(body)),
-            DbStep::App(fun, arg) => {
-                CanonNode::App(CanonRef::from_bits(fun), CanonRef::from_bits(arg))
-            }
-            DbStep::Let(rhs, body) => {
-                CanonNode::Let(CanonRef::from_bits(rhs), CanonRef::from_bits(body))
-            }
-        };
-        table.intern_node(node).to_bits()
+    walk_scoped_with(arena, root, walk, |event| match event {
+        ScopeEvent::Enter(_) => {}
+        ScopeEvent::Bind { sym, .. } => scope.bind(sym),
+        ScopeEvent::Unbind { sym, .. } => scope.unbind(sym),
+        ScopeEvent::Exit(n) => {
+            let mut pop = || refs.pop().expect("a child's ref");
+            let node = match arena.node(n) {
+                ExprNode::Var(s) => match scope.index(s) {
+                    Some(i) => CanonNode::BVar(i),
+                    None => {
+                        let id = *free
+                            .entry(s)
+                            .or_insert_with(|| table.intern_name(arena.name(s)).index());
+                        CanonNode::FVar(NameId::from_index(id))
+                    }
+                },
+                ExprNode::Lit(l) => CanonNode::Lit(l),
+                ExprNode::Lam(..) => CanonNode::Lam(pop()),
+                ExprNode::App(..) => {
+                    let arg = pop();
+                    CanonNode::App(pop(), arg)
+                }
+                ExprNode::Let(..) => {
+                    let body = pop();
+                    CanonNode::Let(pop(), body)
+                }
+            };
+            refs.push(table.intern_node(node));
+        }
     });
-    CanonRef::from_bits(root)
+    refs.pop().expect("a term has a root")
 }
 
 /// [`eq_named`]'s work: a node pair to compare, or a binder coming into
@@ -966,9 +924,8 @@ pub(crate) fn eq_named(
     scratch: &mut NamedScratch,
 ) -> bool {
     let NamedScratch {
-        fold, pairs, free, ..
+        scope, pairs, free, ..
     } = scratch;
-    let scope = &mut fold.scope;
     scope.clear();
     free.clear();
     pairs.clear();

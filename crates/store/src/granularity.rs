@@ -135,7 +135,6 @@ pub struct StoreBuilder<H: HashWord = u64> {
     pub(crate) granularity: Granularity,
     pub(crate) chunk_entries: usize,
     pub(crate) sync_on_commit: bool,
-    pub(crate) verify_on_replay: bool,
     pub(crate) vfs: Arc<dyn Vfs>,
     pub(crate) retry: RetryPolicy,
     pub(crate) auto_ckpt: AutoCheckpoint,
@@ -157,7 +156,6 @@ impl<H: HashWord> StoreBuilder<H> {
             granularity: Granularity::Roots,
             chunk_entries: AlphaStore::<H>::DEFAULT_CHUNK_ENTRIES,
             sync_on_commit: false,
-            verify_on_replay: false,
             vfs: Arc::new(OsVfs),
             retry: RetryPolicy::default(),
             auto_ckpt: AutoCheckpoint::default(),
@@ -219,29 +217,6 @@ impl<H: HashWord> StoreBuilder<H> {
     /// [`StoreBuilder::open_durable`].
     pub fn sync_on_commit(mut self, sync: bool) -> Self {
         self.sync_on_commit = sync;
-        self
-    }
-
-    /// Paranoid recovery of a [`Granularity::Roots`] store: during WAL
-    /// replay, **re-hash** every record — rebuild a named term from its
-    /// canonical payload and push it through the full hashing pipeline —
-    /// and fail the open with [`PersistError::Corrupt`] if the recomputed
-    /// address disagrees with the recorded one. A
-    /// [`Granularity::Subexpressions`] store's records are the terms
-    /// themselves, re-prepared and so re-hashed on every replay, so there
-    /// this setting changes nothing.
-    ///
-    /// The frame CRC catches random torn writes, and the normal replay
-    /// path re-confirms every merge by canonical-form identity — but both
-    /// trust that a record's `(hash, canon)` *pair* is the one ingest
-    /// wrote. A consistent corruption (firmware bit rot after the CRC was
-    /// computed, a buggy backup tool rewriting bytes and re-framing them)
-    /// could alter the canon and still replay "cleanly" into a class
-    /// addressed by the stale hash. Re-hashing closes that hole at the
-    /// cost of roughly re-preparing every replayed record. Only meaningful
-    /// with [`StoreBuilder::open_durable`].
-    pub fn verify_on_replay(mut self, verify: bool) -> Self {
-        self.verify_on_replay = verify;
         self
     }
 

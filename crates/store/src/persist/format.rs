@@ -8,13 +8,14 @@
 //! documented there are exactly the ones compiled in, so the spec cannot
 //! silently drift from the code.
 //!
-//! **Format v4** (this version) logs a `Subexpressions` store's insert
-//! as the term itself: its root hash plus the wire's named-term encoding
-//! ([`crate::codec::put_term`]), which replay re-prepares, so a record
-//! no longer carries a standalone de Bruijn form per indexed subterm. A
-//! `Roots` insert record is the term's de Bruijn node run, framed straight
-//! from the named term, with its root's hash, position and node count,
-//! and no entry list. **Format
+//! **Format v5** (this version) logs every insert, in both
+//! granularities, as the term itself: its root hash plus the wire's
+//! named-term encoding ([`crate::codec::put_term`]). Replay re-prepares
+//! the term, so a record whose term does not re-hash to its recorded
+//! hash is corrupt; v4 logged a `Roots` insert as its de Bruijn node run
+//! instead, whose hash replay trusted. **Format v4** logged a
+//! `Subexpressions` insert as its term rather than a de Bruijn form per
+//! indexed subterm. **Format
 //! v3** added rewrite **delta records** — `AlphaStore::update` logs the
 //! rewritten term as its old root plus the spine path and the patch
 //! canon — and widened the snapshot's per-term bookkeeping to full
@@ -22,16 +23,15 @@
 //! stored canonical structure as shared DAGs: a snapshot carries one
 //! node table (the class-reachable sub-DAG, deduplicated) with classes
 //! addressing positions in it, mirroring the in-memory hash-consed canon
-//! table (`crate::dag`); v4 keeps that snapshot layout. Only v4 is
-//! written and only v4 decodes: a header naming any other version is
+//! table (`crate::dag`); v5 keeps that snapshot layout. Only v5 is
+//! written and only v5 decodes: a header naming any other version is
 //! refused with [`PersistError::Mismatch`].
 //!
 //! Here live the [`Granularity`] and `StoreIdentity` codecs both file
 //! headers open with, and the structure codecs: shared-DAG node runs
 //! (`put_dag`/`take_dag`, a [`DbArena`] in memory, which holds DAGs as
-//! well as trees), `Roots` insert records (`RawRecord`), `Subexpressions`
-//! insert records (`put_term_record`/`take_term_record`) and `RawDelta`
-//! rewrites.
+//! well as trees), insert records (`put_term_record`/`take_term_record`)
+//! and `RawDelta` rewrites.
 //!
 //! Decoding never panics on malformed input: every `take_*` returns
 //! [`PersistError::Corrupt`] on truncation or bad tags, which is what lets
@@ -43,9 +43,8 @@
 
 use crate::codec::{
     put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, take_count, take_hash,
-    take_str, take_term, take_u32, take_u64, take_u8,
+    take_str, take_term, take_u32, take_u64, take_u8, TermScratch,
 };
-use crate::dag::{DbStep, NamedScratch};
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
 use alpha_hash::combine::HashWord;
@@ -73,7 +72,7 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// [`alpha_hash::combine`], since persisted content addresses must keep
 /// meaning what they meant. Writers emit only this version, and readers
 /// decode only this version.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 fn corrupt(context: &str) -> PersistError {
     PersistError::Corrupt {
@@ -323,8 +322,8 @@ pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
 
 /// How many binders above each position of `dag` its term needs (0 if
 /// closed). Encoders write closed canonical forms only (a variable bound
-/// outside a subterm is a free name in its form), so a record root, patch
-/// or class at an open position is damage, and rebuilding it would index
+/// outside a subterm is a free name in its form), so a patch or class at
+/// an open position is damage, and rebuilding it would index
 /// past its binders.
 pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
     let mut open: Vec<u32> = Vec::with_capacity(dag.len());
@@ -345,120 +344,24 @@ pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
 // Insert records (the WAL payload)
 // ---------------------------------------------------------------------
 
-/// One decoded `Roots` insert record: the term's canonical form, a
-/// standalone de Bruijn run, with its root's position, hash and tree
-/// node count. Recovery interns the run and applies the root as the live
-/// insert did, re-confirming its merge by canonical identity.
-#[derive(Debug)]
-pub(crate) struct RawRecord<H> {
-    /// The term's canonical structure.
-    pub canon: DbArena,
-    /// The alpha-invariant hash (content address).
-    pub hash: H,
-    /// Root of the canonical form within `canon`.
-    pub pos: DbId,
-    /// Tree node count of the term.
-    pub node_count: u64,
-}
-
-/// Encodes one `Roots` insert record: the node run, then the root's
-/// `(hash, pos, node_count)`. The reference [`put_named_record`] is held
-/// to.
-#[cfg(test)]
-pub(crate) fn put_record<H: HashWord>(out: &mut Vec<u8>, dag: &DbArena, root: (H, DbId, u64)) {
-    put_dag(out, dag);
-    put_hash(out, root.0);
-    put_u32(out, root.1.index() as u32);
-    put_u64(out, root.2);
-}
-
-/// Encodes one `Roots` insert record straight from the named term at
-/// `root` of `arena`, with its `(hash, node_count)`: byte for byte what
-/// [`put_record`] writes for the term's `to_debruijn` form, whose node
-/// run is the term's post-order and whose name table lists the free names
-/// in order of first occurrence.
-pub(crate) fn put_named_record<H: HashWord>(
-    out: &mut Vec<u8>,
-    (hash, node_count): (H, u64),
-    arena: &ExprArena,
-    root: NodeId,
-    scratch: &mut NamedScratch,
-) {
-    let NamedScratch {
-        fold,
-        free,
-        names,
-        bytes,
-        ..
-    } = scratch;
-    free.clear();
-    names.clear();
-    bytes.clear();
-    let mut len = 0u32;
-    let child = |value: u32| DbId::from_index(value as usize);
-    let pos = fold.run(arena, root, |step| {
-        let node = match step {
-            DbStep::BVar(i) => DbNode::BVar(i),
-            DbStep::Free(s) => {
-                let symbol = *free.entry(s).or_insert_with(|| {
-                    names.push(s);
-                    names.len() as u32 - 1
-                });
-                DbNode::FVar(Symbol::from_index(symbol))
-            }
-            DbStep::Lit(l) => DbNode::Lit(l),
-            DbStep::Lam(body) => DbNode::Lam(child(body)),
-            DbStep::App(fun, arg) => DbNode::App(child(fun), child(arg)),
-            DbStep::Let(rhs, body) => DbNode::Let(child(rhs), child(body)),
-        };
-        put_node(bytes, node);
-        len += 1;
-        len - 1
-    });
-    debug_assert_eq!(u64::from(len), node_count);
-    put_count(out, names.len());
-    for &name in names.iter() {
-        put_str(out, arena.name(name));
-    }
-    put_count(out, len as usize);
-    out.extend_from_slice(bytes);
-    put_hash(out, hash);
-    put_u32(out, pos);
-    put_u64(out, node_count);
-}
-
-/// Decodes one `Roots` insert record.
-pub(crate) fn take_record<H: HashWord>(input: &mut &[u8]) -> Result<RawRecord<H>, PersistError> {
-    let canon = take_dag(input)?;
-    let hash = take_hash(input)?;
-    let pos = take_u32(input)? as usize;
-    if open_depths(&canon).get(pos) != Some(&0) {
-        return Err(corrupt("record root out of range or not closed"));
-    }
-    Ok(RawRecord {
-        canon,
-        hash,
-        pos: DbId::from_index(pos),
-        node_count: take_u64(input)?,
-    })
-}
-
-/// Encodes one `Subexpressions` insert record: the root's hash, then
-/// the term as ingested in the wire's term encoding
-/// ([`crate::codec::put_term`]). Its classes' keys depend on the
-/// binder names above each subterm, which only the named term keeps, so
-/// replay re-prepares the term to recompute them.
+/// Encodes one insert record: the root's hash, then the term as
+/// ingested in the wire's term encoding ([`crate::codec::put_term`]),
+/// its buffers from `scratch`. Replay re-prepares the term, which
+/// recomputes its hash and, in a `Subexpressions` store, its classes'
+/// keys, which depend on the binder names above each subterm that only
+/// the named term keeps.
 pub(crate) fn put_term_record<H: HashWord>(
     out: &mut Vec<u8>,
     hash: H,
     arena: &ExprArena,
     root: NodeId,
+    scratch: &mut TermScratch,
 ) {
     put_hash(out, hash);
-    put_term(out, arena, root);
+    put_term(out, arena, root, scratch);
 }
 
-/// Decodes one `Subexpressions` insert record, its term into `arena`:
+/// Decodes one insert record, its term into `arena`:
 /// the recorded hash and the term's root.
 pub(crate) fn take_term_record<H: HashWord>(
     input: &mut &[u8],
@@ -573,7 +476,7 @@ mod tests {
             )),
             "spec must document that only v{FORMAT_VERSION} decodes"
         );
-        for section in ["### Delta records", "### `Subexpressions` insert record"] {
+        for section in ["## Insert records", "### Delta records"] {
             assert!(spec.contains(section), "spec must document {section:?}");
         }
     }
@@ -684,7 +587,7 @@ mod tests {
         ));
     }
 
-    /// A record root whose term uses a de Bruijn index no binder of it
+    /// A delta patch whose term uses a de Bruijn index no binder of it
     /// binds: no encoder writes one, and rebuilding it named would index
     /// past its binder scope.
     #[test]
@@ -692,13 +595,22 @@ mod tests {
         let mut dag = DbArena::new();
         let bvar = dag.push(DbNode::BVar(0));
         let lam = dag.push(DbNode::Lam(bvar));
+        let delta = |patch_root| RawDelta::<u64> {
+            term_bits: 7,
+            old_hash: 1,
+            new_hash: 2,
+            new_node_count: 2,
+            path: Vec::new(),
+            patch: dag.clone(),
+            patch_root,
+        };
         let mut closed = Vec::new();
-        put_record::<u64>(&mut closed, &dag, (1, lam, 2));
-        assert!(take_record::<u64>(&mut closed.as_slice()).is_ok());
+        put_delta(&mut closed, &delta(lam));
+        assert!(take_delta::<u64>(&mut closed.as_slice()).is_ok());
         let mut open = Vec::new();
-        put_record::<u64>(&mut open, &dag, (1, bvar, 1));
+        put_delta(&mut open, &delta(bvar));
         assert!(matches!(
-            take_record::<u64>(&mut open.as_slice()),
+            take_delta::<u64>(&mut open.as_slice()),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -734,17 +646,15 @@ mod tests {
             let parsed = parse(&mut arena, src).unwrap();
             let (canon, root) = to_debruijn(&arena, parsed);
             let mut buf = Vec::new();
-            put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64));
+            put_dag(&mut buf, &canon);
             let mut input = buf.as_slice();
-            let decoded: RawRecord<u64> = take_record(&mut input).unwrap();
+            let decoded = take_dag(&mut input).unwrap();
             assert!(input.is_empty(), "trailing bytes for {src}");
-            assert_eq!(decoded.hash, 0x5EED);
-            assert_eq!(decoded.node_count, canon.len() as u64);
+            assert_eq!(decoded.len(), canon.len());
             assert!(
-                db_eq(&canon, root, &decoded.canon, decoded.pos),
+                db_eq(&canon, root, &decoded, root),
                 "decode changed the term for {src}"
             );
-            assert_eq!(decoded.canon.len(), canon.len());
         }
     }
 
@@ -752,17 +662,17 @@ mod tests {
     fn corrupt_canon_is_rejected() {
         let mut arena = ExprArena::new();
         let parsed = parse(&mut arena, r"\x. x + 1").unwrap();
-        let (canon, root) = to_debruijn(&arena, parsed);
+        let (canon, _) = to_debruijn(&arena, parsed);
         let mut buf = Vec::new();
-        put_record::<u64>(&mut buf, &canon, (0x5EED, root, canon.len() as u64));
+        put_dag(&mut buf, &canon);
         // Flipping any single byte must yield Corrupt or a *different*
-        // term — never a panic. (CRC catches the difference in practice;
-        // here we only assert decode robustness.)
+        // node run — never a panic. (CRC catches the difference in
+        // practice; here we only assert decode robustness.)
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0xFF;
             let mut input = bad.as_slice();
-            let _ = take_record::<u64>(&mut input); // must not panic
+            let _ = take_dag(&mut input); // must not panic
         }
     }
 
@@ -808,7 +718,13 @@ mod tests {
         let mut arena = ExprArena::new();
         let root = parse(&mut arena, r"\x. (\x. x + y) x").unwrap();
         let mut buf = Vec::new();
-        put_term_record::<u128>(&mut buf, 0xAAAA_BBBB, &arena, root);
+        put_term_record::<u128>(
+            &mut buf,
+            0xAAAA_BBBB,
+            &arena,
+            root,
+            &mut TermScratch::default(),
+        );
         let mut decoded_arena = ExprArena::new();
         let mut input = buf.as_slice();
         let (hash, decoded) = take_term_record::<u128>(&mut input, &mut decoded_arena).unwrap();
@@ -863,31 +779,30 @@ mod tests {
         }
     }
 
-    /// A `Roots` record framed from the named term is byte for byte the
-    /// record of its `to_debruijn` form.
+    /// One scratch serves every record: a term record framed with a
+    /// scratch that earlier terms left behind is byte for byte the record
+    /// a fresh scratch frames, and decodes to the term as ingested.
     #[test]
-    fn a_named_record_is_the_record_of_its_debruijn_form() {
+    fn a_reused_scratch_frames_the_record_a_fresh_one_does() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EC04D);
         let mut arena = ExprArena::new();
-        // One scratch for every term: no state may leak between records.
-        let mut scratch = NamedScratch::default();
-        let (mut named, mut reference) = (Vec::new(), Vec::new());
+        let mut scratch = TermScratch::default();
+        let (mut reused, mut fresh) = (Vec::new(), Vec::new());
         for i in 0..2000u64 {
             let root = raw_term(&mut arena, &mut rng, 1 + (i % 7) as u32);
-            let (dag, pos) = to_debruijn(&arena, root);
             let hash = (u128::from(i) << 64) | 0x5EED;
-            let node_count = dag.len() as u64;
-            named.clear();
-            reference.clear();
-            put_named_record(&mut named, (hash, node_count), &arena, root, &mut scratch);
-            put_record(&mut reference, &dag, (hash, pos, node_count));
-            assert_eq!(
-                named,
-                reference,
-                "{}",
-                lambda_lang::print::print(&arena, root)
-            );
+            reused.clear();
+            fresh.clear();
+            put_term_record(&mut reused, hash, &arena, root, &mut scratch);
+            put_term_record(&mut fresh, hash, &arena, root, &mut TermScratch::default());
+            let printed = lambda_lang::print::print(&arena, root);
+            assert_eq!(reused, fresh, "{printed}");
+            let mut decoded = ExprArena::new();
+            let (back, back_root) =
+                take_term_record::<u128>(&mut reused.as_slice(), &mut decoded).unwrap();
+            assert_eq!(back, hash);
+            assert_eq!(lambda_lang::print::print(&decoded, back_root), printed);
         }
     }
 

@@ -12,8 +12,7 @@
 //!   more.
 //! * `wal.bin` — an append-only log of every insert and rewrite-update
 //!   since that snapshot: one CRC-framed record per ingested term (its
-//!   de Bruijn form in a `Roots` store, the term itself in a
-//!   `Subexpressions` store), one
+//!   root hash and the term itself), one
 //!   **delta record** per [`update`](crate::AlphaStore::update) (old
 //!   root + spine path + patch canon, not the full rewritten term), plus
 //!   a **commit marker** per group commit, so replay can reproduce the
@@ -24,19 +23,17 @@
 //! [`AlphaStore::open`](crate::AlphaStore::open) and
 //! [`StoreBuilder::open_durable`](crate::StoreBuilder::open_durable): it
 //! checks each file's identity against the opening store's, loads the
-//! snapshot, replays the WAL tail **through the normal ingest path** —
-//! every replayed merge is re-confirmed by canonical-form identity, so the
-//! store's exactness invariant (`unconfirmed_merges == 0`) survives
-//! restarts by construction, not by trust in the disk — and then, unless
-//! the reopen was clean, checkpoints: it writes a fresh snapshot and
-//! resets the WAL under a new epoch, so every successfully opened store
-//! starts from a consistent `(snapshot, WAL)` pair whatever crash
-//! weirdness it recovered from. [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) upgrades a `Roots`
-//! store's replay to paranoid mode: every record is re-hashed from its
-//! canonical payload before being trusted, catching consistent
-//! corruption that CRC framing and merge confirmation cannot see. A
-//! `Subexpressions` store's records are its terms as ingested, re-hashed
-//! on every replay.
+//! snapshot, replays the WAL tail **through the live paths** — every
+//! insert record's term is re-prepared by the ingest driver and every
+//! delta re-applied by the update path, so each replayed record is
+//! re-hashed and must reproduce the hash it logged, and every replayed
+//! merge is re-confirmed by canonical-form identity: the store's
+//! exactness invariant (`unconfirmed_merges == 0`) survives restarts by
+//! construction, not by trust in the disk — and then, unless the reopen
+//! was clean, checkpoints: it writes a fresh snapshot and resets the WAL
+//! under a new epoch, so every successfully opened store starts from a
+//! consistent `(snapshot, WAL)` pair whatever crash weirdness it
+//! recovered from.
 //!
 //! What each crash window leaves behind:
 //!
@@ -59,14 +56,10 @@ pub(crate) mod snapshot;
 pub mod vfs;
 pub(crate) mod wal;
 
-use crate::canon::rebuild_named;
 use crate::dag::CanonTable;
 use crate::granularity::StoreBuilder;
 use crate::store::AlphaStore;
 use alpha_hash::combine::{HashScheme, HashWord};
-use format::RawRecord;
-use lambda_lang::debruijn::DbNode;
-use lambda_lang::ExprArena;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -92,10 +85,9 @@ pub enum PersistError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
     /// On-disk bytes that cannot be what this format writes: bad magic,
-    /// failed CRC, impossible tags or out-of-range references — or, in
-    /// [`verify_on_replay`](crate::StoreBuilder::verify_on_replay) mode, a
-    /// record whose canonical payload re-hashes to a different address
-    /// than the one it claims. (A torn WAL *tail* is not corruption —
+    /// failed CRC, impossible tags or out-of-range references — or a WAL
+    /// record whose term re-hashes to a different address than the one
+    /// it claims. (A torn WAL *tail* is not corruption —
     /// recovery truncates it silently; this is for damage in data that
     /// claimed to be intact.)
     Corrupt {
@@ -261,56 +253,6 @@ pub(crate) struct Durable {
     pub(crate) dir: PathBuf,
     pub(crate) vfs: Arc<dyn Vfs>,
     _lock: std::fs::File,
-}
-
-/// Paranoid-mode validation of a `Roots` record: recompute what the
-/// record *claims* from its canonical payload alone. The tree size is
-/// re-derived by a sharing-aware DP over the record's node run, then the
-/// canon is rebuilt to a named term and pushed through the full hashing
-/// pipeline; any disagreement with the recorded `node_count`/`hash` is
-/// corruption that frame CRCs (computed over already-corrupt bytes) and
-/// merge confirmation (which only compares canon against canon) cannot
-/// catch. (A `Subexpressions` record is re-prepared, and so re-hashed,
-/// on every replay.)
-pub(crate) fn verify_record<H: HashWord>(
-    scheme: &HashScheme<H>,
-    raw: &RawRecord<H>,
-) -> Result<(), PersistError> {
-    // Tree size per node-run position (children precede parents, so one
-    // forward sweep suffices; saturating keeps adversarial DAGs finite).
-    let mut sizes: Vec<u64> = Vec::with_capacity(raw.canon.len());
-    for node in raw.canon.nodes() {
-        let size = match node {
-            DbNode::BVar(_) | DbNode::FVar(_) | DbNode::Lit(_) => 1,
-            DbNode::Lam(b) => 1u64.saturating_add(sizes[b.index()]),
-            DbNode::App(f, a) => 1u64
-                .saturating_add(sizes[f.index()])
-                .saturating_add(sizes[a.index()]),
-            DbNode::Let(r, b) => 1u64
-                .saturating_add(sizes[r.index()])
-                .saturating_add(sizes[b.index()]),
-        };
-        sizes.push(size);
-    }
-    if sizes[raw.pos.index()] != raw.node_count {
-        return Err(PersistError::Corrupt {
-            context: format!(
-                "verify_on_replay: recorded node count {} but canonical payload has {}",
-                raw.node_count,
-                sizes[raw.pos.index()]
-            ),
-        });
-    }
-    let mut scratch = ExprArena::new();
-    let named = rebuild_named(&raw.canon, raw.pos, &mut scratch);
-    if alpha_hash::hashed::hash_expr(&scratch, named, scheme) != raw.hash {
-        return Err(PersistError::Corrupt {
-            context: "verify_on_replay: canonical payload re-hashes to a different \
-                      content address than the record claims"
-                .to_owned(),
-        });
-    }
-    Ok(())
 }
 
 /// Takes the directory's advisory single-writer lock, failing fast with
@@ -527,7 +469,7 @@ fn recover<H: HashWord>(
                     let tail = drop_applied_records(contents.groups, records_applied);
                     replayed_records = tail.iter().map(|g| g.len() as u64).sum();
                     let t = std::time::Instant::now();
-                    store.replay(&contents.arena, tail, builder.verify_on_replay)?;
+                    store.replay(&contents.bytes, tail)?;
                     replay_ns = t.elapsed().as_nanos() as u64;
                 }
             }

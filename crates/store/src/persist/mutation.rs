@@ -2,10 +2,9 @@
 //! test over the WAL and snapshot images of real stores.
 //!
 //! Two stores, one per granularity, ingest an `expr_gen` corpus plus a
-//! few named terms and updates, so their WAL holds insert records of
-//! both shapes (a `Roots` store's de Bruijn run, a `Subexpressions`
-//! store's named term) and delta records, and their snapshot holds
-//! subexpression pairs. Each case damages one image — bit flips, a
+//! few named terms and updates, so their WAL holds insert records (the
+//! term as ingested, in both granularities) and delta records, and their
+//! snapshot holds subexpression pairs. Each case damages one image — bit flips, a
 //! truncation, a hostile count, length, name index or child reference
 //! word, a repeated name in a name table, a subexpression pair naming a
 //! class out of range —
@@ -14,13 +13,11 @@
 //! recovery does with a decoded WAL (replaying it); and every value that
 //! decodes re-encodes to bytes that decode to the same value.
 
-use super::format::{
-    put_delta, put_record, put_term_record, take_delta, take_record, take_term_record,
-};
+use super::format::{put_delta, put_term_record, take_delta, take_term_record};
 use super::snapshot::{decode_snapshot, encode_snapshot};
 use super::wal::{decode_wal, WalEntry, WAL_HEADER_LEN};
 use super::{SNAPSHOT_FILE, WAL_FILE};
-use crate::codec::{begin_frame, crc32, end_frame, take_frame};
+use crate::codec::{begin_frame, crc32, end_frame, take_frame, TermScratch};
 use crate::dag::{extract_canon, CanonTable};
 use crate::store::{ClassId, Shard};
 use crate::{AlphaStore, Granularity, Rewrite, StoreBuilder};
@@ -174,20 +171,13 @@ impl Walk<'_> {
         }
     }
 
-    /// A WAL payload: kind byte, then an insert record of the store's
-    /// granularity, a commit marker or a delta.
-    fn payload(&mut self, granularity: Granularity) {
+    /// A WAL payload: kind byte, then an insert record, a commit marker
+    /// or a delta.
+    fn payload(&mut self) {
         match self.bytes[0] {
-            1 if granularity.indexes_subexpressions() => {
+            1 => {
                 self.skip(1 + 16);
                 self.term();
-            }
-            1 => {
-                self.skip(1);
-                self.dag();
-                self.skip(16);
-                self.word();
-                self.skip(8);
             }
             3 => {
                 self.skip(1 + 8 + 16 + 16 + 8);
@@ -223,23 +213,19 @@ impl Walk<'_> {
     }
 }
 
-/// The fields of a WAL payload of a `granularity` store, or (`None`) of
-/// a snapshot.
-fn fields(bytes: &[u8], granularity: Option<Granularity>) -> Fields {
+/// The fields of a WAL payload, or (`wal` false) of a snapshot.
+fn fields(bytes: &[u8], wal: bool) -> Fields {
     let mut walk = Walk {
         bytes,
         at: 0,
         fields: Fields::default(),
     };
-    match granularity {
-        None => {
-            walk.snapshot();
-            assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
-        }
-        Some(granularity) => {
-            walk.payload(granularity);
-            assert_eq!(walk.at, bytes.len(), "the walk ends with the payload");
-        }
+    if wal {
+        walk.payload();
+        assert_eq!(walk.at, bytes.len(), "the walk ends with the payload");
+    } else {
+        walk.snapshot();
+        assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
     }
     walk.fields
 }
@@ -319,31 +305,26 @@ fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> 
 /// Decodes a WAL image, checks that every decoded entry round-trips,
 /// and replays it into a fresh store as recovery would. `true` iff the
 /// damaged frame decoded (the log is not torn).
-fn wal_case(images: &Images, bytes: &[u8], verify: bool) -> bool {
-    let contents = decode_wal::<u64>(bytes).expect("the header is intact");
+fn wal_case(images: &Images, bytes: &[u8]) -> bool {
+    let contents = decode_wal::<u64>(bytes.to_vec()).expect("the header is intact");
+    let mut scratch = TermScratch::default();
     for entry in contents.groups.iter().flatten() {
         let mut again = Vec::new();
         let mut third = Vec::new();
         match entry {
-            WalEntry::Insert(raw) => {
-                put_record(&mut again, &raw.canon, (raw.hash, raw.pos, raw.node_count));
-                let mut input = again.as_slice();
-                let back = take_record::<u64>(&mut input).expect("re-encoded record decodes");
+            WalEntry::Term(record) => {
+                let mut arena = ExprArena::new();
+                let mut input = &contents.bytes[record.clone()];
+                let (hash, root) = take_term_record::<u64>(&mut input, &mut arena)
+                    .expect("a scanned record decodes");
                 assert!(input.is_empty());
-                put_record(
-                    &mut third,
-                    &back.canon,
-                    (back.hash, back.pos, back.node_count),
-                );
-            }
-            &WalEntry::Term { hash, root } => {
-                put_term_record(&mut again, hash, &contents.arena, root);
+                put_term_record(&mut again, hash, &arena, root, &mut scratch);
                 let mut arena = ExprArena::new();
                 let mut input = again.as_slice();
                 let (hash, root) = take_term_record::<u64>(&mut input, &mut arena)
                     .expect("re-encoded term decodes");
                 assert!(input.is_empty());
-                put_term_record(&mut third, hash, &arena, root);
+                put_term_record(&mut third, hash, &arena, root, &mut scratch);
             }
             WalEntry::Update(delta) => {
                 put_delta(&mut again, delta);
@@ -357,7 +338,7 @@ fn wal_case(images: &Images, bytes: &[u8], verify: bool) -> bool {
     }
     let torn = contents.torn;
     let mut store = builder(images.granularity).build();
-    let _ = store.replay(&contents.arena, contents.groups, verify);
+    let _ = store.replay(&contents.bytes, contents.groups);
     !torn
 }
 
@@ -404,14 +385,17 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
     ];
     let wal_fields: Vec<Vec<Fields>> = stores
         .iter()
-        .map(|s| {
-            let granularity = Some(s.granularity);
-            s.frames.iter().map(|f| fields(f, granularity)).collect()
-        })
+        .map(|s| s.frames.iter().map(|f| fields(f, true)).collect())
         .collect();
-    let snapshot_fields: Vec<Fields> = stores.iter().map(|s| fields(&s.snapshot, None)).collect();
+    let snapshot_fields: Vec<Fields> = stores.iter().map(|s| fields(&s.snapshot, false)).collect();
     for (s, f) in stores.iter().zip(&wal_fields) {
-        assert!(f.iter().any(|f| f.name_tables.iter().any(|t| t.len() >= 2)));
+        // Both stores log term records, whose name and node counts the
+        // field mutations aim at, and deltas.
+        assert!(s
+            .frames
+            .iter()
+            .zip(f)
+            .any(|(p, f)| p[0] == 1 && f.name_tables.iter().any(|t| t.len() >= 2)));
         assert!(s.frames.iter().any(|p| p[0] == 3), "the WAL holds deltas");
     }
     assert!(!snapshot_fields[1].pairs.is_empty());
@@ -437,8 +421,7 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
                 end_frame(&mut bytes, start);
             }
             wal_cases += 1;
-            let decoded =
-                catch_unwind(AssertUnwindSafe(|| wal_case(images, &bytes, case % 4 == 0)));
+            let decoded = catch_unwind(AssertUnwindSafe(|| wal_case(images, &bytes)));
             wal_decoded += usize::from(matches!(decoded, Ok(true)));
             decoded.map(drop)
         } else {

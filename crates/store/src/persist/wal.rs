@@ -1,12 +1,11 @@
 //! The append-only write-ahead log.
 //!
-//! Every confirmed insert tees one **record** into the WAL — in a `Roots`
-//! store the term's de Bruijn form, framed straight from the named term,
-//! in a `Subexpressions` store the term as ingested — so a crash loses at most the writes the OS had
-//! not yet persisted, and never corrupts what came before. Frames are
-//! [`crate::codec`]'s `[len u32][crc32 u32][payload]`, the daemon's wire
-//! frame too, where the payload's first byte is a
-//! kind tag: an **insert record**, a **delta record** (v3: one
+//! Every confirmed insert tees one **record** into the WAL — its root
+//! hash and the term as ingested, in both granularities — so a crash
+//! loses at most the writes the OS had not yet persisted, and never
+//! corrupts what came before. Frames are [`crate::codec`]'s
+//! `[len u32][crc32 u32][payload]`, the daemon's wire frame too, where
+//! the payload's first byte is a kind tag: an **insert record**, a **delta record** (v3: one
 //! [`crate::AlphaStore::update`], logged as old root + spine path +
 //! patch canon instead of the full rewritten term), or a **commit
 //! marker** closing one group commit. Replay walks frames until
@@ -39,7 +38,7 @@
 //! one is refused with [`PersistError::Mismatch`]. See
 //! `docs/PERSISTENCE_FORMAT.md` for the byte layout.
 
-use super::format::{self, RawDelta, RawRecord, StoreIdentity, FORMAT_VERSION, WAL_MAGIC};
+use super::format::{self, RawDelta, StoreIdentity, FORMAT_VERSION, WAL_MAGIC};
 use super::vfs::{Vfs, VfsFile};
 use super::{PersistError, WalOp};
 use crate::codec::{
@@ -47,9 +46,10 @@ use crate::codec::{
     take_u8, FRAME_HEADER_LEN,
 };
 use crate::obs::WalObs;
-use crate::prepare::{Named, PreparedCanon, PreparedTerm};
+use crate::prepare::{Named, PreparedTerm};
 use alpha_hash::combine::HashWord;
 use lambda_lang::{ExprArena, NodeId};
+use std::ops::Range;
 use std::path::Path;
 
 /// Payload kind tag: one insert record.
@@ -62,16 +62,15 @@ const FRAME_COMMIT: u8 = 2;
 const FRAME_DELTA: u8 = 3;
 
 /// One replayable WAL entry: an insert record, or (v3) a rewrite delta.
-/// Replay dispatches on this — a `Roots` record's canon is interned and
-/// applied, a `Subexpressions` record's term is re-prepared through the
-/// ingest driver, and a delta re-splices its patch into the interned old
-/// canon.
+/// Replay dispatches on this — an insert's term is re-prepared through
+/// the ingest driver, and a delta is re-applied through the live
+/// update's path.
 pub(crate) enum WalEntry<H> {
-    /// One `insert` into a `Roots` store: the term's de Bruijn run.
-    Insert(RawRecord<H>),
-    /// One `insert` into a `Subexpressions` store: the recorded root hash
-    /// and the term, decoded into [`WalContents::arena`].
-    Term { hash: H, root: NodeId },
+    /// One `insert`: where its record (the root hash and the term) lies
+    /// in [`WalContents::bytes`]. The scan checked that it decodes;
+    /// replay decodes it again, one group at a time, so recovery never
+    /// holds more than one group's terms.
+    Term(Range<usize>),
     /// A rewrite delta (one `update`).
     Update(RawDelta<H>),
 }
@@ -120,8 +119,8 @@ fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
 /// ends (everything past it is a torn tail).
 pub(crate) struct WalContents<H> {
     pub(crate) header: WalHeader,
-    /// The terms of every [`WalEntry::Term`], decoded into one arena.
-    pub(crate) arena: ExprArena,
+    /// The file's bytes, which every [`WalEntry::Term`] points into.
+    pub(crate) bytes: Vec<u8>,
     /// Entries, one inner `Vec` per group commit. A trailing group with no
     /// commit marker (crash mid-group) appears as the final element.
     pub(crate) groups: Vec<Vec<WalEntry<H>>>,
@@ -163,17 +162,17 @@ pub(crate) fn read_wal<H: HashWord>(
     vfs: &dyn Vfs,
     path: &Path,
 ) -> Result<WalContents<H>, PersistError> {
-    decode_wal(&vfs.read(path)?)
+    decode_wal(vfs.read(path)?)
 }
 
 /// Decodes a whole WAL image. Frames after the first bad one are
-/// dropped; a bad *header* is an error (there is nothing to recover). The
-/// header's granularity says which insert record the frames carry.
-pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, PersistError> {
-    let mut input = bytes;
+/// dropped; a bad *header* is an error (there is nothing to recover).
+/// Each group's terms are decoded into a scratch arena of the group's
+/// own, to check them, and dropped at its commit marker.
+pub(crate) fn decode_wal<H: HashWord>(bytes: Vec<u8>) -> Result<WalContents<H>, PersistError> {
+    let mut input = bytes.as_slice();
     let header = decode_header(&mut input)?;
-    let terms = header.identity.granularity.indexes_subexpressions();
-    let mut arena = ExprArena::new();
+    let mut scratch = ExprArena::new();
     let mut groups: Vec<Vec<WalEntry<H>>> = Vec::new();
     let mut current: Vec<WalEntry<H>> = Vec::new();
     let mut total_records = 0u64;
@@ -191,13 +190,13 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, Pe
         };
         match kind {
             FRAME_RECORD | FRAME_DELTA => {
+                let record =
+                    good_len as usize + FRAME_HEADER_LEN + 1..good_len as usize + frame_len;
                 let entry = if kind == FRAME_DELTA {
                     format::take_delta(&mut payload_input).map(WalEntry::Update)
-                } else if terms {
-                    format::take_term_record(&mut payload_input, &mut arena)
-                        .map(|(hash, root)| WalEntry::Term { hash, root })
                 } else {
-                    format::take_record(&mut payload_input).map(WalEntry::Insert)
+                    format::take_term_record::<H>(&mut payload_input, &mut scratch)
+                        .map(|_| WalEntry::Term(record))
                 };
                 match entry {
                     Ok(entry) if payload_input.is_empty() => current.push(entry),
@@ -213,6 +212,7 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, Pe
                     break true;
                 }
                 groups.push(std::mem::take(&mut current));
+                scratch = ExprArena::new();
             }
             _ => break true,
         }
@@ -228,7 +228,7 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: &[u8]) -> Result<WalContents<H>, Pe
     }
     Ok(WalContents {
         header,
-        arena,
+        bytes,
         groups,
         total_records,
         good_len,
@@ -421,10 +421,9 @@ impl Wal {
 }
 
 /// Frames one insert record, encoding the payload in place (see
-/// [`begin_frame`]): the term prepared as `pt` from `root` of
-/// `named.arena`. A named root (a `Roots` store's) is logged as its
-/// de Bruijn node run, framed straight from the term; an interned root (a
-/// `Subexpressions` store's) as its hash and the term as ingested.
+/// [`begin_frame`]): the hash of the term prepared as `pt`, and the term
+/// at `root` of `named.arena` as ingested, encoded with the framer's
+/// scratch.
 pub(crate) fn frame_record<H: HashWord>(
     out: &mut Vec<u8>,
     pt: &PreparedTerm<H>,
@@ -433,18 +432,13 @@ pub(crate) fn frame_record<H: HashWord>(
 ) {
     let frame_start = begin_frame(out);
     put_u8(out, FRAME_RECORD);
-    let entry = &pt.root;
-    match entry.canon {
-        PreparedCanon::Named(root) => format::put_named_record(
-            out,
-            (entry.hash, entry.node_count),
-            named.arena,
-            root,
-            named.scratch,
-        ),
-        PreparedCanon::Interned(_) => format::put_term_record(out, entry.hash, named.arena, root),
-        PreparedCanon::Absent => unreachable!("only probes are absent"),
-    }
+    format::put_term_record(
+        out,
+        pt.root.hash,
+        named.arena,
+        root,
+        &mut named.scratch.term,
+    );
     end_frame(out, frame_start);
 }
 
@@ -547,7 +541,6 @@ mod tests {
         let scheme: HashScheme<u64> = HashScheme::new(0xFAB);
         let mut preparer = crate::prepare::Preparer::new(&arena, &scheme);
         let parsed = parse(&mut arena, "let w = v+7 in w*w").unwrap();
-        let (hash, canon, root) = preparer.hash_and_canon(&arena, parsed);
         let table = CanonTable::new();
         let pt = preparer.prepare(&arena, parsed, Granularity::Roots, &table);
         let mut frames = Vec::new();
@@ -558,12 +551,18 @@ mod tests {
         drop(wal);
 
         let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
-        let WalEntry::Insert(record) = &contents.groups[0][0] else {
+        let WalEntry::Term(record) = &contents.groups[0][0] else {
             panic!("expected an insert entry");
         };
-        assert_eq!(record.hash, hash);
-        assert_eq!(record.node_count, canon.len() as u64);
-        assert!(db_eq(&record.canon, record.pos, &canon, root));
+        let mut decoded = ExprArena::new();
+        let (hash, root) =
+            format::take_term_record::<u64>(&mut &contents.bytes[record.clone()], &mut decoded)
+                .unwrap();
+        assert_eq!(hash, pt.root.hash);
+        assert_eq!(
+            lambda_lang::print::print(&decoded, root),
+            lambda_lang::print::print(&arena, parsed)
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   named term against the class's interned de Bruijn form under a binder
 //!   environment (`crate::dag::eq_named`); the term is interned only if
 //!   the insert creates a class, and a durable store frames its WAL record
-//!   from it. Those walks share the preparer's [`NamedScratch`], so a warm
+//!   from it. Those walks share the preparer's `NamedScratch`, so a warm
 //!   probe allocates only its result vector.
 //! * **Interned** (`Preparer::prepare_term`) — `Subexpressions` mode: the
 //!   paper's one O(n (log n)²) post-order pass hashes **every** node and,
@@ -237,7 +237,7 @@ impl<H: HashWord> Preparer<H> {
     /// Empties the arena-affine caches (name hashes and canon name ids)
     /// in O(symbols they hold), and the probe scratch, so the preparer
     /// may serve another arena.
-    fn forget_arena(&mut self) {
+    pub(crate) fn forget_arena(&mut self) {
         self.summariser.forget_names();
         self.esum.forget_arena();
         self.largest = 0;

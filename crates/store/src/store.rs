@@ -48,10 +48,10 @@ use crate::dag::{eq_named, extract_canon, extract_one, intern_named, CanonTable}
 use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
-use crate::persist::format::StoreIdentity;
+use crate::persist::format::{take_term_record, StoreIdentity};
 use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
-use crate::persist::wal::{WalEntry, WalHeader};
+use crate::persist::wal::{Wal, WalEntry, WalHeader};
 use crate::persist::{Durable, PersistError, SNAPSHOT_FILE};
 use crate::prepare::{
     Named, PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEntry, SubEntry,
@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 /// Shared `Debug` shape for the two handle types: `c3.17` = shard 3,
@@ -773,7 +773,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// in-memory stores this never errors.
     pub fn try_insert(&self, arena: &ExprArena, root: NodeId) -> Result<InsertOutcome, StoreError> {
         let mut preparer = self.preparers.take(arena, &self.scheme);
-        let outcomes = self.ingest_with(&mut preparer, arena, &[root]);
+        let outcomes = self.ingest_with(&mut preparer, arena, &[root], self.chunk_entries);
         self.preparers.give(preparer);
         Ok(outcomes?.pop().expect("one term ingested"))
     }
@@ -818,14 +818,16 @@ impl<H: HashWord> AlphaStore<H> {
         arena: &ExprArena,
         roots: &[NodeId],
     ) -> Result<Vec<InsertOutcome>, StoreError> {
-        self.ingest_with(&mut Preparer::new(arena, &self.scheme), arena, roots)
+        let mut preparer = Preparer::new(arena, &self.scheme);
+        self.ingest_with(&mut preparer, arena, roots, self.chunk_entries)
     }
 
     /// The one ingest driver, behind `insert` (a one-term batch),
-    /// `insert_batch` and the WAL replay of a `Subexpressions` store: every
-    /// term is prepared outside any lock, in the shape the store's
-    /// granularity asks for, and each chunk of at most `chunk_entries`
-    /// prepared entries goes to [`AlphaStore::ingest_prepared`]. A chunk's
+    /// `insert_batch` and WAL replay: every term is prepared outside any
+    /// lock, in the shape the store's granularity asks for, and each chunk
+    /// of at most `chunk_entries` prepared entries (the store's, or
+    /// unbounded for a replayed group, which is one chunk of the store
+    /// that logged it) goes to [`AlphaStore::ingest_prepared`]. A chunk's
     /// hashing work is counted before its WAL append, so a failed append
     /// does not lose it.
     pub(crate) fn ingest_with(
@@ -833,10 +835,10 @@ impl<H: HashWord> AlphaStore<H> {
         preparer: &mut Preparer<H>,
         arena: &ExprArena,
         roots: &[NodeId],
+        chunk_entries: usize,
     ) -> Result<Vec<InsertOutcome>, StoreError> {
         let mut outcomes = Vec::with_capacity(roots.len());
-        let mut chunk: Vec<PreparedTerm<H>> =
-            Vec::with_capacity(roots.len().min(self.chunk_entries));
+        let mut chunk: Vec<PreparedTerm<H>> = Vec::with_capacity(roots.len().min(chunk_entries));
         let mut entries = 0usize;
         let mut start = 0usize;
         for (i, &root) in roots.iter().enumerate() {
@@ -846,7 +848,7 @@ impl<H: HashWord> AlphaStore<H> {
                 .rec_prepare(t, pt.root.node_count, preparer.intern_probes);
             entries += 1 + pt.subs.len();
             chunk.push(pt);
-            if entries >= self.chunk_entries || i + 1 == roots.len() {
+            if entries >= chunk_entries || i + 1 == roots.len() {
                 let (nodes, misses) = preparer.take_hash_counters();
                 self.obs.add_hash_counters(nodes, misses);
                 let terms = std::mem::take(&mut chunk);
@@ -862,7 +864,10 @@ impl<H: HashWord> AlphaStore<H> {
     /// The critical path of one ingest chunk, `terms` prepared from
     /// `roots` of `named.arena`: the chunk is group-committed to the WAL
     /// (durable stores), then its subexpression entries are drained shard
-    /// by shard, then the roots — each shard locked at most twice.
+    /// by shard, then the roots — each shard locked at most twice. A
+    /// durable store holds the WAL lock from the append through the
+    /// apply, so chunks apply in log order and replay issues every handle
+    /// the live apply did.
     fn ingest_prepared(
         &self,
         terms: Vec<PreparedTerm<H>>,
@@ -872,7 +877,7 @@ impl<H: HashWord> AlphaStore<H> {
         let outcomes = {
             let _ingest = self.maintenance.read().expect("maintenance lock poisoned");
             self.check_writable()?;
-            self.wal_log(&terms, roots, named)?;
+            let _logged = self.wal_log(&terms, roots, named)?;
             self.apply_prepared(terms, named)
         };
         // The ingest guard is released: housekeeping takes the exclusive
@@ -896,8 +901,8 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// The lock-side second half of [`AlphaStore::ingest_prepared`]
-    /// (everything after the WAL tee), and the whole of a `Roots` record's
-    /// replay. Named roots are terms of `named.arena`.
+    /// (everything after the WAL tee). Named roots are terms of
+    /// `named.arena`.
     fn apply_prepared(
         &self,
         terms: Vec<PreparedTerm<H>>,
@@ -1353,13 +1358,14 @@ impl<H: HashWord> AlphaStore<H> {
     /// Opens a durable store from its directory with the default
     /// builder's settings, reading the store's identity (scheme seed,
     /// shard count, granularity) from disk: loads the latest snapshot,
-    /// replays the WAL tail — **re-confirming every replayed merge by
-    /// canonical-form identity**, so exactness survives restarts —
-    /// truncates any torn tail left by a crash, and checkpoints (fresh
-    /// snapshot, reset WAL) unless the reopen was clean. Use
-    /// [`StoreBuilder::open_durable`] instead when the caller knows the
-    /// configuration and wants it verified against what is on disk (or
-    /// wants [`StoreBuilder::verify_on_replay`] paranoia).
+    /// replays the WAL tail — **re-hashing every replayed record** against
+    /// the hash it logged ([`PersistError::Corrupt`] on a mismatch) and
+    /// **re-confirming every replayed merge by canonical-form identity**,
+    /// so exactness survives restarts — truncates any torn tail left by a
+    /// crash, and checkpoints (fresh snapshot, reset WAL) unless the
+    /// reopen was clean. Use [`StoreBuilder::open_durable`] instead when
+    /// the caller knows the configuration and wants it verified against
+    /// what is on disk.
     ///
     /// The hash width is the one thing the type system fixes: opening a
     /// store whose files were written at a different `H` fails with
@@ -1586,79 +1592,63 @@ impl<H: HashWord> AlphaStore<H> {
     }
 
     /// Replays recovered WAL records, group by group — each group is one
-    /// original group commit, so the root-vs-subterm merge-counter split
-    /// is reproduced exactly (a `Subexpressions` group is re-chunked by
-    /// `chunk_entries`, which is the identity when the store reopens with
-    /// the configuration that wrote it). Runs before the WAL is attached,
-    /// so nothing is re-logged.
+    /// original group commit, applied as one chunk whatever the reopening
+    /// store's `chunk_entries`, so the root-vs-subterm merge-counter split
+    /// and every issued `TermId` and `ClassId` are reproduced exactly.
+    /// Runs before the WAL is attached, so nothing is re-logged.
     ///
-    /// A `Subexpressions` record's term, decoded into `arena`, goes
-    /// through the ingest driver ([`AlphaStore::ingest_with`]), so its
-    /// entries, multiplicities and skip count are recomputed as the live
-    /// insert made them; a term that does not hash to its recorded hash
-    /// is [`PersistError::Corrupt`]. A `Roots` record's de Bruijn run is
-    /// interned and applied, its merge re-confirmed by canonical-form
-    /// identity; with `verify` it is first **re-hashed** (rebuilt to a
-    /// named term and pushed through the full hashing pipeline) — the
-    /// paranoid mode that catches canon payload corruption consistent
-    /// enough to slip past CRC and confirmation.
+    /// An insert record's term, decoded from `bytes` (the WAL file) into
+    /// an arena of its group's own, goes through the ingest driver
+    /// ([`AlphaStore::ingest_with`]), so its hash, its merge confirmation
+    /// and (in a `Subexpressions` store) its entries, multiplicities and
+    /// skip count are recomputed as the live insert made them; a term
+    /// that does not hash to its recorded hash is
+    /// [`PersistError::Corrupt`]. Replay holds one group's terms at a
+    /// time.
     ///
     /// Delta records (v3 `update` frames) interleave with inserts in log
     /// order: the inserts before one are applied first, then the delta
-    /// is re-applied through the same deterministic splice the live
-    /// update used, its recorded root hash cross-checked
-    /// ([`PersistError::Corrupt`] on mismatch).
+    /// is re-applied through the live update's path, its recorded root
+    /// hashes cross-checked ([`PersistError::Corrupt`] on mismatch).
     pub(crate) fn replay(
         &mut self,
-        arena: &ExprArena,
+        bytes: &[u8],
         groups: Vec<Vec<WalEntry<H>>>,
-        verify: bool,
     ) -> Result<(), PersistError> {
         debug_assert!(self.durable.is_none(), "replay must not re-log records");
-        let mut preparer = Preparer::new(arena, &self.scheme);
-        let mut records: Vec<PreparedTerm<H>> = Vec::new();
+        let mut preparer = Preparer::new(&ExprArena::new(), &self.scheme);
         let mut terms: Vec<(H, NodeId)> = Vec::new();
         for group in groups {
+            let mut arena = ExprArena::new();
+            preparer.forget_arena();
             for entry in group {
                 match entry {
-                    WalEntry::Insert(raw) => {
-                        if verify {
-                            crate::persist::verify_record(&self.scheme, &raw)?;
-                        }
-                        let refs = self.table.intern_arena_refs(&raw.canon);
-                        let canon = refs[raw.pos.index()];
-                        records.push(PreparedTerm::interned_root(raw.hash, raw.node_count, canon));
+                    WalEntry::Term(record) => {
+                        terms.push(take_term_record(&mut &bytes[record], &mut arena)?);
                     }
-                    WalEntry::Term { hash, root } => terms.push((hash, root)),
                     WalEntry::Update(delta) => {
-                        self.replay_inserts(&mut preparer, arena, &mut records, &mut terms)?;
-                        crate::update::apply_update_replay(self, delta, verify)?;
+                        self.replay_inserts(&mut preparer, &arena, &mut terms)?;
+                        crate::update::apply_update_replay(self, delta)?;
                     }
                 }
             }
-            self.replay_inserts(&mut preparer, arena, &mut records, &mut terms)?;
+            self.replay_inserts(&mut preparer, &arena, &mut terms)?;
         }
         Ok(())
     }
 
-    /// Applies the inserts [`AlphaStore::replay`] has collected since the
-    /// last group boundary or delta, and empties both lists. A `Roots`
-    /// group is applied whole: with no subexpression entries, its
-    /// outcomes do not depend on where it is chunked.
+    /// Ingests the terms [`AlphaStore::replay`] has collected since the
+    /// last group boundary or delta, checks each against its recorded
+    /// hash, and empties the list.
     fn replay_inserts(
         &self,
         preparer: &mut Preparer<H>,
         arena: &ExprArena,
-        records: &mut Vec<PreparedTerm<H>>,
         terms: &mut Vec<(H, NodeId)>,
     ) -> Result<(), PersistError> {
-        if !records.is_empty() {
-            let mut named = preparer.named(arena);
-            self.apply_prepared(std::mem::take(records), &mut named);
-        }
         let roots: Vec<NodeId> = terms.iter().map(|&(_, root)| root).collect();
         let outcomes = self
-            .ingest_with(preparer, arena, &roots)
+            .ingest_with(preparer, arena, &roots, usize::MAX)
             .expect("in-memory replay ingest cannot fail");
         if terms
             .drain(..)
@@ -1677,7 +1667,8 @@ impl<H: HashWord> AlphaStore<H> {
     /// Tees a chunk of inserts, `terms` prepared from `roots` of
     /// `named.arena`, into the WAL as one group commit: the chunk's
     /// records, each framed from its term, then a boundary marker so
-    /// replay can reproduce the group exactly. No-op on in-memory stores.
+    /// replay can reproduce the group exactly. Returns the held WAL lock
+    /// for the caller to apply under; `None` on in-memory stores.
     /// A write failure is retried per the store's
     /// [`RetryPolicy`]; exhausting the retries returns
     /// [`StoreError::Persist`] **without** applying the chunk to memory, so
@@ -1687,15 +1678,15 @@ impl<H: HashWord> AlphaStore<H> {
         terms: &[PreparedTerm<H>],
         roots: &[NodeId],
         named: &mut Named<'_>,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Option<MutexGuard<'_, Wal>>, StoreError> {
         let Some(durable) = &self.durable else {
-            return Ok(());
+            return Ok(None);
         };
-        // ~10 bytes per node plus fixed costs: a close-enough guess that
+        // ~13 bytes per node plus fixed costs: a close-enough guess that
         // the frame buffer almost never regrows mid-chunk.
         let estimate: usize = terms
             .iter()
-            .map(|pt| 96 + pt.root.node_count as usize * 10)
+            .map(|pt| 96 + pt.root.node_count as usize * 13)
             .sum();
         let mut frames = Vec::with_capacity(estimate);
         for (pt, &root) in terms.iter().zip(roots) {
@@ -1703,6 +1694,7 @@ impl<H: HashWord> AlphaStore<H> {
         }
         crate::persist::wal::frame_commit(&mut frames, terms.len() as u64);
         self.wal_append_with_retry(durable, &frames, terms.len() as u64)
+            .map(Some)
     }
 
     /// The shared locked-append tail of the insert and delta tees, with the
@@ -1713,24 +1705,28 @@ impl<H: HashWord> AlphaStore<H> {
     /// a retried append that succeeds heals the store back to
     /// [`Health::Healthy`], while exhausting the policy flips it to
     /// [`Health::ReadOnly`] and returns the underlying error.
-    pub(crate) fn wal_append_with_retry(
+    ///
+    /// On success the WAL lock comes back still held: the caller applies
+    /// what it logged before releasing it, so memory applies groups in
+    /// the order the log holds them, which is the order replay applies
+    /// them in.
+    pub(crate) fn wal_append_with_retry<'a>(
         &self,
-        durable: &Durable,
+        durable: &'a Durable,
         frames: &[u8],
         count: u64,
-    ) -> Result<(), StoreError> {
+    ) -> Result<MutexGuard<'a, Wal>, StoreError> {
         let t = self.obs.tick();
         let mut wal = durable.wal.lock().expect("wal lock poisoned");
         let mut attempt = 0u32;
         loop {
             match wal.append_group(frames, count) {
                 Ok(()) => {
-                    drop(wal);
                     self.obs.rec_wal_commit(t, count);
                     if attempt > 0 {
                         self.heal();
                     }
-                    return Ok(());
+                    return Ok(wal);
                 }
                 Err(e) => {
                     if attempt >= self.retry.retries {

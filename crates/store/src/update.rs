@@ -21,9 +21,10 @@
 //!   [`CanonRef`]; only the spine's nodes are re-interned.
 //! * **Durability** — the WAL records a format-v3 **delta**: the term
 //!   handle, the old root hash (an integrity anchor), the rewrite path
-//!   and the patch's canonical node run. Recovery re-splices the delta
-//!   through this same code, re-confirming the result exactly like insert
-//!   replay, so exactness (zero unconfirmed merges) survives restarts.
+//!   and the patch's canonical node run. Recovery re-applies the delta
+//!   through this same code, re-hashing it against the recorded root
+//!   hash and re-confirming the result exactly like insert replay, so
+//!   exactness (zero unconfirmed merges) survives restarts.
 //! * **Subexpression index** — the apply diffs the term's old
 //!   `(class, multiplicity)` pairs against the rewritten term's and
 //!   touches only the entries whose membership actually changed;
@@ -68,7 +69,7 @@ use crate::canon::rebuild_named;
 use crate::dag::{extract_one, CanonTable};
 use crate::granularity::Granularity;
 use crate::persist::format::RawDelta;
-use crate::persist::wal::{frame_commit, frame_delta};
+use crate::persist::wal::{frame_commit, frame_delta, Wal};
 use crate::persist::PersistError;
 use crate::prepare::{PreparedTerm, Preparer};
 use crate::stats::StatCounters;
@@ -79,6 +80,7 @@ use lambda_lang::arena::{Children, ExprArena, NodeId};
 use lambda_lang::canon::{CanonNode, CanonRef};
 use lambda_lang::debruijn::{to_debruijn, DbArena, DbId};
 use std::collections::HashMap;
+use std::sync::MutexGuard;
 
 /// One local rewrite of a previously ingested term: replace the subtree
 /// at `path` (child-slot steps from the root of the term's **canonical
@@ -191,6 +193,10 @@ impl<H: HashWord> UpdateCache<H> {
         self.entries.insert(term_bits, spine);
     }
 }
+
+/// A prepared update: the rewritten term, the nodes re-hashed to
+/// produce it, and (`Roots` mode) the spine hasher to re-cache.
+type PreparedUpdate<H> = (PreparedTerm<H>, u64, Option<IncrementalHasher<H>>);
 
 fn invalid(reason: impl Into<String>) -> StoreError {
     StoreError::InvalidRewrite {
@@ -415,30 +421,14 @@ impl<H: HashWord> AlphaStore<H> {
             };
             let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
             let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
-
-            // The one granularity-dependent step: how the rewritten term is
-            // prepared. `Roots` re-hashes the spine through the cached
-            // hasher; `Subexpressions` re-prepares the whole rewritten term.
-            let (pt, rehashed, hasher) = match self.granularity {
-                Granularity::Roots => {
-                    let (pt, hasher, spine_nodes) = self.rehash_spine(
-                        &mut cache,
-                        term_bits,
-                        old_class,
-                        old_canon,
-                        &rewrite,
-                        (&patch_db, patch_db_root),
-                    )?;
-                    (pt, spine_nodes, Some(hasher))
-                }
-                Granularity::Subexpressions { .. } => {
-                    let pt =
-                        prepare_rewritten(self, old_canon, rewrite.path, &patch_db, patch_db_root)
-                            .map_err(invalid)?;
-                    let nodes = pt.root.node_count;
-                    (pt, nodes, None)
-                }
-            };
+            let (pt, rehashed, hasher) = self.prepare_update(
+                &mut cache,
+                term_bits,
+                old_class,
+                old_canon,
+                &rewrite,
+                (&patch_db, patch_db_root),
+            )?;
 
             let delta = RawDelta {
                 term_bits,
@@ -450,7 +440,9 @@ impl<H: HashWord> AlphaStore<H> {
                 patch_root: patch_db_root,
             };
             // WAL failure: memory untouched, a spine hasher dropped by `?`.
-            self.wal_log_delta(&delta)?;
+            // The WAL lock is held through the apply, so updates and
+            // insert chunks apply in log order.
+            let _logged = self.wal_log_delta(&delta)?;
 
             let (class, fresh, subs) = self.apply_update(term, old_class, &old_pairs, pt);
             if let Some(hasher) = hasher {
@@ -521,6 +513,42 @@ impl<H: HashWord> AlphaStore<H> {
         )))
     }
 
+    /// The one granularity-dependent step of an update, live and
+    /// replayed: how the rewritten term is prepared. `Roots` re-hashes
+    /// the spine through the cached hasher ([`AlphaStore::rehash_spine`]);
+    /// `Subexpressions` re-prepares the whole rewritten term. Returns it
+    /// with the nodes re-hashed and, in `Roots` mode, the hasher to
+    /// re-cache once the update is applied.
+    fn prepare_update(
+        &self,
+        cache: &mut UpdateCache<H>,
+        term_bits: u64,
+        old_class: ClassId,
+        old_canon: CanonRef,
+        rewrite: &Rewrite<'_>,
+        (patch_db, patch_db_root): (&DbArena, DbId),
+    ) -> Result<PreparedUpdate<H>, StoreError> {
+        match self.granularity {
+            Granularity::Roots => {
+                let (pt, hasher, spine_nodes) = self.rehash_spine(
+                    cache,
+                    term_bits,
+                    old_class,
+                    old_canon,
+                    rewrite,
+                    (patch_db, patch_db_root),
+                )?;
+                Ok((pt, spine_nodes, Some(hasher)))
+            }
+            Granularity::Subexpressions { .. } => {
+                let pt = prepare_rewritten(self, old_canon, rewrite.path, patch_db, patch_db_root)
+                    .map_err(invalid)?;
+                let nodes = pt.root.node_count;
+                Ok((pt, nodes, None))
+            }
+        }
+    }
+
     /// The `Roots`-mode rehash: O(spine) re-hash through the term's
     /// cached [`IncrementalHasher`] (rebuilt once, O(n), from the class
     /// canon when none is cached), and O(spine) canon re-intern through
@@ -578,17 +606,20 @@ impl<H: HashWord> AlphaStore<H> {
         Ok((pt, hasher, replaced.stats.nodes_recomputed as u64))
     }
 
-    /// Tees one delta record into the WAL as its own group commit. No-op
-    /// on in-memory stores; retried per the store's policy like insert
-    /// appends.
-    fn wal_log_delta(&self, delta: &RawDelta<H>) -> Result<(), StoreError> {
+    /// Tees one delta record into the WAL as its own group commit and
+    /// returns the held WAL lock to apply under (`None` on in-memory
+    /// stores); retried per the store's policy like insert appends.
+    fn wal_log_delta(
+        &self,
+        delta: &RawDelta<H>,
+    ) -> Result<Option<MutexGuard<'_, Wal>>, StoreError> {
         let Some(durable) = &self.durable else {
-            return Ok(());
+            return Ok(None);
         };
         let mut frames = Vec::with_capacity(96 + delta.patch.len() * 10 + delta.path.len() * 4);
         frame_delta(&mut frames, delta);
         frame_commit(&mut frames, 1);
-        self.wal_append_with_retry(durable, &frames, 1)
+        self.wal_append_with_retry(durable, &frames, 1).map(Some)
     }
 
     /// The memory apply of an update, live and replayed, in both
@@ -724,17 +755,17 @@ impl<H: HashWord> AlphaStore<H> {
 }
 
 /// Re-applies one recovered WAL delta record, called from the store's
-/// replay loop in log order. The recorded old root hash must match the
+/// replay loop in log order, through the live update's path: the patch
+/// rebuilt named from its canonical run, prepared by
+/// `AlphaStore::prepare_update` and applied by
+/// [`AlphaStore::apply_update`]. The recorded old root hash must match the
 /// class the term currently points at — a mismatch means the log and the
-/// snapshot disagree about history and recovery must not guess. `Roots`
-/// mode re-splices the canon and (under `verify`) re-hashes the result
-/// from scratch; `Subexpressions` mode re-runs the full deterministic
-/// sub-index construction, so its recomputed root hash is **always**
-/// cross-checked against the record.
+/// snapshot disagree about history and recovery must not guess — and the
+/// re-prepared result must reproduce the recorded root hash and node
+/// count, in both granularities.
 pub(crate) fn apply_update_replay<H: HashWord>(
     store: &AlphaStore<H>,
     delta: RawDelta<H>,
-    verify: bool,
 ) -> Result<(), PersistError> {
     let corrupt = |context: String| PersistError::Corrupt { context };
     let term = TermId::from_bits(delta.term_bits);
@@ -764,50 +795,34 @@ pub(crate) fn apply_update_replay<H: HashWord>(
              term's pre-update class"
         )));
     }
-    let pt = match store.granularity {
-        Granularity::Roots => {
-            let patch_ref = store.table.intern_arena(&delta.patch, delta.patch_root);
-            let new_canon = splice_canon(&store.table, old_canon, &delta.path, patch_ref)
-                .map_err(|e| corrupt(format!("delta does not splice: {e}")))?;
-            if verify {
-                // Paranoid mode: rebuild a named representative of the
-                // spliced canon and push it through the full hashing
-                // pipeline before trusting the recorded hash.
-                let (db, db_root) = extract_one(&store.table, new_canon);
-                let mut arena = ExprArena::new();
-                let root = rebuild_named(&db, db_root, &mut arena);
-                let mut preparer = Preparer::new(&arena, &store.scheme);
-                let (hash, _) = preparer.hash_root(&arena, root);
-                if hash != delta.new_hash {
-                    return Err(corrupt(
-                        "delta re-hash mismatch: spliced canon does not hash to the \
-                         recorded root hash"
-                            .to_owned(),
-                    ));
-                }
-            }
-            PreparedTerm::interned_root(delta.new_hash, delta.new_node_count, new_canon)
-        }
-        Granularity::Subexpressions { .. } => {
-            let pt = prepare_rewritten(
-                store,
-                old_canon,
-                &delta.path,
-                &delta.patch,
-                delta.patch_root,
-            )
-            .map_err(|e| corrupt(format!("delta does not splice: {e}")))?;
-            if pt.root.hash != delta.new_hash || pt.root.node_count != delta.new_node_count {
-                return Err(corrupt(
-                    "delta re-hash mismatch: replayed rewrite does not reproduce the \
-                     recorded root hash and node count"
-                        .to_owned(),
-                ));
-            }
-            pt
-        }
+    let mut patch_arena = ExprArena::new();
+    let rewrite = Rewrite {
+        path: &delta.path,
+        root: rebuild_named(&delta.patch, delta.patch_root, &mut patch_arena),
+        arena: &patch_arena,
     };
-    store.apply_update(term, old_class, &old_pairs, pt);
+    let mut cache = store.updates.lock().expect("update lock poisoned");
+    let (pt, _, hasher) = store
+        .prepare_update(
+            &mut cache,
+            delta.term_bits,
+            old_class,
+            old_canon,
+            &rewrite,
+            (&delta.patch, delta.patch_root),
+        )
+        .map_err(|e| corrupt(format!("delta does not apply: {e}")))?;
+    if pt.root.hash != delta.new_hash || pt.root.node_count != delta.new_node_count {
+        return Err(corrupt(
+            "delta re-hash mismatch: replayed rewrite does not reproduce the recorded \
+             root hash and node count"
+                .to_owned(),
+        ));
+    }
+    let (class, _, _) = store.apply_update(term, old_class, &old_pairs, pt);
+    if let Some(hasher) = hasher {
+        cache.put(delta.term_bits, class.to_bits(), hasher);
+    }
     Ok(())
 }
 

@@ -135,19 +135,30 @@ fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
         "snapshot claiming 2^32-1 classes: peak {peak} bytes, intact open {baseline}"
     );
 
-    // (b) A `Roots` WAL whose one record claims 2³²−1 DAG nodes, and
-    // (c, d) a `Subexpressions` WAL whose one named-term record claims
-    // 2³²−1 names or 2³²−1 nodes. Each record is in a CRC-valid frame
-    // closed by its commit marker: recovery stops there, as at any torn
-    // tail. Payload kinds 1 (record) and 2 (commit) are those of
-    // docs/PERSISTENCE_FORMAT.md; a named record is a 16-byte hash, then
-    // the name count, the names, the node count and the nodes.
+    // (b–e) A WAL whose one insert record claims 2³²−1 names or 2³²−1
+    // nodes, in either granularity: the record is the same term record
+    // in both. Each record is in a CRC-valid frame closed by its commit
+    // marker: recovery stops there, as at any torn tail. Payload kinds 1
+    // (record) and 2 (commit) are those of docs/PERSISTENCE_FORMAT.md; a
+    // record is a 16-byte hash, then the name count, the names, the node
+    // count and the nodes.
     let subexpressions = Granularity::Subexpressions { min_nodes: 1 };
     let intact = empty_store("intact-subs", subexpressions);
     let (opened, subs_baseline) = peak_during(|| AlphaStore::<u64>::open(&intact.0));
     drop(opened.expect("an intact empty store opens"));
-    let cases: [(&str, Granularity, usize, &[u32]); 3] = [
-        ("DAG nodes", Granularity::Roots, baseline, &[0, u32::MAX]),
+    let cases: [(&str, Granularity, usize, &[u32]); 4] = [
+        (
+            "Roots term names",
+            Granularity::Roots,
+            baseline,
+            &[u32::MAX],
+        ),
+        (
+            "Roots term nodes",
+            Granularity::Roots,
+            baseline,
+            &[0, u32::MAX],
+        ),
         ("term names", subexpressions, subs_baseline, &[u32::MAX]),
         ("term nodes", subexpressions, subs_baseline, &[0, u32::MAX]),
     ];
@@ -157,9 +168,7 @@ fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
         let mut bytes = std::fs::read(&path).expect("wal");
         let start = begin_frame(&mut bytes);
         put_u8(&mut bytes, 1);
-        if granularity != Granularity::Roots {
-            bytes.extend_from_slice(&[0; 16]); // the root hash
-        }
+        bytes.extend_from_slice(&[0; 16]); // the root hash
         for &count in counts {
             put_u32(&mut bytes, count);
         }

@@ -38,11 +38,16 @@ const C: f64 = 0.5;
 struct TempDir(PathBuf);
 
 impl TempDir {
+    /// A directory of its own per call: tests that run in parallel in one
+    /// process may pass the same tag.
     fn new(tag: &str) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
         let tag: String = tag.chars().filter(char::is_ascii_alphanumeric).collect();
         TempDir(std::env::temp_dir().join(format!(
-            "alpha-store-complexity-{}-{tag}",
-            std::process::id()
+            "alpha-store-complexity-{}-{}-{tag}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
         )))
     }
 }

@@ -150,17 +150,17 @@ fn subexpressions_store_files_are_byte_stable() {
 
 /// Recorded once; a change here is an on-disk format change.
 const ROOTS: &[&str] = &[
-    "open wal.bin=43:b1f348abdc5b1f66 snapshot.bin=absent",
-    "ingest wal.bin=3327:961abbb9d984d40f snapshot.bin=absent",
-    "update wal.bin=3475:ecb7e94441a18de2 snapshot.bin=absent",
-    "checkpoint wal.bin=43:92f881a2d16bd545 snapshot.bin=2543:ba90b617c57f7cd2",
-    "second batch wal.bin=1510:588a78db7b84d745 snapshot.bin=2543:ba90b617c57f7cd2",
+    "open wal.bin=43:c16706db5531cbcd snapshot.bin=absent",
+    "ingest wal.bin=4064:619163a6ad7c1e3b snapshot.bin=absent",
+    "update wal.bin=4212:33497ad1a3ac6d9e snapshot.bin=absent",
+    "checkpoint wal.bin=43:e061cde4602115ee snapshot.bin=2543:0cf697602a509446",
+    "second batch wal.bin=1917:88ad6d23969cbbbf snapshot.bin=2543:0cf697602a509446",
 ];
 
 const SUBEXPRESSIONS: &[&str] = &[
-    "open wal.bin=43:3f0dbe55ab8badb7 snapshot.bin=absent",
-    "ingest wal.bin=4217:e7994558c879f861 snapshot.bin=absent",
-    "update wal.bin=4365:1521d3bc1a4d0a5c snapshot.bin=absent",
-    "checkpoint wal.bin=43:e21d693a8abdcf54 snapshot.bin=13422:c68c84b151e08cf6",
-    "second batch wal.bin=2002:56f05e04b8133a80 snapshot.bin=13422:c68c84b151e08cf6",
+    "open wal.bin=43:344c913186013d7c snapshot.bin=absent",
+    "ingest wal.bin=4217:3e264f1145f8eb6a snapshot.bin=absent",
+    "update wal.bin=4365:e98f751aefd71faf snapshot.bin=absent",
+    "checkpoint wal.bin=43:913ce64ca6cf1bdf snapshot.bin=13422:d3b875768b704a15",
+    "second batch wal.bin=2002:c3b3e642cc255be9 snapshot.bin=13422:d3b875768b704a15",
 ];

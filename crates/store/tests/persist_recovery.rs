@@ -638,7 +638,7 @@ fn merge_counter_split_survives_reopen_exactly() {
 
 /// Rewrites every WAL frame's CRC to match its (possibly tampered)
 /// payload, so the tampering is invisible to the frame check — the
-/// "consistent corruption" shape only paranoid replay can catch.
+/// "consistent corruption" shape only a re-hash can catch.
 fn refresh_wal_crcs(wal_path: &Path) {
     const WAL_HEADER_LEN: usize = 43;
     let mut bytes = std::fs::read(wal_path).expect("read wal");
@@ -657,103 +657,93 @@ fn refresh_wal_crcs(wal_path: &Path) {
     std::fs::write(wal_path, &bytes).expect("write wal");
 }
 
-#[test]
-fn verify_on_replay_catches_crc_consistent_canon_corruption() {
-    // ROADMAP item d: flip a byte inside a record's canonical payload and
-    // re-CRC the frame. The default open replays it without complaint
-    // (CRC passes, and db_eq only compares canon against canon — the
-    // hash/canon pair is never cross-checked), silently storing a class
-    // whose content address belongs to a different term. Paranoid mode
-    // re-hashes the payload and refuses.
-    let dir = TempDir::new("paranoid");
-    let mut arena = ExprArena::new();
-    let t1 = lambda_lang::parse(&mut arena, "qq + 1").unwrap();
-    let t2 = lambda_lang::parse(&mut arena, r"\x. x * qq").unwrap();
-    let builder = || AlphaStore::<u64>::builder().seed(17).shards(2);
-    {
-        let store = builder().open_durable(dir.path()).expect("create");
-        store.insert(&arena, t1);
-        store.insert(&arena, t2);
-    }
-
-    // Tamper: the free variable "qq" becomes "qz" inside the WAL records
-    // (string payloads: [len=2 u32]['q']['q']), then re-frame.
-    let wal_path = dir.path().join("wal.bin");
-    let mut bytes = std::fs::read(&wal_path).expect("read wal");
-    let needle = [2u8, 0, 0, 0, b'q', b'q'];
-    let mut tampered = 0;
-    let mut i = 0;
-    while i + needle.len() <= bytes.len() {
-        if bytes[i..i + needle.len()] == needle {
-            bytes[i + 5] = b'z';
-            tampered += 1;
-        }
-        i += 1;
-    }
-    assert!(tampered > 0, "the name must appear in the WAL");
-    std::fs::write(&wal_path, &bytes).expect("write wal");
-    refresh_wal_crcs(&wal_path);
-
-    // Paranoid open: caught. (Runs first — it fails before any
-    // checkpoint, leaving the directory untouched for the second open.)
-    let err = expect_err(builder().verify_on_replay(true).open_durable(dir.path()));
-    assert!(
-        matches!(err, alpha_store::PersistError::Corrupt { .. }),
-        "verify_on_replay must reject the tampered record: {err}"
-    );
-
-    // Default open: replays "cleanly" — CRC and db_eq alone cannot see
-    // the damage; the store now answers for the tampered term. This is
-    // exactly the gap paranoid mode closes.
-    let store = builder().open_durable(dir.path()).expect("default open");
-    assert_eq!(store.num_terms(), 2);
-    let tampered_term = lambda_lang::parse(&mut arena, "qz + 1").unwrap();
-    assert_eq!(
-        store.lookup(&arena, tampered_term),
-        None,
-        "the tampered canon is filed under the ORIGINAL term's address, \
-         so not even the tampered term finds it"
-    );
-}
-
-/// A `Subexpressions` record is the term as ingested, and replay
-/// re-prepares it, so the same CRC-consistent tampering is caught by
-/// every open, paranoid or not: the term re-hashes to an address other
-/// than the one its record claims.
-#[test]
-fn a_subexpressions_record_that_misses_its_hash_is_always_corrupt() {
-    let dir = TempDir::new("subs-rehash");
-    let mut arena = ExprArena::new();
-    let t1 = lambda_lang::parse(&mut arena, "qq + 1").unwrap();
-    let t2 = lambda_lang::parse(&mut arena, r"\x. x * qq").unwrap();
-    let builder = || {
-        AlphaStore::<u64>::builder()
-            .seed(17)
-            .shards(2)
-            .subexpressions(1)
-    };
-    {
-        let store = builder().open_durable(dir.path()).expect("create");
-        store.insert(&arena, t1);
-        store.insert(&arena, t2);
-    }
-    let wal_path = dir.path().join("wal.bin");
-    let mut bytes = std::fs::read(&wal_path).expect("read wal");
+/// Replaces the first occurrence of the encoded name `qq` (a `u32`
+/// length 2, then the bytes) in the WAL with `qz` and re-seals every
+/// frame's CRC.
+fn tamper_first_qq(wal_path: &Path) {
+    let mut bytes = std::fs::read(wal_path).expect("read wal");
     let needle = [2u8, 0, 0, 0, b'q', b'q'];
     let at = bytes
         .windows(needle.len())
         .position(|w| w == needle)
         .expect("the name appears in the WAL");
     bytes[at + 5] = b'z';
-    std::fs::write(&wal_path, &bytes).expect("write wal");
-    refresh_wal_crcs(&wal_path);
-    for verify in [false, true] {
-        let err = expect_err(builder().verify_on_replay(verify).open_durable(dir.path()));
+    std::fs::write(wal_path, &bytes).expect("write wal");
+    refresh_wal_crcs(wal_path);
+}
+
+/// An insert record is the term as ingested, in both granularities, and
+/// replay re-prepares it, so a CRC-consistent tampering (a free name
+/// renamed inside the record, every frame CRC re-sealed) is caught by
+/// every open: the term re-hashes to an address other than the one its
+/// record claims. Before the record carried the term, a tampered `Roots`
+/// record replayed "cleanly" into a class filed under the original
+/// term's address.
+#[test]
+fn a_subexpressions_record_that_misses_its_hash_is_always_corrupt() {
+    for granularity in [
+        Granularity::Roots,
+        Granularity::Subexpressions { min_nodes: 1 },
+    ] {
+        let dir = TempDir::new("rehash");
+        let mut arena = ExprArena::new();
+        let t1 = lambda_lang::parse(&mut arena, "qq + 1").unwrap();
+        let t2 = lambda_lang::parse(&mut arena, r"\x. x * qq").unwrap();
+        let builder = || {
+            AlphaStore::<u64>::builder()
+                .seed(17)
+                .shards(2)
+                .granularity(granularity)
+        };
+        {
+            let store = builder().open_durable(dir.path()).expect("create");
+            store.insert(&arena, t1);
+            store.insert(&arena, t2);
+        }
+        tamper_first_qq(&dir.path().join("wal.bin"));
+        let err = expect_err(builder().open_durable(dir.path()));
         assert!(
             matches!(err, alpha_store::PersistError::Corrupt { .. }),
-            "verify_on_replay({verify}) must reject the tampered term: {err}"
+            "{granularity:?}: the tampered term must be refused: {err}"
+        );
+        let err = expect_err(AlphaStore::<u64>::open(dir.path()));
+        assert!(
+            matches!(err, alpha_store::PersistError::Corrupt { .. }),
+            "{granularity:?}: the default open must refuse it too: {err}"
         );
     }
+}
+
+/// A `Roots` delta is re-applied through the live update path on every
+/// replay and must reproduce its recorded root hash: a patch renamed
+/// inside its record, every frame CRC re-sealed, is refused by the
+/// default open.
+#[test]
+fn a_tampered_roots_delta_patch_is_always_corrupt() {
+    let dir = TempDir::new("delta-rehash");
+    let mut arena = ExprArena::new();
+    let t = lambda_lang::parse(&mut arena, r"\x. x + (v * 3)").unwrap();
+    let patch = lambda_lang::parse(&mut arena, "qq * 4").unwrap();
+    let builder = || AlphaStore::<u64>::builder().seed(17).shards(2);
+    {
+        let store = builder().open_durable(dir.path()).expect("create");
+        let ins = store.insert(&arena, t);
+        store.update(
+            ins.term,
+            alpha_store::Rewrite {
+                path: &[0, 1],
+                arena: &arena,
+                root: patch,
+            },
+        );
+    }
+    // `qq` occurs only in the delta's patch.
+    tamper_first_qq(&dir.path().join("wal.bin"));
+    let err = expect_err(AlphaStore::<u64>::open(dir.path()));
+    assert!(
+        matches!(err, alpha_store::PersistError::Corrupt { .. }),
+        "the tampered delta must be refused: {err}"
+    );
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! pre-DAG, arena-per-class design kept resident; the ratio between the
 //! two is the structure-sharing win the PLDI 2021 paper's DAG framing
 //! promises. The drill also exercises `contains_batch`, the batched
-//! containment probe answered against the same DAG, and `verify_on_replay`
-//! paranoid recovery over a durable round trip.
+//! containment probe answered against the same DAG, and a durable round
+//! trip whose recovery re-hashes every logged record.
 //!
 //! Run with:
 //!
@@ -85,26 +85,20 @@ fn main() {
         patterns.len() as f64 / batch.as_secs_f64()
     );
 
-    // ── Durable round trip with paranoid recovery ───────────────────────
+    // ── Durable round trip: recovery re-hashes every record ─────────────
     let dir = std::env::temp_dir().join(format!("shared-canon-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let builder = || {
-        AlphaStore::<u64>::builder()
-            .seed(0x5EED)
-            .shards(8)
-            .subexpressions(MIN_NODES)
-            .verify_on_replay(true)
-    };
-    builder()
+    AlphaStore::<u64>::builder()
+        .seed(0x5EED)
+        .shards(8)
+        .subexpressions(MIN_NODES)
         .open_durable(&dir)
         .expect("create durable store")
         .insert_batch(&arena, &roots[..500]);
     let start = Instant::now();
-    let reopened = builder()
-        .open_durable(&dir)
-        .expect("paranoid recovery re-hashes every record");
+    let reopened = AlphaStore::<u64>::open(&dir).expect("recovery re-hashes every record");
     println!(
-        "  paranoid recovery of {} terms (every record re-hashed): {:.1?}, {}",
+        "  recovery of {} terms (every record re-prepared and re-hashed): {:.1?}, {}",
         reopened.num_terms(),
         start.elapsed(),
         if reopened.stats().is_exact() {
