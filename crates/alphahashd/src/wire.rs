@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use alpha_store::codec::{
-    self, check_frame, frame_header, put_count, put_opt_u64, put_str, put_u16, put_u32, put_u64,
-    put_u8, take_bytes, take_count, take_frame_header, take_opt_u64, take_str, take_u16, take_u32,
-    take_u64, take_u8, DecodeError, FRAME_HEADER_LEN,
+    self, check_frame, frame_header, put_opt_u64, put_str, put_u16, put_u32, put_u64, put_u8,
+    take_bytes, take_frame_header, take_opt_u64, take_str, take_u16, take_u32, take_u64, take_u8,
+    DecodeError, FRAME_HEADER_LEN,
 };
 use alpha_store::StoreStats;
 use lambda_lang::{ExprArena, NodeId};
@@ -505,14 +505,10 @@ pub fn take_outcome(input: &mut &[u8]) -> Result<RemoteOutcome, WireError> {
 
 /// Encodes an [`OP_UPDATE`] request body (after the op byte): the term
 /// handle, the rewrite path (child-slot steps into the term's canonical
-/// representative), and the replacement term.
+/// representative), and the replacement term. The body is
+/// [`codec::put_update`]'s, which every WAL delta record carries too.
 pub fn put_update(out: &mut Vec<u8>, term: u64, path: &[u32], arena: &ExprArena, root: NodeId) {
-    put_u64(out, term);
-    put_count(out, path.len());
-    for &slot in path {
-        put_u32(out, slot);
-    }
-    put_term(out, arena, root);
+    codec::put_update(out, term, path, arena, root, &mut TermScratch::default());
 }
 
 /// Decodes an [`OP_UPDATE`] request body into `(term bits, path, patch
@@ -521,12 +517,7 @@ pub fn take_update(
     input: &mut &[u8],
     arena: &mut ExprArena,
 ) -> Result<(u64, Vec<u32>, NodeId), WireError> {
-    let term = take_u64(input)?;
-    let path = (0..take_count(input, 4)?)
-        .map(|_| take_u32(input))
-        .collect::<Result<_, _>>()?;
-    let root = take_term(input, arena)?;
-    Ok((term, path, root))
+    Ok(codec::take_update(input, arena)?)
 }
 
 /// Point-in-time store state as served by [`OP_STATS`]: the ingest

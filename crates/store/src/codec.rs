@@ -7,8 +7,10 @@
 //! claims. Decoders return [`DecodeError`], never panic, and each format
 //! maps the error onto its own. The named-term run ([`put_term`],
 //! [`take_term`], `docs/PROTOCOL.md` §5) is the wire's term payload and
-//! the term of every WAL insert record; de Bruijn runs stay with
-//! `persist::format`.
+//! the term of every WAL insert record, and the update body
+//! ([`put_update`], [`take_update`], §4a) is the wire's `OP_UPDATE`
+//! request and the body of every WAL delta record; de Bruijn runs stay
+//! with `persist::format`, for the snapshot.
 
 use crate::prepare::IndexMap;
 use crate::stats::StoreStats;
@@ -516,6 +518,43 @@ pub fn take_term(input: &mut &[u8], arena: &mut ExprArena) -> Result<NodeId, Dec
         )));
     }
     Ok(root.0)
+}
+
+// Update bodies.
+
+/// Encodes the body of an incremental update (`docs/PROTOCOL.md` §4a):
+/// the term handle, the rewrite path (child-slot steps into the term's
+/// canonical representative) and the patch, its term encoded with
+/// `scratch`. The daemon's `OP_UPDATE` request carries it after the op
+/// byte, and every WAL delta record after its hashes.
+pub fn put_update(
+    out: &mut Vec<u8>,
+    term: u64,
+    path: &[u32],
+    arena: &ExprArena,
+    root: NodeId,
+    scratch: &mut TermScratch,
+) {
+    put_u64(out, term);
+    put_count(out, path.len());
+    for &slot in path {
+        put_u32(out, slot);
+    }
+    put_term(out, arena, root, scratch);
+}
+
+/// Decodes an update body written by [`put_update`] into `(term bits,
+/// path, patch root)`, the patch decoded into `arena`.
+pub fn take_update(
+    input: &mut &[u8],
+    arena: &mut ExprArena,
+) -> Result<(u64, Vec<u32>, NodeId), DecodeError> {
+    let term = take_u64(input)?;
+    let path = (0..take_count(input, 4)?)
+        .map(|_| take_u32(input))
+        .collect::<Result<_, _>>()?;
+    let root = take_term(input, arena)?;
+    Ok((term, path, root))
 }
 
 #[cfg(test)]

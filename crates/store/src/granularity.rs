@@ -285,8 +285,8 @@ impl<H: HashWord> StoreBuilder<H> {
     }
 
     /// Builds a **durable** store rooted at `dir`: every insert is teed
-    /// into a write-ahead log there, and [`AlphaStore::snapshot`] /
-    /// [`AlphaStore::checkpoint`] keep a point-in-time image alongside it.
+    /// into a write-ahead log there, and [`AlphaStore::checkpoint`]
+    /// writes a point-in-time image alongside it and restarts the log.
     ///
     /// If `dir` already holds a store, it is recovered — snapshot loaded,
     /// WAL tail replayed with every merge re-confirmed — and both files

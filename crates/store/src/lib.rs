@@ -45,8 +45,8 @@
 //!   elimination over the deduplicated corpus.
 //! * **Durable, optionally.** [`StoreBuilder::open_durable`] roots the
 //!   store in a directory: inserts tee into a group-committed write-ahead
-//!   log, [`AlphaStore::snapshot`]/[`AlphaStore::checkpoint`] keep an
-//!   atomically-written point-in-time image, and
+//!   log, [`AlphaStore::checkpoint`] writes an atomically-written
+//!   point-in-time image and restarts the log empty, and
 //!   [`AlphaStore::open`] recovers after a crash — replaying the WAL tail
 //!   through the normal ingest path so every recovered merge is
 //!   re-confirmed and exactness survives restarts. See [`persist`].

@@ -8,30 +8,34 @@
 //! documented there are exactly the ones compiled in, so the spec cannot
 //! silently drift from the code.
 //!
-//! **Format v5** (this version) logs every insert, in both
-//! granularities, as the term itself: its root hash plus the wire's
-//! named-term encoding ([`crate::codec::put_term`]). Replay re-prepares
-//! the term, so a record whose term does not re-hash to its recorded
-//! hash is corrupt; v4 logged a `Roots` insert as its de Bruijn node run
-//! instead, whose hash replay trusted. **Format v4** logged a
-//! `Subexpressions` insert as its term rather than a de Bruijn form per
-//! indexed subterm. **Format
-//! v3** added rewrite **delta records** — `AlphaStore::update` logs the
-//! rewritten term as its old root plus the spine path and the patch
-//! canon — and widened the snapshot's per-term bookkeeping to full
+//! **Format v6** (this version) logs an update as the rewrite the
+//! wire's `OP_UPDATE` sends: a delta record is the old and new root
+//! hashes and the new node count, then the update body of
+//! [`crate::codec::put_update`], the patch a named term. v5 logged the
+//! patch as its de Bruijn node run. v6 also drops the snapshot header's
+//! count of WAL records the snapshot absorbed: snapshots are written only
+//! by checkpoints, each paired with an empty WAL of its epoch. **Format
+//! v5** logged every insert, in both granularities, as the term itself:
+//! its root hash plus the wire's named-term encoding
+//! ([`crate::codec::put_term`]), which replay re-prepares, so a record
+//! whose term does not re-hash to its recorded hash is corrupt. **Format
+//! v4** logged a `Subexpressions` insert as its term rather than a de
+//! Bruijn form per indexed subterm. **Format v3** added rewrite **delta
+//! records** and widened the snapshot's per-term bookkeeping to full
 //! `ClassId` bits with per-class occurrence multiplicities. **Format v2**
 //! stored canonical structure as shared DAGs: a snapshot carries one
 //! node table (the class-reachable sub-DAG, deduplicated) with classes
 //! addressing positions in it, mirroring the in-memory hash-consed canon
-//! table (`crate::dag`); v5 keeps that snapshot layout. Only v5 is
-//! written and only v5 decodes: a header naming any other version is
-//! refused with [`PersistError::Mismatch`].
+//! table (`crate::dag`). Only v6 is written and only v6 decodes: a
+//! header naming any other version is refused with
+//! [`PersistError::Mismatch`].
 //!
 //! Here live the [`Granularity`] and `StoreIdentity` codecs both file
-//! headers open with, and the structure codecs: shared-DAG node runs
+//! headers open with, the snapshot's shared-DAG node runs
 //! (`put_dag`/`take_dag`, a [`DbArena`] in memory, which holds DAGs as
-//! well as trees), insert records (`put_term_record`/`take_term_record`)
-//! and `RawDelta` rewrites.
+//! well as trees), and the WAL's records: inserts
+//! (`put_term_record`/`take_term_record`) and deltas
+//! (`put_delta`/`take_delta`), each decoded whole.
 //!
 //! Decoding never panics on malformed input: every `take_*` returns
 //! [`PersistError::Corrupt`] on truncation or bad tags, which is what lets
@@ -42,11 +46,12 @@
 //! the input holds.
 
 use crate::codec::{
-    put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, take_count, take_hash,
-    take_str, take_term, take_u32, take_u64, take_u8, TermScratch,
+    put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, put_update, take_count,
+    take_hash, take_str, take_term, take_u32, take_u64, take_u8, take_update, TermScratch,
 };
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
+use crate::update::Rewrite;
 use alpha_hash::combine::HashWord;
 use lambda_lang::debruijn::{DbArena, DbId, DbNode};
 use lambda_lang::literal::Literal;
@@ -72,7 +77,7 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// [`alpha_hash::combine`], since persisted content addresses must keep
 /// meaning what they meant. Writers emit only this version, and readers
 /// decode only this version.
-pub const FORMAT_VERSION: u16 = 5;
+pub const FORMAT_VERSION: u16 = 6;
 
 fn corrupt(context: &str) -> PersistError {
     PersistError::Corrupt {
@@ -322,9 +327,8 @@ pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
 
 /// How many binders above each position of `dag` its term needs (0 if
 /// closed). Encoders write closed canonical forms only (a variable bound
-/// outside a subterm is a free name in its form), so a patch or class at
-/// an open position is damage, and rebuilding it would index
-/// past its binders.
+/// outside a subterm is a free name in its form), so a class at an open
+/// position is damage, and rebuilding it would index past its binders.
 pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
     let mut open: Vec<u32> = Vec::with_capacity(dag.len());
     for node in dag.nodes() {
@@ -361,84 +365,98 @@ pub(crate) fn put_term_record<H: HashWord>(
     put_term(out, arena, root, scratch);
 }
 
-/// Decodes one insert record, its term into `arena`:
-/// the recorded hash and the term's root.
+/// Decodes one whole insert record, its term into `arena`: the recorded
+/// hash and the term's root. Bytes after the term are corrupt.
 pub(crate) fn take_term_record<H: HashWord>(
-    input: &mut &[u8],
+    mut record: &[u8],
     arena: &mut ExprArena,
 ) -> Result<(H, NodeId), PersistError> {
-    let hash = take_hash(input)?;
-    Ok((hash, take_term(input, arena)?))
+    let hash = take_hash(&mut record)?;
+    let root = take_term(&mut record, arena)?;
+    whole(record)?;
+    Ok((hash, root))
+}
+
+/// Refuses bytes a record leaves after its last field.
+fn whole(rest: &[u8]) -> Result<(), PersistError> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(corrupt("trailing bytes after a WAL record"))
+    }
 }
 
 // ---------------------------------------------------------------------
-// Delta records (v3: the WAL payload of `AlphaStore::update`)
+// Delta records (the WAL payload of `AlphaStore::update`)
 // ---------------------------------------------------------------------
 
-/// One decoded rewrite delta: everything recovery needs to repeat an
-/// `update` without the full rewritten term. The old root is named by
-/// the term id plus its pre-update hash (an integrity cross-check
-/// against the store state being replayed into); the rewrite site is
-/// the child-index spine path from the class representative's root; the
-/// patch travels as its own canonical node run. Replay re-splices the
-/// patch canon into the interned old canon along the path, so exactness
-/// (merge confirmation by canonical identity) survives restarts just
-/// like insert replay.
+/// What a delta record holds besides the update body: the term's root
+/// hash before the rewrite, which replay checks against the class the
+/// term points at, and the rewritten term's hash and node count, which
+/// the re-applied rewrite must reproduce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DeltaCheck<H> {
+    pub(crate) old_hash: H,
+    pub(crate) new_hash: H,
+    pub(crate) new_node_count: u64,
+}
+
+/// One decoded delta record: its [`DeltaCheck`] and the rewrite as the
+/// wire's `OP_UPDATE` requests it, the patch decoded into the caller's
+/// arena.
 #[derive(Debug)]
 pub(crate) struct RawDelta<H> {
+    pub(crate) check: DeltaCheck<H>,
     /// `TermId::to_bits` of the updated term.
-    pub term_bits: u64,
-    /// Hash of the term's class *before* the update (integrity check).
-    pub old_hash: H,
-    /// Hash of the rewritten term (what the spine re-hash produced).
-    pub new_hash: H,
-    /// Tree node count of the rewritten term.
-    pub new_node_count: u64,
-    /// Child-index path from the canonical root to the rewrite site
+    pub(crate) term_bits: u64,
+    /// Child-slot path from the canonical root to the rewrite site
     /// (empty replaces the whole term).
-    pub path: Vec<u32>,
-    /// Canonical form of the replacement subterm.
-    pub patch: DbArena,
-    /// Root of the patch within its node run.
-    pub patch_root: DbId,
+    pub(crate) path: Vec<u32>,
+    /// The patch's root, in the arena it was decoded into.
+    pub(crate) patch_root: NodeId,
 }
 
-/// Encodes one v3 delta record.
-pub(crate) fn put_delta<H: HashWord>(out: &mut Vec<u8>, delta: &RawDelta<H>) {
-    put_u64(out, delta.term_bits);
-    put_hash(out, delta.old_hash);
-    put_hash(out, delta.new_hash);
-    put_u64(out, delta.new_node_count);
-    put_count(out, delta.path.len());
-    for &step in &delta.path {
-        put_u32(out, step);
-    }
-    put_dag(out, &delta.patch);
-    put_u32(out, delta.patch_root.index() as u32);
-}
-
-/// Decodes one v3 delta record.
-pub(crate) fn take_delta<H: HashWord>(input: &mut &[u8]) -> Result<RawDelta<H>, PersistError> {
-    let term_bits = take_u64(input)?;
-    let old_hash = take_hash(input)?;
-    let new_hash = take_hash(input)?;
-    let new_node_count = take_u64(input)?;
-    let path = (0..take_count(input, 4)?)
-        .map(|_| take_u32(input))
-        .collect::<Result<_, _>>()?;
-    let patch = take_dag(input)?;
-    let root_raw = take_u32(input)? as usize;
-    if open_depths(&patch).get(root_raw) != Some(&0) {
-        return Err(corrupt("patch root out of range or not closed"));
-    }
-    Ok(RawDelta {
+/// Encodes one delta record: the check, then the update body
+/// ([`crate::codec::put_update`]) of `rewrite` to the term `term_bits`,
+/// the patch encoded with `scratch`.
+pub(crate) fn put_delta<H: HashWord>(
+    out: &mut Vec<u8>,
+    check: &DeltaCheck<H>,
+    term_bits: u64,
+    rewrite: &Rewrite<'_>,
+    scratch: &mut TermScratch,
+) {
+    put_hash(out, check.old_hash);
+    put_hash(out, check.new_hash);
+    put_u64(out, check.new_node_count);
+    put_update(
+        out,
         term_bits,
-        old_hash,
-        new_hash,
-        new_node_count,
+        rewrite.path,
+        rewrite.arena,
+        rewrite.root,
+        scratch,
+    );
+}
+
+/// Decodes one whole delta record, its patch into `arena`. Bytes after
+/// the patch are corrupt.
+pub(crate) fn take_delta<H: HashWord>(
+    mut record: &[u8],
+    arena: &mut ExprArena,
+) -> Result<RawDelta<H>, PersistError> {
+    let check = DeltaCheck {
+        old_hash: take_hash(&mut record)?,
+        new_hash: take_hash(&mut record)?,
+        new_node_count: take_u64(&mut record)?,
+    };
+    let (term_bits, path, patch_root) = take_update(&mut record, arena)?;
+    whole(record)?;
+    Ok(RawDelta {
+        check,
+        term_bits,
         path,
-        patch,
-        patch_root: DbId::from_index(root_raw),
+        patch_root,
     })
 }
 
@@ -587,30 +605,42 @@ mod tests {
         ));
     }
 
-    /// A delta patch whose term uses a de Bruijn index no binder of it
-    /// binds: no encoder writes one, and rebuilding it named would index
-    /// past its binder scope.
+    /// A snapshot class whose canon position holds a de Bruijn index no
+    /// binder of its term binds: no encoder writes one, and rebuilding it
+    /// named would index past its binder scope.
     #[test]
     fn an_open_entry_is_corrupt() {
+        use crate::dag::CanonTable;
+        use crate::persist::snapshot::{decode_snapshot, encode_snapshot, SnapshotHeader};
+        use crate::store::{Shard, StoredClass};
         let mut dag = DbArena::new();
         let bvar = dag.push(DbNode::BVar(0));
         let lam = dag.push(DbNode::Lam(bvar));
-        let delta = |patch_root| RawDelta::<u64> {
-            term_bits: 7,
-            old_hash: 1,
-            new_hash: 2,
-            new_node_count: 2,
-            path: Vec::new(),
-            patch: dag.clone(),
-            patch_root,
+        let image = |pos| {
+            let class = StoredClass {
+                hash: 7u64,
+                canon: CanonTable::new().intern_arena(&dag, lam),
+                node_count: 2,
+                members: 1,
+                occurrences: 1,
+            };
+            let own = crate::store::ClassId { shard: 0, index: 0 }.to_bits();
+            let shard = Shard::from_parts(vec![class], vec![own], vec![Box::default()]);
+            let header = SnapshotHeader {
+                identity: StoreIdentity {
+                    hash_bits: 64,
+                    scheme_seed: 7,
+                    shard_count: 1,
+                    granularity: Granularity::Roots,
+                },
+                wal_epoch: 1,
+                stats: Default::default(),
+            };
+            encode_snapshot(&header, &[&shard], &dag, &[pos])
         };
-        let mut closed = Vec::new();
-        put_delta(&mut closed, &delta(lam));
-        assert!(take_delta::<u64>(&mut closed.as_slice()).is_ok());
-        let mut open = Vec::new();
-        put_delta(&mut open, &delta(bvar));
+        assert!(decode_snapshot::<u64>(&image(lam), &CanonTable::new()).is_ok());
         assert!(matches!(
-            take_delta::<u64>(&mut open.as_slice()),
+            decode_snapshot::<u64>(&image(bvar), &CanonTable::new()),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -726,22 +756,25 @@ mod tests {
             &mut TermScratch::default(),
         );
         let mut decoded_arena = ExprArena::new();
-        let mut input = buf.as_slice();
-        let (hash, decoded) = take_term_record::<u128>(&mut input, &mut decoded_arena).unwrap();
-        assert!(input.is_empty());
+        let (hash, decoded) = take_term_record::<u128>(&buf, &mut decoded_arena).unwrap();
         assert_eq!(hash, 0xAAAA_BBBB);
         assert_eq!(
             lambda_lang::print::print(&arena, root),
             lambda_lang::print::print(&decoded_arena, decoded)
         );
-        // Truncations surface as Corrupt, never as panics.
+        // Truncations and trailing bytes surface as Corrupt, never as
+        // panics.
         for cut in 0..buf.len() {
-            let mut input = &buf[..cut];
             assert!(matches!(
-                take_term_record::<u128>(&mut input, &mut ExprArena::new()),
+                take_term_record::<u128>(&buf[..cut], &mut ExprArena::new()),
                 Err(PersistError::Corrupt { .. })
             ));
         }
+        buf.push(0);
+        assert!(matches!(
+            take_term_record::<u128>(&buf, &mut ExprArena::new()),
+            Err(PersistError::Corrupt { .. })
+        ));
     }
 
     /// A random raw term of depth at most `depth`: binders drawn from
@@ -799,8 +832,7 @@ mod tests {
             let printed = lambda_lang::print::print(&arena, root);
             assert_eq!(reused, fresh, "{printed}");
             let mut decoded = ExprArena::new();
-            let (back, back_root) =
-                take_term_record::<u128>(&mut reused.as_slice(), &mut decoded).unwrap();
+            let (back, back_root) = take_term_record::<u128>(&reused, &mut decoded).unwrap();
             assert_eq!(back, hash);
             assert_eq!(lambda_lang::print::print(&decoded, back_root), printed);
         }
@@ -809,37 +841,57 @@ mod tests {
     #[test]
     fn delta_round_trips() {
         let mut arena = ExprArena::new();
-        let patch_named = parse(&mut arena, r"\x. x * (v + 2)").unwrap();
-        let (patch, patch_root) = to_debruijn(&arena, patch_named);
-        let delta = RawDelta::<u128> {
-            term_bits: 0x0007_0000_0000_002A,
+        let patch = parse(&mut arena, r"\x. x * (v + 2)").unwrap();
+        let check = DeltaCheck::<u128> {
             old_hash: 0xAAAA_BBBB,
             new_hash: 0xCCCC_DDDD,
             new_node_count: 41,
-            path: vec![0, 1, 1, 0],
-            patch,
-            patch_root,
         };
+        let rewrite = Rewrite {
+            path: &[0, 1, 1, 0],
+            arena: &arena,
+            root: patch,
+        };
+        let term_bits = 0x0007_0000_0000_002A;
         let mut buf = Vec::new();
-        put_delta(&mut buf, &delta);
-        let mut input = buf.as_slice();
-        let decoded: RawDelta<u128> = take_delta(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(decoded.term_bits, delta.term_bits);
-        assert_eq!(decoded.old_hash, delta.old_hash);
-        assert_eq!(decoded.new_hash, delta.new_hash);
-        assert_eq!(decoded.new_node_count, 41);
-        assert_eq!(decoded.path, delta.path);
-        assert!(db_eq(
-            &decoded.patch,
-            decoded.patch_root,
-            &delta.patch,
-            delta.patch_root
-        ));
-        // Truncations surface as Corrupt, never as panics.
+        put_delta(
+            &mut buf,
+            &check,
+            term_bits,
+            &rewrite,
+            &mut TermScratch::default(),
+        );
+        let mut decoded_arena = ExprArena::new();
+        let decoded: RawDelta<u128> = take_delta(&buf, &mut decoded_arena).unwrap();
+        assert_eq!(decoded.check, check);
+        assert_eq!(decoded.term_bits, term_bits);
+        assert_eq!(decoded.path, rewrite.path);
+        // The patch keeps its names: it is the term as requested.
+        assert_eq!(
+            lambda_lang::print::print(&decoded_arena, decoded.patch_root),
+            lambda_lang::print::print(&arena, patch)
+        );
+        // The body after the check is the wire's update body, byte for
+        // byte.
+        let mut body = Vec::new();
+        crate::codec::put_update(
+            &mut body,
+            term_bits,
+            rewrite.path,
+            &arena,
+            patch,
+            &mut TermScratch::default(),
+        );
+        assert_eq!(buf[16 + 16 + 8..], body[..]);
+        // Truncations and trailing bytes surface as Corrupt, never as
+        // panics.
         for cut in 0..buf.len() {
-            let mut input = &buf[..cut];
-            assert!(take_delta::<u128>(&mut input).is_err(), "cut {cut}");
+            assert!(
+                take_delta::<u128>(&buf[..cut], &mut ExprArena::new()).is_err(),
+                "cut {cut}"
+            );
         }
+        buf.push(0);
+        assert!(take_delta::<u128>(&buf, &mut ExprArena::new()).is_err());
     }
 }

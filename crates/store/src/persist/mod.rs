@@ -13,10 +13,16 @@
 //! * `wal.bin` — an append-only log of every insert and rewrite-update
 //!   since that snapshot: one CRC-framed record per ingested term (its
 //!   root hash and the term itself), one
-//!   **delta record** per [`update`](crate::AlphaStore::update) (old
-//!   root + spine path + patch canon, not the full rewritten term), plus
-//!   a **commit marker** per group commit, so replay can reproduce the
-//!   original batch grouping exactly.
+//!   **delta record** per [`update`](crate::AlphaStore::update) (the
+//!   root hashes plus the rewrite as the wire's `OP_UPDATE` sends it —
+//!   term handle, spine path, patch term — not the full rewritten term),
+//!   plus a **commit marker** per group commit, so replay can reproduce
+//!   the original batch grouping exactly.
+//!
+//! Only a [`checkpoint`](crate::AlphaStore::checkpoint) writes a
+//! snapshot, and it pairs the snapshot with an empty WAL of the
+//! snapshot's epoch. So recovery compares epochs only: a WAL of the
+//! snapshot's epoch is replayed whole, one of an older epoch discarded.
 //!
 //! Both files open with the same store identity (hash width, scheme seed,
 //! shard count, granularity), and one open path serves
@@ -39,7 +45,7 @@
 //!
 //! | crash during … | on disk | recovery |
 //! |---|---|---|
-//! | normal ingest | snapshot + WAL with a possibly-torn tail | replay good frames, drop the torn tail |
+//! | normal ingest | snapshot + WAL with a possibly-torn tail | replay up to the first frame or record that does not decode, drop the rest |
 //! | snapshot write | old snapshot + complete WAL (temp file ignored) | replay from the old snapshot |
 //! | compaction, between snapshot rename and WAL reset | new snapshot + **stale-epoch** WAL | epoch mismatch detected, stale WAL discarded (its records are in the snapshot) |
 //!
@@ -87,9 +93,10 @@ pub enum PersistError {
     /// On-disk bytes that cannot be what this format writes: bad magic,
     /// failed CRC, impossible tags or out-of-range references — or a WAL
     /// record whose term re-hashes to a different address than the one
-    /// it claims. (A torn WAL *tail* is not corruption —
-    /// recovery truncates it silently; this is for damage in data that
-    /// claimed to be intact.)
+    /// it claims, or a delta the live update would refuse. (A torn WAL
+    /// *tail* — the first frame or record replay cannot decode — is not
+    /// corruption: recovery drops it silently; this is for damage in data
+    /// that claimed to be intact.)
     Corrupt {
         /// Human-readable description of what failed to parse.
         context: String,
@@ -329,7 +336,7 @@ pub(crate) fn open<H: HashWord>(
 /// Recovers the store in `dir` for [`open`] and returns it with the WAL
 /// it goes on appending to. Ends with a checkpoint — fresh snapshot,
 /// reset WAL, next epoch — unless the reopen was *clean* (intact
-/// snapshot, same-epoch WAL fully absorbed, nothing torn), in which case
+/// snapshot, intact WAL of its epoch holding no records), in which case
 /// the existing WAL simply continues: no O(store) snapshot rewrite for a
 /// no-op reopen.
 fn recover<H: HashWord>(
@@ -351,7 +358,7 @@ fn recover<H: HashWord>(
 
     // 0. Read the WAL once up front; both the identity check and the
     // replay step below consume this same scan.
-    let wal_scan = have_wal.then(|| wal::read_wal::<H>(&*vfs, &wal_path));
+    let wal_scan = have_wal.then(|| wal::read_wal(&*vfs, &wal_path));
 
     // 1. The snapshot. Every canonical form decoded anywhere below
     // interns into this one table, which the store then owns. Recovery
@@ -407,33 +414,29 @@ fn recover<H: HashWord>(
     if let Some(contents) = &wal_contents {
         identity.check(&contents.header.identity, WAL_FILE)?;
     }
-    let (snap_epoch, records_applied) = match snapshot {
-        Some((header, mut shards)) => {
-            // Same shard count as the store's: the identity says so. A
-            // `Subexpressions` store re-summarises each class's decoded
-            // form into its key; the decoded table is dropped.
-            if store.granularity().indexes_subexpressions() {
-                for class in shards.iter_mut().flat_map(|s| s.classes.iter_mut()) {
-                    let (db, root) = crate::dag::extract_one(&table, class.canon);
-                    class.canon = store.key_of(&db, root);
-                }
-            } else {
-                store.table = table;
+    let snap_epoch = snapshot.map(|(header, mut shards)| {
+        // Same shard count as the store's: the identity says so. A
+        // `Subexpressions` store re-summarises each class's decoded
+        // form into its key; the decoded table is dropped.
+        if store.granularity().indexes_subexpressions() {
+            for class in shards.iter_mut().flat_map(|s| s.classes.iter_mut()) {
+                let (db, root) = crate::dag::extract_one(&table, class.canon);
+                class.canon = store.key_of(&db, root);
             }
-            store.shards = shards.into_iter().map(RwLock::new).collect();
-            store.counters.restore(&header.stats);
-            (Some(header.wal_epoch), header.wal_records_applied)
+        } else {
+            store.table = table;
         }
-        None => (None, 0),
-    };
+        store.shards = shards.into_iter().map(RwLock::new).collect();
+        store.counters.restore(&header.stats);
+        header.wal_epoch
+    });
 
-    // 3. The WAL tail.
+    // 3. The WAL, by its epoch against the snapshot's.
     let mut last_epoch = snap_epoch.unwrap_or(0);
-    // `Some((records, good_len))` when the reopen is *clean*: intact
-    // snapshot, intact same-epoch WAL whose every record the snapshot
-    // already absorbed.
-    let mut clean_wal: Option<(u64, u64)> = None;
-    // WAL records fed back through the ingest path, for
+    // Whether the reopen is *clean*: an intact snapshot and an intact WAL
+    // of its epoch holding no records.
+    let mut clean = false;
+    // WAL records fed back through the ingest and update paths, for
     // [`AlphaStore::recovery_info`].
     let mut replayed_records: u64 = 0;
     if let Some(contents) = wal_contents {
@@ -447,31 +450,18 @@ fn recover<H: HashWord>(
                     ),
                 });
             }
-            Some(es) if epoch < es => {
-                // Crash between compaction's snapshot rename and WAL
-                // reset: every record in this WAL is already folded into
-                // the snapshot. Discard.
-                last_epoch = es;
-            }
+            // Crash between a checkpoint's snapshot rename and its WAL
+            // reset: every record in this WAL is already folded into the
+            // snapshot. Discard.
+            Some(es) if epoch < es => {}
             _ => {
-                // Same epoch (or no snapshot at all): replay the records
-                // the snapshot has not absorbed. A tail torn inside the
-                // already-applied region means those lost records are in
-                // the snapshot anyway.
+                // The snapshot's epoch (or no snapshot at all): replay
+                // every record.
                 last_epoch = epoch.max(last_epoch);
-                let count = contents.total_records;
-                if have_snapshot && !contents.torn && count == records_applied {
-                    // Clean reopen: the snapshot already holds every WAL
-                    // record and the file is intact — it can simply
-                    // continue being appended to.
-                    clean_wal = Some((records_applied, contents.good_len));
-                } else {
-                    let tail = drop_applied_records(contents.groups, records_applied);
-                    replayed_records = tail.iter().map(|g| g.len() as u64).sum();
-                    let t = std::time::Instant::now();
-                    store.replay(&contents.bytes, tail)?;
-                    replay_ns = t.elapsed().as_nanos() as u64;
-                }
+                clean = snap_epoch.is_some() && !contents.torn && contents.groups.is_empty();
+                let t = std::time::Instant::now();
+                replayed_records = store.replay(&contents.bytes, &contents.groups)?;
+                replay_ns = t.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -479,56 +469,26 @@ fn recover<H: HashWord>(
     store.record_recovery(snap_load_ns, replay_ns);
     store.recovery = Some(crate::store::RecoveryInfo {
         replayed_records,
-        clean: clean_wal.is_some(),
+        clean,
     });
 
-    let wal = match clean_wal {
-        // 4a. Clean reopen: nothing was replayed and nothing was torn, so
-        // the on-disk pair is already in a consistent state — skip the
-        // O(store) checkpoint and keep appending to the existing WAL.
-        Some((records, good_len)) => wal::Wal::open_for_append(
-            &*vfs,
-            &wal_path,
-            last_epoch,
-            records,
-            good_len,
-            builder.sync_on_commit,
-        )?,
+    let wal = if clean {
+        // 4a. Clean reopen: the on-disk pair is already what a checkpoint
+        // leaves — skip the O(store) checkpoint and keep appending to the
+        // existing WAL.
+        wal::Wal::open_for_append(&*vfs, &wal_path, last_epoch, builder.sync_on_commit)?
+    } else {
         // 4b. Checkpoint: the recovered state becomes the new snapshot
         // and the WAL restarts empty under the next epoch, so the on-disk
-        // pair is in the clean post-compaction state no matter what was
-        // recovered.
-        None => {
-            let new_epoch = last_epoch + 1;
-            store.write_snapshot_file(&*vfs, &snap_path, new_epoch, 0)?;
-            let header = wal::WalHeader {
-                identity,
-                epoch: new_epoch,
-            };
-            wal::Wal::create(&*vfs, &wal_path, header, builder.sync_on_commit)?
-        }
+        // pair is in the clean post-checkpoint state no matter what was
+        // recovered, a torn tail included.
+        let new_epoch = last_epoch + 1;
+        store.write_snapshot_file(&*vfs, &snap_path, new_epoch)?;
+        let header = wal::WalHeader {
+            identity,
+            epoch: new_epoch,
+        };
+        wal::Wal::create(&*vfs, &wal_path, header, builder.sync_on_commit)?
     };
     Ok((store, wal))
-}
-
-/// Drops the first `applied` entries (the ones the snapshot already
-/// absorbed) from a group list, preserving the grouping of everything
-/// after them. Snapshot cuts always land on group boundaries (the
-/// maintenance lock excludes mid-group cuts), so the split-a-group branch
-/// only triggers on hand-damaged files — where splitting is still the
-/// right conservative answer.
-fn drop_applied_records<T>(groups: Vec<Vec<T>>, applied: u64) -> Vec<Vec<T>> {
-    let mut to_skip = usize::try_from(applied).unwrap_or(usize::MAX);
-    let mut out = Vec::with_capacity(groups.len());
-    for group in groups {
-        if to_skip == 0 {
-            out.push(group);
-        } else if group.len() <= to_skip {
-            to_skip -= group.len();
-        } else {
-            out.push(group.into_iter().skip(to_skip).collect());
-            to_skip = 0;
-        }
-    }
-    out
 }

@@ -9,11 +9,12 @@
 //! word, a repeated name in a name table, a subexpression pair naming a
 //! class out of range —
 //! and re-seals its CRCs, so the decoders meet the damage rather than
-//! the CRC check. The property: no panic, in decoding or in what
-//! recovery does with a decoded WAL (replaying it); and every value that
+//! the CRC check. The WAL image is copied before the store checkpoints,
+//! and the snapshot after. The property: no panic, in decoding or in what
+//! recovery does with a scanned WAL (replaying it); and every value that
 //! decodes re-encodes to bytes that decode to the same value.
 
-use super::format::{put_delta, put_term_record, take_delta, take_term_record};
+use super::format::{put_delta, put_term_record, take_delta, take_term_record, RawDelta};
 use super::snapshot::{decode_snapshot, encode_snapshot};
 use super::wal::{decode_wal, WalEntry, WAL_HEADER_LEN};
 use super::{SNAPSHOT_FILE, WAL_FILE};
@@ -77,8 +78,8 @@ fn images(granularity: Granularity) -> Images {
         };
         store.update(outcomes[i].term, rewrite);
     }
-    store.snapshot().expect("snapshot");
     let wal = std::fs::read(dir.join(WAL_FILE)).expect("wal");
+    store.checkpoint().expect("checkpoint");
     let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -172,7 +173,8 @@ impl Walk<'_> {
     }
 
     /// A WAL payload: kind byte, then an insert record, a commit marker
-    /// or a delta.
+    /// or a delta, whose path count, path steps and patch term's counts
+    /// are all words.
     fn payload(&mut self) {
         match self.bytes[0] {
             1 => {
@@ -180,20 +182,20 @@ impl Walk<'_> {
                 self.term();
             }
             3 => {
-                self.skip(1 + 8 + 16 + 16 + 8);
+                // Root hashes, new node count, term handle.
+                self.skip(1 + 16 + 16 + 8 + 8);
                 for _ in 0..self.word() {
                     self.word();
                 }
-                self.dag();
-                self.word();
+                self.term();
             }
             _ => self.skip(1 + 8), // a commit marker
         }
     }
 
     fn snapshot(&mut self) {
-        // Magic, version, identity, WAL linkage, stats.
-        self.skip(8 + 2 + 25 + 8 + 8 + 64);
+        // Magic, version, identity, WAL epoch, stats.
+        self.skip(8 + 2 + 25 + 8 + 64);
         self.dag();
         for _ in 0..SHARDS {
             for _ in 0..self.word() {
@@ -302,11 +304,13 @@ fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> 
     true
 }
 
-/// Decodes a WAL image, checks that every decoded entry round-trips,
-/// and replays it into a fresh store as recovery would. `true` iff the
-/// damaged frame decoded (the log is not torn).
+/// Scans a WAL image, replays it into a fresh store as recovery would,
+/// and checks that every record that decodes round-trips. `true` iff the
+/// damaged frame decoded (the log is not torn and every record decodes).
 fn wal_case(images: &Images, bytes: &[u8]) -> bool {
-    let contents = decode_wal::<u64>(bytes.to_vec()).expect("the header is intact");
+    let contents = decode_wal(bytes.to_vec()).expect("the header is intact");
+    let mut store = builder(images.granularity).build();
+    let _ = store.replay(&contents.bytes, &contents.groups);
     let mut scratch = TermScratch::default();
     for entry in contents.groups.iter().flatten() {
         let mut again = Vec::new();
@@ -314,32 +318,47 @@ fn wal_case(images: &Images, bytes: &[u8]) -> bool {
         match entry {
             WalEntry::Term(record) => {
                 let mut arena = ExprArena::new();
-                let mut input = &contents.bytes[record.clone()];
-                let (hash, root) = take_term_record::<u64>(&mut input, &mut arena)
-                    .expect("a scanned record decodes");
-                assert!(input.is_empty());
+                let Ok((hash, root)) =
+                    take_term_record::<u64>(&contents.bytes[record.clone()], &mut arena)
+                else {
+                    return false;
+                };
                 put_term_record(&mut again, hash, &arena, root, &mut scratch);
                 let mut arena = ExprArena::new();
-                let mut input = again.as_slice();
-                let (hash, root) = take_term_record::<u64>(&mut input, &mut arena)
-                    .expect("re-encoded term decodes");
-                assert!(input.is_empty());
+                let (hash, root) =
+                    take_term_record::<u64>(&again, &mut arena).expect("re-encoded term decodes");
                 put_term_record(&mut third, hash, &arena, root, &mut scratch);
             }
-            WalEntry::Update(delta) => {
-                put_delta(&mut again, delta);
-                let mut input = again.as_slice();
-                let back = take_delta::<u64>(&mut input).expect("re-encoded delta decodes");
-                assert!(input.is_empty());
-                put_delta(&mut third, &back);
+            WalEntry::Update(record) => {
+                let mut arena = ExprArena::new();
+                let Ok(delta) = take_delta::<u64>(&contents.bytes[record.clone()], &mut arena)
+                else {
+                    return false;
+                };
+                put_raw_delta(&mut again, &delta, &arena, &mut scratch);
+                let mut arena = ExprArena::new();
+                let back = take_delta::<u64>(&again, &mut arena).expect("re-encoded delta decodes");
+                put_raw_delta(&mut third, &back, &arena, &mut scratch);
             }
         }
         assert_eq!(again, third, "a decoded WAL entry re-encodes stably");
     }
-    let torn = contents.torn;
-    let mut store = builder(images.granularity).build();
-    let _ = store.replay(&contents.bytes, contents.groups);
-    !torn
+    !contents.torn
+}
+
+/// Re-encodes a decoded delta, its patch in `arena`.
+fn put_raw_delta(
+    out: &mut Vec<u8>,
+    delta: &RawDelta<u64>,
+    arena: &ExprArena,
+    scratch: &mut TermScratch,
+) {
+    let rewrite = Rewrite {
+        path: &delta.path,
+        arena,
+        root: delta.patch_root,
+    };
+    put_delta(out, &delta.check, delta.term_bits, &rewrite, scratch);
 }
 
 /// Decodes a snapshot image and checks that what decoded re-encodes to

@@ -22,10 +22,11 @@
 //! live `snapshot.bin` (followed by a directory sync). A crash at any
 //! point leaves either the old snapshot or the new one, never a hybrid.
 //!
-//! The `wal_epoch`/`wal_records_applied` header fields tie the snapshot to
-//! the write-ahead log: recovery replays only WAL records the snapshot has
-//! not already absorbed. See the [module docs](super) and
-//! `docs/PERSISTENCE_FORMAT.md`.
+//! The `wal_epoch` header field ties the snapshot to the write-ahead log.
+//! Only a checkpoint writes a snapshot, and it pairs the snapshot with an
+//! empty WAL of the same epoch, so recovery replays every record of a
+//! WAL of the snapshot's epoch and discards one of an older epoch. See
+//! the [module docs](super) and `docs/PERSISTENCE_FORMAT.md`.
 
 use super::format::{self, StoreIdentity, FORMAT_VERSION, SNAPSHOT_MAGIC};
 use super::vfs::Vfs;
@@ -49,9 +50,6 @@ pub(crate) struct SnapshotHeader {
     pub(crate) identity: StoreIdentity,
     /// Epoch of the WAL this snapshot pairs with.
     pub(crate) wal_epoch: u64,
-    /// How many records of that WAL are already folded into this snapshot
-    /// (replay skips them).
-    pub(crate) wal_records_applied: u64,
     pub(crate) stats: StoreStats,
 }
 
@@ -78,7 +76,6 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     put_u16(&mut out, FORMAT_VERSION);
     header.identity.put(&mut out);
     put_u64(&mut out, header.wal_epoch);
-    put_u64(&mut out, header.wal_records_applied);
     put_store_stats(&mut out, &header.stats);
 
     // The node table, once.
@@ -154,7 +151,6 @@ pub(crate) fn decode_snapshot<H: HashWord>(
     let header = SnapshotHeader {
         identity: StoreIdentity::take(&mut input)?,
         wal_epoch: take_u64(&mut input)?,
-        wal_records_applied: take_u64(&mut input)?,
         stats: take_store_stats(&mut input)?,
     };
 
@@ -303,7 +299,6 @@ mod tests {
                 granularity,
             },
             wal_epoch: 0,
-            wal_records_applied: 0,
             stats: StoreStats::default(),
         }
     }
@@ -339,7 +334,7 @@ mod tests {
     }
 
     /// A snapshot whose header names any version but the current one —
-    /// the retired v1 and v2 layouts included — is a typed refusal, even
+    /// the retired v1, v2 and v5 layouts included — is a typed refusal, even
     /// when its CRC checks out, and never a panic.
     #[test]
     fn wrong_version_is_rejected() {
@@ -349,7 +344,7 @@ mod tests {
         assert!(decode_snapshot::<u64>(&bytes, &CanonTable::new()).is_ok());
 
         let version_at = SNAPSHOT_MAGIC.len();
-        for version in [1u16, 2, FORMAT_VERSION + 1] {
+        for version in [1u16, 2, 5, FORMAT_VERSION + 1] {
             let mut bad = bytes.clone();
             bad[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
             // Re-seal the body so the version check fires, not the CRC.

@@ -5,14 +5,18 @@
 //! loses at most the writes the OS had not yet persisted, and never
 //! corrupts what came before. Frames are [`crate::codec`]'s
 //! `[len u32][crc32 u32][payload]`, the daemon's wire frame too, where
-//! the payload's first byte is a kind tag: an **insert record**, a **delta record** (v3: one
-//! [`crate::AlphaStore::update`], logged as old root + spine path +
-//! patch canon instead of the full rewritten term), or a **commit
-//! marker** closing one group commit. Replay walks frames until
-//! end-of-file or the first frame
-//! whose length or CRC does not check out (a *torn tail*, the expected
-//! shape of a crash mid-write); recovery truncates back to the last good
-//! frame.
+//! the payload's first byte is a kind tag: an **insert record**, a
+//! **delta record** (one [`crate::AlphaStore::update`], logged as its
+//! root hashes plus the rewrite as the wire's `OP_UPDATE` sends it:
+//! term handle, spine path and the patch as a named term), or a
+//! **commit marker** closing one group commit. The scan
+//! ([`decode_wal`]) checks framing only — lengths, CRCs, kind tags and
+//! commit markers — and keeps each record's byte range; replay decodes
+//! each record once. The scan stops at end-of-file or at the first frame
+//! whose length, CRC, kind or marker does not check out, and replay
+//! stops at the first record it cannot decode: either is a *torn
+//! tail*, the expected shape of a crash mid-write. Recovery then
+//! checkpoints, which drops the tail.
 //!
 //! **Group commit.** Batch ingest encodes the whole chunk's frames — its
 //! records, then one commit marker — into one buffer outside any lock and
@@ -38,17 +42,18 @@
 //! one is refused with [`PersistError::Mismatch`]. See
 //! `docs/PERSISTENCE_FORMAT.md` for the byte layout.
 
-use super::format::{self, RawDelta, StoreIdentity, FORMAT_VERSION, WAL_MAGIC};
+use super::format::{self, DeltaCheck, StoreIdentity, FORMAT_VERSION, WAL_MAGIC};
 use super::vfs::{Vfs, VfsFile};
 use super::{PersistError, WalOp};
 use crate::codec::{
     begin_frame, end_frame, put_u16, put_u64, put_u8, take_bytes, take_frame, take_u16, take_u64,
-    take_u8, FRAME_HEADER_LEN,
+    take_u8, TermScratch, FRAME_HEADER_LEN,
 };
 use crate::obs::WalObs;
 use crate::prepare::{Named, PreparedTerm};
+use crate::update::Rewrite;
 use alpha_hash::combine::HashWord;
-use lambda_lang::{ExprArena, NodeId};
+use lambda_lang::NodeId;
 use std::ops::Range;
 use std::path::Path;
 
@@ -58,21 +63,20 @@ const FRAME_RECORD: u8 = 1;
 /// since the previous marker. Carries the group's record count for
 /// validation.
 const FRAME_COMMIT: u8 = 2;
-/// Payload kind tag (v3): one rewrite delta record.
+/// Payload kind tag: one rewrite delta record.
 const FRAME_DELTA: u8 = 3;
 
-/// One replayable WAL entry: an insert record, or (v3) a rewrite delta.
-/// Replay dispatches on this — an insert's term is re-prepared through
-/// the ingest driver, and a delta is re-applied through the live
-/// update's path.
-pub(crate) enum WalEntry<H> {
-    /// One `insert`: where its record (the root hash and the term) lies
-    /// in [`WalContents::bytes`]. The scan checked that it decodes;
-    /// replay decodes it again, one group at a time, so recovery never
-    /// holds more than one group's terms.
+/// One replayable WAL entry: where its record lies in
+/// [`WalContents::bytes`], by kind. Replay decodes each record once, one
+/// group at a time, so recovery never holds more than one group's terms:
+/// an insert's term is re-prepared through the ingest driver, and a delta
+/// is re-applied through the live update's path.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum WalEntry {
+    /// One `insert`: the root hash and the term.
     Term(Range<usize>),
-    /// A rewrite delta (one `update`).
-    Update(RawDelta<H>),
+    /// One `update`: the root hashes and the update body.
+    Update(Range<usize>),
 }
 
 /// A WAL header: the [`StoreIdentity`] of the store it logs for, then
@@ -114,24 +118,17 @@ fn decode_header(input: &mut &[u8]) -> Result<WalHeader, PersistError> {
     })
 }
 
-/// What a replay scan found: the header, the decoded records grouped by
-/// their original group commits, and where the good prefix of the file
-/// ends (everything past it is a torn tail).
-pub(crate) struct WalContents<H> {
+/// What a framing scan found: the header, the file's bytes, and the
+/// records grouped by their original group commits.
+pub(crate) struct WalContents {
     pub(crate) header: WalHeader,
-    /// The file's bytes, which every [`WalEntry::Term`] points into.
+    /// The file's bytes, which every [`WalEntry`] points into.
     pub(crate) bytes: Vec<u8>,
     /// Entries, one inner `Vec` per group commit. A trailing group with no
     /// commit marker (crash mid-group) appears as the final element.
-    pub(crate) groups: Vec<Vec<WalEntry<H>>>,
-    /// Total record count across groups.
-    pub(crate) total_records: u64,
-    /// Byte offset where the good prefix ends (== file length iff not
-    /// `torn`). The clean-reopen fast path hands this to
-    /// [`Wal::open_for_append`] as the scan-verified known-good length.
-    pub(crate) good_len: u64,
-    /// Whether a torn/corrupt tail was found after `good_len`. A torn
-    /// WAL disqualifies the clean-reopen fast path.
+    pub(crate) groups: Vec<Vec<WalEntry>>,
+    /// Whether the scan stopped before end-of-file at a frame that does
+    /// not check out, or found records no commit marker closes.
     pub(crate) torn: bool,
 }
 
@@ -157,66 +154,40 @@ pub(crate) fn header_intact(path: &Path) -> bool {
     )
 }
 
-/// Reads and decodes a whole WAL file (see [`decode_wal`]).
-pub(crate) fn read_wal<H: HashWord>(
-    vfs: &dyn Vfs,
-    path: &Path,
-) -> Result<WalContents<H>, PersistError> {
+/// Reads and scans a whole WAL file (see [`decode_wal`]).
+pub(crate) fn read_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalContents, PersistError> {
     decode_wal(vfs.read(path)?)
 }
 
-/// Decodes a whole WAL image. Frames after the first bad one are
-/// dropped; a bad *header* is an error (there is nothing to recover).
-/// Each group's terms are decoded into a scratch arena of the group's
-/// own, to check them, and dropped at its commit marker.
-pub(crate) fn decode_wal<H: HashWord>(bytes: Vec<u8>) -> Result<WalContents<H>, PersistError> {
+/// Scans a whole WAL image for its framing: each frame's length and CRC,
+/// its kind tag and each commit marker's count. Records are not decoded;
+/// each keeps its byte range. Frames after the first bad one are dropped;
+/// a bad *header* is an error (there is nothing to recover).
+pub(crate) fn decode_wal(bytes: Vec<u8>) -> Result<WalContents, PersistError> {
     let mut input = bytes.as_slice();
     let header = decode_header(&mut input)?;
-    let mut scratch = ExprArena::new();
-    let mut groups: Vec<Vec<WalEntry<H>>> = Vec::new();
-    let mut current: Vec<WalEntry<H>> = Vec::new();
-    let mut total_records = 0u64;
-    let mut good_len = bytes.len() as u64 - input.len() as u64;
+    let mut groups: Vec<Vec<WalEntry>> = Vec::new();
+    let mut current: Vec<WalEntry> = Vec::new();
     let torn = loop {
         if input.is_empty() {
             break false;
         }
-        let Ok(mut payload_input) = take_frame(&mut input) else {
+        let at = bytes.len() - input.len();
+        let Ok(mut payload) = take_frame(&mut input) else {
             break true;
         };
-        let frame_len = FRAME_HEADER_LEN + payload_input.len();
-        let Ok(kind) = take_u8(&mut payload_input) else {
-            break true;
-        };
-        match kind {
-            FRAME_RECORD | FRAME_DELTA => {
-                let record =
-                    good_len as usize + FRAME_HEADER_LEN + 1..good_len as usize + frame_len;
-                let entry = if kind == FRAME_DELTA {
-                    format::take_delta(&mut payload_input).map(WalEntry::Update)
-                } else {
-                    format::take_term_record::<H>(&mut payload_input, &mut scratch)
-                        .map(|_| WalEntry::Term(record))
-                };
-                match entry {
-                    Ok(entry) if payload_input.is_empty() => current.push(entry),
-                    _ => break true,
+        let record = at + FRAME_HEADER_LEN + 1..at + FRAME_HEADER_LEN + payload.len();
+        match take_u8(&mut payload) {
+            Ok(FRAME_RECORD) => current.push(WalEntry::Term(record)),
+            Ok(FRAME_DELTA) => current.push(WalEntry::Update(record)),
+            Ok(FRAME_COMMIT) => match take_u64(&mut payload) {
+                Ok(count) if payload.is_empty() && count == current.len() as u64 => {
+                    groups.push(std::mem::take(&mut current));
                 }
-                total_records += 1;
-            }
-            FRAME_COMMIT => {
-                let Ok(count) = take_u64(&mut payload_input) else {
-                    break true;
-                };
-                if !payload_input.is_empty() || count != current.len() as u64 {
-                    break true;
-                }
-                groups.push(std::mem::take(&mut current));
-                scratch = ExprArena::new();
-            }
+                _ => break true,
+            },
             _ => break true,
         }
-        good_len += frame_len as u64;
     };
     // Writers always land a group's records and its commit marker in one
     // append, so records with no closing marker — even ending exactly on
@@ -230,8 +201,6 @@ pub(crate) fn decode_wal<H: HashWord>(bytes: Vec<u8>) -> Result<WalContents<H>, 
         header,
         bytes,
         groups,
-        total_records,
-        good_len,
         torn,
     })
 }
@@ -293,24 +262,22 @@ impl Wal {
         })
     }
 
-    /// Reopens an intact WAL for appending (the clean-reopen fast path:
-    /// nothing to replay, nothing torn, so the existing file continues as
-    /// is and no checkpoint is needed). Positions at end-of-file;
-    /// `good_len` is the scan-verified file length.
+    /// Reopens a WAL the scan found intact and holding no records for
+    /// appending (the clean-reopen fast path: nothing to replay, nothing
+    /// torn, so the existing file continues as is and no checkpoint is
+    /// needed). The file is its header alone.
     pub(crate) fn open_for_append(
         vfs: &dyn Vfs,
         path: &Path,
         epoch: u64,
-        records: u64,
-        good_len: u64,
         sync_on_commit: bool,
     ) -> Result<Self, PersistError> {
         let file = vfs.open_append(path)?;
         Ok(Wal {
             file,
             epoch,
-            records,
-            good_len,
+            records: 0,
+            good_len: WAL_HEADER_LEN,
             dirty: false,
             broken: false,
             sync_on_commit,
@@ -442,14 +409,21 @@ pub(crate) fn frame_record<H: HashWord>(
     end_frame(out, frame_start);
 }
 
-/// Frames one rewrite delta record (v3) — the WAL payload of
-/// [`crate::AlphaStore::update`]: old root identity, spine path, and
-/// the patch's canonical node run. Tiny compared to re-logging the full
-/// rewritten term, which is the point of the delta format.
-pub(crate) fn frame_delta<H: HashWord>(out: &mut Vec<u8>, delta: &RawDelta<H>) {
+/// Frames one rewrite delta record — the WAL payload of
+/// [`crate::AlphaStore::update`]: the root hashes of `check`, then the
+/// update body of `rewrite` to the term `term_bits`, its patch encoded
+/// with `scratch`. Tiny compared to re-logging the full rewritten term,
+/// which is the point of the delta format.
+pub(crate) fn frame_delta<H: HashWord>(
+    out: &mut Vec<u8>,
+    check: &DeltaCheck<H>,
+    term_bits: u64,
+    rewrite: &Rewrite<'_>,
+    scratch: &mut TermScratch,
+) {
     let frame_start = begin_frame(out);
     put_u8(out, FRAME_DELTA);
-    format::put_delta(out, delta);
+    format::put_delta(out, check, term_bits, rewrite, scratch);
     end_frame(out, frame_start);
 }
 
@@ -468,7 +442,6 @@ mod tests {
     use crate::granularity::Granularity;
     use crate::persist::vfs::{FaultKind, FaultVfs, OsVfs};
     use alpha_hash::combine::HashScheme;
-    use lambda_lang::debruijn::db_eq;
     use lambda_lang::parse::parse;
     use lambda_lang::ExprArena;
     use std::fs::OpenOptions;
@@ -490,6 +463,11 @@ mod tests {
             },
             epoch: 3,
         }
+    }
+
+    /// Records across all groups of a scan.
+    fn records(contents: &WalContents) -> usize {
+        contents.groups.iter().map(Vec::len).sum()
     }
 
     /// Frames each source as its own record, closing them as `groups`
@@ -523,14 +501,12 @@ mod tests {
         assert_eq!(wal.records, 3);
         drop(wal);
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert_eq!(contents.header, header());
-        assert_eq!(contents.total_records, 3);
         assert!(!contents.torn);
         // Group boundaries survive the round trip exactly.
         let sizes: Vec<usize> = contents.groups.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![2, 1]);
-        assert_eq!(contents.good_len, std::fs::metadata(&path).unwrap().len());
     }
 
     #[test]
@@ -550,14 +526,13 @@ mod tests {
         wal.append_group(&frames, 1).unwrap();
         drop(wal);
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         let WalEntry::Term(record) = &contents.groups[0][0] else {
             panic!("expected an insert entry");
         };
         let mut decoded = ExprArena::new();
         let (hash, root) =
-            format::take_term_record::<u64>(&mut &contents.bytes[record.clone()], &mut decoded)
-                .unwrap();
+            format::take_term_record::<u64>(&contents.bytes[record.clone()], &mut decoded).unwrap();
         assert_eq!(hash, pt.root.hash);
         assert_eq!(
             lambda_lang::print::print(&decoded, root),
@@ -570,41 +545,51 @@ mod tests {
         let path = tmp("delta.wal");
         let mut wal = Wal::create(&OsVfs, &path, header(), false).unwrap();
         let mut arena = ExprArena::new();
-        let patch_named = parse(&mut arena, r"\x. x + (v * 2)").unwrap();
-        let (patch, patch_root) = lambda_lang::debruijn::to_debruijn(&arena, patch_named);
-        let delta = RawDelta::<u64> {
-            term_bits: 0x0002_0000_0000_0007,
+        let patch = parse(&mut arena, r"\x. x + (v * 2)").unwrap();
+        let check = DeltaCheck::<u64> {
             old_hash: 0x1234,
             new_hash: 0x5678,
             new_node_count: 19,
-            path: vec![1, 0],
-            patch,
-            patch_root,
         };
+        let rewrite = Rewrite {
+            path: &[1, 0],
+            arena: &arena,
+            root: patch,
+        };
+        let term_bits = 0x0002_0000_0000_0007;
         let mut frames = Vec::new();
-        frame_delta(&mut frames, &delta);
+        frame_delta(
+            &mut frames,
+            &check,
+            term_bits,
+            &rewrite,
+            &mut TermScratch::default(),
+        );
         frame_commit(&mut frames, 1);
         wal.append_group(&frames, 1).unwrap();
         drop(wal);
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(!contents.torn);
-        assert_eq!(contents.total_records, 1);
-        let WalEntry::Update(decoded) = &contents.groups[0][0] else {
+        assert_eq!(records(&contents), 1);
+        let WalEntry::Update(record) = &contents.groups[0][0] else {
             panic!("expected an update entry");
         };
-        assert_eq!(decoded.term_bits, delta.term_bits);
-        assert_eq!(decoded.old_hash, 0x1234);
-        assert_eq!(decoded.new_hash, 0x5678);
+        let mut decoded_arena = ExprArena::new();
+        let decoded =
+            format::take_delta::<u64>(&contents.bytes[record.clone()], &mut decoded_arena).unwrap();
+        assert_eq!(decoded.check, check);
+        assert_eq!(decoded.term_bits, term_bits);
         assert_eq!(decoded.path, vec![1, 0]);
-        assert!(db_eq(
-            &decoded.patch,
-            decoded.patch_root,
-            &delta.patch,
-            delta.patch_root
-        ));
+        assert_eq!(
+            lambda_lang::print::print(&decoded_arena, decoded.patch_root),
+            lambda_lang::print::print(&arena, patch)
+        );
     }
 
+    /// A cut inside the second group's record ends the scan at the last
+    /// frame that checks out: the first group's record survives, and the
+    /// file is torn.
     #[test]
     fn torn_tail_is_cut_at_the_last_good_frame() {
         let path = tmp("torn.wal");
@@ -615,24 +600,14 @@ mod tests {
 
         let full = std::fs::metadata(&path).unwrap().len();
         // Truncate into the middle of the second group's record.
-        let cut = full - 30;
         let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(cut).unwrap();
+        file.set_len(full - 30).unwrap();
         drop(file);
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(contents.torn);
-        assert_eq!(contents.total_records, 1);
-        assert!(contents.good_len < cut);
-
-        // A scan of only the good prefix sees a clean single-record log —
-        // what recovery's checkpoint effectively preserves.
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(contents.good_len).unwrap();
-        drop(file);
-        let again = read_wal::<u64>(&OsVfs, &path).unwrap();
-        assert!(!again.torn);
-        assert_eq!(again.total_records, 1);
+        assert_eq!(records(&contents), 1);
+        assert_eq!(contents.groups.len(), 1);
     }
 
     #[test]
@@ -649,9 +624,9 @@ mod tests {
         file.set_len(full - 17).unwrap();
         drop(file);
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(contents.torn);
-        assert_eq!(contents.total_records, 2);
+        assert_eq!(records(&contents), 2);
         assert_eq!(contents.groups.len(), 1, "trailing partial group kept");
     }
 
@@ -668,10 +643,9 @@ mod tests {
         bytes[flip_at] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(contents.torn);
         assert!(contents.groups.is_empty());
-        assert_eq!(contents.good_len, WAL_HEADER_LEN);
     }
 
     #[test]
@@ -686,7 +660,7 @@ mod tests {
         assert_eq!(wal.epoch, 4);
         assert_eq!(wal.records, 0);
         drop(wal);
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert_eq!(contents.header.epoch, 4);
         assert!(contents.groups.is_empty());
         assert!(!contents.torn);
@@ -697,22 +671,19 @@ mod tests {
         let path = tmp("badmagic.wal");
         std::fs::write(&path, b"NOTAWAL!rest").unwrap();
         assert!(matches!(
-            read_wal::<u64>(&OsVfs, &path),
+            read_wal(&OsVfs, &path),
             Err(PersistError::Corrupt { .. })
         ));
 
-        // Any version but the current one, including the retired v1 and
-        // v2 layouts, is a typed refusal.
-        for version in [1u16, 2, 0xFF] {
+        // Any version but the current one, including the retired v1, v2
+        // and v5 layouts, is a typed refusal.
+        for version in [1u16, 2, 5, 0xFF] {
             let mut bytes = encode_header(&header());
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             let path = tmp(&format!("badversion{version}.wal"));
             std::fs::write(&path, &bytes).unwrap();
             assert!(
-                matches!(
-                    read_wal::<u64>(&OsVfs, &path),
-                    Err(PersistError::Mismatch { .. })
-                ),
+                matches!(read_wal(&OsVfs, &path), Err(PersistError::Mismatch { .. })),
                 "version {version} must be refused"
             );
         }
@@ -764,9 +735,9 @@ mod tests {
         fault.clear();
         wal.append_group(&frames, count).unwrap();
         assert_eq!(wal.records, count);
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(!contents.torn, "retry must not leave torn bytes behind");
-        assert_eq!(contents.total_records, count);
+        assert_eq!(records(&contents) as u64, count);
     }
 
     /// A failed fsync with `sync_on_commit` reports `WalOp::Sync`, does
@@ -790,10 +761,11 @@ mod tests {
         assert_eq!(wal.records, 0);
         fault.clear();
         wal.append_group(&frames, count).unwrap();
-        let contents = read_wal::<u64>(&OsVfs, &path).unwrap();
+        let contents = read_wal(&OsVfs, &path).unwrap();
         assert!(!contents.torn);
         assert_eq!(
-            contents.total_records, count,
+            records(&contents) as u64,
+            count,
             "group must land exactly once"
         );
     }

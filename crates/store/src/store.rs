@@ -48,11 +48,11 @@ use crate::dag::{eq_named, extract_canon, extract_one, intern_named, CanonTable}
 use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
-use crate::persist::format::{take_term_record, StoreIdentity};
+use crate::persist::format::{take_delta, take_term_record, StoreIdentity};
 use crate::persist::snapshot::SnapshotHeader;
 use crate::persist::vfs::Vfs;
 use crate::persist::wal::{Wal, WalEntry, WalHeader};
-use crate::persist::{Durable, PersistError, SNAPSHOT_FILE};
+use crate::persist::{Durable, PersistError, SnapshotOp, SNAPSHOT_FILE};
 use crate::prepare::{
     Named, PreparedCanon, PreparedTerm, Preparer, PreparerPool, RootEntry, SubEntry,
 };
@@ -592,10 +592,10 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// relaxed atomic read on the durable ingest path; its reason mutex
     /// is a leaf lock touched only on transitions.
     health: HealthState,
-    /// Ingest holds this shared; [`AlphaStore::snapshot`] and
-    /// [`AlphaStore::checkpoint`] hold it exclusive, so a snapshot's
-    /// `(WAL record count, shard state)` cut is consistent — no insert is
-    /// ever logged-but-unapplied or applied-but-unlogged at the moment the
+    /// Ingest holds this shared; [`AlphaStore::checkpoint`] holds it
+    /// exclusive, so the shard state its snapshot captures is exactly
+    /// what the WAL it resets has logged — no insert is ever
+    /// logged-but-unapplied or applied-but-unlogged at the moment the
     /// cut is taken. Lock order: `maintenance` → `updates` → WAL mutex →
     /// shard locks (the canon table's leaf mutexes come last).
     pub(crate) maintenance: RwLock<()>,
@@ -614,7 +614,7 @@ pub struct AlphaStore<H: HashWord = u64> {
     /// Warm preparers for single calls (`lookup`, `contains`,
     /// `contains_batch`, `try_insert`); a leaf lock held only to take or
     /// return one.
-    preparers: PreparerPool<H>,
+    pub(crate) preparers: PreparerPool<H>,
 }
 
 impl<H: HashWord> Default for AlphaStore<H> {
@@ -1361,7 +1361,7 @@ impl<H: HashWord> AlphaStore<H> {
     /// replays the WAL tail — **re-hashing every replayed record** against
     /// the hash it logged ([`PersistError::Corrupt`] on a mismatch) and
     /// **re-confirming every replayed merge by canonical-form identity**,
-    /// so exactness survives restarts — truncates any torn tail left by a
+    /// so exactness survives restarts — stops at any torn tail left by a
     /// crash, and checkpoints (fresh snapshot, reset WAL) unless the
     /// reopen was clean. Use [`StoreBuilder::open_durable`] instead when
     /// the caller knows the configuration and wants it verified against
@@ -1424,32 +1424,6 @@ impl<H: HashWord> AlphaStore<H> {
             .map(|d| d.wal.lock().expect("wal lock poisoned").records)
     }
 
-    /// Writes a fresh snapshot of the current state (atomically: temp
-    /// file, `fsync`, rename) without touching the WAL. The snapshot
-    /// records how many WAL records it absorbed, so a subsequent
-    /// [`AlphaStore::open`] replays only the records that arrive after
-    /// this call.
-    ///
-    /// Errors with [`PersistError::Mismatch`] on an in-memory store. A
-    /// write failure marks the store [`Health::Degraded`] (the previous
-    /// snapshot and the WAL are untouched, so nothing is lost).
-    pub fn snapshot(&self) -> Result<(), PersistError> {
-        let durable = self.require_durable()?;
-        let _cut = self.maintenance.write().expect("maintenance lock poisoned");
-        let wal = durable.wal.lock().expect("wal lock poisoned");
-        let result = self.write_snapshot_file(
-            &*durable.vfs,
-            &durable.dir.join(SNAPSHOT_FILE),
-            wal.epoch,
-            wal.records,
-        );
-        if let Err(e) = &result {
-            self.obs.persist_error();
-            self.set_degraded(format!("snapshot failed: {e}"));
-        }
-        result
-    }
-
     /// Checkpoints the durable state: writes a fresh snapshot under the
     /// **next epoch**, then truncates the WAL and restamps it with that
     /// epoch. The snapshot rename is the commit point — a crash between
@@ -1459,11 +1433,12 @@ impl<H: HashWord> AlphaStore<H> {
     /// This is also the manual **healing** path: a successful checkpoint
     /// proves the storage can absorb the full state again, so it resets
     /// [`health`](AlphaStore::health) to [`Health::Healthy`] — including
-    /// out of [`Health::ReadOnly`], re-enabling ingest. A failed snapshot
-    /// write leaves the previous snapshot and the WAL untouched (the
-    /// store stays degraded but loses nothing); a failed WAL truncation
-    /// *after* the snapshot committed flips the store read-only, since
-    /// appending to a WAL whose truncation half-happened could corrupt it.
+    /// out of [`Health::ReadOnly`], re-enabling ingest. A snapshot write
+    /// that fails before its rename leaves the previous snapshot and the
+    /// WAL untouched (the store stays degraded but loses nothing). Once
+    /// the new snapshot is renamed in place, the WAL is stale: a failed
+    /// directory sync or WAL truncation after the rename flips the store
+    /// read-only, since recovery would discard whatever it appended.
     ///
     /// Errors with [`PersistError::Mismatch`] on an in-memory store.
     pub fn checkpoint(&self) -> Result<(), PersistError> {
@@ -1477,14 +1452,22 @@ impl<H: HashWord> AlphaStore<H> {
     fn checkpoint_locked(&self, durable: &Durable) -> Result<(), PersistError> {
         let mut wal = durable.wal.lock().expect("wal lock poisoned");
         let new_epoch = wal.epoch + 1;
-        if let Err(e) = self.write_snapshot_file(
-            &*durable.vfs,
-            &durable.dir.join(SNAPSHOT_FILE),
-            new_epoch,
-            0,
-        ) {
+        if let Err(e) =
+            self.write_snapshot_file(&*durable.vfs, &durable.dir.join(SNAPSHOT_FILE), new_epoch)
+        {
             self.obs.persist_error();
-            self.set_degraded(format!("checkpoint snapshot failed: {e}"));
+            if let PersistError::Snapshot {
+                op: SnapshotOp::DirSync,
+                ..
+            } = e
+            {
+                // The rename landed: recovery reads the new-epoch snapshot
+                // and discards this WAL as stale, so a record appended to
+                // it now would be lost.
+                self.set_read_only(format!("checkpoint snapshot failed after its rename: {e}"));
+            } else {
+                self.set_degraded(format!("checkpoint snapshot failed: {e}"));
+            }
             return Err(e);
         }
         match wal.reset(WalHeader {
@@ -1558,7 +1541,6 @@ impl<H: HashWord> AlphaStore<H> {
         vfs: &dyn Vfs,
         path: &Path,
         wal_epoch: u64,
-        wal_records_applied: u64,
     ) -> Result<(), PersistError> {
         let t = self.obs.tick();
         let guards: Vec<_> = self
@@ -1578,7 +1560,6 @@ impl<H: HashWord> AlphaStore<H> {
         let header = SnapshotHeader {
             identity: self.identity(),
             wal_epoch,
-            wal_records_applied,
             stats: self.counters.snapshot(),
         };
         let bytes =
@@ -1594,58 +1575,83 @@ impl<H: HashWord> AlphaStore<H> {
     /// Replays recovered WAL records, group by group — each group is one
     /// original group commit, applied as one chunk whatever the reopening
     /// store's `chunk_entries`, so the root-vs-subterm merge-counter split
-    /// and every issued `TermId` and `ClassId` are reproduced exactly.
-    /// Runs before the WAL is attached, so nothing is re-logged.
+    /// and every issued `TermId` and `ClassId` are reproduced exactly —
+    /// and returns how many records it applied. Runs before the WAL is
+    /// attached, so nothing is re-logged.
     ///
-    /// An insert record's term, decoded from `bytes` (the WAL file) into
-    /// an arena of its group's own, goes through the ingest driver
+    /// Each record is decoded once, from `bytes` (the WAL file) into an
+    /// arena of its group's own, so replay holds one group's terms at a
+    /// time. An insert record's term goes through the ingest driver
     /// ([`AlphaStore::ingest_with`]), so its hash, its merge confirmation
     /// and (in a `Subexpressions` store) its entries, multiplicities and
     /// skip count are recomputed as the live insert made them; a term
     /// that does not hash to its recorded hash is
-    /// [`PersistError::Corrupt`]. Replay holds one group's terms at a
-    /// time.
+    /// [`PersistError::Corrupt`]. A delta record interleaves with the
+    /// inserts in log order: the inserts before it are applied first,
+    /// then it is re-applied through the live update's validation and
+    /// preparation, its recorded root hashes cross-checked
+    /// ([`PersistError::Corrupt`] on a mismatch or a refused rewrite).
     ///
-    /// Delta records (v3 `update` frames) interleave with inserts in log
-    /// order: the inserts before one are applied first, then the delta
-    /// is re-applied through the live update's path, its recorded root
-    /// hashes cross-checked ([`PersistError::Corrupt`] on mismatch).
+    /// The first record that does not decode is a torn tail: the records
+    /// of its group before it are applied, and nothing after it is.
     pub(crate) fn replay(
         &mut self,
         bytes: &[u8],
-        groups: Vec<Vec<WalEntry<H>>>,
-    ) -> Result<(), PersistError> {
+        groups: &[Vec<WalEntry>],
+    ) -> Result<u64, PersistError> {
         debug_assert!(self.durable.is_none(), "replay must not re-log records");
         let mut preparer = Preparer::new(&ExprArena::new(), &self.scheme);
         let mut terms: Vec<(H, NodeId)> = Vec::new();
+        let mut applied = 0u64;
         for group in groups {
             let mut arena = ExprArena::new();
             preparer.forget_arena();
+            let mut torn = false;
             for entry in group {
                 match entry {
                     WalEntry::Term(record) => {
-                        terms.push(take_term_record(&mut &bytes[record], &mut arena)?);
+                        match take_term_record(&bytes[record.clone()], &mut arena) {
+                            Ok(term) => terms.push(term),
+                            Err(_) => torn = true,
+                        }
                     }
-                    WalEntry::Update(delta) => {
-                        self.replay_inserts(&mut preparer, &arena, &mut terms)?;
-                        crate::update::apply_update_replay(self, delta)?;
+                    WalEntry::Update(record) => {
+                        applied += self.replay_inserts(&mut preparer, &arena, &mut terms)?;
+                        match take_delta(&bytes[record.clone()], &mut arena) {
+                            Ok(delta) => {
+                                crate::update::apply_update_replay(
+                                    self,
+                                    &delta,
+                                    &arena,
+                                    &mut preparer.named,
+                                )?;
+                                applied += 1;
+                            }
+                            Err(_) => torn = true,
+                        }
                     }
                 }
+                if torn {
+                    break;
+                }
             }
-            self.replay_inserts(&mut preparer, &arena, &mut terms)?;
+            applied += self.replay_inserts(&mut preparer, &arena, &mut terms)?;
+            if torn {
+                break;
+            }
         }
-        Ok(())
+        Ok(applied)
     }
 
     /// Ingests the terms [`AlphaStore::replay`] has collected since the
     /// last group boundary or delta, checks each against its recorded
-    /// hash, and empties the list.
+    /// hash, empties the list and returns how many it ingested.
     fn replay_inserts(
         &self,
         preparer: &mut Preparer<H>,
         arena: &ExprArena,
         terms: &mut Vec<(H, NodeId)>,
-    ) -> Result<(), PersistError> {
+    ) -> Result<u64, PersistError> {
         let roots: Vec<NodeId> = terms.iter().map(|&(_, root)| root).collect();
         let outcomes = self
             .ingest_with(preparer, arena, &roots, usize::MAX)
@@ -1661,7 +1667,7 @@ impl<H: HashWord> AlphaStore<H> {
                     .to_owned(),
             });
         }
-        Ok(())
+        Ok(roots.len() as u64)
     }
 
     /// Tees a chunk of inserts, `terms` prepared from `roots` of

@@ -19,12 +19,14 @@
 //!   *splicing* the patch's canon into the class's existing canon along
 //!   the rewrite path. Every untouched subtree reuses its interned
 //!   [`CanonRef`]; only the spine's nodes are re-interned.
-//! * **Durability** — the WAL records a format-v3 **delta**: the term
-//!   handle, the old root hash (an integrity anchor), the rewrite path
-//!   and the patch's canonical node run. Recovery re-applies the delta
-//!   through this same code, re-hashing it against the recorded root
-//!   hash and re-confirming the result exactly like insert replay, so
-//!   exactness (zero unconfirmed merges) survives restarts.
+//! * **Durability** — the WAL records a **delta**: the old root hash (an
+//!   integrity anchor), the new root hash and node count, then the
+//!   rewrite as the wire's `OP_UPDATE` sends it — term handle, rewrite
+//!   path and the patch as a named term. Recovery re-applies the delta
+//!   through this same code, validation included, re-hashing it against
+//!   the recorded root hash and re-confirming the result exactly like
+//!   insert replay, so exactness (zero unconfirmed merges) survives
+//!   restarts.
 //! * **Subexpression index** — the apply diffs the term's old
 //!   `(class, multiplicity)` pairs against the rewritten term's and
 //!   touches only the entries whose membership actually changed;
@@ -66,9 +68,10 @@
 //! stale-class rule the rest of the store follows.
 
 use crate::canon::rebuild_named;
-use crate::dag::{extract_one, CanonTable};
+use crate::codec::TermScratch;
+use crate::dag::{extract_one, intern_named, CanonTable, NamedScratch};
 use crate::granularity::Granularity;
-use crate::persist::format::RawDelta;
+use crate::persist::format::{DeltaCheck, RawDelta};
 use crate::persist::wal::{frame_commit, frame_delta, Wal};
 use crate::persist::PersistError;
 use crate::prepare::{PreparedTerm, Preparer};
@@ -78,7 +81,7 @@ use alpha_hash::combine::HashWord;
 use alpha_hash::incremental::IncrementalHasher;
 use lambda_lang::arena::{Children, ExprArena, NodeId};
 use lambda_lang::canon::{CanonNode, CanonRef};
-use lambda_lang::debruijn::{to_debruijn, DbArena, DbId};
+use lambda_lang::debruijn::to_debruijn;
 use std::collections::HashMap;
 use std::sync::MutexGuard;
 
@@ -194,9 +197,29 @@ impl<H: HashWord> UpdateCache<H> {
     }
 }
 
-/// A prepared update: the rewritten term, the nodes re-hashed to
-/// produce it, and (`Roots` mode) the spine hasher to re-cache.
-type PreparedUpdate<H> = (PreparedTerm<H>, u64, Option<IncrementalHasher<H>>);
+/// An update validated and prepared, live or replayed, before anything
+/// changed: the term's class, subexpression pairs and root hash before
+/// it, the rewritten term, the nodes re-hashed to produce it, and
+/// (`Roots` mode) the spine hasher to re-cache once it is applied.
+struct Staged<H: HashWord> {
+    old_class: ClassId,
+    old_pairs: Vec<(u64, u32)>,
+    old_hash: H,
+    pt: PreparedTerm<H>,
+    rehashed: u64,
+    hasher: Option<IncrementalHasher<H>>,
+}
+
+impl<H: HashWord> Staged<H> {
+    /// What the update's delta record checks on replay.
+    fn check(&self) -> DeltaCheck<H> {
+        DeltaCheck {
+            old_hash: self.old_hash,
+            new_hash: self.pt.root.hash,
+            new_node_count: self.pt.root.node_count,
+        }
+    }
+}
 
 fn invalid(reason: impl Into<String>) -> StoreError {
     StoreError::InvalidRewrite {
@@ -305,43 +328,28 @@ fn check_patch_closed(arena: &ExprArena, root: NodeId) -> Result<(), StoreError>
 
 /// Builds the **effective rewritten term** into `dst` and returns its
 /// root: the class canon's named rebuild with the patch canon's named
-/// rebuild spliced in at `path`. Fully deterministic given the two
-/// canonical forms — the construction live updates, WAL replay and
-/// [`AlphaStore::preview_rewrite`] all share.
+/// rebuild spliced in at `rewrite.path`. Fully deterministic given the
+/// two canonical forms — the construction live updates, WAL replay and
+/// [`AlphaStore::preview_rewrite`] all share. The one place an update
+/// converts its patch to de Bruijn form, in memory.
 fn build_rewritten<H: HashWord>(
     store: &AlphaStore<H>,
     old_canon: CanonRef,
-    path: &[u32],
-    patch: &DbArena,
-    patch_root: DbId,
+    rewrite: &Rewrite<'_>,
     dst: &mut ExprArena,
 ) -> Result<NodeId, String> {
     let (host_db, host_db_root) = store.debruijn_of(old_canon);
     let host_root = rebuild_named(&host_db, host_db_root, dst);
-    if path.is_empty() {
-        return Ok(rebuild_named(patch, patch_root, dst));
-    }
-    let target = resolve_path_named(dst, host_root, path)?;
     // The fresh-name counter continues past the host's binders, so the
     // patch's binders are unique against the whole spliced term.
-    let patch_named = rebuild_named(patch, patch_root, dst);
+    let (patch, patch_root) = to_debruijn(rewrite.arena, rewrite.root);
+    if rewrite.path.is_empty() {
+        return Ok(rebuild_named(&patch, patch_root, dst));
+    }
+    let target = resolve_path_named(dst, host_root, rewrite.path)?;
+    let patch_named = rebuild_named(&patch, patch_root, dst);
     dst.replace_node(target, dst.node(patch_named));
     Ok(host_root)
-}
-
-/// The effective rewritten term prepared whole: the `Subexpressions`-mode
-/// rehash, live and replayed, since the index needs every node's hash.
-fn prepare_rewritten<H: HashWord>(
-    store: &AlphaStore<H>,
-    old_canon: CanonRef,
-    path: &[u32],
-    patch: &DbArena,
-    patch_root: DbId,
-) -> Result<PreparedTerm<H>, String> {
-    let mut dst = ExprArena::new();
-    let root = build_rewritten(store, old_canon, path, patch, patch_root, &mut dst)?;
-    let mut preparer = Preparer::new(&dst, &store.scheme);
-    Ok(preparer.prepare(&dst, root, store.granularity, &store.table))
 }
 
 impl<H: HashWord> AlphaStore<H> {
@@ -409,45 +417,21 @@ impl<H: HashWord> AlphaStore<H> {
             // The cache mutex is also the update serializer: the old-pairs
             // snapshot must stay consistent with the apply.
             let mut cache = self.updates.lock().expect("update lock poisoned");
-            let term_bits = term.to_bits();
-            let (old_class, old_pairs) = {
-                let shard = self.shards[term.shard as usize]
-                    .read()
-                    .expect("shard lock poisoned");
-                (
-                    ClassId::from_bits(shard.terms[term.index as usize]),
-                    shard.term_subs[term.index as usize].to_vec(),
-                )
-            };
-            let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
-            let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
-            let (pt, rehashed, hasher) = self.prepare_update(
-                &mut cache,
-                term_bits,
-                old_class,
-                old_canon,
-                &rewrite,
-                (&patch_db, patch_db_root),
-            )?;
-
-            let delta = RawDelta {
-                term_bits,
-                old_hash,
-                new_hash: pt.root.hash,
-                new_node_count: pt.root.node_count,
-                path: rewrite.path.to_vec(),
-                patch: patch_db,
-                patch_root: patch_db_root,
-            };
+            let mut preparer = self.preparers.take(rewrite.arena, &self.scheme);
             // WAL failure: memory untouched, a spine hasher dropped by `?`.
             // The WAL lock is held through the apply, so updates and
             // insert chunks apply in log order.
-            let _logged = self.wal_log_delta(&delta)?;
-
-            let (class, fresh, subs) = self.apply_update(term, old_class, &old_pairs, pt);
-            if let Some(hasher) = hasher {
-                cache.put(term_bits, class.to_bits(), hasher);
-            }
+            let staged = self
+                .stage_update(&mut cache, term, &rewrite, &mut preparer.named)
+                .and_then(|staged| {
+                    let logged =
+                        self.wal_log_delta(term, &rewrite, &staged, &mut preparer.named.term)?;
+                    Ok((staged, logged))
+                });
+            self.preparers.give(preparer);
+            let (staged, _logged) = staged?;
+            let (old_class, rehashed) = (staged.old_class, staged.rehashed);
+            let (class, fresh, subs) = self.apply_update(&mut cache, term, staged);
             self.obs.rec_update(rehashed);
             UpdateOutcome {
                 term,
@@ -492,9 +476,7 @@ impl<H: HashWord> AlphaStore<H> {
         self.validate_term(term)?;
         check_patch_closed(rewrite.arena, rewrite.root)?;
         let old_canon = self.with_class(self.class_of(term), |c| c.canon);
-        let (patch_db, patch_db_root) = to_debruijn(rewrite.arena, rewrite.root);
-        build_rewritten(self, old_canon, rewrite.path, &patch_db, patch_db_root, dst)
-            .map_err(invalid)
+        build_rewritten(self, old_canon, &rewrite, dst).map_err(invalid)
     }
 
     /// Rejects handles this store never issued (including out-of-range
@@ -513,40 +495,59 @@ impl<H: HashWord> AlphaStore<H> {
         )))
     }
 
-    /// The one granularity-dependent step of an update, live and
-    /// replayed: how the rewritten term is prepared. `Roots` re-hashes
-    /// the spine through the cached hasher ([`AlphaStore::rehash_spine`]);
-    /// `Subexpressions` re-prepares the whole rewritten term. Returns it
-    /// with the nodes re-hashed and, in `Roots` mode, the hasher to
-    /// re-cache once the update is applied.
-    fn prepare_update(
+    /// Stages an update of `term` (a handle [`Self::validate_term`]
+    /// accepted) by `rewrite`, live or replayed, changing nothing: reads
+    /// the term's class and pairs, then prepares the rewritten term by
+    /// the one granularity-dependent step. `Roots` re-hashes the spine
+    /// through the cached hasher ([`AlphaStore::rehash_spine`]), its patch
+    /// interned from `named`'s walk; `Subexpressions` re-prepares the
+    /// whole rewritten term.
+    fn stage_update(
         &self,
         cache: &mut UpdateCache<H>,
-        term_bits: u64,
-        old_class: ClassId,
-        old_canon: CanonRef,
+        term: TermId,
         rewrite: &Rewrite<'_>,
-        (patch_db, patch_db_root): (&DbArena, DbId),
-    ) -> Result<PreparedUpdate<H>, StoreError> {
-        match self.granularity {
+        named: &mut NamedScratch,
+    ) -> Result<Staged<H>, StoreError> {
+        let (old_class, old_pairs) = {
+            let shard = self.shards[term.shard as usize]
+                .read()
+                .expect("shard lock poisoned");
+            (
+                ClassId::from_bits(shard.terms[term.index as usize]),
+                shard.term_subs[term.index as usize].to_vec(),
+            )
+        };
+        let (old_hash, old_canon) = self.with_class(old_class, |c| (c.hash, c.canon));
+        let (pt, rehashed, hasher) = match self.granularity {
             Granularity::Roots => {
-                let (pt, hasher, spine_nodes) = self.rehash_spine(
-                    cache,
-                    term_bits,
-                    old_class,
-                    old_canon,
-                    rewrite,
-                    (patch_db, patch_db_root),
-                )?;
-                Ok((pt, spine_nodes, Some(hasher)))
+                let (pt, hasher, spine_nodes) =
+                    self.rehash_spine(cache, term.to_bits(), old_class, old_canon, rewrite, named)?;
+                (pt, spine_nodes, Some(hasher))
             }
             Granularity::Subexpressions { .. } => {
-                let pt = prepare_rewritten(self, old_canon, rewrite.path, patch_db, patch_db_root)
-                    .map_err(invalid)?;
+                // The index needs every node's hash: the effective
+                // rewritten term is prepared whole.
+                let mut dst = ExprArena::new();
+                let root = build_rewritten(self, old_canon, rewrite, &mut dst).map_err(invalid)?;
+                let pt = Preparer::new(&dst, &self.scheme).prepare(
+                    &dst,
+                    root,
+                    self.granularity,
+                    &self.table,
+                );
                 let nodes = pt.root.node_count;
-                Ok((pt, nodes, None))
+                (pt, nodes, None)
             }
-        }
+        };
+        Ok(Staged {
+            old_class,
+            old_pairs,
+            old_hash,
+            pt,
+            rehashed,
+            hasher,
+        })
     }
 
     /// The `Roots`-mode rehash: O(spine) re-hash through the term's
@@ -562,7 +563,7 @@ impl<H: HashWord> AlphaStore<H> {
         old_class: ClassId,
         old_canon: CanonRef,
         rewrite: &Rewrite<'_>,
-        (patch_db, patch_db_root): (&DbArena, DbId),
+        named: &mut NamedScratch,
     ) -> Result<(PreparedTerm<H>, IncrementalHasher<H>, u64), StoreError> {
         let mut hasher = match cache.take(term_bits, old_class.to_bits()) {
             Some(h) => h,
@@ -586,7 +587,9 @@ impl<H: HashWord> AlphaStore<H> {
                 return Err(invalid(reason));
             }
         };
-        let patch_ref = self.table.intern_arena(patch_db, patch_db_root);
+        // Hash-consing gives the patch the ref its de Bruijn form would
+        // intern to.
+        let patch_ref = intern_named(&self.table, rewrite.arena, rewrite.root, named);
         let new_canon = match splice_canon(&self.table, old_canon, rewrite.path, patch_ref) {
             Ok(r) => r,
             Err(reason) => {
@@ -606,18 +609,29 @@ impl<H: HashWord> AlphaStore<H> {
         Ok((pt, hasher, replaced.stats.nodes_recomputed as u64))
     }
 
-    /// Tees one delta record into the WAL as its own group commit and
-    /// returns the held WAL lock to apply under (`None` on in-memory
-    /// stores); retried per the store's policy like insert appends.
+    /// Tees the delta record of `staged`, `rewrite` applied to `term`,
+    /// into the WAL as its own group commit, its patch encoded with
+    /// `scratch`, and returns the held WAL lock to apply under (`None` on
+    /// in-memory stores); retried per the store's policy like insert
+    /// appends.
     fn wal_log_delta(
         &self,
-        delta: &RawDelta<H>,
+        term: TermId,
+        rewrite: &Rewrite<'_>,
+        staged: &Staged<H>,
+        scratch: &mut TermScratch,
     ) -> Result<Option<MutexGuard<'_, Wal>>, StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(None);
         };
-        let mut frames = Vec::with_capacity(96 + delta.patch.len() * 10 + delta.path.len() * 4);
-        frame_delta(&mut frames, delta);
+        let mut frames = Vec::with_capacity(128 + rewrite.path.len() * 4);
+        frame_delta(
+            &mut frames,
+            &staged.check(),
+            term.to_bits(),
+            rewrite,
+            scratch,
+        );
         frame_commit(&mut frames, 1);
         self.wal_append_with_retry(durable, &frames, 1).map(Some)
     }
@@ -630,20 +644,27 @@ impl<H: HashWord> AlphaStore<H> {
     /// through the normal exact insert; entries only the old term had are
     /// un-indexed by their recorded multiplicity. In `Roots` mode both
     /// sides are empty, and only the root moves: leave the old class
-    /// (never removing it), join or create the new one, repoint the term.
-    pub(crate) fn apply_update(
+    /// (never removing it), join or create the new one, repoint the term,
+    /// and re-cache the spine hasher.
+    fn apply_update(
         &self,
+        cache: &mut UpdateCache<H>,
         term: TermId,
-        old_class: ClassId,
-        old_pairs: &[(u64, u32)],
-        pt: PreparedTerm<H>,
+        staged: Staged<H>,
     ) -> (ClassId, bool, SubexprSummary) {
+        let Staged {
+            old_class,
+            old_pairs,
+            pt,
+            hasher,
+            ..
+        } = staged;
         // Key the old pairs by their class's canon ref: class ↔ canon is
         // a bijection (merges are exact), so ref equality identifies
         // "same subexpression class" without touching buckets.
         let old_root_bits = old_class.to_bits();
         let mut old_map: HashMap<CanonRef, (u64, u32)> = HashMap::with_capacity(old_pairs.len());
-        for &(bits, mult) in old_pairs {
+        for (bits, mult) in old_pairs {
             if bits == old_root_bits {
                 // The root's own pair carries exactly the root occurrence:
                 // a proper subterm is strictly smaller than the root, so
@@ -750,79 +771,55 @@ impl<H: HashWord> AlphaStore<H> {
             shard.terms[term.index as usize] = class.to_bits();
             shard.term_subs[term.index as usize] = pairs;
         }
+        if let Some(hasher) = hasher {
+            cache.put(term.to_bits(), class.to_bits(), hasher);
+        }
         (class, fresh, summary)
     }
 }
 
-/// Re-applies one recovered WAL delta record, called from the store's
-/// replay loop in log order, through the live update's path: the patch
-/// rebuilt named from its canonical run, prepared by
-/// `AlphaStore::prepare_update` and applied by
-/// [`AlphaStore::apply_update`]. The recorded old root hash must match the
-/// class the term currently points at — a mismatch means the log and the
-/// snapshot disagree about history and recovery must not guess — and the
-/// re-prepared result must reproduce the recorded root hash and node
-/// count, in both granularities.
+/// Re-applies one recovered WAL delta record, its patch decoded into
+/// `arena`, called from the store's replay loop in log order, through the
+/// live update's path: the handle and the patch validated, the rewrite
+/// staged by `AlphaStore::stage_update` (the patch interned from
+/// `named`'s walk) and applied by `AlphaStore::apply_update`. A rewrite
+/// the live update would refuse is [`PersistError::Corrupt`], and so is
+/// a check that does not hold: the recorded old root hash must be the
+/// hash of the class the term currently points at — a mismatch means the
+/// log and the snapshot disagree about history and recovery must not
+/// guess — and the staged result must reproduce the recorded root hash
+/// and node count, in both granularities.
 pub(crate) fn apply_update_replay<H: HashWord>(
     store: &AlphaStore<H>,
-    delta: RawDelta<H>,
+    delta: &RawDelta<H>,
+    arena: &ExprArena,
+    named: &mut NamedScratch,
 ) -> Result<(), PersistError> {
-    let corrupt = |context: String| PersistError::Corrupt { context };
-    let term = TermId::from_bits(delta.term_bits);
-    let s = term.shard as usize;
-    if s >= store.shards.len() {
-        return Err(corrupt(format!(
-            "delta names shard {} of a {}-shard store",
-            term.shard,
-            store.shards.len()
-        )));
-    }
-    let (old_class, old_pairs) = {
-        let shard = store.shards[s].read().expect("shard lock poisoned");
-        let i = term.index as usize;
-        if i >= shard.terms.len() {
-            return Err(corrupt(format!("delta names unknown term {term:?}")));
-        }
-        (
-            ClassId::from_bits(shard.terms[i]),
-            shard.term_subs[i].to_vec(),
-        )
+    let refused = |e: StoreError| PersistError::Corrupt {
+        context: format!("delta does not apply: {e}"),
     };
-    let (old_hash, old_canon) = store.with_class(old_class, |c| (c.hash, c.canon));
-    if old_hash != delta.old_hash {
-        return Err(corrupt(format!(
-            "delta old-hash mismatch for {term:?}: log and store disagree about the \
-             term's pre-update class"
-        )));
-    }
-    let mut patch_arena = ExprArena::new();
+    let term = TermId::from_bits(delta.term_bits);
+    store.validate_term(term).map_err(refused)?;
+    check_patch_closed(arena, delta.patch_root).map_err(refused)?;
     let rewrite = Rewrite {
         path: &delta.path,
-        root: rebuild_named(&delta.patch, delta.patch_root, &mut patch_arena),
-        arena: &patch_arena,
+        arena,
+        root: delta.patch_root,
     };
     let mut cache = store.updates.lock().expect("update lock poisoned");
-    let (pt, _, hasher) = store
-        .prepare_update(
-            &mut cache,
-            delta.term_bits,
-            old_class,
-            old_canon,
-            &rewrite,
-            (&delta.patch, delta.patch_root),
-        )
-        .map_err(|e| corrupt(format!("delta does not apply: {e}")))?;
-    if pt.root.hash != delta.new_hash || pt.root.node_count != delta.new_node_count {
-        return Err(corrupt(
-            "delta re-hash mismatch: replayed rewrite does not reproduce the recorded \
-             root hash and node count"
-                .to_owned(),
-        ));
+    let staged = store
+        .stage_update(&mut cache, term, &rewrite, named)
+        .map_err(refused)?;
+    if staged.check() != delta.check {
+        return Err(PersistError::Corrupt {
+            context: format!(
+                "delta check mismatch for {term:?}: the replayed rewrite does not start \
+                 from the recorded root hash, or does not reproduce the recorded root \
+                 hash and node count"
+            ),
+        });
     }
-    let (class, _, _) = store.apply_update(term, old_class, &old_pairs, pt);
-    if let Some(hasher) = hasher {
-        cache.put(delta.term_bits, class.to_bits(), hasher);
-    }
+    store.apply_update(&mut cache, term, staged);
     Ok(())
 }
 

@@ -135,58 +135,65 @@ fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
         "snapshot claiming 2^32-1 classes: peak {peak} bytes, intact open {baseline}"
     );
 
-    // (b–e) A WAL whose one insert record claims 2³²−1 names or 2³²−1
-    // nodes, in either granularity: the record is the same term record
-    // in both. Each record is in a CRC-valid frame closed by its commit
-    // marker: recovery stops there, as at any torn tail. Payload kinds 1
-    // (record) and 2 (commit) are those of docs/PERSISTENCE_FORMAT.md; a
-    // record is a 16-byte hash, then the name count, the names, the node
-    // count and the nodes.
+    // (b–k) A WAL whose one record claims 2³²−1 of something, in either
+    // granularity: an insert record claiming 2³²−1 names or nodes, or a
+    // delta record claiming 2³²−1 path steps, or a patch term claiming
+    // 2³²−1 names or nodes. Each record is in a CRC-valid frame closed by
+    // its commit marker: replay cannot decode it, and recovery stops
+    // there, as at any torn tail. Payload kinds 1 (record), 2 (commit)
+    // and 3 (delta) are those of docs/PERSISTENCE_FORMAT.md. A record is
+    // a 16-byte hash, then the name count, the names, the node count and
+    // the nodes; a delta is two 16-byte hashes, the 8-byte node count and
+    // the 8-byte term handle, then the path count, the steps and the
+    // patch term.
+    const RECORD: (u8, usize) = (1, 16);
+    const DELTA: (u8, usize) = (3, 16 + 16 + 8 + 8);
     let subexpressions = Granularity::Subexpressions { min_nodes: 1 };
     let intact = empty_store("intact-subs", subexpressions);
     let (opened, subs_baseline) = peak_during(|| AlphaStore::<u64>::open(&intact.0));
     drop(opened.expect("an intact empty store opens"));
-    let cases: [(&str, Granularity, usize, &[u32]); 4] = [
-        (
-            "Roots term names",
-            Granularity::Roots,
-            baseline,
-            &[u32::MAX],
-        ),
-        (
-            "Roots term nodes",
-            Granularity::Roots,
-            baseline,
-            &[0, u32::MAX],
-        ),
-        ("term names", subexpressions, subs_baseline, &[u32::MAX]),
-        ("term nodes", subexpressions, subs_baseline, &[0, u32::MAX]),
+    let claims: [(&str, (u8, usize), &[u32]); 5] = [
+        ("term names", RECORD, &[u32::MAX]),
+        ("term nodes", RECORD, &[0, u32::MAX]),
+        ("delta path steps", DELTA, &[u32::MAX]),
+        ("delta patch names", DELTA, &[0, u32::MAX]),
+        ("delta patch nodes", DELTA, &[0, 0, u32::MAX]),
     ];
-    for (claim, granularity, baseline, counts) in cases {
-        let dir = empty_store(&claim.replace(' ', "-"), granularity);
-        let path = dir.0.join(WAL_FILE);
-        let mut bytes = std::fs::read(&path).expect("wal");
-        let start = begin_frame(&mut bytes);
-        put_u8(&mut bytes, 1);
-        bytes.extend_from_slice(&[0; 16]); // the root hash
-        for &count in counts {
-            put_u32(&mut bytes, count);
+    for (granularity, baseline) in [
+        (Granularity::Roots, baseline),
+        (subexpressions, subs_baseline),
+    ] {
+        for (what, (kind, fixed), counts) in claims {
+            let claim = format!("{granularity:?} {what}");
+            let tag: String = claim.chars().filter(char::is_ascii_alphanumeric).collect();
+            let dir = empty_store(&tag, granularity);
+            let path = dir.0.join(WAL_FILE);
+            let mut bytes = std::fs::read(&path).expect("wal");
+            let start = begin_frame(&mut bytes);
+            put_u8(&mut bytes, kind);
+            bytes.extend(std::iter::repeat_n(0, fixed));
+            for &count in counts {
+                put_u32(&mut bytes, count);
+            }
+            bytes.extend_from_slice(&[0; 64]);
+            end_frame(&mut bytes, start);
+            let start = begin_frame(&mut bytes);
+            put_u8(&mut bytes, 2);
+            put_u64(&mut bytes, 1);
+            end_frame(&mut bytes, start);
+            std::fs::write(&path, &bytes).expect("write wal");
+            let (opened, peak) = peak_during(|| AlphaStore::<u64>::open(&dir.0));
+            let store = opened.expect("a torn tail recovers");
+            let recovery = store.recovery_info().expect("recovered");
+            assert_eq!(recovery.replayed_records, 0, "{claim}");
+            assert!(
+                !recovery.clean,
+                "{claim}: the damaged record is a torn tail"
+            );
+            assert!(
+                peak < baseline + MIB,
+                "record claiming 2^32-1 {claim}: peak {peak} bytes, intact open {baseline}"
+            );
         }
-        bytes.extend_from_slice(&[0; 64]);
-        end_frame(&mut bytes, start);
-        let start = begin_frame(&mut bytes);
-        put_u8(&mut bytes, 2);
-        put_u64(&mut bytes, 1);
-        end_frame(&mut bytes, start);
-        std::fs::write(&path, &bytes).expect("write wal");
-        let (opened, peak) = peak_during(|| AlphaStore::<u64>::open(&dir.0));
-        let store = opened.expect("a torn tail recovers");
-        let recovery = store.recovery_info().expect("recovered");
-        assert_eq!(recovery.replayed_records, 0, "{claim}");
-        assert!(!recovery.clean, "{claim}: the damaged frame is a torn tail");
-        assert!(
-            peak < baseline + MIB,
-            "record claiming 2^32-1 {claim}: peak {peak} bytes, intact open {baseline}"
-        );
     }
 }

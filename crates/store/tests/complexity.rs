@@ -17,22 +17,33 @@
 //! term, at three sizes spanning 4x. Counters, not clocks, so the gate is
 //! exact and runs in tier-1.
 //!
-//! A reopen that replays ends with a recovery checkpoint, and a
-//! `Subexpressions` snapshot holds every class's standalone de Bruijn
-//! form: Θ(n²) nodes for the deep shapes (binder fan k = 1000: 12.0M
-//! nodes, 27 s in release) until snapshots carry e-summaries. So tier-1
-//! reopens a `Subexpressions` store at the smallest size only; the
-//! ignored test reopens it at every size, and CI runs it in release.
+//! A reopen that replays ends with a recovery checkpoint. A `Roots`
+//! checkpoint's snapshot must stay linear in the canon DAG the store
+//! holds (the DAG written once, its sharing kept); on the balanced shape,
+//! whose classes share most of their nodes, a snapshot that unfolded the
+//! DAG into a tree per class would break that bound. A `Subexpressions`
+//! snapshot holds every class's standalone de Bruijn form: Θ(Σ class
+//! sizes), Θ(n²) nodes for the deep shapes (binder fan k = 1000: 12.0M
+//! nodes, 27 s in release), so its bound waits until snapshots carry
+//! e-summaries. So tier-1 reopens a `Subexpressions` store at the
+//! smallest size only; the ignored test reopens it at every size, and CI
+//! runs it in release.
 
-use alpha_store::persist::WAL_FILE;
+use alpha_store::persist::{SNAPSHOT_FILE, WAL_FILE};
 use alpha_store::{AlphaStore, ClassId, Rewrite, TermId};
 use lambda_lang::arena::{ExprArena, NodeId};
+use lambda_lang::stats::free_vars;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
 /// The constant of the c·n·(log₂ n)² bound every counter must meet.
 const C: f64 = 0.5;
+
+/// A snapshot's fixed bytes: magic, version, identity, WAL epoch, stats,
+/// the node table's name and node counts, and the CRC. Each shard adds
+/// its class and term counts.
+const SNAPSHOT_HEADER: u64 = 8 + 2 + 25 + 8 + 64 + 4 + 4 + 4;
 
 /// A fresh temp directory, removed on drop (even when a check fails).
 struct TempDir(PathBuf);
@@ -150,8 +161,12 @@ fn over_bound(label: &str, n: u64, work: Vec<(&str, u64)>) -> Vec<String> {
 }
 
 /// Runs one term's life through a durable `Roots` store and reports
-/// every work counter that breaks the bound.
-fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
+/// every work counter that breaks the bound, and a recovery checkpoint
+/// whose snapshot is not linear in the canon DAG: at most 16 bytes per
+/// resident canon node, 48 per class and 16 per term, plus the free
+/// names' bytes and the fixed header. Also says whether a snapshot that
+/// unfolded the DAG's sharing would break that bound.
+fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> (Vec<String>, bool) {
     let n = arena.subtree_size(root) as u64;
     let dir = TempDir::new(label);
     let builder = || AlphaStore::<u64>::builder().seed(0xC0DE).shards(4);
@@ -185,7 +200,29 @@ fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> Vec<String> {
         counter("alpha_store_canon_intern_hits") + counter("alpha_store_canon_intern_misses"),
     ));
     assert_eq!(reopened.num_terms(), 2, "{label}");
-    over_bound(label, n, work)
+    let snapshot = std::fs::metadata(dir.0.join(SNAPSHOT_FILE)).unwrap().len();
+    let dag = reopened.canon_dag_stats();
+    let names: u64 = free_vars(arena, root)
+        .keys()
+        .map(|&s| 4 + arena.name(s).len() as u64)
+        .sum();
+    let bound = 16 * dag.resident_nodes
+        + 48 * reopened.num_classes() as u64
+        + 16 * reopened.num_terms() as u64
+        + names
+        + SNAPSHOT_HEADER
+        + 8 * reopened.shard_count() as u64;
+    let mut broken = over_bound(label, n, work);
+    if snapshot > bound {
+        broken.push(format!(
+            "{label}: the recovery checkpoint's snapshot is {snapshot} bytes, over the \
+             {bound} bytes its {} resident canon nodes allow",
+            dag.resident_nodes
+        ));
+    }
+    // A snapshot that unfolded the DAG into one tree per class would write
+    // at least a tag and a `u32` per tree node.
+    (broken, 5 * dag.logical_nodes > bound)
 }
 
 /// Runs one term's life through a durable store indexing every subterm
@@ -259,11 +296,20 @@ fn shapes() -> Vec<(usize, String, ExprArena, NodeId)> {
 
 #[test]
 fn roots_paths_stay_within_n_log_squared_n() {
+    let mut sharp = 0;
     let broken: Vec<String> = shapes()
         .iter()
-        .flat_map(|(_, label, arena, root)| check_term(label, arena, *root))
+        .flat_map(|(_, label, arena, root)| {
+            let (broken, unfolding_breaks) = check_term(label, arena, *root);
+            sharp += usize::from(unfolding_breaks);
+            broken
+        })
         .collect();
     assert!(broken.is_empty(), "{}", broken.join("\n"));
+    assert!(
+        sharp > 0,
+        "no shape tells a shared snapshot from an unfolded one"
+    );
 }
 
 #[test]

@@ -150,17 +150,17 @@ fn subexpressions_store_files_are_byte_stable() {
 
 /// Recorded once; a change here is an on-disk format change.
 const ROOTS: &[&str] = &[
-    "open wal.bin=43:c16706db5531cbcd snapshot.bin=absent",
-    "ingest wal.bin=4064:619163a6ad7c1e3b snapshot.bin=absent",
-    "update wal.bin=4212:33497ad1a3ac6d9e snapshot.bin=absent",
-    "checkpoint wal.bin=43:e061cde4602115ee snapshot.bin=2543:0cf697602a509446",
-    "second batch wal.bin=1917:88ad6d23969cbbbf snapshot.bin=2543:0cf697602a509446",
+    "open wal.bin=43:9007d32df6b24d50 snapshot.bin=absent",
+    "ingest wal.bin=4064:4a22f2e9081c5238 snapshot.bin=absent",
+    "update wal.bin=4208:450691d3d6c3f407 snapshot.bin=absent",
+    "checkpoint wal.bin=43:ecf8284917802bb3 snapshot.bin=2535:d249c50948c2221b",
+    "second batch wal.bin=1917:743fe0a63c932442 snapshot.bin=2535:d249c50948c2221b",
 ];
 
 const SUBEXPRESSIONS: &[&str] = &[
-    "open wal.bin=43:344c913186013d7c snapshot.bin=absent",
-    "ingest wal.bin=4217:3e264f1145f8eb6a snapshot.bin=absent",
-    "update wal.bin=4365:e98f751aefd71faf snapshot.bin=absent",
-    "checkpoint wal.bin=43:913ce64ca6cf1bdf snapshot.bin=13422:d3b875768b704a15",
-    "second batch wal.bin=2002:c3b3e642cc255be9 snapshot.bin=13422:d3b875768b704a15",
+    "open wal.bin=43:e129f1b7798e7a9d snapshot.bin=absent",
+    "ingest wal.bin=4217:9b1de00aa59ddf57 snapshot.bin=absent",
+    "update wal.bin=4361:3f4c0f9fef358368 snapshot.bin=absent",
+    "checkpoint wal.bin=43:0024b8c0847dc4be snapshot.bin=13414:5d8ec846e4e0f6a8",
+    "second batch wal.bin=2002:66184890ff586966 snapshot.bin=13414:5d8ec846e4e0f6a8",
 ];

@@ -16,7 +16,10 @@
 //! auto-checkpoint watermarks.
 
 use alpha_store::persist::{SNAPSHOT_FILE, WAL_FILE};
-use alpha_store::{AlphaStore, FaultKind, FaultVfs, Granularity, Health, Rewrite, StoreError};
+use alpha_store::{
+    AlphaStore, FaultKind, FaultVfs, Granularity, Health, PersistError, Rewrite, SnapshotOp,
+    StoreError,
+};
 use lambda_lang::arena::{ExprArena, NodeId};
 use lambda_lang::uniquify::uniquify_into;
 use rand::rngs::StdRng;
@@ -474,91 +477,104 @@ fn periodic_write_faults_are_absorbed_by_retries() {
     assert!(reopened.stats().is_exact());
 }
 
-/// A snapshot that dies mid-write — at *every* op index it draws — must
-/// leave the previous snapshot and the WAL untouched, clean up its temp
-/// file, and leave the store serving (degraded, not read-only). A crash
-/// right there recovers everything from the old snapshot + WAL.
+/// A checkpoint whose snapshot dies mid-write — at *every* op index of
+/// the snapshot phase — loses nothing: the WAL is untouched, the temp
+/// file cleaned up, the store keeps serving, and a crash right there
+/// recovers everything from disk. Before the rename the previous
+/// snapshot is untouched too and the store stays writable (degraded).
+/// A failed directory sync comes after the rename, when recovery already
+/// reads the new snapshot and would discard the WAL as stale: the store
+/// refuses writes (read-only) rather than append records recovery would
+/// drop.
 #[test]
 fn snapshot_failure_at_every_op_is_harmless() {
     let mut arena = ExprArena::new();
     let roots = corpus(&mut arena, 0x5AFE, 10);
+    let (first, second) = roots.split_at(roots.len() / 2);
 
-    // Calibration: how many ops does one snapshot() draw?
-    let fault = FaultVfs::new();
-    let dir = TempDir::new("snap-calib");
-    let store = builder(Granularity::Roots, &fault)
-        .open_durable(dir.path())
-        .expect("open");
-    store.try_insert_batch(&arena, &roots).expect("ingest");
-    let before = fault.op_count();
-    store.snapshot().expect("calibration snapshot");
-    let snap_ops = fault.op_count() - before;
-    assert!(snap_ops >= 4, "create + writes + sync + rename + dir sync");
-    drop(store);
-
-    for k in 0..snap_ops {
+    // Kill the k-th op of the checkpoint for k = 0, 1, … until the op
+    // that dies is no longer one of the snapshot's: the snapshot phase
+    // is every op before the WAL reset.
+    let mut snap_ops = 0u64;
+    loop {
+        let k = snap_ops;
         let dir = TempDir::new("snap-fail");
         let fault = FaultVfs::new();
         let store = builder(Granularity::Roots, &fault)
             .open_durable(dir.path())
             .expect("open");
-        store.try_insert_batch(&arena, &roots).expect("ingest");
+        store.try_insert_batch(&arena, first).expect("ingest");
         // A fresh store has no snapshot yet: commit a baseline one so
-        // the failed attempt below has something it must not damage.
-        store.snapshot().expect("baseline snapshot");
+        // the failed attempt below has something it must not damage, and
+        // give the WAL records after it.
+        store.checkpoint().expect("baseline checkpoint");
+        store.try_insert_batch(&arena, second).expect("ingest");
         let snap_path = dir.path().join(SNAPSHOT_FILE);
         let old_snapshot = std::fs::read(&snap_path).expect("baseline snapshot bytes");
-        let old_wal_len = std::fs::metadata(dir.path().join(WAL_FILE))
-            .expect("wal")
-            .len();
+        let wal_path = dir.path().join(WAL_FILE);
+        let old_wal = std::fs::read(&wal_path).expect("wal bytes");
 
         fault.fail_at(fault.op_count() + k, FaultKind::Enospc);
-        let err = store.snapshot().expect_err("the k-th snapshot op dies");
-        assert!(
-            err.to_string().contains("snapshot"),
-            "typed as a snapshot error: {err}"
-        );
-        assert!(
-            matches!(store.health(), Health::Degraded(_)),
-            "failed snapshot degrades, never kills: {:?}",
-            store.health()
-        );
+        let err = store.checkpoint().expect_err("the k-th checkpoint op dies");
+        let renamed = match err {
+            PersistError::Snapshot { op, .. } => op == SnapshotOp::DirSync,
+            // The WAL reset's op: the snapshot phase is over.
+            _ => break,
+        };
+        snap_ops += 1;
 
-        // Previous snapshot and WAL are byte-identical; the temp file
-        // is gone.
+        // The WAL is byte-identical; the temp file is gone.
         assert_eq!(
-            std::fs::read(&snap_path).expect("old snapshot intact"),
-            old_snapshot,
-            "op {k}: failed snapshot must not touch the committed one"
-        );
-        assert_eq!(
-            std::fs::metadata(dir.path().join(WAL_FILE))
-                .expect("wal")
-                .len(),
-            old_wal_len,
+            std::fs::read(&wal_path).expect("wal"),
+            old_wal,
             "op {k}: failed snapshot must not touch the WAL"
         );
         assert!(
             !snap_path.with_extension("tmp").exists(),
             "op {k}: temp file must be cleaned up"
         );
-
-        // The store still serves and still ingests (degraded ≠ dead)…
+        // The store still serves…
         assert!(store.lookup(&arena, roots[0]).is_some());
         let extra = corpus(&mut arena, 0xE47A ^ k, 1);
-        store
-            .try_insert_batch(&arena, &extra)
-            .expect("degraded store still ingests");
+        let ingested = store.try_insert_batch(&arena, &extra);
+        if renamed {
+            assert!(
+                matches!(store.health(), Health::ReadOnly(_)),
+                "op {k}: a snapshot renamed over the old one leaves a stale WAL: {:?}",
+                store.health()
+            );
+            assert!(
+                matches!(ingested, Err(StoreError::Degraded { .. })),
+                "op {k}: no record may land in a WAL recovery discards"
+            );
+        } else {
+            assert!(
+                matches!(store.health(), Health::Degraded(_)),
+                "failed snapshot degrades, never kills: {:?}",
+                store.health()
+            );
+            assert_eq!(
+                std::fs::read(&snap_path).expect("old snapshot intact"),
+                old_snapshot,
+                "op {k}: failed snapshot must not touch the committed one"
+            );
+            ingested.expect("degraded store still ingests");
+        }
 
-        // …and a crash right now recovers everything from disk.
+        // …and a crash right now recovers everything it accepted.
         drop(store);
         fault.clear();
         let recovered = builder(Granularity::Roots, &fault)
             .open_durable(dir.path())
             .expect("recovery after failed snapshot");
-        assert_eq!(recovered.num_terms(), roots.len() + 1);
+        assert_eq!(
+            recovered.num_terms(),
+            roots.len() + usize::from(!renamed),
+            "op {k}"
+        );
         assert!(recovered.stats().is_exact());
     }
+    assert!(snap_ops >= 4, "create + writes + sync + rename + dir sync");
 }
 
 /// The record-count watermark: ingest past it and the store checkpoints

@@ -15,8 +15,8 @@
 //!   ingest path, so the counters reconcile exactly, and
 //!   `unconfirmed_merges` stays 0 (every replayed merge re-confirmed);
 //! * at u64 and u128 hash widths, at `Roots` and `Subexpressions`
-//!   granularity, with and without a mid-stream snapshot (so cuts land
-//!   both before and after what the snapshot absorbed).
+//!   granularity, with and without a mid-stream checkpoint (so recovery
+//!   replays a WAL on top of a snapshot as well as a WAL alone).
 
 use alpha_hash::combine::{HashScheme, HashWord};
 use alpha_store::{AlphaStore, ClassId, Granularity, StoreStats};
@@ -144,17 +144,23 @@ fn check_recovery<H: HashWord>(
     let dir = TempDir::new(tag);
     let wal_path = dir.path().join("wal.bin");
 
-    // Build the durable store; optionally snapshot mid-stream so the cut
-    // can land in records the snapshot has already absorbed.
+    // Build the durable store; optionally checkpoint mid-stream, so the
+    // cut lands in the WAL of the records after the checkpoint's
+    // snapshot.
     {
         let store = builder().open_durable(dir.path()).expect("create durable");
         let (first, second) = roots.split_at(roots.len() / 2);
         store.insert_batch(&arena, first);
         if snapshot_mid {
-            store.snapshot().expect("mid-stream snapshot");
+            store.checkpoint().expect("mid-stream checkpoint");
         }
         store.insert_batch(&arena, second);
-        assert_eq!(store.wal_records(), Some(roots.len() as u64));
+        let logged = if snapshot_mid {
+            second.len()
+        } else {
+            roots.len()
+        };
+        assert_eq!(store.wal_records(), Some(logged as u64));
     } // drop = crash without shutdown ceremony
 
     // The crash: truncate the WAL at a random byte offset within the
@@ -184,18 +190,16 @@ fn check_recovery<H: HashWord>(
     if snapshot_mid {
         assert!(
             survived >= roots.len() / 2,
-            "records absorbed by the mid-stream snapshot cannot be lost to a WAL cut"
+            "records in the mid-stream checkpoint's snapshot cannot be lost to a WAL cut"
         );
     }
     // Recovery either checkpointed (fresh snapshot, empty WAL) or — when
-    // the cut landed exactly on the boundary of what a mid-stream
-    // snapshot had already absorbed — took the clean-reopen fast path and
-    // kept the absorbed records in place. Both leave a consistent pair;
-    // a WAL longer than the snapshot's absorption is impossible here.
-    let wal_after = recovered.wal_records().expect("recovered store is durable");
-    assert!(
-        wal_after == 0 || (snapshot_mid && wal_after as usize == survived),
-        "unexpected WAL length {wal_after} after recovery of {survived} terms"
+    // the cut left the mid-stream checkpoint's WAL empty — took the
+    // clean-reopen fast path. Both leave an empty WAL.
+    assert_eq!(
+        recovered.wal_records(),
+        Some(0),
+        "{survived} terms survived"
     );
 
     // Oracle: a fresh in-memory build over exactly the surviving prefix,
@@ -281,7 +285,7 @@ proptest! {
 
 #[test]
 fn snapshot_roundtrip_preserves_handles_and_stats() {
-    // The acceptance-criteria shape minus the crash: snapshot → drop →
+    // The acceptance-criteria shape minus the crash: checkpoint → drop →
     // open must preserve the partition, the canonical representatives,
     // the stats AND the issued handles (snapshot loads are verbatim, no
     // replay renumbering).
@@ -298,7 +302,7 @@ fn snapshot_roundtrip_preserves_handles_and_stats() {
     let (outcomes, stats_before) = {
         let store = builder().open_durable(dir.path()).expect("create");
         let outcomes = store.insert_batch(&arena, &roots);
-        store.snapshot().expect("snapshot");
+        store.checkpoint().expect("checkpoint");
         (outcomes, store.stats())
     };
 
@@ -524,10 +528,10 @@ fn foreign_wal_next_to_a_snapshot_is_a_mismatch() {
 
 #[test]
 fn clean_reopen_skips_the_checkpoint_and_keeps_appending() {
-    // A store whose snapshot already absorbed every WAL record reopens
-    // without rewriting the snapshot (no O(store) churn on a no-op
-    // reopen) and keeps appending to the same WAL — and a further reopen
-    // replays exactly the records appended after the snapshot.
+    // A checkpointed store (a snapshot next to an empty WAL of its epoch)
+    // reopens without rewriting the snapshot (no O(store) churn on a
+    // no-op reopen) and keeps appending to the same WAL — and a further
+    // reopen replays exactly the records appended after the checkpoint.
     let dir = TempDir::new("clean-reopen");
     let mut arena = ExprArena::new();
     let roots = corpus(&mut arena, 0xCAFE, 30);
@@ -536,31 +540,40 @@ fn clean_reopen_skips_the_checkpoint_and_keeps_appending() {
     {
         let store = builder().open_durable(dir.path()).expect("create");
         store.insert_batch(&arena, &roots[..10]);
-        store.snapshot().expect("snapshot");
+        store.checkpoint().expect("checkpoint");
     }
     let snap_path = dir.path().join("snapshot.bin");
     let snap_before = std::fs::read(&snap_path).expect("snapshot bytes");
+    let wal_path = dir.path().join("wal.bin");
+    let wal_before = std::fs::read(&wal_path).expect("wal bytes");
 
     {
         let reopened = builder().open_durable(dir.path()).expect("clean reopen");
         assert_eq!(reopened.num_terms(), 10);
-        assert_eq!(
-            reopened.wal_records(),
-            Some(10),
-            "clean reopen keeps the absorbed WAL in place"
-        );
+        let recovery = reopened.recovery_info().expect("reopened");
+        assert!(recovery.clean);
+        assert_eq!(recovery.replayed_records, 0);
+        assert_eq!(reopened.wal_records(), Some(0));
         assert_eq!(
             std::fs::read(&snap_path).expect("snapshot bytes"),
             snap_before,
             "clean reopen must not rewrite the snapshot"
         );
+        assert_eq!(
+            std::fs::read(&wal_path).expect("wal bytes"),
+            wal_before,
+            "clean reopen must not reset the WAL"
+        );
         reopened.insert_batch(&arena, &roots[10..]);
-        assert_eq!(reopened.wal_records(), Some(30));
+        assert_eq!(reopened.wal_records(), Some(20));
     }
 
     // The next open replays only the 20 appended records on top of the
     // 10-term snapshot, matching a fresh build of all 30.
     let recovered = builder().open_durable(dir.path()).expect("recover");
+    let recovery = recovered.recovery_info().expect("recovered");
+    assert!(!recovery.clean);
+    assert_eq!(recovery.replayed_records, 20);
     assert_eq!(recovered.num_terms(), roots.len());
     let oracle = builder().build();
     oracle.insert_batch(&arena, &roots);
@@ -581,7 +594,7 @@ fn undecodable_wal_header_with_intact_snapshot_recovers_to_the_snapshot() {
     {
         let store = builder().open_durable(dir.path()).expect("create");
         store.insert_batch(&arena, &roots);
-        store.snapshot().expect("snapshot");
+        store.checkpoint().expect("checkpoint");
     }
     let wal_path = dir.path().join("wal.bin");
     for bad_wal in [&b""[..], &b"garbage, not a WAL header at all"[..]] {
@@ -658,16 +671,16 @@ fn refresh_wal_crcs(wal_path: &Path) {
 }
 
 /// Replaces the first occurrence of the encoded name `qq` (a `u32`
-/// length 2, then the bytes) in the WAL with `qz` and re-seals every
+/// length 2, then the bytes) in the WAL with `to` and re-seals every
 /// frame's CRC.
-fn tamper_first_qq(wal_path: &Path) {
+fn tamper_first_qq(wal_path: &Path, to: [u8; 2]) {
     let mut bytes = std::fs::read(wal_path).expect("read wal");
     let needle = [2u8, 0, 0, 0, b'q', b'q'];
     let at = bytes
         .windows(needle.len())
         .position(|w| w == needle)
         .expect("the name appears in the WAL");
-    bytes[at + 5] = b'z';
+    bytes[at + 4..at + 6].copy_from_slice(&to);
     std::fs::write(wal_path, &bytes).expect("write wal");
     refresh_wal_crcs(wal_path);
 }
@@ -700,7 +713,7 @@ fn a_subexpressions_record_that_misses_its_hash_is_always_corrupt() {
             store.insert(&arena, t1);
             store.insert(&arena, t2);
         }
-        tamper_first_qq(&dir.path().join("wal.bin"));
+        tamper_first_qq(&dir.path().join("wal.bin"), *b"qz");
         let err = expect_err(builder().open_durable(dir.path()));
         assert!(
             matches!(err, alpha_store::PersistError::Corrupt { .. }),
@@ -714,36 +727,55 @@ fn a_subexpressions_record_that_misses_its_hash_is_always_corrupt() {
     }
 }
 
-/// A `Roots` delta is re-applied through the live update path on every
-/// replay and must reproduce its recorded root hash: a patch renamed
-/// inside its record, every frame CRC re-sealed, is refused by the
-/// default open.
+/// A delta is re-applied through the live update path on every replay,
+/// in both granularities: a patch renamed inside its record, every frame
+/// CRC re-sealed, is refused by every open, whether the rename makes the
+/// rewrite miss its recorded root hash (`qq` → `qz`) or makes it one the
+/// live update refuses (`qq` → `%q`, a machine binder name, which the
+/// splice would capture).
 #[test]
 fn a_tampered_roots_delta_patch_is_always_corrupt() {
-    let dir = TempDir::new("delta-rehash");
-    let mut arena = ExprArena::new();
-    let t = lambda_lang::parse(&mut arena, r"\x. x + (v * 3)").unwrap();
-    let patch = lambda_lang::parse(&mut arena, "qq * 4").unwrap();
-    let builder = || AlphaStore::<u64>::builder().seed(17).shards(2);
-    {
-        let store = builder().open_durable(dir.path()).expect("create");
-        let ins = store.insert(&arena, t);
-        store.update(
-            ins.term,
-            alpha_store::Rewrite {
-                path: &[0, 1],
-                arena: &arena,
-                root: patch,
-            },
-        );
+    for granularity in [
+        Granularity::Roots,
+        Granularity::Subexpressions { min_nodes: 1 },
+    ] {
+        for (to, what) in [(*b"qz", "re-hash"), (*b"%q", "refused rewrite")] {
+            let dir = TempDir::new("delta-rehash");
+            let mut arena = ExprArena::new();
+            let t = lambda_lang::parse(&mut arena, r"\x. x + (v * 3)").unwrap();
+            let patch = lambda_lang::parse(&mut arena, "qq * 4").unwrap();
+            let builder = || {
+                AlphaStore::<u64>::builder()
+                    .seed(17)
+                    .shards(2)
+                    .granularity(granularity)
+            };
+            {
+                let store = builder().open_durable(dir.path()).expect("create");
+                let ins = store.insert(&arena, t);
+                store.update(
+                    ins.term,
+                    alpha_store::Rewrite {
+                        path: &[0, 1],
+                        arena: &arena,
+                        root: patch,
+                    },
+                );
+            }
+            // `qq` occurs only in the delta's patch.
+            tamper_first_qq(&dir.path().join("wal.bin"), to);
+            let refusals = [
+                expect_err(builder().open_durable(dir.path())),
+                expect_err(AlphaStore::<u64>::open(dir.path())),
+            ];
+            for err in refusals {
+                assert!(
+                    matches!(err, alpha_store::PersistError::Corrupt { .. }),
+                    "{granularity:?}, {what}: the tampered delta must be refused: {err}"
+                );
+            }
+        }
     }
-    // `qq` occurs only in the delta's patch.
-    tamper_first_qq(&dir.path().join("wal.bin"));
-    let err = expect_err(AlphaStore::<u64>::open(dir.path()));
-    assert!(
-        matches!(err, alpha_store::PersistError::Corrupt { .. }),
-        "the tampered delta must be refused: {err}"
-    );
 }
 
 #[test]

@@ -53,16 +53,16 @@ fn main() {
     let builder = || AlphaStore::<u64>::builder().seed(0x5EED).shards(8);
 
     // ── Life before the crash ────────────────────────────────────────────
-    // Ingest in three eras: plain WAL appends, a checkpoint (snapshot +
-    // WAL truncate), and a snapshot with the WAL left in place — so
-    // recovery exercises snapshot load AND tail replay.
+    // Ingest in three eras split by two checkpoints (snapshot + WAL
+    // truncate), the last era left in the WAL — so recovery exercises
+    // snapshot load AND tail replay.
     let (classes_before, census_before, stats_before) = {
         let store = builder().open_durable(&dir).expect("create durable store");
         let start = Instant::now();
         store.insert_batch(&arena, &roots[..6_000]);
         store.checkpoint().expect("checkpoint");
         store.insert_batch(&arena, &roots[6_000..8_000]);
-        store.snapshot().expect("snapshot");
+        store.checkpoint().expect("checkpoint");
         store.insert_batch(&arena, &roots[8_000..]);
         let ingest = start.elapsed();
         println!(
