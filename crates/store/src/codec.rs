@@ -9,8 +9,8 @@
 //! [`take_term`], `docs/PROTOCOL.md` §5) is the wire's term payload and
 //! the term of every WAL insert record, and the update body
 //! ([`put_update`], [`take_update`], §4a) is the wire's `OP_UPDATE`
-//! request and the body of every WAL delta record; de Bruijn runs stay
-//! with `persist::format`, for the snapshot.
+//! request and the body of every WAL delta record; the snapshot's canon
+//! node runs stay with `persist::format`.
 
 use crate::prepare::IndexMap;
 use crate::stats::StoreStats;

@@ -251,16 +251,116 @@ impl<S: Default, W> Appender<'_, S, W> {
     }
 }
 
+/// What a child ref or a name in a node addresses: the names, or the
+/// table of one node kind. A snapshot writes one run per kind, and a
+/// child's position counts within the run of its kind.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Kind {
+    Name,
+    Canon,
+    Pos,
+    Struct,
+    Map,
+    Key,
+}
+
+impl Kind {
+    pub(crate) const COUNT: usize = 6;
+}
+
+/// A child ref or a name in a node's words: the word, the offset of its
+/// 32 bits in it, what it addresses, and whether it may be absent
+/// ([`NO_REF`]).
+pub(crate) type Field = (usize, u32, Kind, bool);
+
 /// A node kind a [`NodeTable`] holds: a fixed number of words per node,
 /// stored in a slot of exactly that many atomic words.
 pub(crate) trait TableNode: Copy + Eq {
     /// The node's words, `[u64; K]`: equal iff the nodes are, so the
     /// table compares and hashes words.
-    type Words: Copy + Eq + AsRef<[u64]>;
+    type Words: Copy + Eq + Default + AsRef<[u64]> + AsMut<[u64]>;
     /// Its slot: `K` atomic words.
     type Slot: Default + Send + Sync + WordSlot<Words = Self::Words>;
+    /// The kind, whose table and snapshot run the node lives in.
+    const KIND: Kind;
+    /// The leading words a snapshot writes; the rest are derived from
+    /// them ([`TableNode::loaded`]).
+    const SAVED: usize = std::mem::size_of::<Self::Words>() / 8;
     fn encode(self) -> Self::Words;
+    /// Total: words no node encodes decode to a node that encodes to
+    /// other words.
     fn decode(words: Self::Words) -> Self;
+    /// Where the child refs and names of the node `words` encode sit.
+    fn fields(words: &Self::Words) -> &'static [Field];
+    /// The table of this kind in `table`.
+    fn nodes(table: &CanonTable) -> &NodeTable<Self>;
+    /// The node with its derived words recomputed for `table`.
+    fn loaded(self, _table: &CanonTable) -> Self {
+        self
+    }
+}
+
+/// `words` with each child ref and name passed through `f` with the kind
+/// it addresses (an absent ref stays absent); `None` if `f` refuses one.
+pub(crate) fn relink<N: TableNode>(
+    mut words: N::Words,
+    mut f: impl FnMut(Kind, u32) -> Option<u32>,
+) -> Option<N::Words> {
+    for &(at, shift, kind, optional) in N::fields(&words) {
+        let word = &mut words.as_mut()[at];
+        let bits = (*word >> shift) as u32;
+        if !(optional && bits == NO_REF) {
+            let new = u64::from(f(kind, bits)?);
+            *word = (*word & !(0xFFFF_FFFF << shift)) | new << shift;
+        }
+    }
+    Some(words)
+}
+
+/// One kind's share of what some roots reach: its refs (for the names,
+/// name indices) in the order [`reach`] placed them, children first,
+/// each one's position, and the refs it has yet to place.
+#[derive(Default)]
+pub(crate) struct Run {
+    pub(crate) refs: Vec<u32>,
+    pub(crate) at: IndexMap<u32, u32>,
+    pub(crate) pending: Vec<u32>,
+}
+
+impl Run {
+    /// Places `r` last, unless it is placed already.
+    pub(crate) fn place(&mut self, r: u32) {
+        if let Entry::Vacant(slot) = self.at.entry(r) {
+            slot.insert(self.refs.len() as u32);
+            self.refs.push(r);
+        }
+    }
+}
+
+/// Places the nodes of kind `N` that its run's pending refs reach in
+/// `N`'s table, children first, and the names they hold, and leaves the
+/// refs they hold of other kinds pending in those kinds' runs.
+pub(crate) fn reach<N: TableNode>(table: &CanonTable, runs: &mut [Run; Kind::COUNT]) {
+    let mut own = std::mem::take(&mut runs[N::KIND as usize]);
+    let mut stack: Vec<(u32, bool)> = own.pending.drain(..).map(|r| (r, false)).collect();
+    while let Some((r, expanded)) = stack.pop() {
+        if expanded {
+            own.place(r);
+        } else if !own.at.contains_key(&r) {
+            stack.push((r, true));
+            let words = N::nodes(table).node(CanonRef::from_bits(r)).encode();
+            relink::<N>(words, |kind, bits| {
+                match kind {
+                    _ if kind == N::KIND => stack.push((bits, false)),
+                    // A name refers to nothing: placed where first met.
+                    Kind::Name => runs[Kind::Name as usize].place(bits),
+                    _ => runs[kind as usize].pending.push(bits),
+                }
+                Some(bits)
+            });
+        }
+    }
+    runs[N::KIND as usize] = own;
 }
 
 /// The hash that routes a node to a stripe and an index slot: its words
@@ -310,6 +410,7 @@ const _: () = assert!(std::mem::size_of::<Words<2>>() == std::mem::size_of::<Can
 impl TableNode for CanonNode {
     type Words = [u64; 2];
     type Slot = Words<2>;
+    const KIND: Kind = Kind::Canon;
 
     fn encode(self) -> [u64; 2] {
         let pair = |a: CanonRef, b: CanonRef| u64::from(a.to_bits()) | u64::from(b.to_bits()) << 32;
@@ -337,9 +438,21 @@ impl TableNode for CanonNode {
             4 => CanonNode::Let(low, high),
             5 => CanonNode::Lit(Literal::I64(payload as i64)),
             6 => CanonNode::Lit(Literal::F64Bits(payload)),
-            7 => CanonNode::Lit(Literal::Bool(payload != 0)),
-            tag => unreachable!("canon slot tag {tag}"),
+            _ => CanonNode::Lit(Literal::Bool(payload != 0)),
         }
+    }
+
+    fn fields([tag, _]: &[u64; 2]) -> &'static [Field] {
+        match tag {
+            1 => &[(1, 0, Kind::Name, false)],
+            2 => &[(1, 0, Kind::Canon, false)],
+            3 | 4 => &[(1, 0, Kind::Canon, false), (1, 32, Kind::Canon, false)],
+            _ => &[],
+        }
+    }
+
+    fn nodes(table: &CanonTable) -> &NodeTable<Self> {
+        &table.db
     }
 }
 
@@ -725,32 +838,6 @@ impl CanonTable {
             .map(|&index| NameId::from_index(index))
     }
 
-    /// Interns every node of a [`DbArena`] term bottom-up (arena order is
-    /// topological), returning one ref per arena position. The whole-arena
-    /// variant exists because decoded records address entries by position.
-    pub(crate) fn intern_arena_refs(&self, arena: &DbArena) -> Vec<CanonRef> {
-        let names: Vec<NameId> = arena.names().map(|n| self.intern_name(n)).collect();
-        let mut refs: Vec<CanonRef> = Vec::with_capacity(arena.len());
-        for node in arena.nodes() {
-            let canon = match node {
-                DbNode::BVar(i) => CanonNode::BVar(i),
-                DbNode::FVar(sym) => CanonNode::FVar(names[sym.index() as usize]),
-                DbNode::Lam(b) => CanonNode::Lam(refs[b.index()]),
-                DbNode::App(f, a) => CanonNode::App(refs[f.index()], refs[a.index()]),
-                DbNode::Let(r, b) => CanonNode::Let(refs[r.index()], refs[b.index()]),
-                DbNode::Lit(l) => CanonNode::Lit(l),
-            };
-            refs.push(self.intern_node(canon));
-        }
-        refs
-    }
-
-    /// Interns the term rooted at `root` of `arena`, returning its ref:
-    /// how a rewrite's patch and a snapshot's converted keys enter a table.
-    pub(crate) fn intern_arena(&self, arena: &DbArena, root: DbId) -> CanonRef {
-        self.intern_arena_refs(arena)[root.index()]
-    }
-
     /// Resident distinct nodes across all stripes and node kinds.
     pub(crate) fn resident_nodes(&self) -> u64 {
         self.db.resident()
@@ -995,79 +1082,32 @@ pub(crate) fn eq_named(
     true
 }
 
-/// Extracts the sub-DAG reachable from `roots` into a fresh [`DbArena`],
-/// **preserving sharing** (each distinct ref becomes one arena node), and
-/// returns the arena ids corresponding to `roots`. This is how classes
-/// leave the table: representatives, printing, and snapshot encoding all
-/// serialize through this walk. Children land at smaller arena positions
-/// than parents (post-order emission), matching the wire format's
-/// topological-order rule.
-pub(crate) fn extract_canon(
-    table: &CanonTable,
-    roots: &[CanonRef],
-    dst: &mut DbArena,
-) -> Vec<DbId> {
-    let mut memo: HashMap<u32, DbId> = HashMap::new();
-    let mut name_memo: HashMap<u32, lambda_lang::Symbol> = HashMap::new();
-    let mut stack: Vec<(CanonRef, bool)> = Vec::new();
-    for &root in roots {
-        stack.push((root, false));
-        while let Some((r, expanded)) = stack.pop() {
-            if memo.contains_key(&r.to_bits()) {
-                continue;
-            }
-            let node = table.node(r);
-            if !expanded {
-                stack.push((r, true));
-                let mut push_child = |c: CanonRef, memo: &HashMap<u32, DbId>| {
-                    if !memo.contains_key(&c.to_bits()) {
-                        stack.push((c, false));
-                    }
-                };
-                match node {
-                    CanonNode::Lam(b) => push_child(b, &memo),
-                    CanonNode::App(f, a) => {
-                        push_child(a, &memo);
-                        push_child(f, &memo);
-                    }
-                    CanonNode::Let(rh, b) => {
-                        push_child(b, &memo);
-                        push_child(rh, &memo);
-                    }
-                    _ => {}
-                }
-            } else {
-                let db = match node {
-                    CanonNode::BVar(i) => DbNode::BVar(i),
-                    CanonNode::FVar(id) => {
-                        let sym = match name_memo.get(&id.index()) {
-                            Some(&sym) => sym,
-                            None => {
-                                let sym = dst.intern(table.name(id));
-                                name_memo.insert(id.index(), sym);
-                                sym
-                            }
-                        };
-                        DbNode::FVar(sym)
-                    }
-                    CanonNode::Lam(b) => DbNode::Lam(memo[&b.to_bits()]),
-                    CanonNode::App(f, a) => DbNode::App(memo[&f.to_bits()], memo[&a.to_bits()]),
-                    CanonNode::Let(rh, b) => DbNode::Let(memo[&rh.to_bits()], memo[&b.to_bits()]),
-                    CanonNode::Lit(l) => DbNode::Lit(l),
-                };
-                memo.insert(r.to_bits(), dst.push(db));
-            }
-        }
-    }
-    roots.iter().map(|r| memo[&r.to_bits()]).collect()
-}
-
-/// Convenience wrapper: extracts one interned term as a standalone
-/// `(arena, root)` pair.
+/// Extracts the interned de Bruijn term `cref` into a fresh [`DbArena`],
+/// **preserving sharing** (each distinct ref becomes one arena node, in
+/// the order [`reach`] places them): how a `Roots` class leaves the
+/// table for printing, representatives and updates.
 pub(crate) fn extract_one(table: &CanonTable, cref: CanonRef) -> (DbArena, DbId) {
+    let mut runs: [Run; Kind::COUNT] = Default::default();
+    let run = &mut runs[Kind::Canon as usize];
+    run.pending.push(cref.to_bits());
+    reach::<CanonNode>(table, &mut runs);
+    let run = &runs[Kind::Canon as usize];
     let mut dst = DbArena::new();
-    let root = extract_canon(table, &[cref], &mut dst)[0];
-    (dst, root)
+    let mut ids: Vec<DbId> = Vec::with_capacity(run.refs.len());
+    for &r in &run.refs {
+        let id = |c: CanonRef| ids[run.at[&c.to_bits()] as usize];
+        let node = match table.node(CanonRef::from_bits(r)) {
+            CanonNode::BVar(i) => DbNode::BVar(i),
+            CanonNode::FVar(name) => DbNode::FVar(dst.intern(table.name(name))),
+            CanonNode::Lam(b) => DbNode::Lam(id(b)),
+            CanonNode::App(f, a) => DbNode::App(id(f), id(a)),
+            CanonNode::Let(rhs, b) => DbNode::Let(id(rhs), id(b)),
+            CanonNode::Lit(l) => DbNode::Lit(l),
+        };
+        ids.push(dst.push(node));
+    }
+    // The root is placed last.
+    (dst, *ids.last().expect("a term has a root"))
 }
 
 #[cfg(test)]
@@ -1076,6 +1116,28 @@ mod tests {
     use lambda_lang::debruijn::{db_eq, db_print, to_debruijn};
     use lambda_lang::parse::parse;
     use lambda_lang::{ExprArena, Literal};
+
+    impl CanonTable {
+        /// Interns the de Bruijn term rooted at `root` of `arena` bottom-up
+        /// (arena order is topological), returning its ref: how tests build
+        /// a table from de Bruijn forms.
+        pub(crate) fn intern_arena(&self, arena: &DbArena, root: DbId) -> CanonRef {
+            let names: Vec<NameId> = arena.names().map(|n| self.intern_name(n)).collect();
+            let mut refs: Vec<CanonRef> = Vec::with_capacity(arena.len());
+            for node in arena.nodes() {
+                let canon = match node {
+                    DbNode::BVar(i) => CanonNode::BVar(i),
+                    DbNode::FVar(sym) => CanonNode::FVar(names[sym.index() as usize]),
+                    DbNode::Lam(b) => CanonNode::Lam(refs[b.index()]),
+                    DbNode::App(f, a) => CanonNode::App(refs[f.index()], refs[a.index()]),
+                    DbNode::Let(r, b) => CanonNode::Let(refs[r.index()], refs[b.index()]),
+                    DbNode::Lit(l) => CanonNode::Lit(l),
+                };
+                refs.push(self.intern_node(canon));
+            }
+            refs[root.index()]
+        }
+    }
 
     fn canon_of(src: &str) -> (DbArena, DbId) {
         let mut a = ExprArena::new();

@@ -33,11 +33,12 @@
 //!
 //! The summary is invertible (§4.8), which is the exactness argument and
 //! the way back to de Bruijn form: [`Inverse`] rebuilds the canonical
-//! de Bruijn term of a key, which is what the snapshot and
-//! `representative_into` carry. The WAL needs no inverse: it logs the
-//! terms themselves, and replay summarises them again.
+//! de Bruijn term of a key for `canonical_text`, `representative_into`
+//! and an update's effective term. Persistence needs no inverse: the WAL
+//! logs the terms themselves, and a snapshot writes these nodes as the
+//! table holds them.
 
-use crate::dag::{bits_opt, opt_bits, CanonTable, TableNode, Words};
+use crate::dag::{bits_opt, opt_bits, CanonTable, Field, Kind, NodeTable, TableNode, Words};
 use crate::prepare::IndexMap;
 use alpha_hash::combine::{mix64, HashWord};
 use alpha_hash::hashed::{HashedSummariser, PosH, StructH, SummarySink};
@@ -98,6 +99,7 @@ pub(crate) enum StructNode {
 impl TableNode for StructNode {
     type Words = [u64; 2];
     type Slot = Words<2>;
+    const KIND: Kind = Kind::Struct;
 
     fn encode(self) -> [u64; 2] {
         match self {
@@ -147,14 +149,29 @@ impl TableNode for StructNode {
                 fun: low(w1),
                 arg: high(w1),
             },
-            4 => StructNode::Let {
+            _ => StructNode::Let {
                 rhs_bigger: flag,
                 pos: bits_opt(w0 >> 32),
                 rhs: low(w1),
                 body: high(w1),
             },
-            tag => unreachable!("structure slot tag {tag}"),
         }
+    }
+
+    fn fields([w0, _]: &[u64; 2]) -> &'static [Field] {
+        const BODY: Field = (1, 0, Kind::Struct, false);
+        const SECOND: Field = (1, 32, Kind::Struct, false);
+        const POS: Field = (0, 32, Kind::Pos, true);
+        match w0 & 0xFF {
+            2 => &[POS, BODY],
+            3 => &[BODY, SECOND],
+            4 => &[POS, BODY, SECOND],
+            _ => &[],
+        }
+    }
+
+    fn nodes(table: &CanonTable) -> &NodeTable<Self> {
+        &table.structs
     }
 }
 
@@ -175,6 +192,7 @@ pub(crate) enum PosNode {
 impl TableNode for PosNode {
     type Words = [u64; 2];
     type Slot = Words<2>;
+    const KIND: Kind = Kind::Pos;
 
     fn encode(self) -> [u64; 2] {
         match self {
@@ -201,6 +219,17 @@ impl TableNode for PosNode {
             },
         }
     }
+
+    fn fields([w0, _]: &[u64; 2]) -> &'static [Field] {
+        match w0 & 1 {
+            0 => &[],
+            _ => &[(1, 0, Kind::Pos, true), (1, 32, Kind::Pos, false)],
+        }
+    }
+
+    fn nodes(table: &CanonTable) -> &NodeTable<Self> {
+        &table.positions
+    }
 }
 
 /// One node of an interned variable-map treap: a free variable's
@@ -216,9 +245,13 @@ pub(crate) struct MapNode {
     pub(crate) right: Option<CanonRef>,
 }
 
+/// A snapshot writes a map node without its `order`, which loading
+/// recomputes from the name.
 impl TableNode for MapNode {
     type Words = [u64; 3];
     type Slot = Words<3>;
+    const KIND: Kind = Kind::Map;
+    const SAVED: usize = 2;
 
     fn encode(self) -> [u64; 3] {
         [
@@ -238,6 +271,26 @@ impl TableNode for MapNode {
             right: bits_opt(w1 >> 32),
         }
     }
+
+    fn fields(_: &[u64; 3]) -> &'static [Field] {
+        &[
+            (0, 0, Kind::Name, false),
+            (0, 32, Kind::Pos, false),
+            (1, 0, Kind::Map, true),
+            (1, 32, Kind::Map, true),
+        ]
+    }
+
+    fn loaded(self, table: &CanonTable) -> Self {
+        MapNode {
+            order: table.name_order(self.name),
+            ..self
+        }
+    }
+
+    fn nodes(table: &CanonTable) -> &NodeTable<Self> {
+        &table.maps
+    }
 }
 
 /// A class key: a subterm's structure and its variable map (`None` for a
@@ -251,6 +304,7 @@ pub(crate) struct KeyNode {
 impl TableNode for KeyNode {
     type Words = [u64; 1];
     type Slot = Words<1>;
+    const KIND: Kind = Kind::Key;
 
     fn encode(self) -> [u64; 1] {
         [pair(bits(self.structure), opt_bits(self.map))]
@@ -262,6 +316,14 @@ impl TableNode for KeyNode {
             structure: low(w),
             map: bits_opt(w >> 32),
         }
+    }
+
+    fn fields(_: &[u64; 1]) -> &'static [Field] {
+        &[(0, 0, Kind::Struct, false), (0, 32, Kind::Map, true)]
+    }
+
+    fn nodes(table: &CanonTable) -> &NodeTable<Self> {
+        &table.keys
     }
 }
 
@@ -991,6 +1053,10 @@ type VarId = u64;
 /// The [`VarId`] bit of a free name (its [`NameId`] in the low half).
 const FREE: VarId = 1 << 32;
 
+/// The free name [`Inverse`] gives a variable its key's map lacks: a
+/// machine name (it holds a `%`), which no source name is.
+pub(crate) const UNMAPPED: &str = "%unmapped";
+
 /// A map entry awaiting its split, ordered by the tag of its position
 /// tree's top `Join` (0 for `Here`): at a binary node of size `t`, the
 /// entries it joined are exactly those on top with tag `t`, because every
@@ -1127,17 +1193,20 @@ impl<'t> Inverse<'t> {
                     mut vars,
                     depth,
                 } => match table.structs.node(structure) {
-                    StructNode::Var => {
-                        let (_, var, _) = vars.pop().expect("a variable's map holds it");
-                        debug_assert!(vars.is_empty(), "a variable's map is a singleton");
-                        if var & FREE != 0 {
-                            let name = table.name(NameId::from_index(var as u32));
-                            let sym = dst.intern(name);
-                            dst.push(DbNode::FVar(sym))
-                        } else {
+                    // A live key maps each variable to exactly one
+                    // entry; a damaged one may map it to none or several.
+                    StructNode::Var => match vars.pop() {
+                        Some((_, var, _)) if var & FREE == 0 => {
                             dst.push(DbNode::BVar(depth - var as u32 - 1))
                         }
-                    }
+                        entry => {
+                            let name = entry.map_or(UNMAPPED, |(_, var, _)| {
+                                table.name(NameId::from_index(var as u32))
+                            });
+                            let sym = dst.intern(name);
+                            dst.push(DbNode::FVar(sym))
+                        }
+                    },
                     StructNode::Lit(l) => dst.push(DbNode::Lit(l)),
                     StructNode::Lam { pos, body } => {
                         self.bind(pos, depth, &mut vars);
@@ -1372,6 +1441,44 @@ mod tests {
         assert_eq!(table.resident_nodes(), resident, "probes never write");
         let after = table.intern_stats();
         assert_eq!((after.hits, after.misses), (probes.hits, probes.misses));
+    }
+
+    /// A key whose map lacks its variable's entry, as a damaged snapshot
+    /// can hold, inverts to a term with a machine-named free variable
+    /// instead of panicking, and so does one whose map holds an entry
+    /// no variable takes.
+    #[test]
+    fn a_variable_its_map_lacks_inverts_to_a_reserved_free_name() {
+        let table = CanonTable::new();
+        let var = table.structs.intern(StructNode::Var);
+        let here = table.positions.intern(PosNode::Here);
+        let lam = table.structs.intern(StructNode::Lam {
+            pos: None,
+            body: var,
+        });
+        let unmapped = table.keys.intern(KeyNode {
+            structure: lam,
+            map: None,
+        });
+        let (db, root) = Inverse::new(&table).debruijn(unmapped);
+        assert_eq!(db_print(&db, root), format!("\\. {UNMAPPED}"));
+        assert!(UNMAPPED.contains('%'));
+
+        let name = table.intern_name("y");
+        let stray = table.maps.intern(MapNode {
+            name,
+            order: table.name_order(name),
+            pos: here,
+            left: None,
+            right: None,
+        });
+        let literal = table.structs.intern(StructNode::Lit(Literal::I64(1)));
+        let spare = table.keys.intern(KeyNode {
+            structure: literal,
+            map: Some(stray),
+        });
+        let (db, root) = Inverse::new(&table).debruijn(spare);
+        assert_eq!(db_print(&db, root), "1");
     }
 
     #[test]

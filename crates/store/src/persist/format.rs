@@ -8,32 +8,22 @@
 //! documented there are exactly the ones compiled in, so the spec cannot
 //! silently drift from the code.
 //!
-//! **Format v6** (this version) logs an update as the rewrite the
-//! wire's `OP_UPDATE` sends: a delta record is the old and new root
-//! hashes and the new node count, then the update body of
-//! [`crate::codec::put_update`], the patch a named term. v5 logged the
-//! patch as its de Bruijn node run. v6 also drops the snapshot header's
-//! count of WAL records the snapshot absorbed: snapshots are written only
-//! by checkpoints, each paired with an empty WAL of its epoch. **Format
-//! v5** logged every insert, in both granularities, as the term itself:
-//! its root hash plus the wire's named-term encoding
-//! ([`crate::codec::put_term`]), which replay re-prepares, so a record
-//! whose term does not re-hash to its recorded hash is corrupt. **Format
-//! v4** logged a `Subexpressions` insert as its term rather than a de
-//! Bruijn form per indexed subterm. **Format v3** added rewrite **delta
-//! records** and widened the snapshot's per-term bookkeeping to full
-//! `ClassId` bits with per-class occurrence multiplicities. **Format v2**
-//! stored canonical structure as shared DAGs: a snapshot carries one
-//! node table (the class-reachable sub-DAG, deduplicated) with classes
-//! addressing positions in it, mirroring the in-memory hash-consed canon
-//! table (`crate::dag`). Only v6 is written and only v6 decodes: a
+//! **Format v7** (this version) writes the snapshot's canon nodes as the
+//! canon table holds them: the names, then one node run per node kind
+//! the granularity keeps (`Roots`: de Bruijn nodes; `Subexpressions`:
+//! the §4.8 position trees, structures, map nodes and keys), each node
+//! its table words with children and names as run positions
+//! (`put_table`/`take_table`). Load interns them straight into the
+//! store's table. v6 wrote de Bruijn forms in both granularities, so a
+//! `Subexpressions` checkpoint inverted every class key and every load
+//! re-summarised every class. What each earlier version changed is in
+//! the spec's version notes. Only v7 is written and only v7 decodes: a
 //! header naming any other version is refused with
 //! [`PersistError::Mismatch`].
 //!
 //! Here live the [`Granularity`] and `StoreIdentity` codecs both file
-//! headers open with, the snapshot's shared-DAG node runs
-//! (`put_dag`/`take_dag`, a [`DbArena`] in memory, which holds DAGs as
-//! well as trees), and the WAL's records: inserts
+//! headers open with, the snapshot's table image (one node-run codec,
+//! generic over the table's node kinds), and the WAL's records: inserts
 //! (`put_term_record`/`take_term_record`) and deltas
 //! (`put_delta`/`take_delta`), each decoded whole.
 //!
@@ -49,13 +39,13 @@ use crate::codec::{
     put_count, put_hash, put_str, put_term, put_u32, put_u64, put_u8, put_update, take_count,
     take_hash, take_str, take_term, take_u32, take_u64, take_u8, take_update, TermScratch,
 };
+use crate::dag::{reach, relink, CanonTable, Kind, Run, TableNode};
+use crate::esummary::{KeyNode, MapNode, PosNode, StructNode};
 use crate::granularity::Granularity;
 use crate::persist::PersistError;
 use crate::update::Rewrite;
 use alpha_hash::combine::HashWord;
-use lambda_lang::debruijn::{DbArena, DbId, DbNode};
-use lambda_lang::literal::Literal;
-use lambda_lang::symbol::Symbol;
+use lambda_lang::canon::{CanonNode, CanonRef, NameId};
 use lambda_lang::{ExprArena, NodeId};
 
 /// Magic bytes opening a snapshot file (`docs/PERSISTENCE_FORMAT.md`).
@@ -77,7 +67,7 @@ pub const WAL_MAGIC: [u8; 8] = *b"AHWAL001";
 /// [`alpha_hash::combine`], since persisted content addresses must keep
 /// meaning what they meant. Writers emit only this version, and readers
 /// decode only this version.
-pub const FORMAT_VERSION: u16 = 6;
+pub const FORMAT_VERSION: u16 = 7;
 
 fn corrupt(context: &str) -> PersistError {
     PersistError::Corrupt {
@@ -191,157 +181,168 @@ impl StoreIdentity {
 }
 
 // ---------------------------------------------------------------------
-// Shared-DAG node runs (canonical structure)
+// The table image (a snapshot's canon nodes)
 // ---------------------------------------------------------------------
 
-const NODE_BVAR: u8 = 0;
-const NODE_FVAR: u8 = 1;
-const NODE_LAM: u8 = 2;
-const NODE_APP: u8 = 3;
-const NODE_LET: u8 = 4;
-const NODE_LIT: u8 = 5;
-
-const LIT_I64: u8 = 1;
-const LIT_F64: u8 = 2;
-const LIT_BOOL: u8 = 3;
-
-// Item sizes for the count rule: a name is at least its `u32` length, a
-// node its tag and one `u32`.
+// Item size for the count rule: a name is at least its `u32` length.
 const MIN_NAME_BYTES: usize = 4;
-const MIN_NODE_BYTES: usize = 5;
 
-/// Encodes a shared-DAG node run: the free-variable name table (in symbol
-/// order, so re-interning on decode reproduces identical symbol indices),
-/// then the nodes in arena order. Arena order is construction order, so
-/// every child position precedes its parent — a topological emission that
-/// decoders enforce, which is also what makes decoded structures provably
-/// acyclic. The arena may be a tree (one use per node) or a DAG (shared
-/// children); the encoding is the same.
-pub(crate) fn put_dag(out: &mut Vec<u8>, dag: &DbArena) {
-    put_count(out, dag.names_len());
-    for name in dag.names() {
-        put_str(out, name);
-    }
-    put_count(out, dag.len());
-    for node in dag.nodes() {
-        put_node(out, node);
-    }
-}
-
-/// Encodes one node of a node run.
-fn put_node(out: &mut Vec<u8>, node: DbNode) {
-    match node {
-        DbNode::BVar(index) => {
-            put_u8(out, NODE_BVAR);
-            put_u32(out, index);
-        }
-        DbNode::FVar(sym) => {
-            put_u8(out, NODE_FVAR);
-            put_u32(out, sym.index());
-        }
-        DbNode::Lam(body) => {
-            put_u8(out, NODE_LAM);
-            put_u32(out, body.index() as u32);
-        }
-        DbNode::App(fun, arg) => {
-            put_u8(out, NODE_APP);
-            put_u32(out, fun.index() as u32);
-            put_u32(out, arg.index() as u32);
-        }
-        DbNode::Let(rhs, body) => {
-            put_u8(out, NODE_LET);
-            put_u32(out, rhs.index() as u32);
-            put_u32(out, body.index() as u32);
-        }
-        DbNode::Lit(lit) => {
-            put_u8(out, NODE_LIT);
-            let (kind, payload) = match lit {
-                Literal::I64(v) => (LIT_I64, v as u64),
-                Literal::F64Bits(bits) => (LIT_F64, bits),
-                Literal::Bool(b) => (LIT_BOOL, b as u64),
-            };
-            put_u8(out, kind);
-            put_u64(out, payload);
+/// Writes the run of kind `N`: its node count, then each node's saved
+/// words with its children and names as positions in their runs.
+fn put_run<N: TableNode>(out: &mut Vec<u8>, table: &CanonTable, runs: &[Run; Kind::COUNT]) {
+    let refs = &runs[N::KIND as usize].refs;
+    put_count(out, refs.len());
+    for &r in refs {
+        let words = N::nodes(table).node(CanonRef::from_bits(r)).encode();
+        let placed = relink::<N>(words, |kind, bits| {
+            runs[kind as usize].at.get(&bits).copied()
+        })
+        .expect("a placed node's children and names are placed");
+        for &word in &placed.as_ref()[..N::SAVED] {
+            put_u64(out, word);
         }
     }
 }
 
-/// Decodes a shared-DAG node run. Children are resolved through the ids
-/// the rebuilt arena actually issued, so a run whose child references run
-/// ahead of construction order is rejected as corrupt, never misread —
-/// and the result is guaranteed acyclic.
-pub(crate) fn take_dag(input: &mut &[u8]) -> Result<DbArena, PersistError> {
-    let mut arena = DbArena::new();
-    let name_count = take_count(input, MIN_NAME_BYTES)?;
-    for i in 0..name_count {
-        // A repeated name would intern to an earlier symbol and leave
-        // the table shorter than `name_count`; encoders never write one.
-        if arena.intern(take_str(input)?).index() as usize != i {
-            return Err(corrupt("repeated name in a node run's name table"));
-        }
-    }
-    let node_count = take_count(input, MIN_NODE_BYTES)?;
-    let mut ids: Vec<DbId> = Vec::with_capacity(node_count);
-    let child = |ids: &[DbId], raw: u32| -> Result<DbId, PersistError> {
-        ids.get(raw as usize)
-            .copied()
-            .ok_or_else(|| corrupt("child id ahead of construction order"))
+/// Writes the image of the canon-table nodes the class roots `roots`
+/// reach: the names, then one run per node kind the granularity keeps,
+/// each node's children in its own run before it and in other kinds'
+/// runs before that run (`Roots`: the de Bruijn nodes; `Subexpressions`:
+/// position trees, structures, map nodes, keys). Returns each root's
+/// position in the last run.
+pub(crate) fn put_table(
+    out: &mut Vec<u8>,
+    table: &CanonTable,
+    granularity: Granularity,
+    roots: &[CanonRef],
+) -> Vec<u32> {
+    let subexpressions = granularity.indexes_subexpressions();
+    let root_kind = if subexpressions {
+        Kind::Key
+    } else {
+        Kind::Canon
     };
-    for _ in 0..node_count {
-        let node = match take_u8(input)? {
-            NODE_BVAR => DbNode::BVar(take_u32(input)?),
-            NODE_FVAR => {
-                let index = take_u32(input)?;
-                if index as usize >= name_count {
-                    return Err(corrupt("free-variable symbol out of range"));
-                }
-                DbNode::FVar(Symbol::from_index(index))
-            }
-            NODE_LAM => DbNode::Lam(child(&ids, take_u32(input)?)?),
-            NODE_APP => {
-                let fun = child(&ids, take_u32(input)?)?;
-                let arg = child(&ids, take_u32(input)?)?;
-                DbNode::App(fun, arg)
-            }
-            NODE_LET => {
-                let rhs = child(&ids, take_u32(input)?)?;
-                let body = child(&ids, take_u32(input)?)?;
-                DbNode::Let(rhs, body)
-            }
-            NODE_LIT => {
-                let kind = take_u8(input)?;
-                let payload = take_u64(input)?;
-                DbNode::Lit(match kind {
-                    LIT_I64 => Literal::I64(payload as i64),
-                    LIT_F64 => Literal::F64Bits(payload),
-                    LIT_BOOL => Literal::Bool(payload != 0),
-                    _ => return Err(corrupt("literal kind")),
-                })
-            }
-            _ => return Err(corrupt("node tag")),
-        };
-        ids.push(arena.push(node));
+    let mut runs: [Run; Kind::COUNT] = Default::default();
+    runs[root_kind as usize].pending = roots.iter().map(|r| r.to_bits()).collect();
+    if subexpressions {
+        reach::<KeyNode>(table, &mut runs);
+        reach::<MapNode>(table, &mut runs);
+        reach::<StructNode>(table, &mut runs);
+        reach::<PosNode>(table, &mut runs);
+    } else {
+        reach::<CanonNode>(table, &mut runs);
     }
-    Ok(arena)
+    let names = &runs[Kind::Name as usize];
+    put_count(out, names.refs.len());
+    for &id in &names.refs {
+        put_str(out, table.name(NameId::from_index(id)));
+    }
+    if subexpressions {
+        put_run::<PosNode>(out, table, &runs);
+        put_run::<StructNode>(out, table, &runs);
+        put_run::<MapNode>(out, table, &runs);
+        put_run::<KeyNode>(out, table, &runs);
+    } else {
+        put_run::<CanonNode>(out, table, &runs);
+    }
+    let at = &runs[root_kind as usize].at;
+    roots.iter().map(|r| at[&r.to_bits()]).collect()
 }
 
-/// How many binders above each position of `dag` its term needs (0 if
-/// closed). Encoders write closed canonical forms only (a variable bound
-/// outside a subterm is a free name in its form), so a class at an open
-/// position is damage, and rebuilding it would index past its binders.
-pub(crate) fn open_depths(dag: &DbArena) -> Vec<u32> {
-    let mut open: Vec<u32> = Vec::with_capacity(dag.len());
-    for node in dag.nodes() {
+/// Reads the run of kind `N` into `table`, each node checked, and hands
+/// `visit` each node with its children and names as the run positions
+/// it was written with. Leaves the run's refs in `runs`.
+fn take_run<N: TableNode>(
+    input: &mut &[u8],
+    table: &CanonTable,
+    runs: &mut [Vec<u32>; Kind::COUNT],
+    mut visit: impl FnMut(N),
+) -> Result<(), PersistError> {
+    let count = take_count(input, 8 * N::SAVED)?;
+    let mut refs: Vec<u32> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut words = N::Words::default();
+        for word in &mut words.as_mut()[..N::SAVED] {
+            *word = take_u64(input)?;
+        }
+        // Exactly a node's encoding: no unknown tag, no stray bit.
+        let node = N::decode(words);
+        if node.encode() != words {
+            return Err(corrupt("node tag or unused bits"));
+        }
+        // A position resolves in the run of its kind, read so far: a
+        // forward reference, or one into a run of the wrong kind, is
+        // past its end.
+        let linked = relink::<N>(words, |kind, pos| {
+            let run = if kind == N::KIND {
+                &refs
+            } else {
+                &runs[kind as usize]
+            };
+            run.get(pos as usize).copied()
+        })
+        .ok_or_else(|| corrupt("child or name position past its run"))?;
+        visit(node);
+        let node = N::decode(linked).loaded(table);
+        refs.push(N::nodes(table).intern(node).to_bits());
+    }
+    runs[N::KIND as usize] = refs;
+    Ok(())
+}
+
+/// Reads a table image written by [`put_table`] into `table`, which
+/// holds no name when the read starts. Returns the refs of the last
+/// run, each `None` where no class may root: a `Roots` position whose
+/// de Bruijn term is open (a class's form is closed, its free variables
+/// named, so an open one would index past its binders).
+pub(crate) fn take_table(
+    input: &mut &[u8],
+    table: &CanonTable,
+    granularity: Granularity,
+) -> Result<Vec<Option<CanonRef>>, PersistError> {
+    let mut runs: [Vec<u32>; Kind::COUNT] = Default::default();
+    let name_count = take_count(input, MIN_NAME_BYTES)?;
+    let mut names = Vec::with_capacity(name_count);
+    for i in 0..name_count {
+        // A repeated name interns to an earlier id; writers never
+        // repeat one.
+        let id = table.intern_name(take_str(input)?).index();
+        if id as usize != i {
+            return Err(corrupt("repeated name in a snapshot's name table"));
+        }
+        names.push(id);
+    }
+    runs[Kind::Name as usize] = names;
+    let as_ref = |bits: u32| CanonRef::from_bits(bits);
+    if granularity.indexes_subexpressions() {
+        take_run::<PosNode>(input, table, &mut runs, |_| {})?;
+        take_run::<StructNode>(input, table, &mut runs, |_| {})?;
+        take_run::<MapNode>(input, table, &mut runs, |_| {})?;
+        take_run::<KeyNode>(input, table, &mut runs, |_| {})?;
+        return Ok(runs[Kind::Key as usize]
+            .iter()
+            .map(|&r| Some(as_ref(r)))
+            .collect());
+    }
+    // How many binders above each position its term needs (0 if closed).
+    let mut open: Vec<u32> = Vec::new();
+    take_run::<CanonNode>(input, table, &mut runs, |node| {
+        let at = |r: CanonRef| open[r.to_bits() as usize];
         let depth = match node {
-            DbNode::BVar(i) => i.saturating_add(1),
-            DbNode::FVar(_) | DbNode::Lit(_) => 0,
-            DbNode::Lam(body) => open[body.index()].saturating_sub(1),
-            DbNode::App(fun, arg) => open[fun.index()].max(open[arg.index()]),
-            DbNode::Let(rhs, body) => open[rhs.index()].max(open[body.index()].saturating_sub(1)),
+            CanonNode::BVar(i) => i.saturating_add(1),
+            CanonNode::FVar(_) | CanonNode::Lit(_) => 0,
+            CanonNode::Lam(body) => at(body).saturating_sub(1),
+            CanonNode::App(fun, arg) => at(fun).max(at(arg)),
+            CanonNode::Let(rhs, body) => at(rhs).max(at(body).saturating_sub(1)),
         };
         open.push(depth);
-    }
-    open
+    })?;
+    let refs = &runs[Kind::Canon as usize];
+    Ok(refs
+        .iter()
+        .zip(open)
+        .map(|(&r, depth)| (depth == 0).then(|| as_ref(r)))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -464,9 +465,9 @@ pub(crate) fn take_delta<H: HashWord>(
 mod tests {
     use super::*;
     use crate::codec::{crc32, put_u16, take_u16};
-    use lambda_lang::debruijn::{db_eq, to_debruijn};
+    use lambda_lang::debruijn::{db_print, to_debruijn};
+    use lambda_lang::literal::Literal;
     use lambda_lang::parse::parse;
-    use lambda_lang::ExprArena;
 
     #[test]
     fn spec_documents_the_compiled_constants() {
@@ -587,20 +588,22 @@ mod tests {
         }
     }
 
-    /// A name table that repeats a name once decoded to an arena with
-    /// fewer names than the table, so `FVar(1)` passed the range check
-    /// and interning the run indexed past the arena's name list.
+    /// A name table that repeats a name once decoded to fewer names than
+    /// the table, so a name index past the shorter list passed the range
+    /// check.
     #[test]
-    fn take_dag_refuses_a_repeated_name() {
+    fn a_repeated_name_is_corrupt() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 2);
         put_str(&mut buf, "a");
         put_str(&mut buf, "a");
         put_u32(&mut buf, 1);
-        put_u8(&mut buf, NODE_FVAR);
-        put_u32(&mut buf, 1);
+        CanonNode::FVar(NameId::from_index(1))
+            .encode()
+            .iter()
+            .for_each(|&word| put_u64(&mut buf, word));
         assert!(matches!(
-            take_dag(&mut buf.as_slice()),
+            take_table(&mut buf.as_slice(), &CanonTable::new(), Granularity::Roots),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -610,16 +613,15 @@ mod tests {
     /// named would index past its binder scope.
     #[test]
     fn an_open_entry_is_corrupt() {
-        use crate::dag::CanonTable;
         use crate::persist::snapshot::{decode_snapshot, encode_snapshot, SnapshotHeader};
         use crate::store::{Shard, StoredClass};
-        let mut dag = DbArena::new();
-        let bvar = dag.push(DbNode::BVar(0));
-        let lam = dag.push(DbNode::Lam(bvar));
-        let image = |pos| {
+        let table = CanonTable::new();
+        let bvar = table.intern_node(CanonNode::BVar(0));
+        let lam = table.intern_node(CanonNode::Lam(bvar));
+        let image = |canon| {
             let class = StoredClass {
                 hash: 7u64,
-                canon: CanonTable::new().intern_arena(&dag, lam),
+                canon,
                 node_count: 2,
                 members: 1,
                 occurrences: 1,
@@ -636,7 +638,7 @@ mod tests {
                 wal_epoch: 1,
                 stats: Default::default(),
             };
-            encode_snapshot(&header, &[&shard], &dag, &[pos])
+            encode_snapshot(&header, &[&shard], &table)
         };
         assert!(decode_snapshot::<u64>(&image(lam), &CanonTable::new()).is_ok());
         assert!(matches!(
@@ -661,48 +663,99 @@ mod tests {
         assert!(take_str(&mut input).is_err());
     }
 
+    /// `sources` interned into a fresh table of `granularity`: de Bruijn
+    /// forms in a `Roots` table, e-summary keys in a `Subexpressions`
+    /// one. Returns the table and each source's ref.
+    fn table_of(sources: &[&str], granularity: Granularity) -> (CanonTable, Vec<CanonRef>) {
+        use alpha_hash::combine::HashScheme;
+        use alpha_hash::hashed::HashedSummariser;
+        let mut arena = ExprArena::new();
+        let roots: Vec<NodeId> = sources
+            .iter()
+            .map(|s| parse(&mut arena, s).unwrap())
+            .collect();
+        let table = CanonTable::new();
+        let scheme: HashScheme<u64> = HashScheme::new(7);
+        let mut summariser = HashedSummariser::new(&arena, &scheme);
+        let mut scratch = crate::esummary::Scratch::<u64>::default();
+        let refs = roots
+            .iter()
+            .map(|&root| match granularity {
+                Granularity::Roots => {
+                    let (canon, canon_root) = to_debruijn(&arena, root);
+                    table.intern_arena(&canon, canon_root)
+                }
+                Granularity::Subexpressions { .. } => {
+                    scratch
+                        .intern_term(&mut summariser, &arena, root, 1, &table)
+                        .key
+                }
+            })
+            .collect();
+        (table, refs)
+    }
+
+    /// The de Bruijn form behind a ref of a `granularity` table.
+    fn form_of(table: &CanonTable, r: CanonRef, granularity: Granularity) -> String {
+        let (db, root) = match granularity {
+            Granularity::Roots => crate::dag::extract_one(table, r),
+            Granularity::Subexpressions { .. } => crate::esummary::Inverse::new(table).debruijn(r),
+        };
+        db_print(&db, root)
+    }
+
+    const SOURCES: [&str; 6] = [
+        r"\x. \y. x + y*7",
+        r"foo (\x. x+7) (\y. y+7)",
+        "let bar = x+1 in bar*(bar+y)",
+        "42",
+        "free_variable",
+        r"\t. t (1.5 + true)",
+    ];
+
+    const GRANULARITIES: [Granularity; 2] = [
+        Granularity::Roots,
+        Granularity::Subexpressions { min_nodes: 1 },
+    ];
+
     #[test]
     fn canon_round_trips_and_preserves_alpha_identity() {
-        let sources = [
-            r"\x. \y. x + y*7",
-            r"foo (\x. x+7) (\y. y+7)",
-            "let bar = x+1 in bar*(bar+y)",
-            "42",
-            "free_variable",
-            r"\t. t (1.5 + true)",
-        ];
-        for src in sources {
-            let mut arena = ExprArena::new();
-            let parsed = parse(&mut arena, src).unwrap();
-            let (canon, root) = to_debruijn(&arena, parsed);
+        for granularity in GRANULARITIES {
+            let (table, refs) = table_of(&SOURCES, granularity);
             let mut buf = Vec::new();
-            put_dag(&mut buf, &canon);
+            let positions = put_table(&mut buf, &table, granularity, &refs);
+            let loaded = CanonTable::new();
             let mut input = buf.as_slice();
-            let decoded = take_dag(&mut input).unwrap();
-            assert!(input.is_empty(), "trailing bytes for {src}");
-            assert_eq!(decoded.len(), canon.len());
-            assert!(
-                db_eq(&canon, root, &decoded, root),
-                "decode changed the term for {src}"
-            );
+            let roots = take_table(&mut input, &loaded, granularity).unwrap();
+            assert!(input.is_empty(), "trailing bytes at {granularity:?}");
+            // Every node the sources reach, written once: the loaded
+            // table holds no more than the one they were interned in.
+            assert!(loaded.resident_nodes() <= table.resident_nodes());
+            for ((src, &r), &pos) in SOURCES.iter().zip(&refs).zip(&positions) {
+                let back = roots[pos as usize].expect("a closed root");
+                assert_eq!(
+                    form_of(&loaded, back, granularity),
+                    form_of(&table, r, granularity),
+                    "{src} at {granularity:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn corrupt_canon_is_rejected() {
-        let mut arena = ExprArena::new();
-        let parsed = parse(&mut arena, r"\x. x + 1").unwrap();
-        let (canon, _) = to_debruijn(&arena, parsed);
-        let mut buf = Vec::new();
-        put_dag(&mut buf, &canon);
-        // Flipping any single byte must yield Corrupt or a *different*
-        // node run — never a panic. (CRC catches the difference in
-        // practice; here we only assert decode robustness.)
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0xFF;
-            let mut input = bad.as_slice();
-            let _ = take_dag(&mut input); // must not panic
+        for granularity in GRANULARITIES {
+            let (table, refs) = table_of(&SOURCES[..3], granularity);
+            let mut buf = Vec::new();
+            put_table(&mut buf, &table, granularity, &refs);
+            // Flipping any single byte must yield Corrupt or a *different*
+            // image — never a panic. (CRC catches the difference in
+            // practice; here we only assert decode robustness.)
+            for i in 0..buf.len() {
+                let mut bad = buf.clone();
+                bad[i] ^= 0xFF;
+                let _ = take_table(&mut bad.as_slice(), &CanonTable::new(), granularity);
+            }
         }
     }
 

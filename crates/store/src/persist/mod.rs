@@ -5,11 +5,9 @@
 //! two files:
 //!
 //! * `snapshot.bin` — a complete serialization of the store, written
-//!   atomically (temp file → `fsync` → rename). The canonical de Bruijn
-//!   form per class *is* the class identity (the paper's key property), so
-//!   the snapshot is a full, rebuildable description: one shared canon
-//!   node table + per-class refs + scheme seed + granularity, nothing
-//!   more.
+//!   atomically (temp file → `fsync` → rename): the canon-table nodes
+//!   the classes reach, as the table holds them, and per-class refs into
+//!   them. A class's canon *is* its identity, so nothing more is needed.
 //! * `wal.bin` — an append-only log of every insert and rewrite-update
 //!   since that snapshot: one CRC-framed record per ingested term (its
 //!   root hash and the term itself), one
@@ -414,18 +412,10 @@ fn recover<H: HashWord>(
     if let Some(contents) = &wal_contents {
         identity.check(&contents.header.identity, WAL_FILE)?;
     }
-    let snap_epoch = snapshot.map(|(header, mut shards)| {
-        // Same shard count as the store's: the identity says so. A
-        // `Subexpressions` store re-summarises each class's decoded
-        // form into its key; the decoded table is dropped.
-        if store.granularity().indexes_subexpressions() {
-            for class in shards.iter_mut().flat_map(|s| s.classes.iter_mut()) {
-                let (db, root) = crate::dag::extract_one(&table, class.canon);
-                class.canon = store.key_of(&db, root);
-            }
-        } else {
-            store.table = table;
-        }
+    let snap_epoch = snapshot.map(|(header, shards)| {
+        // Same shard count as the store's: the identity says so. The
+        // classes' canons address the decoded table.
+        store.table = table;
         store.shards = shards.into_iter().map(RwLock::new).collect();
         store.counters.restore(&header.stats);
         header.wal_epoch

@@ -4,28 +4,34 @@
 //! Two stores, one per granularity, ingest an `expr_gen` corpus plus a
 //! few named terms and updates, so their WAL holds insert records (the
 //! term as ingested, in both granularities) and delta records, and their
-//! snapshot holds subexpression pairs. Each case damages one image — bit flips, a
-//! truncation, a hostile count, length, name index or child reference
-//! word, a repeated name in a name table, a subexpression pair naming a
-//! class out of range —
-//! and re-seals its CRCs, so the decoders meet the damage rather than
-//! the CRC check. The WAL image is copied before the store checkpoints,
-//! and the snapshot after. The property: no panic, in decoding or in what
-//! recovery does with a scanned WAL (replaying it); and every value that
-//! decodes re-encodes to bytes that decode to the same value.
+//! snapshot holds subexpression pairs and the node runs of every kind
+//! (the `Roots` store's de Bruijn nodes; the other's position trees,
+//! structures, map nodes and keys). Each case damages one image — bit
+//! flips, a truncation, a hostile count, length, name index, node word
+//! or child reference word, a repeated name in a name table, a
+//! subexpression pair naming a class out of range — and re-seals its
+//! CRCs, so the decoders meet the damage rather than the CRC check. The
+//! WAL image is copied before the store checkpoints, and the snapshot
+//! after. The property: no panic, in decoding or in what recovery does
+//! with a scanned WAL (replaying it) or with a decoded `Subexpressions`
+//! snapshot's keys (inverting each class and rebuilding it named); and
+//! every value that decodes re-encodes to bytes that decode to the same
+//! value.
 
 use super::format::{put_delta, put_term_record, take_delta, take_term_record, RawDelta};
 use super::snapshot::{decode_snapshot, encode_snapshot};
 use super::wal::{decode_wal, WalEntry, WAL_HEADER_LEN};
 use super::{SNAPSHOT_FILE, WAL_FILE};
+use crate::canon::rebuild_named;
 use crate::codec::{begin_frame, crc32, end_frame, take_frame, TermScratch};
-use crate::dag::{extract_canon, CanonTable};
+use crate::dag::CanonTable;
+use crate::esummary::Inverse;
 use crate::store::{ClassId, Shard};
 use crate::{AlphaStore, Granularity, Rewrite, StoreBuilder};
-use lambda_lang::debruijn::DbArena;
 use lambda_lang::{parse, ExprArena};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const SHARDS: usize = 2;
@@ -106,6 +112,8 @@ struct Fields {
     name_tables: Vec<Vec<(usize, usize)>>,
     /// Offsets of the class bits of subexpression pairs.
     pairs: Vec<usize>,
+    /// A snapshot's node runs: each one's bytes, count included.
+    runs: Vec<Range<usize>>,
 }
 
 /// Walks an intact image in the layout of `docs/PERSISTENCE_FORMAT.md`.
@@ -125,19 +133,6 @@ impl Walk<'_> {
         self.fields.words.push(self.at);
         self.at += 4;
         v as usize
-    }
-
-    fn dag(&mut self) {
-        self.names();
-        for _ in 0..self.word() {
-            let tag = self.bytes[self.at];
-            self.skip(1);
-            match tag {
-                0..=2 => drop(self.word()),
-                3 | 4 => drop((self.word(), self.word())),
-                _ => self.skip(9),
-            }
-        }
     }
 
     /// A name table: each name's `(offset, encoded length)`.
@@ -193,10 +188,30 @@ impl Walk<'_> {
         }
     }
 
-    fn snapshot(&mut self) {
+    /// A snapshot of `granularity`: its names, then one node run per
+    /// node kind, each a count and every node's saved words, whose
+    /// halves (tags and flags, child positions, name indices) are all
+    /// words.
+    fn snapshot(&mut self, granularity: Granularity) {
         // Magic, version, identity, WAL epoch, stats.
         self.skip(8 + 2 + 25 + 8 + 64);
-        self.dag();
+        self.names();
+        // Saved words per node: position trees, structures, map nodes
+        // and keys; or de Bruijn nodes.
+        let runs: &[usize] = if granularity.indexes_subexpressions() {
+            &[2, 2, 2, 1]
+        } else {
+            &[2]
+        };
+        for &saved in runs {
+            let start = self.at;
+            for _ in 0..self.word() {
+                for _ in 0..2 * saved {
+                    self.word();
+                }
+            }
+            self.fields.runs.push(start..self.at);
+        }
         for _ in 0..SHARDS {
             for _ in 0..self.word() {
                 self.skip(16 + 8 + 8 + 8);
@@ -215,19 +230,23 @@ impl Walk<'_> {
     }
 }
 
-/// The fields of a WAL payload, or (`wal` false) of a snapshot.
-fn fields(bytes: &[u8], wal: bool) -> Fields {
+/// The fields of a WAL payload, or (`snapshot` set) of a snapshot of
+/// that granularity.
+fn fields(bytes: &[u8], snapshot: Option<Granularity>) -> Fields {
     let mut walk = Walk {
         bytes,
         at: 0,
         fields: Fields::default(),
     };
-    if wal {
-        walk.payload();
-        assert_eq!(walk.at, bytes.len(), "the walk ends with the payload");
-    } else {
-        walk.snapshot();
-        assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
+    match snapshot {
+        None => {
+            walk.payload();
+            assert_eq!(walk.at, bytes.len(), "the walk ends with the payload");
+        }
+        Some(granularity) => {
+            walk.snapshot(granularity);
+            assert_eq!(walk.at + 4, bytes.len(), "the walk ends at the CRC");
+        }
     }
     walk.fields
 }
@@ -256,33 +275,42 @@ const REPEAT_NAME: u32 = 4;
 const STRAY_PAIR: u32 = 5;
 
 /// Damages `bytes` (whose structure `fields` describes) by mutation
-/// `kind`; `false` if the image has nothing for that kind to aim at.
-fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> bool {
+/// `kind` and returns the offset of the (first) damage; `None` if the
+/// image has nothing for that kind to aim at.
+fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> Option<usize> {
     let word_at = |bytes: &mut Vec<u8>, at: usize, rng: &mut StdRng| {
         let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let v = hostile_u32(rng, old, bytes.len());
         bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        at
     };
-    match kind {
+    Some(match kind {
         FLIP => {
-            for _ in 0..rng.random_range(1..=3u32) {
-                let bit = rng.random_range(0..bytes.len() * 8);
+            let bits: Vec<usize> = (0..rng.random_range(1..=3u32))
+                .map(|_| rng.random_range(0..bytes.len() * 8))
+                .collect();
+            for &bit in &bits {
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
+            bits[0] / 8
         }
-        TRUNCATE => bytes.truncate(rng.random_range(0..bytes.len())),
+        TRUNCATE => {
+            let cut = rng.random_range(0..bytes.len());
+            bytes.truncate(cut);
+            cut
+        }
         FIELD if !fields.words.is_empty() => {
             let at = fields.words[rng.random_range(0..fields.words.len())];
-            word_at(bytes, at, rng);
+            word_at(bytes, at, rng)
         }
         WINDOW if bytes.len() >= 4 => {
             let at = rng.random_range(0..bytes.len() - 3);
-            word_at(bytes, at, rng);
+            word_at(bytes, at, rng)
         }
         REPEAT_NAME => {
             let tables: Vec<_> = fields.name_tables.iter().filter(|t| t.len() >= 2).collect();
             if tables.is_empty() {
-                return false;
+                return None;
             }
             let table = tables[rng.random_range(0..tables.len())];
             let i = rng.random_range(1..table.len());
@@ -290,6 +318,7 @@ fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> 
             let (dst, dst_len) = table[i];
             let name = bytes[src..src + src_len].to_vec();
             bytes.splice(dst..dst + dst_len, name);
+            dst
         }
         STRAY_PAIR if !fields.pairs.is_empty() => {
             let at = fields.pairs[rng.random_range(0..fields.pairs.len())];
@@ -298,10 +327,10 @@ fn mutate(bytes: &mut Vec<u8>, fields: &Fields, kind: u32, rng: &mut StdRng) -> 
                 index: rng.random_range(0..64u32),
             };
             bytes[at..at + 8].copy_from_slice(&stray.to_bits().to_le_bytes());
+            at
         }
-        _ => return false,
-    }
-    true
+        _ => return None,
+    })
 }
 
 /// Scans a WAL image, replays it into a fresh store as recovery would,
@@ -361,23 +390,26 @@ fn put_raw_delta(
     put_delta(out, &delta.check, delta.term_bits, &rewrite, scratch);
 }
 
-/// Decodes a snapshot image and checks that what decoded re-encodes to
-/// an image that decodes and re-encodes to itself. `true` iff it decoded.
+/// Decodes a snapshot image, inverts every class of a `Subexpressions`
+/// image and rebuilds it named, and checks that what decoded re-encodes
+/// to an image that decodes and re-encodes to itself. `true` iff it
+/// decoded.
 fn snapshot_case(bytes: &[u8]) -> bool {
     let encode = |table: &CanonTable, header, shards: &[Shard<u64>]| {
-        let refs: Vec<_> = shards
-            .iter()
-            .flat_map(|s| s.classes.iter().map(|c| c.canon))
-            .collect();
-        let mut dag = DbArena::new();
-        let roots = extract_canon(table, &refs, &mut dag);
         let shard_refs: Vec<&Shard<u64>> = shards.iter().collect();
-        encode_snapshot(&header, &shard_refs, &dag, &roots)
+        encode_snapshot(&header, &shard_refs, table)
     };
     let table = CanonTable::new();
     let Ok((header, shards)) = decode_snapshot::<u64>(bytes, &table) else {
         return false;
     };
+    if header.identity.granularity.indexes_subexpressions() {
+        let mut inverse = Inverse::new(&table);
+        for class in shards.iter().flat_map(|s| &s.classes) {
+            let (db, root) = inverse.debruijn(class.canon);
+            rebuild_named(&db, root, &mut ExprArena::new());
+        }
+    }
     let again = encode(&table, header, &shards);
     let table = CanonTable::new();
     let (header, shards) =
@@ -404,9 +436,12 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
     ];
     let wal_fields: Vec<Vec<Fields>> = stores
         .iter()
-        .map(|s| s.frames.iter().map(|f| fields(f, true)).collect())
+        .map(|s| s.frames.iter().map(|f| fields(f, None)).collect())
         .collect();
-    let snapshot_fields: Vec<Fields> = stores.iter().map(|s| fields(&s.snapshot, false)).collect();
+    let snapshot_fields: Vec<Fields> = stores
+        .iter()
+        .map(|s| fields(&s.snapshot, Some(s.granularity)))
+        .collect();
     for (s, f) in stores.iter().zip(&wal_fields) {
         // Both stores log term records, whose name and node counts the
         // field mutations aim at, and deltas.
@@ -421,6 +456,11 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
 
     let mut rng = StdRng::seed_from_u64(0x0D15_C0DE);
     let mut applied = [0usize; 6];
+    // Per store, per node run: the mutation kinds that damaged it.
+    let mut run_hits: Vec<Vec<[usize; 6]>> = snapshot_fields
+        .iter()
+        .map(|f| vec![[0; 6]; f.runs.len()])
+        .collect();
     let (mut wal_decoded, mut wal_cases) = (0, 0);
     let (mut snap_decoded, mut snap_cases) = (0, 0);
     for case in 0..CASES {
@@ -430,7 +470,7 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
         let outcome = if case % 2 == 0 {
             let i = rng.random_range(0..images.frames.len());
             let mut payload = images.frames[i].clone();
-            if !mutate(&mut payload, &wal_fields[which][i], kind, &mut rng) {
+            if mutate(&mut payload, &wal_fields[which][i], kind, &mut rng).is_none() {
                 continue;
             }
             let mut bytes = images.wal_header.clone();
@@ -445,8 +485,12 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
             decoded.map(drop)
         } else {
             let mut bytes = images.snapshot.clone();
-            if !mutate(&mut bytes, &snapshot_fields[which], kind, &mut rng) {
+            let Some(at) = mutate(&mut bytes, &snapshot_fields[which], kind, &mut rng) else {
                 continue;
+            };
+            let runs = &snapshot_fields[which].runs;
+            if let Some(run) = runs.iter().position(|r| r.contains(&at)) {
+                run_hits[which][run][kind as usize] += 1;
             }
             reseal_snapshot(&mut bytes);
             snap_cases += 1;
@@ -461,9 +505,19 @@ fn damaged_persistence_images_never_panic_and_decoded_values_round_trip() {
             images.granularity
         );
     }
-    // Every mutation kind ran, and both outcomes were exercised in both
-    // files, or the mutations prove nothing.
+    // Every mutation kind ran, every kind that aims at arbitrary bytes
+    // or words damaged every node run of both snapshots, and both
+    // outcomes were exercised in both files, or the mutations prove
+    // nothing.
     assert!(applied.iter().all(|&n| n > 100), "{applied:?}");
+    for hits in run_hits.iter().flatten() {
+        assert!(
+            [FLIP, TRUNCATE, FIELD, WINDOW]
+                .iter()
+                .all(|&kind| hits[kind as usize] > 0),
+            "{run_hits:?}"
+        );
+    }
     for (decoded, cases) in [(wal_decoded, wal_cases), (snap_decoded, snap_cases)] {
         assert!(
             decoded > cases / 20 && decoded < cases - cases / 20,

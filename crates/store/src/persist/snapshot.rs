@@ -3,18 +3,20 @@
 //! A snapshot is a full, self-describing serialization of an
 //! [`AlphaStore`](crate::AlphaStore): header (format version, hash width,
 //! scheme seed, shard count, granularity, WAL linkage, statistics), then
-//! the **canon node table** — the class-reachable sub-DAG of the in-memory
-//! [`CanonTable`](crate::dag), emitted once as a topologically ordered,
-//! node-deduplicated run — then each shard's classes (content address,
-//! member/occurrence counts, tree node count, and the *position* of the
-//! class's canonical root in that shared run), its term log and its
-//! per-term subexpression class lists, then a trailing CRC-32 over the
-//! whole body. The canonical form **is** the class identity (the paper's
-//! one-canonical-form-per-class property), so nothing else is needed to
-//! rebuild the store: decoding re-interns the run into a fresh canon
-//! table (reproducing the sharing exactly) and reconstructs hash buckets
-//! from the class hashes. Only the current format version decodes; a
-//! snapshot of any other version is refused with
+//! the **table image** — the nodes of the in-memory
+//! [`CanonTable`](crate::dag) that the classes reach, each once, as the
+//! table holds them: names, then one node run per node kind (de Bruijn
+//! nodes in a `Roots` store, §4.8 e-summary nodes in a `Subexpressions`
+//! store) — then each shard's classes (content address, member/occurrence
+//! counts, tree node count, and the *position* of the class's canon in
+//! the image's last run), its term log and its per-term subexpression
+//! class lists, then a trailing CRC-32 over the whole body. The canon
+//! **is** the class identity (the paper's one-canonical-form-per-class
+//! property), so nothing else is needed to rebuild the store: decoding
+//! interns the runs into the fresh canon table the store then owns
+//! (reproducing the sharing exactly), converting nothing, and rebuilds
+//! hash buckets from the class hashes. Only the current format version
+//! decodes; a snapshot of any other version is refused with
 //! [`PersistError::Mismatch`].
 //!
 //! Snapshots are written **atomically**: the bytes go to a temporary file
@@ -40,7 +42,6 @@ use crate::stats::StoreStats;
 use crate::store::{ClassId, Shard, StoredClass};
 use alpha_hash::combine::HashWord;
 use lambda_lang::canon::CanonRef;
-use lambda_lang::debruijn::{DbArena, DbId};
 use std::path::Path;
 
 /// Everything the snapshot header records: the same [`StoreIdentity`]
@@ -61,15 +62,12 @@ const MIN_TERM_BYTES: usize = 8 + 4;
 const SUB_PAIR_BYTES: usize = 8 + 4;
 
 /// Serializes a consistent view of the shards (the caller holds the locks)
-/// into the full snapshot byte image, trailing CRC included. `dag` is the
-/// extracted class-reachable node run and `class_roots` the per-class
-/// positions in it, in shard-major class order (the order
-/// `shards.flat_map(classes)` yields).
+/// into the full snapshot byte image, trailing CRC included: the classes'
+/// canon nodes are read from `table`, each reachable node written once.
 pub(crate) fn encode_snapshot<H: HashWord>(
     header: &SnapshotHeader,
     shards: &[&Shard<H>],
-    dag: &DbArena,
-    class_roots: &[DbId],
+    table: &CanonTable,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -78,15 +76,14 @@ pub(crate) fn encode_snapshot<H: HashWord>(
     put_u64(&mut out, header.wal_epoch);
     put_store_stats(&mut out, &header.stats);
 
-    // The node table, once.
-    format::put_dag(&mut out, dag);
-
+    // The table image, once; classes address its last run.
     debug_assert_eq!(shards.len(), header.identity.shard_count as usize);
-    debug_assert_eq!(
-        class_roots.len(),
-        shards.iter().map(|s| s.classes.len()).sum::<usize>()
-    );
-    let mut root_cursor = 0usize;
+    let roots: Vec<CanonRef> = shards
+        .iter()
+        .flat_map(|s| s.classes.iter().map(|c| c.canon))
+        .collect();
+    let positions = format::put_table(&mut out, table, header.identity.granularity, &roots);
+    let mut positions = positions.into_iter();
     for shard in shards {
         put_count(&mut out, shard.classes.len());
         for class in &shard.classes {
@@ -94,8 +91,7 @@ pub(crate) fn encode_snapshot<H: HashWord>(
             put_u64(&mut out, class.members);
             put_u64(&mut out, class.occurrences);
             put_u64(&mut out, class.node_count);
-            put_u32(&mut out, class_roots[root_cursor].index() as u32);
-            root_cursor += 1;
+            put_u32(&mut out, positions.next().expect("one position per class"));
         }
         put_count(&mut out, shard.terms.len());
         // Full ClassId bits — an updated term's class may live in a
@@ -118,9 +114,10 @@ pub(crate) fn encode_snapshot<H: HashWord>(
 }
 
 /// Decodes a snapshot image back into its header and rebuilt shards.
-/// Canonical forms are interned into `table` (so the returned shards'
-/// [`CanonRef`]s address it). Verifies the trailing CRC before reading
-/// anything else, then refuses any format version but the current one.
+/// Canon nodes are interned into `table`, which holds nothing yet (so
+/// the returned shards' [`CanonRef`]s address it). Verifies the trailing
+/// CRC before reading anything else, then refuses any format version but
+/// the current one.
 /// The header's identity is returned unchecked: the open path checks it
 /// by the same rule as the WAL's.
 pub(crate) fn decode_snapshot<H: HashWord>(
@@ -154,11 +151,9 @@ pub(crate) fn decode_snapshot<H: HashWord>(
         stats: take_store_stats(&mut input)?,
     };
 
-    // One shared node run up front, re-interned once; classes address
-    // positions in it.
-    let dag = format::take_dag(&mut input)?;
-    let node_refs: Vec<CanonRef> = table.intern_arena_refs(&dag);
-    let open = format::open_depths(&dag);
+    // The table image up front, interned node by node; classes address
+    // its last run.
+    let class_roots = format::take_table(&mut input, table, header.identity.granularity)?;
 
     // The shard count is the header's, not a count of what follows:
     // `shards` grows by the shards actually decoded.
@@ -172,10 +167,9 @@ pub(crate) fn decode_snapshot<H: HashWord>(
             let occurrences = take_u64(&mut input)?;
             let node_count = take_u64(&mut input)?;
             let pos = take_u32(&mut input)? as usize;
-            if open.get(pos) != Some(&0) {
+            let Some(&Some(canon)) = class_roots.get(pos) else {
                 return Err(corrupt("class canon position out of range or not closed"));
-            }
-            let canon = node_refs[pos];
+            };
             classes.push(StoredClass {
                 hash,
                 canon,
@@ -274,7 +268,8 @@ pub(crate) fn write_atomically(
     vfs.sync_dir(dir).map_err(snap_err(SnapshotOp::DirSync))
 }
 
-/// Reads and decodes a snapshot file into shards addressing `table`.
+/// Reads and decodes a snapshot file into shards addressing `table`,
+/// which holds nothing yet.
 pub(crate) fn read_snapshot<H: HashWord>(
     vfs: &dyn Vfs,
     path: &Path,
@@ -287,8 +282,9 @@ pub(crate) fn read_snapshot<H: HashWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::esummary::{KeyNode, StructNode};
     use crate::granularity::Granularity;
-    use lambda_lang::debruijn::DbNode;
+    use lambda_lang::Literal;
 
     fn header(granularity: Granularity) -> SnapshotHeader {
         SnapshotHeader {
@@ -309,12 +305,13 @@ mod tests {
     #[test]
     fn a_sub_pair_out_of_range_is_corrupt() {
         let table = CanonTable::new();
-        let mut dag = DbArena::new();
-        let x = dag.intern("x");
-        let root = dag.push(DbNode::FVar(x));
+        let structure = table.structs.intern(StructNode::Lit(Literal::I64(7)));
         let class = StoredClass {
             hash: 7u64,
-            canon: table.intern_arena(&dag, root),
+            canon: table.keys.intern(KeyNode {
+                structure,
+                map: None,
+            }),
             node_count: 1,
             members: 1,
             occurrences: 1,
@@ -324,7 +321,7 @@ mod tests {
         let pairs = vec![(own, 1), (stray, 1)].into_boxed_slice();
         let shard = Shard::from_parts(vec![class], vec![own], vec![pairs]);
         let header = header(Granularity::Subexpressions { min_nodes: 1 });
-        let bytes = encode_snapshot(&header, &[&shard], &dag, &[root]);
+        let bytes = encode_snapshot(&header, &[&shard], &table);
         match decode_snapshot::<u64>(&bytes, &CanonTable::new()) {
             Err(PersistError::Corrupt { context }) => {
                 assert!(context.contains("out of range"), "{context}");
@@ -334,17 +331,17 @@ mod tests {
     }
 
     /// A snapshot whose header names any version but the current one —
-    /// the retired v1, v2 and v5 layouts included — is a typed refusal, even
-    /// when its CRC checks out, and never a panic.
+    /// the retired v1, v2, v5 and v6 layouts included — is a typed
+    /// refusal, even when its CRC checks out, and never a panic.
     #[test]
     fn wrong_version_is_rejected() {
         let header = header(Granularity::Roots);
         let shard = Shard::<u64>::empty();
-        let bytes = encode_snapshot(&header, &[&shard], &DbArena::new(), &[]);
+        let bytes = encode_snapshot(&header, &[&shard], &CanonTable::new());
         assert!(decode_snapshot::<u64>(&bytes, &CanonTable::new()).is_ok());
 
         let version_at = SNAPSHOT_MAGIC.len();
-        for version in [1u16, 2, 5, FORMAT_VERSION + 1] {
+        for version in [1u16, 2, 5, 6, FORMAT_VERSION + 1] {
             let mut bad = bytes.clone();
             bad[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
             // Re-seal the body so the version check fires, not the CRC.
@@ -359,5 +356,48 @@ mod tests {
                 "version {version} must be refused"
             );
         }
+    }
+
+    /// A checkpoint then a clean reopen of a `Subexpressions` store loads
+    /// keys ref-equal to the live ones, so `lookup` and `contains` find
+    /// every class again: each term's, and each indexed subterm's.
+    #[test]
+    fn a_reopened_subexpressions_store_finds_every_class() {
+        use crate::AlphaStore;
+        use lambda_lang::visit::postorder;
+        use lambda_lang::{ExprArena, NodeId};
+        use rand::{rngs::StdRng, SeedableRng};
+        let dir =
+            std::env::temp_dir().join(format!("alpha-store-snapshot-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut arena = ExprArena::new();
+        let mut rng = StdRng::seed_from_u64(0x4E75);
+        let roots: Vec<NodeId> = (0..60)
+            .map(|i| match i % 3 {
+                0 => expr_gen::balanced(&mut arena, 4 + i, &mut rng),
+                1 => expr_gen::unbalanced(&mut arena, 4 + i, &mut rng),
+                _ => expr_gen::arithmetic(&mut arena, 8 + i, &mut rng),
+            })
+            .collect();
+        let builder = || AlphaStore::<u64>::builder().shards(4).subexpressions(2);
+        let store = builder().open_durable(&dir).expect("open");
+        let outcomes = store.insert_batch(&arena, &roots);
+        let subterms: Vec<NodeId> = roots
+            .iter()
+            .flat_map(|&root| postorder(&arena, root))
+            .collect();
+        let live = store.contains_batch(&arena, &subterms);
+        assert!(live.iter().filter(|c| c.is_some()).count() > roots.len());
+        store.checkpoint().expect("checkpoint");
+        drop(store);
+
+        let reopened = builder().open_durable(&dir).expect("reopen");
+        assert!(reopened.recovery_info().expect("durable").clean);
+        for (outcome, &root) in outcomes.iter().zip(&roots) {
+            assert_eq!(reopened.lookup(&arena, root), Some(outcome.class));
+        }
+        assert_eq!(reopened.contains_batch(&arena, &subterms), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

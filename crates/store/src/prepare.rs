@@ -35,10 +35,8 @@
 //!
 //! A `Subexpressions` store's WAL logs each term as ingested, and replay
 //! prepares it again through the same driver, since a subterm's key
-//! depends on the binder names above it. The snapshot and
-//! `representative_into` still convert keys to de Bruijn form through
-//! the §4.8 inverse (`crate::esummary::Inverse`), and snapshot load
-//! re-summarises what it reads.
+//! depends on the binder names above it. A snapshot needs no preparer:
+//! it writes and loads the e-summary nodes themselves.
 
 use crate::dag::{CanonTable, NamedScratch};
 use crate::esummary::Scratch;

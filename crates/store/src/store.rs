@@ -44,7 +44,7 @@
 //! [`StoreStats::hash_collisions`].
 
 use crate::canon::rebuild_named;
-use crate::dag::{eq_named, extract_canon, extract_one, intern_named, CanonTable};
+use crate::dag::{eq_named, extract_one, intern_named, CanonTable};
 use crate::esummary::Inverse;
 use crate::granularity::{Granularity, StoreBuilder};
 use crate::obs::StoreObs;
@@ -373,7 +373,8 @@ impl Default for HealthState {
 /// shared canon DAG, plus bookkeeping.
 pub(crate) struct StoredClass<H> {
     pub(crate) hash: H,
-    /// Root of the class's canonical de Bruijn form in the canon DAG.
+    /// The class's canon in the canon DAG: the root of its de Bruijn
+    /// form (`Roots`), or its e-summary key (`Subexpressions`).
     pub(crate) canon: CanonRef,
     /// Tree node count of the canonical form (the size every member
     /// shares, alpha-equivalent terms being equisized). The *resident*
@@ -1268,44 +1269,6 @@ impl<H: HashWord> AlphaStore<H> {
         }
     }
 
-    /// `canons` as roots of one node-deduplicated de Bruijn run in `dag`,
-    /// the run [`extract_canon`] gives: what the snapshot carries. A
-    /// `Subexpressions` store's keys are converted through a scratch
-    /// de Bruijn table first, so both stores write the same bytes for the
-    /// same forms.
-    pub(crate) fn debruijn_run(&self, canons: &[CanonRef], dag: &mut DbArena) -> Vec<DbId> {
-        if !self.granularity.indexes_subexpressions() {
-            return extract_canon(&self.table, canons, dag);
-        }
-        let scratch = CanonTable::with_shards(1);
-        let mut inverse = Inverse::new(&self.table);
-        let refs: Vec<CanonRef> = canons
-            .iter()
-            .map(|&key| {
-                let (db, root) = inverse.debruijn(key);
-                scratch.intern_arena(&db, root)
-            })
-            .collect();
-        extract_canon(&scratch, &refs, dag)
-    }
-
-    /// A `Subexpressions` store's class key for the de Bruijn term at
-    /// `root` of `dag`: the term rebuilt as a named term and re-summarised.
-    /// How snapshot load crosses the de Bruijn boundary. Each term is
-    /// rebuilt into an arena of its own, so its binders take the same few
-    /// fresh names as every other class's and the name table does not
-    /// grow with them.
-    pub(crate) fn key_of(&self, dag: &DbArena, root: DbId) -> CanonRef {
-        let mut arena = ExprArena::new();
-        let named = rebuild_named(dag, root, &mut arena);
-        let mut preparer = Preparer::new(&arena, &self.scheme);
-        let pt = preparer.prepare_term(&arena, named, usize::MAX, &self.table);
-        let PreparedCanon::Interned(key) = pt.root.canon else {
-            unreachable!("prepare_term interns its root");
-        };
-        key
-    }
-
     /// Shared-DAG size of a corpus under this store's hash scheme; see
     /// [`crate::corpus::corpus_shared_dag_size`].
     pub fn shared_dag_size(&self, arena: &ExprArena, roots: &[NodeId]) -> usize {
@@ -1533,9 +1496,9 @@ impl<H: HashWord> AlphaStore<H> {
 
     /// Serializes the current state to `path` (the caller has quiesced
     /// ingest or owns the store exclusively). Shard read locks are taken
-    /// in index order, then the canon table is read. The node table is
-    /// emitted **once** (the reachable sub-DAG, sharing preserved);
-    /// classes serialize as positions into it.
+    /// in index order, then the canon table is read: the nodes the
+    /// classes reach are written once each, and classes serialize as
+    /// positions among them.
     pub(crate) fn write_snapshot_file(
         &self,
         vfs: &dyn Vfs,
@@ -1549,21 +1512,12 @@ impl<H: HashWord> AlphaStore<H> {
             .map(|s| s.read().expect("shard lock poisoned"))
             .collect();
         let shard_refs: Vec<&Shard<H>> = guards.iter().map(|g| &**g).collect();
-        // Extract the class-reachable sub-DAG once, sharing preserved:
-        // one arena, one id per distinct node, every class root an id.
-        let refs: Vec<CanonRef> = shard_refs
-            .iter()
-            .flat_map(|s| s.classes.iter().map(|c| c.canon))
-            .collect();
-        let mut dag = DbArena::new();
-        let class_roots = self.debruijn_run(&refs, &mut dag);
         let header = SnapshotHeader {
             identity: self.identity(),
             wal_epoch,
             stats: self.counters.snapshot(),
         };
-        let bytes =
-            crate::persist::snapshot::encode_snapshot(&header, &shard_refs, &dag, &class_roots);
+        let bytes = crate::persist::snapshot::encode_snapshot(&header, &shard_refs, &self.table);
         let result = crate::persist::snapshot::write_atomically(vfs, path, &bytes);
         drop(guards);
         if result.is_ok() {

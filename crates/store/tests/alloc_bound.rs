@@ -152,6 +152,46 @@ fn hostile_counts_in_crc_valid_files_allocate_nothing_they_claim() {
     let intact = empty_store("intact-subs", subexpressions);
     let (opened, subs_baseline) = peak_during(|| AlphaStore::<u64>::open(&intact.0));
     drop(opened.expect("an intact empty store opens"));
+
+    // (l–r) A snapshot whose name count, or one of its node runs' node
+    // counts, claims 2³²−1, in either granularity. An empty store's
+    // snapshot holds the 107-byte header (magic, version, identity, WAL
+    // epoch, stats), then the name count and one node count per run:
+    // one run in a `Roots` store, four in a `Subexpressions` store.
+    const TABLE_AT: usize = 8 + 2 + 25 + 8 + 64;
+    for (granularity, baseline, runs) in [
+        (Granularity::Roots, baseline, 1),
+        (subexpressions, subs_baseline, 4),
+    ] {
+        for field in 0..=runs {
+            let claim = match field {
+                0 => format!("{granularity:?} names"),
+                run => format!("{granularity:?} nodes in run {run}"),
+            };
+            let tag: String = claim.chars().filter(char::is_ascii_alphanumeric).collect();
+            let dir = empty_store(&tag, granularity);
+            let path = dir.0.join(SNAPSHOT_FILE);
+            let mut bytes = std::fs::read(&path).expect("snapshot");
+            let at = TABLE_AT + 4 * field;
+            assert_eq!(bytes[at..at + 4], [0; 4], "{claim}: an empty store's count");
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let end = bytes.len() - 4;
+            let crc = crc32(&bytes[8..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write snapshot");
+            let (opened, peak) = peak_during(|| AlphaStore::<u64>::open(&dir.0));
+            assert!(
+                matches!(opened, Err(PersistError::Corrupt { .. })),
+                "{claim}: {:?}",
+                opened.map(|_| ())
+            );
+            assert!(
+                peak < baseline + MIB,
+                "snapshot claiming 2^32-1 {claim}: peak {peak} bytes, intact open {baseline}"
+            );
+        }
+    }
+
     let claims: [(&str, (u8, usize), &[u32]); 5] = [
         ("term names", RECORD, &[u32::MAX]),
         ("term nodes", RECORD, &[0, u32::MAX]),

@@ -11,28 +11,28 @@
 //! WAL. The `Subexpressions` tests run the same life through a durable
 //! store that indexes every subterm: its ingest, probes and whole-term
 //! updates go through the interned e-summary, its WAL records carry the
-//! terms as ingested, and its reopen re-prepares them. The
-//! shapes are the ones that made de Bruijn subterm indexing quadratic —
-//! the ANF chain and the binder fan, both Θ(n) deep — plus a balanced
-//! term, at three sizes spanning 4x. Counters, not clocks, so the gate is
-//! exact and runs in tier-1.
+//! terms as ingested, and its reopen re-prepares them. The shapes are the
+//! ones that made de Bruijn subterm indexing quadratic — the ANF chain
+//! and the binder fan, both Θ(n) deep — plus a balanced term, at three
+//! sizes spanning 4x. Counters, not clocks, so the gates are exact and
+//! run in tier-1, every reopen included.
 //!
-//! A reopen that replays ends with a recovery checkpoint. A `Roots`
-//! checkpoint's snapshot must stay linear in the canon DAG the store
-//! holds (the DAG written once, its sharing kept); on the balanced shape,
-//! whose classes share most of their nodes, a snapshot that unfolded the
-//! DAG into a tree per class would break that bound. A `Subexpressions`
-//! snapshot holds every class's standalone de Bruijn form: Θ(Σ class
-//! sizes), Θ(n²) nodes for the deep shapes (binder fan k = 1000: 12.0M
-//! nodes, 27 s in release), so its bound waits until snapshots carry
-//! e-summaries. So tier-1 reopens a `Subexpressions` store at the
-//! smallest size only; the ignored test reopens it at every size, and CI
-//! runs it in release.
+//! A reopen that replays ends with a recovery checkpoint, whose snapshot
+//! writes the canon-table nodes the classes reach, each once, as the
+//! table holds them. So its bytes must stay linear in the nodes the
+//! reopened store holds: at most the widest node kind's 16 bytes per
+//! resident node, plus fixed bytes per class, term, subterm pair and
+//! name. A snapshot that wrote each class as its own de Bruijn tree, at
+//! least a tag and a `u32` per node, would break that bound: in a
+//! `Roots` store on the balanced shape, whose classes share most of
+//! their nodes, and in a `Subexpressions` store on the deep shapes,
+//! whose subterm classes sum to Θ(n²) nodes.
 
 use alpha_store::persist::{SNAPSHOT_FILE, WAL_FILE};
 use alpha_store::{AlphaStore, ClassId, Rewrite, TermId};
-use lambda_lang::arena::{ExprArena, NodeId};
+use lambda_lang::arena::{ExprArena, ExprNode, NodeId};
 use lambda_lang::stats::free_vars;
+use lambda_lang::visit::postorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -44,6 +44,10 @@ const C: f64 = 0.5;
 /// the node table's name and node counts, and the CRC. Each shard adds
 /// its class and term counts.
 const SNAPSHOT_HEADER: u64 = 8 + 2 + 25 + 8 + 64 + 4 + 4 + 4;
+
+/// A `Subexpressions` snapshot's fixed bytes: three more node runs'
+/// counts (position trees, structures and map nodes, beside the keys).
+const SUBEXPRESSIONS_SNAPSHOT_HEADER: u64 = SNAPSHOT_HEADER + 3 * 4;
 
 /// A fresh temp directory, removed on drop (even when a check fails).
 struct TempDir(PathBuf);
@@ -225,16 +229,39 @@ fn check_term(label: &str, arena: &ExprArena, root: NodeId) -> (Vec<String>, boo
     (broken, 5 * dag.logical_nodes > bound)
 }
 
+/// The encoded bytes of every distinct name in the terms at `roots` of
+/// `arena`, bound or free: a `Subexpressions` store's maps name the
+/// variables free in its subterms, bound ones above them included.
+fn name_bytes(arena: &ExprArena, roots: &[NodeId]) -> u64 {
+    let mut names = std::collections::HashSet::new();
+    for &root in roots {
+        for n in postorder(arena, root) {
+            match arena.node(n) {
+                ExprNode::Var(s) | ExprNode::Lam(s, _) | ExprNode::Let(s, _, _) => {
+                    names.insert(arena.name(s).to_owned());
+                }
+                _ => {}
+            }
+        }
+    }
+    names.iter().map(|name| 4 + name.len() as u64).sum()
+}
+
 /// Runs one term's life through a durable store indexing every subterm
 /// and reports every work counter that breaks the bound. With `reopen`,
 /// the store is then dropped without a checkpoint and reopened from its
-/// WAL, which must rebuild the same census.
+/// WAL, which must rebuild the same census, and whose recovery
+/// checkpoint's snapshot must stay linear in the nodes the reopened
+/// store holds: 16 bytes per resident node, 48 per class, 16 per term
+/// and 12 per subterm pair, plus the names' bytes and the fixed header.
+/// Also says whether a snapshot that wrote each class as its own
+/// de Bruijn tree would break that bound.
 fn check_subexpressions_term(
     label: &str,
     arena: &ExprArena,
     root: NodeId,
     reopen: bool,
-) -> Vec<String> {
+) -> (Vec<String>, bool) {
     let n = arena.subtree_size(root) as u64;
     let dir = TempDir::new(&format!("subs {label}"));
     let builder = || {
@@ -247,9 +274,14 @@ fn check_subexpressions_term(
     let (term, class) = live(label, &store, arena, root);
     let mut work = common_work(&store);
     let census = (store.num_classes(), store.stats());
+    let mut copy = ExprArena::new();
+    let renamed = store.representative_into(class, &mut copy);
+    let names = name_bytes(arena, &[root]) + name_bytes(&copy, &[renamed]);
     drop(store);
     let wal_bytes = std::fs::metadata(dir.0.join(WAL_FILE)).unwrap().len();
     work.push(("WAL bytes", wal_bytes));
+    let mut unfolding_breaks = false;
+    let mut broken = Vec::new();
     if reopen {
         let reopened = builder().open_durable(&dir.0).unwrap();
         let report = reopened.obs_report();
@@ -269,8 +301,31 @@ fn check_subexpressions_term(
             class,
             "{label}: the updates replay"
         );
+        let snapshot = std::fs::metadata(dir.0.join(SNAPSHOT_FILE)).unwrap().len();
+        let dag = reopened.canon_dag_stats();
+        // A term's subterm pairs name one class each, at most one per
+        // node of its current form: the rewritten term's, and the
+        // inserted copy's, still of the term's first class.
+        let pairs =
+            (reopened.node_count(reopened.class_of(term)) + reopened.node_count(class)) as u64;
+        let bound = 16 * dag.resident_nodes
+            + 48 * reopened.num_classes() as u64
+            + 16 * reopened.num_terms() as u64
+            + 12 * pairs
+            + names
+            + SUBEXPRESSIONS_SNAPSHOT_HEADER
+            + 8 * reopened.shard_count() as u64;
+        if snapshot > bound {
+            broken.push(format!(
+                "{label}: the recovery checkpoint's snapshot is {snapshot} bytes, over the \
+                 {bound} bytes its {} resident canon nodes allow",
+                dag.resident_nodes
+            ));
+        }
+        unfolding_breaks = 5 * dag.logical_nodes > bound;
     }
-    over_bound(label, n, work)
+    broken.extend(over_bound(label, n, work));
+    (broken, unfolding_breaks)
 }
 
 /// The sizes every test runs, smallest first.
@@ -316,19 +371,25 @@ fn roots_paths_stay_within_n_log_squared_n() {
 fn subexpressions_ingest_probes_and_updates_stay_within_n_log_squared_n() {
     let broken: Vec<String> = shapes()
         .iter()
-        .flat_map(|(k, label, arena, root)| {
-            check_subexpressions_term(label, arena, *root, *k == SIZES[0])
-        })
+        .flat_map(|(_, label, arena, root)| check_subexpressions_term(label, arena, *root, false).0)
         .collect();
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
 #[test]
-#[ignore = "each reopen writes a de Bruijn snapshot, Θ(n²) for the deep shapes; CI runs it in release"]
 fn subexpressions_reopen_stays_within_n_log_squared_n_at_every_size() {
+    let mut sharp = 0;
     let broken: Vec<String> = shapes()
         .iter()
-        .flat_map(|(_, label, arena, root)| check_subexpressions_term(label, arena, *root, true))
+        .flat_map(|(_, label, arena, root)| {
+            let (broken, unfolding_breaks) = check_subexpressions_term(label, arena, *root, true);
+            sharp += usize::from(unfolding_breaks);
+            broken
+        })
         .collect();
     assert!(broken.is_empty(), "{}", broken.join("\n"));
+    assert!(
+        sharp > 0,
+        "no shape tells a table-image snapshot from a de Bruijn tree per class"
+    );
 }

@@ -150,17 +150,17 @@ fn subexpressions_store_files_are_byte_stable() {
 
 /// Recorded once; a change here is an on-disk format change.
 const ROOTS: &[&str] = &[
-    "open wal.bin=43:9007d32df6b24d50 snapshot.bin=absent",
-    "ingest wal.bin=4064:4a22f2e9081c5238 snapshot.bin=absent",
-    "update wal.bin=4208:450691d3d6c3f407 snapshot.bin=absent",
-    "checkpoint wal.bin=43:ecf8284917802bb3 snapshot.bin=2535:d249c50948c2221b",
-    "second batch wal.bin=1917:743fe0a63c932442 snapshot.bin=2535:d249c50948c2221b",
+    "open wal.bin=43:2af551bfd3bfb0ef snapshot.bin=absent",
+    "ingest wal.bin=4064:057ca8062029c635 snapshot.bin=absent",
+    "update wal.bin=4208:0e956b54ce702f7e snapshot.bin=absent",
+    "checkpoint wal.bin=43:ce04fca4b2f1d28c snapshot.bin=4057:26293454910cabdc",
+    "second batch wal.bin=1917:f96682d055551ac5 snapshot.bin=4057:26293454910cabdc",
 ];
 
 const SUBEXPRESSIONS: &[&str] = &[
-    "open wal.bin=43:e129f1b7798e7a9d snapshot.bin=absent",
-    "ingest wal.bin=4217:9b1de00aa59ddf57 snapshot.bin=absent",
-    "update wal.bin=4361:3f4c0f9fef358368 snapshot.bin=absent",
-    "checkpoint wal.bin=43:0024b8c0847dc4be snapshot.bin=13414:5d8ec846e4e0f6a8",
-    "second batch wal.bin=2002:66184890ff586966 snapshot.bin=13414:5d8ec846e4e0f6a8",
+    "open wal.bin=43:d9d3333650e383a2 snapshot.bin=absent",
+    "ingest wal.bin=4217:8e74df39695b67b0 snapshot.bin=absent",
+    "update wal.bin=4361:12caf6ad701bee2f snapshot.bin=absent",
+    "checkpoint wal.bin=43:bad86c2d45f43981 snapshot.bin=18268:5c772e0a4981a3ab",
+    "second batch wal.bin=2002:27a7e33f782b43ff snapshot.bin=18268:5c772e0a4981a3ab",
 ];
